@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"testing"
+	"time"
 
 	haocl "github.com/haocl-project/haocl"
 	"github.com/haocl-project/haocl/internal/apps"
@@ -149,8 +150,10 @@ func TestMultiUserExclusiveDeviceOverTCP(t *testing.T) {
 
 	// Alice disconnecting frees the device for Bob.
 	alice.Close()
-	deadline := 200
-	for ; deadline > 0; deadline-- {
+	// The node frees the device when it notices the closed connection, on
+	// its own goroutine: poll on the clock, not on a retry count a loaded
+	// machine can burn through before that goroutine is scheduled.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		if _, err = ctxB.CreateQueue(bob.Devices(haocl.GPU)[0]); err == nil {
 			break
 		}

@@ -49,19 +49,21 @@ func hopDelay(modelBytes int64) vtime.Duration {
 // is issued through the async path without waiting for any response:
 // fan-out to n nodes costs zero round trips instead of n. The returned
 // events resolve as the nodes answer. A crash-induced failure recovers
-// and retries transparently.
+// and retries transparently. The caller may reuse data as soon as the call
+// returns: one private copy serves the command log and every hop's frame.
 func (c *Context) Broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, error) {
+	owned := append([]byte(nil), data...)
 	var events []*Event
 	err := c.rt.withRecovery(func() error {
 		var berr error
-		events, berr = c.broadcast(b, data, queues)
+		events, berr = c.broadcast(b, owned, queues)
 		return berr
 	})
 	return events, err
 }
 
 // broadcast is the non-recovering Broadcast internal; replay drives it
-// directly.
+// directly. data must never change again (see enqueueWrite).
 func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, error) {
 	if len(queues) == 0 {
 		return nil, fmt.Errorf("core: broadcast needs at least one queue")
@@ -250,7 +252,7 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 	c.sess.logCommand(&broadcastLog{
 		c:    c,
 		b:    b,
-		data: append([]byte(nil), data...),
+		data: data,
 		qs:   append([]*Queue(nil), queues...),
 	})
 	return events, nil

@@ -34,7 +34,7 @@ type writeLog struct {
 	q    *Queue
 	b    *Buffer
 	off  int64
-	data []byte // private copy: the caller may reuse its slice
+	data []byte // EnqueueWrite's private copy, shared with the request frame
 }
 
 func (l *writeLog) replay(rt *Runtime) error {

@@ -699,18 +699,25 @@ func hostRangeOK(off, n, size int64) bool {
 // NIC model. The command is pipelined: the call returns once the request
 // is on the wire, and the returned event resolves when the node responds.
 // A crash-induced failure recovers and retries transparently.
+//
+// The caller may reuse data as soon as the call returns: the one private
+// copy made here serves both the command log and the wire.
 func (q *Queue) EnqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Event) (*Event, error) {
+	owned := append([]byte(nil), data...)
 	var ev *Event
 	err := q.ctx.rt.withRecovery(func() error {
 		var werr error
-		ev, werr = q.enqueueWrite(b, offset, data, waits...)
+		ev, werr = q.enqueueWrite(b, offset, owned, waits...)
 		return werr
 	})
 	return ev, err
 }
 
 // enqueueWrite is the non-recovering EnqueueWrite internal; replay drives
-// it directly.
+// it directly. data must never change again: the command log keeps it and
+// the request frame references it until the writer goroutine has shipped
+// it (DESIGN.md §11). EnqueueWrite passes its private copy, replay the
+// log's own slice.
 func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Event) (*Event, error) {
 	if err := q.stickyErr(); err != nil {
 		return nil, err
@@ -785,7 +792,7 @@ func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Eve
 	rb.lastEvent = id
 	rb.lastEv = ev
 	// Log under b.mu so the log order matches the issue order per buffer.
-	q.ctx.sess.logCommand(&writeLog{q: q, b: b, off: offset, data: append([]byte(nil), data...)})
+	q.ctx.sess.logCommand(&writeLog{q: q, b: b, off: offset, data: data})
 	return ev, nil
 }
 
@@ -860,7 +867,7 @@ func (b *Buffer) ensureResident(node *NodeHandle, lo, hi int64) (*remoteBuf, err
 			QueueID:    svcQID,
 			BufferID:   rb.id,
 			Offset:     g.Lo,
-			Data:       b.host[g.Lo:g.Hi],
+			Data:       b.hostSnapshot(g),
 			SimArrival: int64(arrival),
 			ModelBytes: modelBytes,
 			WaitEvents: chain,
@@ -875,6 +882,14 @@ func (b *Buffer) ensureResident(node *NodeHandle, lo, hi int64) (*remoteBuf, err
 		rb.lastEv = pushEv
 	}
 	return rb, nil
+}
+
+// hostSnapshot copies one range of the host shadow for a relay push. A
+// bulk request frame references its payload until the writer goroutine
+// has shipped it, which is after b.mu is released — and the next write
+// overwrites the shadow in place. Caller holds b.mu.
+func (b *Buffer) hostSnapshot(r mem.Range) []byte {
+	return append([]byte(nil), b.host[r.Lo:r.Hi]...)
 }
 
 // refreshHost makes the host shadow valid over the given ranges, pulling

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -141,7 +142,10 @@ func (s *Session) Close() error {
 	s.rt.sessMu.Lock()
 	for i, cand := range s.rt.sessions {
 		if cand == s {
-			s.rt.sessions = append(s.rt.sessions[:i], s.rt.sessions[i+1:]...)
+			// slices.Delete zeroes the vacated tail slot; a bare append
+			// would leave the last closed session, and through it its
+			// whole command log, reachable from the backing array.
+			s.rt.sessions = slices.Delete(s.rt.sessions, i, i+1)
 			break
 		}
 	}

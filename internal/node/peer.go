@@ -26,6 +26,9 @@ type rendezvous struct {
 
 // rdvEntry is one pending push. done is closed exactly once — by the
 // deposit or by a cancel — after which data/simArrival/err are immutable.
+// data is a view of the PeerPush frame's body, kept until the awaiter has
+// copied it into the replica: the one request body that outlives its
+// response, which is why the transport never pools it (DESIGN.md §11).
 type rdvEntry struct {
 	done       chan struct{}
 	data       []byte
@@ -314,17 +317,21 @@ func (s *Session) execPushRange(req *protocol.PushRangeReq, q *queueObj, ev *eve
 		_, arrival = s.node.nicOut.Transfer(rend, modelBytes)
 	}
 
-	data := make([]byte, req.Size)
+	// The push frame references the snapshot while it is in flight.
+	data, pooled := snapshotBuf(req.Size)
 	buf.mu.RLock()
 	copy(data, buf.data[req.Offset:req.Offset+req.Size])
 	buf.mu.RUnlock()
 
 	push := &protocol.PeerPushReq{Token: req.Token, Data: data, SimArrival: int64(arrival)}
 	if err := client.Call(push, nil); err != nil {
+		// The snapshot is left to the collector: a failed call does not
+		// prove the writer goroutine is done reading it.
 		err = remoteErr(protocol.CodeNodeLost, "push to peer %q: %v", req.PeerName, err)
 		s.markPeerDown(req.PeerName, err)
 		return nil, s.failCommand(ev, err)
 	}
+	pooled.Free() // acknowledged, so read in full by the peer
 
 	prof := protocol.Profile{
 		Queued: req.SimArrival, Submit: int64(submit), Start: int64(start), End: int64(arrival),

@@ -137,6 +137,10 @@ func (l *lane) run() {
 			return
 		}
 		job := l.jobs[0]
+		// Clear the popped slot: the backing array outlives the reslice,
+		// and a completed job still pins its request — a whole frame body,
+		// for a bulk write — and the buffers it resolved.
+		l.jobs[0] = nil
 		l.jobs = l.jobs[1:]
 		l.mu.Unlock()
 		job()
@@ -837,7 +841,9 @@ func (s *Session) execReadBuffer(req *protocol.ReadBufferReq, q *queueObj, ev *e
 	dur := q.dev.ModelTransfer(modelBytes)
 	q.execMu.Lock()
 	start, end := q.clock.Reserve(arrival, dur)
-	out := make([]byte, req.Size)
+	// The response references the snapshot until its frame is written;
+	// whoever writes it frees a pooled one (ReadBufferResp.Pooled).
+	out, pooled := snapshotBuf(req.Size)
 	buf.mu.RLock()
 	copy(out, buf.data[req.Offset:req.Offset+req.Size])
 	buf.mu.RUnlock()
@@ -848,7 +854,19 @@ func (s *Session) execReadBuffer(req *protocol.ReadBufferReq, q *queueObj, ev *e
 		Queued: req.SimArrival, Submit: int64(arrival), Start: int64(start), End: int64(end),
 	}
 	ev.complete(prof)
-	return &protocol.ReadBufferResp{Data: out, EventID: ev.id, Profile: prof}, nil
+	return &protocol.ReadBufferResp{Data: out, EventID: ev.id, Profile: prof, Pooled: pooled}, nil
+}
+
+// snapshotBuf returns n bytes to copy a buffer range into before it leaves
+// the node: from the payload pool when the range is bulk (the frame then
+// references the snapshot instead of copying it again), freshly allocated
+// otherwise, with a nil Buf.
+func snapshotBuf(n int64) ([]byte, *protocol.Buf) {
+	if n <= protocol.BatchableBodyLimit {
+		return make([]byte, n), nil
+	}
+	pooled := protocol.GetBuf(int(n))
+	return pooled.B, pooled
 }
 
 func (s *Session) execCopyBuffer(req *protocol.CopyBufferReq, q *queueObj, ev *eventObj, src, dst *bufferObj, waits []*eventObj) (protocol.Message, error) {

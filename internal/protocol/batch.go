@@ -46,7 +46,7 @@ const batchSubHeader = 1 + 8 + 2 + 4
 func EncodeBatch(subs []*Frame) (*Frame, error) {
 	size := 4
 	for _, f := range subs {
-		size += batchSubHeader + len(f.Body)
+		size += batchSubHeader + f.BodyLen()
 	}
 	if size > MaxFrameSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, size)
@@ -60,7 +60,9 @@ func EncodeBatch(subs []*Frame) (*Frame, error) {
 		e.U8(uint8(f.Kind))
 		e.U64(f.ReqID)
 		e.U16(uint16(f.Op))
-		e.Blob(f.Body)
+		bulk, tail := f.Payload()
+		e.U32(uint32(f.BodyLen()))
+		e.buf = append(append(append(e.buf, f.Body...), bulk...), tail...)
 	}
 	return &Frame{Kind: FrameBatch, Op: OpBatch, Body: e.Bytes()}, nil
 }
@@ -84,11 +86,11 @@ func DecodeBatch(f *Frame) ([]*Frame, error) {
 			Kind:  FrameKind(d.U8()),
 			ReqID: d.U64(),
 			Op:    Op(d.U16()),
-			// Bodies alias the envelope buffer (BlobView): sub-frames go
-			// straight into the dispatch path that plain frames take, and
-			// the envelope buffer is never reused, so skipping the copy
-			// keeps the per-message overhead this layer exists to remove.
-			Body: d.BlobView(),
+			// Bodies alias the envelope buffer: sub-frames go straight
+			// into the dispatch path that plain frames take, and envelope
+			// bodies are never pooled, so skipping the copy keeps the
+			// per-message overhead this layer exists to remove.
+			Body: d.Blob(),
 		}
 		if d.Err() != nil {
 			return nil, fmt.Errorf("%w: sub-frame %d: %v", ErrBadBatch, i, d.Err())

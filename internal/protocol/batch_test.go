@@ -237,13 +237,52 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add(sessCtx)
 	f.Add(sessCtx[:len(sessCtx)-4])
+	// Bulk frames, built by the by-reference encoder: a write and a peer
+	// deposit just over the referencing threshold, and a cut inside the
+	// payload.
+	bulk := make([]byte, BatchableBodyLimit+1)
+	bulkWrite, err := AppendFrame(nil, NewFrame(FrameRequest, 13, OpWriteBuffer,
+		&WriteBufferReq{QueueID: 1, BufferID: 2, Data: bulk, EventID: 3}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bulkWrite)
+	f.Add(bulkWrite[:len(bulkWrite)/2])
+	bulkPush, err := AppendFrame(nil, NewFrame(FrameRequest, 14, OpPeerPush, &PeerPushReq{Token: 4, Data: bulk}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bulkPush)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
+		// The pooled reader must accept exactly the same streams and
+		// deliver the same frame.
+		pf, err := ReadFramePooled(bytes.NewReader(data))
+		if err != nil || pf.Kind != fr.Kind || pf.ReqID != fr.ReqID || pf.Op != fr.Op || !bytes.Equal(pf.Body, fr.Body) {
+			t.Fatalf("ReadFramePooled disagrees with ReadFrame: %v", err)
+		}
+		pf.Release()
 		if fr.Kind != FrameBatch {
+			// A payload-carrying body that decodes must re-encode to the
+			// same wire bytes by reference as by copy.
+			var m Message
+			switch fr.Op {
+			case OpWriteBuffer:
+				m = &WriteBufferReq{}
+			case OpReadBuffer:
+				m = &ReadBufferResp{}
+			case OpPeerPush:
+				m = &PeerPushReq{}
+			default:
+				return
+			}
+			if DecodeMessage(m, fr.Body) == nil {
+				refBody(t, m)
+			}
 			return
 		}
 		subs, err := DecodeBatch(fr)
@@ -281,6 +320,13 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(uint16(OpHello), EncodeMessage(&HelloReq{UserID: "u", WireVersion: Version, Epoch: 3}))
 	f.Add(uint16(OpCreateContext), EncodeMessage(&CreateContextReq{
 		DeviceIDs: []int64{1, 2}, SessionID: 7, Tenant: "team-a"}))
+	// Payloads either side of the referencing threshold (indices into msgs
+	// below: 7 WriteBufferReq, 9 ReadBufferResp, 21 PeerPushReq).
+	for _, size := range []int{BatchableBodyLimit, BatchableBodyLimit + 1} {
+		f.Add(uint16(7), EncodeMessage(&WriteBufferReq{QueueID: 1, Data: make([]byte, size), WaitEvents: []int64{2}}))
+		f.Add(uint16(9), EncodeMessage(&ReadBufferResp{Data: make([]byte, size), EventID: 3}))
+		f.Add(uint16(21), EncodeMessage(&PeerPushReq{Token: 4, Data: make([]byte, size)}))
+	}
 	f.Fuzz(func(t *testing.T, op uint16, body []byte) {
 		var msgs = []Message{
 			&HelloReq{}, &HelloResp{}, &GetDeviceInfosReq{}, &GetDeviceInfosResp{},
@@ -292,6 +338,11 @@ func FuzzDecodeMessage(f *testing.F) {
 			&PushRangeReq{}, &PeerPushReq{}, &AwaitPushReq{}, &CancelPushReq{},
 		}
 		m := msgs[int(op)%len(msgs)]
-		_ = DecodeMessage(m, body) // must not panic
+		if DecodeMessage(m, body) != nil { // must not panic
+			return
+		}
+		// Whatever decodes must encode to the same wire bytes by
+		// reference as by copy.
+		refBody(t, m)
 	})
 }

@@ -691,6 +691,10 @@ type ReadBufferResp struct {
 	Data    []byte
 	EventID uint64
 	Profile Profile
+	// Pooled, when non-nil, is the pooled buffer Data is a view of (a
+	// node's read snapshot). It never travels: a sender that ships Data
+	// by reference frees it once the response frame is written.
+	Pooled *Buf
 }
 
 // Op implements Message.
@@ -698,7 +702,7 @@ func (*ReadBufferResp) Op() Op { return OpReadBuffer }
 
 // MarshalBody implements Message.
 func (m *ReadBufferResp) MarshalBody(e *Encoder) {
-	e.Blob(m.Data)
+	e.PooledBlob(m.Data, m.Pooled)
 	e.U64(m.EventID)
 	m.Profile.marshal(e)
 }
@@ -1284,11 +1288,35 @@ var ErrRemote = errors.New("protocol: remote error")
 // Is reports whether target is ErrRemote.
 func (e *RemoteError) Is(target error) bool { return target == ErrRemote }
 
-// EncodeMessage marshals m into a fresh body slice.
+// EncodeMessage marshals m into a fresh body slice, copying any payload.
 func EncodeMessage(m Message) []byte {
 	e := NewEncoder()
 	m.MarshalBody(e)
 	return e.Bytes()
+}
+
+// NewFrame builds the frame that carries m (nil for an empty body) and is
+// how transports encode what they send. Its wire bytes are exactly those
+// of a frame whose Body is EncodeMessage(m), but a bulk payload — the
+// message's first blob above BatchableBodyLimit, the size that already
+// makes a frame travel alone — is referenced by the frame (see
+// Frame.Payload) instead of copied into its Body. The payload must
+// therefore stay unmodified until the frame has been written; a sender
+// that cannot promise that passes a private copy.
+func NewFrame(kind FrameKind, reqID uint64, op Op, m Message) *Frame {
+	f := &Frame{Kind: kind, ReqID: reqID, Op: op}
+	if m == nil {
+		return f
+	}
+	e := NewEncoder()
+	e.frame = f
+	m.MarshalBody(e)
+	if f.ref != nil {
+		f.ref.tail = e.buf
+	} else {
+		f.Body = e.buf
+	}
+	return f
 }
 
 // DecodeMessage unmarshals body into m, reporting truncation errors.

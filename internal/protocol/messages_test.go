@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -11,8 +12,84 @@ import (
 // roundTrip encodes m and decodes into out, failing the test on error.
 func roundTrip(t *testing.T, m Message, out Message) {
 	t.Helper()
-	if err := DecodeMessage(out, EncodeMessage(m)); err != nil {
+	if err := DecodeMessage(out, refBody(t, m)); err != nil {
 		t.Fatalf("decode %T: %v", m, err)
+	}
+}
+
+// refBody encodes m with the by-reference encoder (NewFrame), checks that
+// the frame's wire bytes are exactly those of a frame carrying
+// EncodeMessage(m), and returns the body as it would arrive off the wire.
+func refBody(t testing.TB, m Message) []byte {
+	t.Helper()
+	f := NewFrame(FrameRequest, 7, m.Op(), m)
+	got, err := AppendFrame(nil, f)
+	if err != nil {
+		t.Fatalf("append by-reference frame of %T: %v", m, err)
+	}
+	want, err := AppendFrame(nil, &Frame{Kind: FrameRequest, ReqID: 7, Op: m.Op(), Body: EncodeMessage(m)})
+	if err != nil {
+		t.Fatalf("append copied frame of %T: %v", m, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%T: by-reference wire bytes differ from EncodeMessage's (%d vs %d bytes)", m, len(got), len(want))
+	}
+	if f.BodyLen() != len(want)-headerSize || FrameWireSize(f) != len(want) {
+		t.Fatalf("%T: BodyLen %d, FrameWireSize %d, wire %d", m, f.BodyLen(), FrameWireSize(f), len(want))
+	}
+	return got[headerSize:]
+}
+
+// TestNewFrameReferencesBulkPayload pins the threshold and the aliasing:
+// a blob above BatchableBodyLimit is referenced by the frame, one at or
+// below it is copied, and either way the wire bytes are EncodeMessage's.
+func TestNewFrameReferencesBulkPayload(t *testing.T) {
+	for _, size := range []int{0, 1, BatchableBodyLimit - 1, BatchableBodyLimit, BatchableBodyLimit + 1, 3*BatchableBodyLimit + 5} {
+		data := make([]byte, size)
+		rand.New(rand.NewSource(int64(size))).Read(data)
+		for _, m := range []Message{
+			&WriteBufferReq{QueueID: 1, BufferID: 2, Offset: 3, Data: data, SimArrival: 4, EventID: 5, ModelBytes: 6, WaitEvents: []int64{7, 8}},
+			&ReadBufferResp{Data: data, EventID: 9, Profile: Profile{Queued: 1, Submit: 2, Start: 3, End: 4}},
+			&PeerPushReq{Token: 10, Data: data, SimArrival: 11},
+		} {
+			refBody(t, m)
+			f := NewFrame(FrameResponse, 1, m.Op(), m)
+			bulk, _ := f.Payload()
+			if want := size > BatchableBodyLimit; want != (bulk != nil) {
+				t.Fatalf("%T with %d-byte blob: referenced = %v, want %v", m, size, bulk != nil, want)
+			}
+			if bulk != nil && &bulk[0] != &data[0] {
+				t.Fatalf("%T: the frame holds a copy of the payload, not a reference", m)
+			}
+		}
+	}
+	// Only the first bulk blob is referenced; a second one is copied inline.
+	big := make([]byte, BatchableBodyLimit+1)
+	refBody(t, &EnqueueKernelReq{Args: []KernelArg{{Kind: ArgScalar, Scalar: big}, {Kind: ArgScalar, Scalar: big}}})
+	// A nil message is an empty body.
+	if f := NewFrame(FrameResponse, 1, OpRelease, nil); f.BodyLen() != 0 {
+		t.Fatalf("nil message encoded %d body bytes", f.BodyLen())
+	}
+}
+
+// TestNewFrameOwnsPooledPayload: a pooled read snapshot travels with the
+// frame that references it and is handed back by Release; a copied one
+// stays with the caller.
+func TestNewFrameOwnsPooledPayload(t *testing.T) {
+	pooled := GetBuf(BatchableBodyLimit + 1)
+	f := NewFrame(FrameResponse, 1, OpReadBuffer, &ReadBufferResp{Data: pooled.B, Pooled: pooled})
+	if f.ref == nil || f.ref.pooled != pooled {
+		t.Fatal("frame did not take over the pooled payload it references")
+	}
+	f.Release()
+	if bulk, _ := f.Payload(); bulk != nil || pooled.B != nil {
+		t.Fatal("Release left the pooled payload reachable through the frame")
+	}
+	f.Release() // idempotent
+
+	small := GetBuf(16)
+	if f := NewFrame(FrameResponse, 1, OpReadBuffer, &ReadBufferResp{Data: small.B, Pooled: small}); f.ref != nil {
+		t.Fatal("frame took over a pooled payload it copied")
 	}
 }
 
@@ -171,7 +248,7 @@ func TestAllMessagesRoundTripProperty(t *testing.T) {
 	for round := 0; round < 25; round++ {
 		for i, mk := range msgs {
 			in, out := mk()
-			if err := DecodeMessage(out, EncodeMessage(in)); err != nil {
+			if err := DecodeMessage(out, refBody(t, in)); err != nil {
 				t.Fatalf("case %d (%T): %v", i, in, err)
 			}
 			if !reflect.DeepEqual(in, out) {
@@ -189,8 +266,15 @@ func randStr(rng *rand.Rand) string {
 	return string(b)
 }
 
+// randBlob returns a payload that is usually small and every fourth time
+// sits at or just either side of BatchableBodyLimit, where the encoder
+// switches from copying to referencing.
 func randBlob(rng *rand.Rand) []byte {
-	b := make([]byte, rng.Intn(64)+1)
+	n := rng.Intn(64) + 1
+	if rng.Intn(4) == 0 {
+		n = BatchableBodyLimit - 1 + rng.Intn(3)
+	}
+	b := make([]byte, n)
 	rng.Read(b)
 	return b
 }
@@ -216,7 +300,7 @@ func TestDecodeTruncatedMessages(t *testing.T) {
 		Args:       []KernelArg{{Kind: ArgBuffer, BufferID: 3}, {Kind: ArgScalar, Scalar: []byte{1, 2, 3, 4}}},
 		WaitEvents: []int64{7},
 	}
-	body := EncodeMessage(in)
+	body := refBody(t, in)
 	for cut := 0; cut < len(body); cut++ {
 		var out EnqueueKernelReq
 		if err := DecodeMessage(&out, body[:cut]); err == nil {
@@ -234,12 +318,16 @@ func TestDecodeTruncatedPushMessages(t *testing.T) {
 			Offset: 5, Size: 6, SimArrival: 7, DepartAt: 8, EventID: 9, ModelBytes: 10,
 			WaitEvents: []int64{11}}, &PushRangeReq{}},
 		{&PeerPushReq{Token: 1, Data: []byte{1, 2, 3}, SimArrival: 4}, &PeerPushReq{}},
+		{&PeerPushReq{Token: 1, Data: make([]byte, BatchableBodyLimit+1), SimArrival: 4}, &PeerPushReq{}},
+		{&WriteBufferReq{QueueID: 1, BufferID: 2, Data: make([]byte, BatchableBodyLimit+1), EventID: 3,
+			WaitEvents: []int64{4}}, &WriteBufferReq{}},
+		{&ReadBufferResp{Data: make([]byte, BatchableBodyLimit+1), EventID: 5}, &ReadBufferResp{}},
 		{&AwaitPushReq{QueueID: 1, BufferID: 2, Token: 3, Offset: 4, Size: 5, SimArrival: 6,
 			EventID: 7, ModelBytes: 8, WaitEvents: []int64{9}}, &AwaitPushReq{}},
 		{&CancelPushReq{Token: 1, Reason: "source died"}, &CancelPushReq{}},
 	}
 	for _, c := range cases {
-		body := EncodeMessage(c.in)
+		body := refBody(t, c.in)
 		for cut := 0; cut < len(body); cut++ {
 			if err := DecodeMessage(c.out, body[:cut]); err == nil {
 				t.Fatalf("%T: truncation at %d decoded without error", c.in, cut)

@@ -1,0 +1,75 @@
+package protocol
+
+import (
+	"math/bits"
+	"sync"
+)
+
+// Buf is a payload-sized scratch buffer drawn from size-classed sync.Pools.
+// Only buffers with a lexical lifetime are pooled (DESIGN.md §11): a
+// server-side bulk request body (dead once the request's response is
+// produced), a node's read snapshot (dead once the response frame is
+// written) and a push snapshot (dead once the peer acknowledged it).
+// Whoever Gets, Frees; a Buf that is simply dropped is collected like any
+// other garbage, so forgetting to Free costs an allocation, never
+// correctness. The pools empty themselves under GC — there is no bound to
+// tune and nothing outlives two collections.
+type Buf struct {
+	// B is the buffer, exactly as long as requested. Its contents are
+	// whatever the previous user left: callers overwrite all of it.
+	B     []byte
+	full  []byte // B's whole size-class backing slice
+	class int    // pool index; -1 when the size is beyond the pooled classes
+}
+
+// Size classes step in quarter octaves — 5/8, 6/8, 7/8 and 8/8 of each
+// power of two — so a pool miss allocates at most 25 % more than asked
+// for. (Plain powers of two would round every "1 MiB payload plus a few
+// header fields" body up to 2 MiB.) The smallest class serves everything
+// up to 16 KiB; the largest is MaxFrameSize.
+const (
+	minClassBits = 15 // sizes in (2^14, 2^15] form the first octave
+	maxClassBits = 30 // MaxFrameSize
+	numClasses   = (maxClassBits - minClassBits + 1) * 4
+)
+
+var bufPools [numClasses]sync.Pool
+
+// sizeClass maps a requested length to its pool index and class size.
+func sizeClass(n int) (class, size int) {
+	k := bits.Len(uint(n - 1)) // smallest k with n <= 2^k
+	if k < minClassBits {
+		k = minClassBits
+	}
+	step := 1 << (k - 3)
+	eighths := (n + step - 1) / step
+	if eighths < 5 {
+		eighths = 5 // only reachable in the first octave
+	}
+	return (k-minClassBits)*4 + eighths - 5, eighths * step
+}
+
+// GetBuf returns a buffer of length n, reusing a freed one of n's size
+// class when the pool has one.
+func GetBuf(n int) *Buf {
+	if n < 1 || n > MaxFrameSize {
+		return &Buf{B: make([]byte, n), class: -1}
+	}
+	class, size := sizeClass(n)
+	b, _ := bufPools[class].Get().(*Buf)
+	if b == nil {
+		b = &Buf{full: make([]byte, size), class: class}
+	}
+	b.B = b.full[:n:n]
+	return b
+}
+
+// Free returns the buffer to its pool. The caller must hold no reference
+// into B afterwards. Free on a nil Buf is a no-op.
+func (b *Buf) Free() {
+	if b == nil || b.class < 0 {
+		return
+	}
+	b.B = nil
+	bufPools[b.class].Put(b)
+}

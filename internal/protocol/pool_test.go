@@ -1,0 +1,109 @@
+package protocol
+
+import (
+	"bytes"
+	"testing"
+	"unsafe"
+)
+
+// TestSizeClassProperty: every poolable length maps to a class that holds
+// it, wastes at most a quarter, and grows monotonically with the length.
+func TestSizeClassProperty(t *testing.T) {
+	prevClass, prevSize := 0, 0
+	for _, n := range []int{1, 100, BatchableBodyLimit, BatchableBodyLimit + 1, 20480, 20481, 32768, 32769,
+		1 << 20, 1<<20 + 1, 1<<20 + 60, 5 << 18, 5<<18 + 1, 16 << 20, 16<<20 + 44, MaxFrameSize - 1, MaxFrameSize} {
+		class, size := sizeClass(n)
+		if class < 0 || class >= numClasses {
+			t.Fatalf("sizeClass(%d) = class %d, outside [0,%d)", n, class, numClasses)
+		}
+		if size < n {
+			t.Fatalf("sizeClass(%d) = %d bytes, too small", n, size)
+		}
+		if n > BatchableBodyLimit && size > n+n/4 {
+			t.Fatalf("sizeClass(%d) = %d bytes, wastes more than a quarter", n, size)
+		}
+		if class < prevClass || size < prevSize {
+			t.Fatalf("sizeClass not monotonic at %d: class %d size %d after class %d size %d", n, class, size, prevClass, prevSize)
+		}
+		if c2, s2 := sizeClass(size); c2 != class || s2 != size {
+			t.Fatalf("class size %d of length %d maps to class %d size %d, want itself (class %d)", size, n, c2, s2, class)
+		}
+		prevClass, prevSize = class, size
+	}
+}
+
+func TestGetBufLengthAndFree(t *testing.T) {
+	for _, n := range []int{1, BatchableBodyLimit + 1, 1<<20 + 60} {
+		b := GetBuf(n)
+		if len(b.B) != n || cap(b.B) != n {
+			t.Fatalf("GetBuf(%d): len %d cap %d", n, len(b.B), cap(b.B))
+		}
+		b.Free()
+		if b.B != nil {
+			t.Fatal("Free left the buffer reachable through its handle")
+		}
+	}
+	var none *Buf
+	none.Free() // a nil handle is a no-op: unpooled snapshots carry one
+}
+
+// TestReadFramePooledPolicy: only bulk request frames draw their body from
+// the pool; small frames, responses, envelopes and PeerPush deposits (which
+// the receiver parks past its response) get a body of their own.
+func TestReadFramePooledPolicy(t *testing.T) {
+	bulk := make([]byte, BatchableBodyLimit+1)
+	for i := range bulk {
+		bulk[i] = byte(i)
+	}
+	cases := []struct {
+		name   string
+		f      *Frame
+		pooled bool
+	}{
+		{"bulk request", &Frame{Kind: FrameRequest, ReqID: 1, Op: OpWriteBuffer, Body: bulk}, true},
+		{"body at the limit", &Frame{Kind: FrameRequest, ReqID: 1, Op: OpWriteBuffer, Body: bulk[:BatchableBodyLimit]}, false},
+		{"bulk response", &Frame{Kind: FrameResponse, ReqID: 1, Op: OpReadBuffer, Body: bulk}, false},
+		{"bulk envelope", &Frame{Kind: FrameBatch, Op: OpBatch, Body: bulk}, false},
+		{"peer deposit", &Frame{Kind: FrameRequest, ReqID: 1, Op: OpPeerPush, Body: bulk}, false},
+	}
+	for _, c := range cases {
+		wire, err := AppendFrame(nil, c.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFramePooled(bytes.NewReader(wire))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if (got.ref != nil) != c.pooled {
+			t.Fatalf("%s: pooled = %v, want %v", c.name, got.ref != nil, c.pooled)
+		}
+		if !bytes.Equal(got.Body, c.f.Body) {
+			t.Fatalf("%s: body differs", c.name)
+		}
+		got.Release()
+		if c.pooled && got.Body != nil {
+			t.Fatalf("%s: Release left the pooled body reachable", c.name)
+		}
+		if plain, err := ReadFrame(bytes.NewReader(wire)); err != nil || plain.ref != nil {
+			t.Fatalf("%s: ReadFrame pooled a body (err %v)", c.name, err)
+		}
+	}
+	// A truncated bulk body is an error, not a pooled frame.
+	wire, _ := AppendFrame(nil, cases[0].f)
+	if _, err := ReadFramePooled(bytes.NewReader(wire[:len(wire)-1])); err == nil {
+		t.Fatal("truncated bulk frame read without error")
+	}
+}
+
+// TestSmallFrameStaysSmall: every command allocates a Frame and an Encoder
+// at both ends, so the bulk path's bookkeeping hangs off one pointer each
+// instead of widening them into the next allocation size class.
+func TestSmallFrameStaysSmall(t *testing.T) {
+	if s := unsafe.Sizeof(Frame{}); s > 48 {
+		t.Fatalf("Frame is %d bytes, want at most 48", s)
+	}
+	if s := unsafe.Sizeof(Encoder{}); s > 32 {
+		t.Fatalf("Encoder is %d bytes, want at most 32", s)
+	}
+}

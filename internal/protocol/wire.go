@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 )
 
 // Protocol limits. MaxFrameSize bounds a single message so a corrupted
@@ -80,19 +79,72 @@ var (
 
 // Frame is one unit on the wire: a request or response envelope plus an
 // opcode-specific body.
+//
+// A received frame's body is contiguous in Body. A frame built by NewFrame
+// from a message carrying a bulk payload is in three pieces instead — Body
+// holds only the fields before the payload, and Payload returns the
+// referenced payload and the fields after it — the bytes on the wire being
+// the same either way. BodyLen, not len(Body), is a frame's body length.
 type Frame struct {
 	Kind  FrameKind
-	ReqID uint64
 	Op    Op
+	ReqID uint64
 	Body  []byte
+
+	// ref is what only bulk frames carry; nil for every small frame, which
+	// keeps the per-command Frame at its pre-bulk size.
+	ref *payloadRef
+}
+
+// payloadRef is the bulk part of a frame.
+type payloadRef struct {
+	// bulk is the referenced payload of a frame encoded by reference and
+	// tail the encoded fields that follow it on the wire.
+	bulk []byte
+	tail []byte
+	// pooled is the pooled buffer the frame owns, if any: the Body of a
+	// frame read by ReadFramePooled, or the bulk of a frame whose message
+	// handed over a pooled payload (ReadBufferResp.Pooled). See Release.
+	pooled *Buf
+}
+
+// Payload returns the rest of a by-reference frame's body: the wire body
+// is Body ‖ bulk ‖ tail. Both are nil for a frame whose body is contiguous.
+// bulk must stay unmodified until the frame has been written.
+func (f *Frame) Payload() (bulk, tail []byte) {
+	if f.ref == nil {
+		return nil, nil
+	}
+	return f.ref.bulk, f.ref.tail
+}
+
+// BodyLen reports the length of f's body on the wire.
+func (f *Frame) BodyLen() int {
+	bulk, tail := f.Payload()
+	return len(f.Body) + len(bulk) + len(tail)
+}
+
+// Release returns the pooled buffer f owns, if any, to its pool; the
+// frame's bytes must not be used afterwards. The reader of a pooled frame
+// calls it once the request has been answered, the writer of a frame that
+// carries a pooled payload once the frame has been written. It is a no-op
+// for every other frame.
+func (f *Frame) Release() {
+	if f.ref == nil || f.ref.pooled == nil {
+		return
+	}
+	f.ref.pooled.Free()
+	f.ref, f.Body = nil, nil
 }
 
 // FrameWireSize reports the bytes f occupies on the wire (header + body),
 // the unit coalescing writers budget their queues in.
-func FrameWireSize(f *Frame) int { return headerSize + len(f.Body) }
+func FrameWireSize(f *Frame) int { return headerSize + f.BodyLen() }
 
-// appendHeader appends f's frame header to buf.
-func appendHeader(buf []byte, f *Frame) []byte {
+// AppendFrameHeader appends f's frame header alone to buf. A vectored
+// writer follows it with the body's pieces; everything else wants
+// AppendFrame.
+func AppendFrameHeader(buf []byte, f *Frame) []byte {
 	off := len(buf)
 	buf = append(buf, make([]byte, headerSize)...)
 	binary.BigEndian.PutUint16(buf[off:off+2], Magic)
@@ -100,7 +152,7 @@ func appendHeader(buf []byte, f *Frame) []byte {
 	buf[off+3] = byte(f.Kind)
 	binary.BigEndian.PutUint64(buf[off+4:off+12], f.ReqID)
 	binary.BigEndian.PutUint16(buf[off+12:off+14], uint16(f.Op))
-	binary.BigEndian.PutUint32(buf[off+14:off+18], uint32(len(f.Body)))
+	binary.BigEndian.PutUint32(buf[off+14:off+18], uint32(f.BodyLen()))
 	return buf
 }
 
@@ -108,35 +160,21 @@ func appendHeader(buf []byte, f *Frame) []byte {
 // the extended slice, so a coalescing writer can stack several frames into
 // one buffer and hand them to a single Write call.
 func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
-	if len(f.Body) > MaxFrameSize {
-		return buf, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, len(f.Body))
+	if f.BodyLen() > MaxFrameSize {
+		return buf, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, f.BodyLen())
 	}
-	return append(appendHeader(buf, f), f.Body...), nil
+	bulk, tail := f.Payload()
+	buf = append(AppendFrameHeader(buf, f), f.Body...)
+	return append(append(buf, bulk...), tail...), nil
 }
 
-// WriteFrameTo writes f without copying its body, using vectored I/O when
-// w supports it (net.Buffers uses writev on real sockets). Coalescing
-// writers use it for bulk frames, where WriteFrame's single-buffer copy
-// would double the payload's memory footprint for no syscall win.
-func WriteFrameTo(w io.Writer, f *Frame) error {
-	if len(f.Body) > MaxFrameSize {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, len(f.Body))
-	}
-	hdr := appendHeader(make([]byte, 0, headerSize), f)
-	if len(f.Body) == 0 {
-		_, err := w.Write(hdr)
-		return err
-	}
-	bufs := net.Buffers{hdr, f.Body}
-	_, err := bufs.WriteTo(w)
-	return err
-}
-
-// WriteFrame serializes f to w with the fixed header. The body is written
-// in the same syscall batch as the header via a single buffer to keep the
-// backbone's per-message overhead low.
+// WriteFrame serializes f to w as one buffer: header and body are copied
+// together and written with a single Write. No connection's data path uses
+// it — transports write through their coalescing, vectored frame writer,
+// which never copies a bulk body — it remains for tools and tests that
+// want one frame on an io.Writer.
 func WriteFrame(w io.Writer, f *Frame) error {
-	buf, err := AppendFrame(make([]byte, 0, headerSize+len(f.Body)), f)
+	buf, err := AppendFrame(make([]byte, 0, headerSize+f.BodyLen()), f)
 	if err != nil {
 		return err
 	}
@@ -147,8 +185,19 @@ func WriteFrame(w io.Writer, f *Frame) error {
 // ReadFrame reads one frame from r, validating magic, version and size.
 // Any version in [MinVersion, Version] is accepted: plain frames are
 // identical across both, and Batch frames only arrive from peers that
-// negotiated v3.
-func ReadFrame(r io.Reader) (*Frame, error) {
+// negotiated v3. The body is freshly allocated and belongs to the caller.
+func ReadFrame(r io.Reader) (*Frame, error) { return readFrame(r, false) }
+
+// ReadFramePooled is ReadFrame for a server's request stream: the body of
+// a bulk request frame (above BatchableBodyLimit) comes from the payload
+// pool, and the caller must Release the frame once the request has been
+// answered. Messages decoded from the body are views of it, so they die
+// with it. One request is exempt and always gets a fresh body: a PeerPush
+// deposit, which the receiving node parks in its rendezvous table for as
+// long as it takes the matching AwaitPush to arrive.
+func ReadFramePooled(r io.Reader) (*Frame, error) { return readFrame(r, true) }
+
+func readFrame(r io.Reader, pool bool) (*Frame, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -169,8 +218,14 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
 	if n > 0 {
-		f.Body = make([]byte, n)
+		if pool && n > BatchableBodyLimit && f.Kind == FrameRequest && f.Op != OpPeerPush {
+			f.ref = &payloadRef{pooled: GetBuf(int(n))}
+			f.Body = f.ref.pooled.B
+		} else {
+			f.Body = make([]byte, n)
+		}
 		if _, err := io.ReadFull(r, f.Body); err != nil {
+			f.Release()
 			return nil, err
 		}
 	}
@@ -181,6 +236,11 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 // big-endian. Strings and byte slices are length-prefixed with uint32.
 type Encoder struct {
 	buf []byte
+
+	// frame, when set, is the frame being built by NewFrame: Blob then
+	// references, instead of copies, the first payload above
+	// BatchableBodyLimit, recording it in the frame.
+	frame *Frame
 }
 
 // NewEncoder returns an encoder with capacity pre-sized for small control
@@ -231,8 +291,22 @@ func (e *Encoder) Str(s string) {
 }
 
 // Blob appends a length-prefixed byte slice.
-func (e *Encoder) Blob(b []byte) {
+func (e *Encoder) Blob(b []byte) { e.PooledBlob(b, nil) }
+
+// PooledBlob is Blob for a payload that may live in a pooled buffer (nil
+// when it does not). When the payload ends up referenced rather than
+// copied, ownership of pooled passes to the frame being built, whose
+// writer frees it; when it is copied, pooled stays with the caller.
+func (e *Encoder) PooledBlob(b []byte, pooled *Buf) {
 	e.U32(uint32(len(b)))
+	if f := e.frame; f != nil && f.ref == nil && len(b) > BatchableBodyLimit {
+		// What is encoded so far is the frame's Body; what follows goes
+		// on in the same buffer and becomes the tail (see NewFrame).
+		n := len(e.buf)
+		f.Body, e.buf = e.buf[:n:n], e.buf[n:]
+		f.ref = &payloadRef{bulk: b, pooled: pooled}
+		return
+	}
 	e.buf = append(e.buf, b...)
 }
 
@@ -349,27 +423,16 @@ func (d *Decoder) Str() string {
 	return string(b)
 }
 
-// Blob reads a length-prefixed byte slice. The result is a copy so message
-// structs do not alias transport buffers; zero-length blobs decode to nil
-// so encode/decode round trips are identity on the struct level.
+// Blob reads a length-prefixed byte slice. The result is a view of the
+// body being decoded, not a copy: a decoded message lives exactly as long
+// as the frame body it came from (DESIGN.md §11 says who may retain which
+// body). Zero-length blobs decode to nil so encode/decode round trips are
+// identity on the struct level.
 func (d *Decoder) Blob() []byte {
 	n := int(d.U32())
 	if n == 0 {
 		return nil
 	}
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
-}
-
-// BlobView reads a length-prefixed byte slice without copying. Use only
-// when the caller consumes the bytes before the frame buffer is reused.
-func (d *Decoder) BlobView() []byte {
-	n := int(d.U32())
 	return d.take(n)
 }
 

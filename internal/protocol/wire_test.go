@@ -198,12 +198,17 @@ func TestWriteFrameRejectsOversized(t *testing.T) {
 	}
 }
 
-func TestBlobView(t *testing.T) {
+// TestBlobIsView pins decode-in-place: a decoded blob aliases the body.
+func TestBlobIsView(t *testing.T) {
 	e := NewEncoder()
 	e.Blob([]byte{9, 8, 7})
-	d := NewDecoder(e.Bytes())
-	v := d.BlobView()
+	body := e.Bytes()
+	v := NewDecoder(body).Blob()
 	if len(v) != 3 || v[0] != 9 {
-		t.Fatalf("BlobView = %v", v)
+		t.Fatalf("Blob = %v", v)
+	}
+	body[4] = 42
+	if v[0] != 42 {
+		t.Fatal("Blob copied its bytes instead of viewing the body")
 	}
 }

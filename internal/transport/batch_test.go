@@ -27,7 +27,13 @@ func parseStream(t *testing.T, b []byte) []*protocol.Frame {
 	return frames
 }
 
-// TestWriteCoalesced checks the client-side packing policy directly: runs
+// writeCoalesced writes frames through a fresh frameWriter.
+func writeCoalesced(w *bytes.Buffer, frames []*protocol.Frame) error {
+	fw := frameWriter{w: w}
+	return fw.write(frames...)
+}
+
+// TestWriteCoalesced checks the shared packing policy directly: runs
 // of small frames become envelopes capped by the batch thresholds, bulk
 // frames travel plain, and sub-frame order survives exactly.
 func TestWriteCoalesced(t *testing.T) {

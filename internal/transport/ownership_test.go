@@ -1,0 +1,206 @@
+package transport
+
+import (
+	"bytes"
+	"sync"
+	"testing"
+
+	"github.com/haocl-project/haocl/internal/protocol"
+)
+
+// These tests pin down who owns a bulk payload on each side of a
+// connection (DESIGN.md §11): referenced, never copied, on the way out;
+// pooled on the server's way in, except the one body a handler parks.
+
+// writeRecorder records each Write's slice as handed over, without
+// copying, so a test can tell a referenced payload from a staged copy.
+type writeRecorder struct {
+	writes [][]byte
+	stream bytes.Buffer
+}
+
+func (w *writeRecorder) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, p)
+	return w.stream.Write(p)
+}
+
+// TestFrameWriterReferencesBulkPayload: a frame encoded by reference
+// reaches the connection as header+prefix, the caller's own payload slice,
+// and the suffix — and the stream is byte-identical to the copying
+// encoder's. Small frames around it still coalesce.
+func TestFrameWriterReferencesBulkPayload(t *testing.T) {
+	payload := make([]byte, 1<<20)
+	for i := range payload {
+		payload[i] = byte(i * 13)
+	}
+	req := &protocol.WriteBufferReq{QueueID: 1, BufferID: 2, Data: payload, EventID: 3, WaitEvents: []int64{4}}
+	small := func(id uint64) *protocol.Frame {
+		return protocol.NewFrame(protocol.FrameRequest, id, protocol.OpFinishQueue, &protocol.FinishQueueReq{QueueID: id})
+	}
+	frames := []*protocol.Frame{small(1), small(2),
+		protocol.NewFrame(protocol.FrameRequest, 3, req.Op(), req), small(4)}
+
+	rec := &writeRecorder{}
+	fw := frameWriter{w: rec}
+	if err := fw.write(frames...); err != nil {
+		t.Fatal(err)
+	}
+	// envelope(1,2) | bulk head | payload | bulk tail | plain(4)
+	if len(rec.writes) != 5 {
+		t.Fatalf("%d writes, want 5", len(rec.writes))
+	}
+	if w := rec.writes[2]; len(w) != len(payload) || &w[0] != &payload[0] {
+		t.Fatal("the bulk payload was staged into another buffer instead of written in place")
+	}
+
+	var want bytes.Buffer
+	ref := frameWriter{w: &want}
+	copied := []*protocol.Frame{small(1), small(2),
+		{Kind: protocol.FrameRequest, ReqID: 3, Op: req.Op(), Body: protocol.EncodeMessage(req)}, small(4)}
+	if err := ref.write(copied...); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.stream.Bytes(), want.Bytes()) {
+		t.Fatal("by-reference stream differs from the copying encoder's")
+	}
+	got := parseStream(t, rec.stream.Bytes())
+	if len(got) != 3 || got[0].Kind != protocol.FrameBatch || got[1].ReqID != 3 || got[2].ReqID != 4 {
+		t.Fatalf("unexpected wire shape: %d frames", len(got))
+	}
+	var back protocol.WriteBufferReq
+	if err := protocol.DecodeMessage(&back, got[1].Body); err != nil || !bytes.Equal(back.Data, payload) {
+		t.Fatalf("bulk frame does not decode to its payload: %v", err)
+	}
+	// The writer is reusable and keeps nothing of what it wrote reachable.
+	for _, f := range fw.run[:cap(fw.run)] {
+		if f != nil {
+			t.Fatal("frameWriter keeps a written frame reachable through its run array")
+		}
+	}
+	for _, piece := range fw.vec {
+		if piece != nil {
+			t.Fatal("frameWriter keeps a written payload reachable through its vector")
+		}
+	}
+}
+
+// parkingHandler keeps the body of every PeerPush it is handed — as a
+// node's rendezvous table does — and drops everything else.
+type parkingHandler struct {
+	mu     sync.Mutex
+	parked map[uint64][]byte // token → Data, a view of the request body
+}
+
+func (h *parkingHandler) HandleCall(op protocol.Op, body []byte) (protocol.Message, error) {
+	if op == protocol.OpPeerPush {
+		var req protocol.PeerPushReq
+		if err := protocol.DecodeMessage(&req, body); err != nil {
+			return nil, err
+		}
+		h.mu.Lock()
+		h.parked[req.Token] = req.Data
+		h.mu.Unlock()
+	}
+	return &protocol.EmptyResp{}, nil
+}
+
+// TestParkedDepositSurvivesBulkTraffic: a PeerPush body parked by the
+// handler must still hold its bytes after any number of later bulk frames
+// on the same connection — those recycle pooled bodies, a deposit's is
+// never one of them.
+func TestParkedDepositSurvivesBulkTraffic(t *testing.T) {
+	h := &parkingHandler{parked: make(map[uint64][]byte)}
+	srv := NewStaticServer(h)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	client.EnableBatching()
+
+	const size = 256 << 10
+	fill := func(seed byte) []byte {
+		b := make([]byte, size)
+		for i := range b {
+			b[i] = seed + byte(i)
+		}
+		return b
+	}
+	const deposits = 4
+	for tok := uint64(1); tok <= deposits; tok++ {
+		if err := client.Call(&protocol.PeerPushReq{Token: tok, Data: fill(byte(tok))}, nil); err != nil {
+			t.Fatal(err)
+		}
+		// Same-sized bulk writes in between: their bodies come from, and
+		// go back to, the size class a deposit's body would share.
+		var pend []*Pending
+		for i := 0; i < 16; i++ {
+			pend = append(pend, client.Go(&protocol.WriteBufferReq{QueueID: 1, Data: fill(byte(100 + i))}, nil))
+		}
+		for _, p := range pend {
+			if err := p.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for tok := uint64(1); tok <= deposits; tok++ {
+		if !bytes.Equal(h.parked[tok], fill(byte(tok))) {
+			t.Fatalf("deposit %d was overwritten while parked", tok)
+		}
+	}
+}
+
+// TestBulkResponsesAreNeverRecycled: the client's response bodies belong
+// to whoever decoded a message from them, for good — a hundred further
+// bulk responses on the connection leave the first one's bytes alone.
+func TestBulkResponsesAreNeverRecycled(t *testing.T) {
+	srv := NewStaticServer(HandlerFunc(func(op protocol.Op, body []byte) (protocol.Message, error) {
+		var req protocol.ReadBufferReq
+		if err := protocol.DecodeMessage(&req, body); err != nil {
+			return nil, err
+		}
+		// A pooled snapshot, as the node's read path produces.
+		pooled := protocol.GetBuf(int(req.Size))
+		for i := range pooled.B {
+			pooled.B[i] = byte(req.Offset) + byte(i)
+		}
+		return &protocol.ReadBufferResp{Data: pooled.B, Pooled: pooled}, nil
+	}))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	const size = 128 << 10
+	read := func(seed int64) []byte {
+		var resp protocol.ReadBufferResp
+		if err := client.Call(&protocol.ReadBufferReq{Offset: seed, Size: size}, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Data
+	}
+	first := read(1)
+	for i := int64(2); i < 102; i++ {
+		if got := read(i); got[0] != byte(i) || got[255] != byte(i)+255 {
+			t.Fatalf("read %d returned wrong bytes", i)
+		}
+	}
+	for i, b := range first {
+		if b != 1+byte(i) {
+			t.Fatalf("first read's data changed at byte %d after later reads", i)
+		}
+	}
+}

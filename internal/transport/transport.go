@@ -29,8 +29,17 @@
 // connection never waits on a timer. The server unpacks envelopes into the
 // same per-connection FIFO dispatch (preserving the pipeline's ordering
 // invariant) and coalesces the responses of each envelope symmetrically.
-// Against a v2 peer the write path is byte-identical to the pre-batching
-// runtime: one frame, one write.
+// Against a v2 peer the wire bytes are identical to the pre-batching
+// runtime: one frame per message.
+//
+// Every frame, in both directions and before as well as after the
+// handshake, reaches its connection through one function, the
+// connection's frameWriter: small frames are staged into one reused
+// buffer (packed into an envelope when several are waiting), and a bulk
+// frame — body above protocol.BatchableBodyLimit — is written vectored,
+// header and payload in place, never copied. Bulk payloads are referenced
+// on the way out and decoded in place on the way in; DESIGN.md §11 states
+// who owns which buffer and until when.
 //
 // Two transports are provided: real TCP (used by cmd/haocl-node and the
 // integration tests) and an in-process pipe network (used by unit tests and
@@ -52,6 +61,15 @@ import (
 // Handler processes one decoded request on the server (node) side and
 // returns the response message. Returning an error sends an ErrorResp to
 // the caller; the connection stays usable.
+//
+// body — and every message decoded from it, whose blobs are views of it —
+// belongs to the handler only until it has produced its response
+// (HandleCall returned, or done was invoked): the server recycles bulk
+// request bodies after that, so a handler that wants the bytes for longer
+// copies them. The one request whose body a handler may keep is a
+// protocol.OpPeerPush deposit, which is never recycled (DESIGN.md §11).
+// A response's bulk payload, in turn, is referenced until the response
+// frame is written and must not change before then.
 type Handler interface {
 	HandleCall(op protocol.Op, body []byte) (protocol.Message, error)
 }
@@ -90,6 +108,10 @@ var ErrClosed = errors.New("transport: connection closed")
 // Client is the host side of one host↔node connection.
 type Client struct {
 	conn net.Conn
+	// fw writes every frame the client sends: under writeMu before
+	// batching is enabled, from the writer goroutine alone afterwards (the
+	// switch itself happens under writeMu, so the two never overlap).
+	fw frameWriter
 
 	// writeMu serializes direct frame writes (pre-negotiation v2 path)
 	// and guards the coalescer state. The writer goroutine itself writes
@@ -126,6 +148,7 @@ func Dial(addr string) (*Client, error) {
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:    conn,
+		fw:      frameWriter{w: conn},
 		pending: make(map[uint64]chan *protocol.Frame),
 	}
 	c.writeCh = sync.NewCond(&c.writeMu)
@@ -135,10 +158,11 @@ func NewClient(conn net.Conn) *Client {
 	return c
 }
 
-// maxQueuedBytes bounds the body bytes buffered in the coalescer queue.
-// Producers block once it is reached, restoring the write backpressure the
-// blocking one-frame-per-write path provided naturally — without it a host
-// pipelining bulk writes over a slow link could queue without bound.
+// maxQueuedBytes bounds the wire bytes buffered in the coalescer queue,
+// referenced payloads included. Producers block once it is reached,
+// restoring the write backpressure the blocking one-frame-per-write path
+// provided naturally — without it a host pipelining bulk writes over a
+// slow link could queue without bound.
 const maxQueuedBytes = 8 << 20
 
 // EnableBatching switches the write side to the wire v3 coalescer. Call it
@@ -212,7 +236,7 @@ func (c *Client) writeLoop() {
 		c.queueBytes = 0
 		c.spaceCh.Broadcast()
 		c.writeMu.Unlock()
-		if err := writeCoalesced(c.conn, run); err != nil {
+		if err := c.fw.write(run...); err != nil {
 			// Queued frames are pre-validated, so this is an I/O failure:
 			// the connection is gone. Close it so the read side unwinds
 			// and the peer's session is released.
@@ -223,87 +247,106 @@ func (c *Client) writeLoop() {
 	}
 }
 
-// runCoalescer accumulates a run of small frames up to the envelope
-// thresholds. Both directions of the batching path — the client's
-// coalescing writer and the server's batched-response flush — share it,
-// so the packing policy exists exactly once.
-type runCoalescer struct {
-	run      []*protocol.Frame
+// frameWriter is the one function through which frames reach a
+// connection: the client's coalescing writer, its pre-negotiation direct
+// path and the server's reply path all write through it, so the packing
+// policy and the copy-free bulk write exist exactly once. It is not safe
+// for concurrent use; each owner serializes its calls.
+//
+// Runs of small frames are staged into one buffer — a single frame goes
+// plain, several become a Batch envelope — and shipped with one Write.
+// A frame with a body above BatchableBodyLimit is written alone and in
+// place with vectored I/O (writev on real sockets): header plus whatever
+// precedes a referenced payload, the payload itself, and what follows it.
+// Bulk payloads amortize their own syscall, would blow up envelope sizes,
+// and a staging copy would double their memory footprint. The staging
+// buffer, run and vector are reused from write to write.
+type frameWriter struct {
+	w        io.Writer
+	out      []byte            // staging: a packed run, or a bulk frame's head
+	run      []*protocol.Frame // small frames waiting to be packed
 	runBytes int
+	vec      [3][]byte   // backing array of bufs
+	bufs     net.Buffers // a field, so WriteTo's receiver does not escape per call
 }
 
-// add appends one batchable frame to the run.
-func (r *runCoalescer) add(f *protocol.Frame) {
-	r.run = append(r.run, f)
-	r.runBytes += len(f.Body)
-}
-
-// full reports whether the run must flush before taking more frames.
-func (r *runCoalescer) full() bool {
-	return len(r.run) >= protocol.MaxBatchMessages || r.runBytes >= protocol.MaxBatchBytes
-}
-
-// take returns the accumulated run and resets the coalescer.
-func (r *runCoalescer) take() []*protocol.Frame {
-	run := r.run
-	r.run, r.runBytes = nil, 0
-	return run
-}
-
-// appendRun appends run to buf as one wire unit: a single frame goes
-// plain, several become a Batch envelope.
-func appendRun(buf []byte, run []*protocol.Frame) ([]byte, error) {
-	switch len(run) {
-	case 0:
-		return buf, nil
-	case 1:
-		return protocol.AppendFrame(buf, run[0])
-	}
-	env, err := protocol.EncodeBatch(run)
-	if err != nil {
-		return buf, err
-	}
-	return protocol.AppendFrame(buf, env)
-}
-
-// writeCoalesced writes frames in order, packing runs of small frames
-// into Batch envelopes shipped with one Write each. Frames with bodies
-// above BatchableBodyLimit are written plain, in place, without copying
-// the body into a staging buffer (vectored I/O): bulk payloads amortize
-// their own syscall, would blow up envelope sizes, and a staging copy
-// would double their memory footprint.
-func writeCoalesced(w io.Writer, frames []*protocol.Frame) error {
-	var out []byte
-	var rc runCoalescer
-	flush := func() error {
-		var err error
-		if out, err = appendRun(out[:0], rc.take()); err != nil {
-			return err
-		}
-		if len(out) == 0 {
-			return nil
-		}
-		_, err = w.Write(out)
-		return err
-	}
+// write writes frames in order and then releases them: a pooled payload a
+// frame owns (a node's read snapshot) goes back to its pool the moment the
+// frame is on the wire — or has failed to get there.
+func (fw *frameWriter) write(frames ...*protocol.Frame) error {
+	err := fw.writeAll(frames)
 	for _, f := range frames {
-		if len(f.Body) > protocol.BatchableBodyLimit {
-			if err := flush(); err != nil {
+		f.Release()
+	}
+	return err
+}
+
+func (fw *frameWriter) writeAll(frames []*protocol.Frame) error {
+	for _, f := range frames {
+		if f.BodyLen() > protocol.BatchableBodyLimit {
+			if err := fw.flush(); err != nil {
 				return err
 			}
-			if err := protocol.WriteFrameTo(w, f); err != nil {
+			if err := fw.writeBulk(f); err != nil {
 				return err
 			}
 			continue
 		}
-		rc.add(f)
-		if rc.full() {
-			if err := flush(); err != nil {
+		fw.run = append(fw.run, f)
+		fw.runBytes += f.BodyLen()
+		if len(fw.run) >= protocol.MaxBatchMessages || fw.runBytes >= protocol.MaxBatchBytes {
+			if err := fw.flush(); err != nil {
 				return err
 			}
 		}
 	}
-	return flush()
+	return fw.flush()
+}
+
+// flush ships the accumulated run as one wire unit with one Write.
+func (fw *frameWriter) flush() error {
+	run := fw.run
+	if len(run) == 0 {
+		return nil
+	}
+	fw.run, fw.runBytes = run[:0], 0
+	var err error
+	if len(run) == 1 {
+		fw.out, err = protocol.AppendFrame(fw.out[:0], run[0])
+	} else {
+		var env *protocol.Frame
+		if env, err = protocol.EncodeBatch(run); err == nil {
+			fw.out, err = protocol.AppendFrame(fw.out[:0], env)
+		}
+	}
+	clear(run) // the reused array must not keep written frames reachable
+	if err != nil {
+		return err
+	}
+	_, err = fw.w.Write(fw.out)
+	return err
+}
+
+// writeBulk writes one bulk frame without copying its payload.
+func (fw *frameWriter) writeBulk(f *protocol.Frame) error {
+	if f.BodyLen() > protocol.MaxFrameSize {
+		return fmt.Errorf("%w: %d bytes", protocol.ErrFrameTooBig, f.BodyLen())
+	}
+	fw.out = protocol.AppendFrameHeader(fw.out[:0], f)
+	vec := fw.vec[:0]
+	if bulk, tail := f.Payload(); bulk == nil {
+		vec = append(vec, fw.out, f.Body)
+	} else {
+		fw.out = append(fw.out, f.Body...)
+		vec = append(vec, fw.out, bulk)
+		if len(tail) > 0 {
+			vec = append(vec, tail)
+		}
+	}
+	fw.bufs = vec
+	_, err := fw.bufs.WriteTo(fw.w)
+	fw.vec = [3][]byte{} // WriteTo clears what it consumed; after an error, drop the rest
+	return err
 }
 
 // killWrites abandons the write side; queued frames die with the
@@ -387,6 +430,13 @@ type Pending struct {
 // With batching negotiated, Go returns once the frame is queued to the
 // coalescing writer; the queue preserves Go-call order.
 //
+// A bulk payload in req (a blob above protocol.BatchableBodyLimit) is not
+// copied: the queued frame references it and the writer ships it from
+// where it lies, after Go has returned. The caller must leave those bytes
+// unmodified until the call has resolved (Wait returned) — a response
+// proves the request was read in full — and passes a private copy when it
+// cannot promise that. Smaller payloads are copied before Go returns.
+//
 // haoclvet:wire
 func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
 	p := &Pending{c: c, op: req.Op(), resp: resp, ch: make(chan *protocol.Frame, 1)}
@@ -405,18 +455,13 @@ func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
 	c.pending[id] = p.ch
 	c.mu.Unlock()
 
-	frame := &protocol.Frame{
-		Kind:  protocol.FrameRequest,
-		ReqID: id,
-		Op:    req.Op(),
-		Body:  protocol.EncodeMessage(req),
-	}
-	if len(frame.Body) > protocol.MaxFrameSize {
+	frame := protocol.NewFrame(protocol.FrameRequest, id, req.Op(), req)
+	if frame.BodyLen() > protocol.MaxFrameSize {
 		// Reject before queueing so an unsendable frame fails only its
 		// own call — on the coalescing path a late size error would be
 		// connection-fatal.
 		c.forget(id)
-		p.settle(fmt.Errorf("send %s: %w: %d bytes", req.Op(), protocol.ErrFrameTooBig, len(frame.Body)))
+		p.settle(fmt.Errorf("send %s: %w: %d bytes", req.Op(), protocol.ErrFrameTooBig, frame.BodyLen()))
 		return p
 	}
 	c.writeMu.Lock()
@@ -434,12 +479,13 @@ func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
 		// Count the wire size, not just the body: zero-body control
 		// frames (status polls, shutdown) must still hit the cap, or a
 		// producer outpacing a stalled writer queues without bound.
+		// Referenced payloads count in full: they are just as queued.
 		c.queueBytes += protocol.FrameWireSize(frame)
 		c.writeCh.Signal()
 		c.writeMu.Unlock()
 		return p
 	}
-	err := protocol.WriteFrame(c.conn, frame)
+	err := c.fw.write(frame)
 	c.writeMu.Unlock()
 	if err != nil {
 		c.forget(id)
@@ -642,7 +688,9 @@ func (s *Server) ServeConn(conn net.Conn) {
 		defer s.wg.Done()
 		defer close(jobs)
 		for {
-			f, err := protocol.ReadFrame(conn)
+			// Bulk request bodies come from the payload pool; dispatchLoop
+			// releases each one when its request has been answered.
+			f, err := protocol.ReadFramePooled(conn)
 			if err != nil {
 				return
 			}
@@ -705,12 +753,13 @@ type respEnvelope struct {
 // waits behind another lane's execution — while requests from a Batch
 // envelope are held until the whole envelope has completed and then
 // written as one coalesced run (bulk responses inside it still travel
-// alone, via the shared packing policy in writeCoalesced). Out-of-order
+// alone). Both go through the connection's frameWriter, the same packing
+// and vectored-write function the client side uses. Out-of-order
 // completion across envelopes is fine: the client correlates responses by
 // request ID.
 type replyWriter struct {
-	mu   sync.Mutex
-	conn net.Conn
+	mu sync.Mutex
+	fw frameWriter // guarded by mu
 }
 
 // complete delivers one finished request's response frame. Write failures
@@ -720,13 +769,13 @@ func (w *replyWriter) complete(j serverJob, out *protocol.Frame) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if j.env == nil {
-		_ = protocol.WriteFrame(w.conn, out)
+		_ = w.fw.write(out)
 		return
 	}
 	j.env.frames[j.idx] = out
 	j.env.remaining--
 	if j.env.remaining == 0 {
-		_ = writeCoalesced(w.conn, j.env.frames)
+		_ = w.fw.write(j.env.frames...)
 	}
 }
 
@@ -734,38 +783,41 @@ func (w *replyWriter) complete(j serverJob, out *protocol.Frame) {
 // arrival order. An AsyncHandler takes ownership of each request's
 // execution and completes it through the reply writer from its own lanes;
 // a plain Handler executes inline, preserving the strict per-connection
-// FIFO of the pre-lane runtime.
+// FIFO of the pre-lane runtime. Either way the request frame is released
+// once its response has been handed to the reply writer: the transport
+// took a bulk body from the pool, so the transport gives it back — never
+// the handler, which may be handed the same body many times by a direct
+// driver.
 func (s *Server) dispatchLoop(conn net.Conn, handler Handler, jobs <-chan serverJob) {
-	w := &replyWriter{conn: conn}
+	w := &replyWriter{fw: frameWriter{w: conn}}
 	async, _ := handler.(AsyncHandler)
 	for j := range jobs {
 		j := j
 		if async != nil {
 			async.HandleCallAsync(j.frame.Op, j.frame.Body, func(resp protocol.Message, err error) {
 				w.complete(j, responseFrame(j.frame, resp, err))
+				j.frame.Release()
 			})
 			continue
 		}
 		resp, err := handler.HandleCall(j.frame.Op, j.frame.Body)
 		w.complete(j, responseFrame(j.frame, resp, err))
+		j.frame.Release()
 	}
 }
 
 // responseFrame packages one request's outcome as its response frame.
 func responseFrame(req *protocol.Frame, resp protocol.Message, err error) *protocol.Frame {
-	out := &protocol.Frame{Kind: protocol.FrameResponse, ReqID: req.ReqID, Op: req.Op}
 	if err != nil {
-		out.Op = protocol.OpError
 		var re *protocol.RemoteError
 		code := uint32(1)
 		if errors.As(err, &re) {
 			code = re.Code
 		}
-		out.Body = protocol.EncodeMessage(&protocol.ErrorResp{Code: code, Message: err.Error()})
-	} else if resp != nil {
-		out.Body = protocol.EncodeMessage(resp)
+		return protocol.NewFrame(protocol.FrameResponse, req.ReqID, protocol.OpError,
+			&protocol.ErrorResp{Code: code, Message: err.Error()})
 	}
-	return out
+	return protocol.NewFrame(protocol.FrameResponse, req.ReqID, req.Op, resp)
 }
 
 // Close stops accepting, closes every connection and waits for in-flight

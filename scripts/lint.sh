@@ -27,6 +27,12 @@ go run ./cmd/haoclvet ./...
 echo '>> bench checker self-tests'
 python3 scripts/check_bench_test.py
 
+# benchmark/ is a Go module of its own: the root module's build, vet and
+# tests never see it, so a signature change that breaks it would otherwise
+# surface only at the next measurement.
+echo '>> benchmark module (go vet, go test)'
+(cd benchmark && go vet ./... && go test ./...)
+
 run_tool() {
 	tool="$1"
 	shift
