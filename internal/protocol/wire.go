@@ -120,8 +120,11 @@ func (f *Frame) Payload() (bulk, tail []byte) {
 
 // BodyLen reports the length of f's body on the wire.
 func (f *Frame) BodyLen() int {
-	bulk, tail := f.Payload()
-	return len(f.Body) + len(bulk) + len(tail)
+	n := len(f.Body)
+	if f.ref != nil {
+		n += len(f.ref.bulk) + len(f.ref.tail)
+	}
+	return n
 }
 
 // Release returns the pooled buffer f owns, if any, to its pool; the
@@ -174,7 +177,7 @@ func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
 // which never copies a bulk body — it remains for tools and tests that
 // want one frame on an io.Writer.
 func WriteFrame(w io.Writer, f *Frame) error {
-	buf, err := AppendFrame(make([]byte, 0, headerSize+f.BodyLen()), f)
+	buf, err := AppendFrame(make([]byte, 0, FrameWireSize(f)), f)
 	if err != nil {
 		return err
 	}
@@ -225,8 +228,7 @@ func readFrame(r io.Reader, pool bool) (*Frame, error) {
 			f.Body = make([]byte, n)
 		}
 		if _, err := io.ReadFull(r, f.Body); err != nil {
-			f.Release()
-			return nil, err
+			return nil, err // a pooled body is left to the collector
 		}
 	}
 	return f, nil
