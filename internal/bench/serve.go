@@ -166,9 +166,16 @@ func openLanes(p *haocl.Platform, dev *haocl.Device, tenants []string) (map[stri
 	return lanes, nil
 }
 
+// closeLanes closes the tenants' sessions in name order: Close ships the
+// releases a session still holds, and wire order must not follow map order.
 func closeLanes(lanes map[string]*tenantLane) {
-	for _, l := range lanes {
-		l.sess.Close()
+	names := make([]string, 0, len(lanes))
+	for name := range lanes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		lanes[name].sess.Close()
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"github.com/haocl-project/haocl/internal/protocol"
 	"github.com/haocl-project/haocl/internal/sim"
 	"github.com/haocl-project/haocl/internal/trace"
-	"github.com/haocl-project/haocl/internal/transport"
 	"github.com/haocl-project/haocl/internal/vtime"
 )
 
@@ -118,7 +117,7 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 		if err != nil {
 			return nil, err
 		}
-		chain, err := rb.chainWaits()
+		chain, err := rb.chainWaits(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -164,9 +163,9 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 				// Chain hop: previous node forwards over its own link.
 				wireStart, arrival = prevArrival, prevArrival.Add(hopDelay(b.modelSize))
 			}
-			resp := new(protocol.EventResp)
-			var pend *transport.Pending
-			id, pend = c.sess.issue(node, &protocol.WriteBufferReq{
+			ev = &Event{dev: h.dev, queue: h.q,
+				trace: c.sess.traceCmd(trace.KindBroadcast, h.dev, h.qid, b.modelSize, wireStart, arrival)}
+			id = c.sess.issueEvent(ev, &protocol.WriteBufferReq{
 				QueueID:    h.qid,
 				BufferID:   h.rb.id,
 				Offset:     0,
@@ -174,9 +173,7 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 				SimArrival: int64(arrival),
 				ModelBytes: b.modelSize,
 				WaitEvents: h.chain,
-			}, resp)
-			ev = &Event{dev: h.dev, remoteID: id, queue: h.q, pending: pend, resp: resp,
-				trace: c.sess.traceCmd(trace.KindBroadcast, h.dev, h.qid, b.modelSize, wireStart, arrival)}
+			})
 		} else {
 			// Chain hop over the node links: the previous node forwards
 			// the buffer it just received, cut through at DepartAt.
@@ -184,8 +181,9 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 			wireStart, arrival = prevArrival, prevArrival.Add(hopDelay(b.modelSize))
 			token := c.rt.nextPushToken()
 			pushCtrlStart, pushCtrl := c.sess.chargeNIC(0, controlMsgBytes)
-			pushResp := new(protocol.EventResp)
-			pushID, pushPend := c.sess.issue(prev.dev.node, &protocol.PushRangeReq{
+			pushEv := &Event{dev: prev.svcDev, queue: prev.svc,
+				trace: c.sess.traceCmd(trace.KindPushRange, prev.svcDev, 0, b.modelSize, pushCtrlStart, pushCtrl)}
+			pushID := c.sess.issueEvent(pushEv, &protocol.PushRangeReq{
 				QueueID:      prev.svcID,
 				BufferID:     prev.rb.id,
 				PeerName:     node.name,
@@ -201,9 +199,7 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 				// data in. Virtual timing ignores it — DepartAt models the
 				// cut-through overlap with that device write.
 				WaitEvents: []int64{int64(prevID)},
-			}, pushResp)
-			pushEv := &Event{dev: prev.svcDev, remoteID: pushID, queue: prev.svc, pending: pushPend, resp: pushResp,
-				trace: c.sess.traceCmd(trace.KindPushRange, prev.svcDev, 0, b.modelSize, pushCtrlStart, pushCtrl)}
+			})
 			prev.svc.track(pushEv)
 			// Anti-dependency: a later write to the forwarder's replica
 			// waits for the forward to have read it.
@@ -211,9 +207,11 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 			prev.rb.lastEv = pushEv
 
 			_, awaitCtrl := c.sess.chargeNIC(0, controlMsgBytes)
-			resp := new(protocol.EventResp)
-			var pend *transport.Pending
-			id, pend = c.sess.issue(node, &protocol.AwaitPushReq{
+			// The hop's wire span is the peer-link flight [prevArrival,
+			// arrival], not the tiny control frame.
+			ev = &Event{dev: h.dev, queue: h.q,
+				trace: c.sess.traceCmd(trace.KindBroadcast, h.dev, h.qid, b.modelSize, wireStart, arrival)}
+			id = c.sess.issueEvent(ev, &protocol.AwaitPushReq{
 				QueueID:    h.qid,
 				BufferID:   h.rb.id,
 				Token:      token,
@@ -222,11 +220,7 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 				SimArrival: int64(awaitCtrl),
 				ModelBytes: b.modelSize,
 				WaitEvents: h.chain,
-			}, resp)
-			// The hop's wire span is the peer-link flight [prevArrival,
-			// arrival], not the tiny control frame.
-			ev = &Event{dev: h.dev, remoteID: id, queue: h.q, pending: pend, resp: resp,
-				trace: c.sess.traceCmd(trace.KindBroadcast, h.dev, h.qid, b.modelSize, wireStart, arrival)}
+			})
 			c.sess.chargePeer(b.modelSize)
 			c.rt.watchPush(node.client.Load(), token, pushEv)
 		}

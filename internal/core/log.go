@@ -66,9 +66,9 @@ type kernelLog struct {
 	q        *Queue
 	k        *Kernel
 	bindings []argBinding
-	global   []int
-	local    []int
-	opts     *LaunchOptions
+	global   []int64 // wire form, shared with the original request
+	local    []int64
+	opts     LaunchOptions
 }
 
 func (l *kernelLog) replay(rt *Runtime) error {

@@ -27,11 +27,12 @@ type Event struct {
 	remoteID uint64
 
 	// Pipelined events carry the issuing queue, the in-flight future and
-	// the response body it decodes into; events born resolved (reads, which
-	// must block for their data anyway) leave pending nil.
+	// the response it decodes into (see Session.issueEvent); events born
+	// resolved (reads, which must block for their data anyway) leave
+	// pending nil.
 	queue    *Queue
 	pending  *transport.Pending
-	resp     *protocol.EventResp
+	resp     protocol.EventResp
 	isKernel bool
 
 	// trace is the command's tracing record; nil when tracing was off at
@@ -147,8 +148,11 @@ func FloorEvent(t vtime.Time) *Event {
 // tables stay bounded. The release rides the same ordered connection as
 // the command that creates the event, so it needs no synchronization —
 // and it is fire-and-forget: teardown releases objects in storms, so the
-// acknowledgement is drained at the next Flush (or Close), where a
-// failure surfaces as the runtime's sticky release error.
+// ID is held back and ships in one message with the releases next to it
+// (up to 256), no later than the session's next message to that node — a
+// command, a Finish — or its next Flush or Close (Session.releaseAsync has
+// the rule). The acknowledgement is drained at the next Flush (or Close),
+// where a failure surfaces as the session's sticky release error.
 func (e *Event) Release(rt *Runtime) error {
 	e.released.Store(true)
 	if e.dev == nil {
@@ -746,8 +750,7 @@ func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Eve
 	if err != nil {
 		return nil, err
 	}
-	chain, err := rb.chainWaits()
-	if err != nil {
+	if localWaits, err = rb.chainWaits(localWaits); err != nil {
 		return nil, err
 	}
 
@@ -758,13 +761,13 @@ func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Eve
 	copy(b.host[offset:], data)
 	b.hostValid.Add(offset, end)
 
-	localWaits = append(localWaits, chain...)
 	modelBytes := b.scaled(int64(len(data)))
 	earliest := vtime.Max(b.hostReadyAt, floor)
 	wireStart, arrival := q.ctx.sess.chargeNIC(earliest, controlMsgBytes+modelBytes)
 
-	resp := new(protocol.EventResp)
-	id, pend := q.ctx.sess.issue(node, &protocol.WriteBufferReq{
+	ev := &Event{dev: dev, queue: q,
+		trace: q.ctx.sess.traceCmd(trace.KindWrite, dev, qid, modelBytes, wireStart, arrival)}
+	id := q.ctx.sess.issueEvent(ev, &protocol.WriteBufferReq{
 		QueueID:    qid,
 		BufferID:   rb.id,
 		Offset:     offset,
@@ -772,9 +775,7 @@ func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Eve
 		SimArrival: int64(arrival),
 		ModelBytes: modelBytes,
 		WaitEvents: localWaits,
-	}, resp)
-	ev := &Event{dev: dev, remoteID: id, queue: q, pending: pend, resp: resp,
-		trace: q.ctx.sess.traceCmd(trace.KindWrite, dev, qid, modelBytes, wireStart, arrival)}
+	})
 	q.track(ev)
 
 	// Coherence at issue time (wire order is event-ID order): this node and
@@ -851,7 +852,7 @@ func (b *Buffer) ensureResident(node *NodeHandle, lo, hi int64) (*remoteBuf, err
 	if err := svc.stickyErr(); err != nil {
 		return nil, err
 	}
-	chain, err := rb.chainWaits()
+	chain, err := rb.chainWaits(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -862,8 +863,9 @@ func (b *Buffer) ensureResident(node *NodeHandle, lo, hi int64) (*remoteBuf, err
 	for _, g := range gaps {
 		modelBytes := b.scaled(g.Len())
 		wireStart, arrival := b.ctx.sess.chargeNIC(b.hostReadyAt, controlMsgBytes+modelBytes)
-		resp := new(protocol.EventResp)
-		id, pend := b.ctx.sess.issue(node, &protocol.WriteBufferReq{
+		pushEv := &Event{dev: svcDev, queue: svc,
+			trace: b.ctx.sess.traceCmd(trace.KindMigrate, svcDev, 0, modelBytes, wireStart, arrival)}
+		id := b.ctx.sess.issueEvent(pushEv, &protocol.WriteBufferReq{
 			QueueID:    svcQID,
 			BufferID:   rb.id,
 			Offset:     g.Lo,
@@ -871,9 +873,7 @@ func (b *Buffer) ensureResident(node *NodeHandle, lo, hi int64) (*remoteBuf, err
 			SimArrival: int64(arrival),
 			ModelBytes: modelBytes,
 			WaitEvents: chain,
-		}, resp)
-		pushEv := &Event{dev: svcDev, remoteID: id, queue: svc, pending: pend, resp: resp,
-			trace: b.ctx.sess.traceCmd(trace.KindMigrate, svcDev, 0, modelBytes, wireStart, arrival)}
+		})
 		svc.track(pushEv)
 		rb.valid.Add(g.Lo, g.Hi)
 		// The pushes ride one in-order service queue, so chaining the
@@ -936,7 +936,7 @@ func (b *Buffer) pullFrom(owner *NodeHandle, orb *remoteBuf, r mem.Range) error 
 	if err != nil {
 		return err
 	}
-	ownerChain, err := orb.chainWaits()
+	ownerChain, err := orb.chainWaits(nil)
 	if err != nil {
 		return err
 	}
@@ -973,19 +973,20 @@ func (b *Buffer) pullFrom(owner *NodeHandle, orb *remoteBuf, r mem.Range) error 
 	return nil
 }
 
-// chainWaits returns the wait-list entry for the replica's last writer.
-// Reusing a buffer whose chained event was released is refused: the
-// node-side record is gone, so a wire wait on it could never resolve (the
-// pre-lane runtime failed the same sequence with "unknown event"; release
-// events only after the buffer's chain has quiesced at a sync point).
-func (rb *remoteBuf) chainWaits() ([]int64, error) {
+// chainWaits appends the wait-list entry for the replica's last writer to
+// waits (nil starts a fresh list). Reusing a buffer whose chained event was
+// released is refused: the node-side record is gone, so a wire wait on it
+// could never resolve (the pre-lane runtime failed the same sequence with
+// "unknown event"; release events only after the buffer's chain has
+// quiesced at a sync point).
+func (rb *remoteBuf) chainWaits(waits []int64) ([]int64, error) {
 	if rb.lastEvent == 0 {
-		return nil, nil
+		return waits, nil
 	}
 	if rb.lastEv != nil && rb.lastEv.released.Load() {
 		return nil, fmt.Errorf("core: buffer chain references released event %d (quiesce with Finish/Flush before releasing chained events)", rb.lastEvent)
 	}
-	return []int64{int64(rb.lastEvent)}, nil
+	return append(waits, int64(rb.lastEvent)), nil
 }
 
 // EnqueueRead transfers buffer contents back to the host
@@ -1033,11 +1034,9 @@ func (q *Queue) enqueueRead(b *Buffer, offset, size int64, waits ...*Event) ([]b
 	if err != nil {
 		return nil, nil, err
 	}
-	chain, err := rb.chainWaits()
-	if err != nil {
+	if localWaits, err = rb.chainWaits(localWaits); err != nil {
 		return nil, nil, err
 	}
-	localWaits = append(localWaits, chain...)
 	modelBytes := b.scaled(size)
 	wireStart, arrival := q.ctx.sess.chargeNIC(floor, controlMsgBytes)
 
@@ -1135,20 +1134,17 @@ func (q *Queue) enqueueCopy(src, dst *Buffer, srcOffset, dstOffset, size int64, 
 	if err != nil {
 		return nil, err
 	}
-	srcChain, err := srcRB.chainWaits()
-	if err != nil {
+	if localWaits, err = srcRB.chainWaits(localWaits); err != nil {
 		return nil, err
 	}
-	dstChain, err := dstRB.chainWaits()
-	if err != nil {
+	if localWaits, err = dstRB.chainWaits(localWaits); err != nil {
 		return nil, err
 	}
-	localWaits = append(localWaits, srcChain...)
-	localWaits = append(localWaits, dstChain...)
 	_ = floor // device-side op: cross-node deps already folded into srcRB
 
-	resp := new(protocol.EventResp)
-	id, pend := q.ctx.sess.issue(node, &protocol.CopyBufferReq{
+	ev := &Event{dev: dev, queue: q,
+		trace: q.ctx.sess.traceCmd(trace.KindCopy, dev, qid, size, 0, 0)}
+	id := q.ctx.sess.issueEvent(ev, &protocol.CopyBufferReq{
 		QueueID:    qid,
 		SrcID:      srcRB.id,
 		DstID:      dstRB.id,
@@ -1156,9 +1152,7 @@ func (q *Queue) enqueueCopy(src, dst *Buffer, srcOffset, dstOffset, size int64, 
 		DstOffset:  dstOffset,
 		Size:       size,
 		WaitEvents: localWaits,
-	}, resp)
-	ev := &Event{dev: dev, remoteID: id, queue: q, pending: pend, resp: resp,
-		trace: q.ctx.sess.traceCmd(trace.KindCopy, dev, qid, size, 0, 0)}
+	})
 	q.track(ev)
 	// Anti-dependency on the source: a later writer of this replica — a
 	// same-node kernel on another queue, say — must wait until the copy has
@@ -1424,10 +1418,26 @@ func (q *Queue) EnqueueKernel(k *Kernel, global, local []int, waits []*Event, op
 	copy(bindings, k.args)
 	k.mu.Unlock()
 
+	// The NDRange is converted to its wire form once, into one array: the
+	// request and the command log share it, and neither sees the caller's
+	// slices again.
+	dims := make([]int64, 0, len(global)+len(local))
+	for _, v := range global {
+		dims = append(dims, int64(v))
+	}
+	for _, v := range local {
+		dims = append(dims, int64(v))
+	}
+	g64, l64 := dims[:len(global):len(global)], dims[len(global):]
+	var o LaunchOptions
+	if opts != nil {
+		o = *opts
+	}
+
 	var ev *Event
 	err := q.ctx.rt.withRecovery(func() error {
 		var kerr error
-		ev, kerr = q.enqueueKernelBound(k, bindings, global, local, waits, opts)
+		ev, kerr = q.enqueueKernelBound(k, bindings, g64, l64, waits, o)
 		return kerr
 	})
 	return ev, err
@@ -1435,8 +1445,9 @@ func (q *Queue) EnqueueKernel(k *Kernel, global, local []int, waits []*Event, op
 
 // enqueueKernelBound is the non-recovering EnqueueKernel internal, taking
 // the argument bindings as an explicit snapshot so the command log can
-// replay the launch exactly as issued.
-func (q *Queue) enqueueKernelBound(k *Kernel, bindings []argBinding, global, local []int, waits []*Event, opts *LaunchOptions) (*Event, error) {
+// replay the launch exactly as issued. bindings, global and local are kept
+// by the log and must never change again; zero opts are no options.
+func (q *Queue) enqueueKernelBound(k *Kernel, bindings []argBinding, global, local []int64, waits []*Event, opts LaunchOptions) (*Event, error) {
 	if err := q.stickyErr(); err != nil {
 		return nil, err
 	}
@@ -1475,12 +1486,10 @@ func (q *Queue) enqueueKernelBound(k *Kernel, bindings []argBinding, global, loc
 				bind.buf.mu.Unlock()
 				return nil, fmt.Errorf("core: kernel %q arg %d: %w", k.name, i, err)
 			}
-			chain, err := rb.chainWaits()
-			if err != nil {
+			if localWaits, err = rb.chainWaits(localWaits); err != nil {
 				bind.buf.mu.Unlock()
 				return nil, fmt.Errorf("core: kernel %q arg %d: %w", k.name, i, err)
 			}
-			localWaits = append(localWaits, chain...)
 			wireArgs[i] = protocol.KernelArg{Kind: protocol.ArgBuffer, BufferID: rb.id}
 			if param.Pointer && !param.Const && param.Space != clc.SpaceConstant {
 				written = append(written, bind.buf)
@@ -1500,20 +1509,17 @@ func (q *Queue) enqueueKernelBound(k *Kernel, bindings []argBinding, global, loc
 	req := &protocol.EnqueueKernelReq{
 		QueueID:    qid,
 		KernelID:   remoteKernel,
-		Global:     toInt64s(global),
-		Local:      toInt64s(local),
+		Global:     global,
+		Local:      local,
 		Args:       wireArgs,
 		SimArrival: int64(arrival),
 		WaitEvents: localWaits,
+		CostFlops:  opts.CostFlops,
+		CostBytes:  opts.CostBytes,
 	}
-	if opts != nil {
-		req.CostFlops = opts.CostFlops
-		req.CostBytes = opts.CostBytes
-	}
-	resp := new(protocol.EventResp)
-	id, pend := q.ctx.sess.issue(node, req, resp)
-	ev := &Event{dev: dev, remoteID: id, queue: q, pending: pend, resp: resp, isKernel: true,
+	ev := &Event{dev: dev, queue: q, isKernel: true,
 		trace: q.ctx.sess.traceCmd(trace.KindKernel, dev, qid, msgBytes, wireStart, arrival)}
+	id := q.ctx.sess.issueEvent(ev, req)
 	q.track(ev)
 
 	// Written-buffer coherence at issue time. The monotonic guard keeps a
@@ -1539,26 +1545,6 @@ func (q *Queue) enqueueKernelBound(k *Kernel, bindings []argBinding, global, loc
 		}
 		b.mu.Unlock()
 	}
-	var optsCopy *LaunchOptions
-	if opts != nil {
-		o := *opts
-		optsCopy = &o
-	}
-	q.ctx.sess.logCommand(&kernelLog{
-		q:        q,
-		k:        k,
-		bindings: bindings,
-		global:   append([]int(nil), global...),
-		local:    append([]int(nil), local...),
-		opts:     optsCopy,
-	})
+	q.ctx.sess.logCommand(&kernelLog{q: q, k: k, bindings: bindings, global: global, local: local, opts: opts})
 	return ev, nil
-}
-
-func toInt64s(vs []int) []int64 {
-	out := make([]int64, len(vs))
-	for i, v := range vs {
-		out[i] = int64(v)
-	}
-	return out
 }

@@ -75,14 +75,15 @@ func (b *Buffer) migrateP2P(node *NodeHandle, rb *remoteBuf, gaps []mem.Range) e
 			return err
 		}
 		for _, r := range leftover {
-			chain, err := rb.chainWaits()
+			chain, err := rb.chainWaits(nil)
 			if err != nil {
 				return err
 			}
 			modelBytes := b.scaled(r.Len())
 			wireStart, arrival := b.ctx.sess.chargeNIC(b.hostReadyAt, controlMsgBytes+modelBytes)
-			resp := new(protocol.EventResp)
-			id, pend := b.ctx.sess.issue(node, &protocol.WriteBufferReq{
+			pushEv := &Event{dev: svcDev, queue: svc,
+				trace: b.ctx.sess.traceCmd(trace.KindMigrate, svcDev, 0, modelBytes, wireStart, arrival)}
+			id := b.ctx.sess.issueEvent(pushEv, &protocol.WriteBufferReq{
 				QueueID:    svcQID,
 				BufferID:   rb.id,
 				Offset:     r.Lo,
@@ -90,9 +91,7 @@ func (b *Buffer) migrateP2P(node *NodeHandle, rb *remoteBuf, gaps []mem.Range) e
 				SimArrival: int64(arrival),
 				ModelBytes: modelBytes,
 				WaitEvents: chain,
-			}, resp)
-			pushEv := &Event{dev: svcDev, remoteID: id, queue: svc, pending: pend, resp: resp,
-				trace: b.ctx.sess.traceCmd(trace.KindMigrate, svcDev, 0, modelBytes, wireStart, arrival)}
+			})
 			svc.track(pushEv)
 			rb.valid.Add(r.Lo, r.Hi)
 			rb.lastEvent = id
@@ -116,11 +115,11 @@ func (b *Buffer) pushFromPeer(node *NodeHandle, rb *remoteBuf, svc *Queue, ps ow
 	}
 	ownerDev, ownerQID := ownerSvc.binding()
 	svcDev, svcQID := svc.binding()
-	ownerChain, err := ps.rb.chainWaits()
+	ownerChain, err := ps.rb.chainWaits(nil)
 	if err != nil {
 		return err
 	}
-	consumerChain, err := rb.chainWaits()
+	consumerChain, err := rb.chainWaits(nil)
 	if err != nil {
 		return err
 	}
@@ -131,8 +130,9 @@ func (b *Buffer) pushFromPeer(node *NodeHandle, rb *remoteBuf, svc *Queue, ps ow
 	// Only the control frames cross the host NIC. The payload is charged
 	// to the owner's egress link node-side; the host keeps byte accounting.
 	pushCtrlStart, pushCtrl := sess.chargeNIC(0, controlMsgBytes)
-	pushResp := new(protocol.EventResp)
-	pushID, pushPend := sess.issue(ps.node, &protocol.PushRangeReq{
+	pushEv := &Event{dev: ownerDev, queue: ownerSvc,
+		trace: sess.traceCmd(trace.KindPushRange, ownerDev, 0, modelBytes, pushCtrlStart, pushCtrl)}
+	pushID := sess.issueEvent(pushEv, &protocol.PushRangeReq{
 		QueueID:      ownerQID,
 		BufferID:     ps.rb.id,
 		PeerName:     node.name,
@@ -143,9 +143,7 @@ func (b *Buffer) pushFromPeer(node *NodeHandle, rb *remoteBuf, svc *Queue, ps ow
 		SimArrival:   int64(pushCtrl),
 		ModelBytes:   modelBytes,
 		WaitEvents:   ownerChain,
-	}, pushResp)
-	pushEv := &Event{dev: ownerDev, remoteID: pushID, queue: ownerSvc, pending: pushPend, resp: pushResp,
-		trace: sess.traceCmd(trace.KindPushRange, ownerDev, 0, modelBytes, pushCtrlStart, pushCtrl)}
+	})
 	ownerSvc.track(pushEv)
 	// The push becomes the owner replica's chain head: a later write there
 	// must wait for the device read (anti-dependency), and the in-order
@@ -155,8 +153,9 @@ func (b *Buffer) pushFromPeer(node *NodeHandle, rb *remoteBuf, svc *Queue, ps ow
 	ps.rb.lastEv = pushEv
 
 	awaitCtrlStart, awaitCtrl := sess.chargeNIC(0, controlMsgBytes)
-	awaitResp := new(protocol.EventResp)
-	awaitID, awaitPend := sess.issue(node, &protocol.AwaitPushReq{
+	awaitEv := &Event{dev: svcDev, queue: svc,
+		trace: sess.traceCmd(trace.KindAwaitPush, svcDev, 0, modelBytes, awaitCtrlStart, awaitCtrl)}
+	awaitID := sess.issueEvent(awaitEv, &protocol.AwaitPushReq{
 		QueueID:    svcQID,
 		BufferID:   rb.id,
 		Token:      token,
@@ -165,9 +164,7 @@ func (b *Buffer) pushFromPeer(node *NodeHandle, rb *remoteBuf, svc *Queue, ps ow
 		SimArrival: int64(awaitCtrl),
 		ModelBytes: modelBytes,
 		WaitEvents: consumerChain,
-	}, awaitResp)
-	awaitEv := &Event{dev: svcDev, remoteID: awaitID, queue: svc, pending: awaitPend, resp: awaitResp,
-		trace: sess.traceCmd(trace.KindAwaitPush, svcDev, 0, modelBytes, awaitCtrlStart, awaitCtrl)}
+	})
 	svc.track(awaitEv)
 	sess.chargePeer(modelBytes)
 	rt.watchPush(node.client.Load(), token, pushEv)

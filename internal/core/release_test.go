@@ -2,10 +2,18 @@ package core_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"github.com/haocl-project/haocl/internal/cluster"
 	"github.com/haocl-project/haocl/internal/core"
+	"github.com/haocl-project/haocl/internal/device"
 	"github.com/haocl-project/haocl/internal/mem"
+	"github.com/haocl-project/haocl/internal/node"
+	"github.com/haocl-project/haocl/internal/protocol"
+	"github.com/haocl-project/haocl/internal/sim"
+	"github.com/haocl-project/haocl/internal/transport"
 )
 
 // TestPollStatusFanout is the regression test for the serial status poll:
@@ -199,5 +207,315 @@ func TestBufferKernelRelease(t *testing.T) {
 	}
 	if _, err := q.EnqueueKernel(k, []int{8}, nil, nil, nil); err == nil {
 		t.Fatal("launch of released kernel accepted")
+	}
+}
+
+// wireTap sits between a node's transport and its session and records, in
+// arrival order, what the registration stage is handed: which event every
+// enqueue command claims, and which IDs every Release names.
+type wireTap struct {
+	transport.AsyncHandler
+	mu  sync.Mutex
+	log []tapped
+}
+
+// tapped is one recorded request: an enqueue command (event != 0), a
+// Release (ids != nil) or anything else.
+type tapped struct {
+	event uint64
+	kind  protocol.ObjectKind
+	ids   []uint64
+}
+
+func (w *wireTap) HandleCallAsync(op protocol.Op, body []byte, done func(protocol.Message, error)) {
+	var rec tapped
+	switch op {
+	case protocol.OpWriteBuffer:
+		var req protocol.WriteBufferReq
+		if protocol.DecodeMessage(&req, body) == nil {
+			rec.event = req.EventID
+		}
+	case protocol.OpRelease:
+		var req protocol.ReleaseReq
+		if protocol.DecodeMessage(&req, body) == nil {
+			rec.kind = req.Kind
+			for i := 0; i < req.Len(); i++ {
+				rec.ids = append(rec.ids, req.At(i))
+			}
+		}
+	}
+	w.mu.Lock()
+	w.log = append(w.log, rec)
+	w.mu.Unlock()
+	w.AsyncHandler.HandleCallAsync(op, body, done)
+}
+
+func (w *wireTap) Close() error {
+	if c, ok := w.AsyncHandler.(interface{ Close() error }); ok {
+		return c.Close()
+	}
+	return nil
+}
+
+func (w *wireTap) snapshot() []tapped {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]tapped(nil), w.log...)
+}
+
+// startTappedRuntime is startRuntime with a wireTap in front of every
+// node's (single) host session, in node order.
+func startTappedRuntime(t *testing.T, gpuNodes int) (*core.Runtime, []*wireTap) {
+	t.Helper()
+	cfg := cluster.Synthetic("release-test", 0, gpuNodes, 0, nil)
+	icd := device.NewICD()
+	sim.RegisterDrivers(icd, testRegistry())
+	net := transport.NewMemNetwork()
+	taps := make([]*wireTap, len(cfg.Nodes))
+	for i, ns := range cfg.Nodes {
+		devCfgs, err := ns.DeviceConfigs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := node.New(node.Options{Name: ns.Name, Devices: devCfgs, ICD: icd, ExecWorkers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tap := &wireTap{}
+		taps[i] = tap
+		srv := transport.NewServer(func() transport.Handler {
+			tap.AsyncHandler = n.NewSession().(transport.AsyncHandler)
+			return tap
+		})
+		if err := net.Register(ns.Addr, srv); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+	}
+	rt, err := core.Connect(core.Options{Config: cfg, Dialer: net, ClientName: "release-test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rt.Close() })
+	return rt, taps
+}
+
+// TestReleaseVectorsKeepWireOrder releases events in bursts interleaved
+// with commands on two nodes and checks, from what the nodes were handed,
+// the flush rule of Session.releaseAsync: every ID goes out exactly once,
+// in release order, at most 256 to a message and far fewer messages than
+// IDs; every command finds on the wire ahead of it exactly the releases
+// the host made before issuing it; a release of another kind closes the
+// vector before it; and after the last Flush no node holds an event.
+func TestReleaseVectorsKeepWireOrder(t *testing.T) {
+	rt, taps := startTappedRuntime(t, 2)
+	devs := rt.Devices(0)
+	sess := rt.OpenSession("tenant")
+	ctx, err := sess.CreateContext(devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type lane struct {
+		q        *core.Queue
+		buf      *core.Buffer
+		events   []*core.Event // issued and not yet released, oldest first
+		released int           // releases made so far
+		// before[k] is how many releases preceded the lane's k-th command.
+		before []int
+	}
+	lanes := make([]*lane, len(devs))
+	for i, dev := range devs {
+		l := &lane{}
+		if l.q, err = ctx.CreateQueue(dev); err != nil {
+			t.Fatal(err)
+		}
+		if l.buf, err = ctx.CreateBuffer(16); err != nil {
+			t.Fatal(err)
+		}
+		lanes[i] = l
+	}
+	write := func(l *lane) {
+		t.Helper()
+		ev, err := l.q.EnqueueWrite(l.buf, 0, make([]byte, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.before = append(l.before, l.released)
+		l.events = append(l.events, ev)
+	}
+	// releaseOld releases up to n of the lane's events, never the newest:
+	// it heads the buffer's chain until the next write.
+	releaseOld := func(l *lane, n int) {
+		t.Helper()
+		n = min(n, len(l.events)-1)
+		for _, ev := range l.events[:n] {
+			if err := ev.Release(rt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.released += n
+		l.events = l.events[n:]
+	}
+
+	for round := 0; round < 3; round++ {
+		// Node 0 takes a burst longer than one vector, node 1 a short one.
+		for i := 0; i < 300; i++ {
+			write(lanes[0])
+		}
+		for i := 0; i < 7; i++ {
+			write(lanes[1])
+		}
+		for _, l := range lanes {
+			if _, err := l.q.Finish(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Releases for both nodes alternate; each node's are held until
+		// its own next command.
+		for len(lanes[0].events) > 1 || len(lanes[1].events) > 1 {
+			releaseOld(lanes[0], 50)
+			releaseOld(lanes[1], 2)
+		}
+		write(lanes[0]) // node 0's vectors go first; node 1's stay held
+		releaseOld(lanes[0], 1)
+		write(lanes[1])
+	}
+	if err := sess.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Teardown: the buffers go, which frees the chain heads too; events,
+	// then a buffer, then a queue are three kinds, so three messages.
+	for _, l := range lanes {
+		for _, ev := range l.events {
+			if err := ev.Release(rt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.released += len(l.events)
+		if err := l.buf.Release(); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.q.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for i, tap := range taps {
+		l := lanes[i]
+		live := make(map[uint64]bool)
+		var lastReleased uint64
+		commands, released, messages := 0, 0, 0
+		var kinds []protocol.ObjectKind
+		for _, rec := range tap.snapshot() {
+			switch {
+			case rec.event != 0:
+				if commands >= len(l.before) {
+					t.Fatalf("node %d: more commands on the wire than issued", i)
+				}
+				if released != l.before[commands] {
+					t.Fatalf("node %d: command %d (event %d) has %d releases ahead of it on the wire, the host had made %d",
+						i, commands, rec.event, released, l.before[commands])
+				}
+				commands++
+				live[rec.event] = true
+			case rec.kind == protocol.ObjEvent:
+				messages++
+				if len(rec.ids) > 256 {
+					t.Fatalf("node %d: a release names %d IDs", i, len(rec.ids))
+				}
+				for _, id := range rec.ids {
+					if !live[id] {
+						t.Fatalf("node %d: event %d released twice, or before its command", i, id)
+					}
+					if id <= lastReleased {
+						t.Fatalf("node %d: event %d released after event %d", i, id, lastReleased)
+					}
+					delete(live, id)
+					lastReleased = id
+					released++
+				}
+			case rec.ids != nil:
+				kinds = append(kinds, rec.kind)
+			}
+		}
+		if commands != len(l.before) || released != l.released {
+			t.Fatalf("node %d: %d commands and %d releases on the wire, want %d and %d", i, commands, released, len(l.before), l.released)
+		}
+		if len(live) != 0 {
+			t.Fatalf("node %d: %d events never released: the table is not empty", i, len(live))
+		}
+		if messages*4 > released && released > 20 {
+			t.Fatalf("node %d: %d release messages for %d events", i, messages, released)
+		}
+		if len(kinds) != 2 || kinds[0] != protocol.ObjBuffer || kinds[1] != protocol.ObjQueue {
+			t.Fatalf("node %d: teardown released kinds %v after the events, want buffer then queue", i, kinds)
+		}
+		t.Logf("node %d: %d events in %d release messages", i, released, messages)
+	}
+}
+
+// TestHeldReleasesDieWithTheirNode: IDs still held back for a node when it
+// is killed are absolved as node loss — the objects died with the node —
+// whether the session flushes before recovery has run or after, while a
+// genuine failure on the survivor still sticks.
+func TestHeldReleasesDieWithTheirNode(t *testing.T) {
+	for _, flushFirst := range []bool{true, false} {
+		f := newRecoveryFixture(t, 2)
+		victim := f.cc.cfg.Nodes[0].Name
+		qv := f.queueOn(t, victim)
+		qs := f.queueOn(t, f.cc.cfg.Nodes[1].Name)
+		scratch, err := f.ctx.CreateBuffer(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var evs []*core.Event
+		for i := 0; i < 5; i++ {
+			ev, err := qv.EnqueueWrite(scratch, 0, make([]byte, 16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs = append(evs, ev)
+		}
+		if _, err := qv.EnqueueWrite(f.buf, 0, mem.F32Bytes([]float32{1, 2, 3, 4})); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := qv.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range evs {
+			if err := ev.Release(f.cc.rt); err != nil { // held: nothing follows them to the victim
+				t.Fatal(err)
+			}
+		}
+		f.cc.kill(victim)
+		if flushFirst {
+			for _, n := range f.cc.rt.Nodes() {
+				for deadline := time.Now().Add(10 * time.Second); n.Name() == victim && n.Alive(); {
+					if time.Now().After(deadline) {
+						t.Fatal("the host never noticed the node's death")
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			if err := f.cc.rt.Flush(); err != nil {
+				t.Fatalf("releases held for a dead node became a sticky error: %v", err)
+			}
+		}
+		f.mustRead(t, qs, []float32{1, 2, 3, 4}) // recovery replays the victim's write
+		if err := f.cc.rt.Flush(); err != nil {
+			t.Fatalf("flushFirst=%v: releases held for a dead node became a sticky error: %v", flushFirst, err)
+		}
+		extra, err := f.ctx.CreateQueue(qs.Device())
+		if err != nil {
+			t.Fatal(err)
+		}
+		extra.Release()
+		extra.Release()
+		if err := f.cc.rt.Flush(); err == nil || !strings.Contains(err.Error(), "unknown queue") {
+			t.Fatalf("double release on the survivor: err = %v, want the node's unknown-queue error", err)
+		}
 	}
 }

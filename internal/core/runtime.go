@@ -240,14 +240,6 @@ type Runtime struct {
 	pushToken uint64  // guarded by mu; rendezvous tokens for node-to-node pushes
 }
 
-// pendingRelease is one fire-and-forget Release awaiting its ack.
-type pendingRelease struct {
-	node *NodeHandle
-	kind protocol.ObjectKind
-	id   uint64
-	pend *transport.Pending
-}
-
 // Connect dials every node in the configuration, performs the Hello
 // handshake, and assembles the global device table.
 func Connect(opts Options) (*Runtime, error) {
@@ -350,7 +342,9 @@ func (rt *Runtime) watchNode(nh *NodeHandle, client *transport.Client) {
 // then closes the connections — the orderly teardown of a dedicated
 // cluster (cmd/haocl-node exits on this signal).
 func (rt *Runtime) ShutdownCluster() error {
-	var firstErr error
+	// Releases still held back must reach the nodes ahead of the shutdown
+	// request, which no session sends.
+	firstErr := rt.drainReleases()
 	for _, n := range rt.nodes {
 		if err := rt.call(n, &protocol.ShutdownReq{}, nil); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("core: shutdown %q: %w", n.name, err)
@@ -362,17 +356,24 @@ func (rt *Runtime) ShutdownCluster() error {
 	return firstErr
 }
 
-// Close shuts every node connection down, draining every session's
-// outstanding releases first so their failures are reported instead of
-// dying with the sockets.
-func (rt *Runtime) Close() error {
-	rt.closing.Store(true)
+// drainReleases drains every session's outstanding releases and reports
+// the first sticky release error it finds.
+func (rt *Runtime) drainReleases() error {
 	var firstErr error
 	for _, s := range rt.allSessions() {
 		if err := s.drainReleases(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
+	return firstErr
+}
+
+// Close shuts every node connection down, draining every session's
+// outstanding releases first so their failures are reported instead of
+// dying with the sockets.
+func (rt *Runtime) Close() error {
+	rt.closing.Store(true)
+	firstErr := rt.drainReleases()
 	for _, n := range rt.nodes {
 		if err := n.client.Load().Close(); err != nil && firstErr == nil {
 			firstErr = err
@@ -427,11 +428,12 @@ func (rt *Runtime) call(n *NodeHandle, req protocol.Message, resp protocol.Messa
 	return classifyNodeErr(n, n.client.Load().Call(req, resp))
 }
 
-// maxPendingReleases bounds the un-reaped fire-and-forget releases: a
-// long-running host that releases objects but never hits a Flush/Close
-// must not grow the pending list without limit, so crossing the threshold
-// drains it in place. The acks being waited on were pipelined long ago,
-// so the amortized cost stays far below one round trip per release.
+// maxPendingReleases bounds the un-reaped fire-and-forget Release
+// messages (each a vector of IDs): a long-running host that releases
+// objects but never hits a Flush/Close must not grow the pending list
+// without limit, so crossing the threshold drains it in place. The acks
+// being waited on were pipelined long ago, so the amortized cost stays far
+// below one round trip per message.
 const maxPendingReleases = 256
 
 // Flush resolves every session's outstanding pipelined commands and

@@ -59,13 +59,17 @@ type Session struct {
 	pendMu  sync.Mutex
 	pendSet map[*Event]struct{} // guarded by pendMu
 
-	// relMu guards the session's fire-and-forget Release calls still
-	// awaiting acknowledgement, plus the sticky error of the first failed
-	// release. One tenant's failed Release surfaces on its own Flush and
-	// nobody else's.
+	// relMu guards the session's fire-and-forget releases: the IDs held
+	// back per node until the session's next message to that node (see
+	// releaseAsync), the release messages still awaiting acknowledgement,
+	// and the sticky error of the first failed release. One tenant's failed
+	// Release surfaces on its own Flush and nobody else's. relHeldN counts
+	// the held IDs so the enqueue path skips the lock while none are.
 	relMu      sync.Mutex
-	relPending []*pendingRelease // guarded by relMu
-	relErr     error             // guarded by relMu
+	relHeld    map[*NodeHandle]*heldReleases // guarded by relMu
+	relHeldN   atomic.Int64
+	relPending []pendingRelease // guarded by relMu
+	relErr     error            // guarded by relMu
 
 	// logMu guards the session's command log: every mutating command in
 	// issue order, replayed from zeroed buffer state after a node loss.
@@ -173,6 +177,7 @@ func (s *Session) bump(f func(m *Metrics)) {
 // node loss so the recovering wrappers retry it.
 func (s *Session) call(n *NodeHandle, req protocol.Message, resp protocol.Message) error {
 	s.bump(func(m *Metrics) { m.Commands++ })
+	s.sendHeldReleases(n)
 	return classifyNodeErr(n, n.client.Load().Call(req, resp))
 }
 
@@ -181,6 +186,7 @@ func (s *Session) call(n *NodeHandle, req protocol.Message, resp protocol.Messag
 // atomically (see Runtime.issue for the ordering contract).
 func (s *Session) issue(n *NodeHandle, req protocol.CommandReq, resp protocol.Message) (uint64, *transport.Pending) {
 	s.bump(func(m *Metrics) { m.Commands++ })
+	s.sendHeldReleases(n)
 	n.issueMu.Lock()
 	defer n.issueMu.Unlock()
 	n.eventID++
@@ -188,17 +194,67 @@ func (s *Session) issue(n *NodeHandle, req protocol.CommandReq, resp protocol.Me
 	return n.eventID, n.client.Load().Go(req, resp)
 }
 
-// releaseAsync ships one fire-and-forget Release; the acknowledgement is
-// drained at the session's next Flush (or Close), where a failure becomes
-// this session's sticky release error.
+// issueEvent ships the command whose completion ev stands for: the
+// response decodes into the event itself.
+func (s *Session) issueEvent(ev *Event, req protocol.CommandReq) uint64 {
+	ev.remoteID, ev.pending = s.issue(ev.dev.node, req, &ev.resp)
+	return ev.remoteID
+}
+
+// heldReleases is one node's vector in the making: IDs of one kind, in
+// release order. The slice is reused from vector to vector.
+type heldReleases struct {
+	kind protocol.ObjectKind
+	ids  []uint64
+}
+
+// pendingRelease is one Release message awaiting its ack.
+type pendingRelease struct {
+	node  *NodeHandle
+	kind  protocol.ObjectKind
+	count int
+	pend  *transport.Pending
+}
+
+// maxReleaseVector caps the IDs one Release message carries. A teardown
+// burst of n events costs n/256 frames and as many acks.
+const maxReleaseVector = 256
+
+// releaseAsync releases one remote object, fire-and-forget. Teardown
+// releases objects in bursts, and a release is only an ID, so the ID is
+// held back and ships in a vector with its neighbours: when the session
+// next sends the node anything else (sendHeldReleases, from call and
+// issue), at the session's next Flush, Close or drainReleases, when the
+// vector is full, or when a release of another kind follows — one message
+// names one kind. Relative to every other message of the session the wire
+// order is therefore what it would be with one message per release, with
+// consecutive releases merged. The acknowledgement is drained at the next
+// Flush (or Close), where a failure becomes this session's sticky release
+// error. A peer that predates vectors gets them one ID long.
 func (s *Session) releaseAsync(n *NodeHandle, kind protocol.ObjectKind, id uint64) {
 	s.bump(func(m *Metrics) { m.Commands++ })
-	pr := &pendingRelease{
-		node: n, kind: kind, id: id,
-		pend: n.client.Load().Go(&protocol.ReleaseReq{Kind: kind, ID: id}, nil),
+	limit := 1
+	if n.wireVersion.Load() >= protocol.VersionReleaseVector {
+		limit = maxReleaseVector
 	}
 	s.relMu.Lock()
-	s.relPending = append(s.relPending, pr)
+	h := s.relHeld[n]
+	if h == nil {
+		if s.relHeld == nil {
+			s.relHeld = make(map[*NodeHandle]*heldReleases)
+		}
+		h = new(heldReleases)
+		s.relHeld[n] = h
+	}
+	if len(h.ids) > 0 && h.kind != kind {
+		s.sendHeld(n, h)
+	}
+	h.kind = kind
+	h.ids = append(h.ids, id)
+	s.relHeldN.Add(1)
+	if len(h.ids) >= limit {
+		s.sendHeld(n, h)
+	}
 	full := len(s.relPending) >= maxPendingReleases
 	s.relMu.Unlock()
 	if full {
@@ -206,15 +262,53 @@ func (s *Session) releaseAsync(n *NodeHandle, kind protocol.ObjectKind, id uint6
 	}
 }
 
-// drainReleases waits for every outstanding release acknowledgement and
-// returns the session's sticky release error: the first release that ever
-// failed on this session, kept so a fire-and-forget failure is reported
-// rather than lost — to this tenant only. Failures are classified before
-// latching: an ack that died with a dead node's connection is tagged as
-// node loss so recovery can absolve exactly those (the objects died with
-// the node), while a live node's RemoteError stays a genuine sticky error.
+// sendHeld ships n's held IDs as one Release. Caller holds relMu — which
+// is what keeps two vectors for one node in release order — and h.ids is
+// not empty. The frame copies the IDs, so the slice is reused at once.
+// Nothing is sent to a node known to be down: the objects died with it,
+// which absolves their release just as it absolves an ack lost in flight.
+func (s *Session) sendHeld(n *NodeHandle, h *heldReleases) {
+	if n.Alive() {
+		req := &protocol.ReleaseReq{Kind: h.kind, ID: h.ids[0], More: h.ids[1:]}
+		s.relPending = append(s.relPending, pendingRelease{
+			node: n, kind: h.kind, count: len(h.ids),
+			pend: n.client.Load().Go(req, nil),
+		})
+	}
+	s.relHeldN.Add(-int64(len(h.ids)))
+	h.ids = h.ids[:0]
+}
+
+// sendHeldReleases ships the releases held for n ahead of the message the
+// caller is about to send it.
+func (s *Session) sendHeldReleases(n *NodeHandle) {
+	if s.relHeldN.Load() == 0 {
+		return
+	}
+	s.relMu.Lock()
+	if h := s.relHeld[n]; h != nil && len(h.ids) > 0 {
+		s.sendHeld(n, h)
+	}
+	s.relMu.Unlock()
+}
+
+// drainReleases ships every held release, waits for every outstanding
+// acknowledgement and returns the session's sticky release error: the
+// first release that ever failed on this session, kept so a
+// fire-and-forget failure is reported rather than lost — to this tenant
+// only. Failures are classified before latching: an ack that died with a
+// dead node's connection is tagged as node loss so recovery can absolve
+// exactly those (the objects died with the node), while a live node's
+// RemoteError — it names the offending ID — stays a genuine sticky error.
 func (s *Session) drainReleases() error {
 	s.relMu.Lock()
+	if s.relHeldN.Load() > 0 {
+		for _, n := range sortedNodeKeys(s.relHeld) {
+			if h := s.relHeld[n]; len(h.ids) > 0 {
+				s.sendHeld(n, h)
+			}
+		}
+	}
 	pending := s.relPending
 	s.relPending = nil
 	s.relMu.Unlock()
@@ -223,8 +317,8 @@ func (s *Session) drainReleases() error {
 			err = classifyNodeErr(pr.node, err)
 			s.relMu.Lock()
 			if s.relErr == nil {
-				s.relErr = fmt.Errorf("core: release %s %d on %q: %w",
-					pr.kind, pr.id, pr.node.name, err)
+				s.relErr = fmt.Errorf("core: release of %d %s object(s) on %q: %w",
+					pr.count, pr.kind, pr.node.name, err)
 			}
 			s.relMu.Unlock()
 		}

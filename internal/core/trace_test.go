@@ -334,8 +334,12 @@ func TestTraceAdmissionAndMetrics(t *testing.T) {
 }
 
 // BenchmarkEnqueueWrite measures the hot enqueue path; run with -benchmem.
-// The traced=off case must show the same allocs/op as the pre-tracing
-// seed — the nil-run fast path adds none.
+// The traced=off case must show the same allocs/op as the untraced path
+// always had — the nil-run fast path adds none. The count is process-wide
+// and runs through Finish, so the in-process node's share of every command
+// is in it, as in the ladder's core.enqueue_write_allocs; stopped before
+// Finish it read anything between the host's share and that
+// (DESIGN.md §12).
 func BenchmarkEnqueueWrite(b *testing.B) {
 	for _, traced := range []bool{false, true} {
 		b.Run(fmt.Sprintf("traced=%v", traced), func(b *testing.B) {
@@ -364,7 +368,6 @@ func BenchmarkEnqueueWrite(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.StopTimer()
 			if _, err := q.Finish(); err != nil {
 				b.Fatal(err)
 			}

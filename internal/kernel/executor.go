@@ -140,7 +140,8 @@ func NormalizeRange(global, local []int) (g, l [3]int, err error) {
 }
 
 // Run executes spec over the launch's NDRange. Work-groups run in parallel
-// across a bounded worker pool; within a group, work-items run sequentially
+// across a bounded worker pool — or on the calling goroutine when the pool
+// would hold one worker; within a group, work-items run sequentially
 // unless the kernel uses barriers, in which case each item gets a goroutine
 // synchronized by a per-group cyclic barrier. Local-memory arguments are
 // allocated fresh per work-group.
@@ -152,6 +153,7 @@ func Run(spec *Spec, l Launch) error {
 		return fmt.Errorf("%w: kernel %q wants %d args, got %d",
 			ErrBadArgs, spec.Name, spec.NumArgs, len(l.Args))
 	}
+	hasLocal := false
 	for i, a := range l.Args {
 		switch a.Kind {
 		case ArgBuffer, ArgScalar:
@@ -162,6 +164,7 @@ func Run(spec *Spec, l Launch) error {
 			if a.LocalLen <= 0 {
 				return fmt.Errorf("%w: kernel %q arg %d: local size %d", ErrBadArgs, spec.Name, i, a.LocalLen)
 			}
+			hasLocal = true
 		default:
 			return fmt.Errorf("%w: kernel %q arg %d: unknown kind %d", ErrBadArgs, spec.Name, i, a.Kind)
 		}
@@ -171,10 +174,16 @@ func Run(spec *Spec, l Launch) error {
 		return fmt.Errorf("kernel %q: %w", spec.Name, err)
 	}
 
-	groups := [3]int{global[0] / local[0], global[1] / local[1], global[2] / local[2]}
-	numGroups := groups[0] * groups[1] * groups[2]
-	itemsPerGroup := local[0] * local[1] * local[2]
-	if spec.UsesBarrier && itemsPerGroup == 1 && numGroups > 1 {
+	r := &ndrange{
+		spec:     spec,
+		args:     l.Args,
+		hasLocal: hasLocal,
+		global:   global,
+		local:    local,
+		groups:   [3]int{global[0] / local[0], global[1] / local[1], global[2] / local[2]},
+	}
+	numGroups := r.groups[0] * r.groups[1] * r.groups[2]
+	if spec.UsesBarrier && local[0]*local[1]*local[2] == 1 && numGroups > 1 {
 		// Legal but almost certainly a mistake: a barrier over one item is
 		// a no-op, so a missing local size silently changes semantics.
 		return fmt.Errorf("%w: kernel %q uses barriers but was launched with local size 1",
@@ -189,29 +198,46 @@ func Run(spec *Spec, l Launch) error {
 		workers = numGroups
 	}
 
+	var panicked any
+	if workers == 1 {
+		// One worker is the caller: a small launch (a single work-group, or
+		// a node configured for one executor thread) pays for no goroutine,
+		// channel or hand-off.
+		for gi := 0; gi < numGroups; gi++ {
+			if p := r.runGroup(gi, &r.callerItem); p != nil && panicked == nil {
+				panicked = p
+			}
+		}
+	} else {
+		panicked = r.runPool(workers, numGroups)
+	}
+	if panicked != nil {
+		return fmt.Errorf("kernel %q panicked: %v", spec.Name, panicked)
+	}
+	return nil
+}
+
+// runPool spreads the launch's work-groups over workers goroutines and
+// returns the first panic any of them recovered.
+func (r *ndrange) runPool(workers, numGroups int) (panicked any) {
 	var (
 		wg   sync.WaitGroup
+		mu   sync.Mutex
 		next = make(chan int)
 	)
-	panics := make(chan any, 1)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			// Recover per work-group so a panicking kernel cannot kill
-			// the worker and strand unconsumed groups on the channel.
+			it := new(Item)
 			for gi := range next {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							select {
-							case panics <- r:
-							default:
-							}
-						}
-					}()
-					runGroup(spec, gi, groups, global, local, l.Args)
-				}()
+				if p := r.runGroup(gi, it); p != nil {
+					mu.Lock()
+					if panicked == nil {
+						panicked = p
+					}
+					mu.Unlock()
+				}
 			}
 		}()
 	}
@@ -220,40 +246,47 @@ func Run(spec *Spec, l Launch) error {
 	}
 	close(next)
 	wg.Wait()
-	select {
-	case r := <-panics:
-		return fmt.Errorf("kernel %q panicked: %v", spec.Name, r)
-	default:
-	}
-	return nil
+	return panicked
 }
 
-// runGroup executes all work-items of the group with linear index gi.
-func runGroup(spec *Spec, gi int, groups, global, local [3]int, args []Arg) {
+// ndrange is one validated launch, shared read-only by its workers.
+type ndrange struct {
+	spec                  *Spec
+	args                  []Arg
+	hasLocal              bool
+	groups, global, local [3]int
+	callerItem            Item // the scratch Item of a launch run by its caller
+}
+
+// runGroup executes all work-items of the group with linear index gi and
+// returns what the kernel panicked with, if it did: recovering per
+// work-group means a panicking kernel neither kills its worker nor strands
+// the groups still to run. it is the calling worker's scratch Item — the
+// kernel function is opaque to escape analysis, so an Item per group would
+// be a heap allocation per group.
+func (r *ndrange) runGroup(gi int, it *Item) (panicked any) {
+	defer func() { panicked = recover() }()
+
 	var group [3]int
-	group[0] = gi % groups[0]
-	group[1] = (gi / groups[0]) % groups[1]
-	group[2] = gi / (groups[0] * groups[1])
+	group[0] = gi % r.groups[0]
+	group[1] = (gi / r.groups[0]) % r.groups[1]
+	group[2] = gi / (r.groups[0] * r.groups[1])
+	local := r.local
 
 	// Local-memory arguments get fresh per-group storage.
-	groupArgs := args
-	for i := range args {
-		if args[i].Kind == ArgLocal {
-			groupArgs = make([]Arg, len(args))
-			copy(groupArgs, args)
-			for j := range groupArgs {
-				if groupArgs[j].Kind == ArgLocal {
-					groupArgs[j].Data = make([]byte, groupArgs[j].LocalLen)
-				}
+	groupArgs := r.args
+	if r.hasLocal {
+		groupArgs = make([]Arg, len(r.args))
+		copy(groupArgs, r.args)
+		for j := range groupArgs {
+			if groupArgs[j].Kind == ArgLocal {
+				groupArgs[j].Data = make([]byte, groupArgs[j].LocalLen)
 			}
-			break
 		}
-		_ = i
 	}
 
-	itemsPerGroup := local[0] * local[1] * local[2]
-	if !spec.UsesBarrier {
-		it := Item{global: global, local: local, group: group}
+	if !r.spec.UsesBarrier {
+		*it = Item{global: r.global, local: local, group: group}
 		for lz := 0; lz < local[2]; lz++ {
 			for ly := 0; ly < local[1]; ly++ {
 				for lx := 0; lx < local[0]; lx++ {
@@ -263,13 +296,24 @@ func runGroup(spec *Spec, gi int, groups, global, local [3]int, args []Arg) {
 						group[1]*local[1] + ly,
 						group[2]*local[2] + lz,
 					}
-					spec.Func(&it, groupArgs)
+					r.spec.Func(it, groupArgs)
 				}
 			}
 		}
-		return
+		return nil
 	}
 
+	r.runBarrierGroup(group, groupArgs)
+	return nil
+}
+
+// runBarrierGroup runs one group of a kernel that uses barriers: every
+// work-item on its own goroutine, all of them meeting at the group's cyclic
+// barrier. It is its own function so that what the goroutines capture is
+// heap-allocated for barrier kernels only.
+func (r *ndrange) runBarrierGroup(group [3]int, groupArgs []Arg) {
+	local := r.local
+	itemsPerGroup := local[0] * local[1] * local[2]
 	bar := newGroupBarrier(itemsPerGroup)
 	var wg sync.WaitGroup
 	wg.Add(itemsPerGroup)
@@ -279,7 +323,7 @@ func runGroup(spec *Spec, gi int, groups, global, local [3]int, args []Arg) {
 				it := &Item{
 					lid:    [3]int{lx, ly, lz},
 					group:  group,
-					global: global,
+					global: r.global,
 					local:  local,
 					bar:    bar,
 					gid: [3]int{
@@ -290,7 +334,7 @@ func runGroup(spec *Spec, gi int, groups, global, local [3]int, args []Arg) {
 				}
 				go func() {
 					defer wg.Done()
-					spec.Func(it, groupArgs)
+					r.spec.Func(it, groupArgs)
 				}()
 			}
 		}

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync/atomic"
@@ -165,13 +166,18 @@ func TestRunCoversEveryWorkItem(t *testing.T) {
 			atomic.AddInt32(&hits[(z*gy+y)*gx+x], 1)
 		},
 	}
-	err := Run(spec, Launch{Global: []int{gx, gy, gz}, Local: []int{4, 3, 1}, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("item %d ran %d times", i, h)
+	// Three workers share the groups over a channel; one worker is the
+	// caller itself; both must visit every item once.
+	for _, workers := range []int{3, 1} {
+		clear(hits)
+		err := Run(spec, Launch{Global: []int{gx, gy, gz}, Local: []int{4, 3, 1}, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("%d workers: item %d ran %d times", workers, i, h)
+			}
 		}
 	}
 }
@@ -285,6 +291,47 @@ func TestRunRecoversKernelPanic(t *testing.T) {
 	err := Run(spec, Launch{Global: []int{4}})
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestInlineRunRecoversPerGroup: a launch run by its caller (one worker)
+// recovers a panicking work-group like a pooled one does — the groups after
+// it still run, and the first panic is the launch's error.
+func TestInlineRunRecoversPerGroup(t *testing.T) {
+	ran := make([]bool, 8)
+	spec := &Spec{Name: "boom", Func: func(it *Item, _ []Arg) {
+		g := it.GroupID(0)
+		ran[g] = true
+		if g == 2 || g == 5 {
+			panic(fmt.Sprintf("group %d", g))
+		}
+	}}
+	err := Run(spec, Launch{Global: []int{8}, Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), "group 2") {
+		t.Fatalf("err = %v, want the first panic, of group 2", err)
+	}
+	for g, ok := range ran {
+		if !ok {
+			t.Fatalf("group %d never ran after an earlier group panicked", g)
+		}
+	}
+}
+
+// TestRunAllocationBudget: a launch without local memory that its caller
+// runs allocates the launch state, once, however many groups it has.
+func TestRunAllocationBudget(t *testing.T) {
+	spec := &Spec{Name: "incr", Func: func(it *Item, args []Arg) { args[0].Float32s()[it.GlobalID(0)]++ }}
+	for _, l := range []Launch{
+		{Global: []int{8, 8}, Local: []int{8, 8}, Args: []Arg{BufferArg(make([]byte, 4*64))}, Workers: 4},
+		{Global: []int{4096}, Local: []int{64}, Args: []Arg{BufferArg(make([]byte, 4*4096))}, Workers: 1},
+	} {
+		if got := testing.AllocsPerRun(20, func() {
+			if err := Run(spec, l); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 1 {
+			t.Errorf("a launch of %v by %v allocates %v objects, want 1", l.Global, l.Local, got)
+		}
 	}
 }
 

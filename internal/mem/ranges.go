@@ -36,7 +36,9 @@ type RangeSet struct {
 // Add marks [lo, hi) as members of the set, merging with overlapping and
 // adjacent spans. Empty or inverted input is a no-op.
 func (s *RangeSet) Add(lo, hi int64) {
-	if hi <= lo {
+	if hi <= lo || s.Contains(lo, hi) {
+		// Re-validating what is already valid — every rewrite of a resident
+		// buffer — must not cost the allocation below.
 		return
 	}
 	out := make([]Range, 0, len(s.spans)+1)

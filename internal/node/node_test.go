@@ -248,6 +248,52 @@ func TestReleaseSemantics(t *testing.T) {
 	callErr(t, s, &protocol.ReleaseReq{Kind: protocol.ObjectKind(99), ID: 1}, protocol.CodeBadRequest)
 }
 
+// TestReleaseVector: a Release naming several IDs drops every one of them
+// under one registration step, attempts the IDs after a stale one, reports
+// the first failure by ID, and leaves the session's event table empty.
+func TestReleaseVector(t *testing.T) {
+	n := testNode(t)
+	s := openSession(t, n, "alice")
+	ctxID, queueID, _ := buildPipeline(t, s)
+	buf := call(t, s, &protocol.CreateBufferReq{ContextID: ctxID, Size: 16}, &protocol.ObjectResp{})
+	const burst = 40
+	for id := uint64(1); id <= burst; id++ {
+		call(t, s, &protocol.WriteBufferReq{QueueID: queueID, BufferID: buf.ID, Data: []byte{1}, EventID: id}, &protocol.EventResp{})
+	}
+	vector := func(first uint64, rest ...uint64) *protocol.ReleaseReq {
+		return &protocol.ReleaseReq{Kind: protocol.ObjEvent, ID: first, More: rest}
+	}
+	// IDs 1-3 go; 3 again and the never-issued 99 are stale, 4 and 5 sit
+	// behind them and must still go.
+	_, err := s.HandleCall(protocol.OpRelease, protocol.EncodeMessage(vector(1, 2, 3, 3, 99, 4, 5)))
+	var re *protocol.RemoteError
+	if !errors.As(err, &re) || re.Code != protocol.CodeUnknownObject || !strings.Contains(re.Message, "unknown event 3") {
+		t.Fatalf("vector with stale IDs: err = %v, want unknown event 3", err)
+	}
+	for id := uint64(1); id <= 5; id++ {
+		callErr(t, s, &protocol.QueryEventReq{EventID: id}, protocol.CodeUnknownObject)
+	}
+	rest := make([]uint64, 0, burst)
+	for id := uint64(7); id <= burst; id++ {
+		rest = append(rest, id)
+	}
+	call(t, s, vector(6, rest...), &protocol.EmptyResp{})
+	s.mu.Lock()
+	live := len(s.events)
+	s.mu.Unlock()
+	if live != 0 {
+		t.Fatalf("%d events survive the release of all %d", live, burst)
+	}
+
+	// Other kinds take the same path: both buffers go although the ID
+	// between them is stale.
+	buf2 := call(t, s, &protocol.CreateBufferReq{ContextID: ctxID, Size: 16}, &protocol.ObjectResp{})
+	callErr(t, s, &protocol.ReleaseReq{Kind: protocol.ObjBuffer, ID: buf.ID, More: []uint64{9999, buf2.ID}},
+		protocol.CodeUnknownObject)
+	callErr(t, s, &protocol.ReleaseReq{Kind: protocol.ObjBuffer, ID: buf.ID}, protocol.CodeUnknownObject)
+	callErr(t, s, &protocol.ReleaseReq{Kind: protocol.ObjBuffer, ID: buf2.ID}, protocol.CodeUnknownObject)
+}
+
 func TestHelloVersionNegotiation(t *testing.T) {
 	// A host older than MinVersion is rejected outright.
 	n := testNode(t)

@@ -268,7 +268,7 @@ func closeResolvedPeers(conns map[string]*peerConn) {
 	}
 }
 
-// execPushRange ships [Offset, Offset+Size) of a local replica to a peer.
+// exec ships [Offset, Offset+Size) of a local replica to a peer.
 // Two timing shapes share the handler: a migration push (DepartAt == 0)
 // reads the range off the device, then crosses the node's egress link with
 // the full payload; a broadcast forwarding hop (DepartAt > 0) relays data
@@ -276,8 +276,9 @@ func closeResolvedPeers(conns map[string]*peerConn) {
 // this hop's arrival from the previous one (cut-through, matching the
 // host-relay chain's hopDelay arithmetic). Either way the virtual arrival
 // at the peer travels with the data and the host NIC is never charged.
-func (s *Session) execPushRange(req *protocol.PushRangeReq, q *queueObj, ev *eventObj, buf *bufferObj, waits []*eventObj) (protocol.Message, error) {
-	deadline, err := s.awaitDeadline(waits)
+func (c *pushCmd) exec() (protocol.Message, error) {
+	s, req, q, ev, buf := c.s, &c.req, c.q, c.ev, c.buf
+	deadline, err := s.awaitDeadline(c.waits)
 	if err != nil {
 		return nil, s.failCommand(ev, err)
 	}
@@ -336,16 +337,16 @@ func (s *Session) execPushRange(req *protocol.PushRangeReq, q *queueObj, ev *eve
 	prof := protocol.Profile{
 		Queued: req.SimArrival, Submit: int64(submit), Start: int64(start), End: int64(arrival),
 	}
-	ev.complete(prof)
-	return &protocol.EventResp{EventID: ev.id, Profile: prof}, nil
+	return c.completed(prof)
 }
 
-// execAwaitPush receives a deposited range into a local buffer. It blocks
+// exec receives a deposited range into a local buffer. It blocks
 // on the rendezvous entry for the token — the synchronization edge between
 // the source's data plane and this node's command stream — then reserves
 // the device-side write no earlier than the data's virtual arrival.
-func (s *Session) execAwaitPush(req *protocol.AwaitPushReq, q *queueObj, ev *eventObj, buf *bufferObj, waits []*eventObj) (protocol.Message, error) {
-	deadline, err := s.awaitDeadline(waits)
+func (c *awaitCmd) exec() (protocol.Message, error) {
+	s, req, q, ev, buf := c.s, &c.req, c.q, c.ev, c.buf
+	deadline, err := s.awaitDeadline(c.waits)
 	if err != nil {
 		return nil, s.failCommand(ev, err)
 	}
@@ -386,8 +387,7 @@ func (s *Session) execAwaitPush(req *protocol.AwaitPushReq, q *queueObj, ev *eve
 	prof := protocol.Profile{
 		Queued: req.SimArrival, Submit: int64(arrival), Start: int64(start), End: int64(end),
 	}
-	ev.complete(prof)
-	return &protocol.EventResp{EventID: ev.id, Profile: prof}, nil
+	return c.completed(prof)
 }
 
 // handlePeerPush is the deposit side of the rendezvous: it parks the data

@@ -94,8 +94,16 @@ const synthEventBase = uint64(1) << 62
 type lane struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	jobs   []func() // guarded by mu
-	closed bool     // guarded by mu
+	jobs   []laneJob // guarded by mu
+	closed bool      // guarded by mu
+}
+
+// laneJob is one registered command and where its outcome goes. It sits
+// in the lane's queue by value: handing a command to its lane allocates
+// nothing.
+type laneJob struct {
+	cmd  command
+	done func(protocol.Message, error)
 }
 
 func newLane() *lane {
@@ -105,7 +113,7 @@ func newLane() *lane {
 }
 
 // push appends one job, reporting false if the lane is closed.
-func (l *lane) push(job func()) bool {
+func (l *lane) push(job laneJob) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -140,10 +148,10 @@ func (l *lane) run() {
 		// Clear the popped slot: the backing array outlives the reslice,
 		// and a completed job still pins its request — a whole frame body,
 		// for a bulk write — and the buffers it resolved.
-		l.jobs[0] = nil
+		l.jobs[0] = laneJob{}
 		l.jobs = l.jobs[1:]
 		l.mu.Unlock()
-		job()
+		job.done(job.cmd.exec())
 	}
 }
 
@@ -158,7 +166,7 @@ func (s *Session) laneKey(queueID uint64) uint64 {
 }
 
 // submit routes one job to its lane, starting the lane worker lazily.
-func (s *Session) submit(key uint64, job func()) bool {
+func (s *Session) submit(key uint64, job laneJob) bool {
 	s.laneMu.Lock()
 	if s.lanesDead {
 		s.laneMu.Unlock()
@@ -231,12 +239,9 @@ func (s *Session) registerEvent(id uint64) (*eventObj, error) {
 // table, and waiting on a released event is undefined in OpenCL too. In
 // strict mode (the synchronous HandleCall path, where registration and
 // execution are one step and nothing concurrent can still claim the ID)
-// an unclaimed ID is the pre-lane "unknown event" error — not a hang.
-func (s *Session) resolveWaits(ids []int64, strict bool) ([]*eventObj, error) {
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	events := make([]*eventObj, 0, len(ids))
+// an unclaimed ID is the pre-lane "unknown event" error — not a hang. The
+// records are appended to events, the command's own storage.
+func (s *Session) resolveWaits(events []*eventObj, ids []int64, strict bool) ([]*eventObj, error) {
 	for _, id := range ids {
 		if id <= 0 {
 			return nil, remoteErr(protocol.CodeBadRequest, "invalid wait-list event ID %d", id)
@@ -321,238 +326,291 @@ func checkRange(what string, off, n, size int64) error {
 // resolved strictly — an unregistered ID errors instead of parking the
 // caller's goroutine on an edge nothing concurrent will complete.
 func (s *Session) HandleCall(op protocol.Op, body []byte) (protocol.Message, error) {
-	_, exec, err := s.prepare(op, body, true)
+	_, cmd, err := s.prepare(op, body, true)
 	if err != nil {
 		return nil, err
 	}
-	return exec()
+	return cmd.exec()
 }
 
 // HandleCallAsync implements transport.AsyncHandler: the registration
 // stage runs here, in the transport's arrival-order dispatch goroutine,
 // and execution is handed to the command's lane.
 func (s *Session) HandleCallAsync(op protocol.Op, body []byte, done func(protocol.Message, error)) {
-	key, exec, err := s.prepare(op, body, false)
+	key, cmd, err := s.prepare(op, body, false)
 	if err != nil {
 		done(nil, err)
 		return
 	}
-	if !s.submit(key, func() { done(exec()) }) {
+	if !s.submit(key, laneJob{cmd: cmd, done: done}) {
 		done(nil, remoteErr(protocol.CodeBadRequest, "session is shutting down"))
 	}
 }
 
+// command is one registered request, ready for its lane: exec runs it and
+// returns the response. A request is one allocation from registration to
+// reply — its command holds the decoded message, every object the message
+// names and the response — and belongs to the request alone: the response
+// exec returns is encoded by done before the lane moves on, and nothing
+// keeps the command afterwards.
+type command interface {
+	exec() (protocol.Message, error)
+}
+
+// queueCmd is what every enqueue command carries: the session, the target
+// queue, the completion event claimed at registration, the resolved wait
+// list (in waitArr unless it is unusually long) and the response.
+type queueCmd struct {
+	s       *Session
+	q       *queueObj
+	ev      *eventObj
+	waits   []*eventObj
+	waitArr [4]*eventObj
+	resp    protocol.EventResp
+}
+
+// register claims the command's completion event and resolves its target
+// queue — the core of the registration stage for enqueue ops. The event is
+// claimed first so that any later registration or execution failure can
+// fail it: a pipelined waiter behind a doomed command then observes the
+// failure instead of hanging on a placeholder.
+func (c *queueCmd) register(s *Session, queueID, eventID uint64) error {
+	ev, err := s.registerEvent(eventID)
+	if err != nil {
+		return err
+	}
+	c.s, c.ev = s, ev
+	if c.q, err = s.node.objects.queue(queueID); err != nil {
+		return s.failCommand(ev, err)
+	}
+	return nil
+}
+
+// resolve finishes an enqueue command's registration: err is the outcome
+// of resolving its other objects, and the wait list is resolved last. Any
+// failure fails the command's event.
+func (c *queueCmd) resolve(err error, waitIDs []int64, strictWaits bool) error {
+	if err == nil {
+		c.waits, err = c.s.resolveWaits(c.waitArr[:0], waitIDs, strictWaits)
+	}
+	if err != nil {
+		return c.s.failCommand(c.ev, err)
+	}
+	return nil
+}
+
+// completed publishes the command's profile: to waiters through its event,
+// to the host through the response.
+func (c *queueCmd) completed(prof protocol.Profile) (protocol.Message, error) {
+	c.ev.complete(prof)
+	c.resp = protocol.EventResp{EventID: c.ev.id, Profile: prof}
+	return &c.resp, nil
+}
+
+type (
+	writeCmd struct {
+		queueCmd
+		req protocol.WriteBufferReq
+		buf *bufferObj
+	}
+	readCmd struct {
+		queueCmd
+		req  protocol.ReadBufferReq
+		buf  *bufferObj
+		data protocol.ReadBufferResp
+	}
+	copyCmd struct {
+		queueCmd
+		req      protocol.CopyBufferReq
+		src, dst *bufferObj
+	}
+	kernelCmd struct {
+		queueCmd
+		req  protocol.EnqueueKernelReq
+		k    *kernelObj
+		args []kernel.Arg
+	}
+	pushCmd struct {
+		queueCmd
+		req protocol.PushRangeReq
+		buf *bufferObj
+	}
+	awaitCmd struct {
+		queueCmd
+		req protocol.AwaitPushReq
+		buf *bufferObj
+	}
+	// finishCmd rides the queue's lane: by lane order it executes after
+	// every previously arrived command on the queue, which is exactly the
+	// drain it reports.
+	finishCmd struct{ q *queueObj }
+	// controlCmd is an op that targets no queue, parsed and run on the
+	// control lane.
+	controlCmd struct {
+		s    *Session
+		op   protocol.Op
+		body []byte
+	}
+	// settledCmd is a request the registration stage already ran (Release):
+	// the lane only delivers its outcome, in arrival order.
+	settledCmd struct {
+		resp protocol.Message
+		err  error
+	}
+)
+
+func (c *finishCmd) exec() (protocol.Message, error) {
+	c.q.execMu.Lock()
+	now := c.q.clock.Now()
+	c.q.execMu.Unlock()
+	return &protocol.FinishQueueResp{SimTime: int64(now)}, nil
+}
+
+func (c *controlCmd) exec() (protocol.Message, error) { return c.s.handleControl(c.op, c.body) }
+
+func (c *settledCmd) exec() (protocol.Message, error) { return c.resp, c.err }
+
 // prepare is the registration stage for one command: it parses the body,
 // claims the command's completion event, resolves every object the command
 // touches (queue, buffers, kernel, wait-list events), and returns the lane
-// key plus the execution step. Resolving objects here — not in the lane —
-// is what makes fire-and-forget releases sound: a command registered
-// before a Release arrived holds references and keeps executing, while one
-// registered after deterministically sees the object gone. strictWaits
-// selects how unregistered wait-list IDs resolve (see resolveWaits). Ops
-// with no queue ride the control lane; Release itself is special-cased to
-// run inline (it is a pure table mutation, and later-arriving commands
-// must observe it deterministically, which only the arrival-ordered
-// registration stage can guarantee).
-func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64, func() (protocol.Message, error), error) {
+// key plus the command to execute there. Resolving objects here — not in
+// the lane — is what makes fire-and-forget releases sound: a command
+// registered before a Release arrived holds references and keeps executing,
+// while one registered after deterministically sees the object gone.
+// strictWaits selects how unregistered wait-list IDs resolve (see
+// resolveWaits). Ops with no queue ride the control lane; Release itself is
+// special-cased to run inline (it is a pure table mutation, and
+// later-arriving commands must observe it deterministically, which only the
+// arrival-ordered registration stage can guarantee).
+//
+// Ranged-transfer bounds are validated here too: a malformed range fails
+// its event deterministically instead of occupying a lane and blocking on
+// wait edges first. Buffer sizes are immutable, so registration-time
+// bounds hold at execution.
+func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64, command, error) {
 	switch op {
 	case protocol.OpWriteBuffer:
-		req := new(protocol.WriteBufferReq)
-		if err := protocol.DecodeMessage(req, body); err != nil {
+		c := new(writeCmd)
+		if err := protocol.DecodeMessage(&c.req, body); err != nil {
 			return 0, nil, err
 		}
-		q, ev, err := s.registerCommand(req.QueueID, req.EventID)
+		err := c.register(s, c.req.QueueID, c.req.EventID)
 		if err != nil {
 			return 0, nil, err
 		}
-		buf, err := s.node.objects.buffer(req.BufferID)
-		if err != nil {
-			return 0, nil, s.failCommand(ev, err)
+		if c.buf, err = s.node.objects.buffer(c.req.BufferID); err == nil {
+			err = checkRange("write", c.req.Offset, int64(len(c.req.Data)), c.buf.size)
 		}
-		// Ranged-write validation happens here, in the registration stage:
-		// a malformed range fails its event deterministically instead of
-		// occupying a lane and blocking on wait edges first. Buffer sizes
-		// are immutable, so registration-time bounds hold at execution.
-		if err := checkRange("write", req.Offset, int64(len(req.Data)), buf.size); err != nil {
-			return 0, nil, s.failCommand(ev, err)
+		if err = c.resolve(err, c.req.WaitEvents, strictWaits); err != nil {
+			return 0, nil, err
 		}
-		waits, err := s.resolveWaits(req.WaitEvents, strictWaits)
-		if err != nil {
-			return 0, nil, s.failCommand(ev, err)
-		}
-		return s.laneKey(req.QueueID), func() (protocol.Message, error) {
-			return s.execWriteBuffer(req, q, ev, buf, waits)
-		}, nil
+		return s.laneKey(c.req.QueueID), c, nil
 	case protocol.OpReadBuffer:
-		req := new(protocol.ReadBufferReq)
-		if err := protocol.DecodeMessage(req, body); err != nil {
+		c := new(readCmd)
+		if err := protocol.DecodeMessage(&c.req, body); err != nil {
 			return 0, nil, err
 		}
-		q, ev, err := s.registerCommand(req.QueueID, req.EventID)
+		err := c.register(s, c.req.QueueID, c.req.EventID)
 		if err != nil {
 			return 0, nil, err
 		}
-		buf, err := s.node.objects.buffer(req.BufferID)
-		if err != nil {
-			return 0, nil, s.failCommand(ev, err)
+		if c.buf, err = s.node.objects.buffer(c.req.BufferID); err == nil {
+			err = checkRange("read", c.req.Offset, c.req.Size, c.buf.size)
 		}
-		if err := checkRange("read", req.Offset, req.Size, buf.size); err != nil {
-			return 0, nil, s.failCommand(ev, err)
+		if err = c.resolve(err, c.req.WaitEvents, strictWaits); err != nil {
+			return 0, nil, err
 		}
-		waits, err := s.resolveWaits(req.WaitEvents, strictWaits)
-		if err != nil {
-			return 0, nil, s.failCommand(ev, err)
-		}
-		return s.laneKey(req.QueueID), func() (protocol.Message, error) {
-			return s.execReadBuffer(req, q, ev, buf, waits)
-		}, nil
+		return s.laneKey(c.req.QueueID), c, nil
 	case protocol.OpCopyBuffer:
-		req := new(protocol.CopyBufferReq)
-		if err := protocol.DecodeMessage(req, body); err != nil {
+		c := new(copyCmd)
+		if err := protocol.DecodeMessage(&c.req, body); err != nil {
 			return 0, nil, err
 		}
-		q, ev, err := s.registerCommand(req.QueueID, req.EventID)
+		err := c.register(s, c.req.QueueID, c.req.EventID)
 		if err != nil {
 			return 0, nil, err
 		}
-		src, err := s.node.objects.buffer(req.SrcID)
-		if err != nil {
-			return 0, nil, s.failCommand(ev, err)
+		if c.src, err = s.node.objects.buffer(c.req.SrcID); err == nil {
+			c.dst, err = s.node.objects.buffer(c.req.DstID)
 		}
-		dst, err := s.node.objects.buffer(req.DstID)
-		if err != nil {
-			return 0, nil, s.failCommand(ev, err)
+		if err == nil {
+			err = checkRange("copy source", c.req.SrcOffset, c.req.Size, c.src.size)
 		}
-		if err := checkRange("copy source", req.SrcOffset, req.Size, src.size); err != nil {
-			return 0, nil, s.failCommand(ev, err)
+		if err == nil {
+			err = checkRange("copy destination", c.req.DstOffset, c.req.Size, c.dst.size)
 		}
-		if err := checkRange("copy destination", req.DstOffset, req.Size, dst.size); err != nil {
-			return 0, nil, s.failCommand(ev, err)
+		if err = c.resolve(err, c.req.WaitEvents, strictWaits); err != nil {
+			return 0, nil, err
 		}
-		waits, err := s.resolveWaits(req.WaitEvents, strictWaits)
-		if err != nil {
-			return 0, nil, s.failCommand(ev, err)
-		}
-		return s.laneKey(req.QueueID), func() (protocol.Message, error) {
-			return s.execCopyBuffer(req, q, ev, src, dst, waits)
-		}, nil
+		return s.laneKey(c.req.QueueID), c, nil
 	case protocol.OpEnqueueKernel:
-		req := new(protocol.EnqueueKernelReq)
-		if err := protocol.DecodeMessage(req, body); err != nil {
+		c := new(kernelCmd)
+		if err := protocol.DecodeMessage(&c.req, body); err != nil {
 			return 0, nil, err
 		}
-		q, ev, err := s.registerCommand(req.QueueID, req.EventID)
+		err := c.register(s, c.req.QueueID, c.req.EventID)
 		if err != nil {
 			return 0, nil, err
 		}
-		k, err := s.node.objects.kernel(req.KernelID)
-		if err != nil {
-			return 0, nil, s.failCommand(ev, err)
+		if c.k, err = s.node.objects.kernel(c.req.KernelID); err == nil {
+			c.args, err = s.buildLaunchArgs(c.k, c.req.Args)
 		}
-		args, err := s.buildLaunchArgs(k, req.Args)
-		if err != nil {
-			return 0, nil, s.failCommand(ev, err)
+		if err = c.resolve(err, c.req.WaitEvents, strictWaits); err != nil {
+			return 0, nil, err
 		}
-		waits, err := s.resolveWaits(req.WaitEvents, strictWaits)
-		if err != nil {
-			return 0, nil, s.failCommand(ev, err)
-		}
-		return s.laneKey(req.QueueID), func() (protocol.Message, error) {
-			return s.execEnqueueKernel(req, q, ev, k, args, waits)
-		}, nil
+		return s.laneKey(c.req.QueueID), c, nil
 	case protocol.OpPushRange:
-		req := new(protocol.PushRangeReq)
-		if err := protocol.DecodeMessage(req, body); err != nil {
+		c := new(pushCmd)
+		if err := protocol.DecodeMessage(&c.req, body); err != nil {
 			return 0, nil, err
 		}
-		q, ev, err := s.registerCommand(req.QueueID, req.EventID)
+		err := c.register(s, c.req.QueueID, c.req.EventID)
 		if err != nil {
 			return 0, nil, err
 		}
-		buf, err := s.node.objects.buffer(req.BufferID)
-		if err != nil {
-			return 0, nil, s.failCommand(ev, err)
-		}
-		if err := checkRange("push", req.Offset, req.Size, buf.size); err != nil {
-			return 0, nil, s.failCommand(ev, err)
-		}
-		waits, err := s.resolveWaits(req.WaitEvents, strictWaits)
-		if err != nil {
-			return 0, nil, s.failCommand(ev, err)
+		if c.buf, err = s.node.objects.buffer(c.req.BufferID); err == nil {
+			err = checkRange("push", c.req.Offset, c.req.Size, c.buf.size)
 		}
 		// The peer connection is NOT resolved here: dialing is lazy and may
 		// block, and the registration stage must stay non-blocking. A dial
 		// failure surfaces in the lane as this command's sticky error.
-		return s.laneKey(req.QueueID), func() (protocol.Message, error) {
-			return s.execPushRange(req, q, ev, buf, waits)
-		}, nil
+		if err = c.resolve(err, c.req.WaitEvents, strictWaits); err != nil {
+			return 0, nil, err
+		}
+		return s.laneKey(c.req.QueueID), c, nil
 	case protocol.OpAwaitPush:
-		req := new(protocol.AwaitPushReq)
-		if err := protocol.DecodeMessage(req, body); err != nil {
+		c := new(awaitCmd)
+		if err := protocol.DecodeMessage(&c.req, body); err != nil {
 			return 0, nil, err
 		}
-		q, ev, err := s.registerCommand(req.QueueID, req.EventID)
+		err := c.register(s, c.req.QueueID, c.req.EventID)
 		if err != nil {
 			return 0, nil, err
 		}
-		buf, err := s.node.objects.buffer(req.BufferID)
-		if err != nil {
-			return 0, nil, s.failCommand(ev, err)
+		if c.buf, err = s.node.objects.buffer(c.req.BufferID); err == nil {
+			err = checkRange("await-push", c.req.Offset, c.req.Size, c.buf.size)
 		}
-		if err := checkRange("await-push", req.Offset, req.Size, buf.size); err != nil {
-			return 0, nil, s.failCommand(ev, err)
+		if err = c.resolve(err, c.req.WaitEvents, strictWaits); err != nil {
+			return 0, nil, err
 		}
-		waits, err := s.resolveWaits(req.WaitEvents, strictWaits)
-		if err != nil {
-			return 0, nil, s.failCommand(ev, err)
-		}
-		return s.laneKey(req.QueueID), func() (protocol.Message, error) {
-			return s.execAwaitPush(req, q, ev, buf, waits)
-		}, nil
+		return s.laneKey(c.req.QueueID), c, nil
 	case protocol.OpFinishQueue:
-		req := new(protocol.FinishQueueReq)
-		if err := protocol.DecodeMessage(req, body); err != nil {
+		var req protocol.FinishQueueReq
+		if err := protocol.DecodeMessage(&req, body); err != nil {
 			return 0, nil, err
 		}
 		q, err := s.node.objects.queue(req.QueueID)
 		if err != nil {
 			return 0, nil, err
 		}
-		// Finish rides the queue's lane: by lane order it executes after
-		// every previously arrived command on the queue, which is exactly
-		// the drain it reports.
-		return s.laneKey(req.QueueID), func() (protocol.Message, error) {
-			q.execMu.Lock()
-			now := q.clock.Now()
-			q.execMu.Unlock()
-			return &protocol.FinishQueueResp{SimTime: int64(now)}, nil
-		}, nil
+		return s.laneKey(req.QueueID), &finishCmd{q: q}, nil
 	case protocol.OpRelease:
 		// Inline: see the doc comment above.
 		resp, err := s.handleRelease(body)
-		return controlLane, func() (protocol.Message, error) { return resp, err }, nil
+		return controlLane, &settledCmd{resp: resp, err: err}, nil
 	default:
-		return controlLane, func() (protocol.Message, error) {
-			return s.handleControl(op, body)
-		}, nil
+		return controlLane, &controlCmd{s: s, op: op, body: body}, nil
 	}
-}
-
-// registerCommand claims a decoded queue command's completion event and
-// resolves its target queue — the core of the registration stage for
-// enqueue ops. The event is claimed first so that any later registration
-// or execution failure can fail it: a pipelined waiter behind a doomed
-// command then observes the failure instead of hanging on a placeholder.
-func (s *Session) registerCommand(queueID, eventID uint64) (*queueObj, *eventObj, error) {
-	ev, err := s.registerEvent(eventID)
-	if err != nil {
-		return nil, nil, err
-	}
-	q, err := s.node.objects.queue(queueID)
-	if err != nil {
-		return nil, nil, s.failCommand(ev, err)
-	}
-	return q, ev, nil
 }
 
 // handleControl dispatches the non-queue ops (the control lane's work).
@@ -798,11 +856,12 @@ func (s *Session) handleCreateBuffer(body []byte) (protocol.Message, error) {
 	return &protocol.ObjectResp{ID: id}, nil
 }
 
-func (s *Session) execWriteBuffer(req *protocol.WriteBufferReq, q *queueObj, ev *eventObj, buf *bufferObj, waits []*eventObj) (protocol.Message, error) {
+func (c *writeCmd) exec() (protocol.Message, error) {
+	s, req, q, buf := c.s, &c.req, c.q, c.buf
 	// Bounds were validated at registration (see prepare).
-	deadline, err := s.awaitDeadline(waits)
+	deadline, err := s.awaitDeadline(c.waits)
 	if err != nil {
-		return nil, s.failCommand(ev, err)
+		return nil, s.failCommand(c.ev, err)
 	}
 
 	modelBytes := int64(len(req.Data))
@@ -822,15 +881,15 @@ func (s *Session) execWriteBuffer(req *protocol.WriteBufferReq, q *queueObj, ev 
 	prof := protocol.Profile{
 		Queued: req.SimArrival, Submit: int64(arrival), Start: int64(start), End: int64(end),
 	}
-	ev.complete(prof)
-	return &protocol.EventResp{EventID: ev.id, Profile: prof}, nil
+	return c.completed(prof)
 }
 
-func (s *Session) execReadBuffer(req *protocol.ReadBufferReq, q *queueObj, ev *eventObj, buf *bufferObj, waits []*eventObj) (protocol.Message, error) {
+func (c *readCmd) exec() (protocol.Message, error) {
+	s, req, q, buf := c.s, &c.req, c.q, c.buf
 	// Bounds were validated at registration (see prepare).
-	deadline, err := s.awaitDeadline(waits)
+	deadline, err := s.awaitDeadline(c.waits)
 	if err != nil {
-		return nil, s.failCommand(ev, err)
+		return nil, s.failCommand(c.ev, err)
 	}
 
 	modelBytes := req.Size
@@ -853,8 +912,9 @@ func (s *Session) execReadBuffer(req *protocol.ReadBufferReq, q *queueObj, ev *e
 	prof := protocol.Profile{
 		Queued: req.SimArrival, Submit: int64(arrival), Start: int64(start), End: int64(end),
 	}
-	ev.complete(prof)
-	return &protocol.ReadBufferResp{Data: out, EventID: ev.id, Profile: prof, Pooled: pooled}, nil
+	c.ev.complete(prof)
+	c.data = protocol.ReadBufferResp{Data: out, EventID: c.ev.id, Profile: prof, Pooled: pooled}
+	return &c.data, nil
 }
 
 // snapshotBuf returns n bytes to copy a buffer range into before it leaves
@@ -869,11 +929,12 @@ func snapshotBuf(n int64) ([]byte, *protocol.Buf) {
 	return pooled.B, pooled
 }
 
-func (s *Session) execCopyBuffer(req *protocol.CopyBufferReq, q *queueObj, ev *eventObj, src, dst *bufferObj, waits []*eventObj) (protocol.Message, error) {
+func (c *copyCmd) exec() (protocol.Message, error) {
+	s, req, q, src, dst := c.s, &c.req, c.q, c.src, c.dst
 	// Bounds were validated at registration (see prepare).
-	deadline, err := s.awaitDeadline(waits)
+	deadline, err := s.awaitDeadline(c.waits)
 	if err != nil {
-		return nil, s.failCommand(ev, err)
+		return nil, s.failCommand(c.ev, err)
 	}
 
 	dur := q.dev.ModelTransfer(req.Size)
@@ -906,8 +967,7 @@ func (s *Session) execCopyBuffer(req *protocol.CopyBufferReq, q *queueObj, ev *e
 	prof := protocol.Profile{
 		Queued: int64(deadline), Submit: int64(deadline), Start: int64(start), End: int64(end),
 	}
-	ev.complete(prof)
-	return &protocol.EventResp{EventID: ev.id, Profile: prof}, nil
+	return c.completed(prof)
 }
 
 func (s *Session) handleBuildProgram(body []byte) (protocol.Message, error) {
@@ -1011,8 +1071,9 @@ func (s *Session) buildLaunchArgs(k *kernelObj, wire []protocol.KernelArg) ([]ke
 	return args, nil
 }
 
-func (s *Session) execEnqueueKernel(req *protocol.EnqueueKernelReq, q *queueObj, ev *eventObj, k *kernelObj, args []kernel.Arg, waits []*eventObj) (protocol.Message, error) {
-	deadline, err := s.awaitDeadline(waits)
+func (c *kernelCmd) exec() (protocol.Message, error) {
+	s, req, q, ev, k, args := c.s, &c.req, c.q, c.ev, c.k, c.args
+	deadline, err := s.awaitDeadline(c.waits)
 	if err != nil {
 		return nil, s.failCommand(ev, err)
 	}
@@ -1054,8 +1115,7 @@ func (s *Session) execEnqueueKernel(req *protocol.EnqueueKernelReq, q *queueObj,
 	prof := protocol.Profile{
 		Queued: req.SimArrival, Submit: int64(arrival), Start: int64(start), End: int64(end),
 	}
-	ev.complete(prof)
-	return &protocol.EventResp{EventID: ev.id, Profile: prof}, nil
+	return c.completed(prof)
 }
 
 func (s *Session) handleQueryEvent(body []byte) (protocol.Message, error) {
@@ -1083,39 +1143,59 @@ func (s *Session) handleQueryEvent(body []byte) (protocol.Message, error) {
 	}
 }
 
+// handleRelease drops every object a Release names, in vector order. All
+// IDs are attempted — one stale ID must not leak the rest of a teardown
+// burst — and the first failure is the request's error; it names its ID.
+// Events, the bulk of any burst, go under one hold of the session lock.
 func (s *Session) handleRelease(body []byte) (protocol.Message, error) {
 	var req protocol.ReleaseReq
 	if err := protocol.DecodeMessage(&req, body); err != nil {
 		return nil, err
 	}
+	var first error
 	if req.Kind == protocol.ObjEvent {
 		s.mu.Lock()
-		e, ok := s.events[req.ID]
-		if ok && e.claimed {
-			delete(s.events, req.ID)
-			s.mu.Unlock()
-			return &protocol.EmptyResp{}, nil
+		for i := 0; i < req.Len(); i++ {
+			id := req.At(i)
+			if e, ok := s.events[id]; ok && e.claimed {
+				delete(s.events, id)
+			} else if first == nil {
+				// Unclaimed placeholders (left by wait-list lookups) are not
+				// releasable objects; double releases land here too.
+				first = remoteErr(protocol.CodeUnknownObject, "release: unknown event %d", id)
+			}
 		}
 		s.mu.Unlock()
-		// Unclaimed placeholders (left by wait-list lookups) are not
-		// releasable objects; double releases land here too.
-		return nil, remoteErr(protocol.CodeUnknownObject, "release: unknown event %d", req.ID)
+	} else {
+		for i := 0; i < req.Len(); i++ {
+			if err := s.releaseObject(req.Kind, req.At(i)); err != nil && first == nil {
+				first = err
+			}
+		}
 	}
-	q, err := s.node.objects.release(req.Kind, req.ID)
+	if first != nil {
+		return nil, first
+	}
+	return &protocol.EmptyResp{}, nil
+}
+
+// releaseObject drops one non-event object.
+func (s *Session) releaseObject(kind protocol.ObjectKind, id uint64) error {
+	q, err := s.node.objects.release(kind, id)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if q != nil {
 		s.dropQueueUser(q)
 		s.mu.Lock()
-		delete(s.queues, req.ID)
+		delete(s.queues, id)
 		s.mu.Unlock()
 		// The queue's lane dies with it (after draining what was already
 		// registered); without this, every create/use/release cycle would
 		// leak one parked worker goroutine for the session's lifetime.
-		s.closeLane(s.laneKey(req.ID))
+		s.closeLane(s.laneKey(id))
 	}
-	return &protocol.EmptyResp{}, nil
+	return nil
 }
 
 // closeLane retires one queue's lane after the queue is released: the

@@ -75,30 +75,33 @@ func DecodeBatch(f *Frame) ([]*Frame, error) {
 	if f.Kind != FrameBatch {
 		return nil, fmt.Errorf("%w: frame kind %d is not a batch", ErrBadBatch, f.Kind)
 	}
-	d := NewDecoder(f.Body)
+	d := Decoder{buf: f.Body}
 	n := int(d.U32())
 	if !d.Need(n * batchSubHeader) {
 		return nil, fmt.Errorf("%w: count %d exceeds body", ErrBadBatch, n)
 	}
-	subs := make([]*Frame, 0, n)
-	for i := 0; i < n; i++ {
-		sub := &Frame{
-			Kind:  FrameKind(d.U8()),
-			ReqID: d.U64(),
-			Op:    Op(d.U16()),
-			// Bodies alias the envelope buffer: sub-frames go straight
-			// into the dispatch path that plain frames take, and envelope
-			// bodies are never pooled, so skipping the copy keeps the
-			// per-message overhead this layer exists to remove.
-			Body: d.Blob(),
-		}
+	// One slab holds every sub-frame: an envelope costs two allocations
+	// however many messages it carries, and the slab lives as long as any
+	// of them — no longer than the envelope body they all alias anyway.
+	slab := make([]Frame, n)
+	subs := make([]*Frame, n)
+	for i := range slab {
+		sub := &slab[i]
+		sub.Kind = FrameKind(d.U8())
+		sub.ReqID = d.U64()
+		sub.Op = Op(d.U16())
+		// Bodies alias the envelope buffer: sub-frames go straight into
+		// the dispatch path that plain frames take, and envelope bodies
+		// are never pooled, so skipping the copy keeps the per-message
+		// overhead this layer exists to remove.
+		sub.Body = d.Blob()
 		if d.Err() != nil {
 			return nil, fmt.Errorf("%w: sub-frame %d: %v", ErrBadBatch, i, d.Err())
 		}
 		if sub.Kind == FrameBatch {
 			return nil, ErrNestedBatch
 		}
-		subs = append(subs, sub)
+		subs[i] = sub
 	}
 	if d.Remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadBatch, d.Remaining())

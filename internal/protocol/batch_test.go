@@ -320,6 +320,11 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(uint16(OpHello), EncodeMessage(&HelloReq{UserID: "u", WireVersion: Version, Epoch: 3}))
 	f.Add(uint16(OpCreateContext), EncodeMessage(&CreateContextReq{
 		DeviceIDs: []int64{1, 2}, SessionID: 7, Tenant: "team-a"}))
+	// A release vector, and one whose count lies about the body (17
+	// ReleaseReq).
+	vector := EncodeMessage(&ReleaseReq{Kind: ObjEvent, ID: 1, More: []uint64{2, 3}})
+	f.Add(uint16(17), vector)
+	f.Add(uint16(17), append(vector[:9:9], 0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5, 6, 7, 8))
 	// Payloads either side of the referencing threshold (indices into msgs
 	// below: 7 WriteBufferReq, 9 ReadBufferResp, 21 PeerPushReq).
 	for _, size := range []int{BatchableBodyLimit, BatchableBodyLimit + 1} {

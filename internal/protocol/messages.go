@@ -3,6 +3,7 @@ package protocol
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Op identifies the remote operation a request frame carries. Each op
@@ -524,25 +525,61 @@ func (m *CreateBufferReq) UnmarshalBody(d *Decoder) {
 	m.Size = d.I64()
 }
 
-// ReleaseReq drops one reference to a remote object.
+// ReleaseReq drops one reference to each of a vector of remote objects of
+// one kind: ID, then every ID of More, in that order. A single release is
+// the vector of length one, and encodes exactly as it did before More
+// existed. The node attempts every ID and reports the first failure.
 type ReleaseReq struct {
 	Kind ObjectKind
 	ID   uint64
+	// More continues the vector. It was appended in wire v4: an older node
+	// ignores it, so hosts send it only after negotiating
+	// VersionReleaseVector.
+	More []uint64
 }
 
 // Op implements Message.
 func (*ReleaseReq) Op() Op { return OpRelease }
 
+// Len reports how many IDs the request releases.
+func (m *ReleaseReq) Len() int { return 1 + len(m.More) }
+
+// At returns the i-th ID of the vector.
+func (m *ReleaseReq) At(i int) uint64 {
+	if i == 0 {
+		return m.ID
+	}
+	return m.More[i-1]
+}
+
 // MarshalBody implements Message.
 func (m *ReleaseReq) MarshalBody(e *Encoder) {
 	e.U8(uint8(m.Kind))
 	e.U64(m.ID)
+	if len(m.More) > 0 {
+		e.U32(uint32(len(m.More)))
+		for _, id := range m.More {
+			e.U64(id)
+		}
+	}
 }
 
 // UnmarshalBody implements Message.
 func (m *ReleaseReq) UnmarshalBody(d *Decoder) {
 	m.Kind = ObjectKind(d.U8())
 	m.ID = d.U64()
+	if d.Err() != nil || d.Remaining() == 0 {
+		return // a single release, from any version
+	}
+	n := int(d.U32())
+	if n == 0 || !d.Need(n*8) {
+		d.fail() // an empty or overlong tail is not something a host sends
+		return
+	}
+	m.More = make([]uint64, n)
+	for i := range m.More {
+		m.More[i] = d.U64()
+	}
 }
 
 // EmptyResp is the body of acknowledgement-only responses.
@@ -1303,27 +1340,55 @@ func EncodeMessage(m Message) []byte {
 // Frame.Payload) instead of copied into its Body. The payload must
 // therefore stay unmodified until the frame has been written; a sender
 // that cannot promise that passes a private copy.
+//
+// The message is marshalled into a pooled scratch encoder and copied out
+// into a frame sized to it, so a small frame is one allocation, body
+// included (allocFrame). The scratch never leaves this function.
 func NewFrame(kind FrameKind, reqID uint64, op Op, m Message) *Frame {
-	f := &Frame{Kind: kind, ReqID: reqID, Op: op}
 	if m == nil {
-		return f
+		return &Frame{Kind: kind, ReqID: reqID, Op: op}
 	}
-	e := NewEncoder()
-	e.frame = f
+	e := encoders.Get().(*Encoder)
+	e.byRef = true
 	m.MarshalBody(e)
-	if f.ref != nil {
-		f.ref.tail = e.buf
-	} else {
-		f.Body = e.buf
+	f := allocFrame(len(e.buf))
+	f.Kind, f.ReqID, f.Op = kind, reqID, op
+	f.Body = append(f.Body, e.buf...)
+	if e.bulk != nil {
+		// Body is what precedes the payload; the rest follows it.
+		f.ref = &payloadRef{bulk: e.bulk, tail: f.Body[e.split:], pooled: e.pooled}
+		f.Body = f.Body[:e.split:e.split]
 	}
+	if cap(e.buf) > maxScratch {
+		e.buf = nil // one oversized message must not pin its size in the pool
+	}
+	*e = Encoder{buf: e.buf[:0]}
+	encoders.Put(e)
 	return f
 }
 
+// maxScratch is the largest scratch buffer a pooled encoder keeps: any
+// body that rides in a Batch envelope fits.
+const maxScratch = 2 * BatchableBodyLimit
+
+// encoders and decoders hold the scratch state of NewFrame and
+// DecodeMessage. Both are handed to a Message's methods through an
+// interface, which would otherwise force one heap allocation per call;
+// both are taken and put back inside the one function that uses them.
+var (
+	encoders = sync.Pool{New: func() any { return new(Encoder) }}
+	decoders = sync.Pool{New: func() any { return new(Decoder) }}
+)
+
 // DecodeMessage unmarshals body into m, reporting truncation errors.
 func DecodeMessage(m Message, body []byte) error {
-	d := NewDecoder(body)
+	d := decoders.Get().(*Decoder)
+	d.buf = body
 	m.UnmarshalBody(d)
-	if err := d.Err(); err != nil {
+	err := d.err
+	*d = Decoder{} // the pool must not keep the body reachable
+	decoders.Put(d)
+	if err != nil {
 		return fmt.Errorf("decode %T: %w", m, err)
 	}
 	return nil

@@ -208,6 +208,13 @@ func TestAllMessagesRoundTripProperty(t *testing.T) {
 			return &ReleaseReq{Kind: ObjBuffer, ID: rng.Uint64()}, &ReleaseReq{}
 		},
 		func() (Message, Message) {
+			more := make([]uint64, 1+rng.Intn(300))
+			for i := range more {
+				more[i] = rng.Uint64()
+			}
+			return &ReleaseReq{Kind: ObjEvent, ID: rng.Uint64(), More: more}, &ReleaseReq{}
+		},
+		func() (Message, Message) {
 			return &NodeStatusResp{Devices: []DeviceStatus{{
 				DeviceID: rng.Uint32(), BusyUntil: rng.Int63(), QueuedCmds: 3,
 				KernelsRun: 9, FlopsDone: 1e12, BytesMoved: 5e9, EnergyJ: 120,
@@ -332,6 +339,64 @@ func TestDecodeTruncatedPushMessages(t *testing.T) {
 			if err := DecodeMessage(c.out, body[:cut]); err == nil {
 				t.Fatalf("%T: truncation at %d decoded without error", c.in, cut)
 			}
+		}
+	}
+}
+
+// TestReleaseVector pins the wire form of the vectored Release: a vector
+// of length one is byte for byte the pre-vector message, a longer one
+// appends a counted ID list that a pre-vector decoder never looks at, every
+// cut of the list is an error, and a count the body cannot hold is refused
+// before anything is allocated for it.
+func TestReleaseVector(t *testing.T) {
+	single := refBody(t, &ReleaseReq{Kind: ObjEvent, ID: 7})
+	if len(single) != 9 {
+		t.Fatalf("a single release encodes to %d bytes, want the 9 of wire v3", len(single))
+	}
+	in := &ReleaseReq{Kind: ObjEvent, ID: 7, More: []uint64{8, 9, 1 << 40}}
+	body := refBody(t, in)
+	if !bytes.Equal(body[:9], single) {
+		t.Fatal("a vector does not start with its first ID's single release")
+	}
+	var out ReleaseReq
+	if err := DecodeMessage(&out, body); err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 4 {
+		t.Fatalf("vector of %d decoded as %d", in.Len(), out.Len())
+	}
+	for i, want := range []uint64{7, 8, 9, 1 << 40} {
+		if got := out.At(i); got != want {
+			t.Fatalf("ID %d of the vector = %d, want %d", i, got, want)
+		}
+	}
+	for cut := 0; cut < len(body); cut++ {
+		err := DecodeMessage(&ReleaseReq{}, body[:cut])
+		if cut == len(single) {
+			if err != nil {
+				t.Fatalf("the vector's first 9 bytes are a single release: %v", err)
+			}
+		} else if err == nil {
+			t.Fatalf("truncation at %d decoded without error", cut)
+		}
+	}
+	hostile := func(count uint32, tail int) []byte {
+		e := NewEncoder()
+		e.U8(uint8(ObjEvent))
+		e.U64(7)
+		e.U32(count)
+		return append(e.Bytes(), make([]byte, tail)...)
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"count beyond the body", hostile(1<<32-1, 64)},
+		{"count one beyond the body", hostile(9, 64)},
+		{"count of zero", hostile(0, 0)},
+	} {
+		if err := DecodeMessage(&ReleaseReq{}, c.body); !errors.Is(err, ErrShortMessage) {
+			t.Fatalf("%s: err = %v, want ErrShortMessage", c.name, err)
 		}
 	}
 }

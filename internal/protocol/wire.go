@@ -28,10 +28,12 @@ const (
 	// Version is the highest wire protocol version this build speaks.
 	// Version 2 added host-assigned event IDs to the enqueue requests,
 	// the basis of command pipelining; version 3 added the Batch frame
-	// that coalesces small control messages. Peers negotiate the working
-	// version in the Hello handshake (min of both sides) and fall back to
-	// the v2 one-frame-per-message path against older peers.
-	Version = 3
+	// that coalesces small control messages; version 4 made Release a
+	// vector of IDs. Peers negotiate the working version in the Hello
+	// handshake (min of both sides) and fall back to the v2
+	// one-frame-per-message path, and to one ID per Release, against
+	// older peers.
+	Version = 4
 
 	// MinVersion is the oldest version this build interoperates with.
 	MinVersion = 2
@@ -39,6 +41,11 @@ const (
 	// VersionBatch is the first version whose peers understand Batch
 	// envelopes; the host only coalesces after negotiating at least this.
 	VersionBatch = 3
+
+	// VersionReleaseVector is the first version whose peers release every
+	// ID of a ReleaseReq; an older peer decodes only the first and ignores
+	// the rest, so it is sent one ID per message.
+	VersionReleaseVector = 4
 
 	// MaxFrameSize is the largest permitted frame body (1 GiB), sized to
 	// hold the largest Table I benchmark input with headroom.
@@ -211,22 +218,21 @@ func readFrame(r io.Reader, pool bool) (*Frame, error) {
 	if hdr[2] < MinVersion || hdr[2] > Version {
 		return nil, fmt.Errorf("%w: got %d want %d through %d", ErrBadVersion, hdr[2], MinVersion, Version)
 	}
-	f := &Frame{
-		Kind:  FrameKind(hdr[3]),
-		ReqID: binary.BigEndian.Uint64(hdr[4:12]),
-		Op:    Op(binary.BigEndian.Uint16(hdr[12:14])),
-	}
+	kind, op := FrameKind(hdr[3]), Op(binary.BigEndian.Uint16(hdr[12:14]))
 	n := binary.BigEndian.Uint32(hdr[14:18])
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
+	var f *Frame
+	if pool && n > BatchableBodyLimit && kind == FrameRequest && op != OpPeerPush {
+		f = &Frame{ref: &payloadRef{pooled: GetBuf(int(n))}}
+		f.Body = f.ref.pooled.B
+	} else {
+		f = allocFrame(int(n))
+		f.Body = f.Body[:n]
+	}
+	f.Kind, f.Op, f.ReqID = kind, op, binary.BigEndian.Uint64(hdr[4:12])
 	if n > 0 {
-		if pool && n > BatchableBodyLimit && f.Kind == FrameRequest && f.Op != OpPeerPush {
-			f.ref = &payloadRef{pooled: GetBuf(int(n))}
-			f.Body = f.ref.pooled.B
-		} else {
-			f.Body = make([]byte, n)
-		}
 		if _, err := io.ReadFull(r, f.Body); err != nil {
 			return nil, err // a pooled body is left to the collector
 		}
@@ -234,15 +240,67 @@ func readFrame(r io.Reader, pool bool) (*Frame, error) {
 	return f, nil
 }
 
+// allocFrame returns a zero Frame whose Body is empty with room for n
+// bytes. A small body's storage comes with the Frame in one allocation —
+// the two die together anyway, and a command pays for its frames at both
+// ends of the wire in both directions; the inline sizes land the struct on
+// the allocator's 64, 96, 192, 384 and 1024 byte classes. A larger body is
+// allocated on its own, exactly n bytes.
+func allocFrame(n int) *Frame {
+	switch {
+	case n == 0:
+		return &Frame{}
+	case n <= 16:
+		s := new(struct {
+			Frame
+			b [16]byte
+		})
+		s.Body = s.b[:0]
+		return &s.Frame
+	case n <= 48:
+		s := new(struct {
+			Frame
+			b [48]byte
+		})
+		s.Body = s.b[:0]
+		return &s.Frame
+	case n <= 144:
+		s := new(struct {
+			Frame
+			b [144]byte
+		})
+		s.Body = s.b[:0]
+		return &s.Frame
+	case n <= 336:
+		s := new(struct {
+			Frame
+			b [336]byte
+		})
+		s.Body = s.b[:0]
+		return &s.Frame
+	case n <= 976:
+		s := new(struct {
+			Frame
+			b [976]byte
+		})
+		s.Body = s.b[:0]
+		return &s.Frame
+	}
+	return &Frame{Body: make([]byte, 0, n)}
+}
+
 // Encoder appends primitive values to a message body. All integers are
 // big-endian. Strings and byte slices are length-prefixed with uint32.
 type Encoder struct {
 	buf []byte
 
-	// frame, when set, is the frame being built by NewFrame: Blob then
-	// references, instead of copies, the first payload above
-	// BatchableBodyLimit, recording it in the frame.
-	frame *Frame
+	// byRef makes Blob reference, instead of copy, the first payload above
+	// BatchableBodyLimit (NewFrame's encoders): bulk is that payload, split
+	// where in buf it belongs, and pooled the buffer it lives in, if any.
+	byRef  bool
+	bulk   []byte
+	split  int
+	pooled *Buf
 }
 
 // NewEncoder returns an encoder with capacity pre-sized for small control
@@ -301,12 +359,8 @@ func (e *Encoder) Blob(b []byte) { e.PooledBlob(b, nil) }
 // writer frees it; when it is copied, pooled stays with the caller.
 func (e *Encoder) PooledBlob(b []byte, pooled *Buf) {
 	e.U32(uint32(len(b)))
-	if f := e.frame; f != nil && f.ref == nil && len(b) > BatchableBodyLimit {
-		// What is encoded so far is the frame's Body; what follows goes
-		// on in the same buffer and becomes the tail (see NewFrame).
-		n := len(e.buf)
-		f.Body, e.buf = e.buf[:n:n], e.buf[n:]
-		f.ref = &payloadRef{bulk: b, pooled: pooled}
+	if e.byRef && e.bulk == nil && len(b) > BatchableBodyLimit {
+		e.bulk, e.split, e.pooled = b, len(e.buf), pooled
 		return
 	}
 	e.buf = append(e.buf, b...)

@@ -126,10 +126,10 @@ type Client struct {
 	sendDead   bool              // guarded by writeMu; write side failed or closed, queue abandoned
 
 	mu      sync.Mutex
-	pending map[uint64]chan *protocol.Frame // guarded by mu
-	closed  bool                            // guarded by mu
-	readErr error                           // guarded by mu
-	onDown  func(error)                     // guarded by mu
+	pending map[uint64]*Pending // guarded by mu
+	closed  bool                // guarded by mu
+	readErr error               // guarded by mu
+	onDown  func(error)         // guarded by mu
 
 	nextID atomic.Uint64
 }
@@ -149,7 +149,7 @@ func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:    conn,
 		fw:      frameWriter{w: conn},
-		pending: make(map[uint64]chan *protocol.Frame),
+		pending: make(map[uint64]*Pending),
 	}
 	c.writeCh = sync.NewCond(&c.writeMu)
 	c.spaceCh = sync.NewCond(&c.writeMu)
@@ -205,13 +205,14 @@ func (c *Client) readLoop() {
 // shutting down.
 func (c *Client) deliver(f *protocol.Frame) {
 	c.mu.Lock()
-	ch, ok := c.pending[f.ReqID]
+	p, ok := c.pending[f.ReqID]
 	if ok {
 		delete(c.pending, f.ReqID)
 	}
 	c.mu.Unlock()
 	if ok {
-		ch <- f
+		p.frame = f
+		p.done.Done()
 	}
 }
 
@@ -373,7 +374,7 @@ func (c *Client) failAll(err error) {
 	first := !c.closed
 	c.closed = true
 	pending := c.pending
-	c.pending = make(map[uint64]chan *protocol.Frame)
+	c.pending = make(map[uint64]*Pending)
 	down := c.onDown
 	sticky := c.readErr
 	c.mu.Unlock()
@@ -385,8 +386,8 @@ func (c *Client) failAll(err error) {
 	if first && down != nil {
 		down(sticky)
 	}
-	for _, ch := range pending {
-		close(ch)
+	for _, p := range pending {
+		p.done.Done() // with no frame: Wait reports the sticky error
 	}
 }
 
@@ -416,7 +417,13 @@ type Pending struct {
 	c    *Client
 	op   protocol.Op
 	resp protocol.Message
-	ch   chan *protocol.Frame
+
+	// done is released exactly once by whoever removes the call from the
+	// client's pending table: deliver, after setting frame, or failAll,
+	// leaving it nil. A WaitGroup rather than a channel so that the future
+	// is one allocation.
+	done  sync.WaitGroup
+	frame *protocol.Frame
 
 	once sync.Once
 	err  error
@@ -439,7 +446,8 @@ type Pending struct {
 //
 // haoclvet:wire
 func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
-	p := &Pending{c: c, op: req.Op(), resp: resp, ch: make(chan *protocol.Frame, 1)}
+	p := &Pending{c: c, op: req.Op(), resp: resp}
+	p.done.Add(1)
 	id := c.nextID.Add(1)
 
 	c.mu.Lock()
@@ -452,7 +460,7 @@ func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
 		p.settle(err)
 		return p
 	}
-	c.pending[id] = p.ch
+	c.pending[id] = p
 	c.mu.Unlock()
 
 	frame := protocol.NewFrame(protocol.FrameRequest, id, req.Op(), req)
@@ -525,8 +533,12 @@ func (p *Pending) settle(err error) {
 // haoclvet:errclass-source
 func (p *Pending) Wait() error {
 	p.once.Do(func() {
-		f, ok := <-p.ch
-		if !ok {
+		p.done.Wait()
+		// The future outlives the call (an Event keeps its Pending); the
+		// response frame, and the envelope body behind it, must not.
+		f := p.frame
+		p.frame = nil
+		if f == nil {
 			p.c.mu.Lock()
 			err := p.c.readErr
 			p.c.mu.Unlock()

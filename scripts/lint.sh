@@ -24,6 +24,11 @@ go vet ./examples/...
 echo '>> haoclvet (lockguard, lockorder, vtimedet, errclass)'
 go run ./cmd/haoclvet ./...
 
+# The allocation budgets skip under the race detector, which is how the test
+# matrix runs everything else.
+echo '>> allocation budgets (no race detector)'
+go test -count=1 -run 'AllocationBudget|ZeroAlloc' ./internal/...
+
 echo '>> bench checker self-tests'
 python3 scripts/check_bench_test.py
 
