@@ -21,6 +21,7 @@
 //	haocl-bench -exp fig2 -quick  # reduced sweeps
 //	haocl-bench -exp pipeline -json  # machine-readable result (see below for the list)
 //	haocl-bench -exp serve-trace -trace out.json  # export spans as Perfetto JSON
+//	haocl-bench -exp serve -cpuprofile cpu.out -memprofile mem.out  # profile the runtime itself
 //
 // All reported durations are virtual time from the calibrated device and
 // network models; see DESIGN.md §1 for the methodology. The -json output
@@ -35,6 +36,11 @@
 // seeded experiment exports a byte-identical trace on every run; CI
 // asserts this, and the committed BENCH_trace.json is the serve-trace
 // export (DESIGN.md §10).
+//
+// -cpuprofile and -memprofile profile the process — host runtime and
+// in-process nodes together — on the wall clock, with runtime/pprof, and
+// write on exit (CONTRIBUTING.md). They observe only: virtual results and
+// the -trace export are the same with and without them.
 package main
 
 import (
@@ -42,6 +48,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 
 	haocl "github.com/haocl-project/haocl"
 	"github.com/haocl-project/haocl/internal/bench"
@@ -61,9 +69,35 @@ func run(args []string) error {
 		quick    = fs.Bool("quick", false, "reduced sweeps for a fast look")
 		jsonOut  = fs.Bool("json", false, "emit the result as JSON (pipeline, batch, lanes, coherence, p2p, chaos and serve)")
 		traceOut = fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
+		cpuOut   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memOut   = fs.String("memprofile", "", "write an allocation profile of the run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+
+	if *cpuOut != "" {
+		f, err := os.Create(*cpuOut)
+		if err != nil {
+			return fmt.Errorf("cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("cpuprofile: %w", err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "haocl-bench: cpuprofile:", err)
+			}
+		}()
+	}
+	if *memOut != "" {
+		defer func() {
+			if err := writeAllocProfile(*memOut); err != nil {
+				fmt.Fprintln(os.Stderr, "haocl-bench: memprofile:", err)
+			}
+		}()
 	}
 
 	if *traceOut != "" {
@@ -173,4 +207,20 @@ func run(args []string) error {
 		fmt.Fprintln(w)
 	}
 	return nil
+}
+
+// writeAllocProfile writes every allocation since the process started
+// (pprof's "allocs" profile: -sample_index=alloc_space for bytes, inuse_space
+// for what is still live) to path.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // complete the statistics of the last cycle
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -1,9 +1,12 @@
-// Package a exercises lockorder against a three-class hierarchy.
+// Package a exercises lockorder against a four-class hierarchy: three
+// object locks under a session-wide reader/writer gate.
 package a
 
 import "sync"
 
-// lock-order: Buffer.mu < Context.mu < Context.regMu
+// lock-order: Session.recGate < Buffer.mu < Context.mu < Context.regMu
+
+type Session struct{ recGate sync.RWMutex }
 
 type Buffer struct{ mu sync.Mutex }
 
@@ -82,4 +85,50 @@ func sequentialOK(b *Buffer, c *Context) {
 	c.mu.Unlock()
 	b.mu.Lock()
 	b.mu.Unlock()
+}
+
+// gatedOK is a command under the read side of its session's gate.
+func gatedOK(s *Session, b *Buffer, c *Context) {
+	s.recGate.RLock()
+	defer s.recGate.RUnlock()
+	b.mu.Lock()
+	lockCtx(c)
+	b.mu.Unlock()
+}
+
+// recoverOK holds the write side of every gate it needs, one per loop
+// iteration, before it touches the objects behind them.
+func recoverOK(sessions []*Session, b *Buffer) {
+	for _, s := range sessions {
+		s.recGate.Lock()
+		defer s.recGate.Unlock()
+	}
+	b.mu.Lock()
+	b.mu.Unlock()
+}
+
+func gateInside(s *Session, b *Buffer) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	s.recGate.RLock() // want `acquires Session.recGate while holding Buffer.mu`
+	s.recGate.RUnlock()
+}
+
+// lockGate takes the write side of the gate and releases it.
+func lockGate(s *Session) {
+	s.recGate.Lock()
+	s.recGate.Unlock()
+}
+
+func gateViaCall(s *Session, c *Context) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	lockGate(s) // want `may acquire Session.recGate`
+}
+
+func gateNested(s *Session) {
+	s.recGate.RLock()
+	s.recGate.RLock() // want `already holding`
+	s.recGate.RUnlock()
+	s.recGate.RUnlock()
 }

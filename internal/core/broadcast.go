@@ -53,7 +53,7 @@ func hopDelay(modelBytes int64) vtime.Duration {
 func (c *Context) Broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, error) {
 	owned := append([]byte(nil), data...)
 	var events []*Event
-	err := c.rt.withRecovery(func() error {
+	err := c.sess.withRecovery(func() error {
 		var berr error
 		events, berr = c.broadcast(b, owned, queues)
 		return berr

@@ -22,7 +22,7 @@ package core
 // sessions the dead node touched.
 type logEntry interface {
 	// replay re-issues the mutation through the enqueue internals. The
-	// runtime's replaying flag is set, so nothing is logged twice.
+	// session's replaying flag is set, so nothing is logged twice.
 	replay(rt *Runtime) error
 	// skip reports whether the entry's objects were released, making the
 	// mutation unreplayable (and its contents expendable by declaration).

@@ -516,7 +516,7 @@ func (q *Queue) Device() *DeviceRef {
 // retry: node loss is retriable, only genuine command failures stick.
 func (q *Queue) Finish() (vtime.Time, error) {
 	var t vtime.Time
-	err := q.ctx.rt.withRecovery(func() error {
+	err := q.ctx.sess.withRecovery(func() error {
 		var ferr error
 		t, ferr = q.finish()
 		return ferr
@@ -709,7 +709,7 @@ func hostRangeOK(off, n, size int64) bool {
 func (q *Queue) EnqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Event) (*Event, error) {
 	owned := append([]byte(nil), data...)
 	var ev *Event
-	err := q.ctx.rt.withRecovery(func() error {
+	err := q.ctx.sess.withRecovery(func() error {
 		var werr error
 		ev, werr = q.enqueueWrite(b, offset, owned, waits...)
 		return werr
@@ -998,7 +998,7 @@ func (rb *remoteBuf) chainWaits(waits []int64) ([]int64, error) {
 func (q *Queue) EnqueueRead(b *Buffer, offset, size int64, waits ...*Event) ([]byte, *Event, error) {
 	var data []byte
 	var ev *Event
-	err := q.ctx.rt.withRecovery(func() error {
+	err := q.ctx.sess.withRecovery(func() error {
 		var rerr error
 		data, ev, rerr = q.enqueueRead(b, offset, size, waits...)
 		return rerr
@@ -1082,7 +1082,7 @@ func (q *Queue) enqueueRead(b *Buffer, offset, size int64, waits ...*Event) ([]b
 // the copy happens device-side with no backbone traffic.
 func (q *Queue) EnqueueCopy(src, dst *Buffer, srcOffset, dstOffset, size int64, waits ...*Event) (*Event, error) {
 	var ev *Event
-	err := q.ctx.rt.withRecovery(func() error {
+	err := q.ctx.sess.withRecovery(func() error {
 		var cerr error
 		ev, cerr = q.enqueueCopy(src, dst, srcOffset, dstOffset, size, waits...)
 		return cerr
@@ -1435,7 +1435,7 @@ func (q *Queue) EnqueueKernel(k *Kernel, global, local []int, waits []*Event, op
 	}
 
 	var ev *Event
-	err := q.ctx.rt.withRecovery(func() error {
+	err := q.ctx.sess.withRecovery(func() error {
 		var kerr error
 		ev, kerr = q.enqueueKernelBound(k, bindings, g64, l64, waits, o)
 		return kerr

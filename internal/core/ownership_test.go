@@ -413,6 +413,113 @@ func TestBulkDataPathAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestServeRoundTripAllocationBudget gates what the serving layer's job — a
+// blocking 4 KiB write, a kernel over it and a blocking read, the unit
+// serve-mt repeats — may cost in allocations end to end (host, loopback TCP
+// and in-process node counted together), in bytes allocated per payload
+// byte. A mid-size payload is copied once per hop, into the writer's staging
+// buffer, and allocated only where somebody keeps it (DESIGN.md §13 has the
+// same table for the runtime before payloads were referenced from
+// protocol.ReferenceFloor, which measured 10.4 here):
+//
+//	host private copy   1.00  kept: the command log's entry and the frame's payload
+//	host request frame  0     references the private copy
+//	envelope, staging   0     encoded in place into the reused staging buffer
+//	node request body   1.19  kept by the collector, the command is a view of it;
+//	                          4 160 B in the allocator's 4 864 B class
+//	node read snapshot  0     pooled, freed by the reply's writer
+//	reply frame         0     references the snapshot
+//	envelope, staging   0     as above
+//	host response body  1.19  kept: handed to EnqueueRead's caller; same class
+//	everything else     1.34  ~60 small objects: requests, events, log entries,
+//	                          commands, frames (TestSmallCommandAllocationBudget's)
+//	total               4.72
+//
+// The budget leaves a twentieth for the small objects to move, not room for
+// a fourth payload-sized allocation.
+func TestServeRoundTripAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
+	}
+	const size, jobs, budget = 4 << 10, 200, 5.0
+	rt := startTCPRuntime(t, 1)
+	devs := rt.Devices(0)
+	ctx, err := rt.CreateContext(devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ctx.CreateQueue(devs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ctx.CreateProgram(incrSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prog.Build(); err != nil {
+		t.Fatal(err)
+	}
+	k, err := prog.CreateKernel("incr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := ctx.CreateBuffer(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range []any{buf, int32(64)} {
+		if err := k.SetArg(i, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := pattern(size, 3)
+	dims := []int{64}
+	events := make([]*core.Event, 0, 3*jobs)
+	serve := func() {
+		for i := 0; i < jobs; i++ {
+			w, err := q.EnqueueWrite(buf, 0, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := q.EnqueueKernel(k, dims, dims, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, r, err := q.EnqueueRead(buf, 0, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != size || got[size-1] != data[size-1] {
+				t.Fatal("read returned wrong bytes")
+			}
+			events = append(events, w, l, r)
+		}
+	}
+	// A tenant releases a round's events when the round is over; the newest
+	// still head the buffer's chain.
+	release := func() {
+		if len(events) == 0 {
+			return
+		}
+		old := events[:len(events)-3]
+		for _, ev := range old {
+			if err := ev.Release(rt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rt.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		events = events[:copy(events, events[len(old):])]
+	}
+	serve() // warm the replica, the connection and the pools
+	got := allocPerByte(9, jobs*size, release, serve)
+	t.Logf("4 KiB write + kernel + read: %.2f B allocated per payload byte", got)
+	if got > budget {
+		t.Errorf("4 KiB write + kernel + read allocates %.2f B per payload byte, budget %.1f", got, budget)
+	}
+}
+
 // TestSmallCommandAllocationBudget gates the fixed cost of the small-command
 // path, process-wide (host, loopback TCP and in-process node together), in
 // objects allocated per tile: two pipelined 256 B writes, one single-group

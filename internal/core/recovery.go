@@ -114,14 +114,22 @@ func (rt *Runtime) shouldRecover(err error) bool {
 
 // withRecovery runs op, and on crash-induced failure recovers and retries.
 // The public enqueue/synchronization entry points all funnel through here;
-// the internals they wrap never recover (replay uses them directly).
-func (rt *Runtime) withRecovery(op func() error) error {
-	err := op()
-	for tries := 0; err != nil && tries < 3 && rt.shouldRecover(err); tries++ {
-		if rerr := rt.Recover(); rerr != nil {
+// the internals they wrap never recover (replay uses them directly). op
+// runs under the read side of the session's recovery gate, which is dropped
+// before recovering: a pass that replays this session waits for op to
+// finish and keeps the retry out until the replay is verified.
+func (s *Session) withRecovery(op func() error) error {
+	gated := func() error {
+		s.recGate.RLock()
+		defer s.recGate.RUnlock()
+		return op()
+	}
+	err := gated()
+	for tries := 0; err != nil && tries < 3 && s.rt.shouldRecover(err); tries++ {
+		if rerr := s.rt.Recover(); rerr != nil {
 			return rerr
 		}
-		err = op()
+		err = gated()
 	}
 	return err
 }
@@ -161,9 +169,9 @@ func (rt *Runtime) recoverLocked() error {
 // recoverOnce performs one recovery pass. It reports false when there was
 // nothing to recover. Recovery is session-scoped: only the sessions whose
 // contexts span a dead node (or whose queues latched a crash-induced
-// failure) are drained, stripped and replayed; bystander tenants keep
-// their pipelines, sticky release errors and command logs untouched.
-// Caller holds rt.recoverMu.
+// failure) are gated, drained, stripped and replayed; bystander tenants
+// keep running, and keep their pipelines, sticky release errors and command
+// logs untouched. Caller holds rt.recoverMu.
 func (rt *Runtime) recoverOnce() (bool, error) {
 	var dead []*NodeHandle
 	for _, n := range rt.nodes {
@@ -183,6 +191,16 @@ func (rt *Runtime) recoverOnce() (bool, error) {
 	}
 	for _, n := range dead {
 		n.client.Load().Close()
+	}
+
+	// Gate the affected sessions for the whole pass. Their commands in
+	// flight finish first — the dead connections are closed, so none waits
+	// for an answer that cannot come — and their next ones wait for the
+	// verified replay: an owner that kept enqueueing would have its newer
+	// write overwritten by the replay of older entries.
+	for _, s := range affected {
+		s.recGate.Lock()
+		defer s.recGate.Unlock()
 	}
 
 	// 1. Materialize every in-flight failure of the affected sessions:
@@ -239,7 +257,6 @@ func (rt *Runtime) recoverOnce() (bool, error) {
 	// 6. Replay the affected sessions' mutation histories from zeroed
 	// state. One pass counts one recovery in the aggregate; each affected
 	// tenant's own metrics count it too.
-	rt.replaying.Store(true)
 	totalReplayed := 0
 	var replayErr error
 	for _, s := range affected {
@@ -268,7 +285,6 @@ func (rt *Runtime) recoverOnce() (bool, error) {
 			break
 		}
 	}
-	rt.replaying.Store(false)
 	rt.mu.Lock()
 	rt.metrics.Recoveries++
 	rt.metrics.ReplayedCommands += int64(totalReplayed)

@@ -14,7 +14,7 @@
 //
 // and its object locks nest in one documented order, innermost last:
 //
-// lock-order: Buffer.mu < Context.mu < Queue.mu < Kernel.mu < Program.mu < Context.regMu < Context.remoteMu
+// lock-order: Session.recGate < Buffer.mu < Context.mu < Queue.mu < Kernel.mu < Program.mu < Context.regMu < Context.remoteMu
 package core
 
 import (
@@ -212,10 +212,9 @@ type Runtime struct {
 	// pooled peer connections and cancel parked push rendezvous.
 	epoch uint64 // guarded by recoverMu
 
-	// recoverMu serializes recovery and rejoin; replaying marks the replay
-	// phase so re-issued commands are not logged again.
+	// recoverMu serializes recovery and rejoin. A pass takes the recovery
+	// gates of the sessions it replays under it (Session.recGate).
 	recoverMu sync.Mutex
-	replaying atomic.Bool
 
 	// trc is the runtime-level tracing attachment (nil = tracing off);
 	// one Run per SetTracer call. Atomic so the hot enqueue path reads it

@@ -43,6 +43,20 @@ type Session struct {
 
 	closed atomic.Bool
 
+	// recGate is the session's recovery gate. Every public entry point that
+	// enqueues (withRecovery) runs its command under the read side; a
+	// recovery pass holds the write side of each session it strips and
+	// replays, from draining its pipeline to verifying the replay. A
+	// session's own commands therefore never interleave with the replay of
+	// its log: one either lands, and is logged, before the pass and is
+	// replayed by it, or runs after it against the recovered state.
+	// Bystander sessions are never gated. replaying is set by the pass,
+	// under the write side, while it re-issues the log, so that replayed
+	// commands are not logged again — it says nothing about other sessions,
+	// whose commands keep being logged while this one replays.
+	recGate   sync.RWMutex
+	replaying atomic.Bool
+
 	// trc is this session's tracing override; when nil, commands record
 	// into the runtime-level attachment (see traceRun). Atomic so the hot
 	// enqueue path reads it lock-free.
@@ -486,9 +500,9 @@ func (s *Session) observeMakespan(t vtime.Time) {
 }
 
 // logCommand appends one entry to the session's command log unless recovery
-// is replaying (replay must not grow the log it is walking).
+// is replaying it (replay must not grow the log it is walking).
 func (s *Session) logCommand(e logEntry) {
-	if s.rt.replaying.Load() {
+	if s.replaying.Load() {
 		return
 	}
 	s.logMu.Lock()
@@ -498,9 +512,11 @@ func (s *Session) logCommand(e logEntry) {
 
 // replayLog re-issues this session's mutation history through the enqueue
 // internals and returns how many entries were replayed. Entries whose
-// objects were released are skipped. Caller holds recoverMu and has set
-// rt.replaying.
+// objects were released are skipped. Caller holds recoverMu and the write
+// side of s.recGate.
 func (s *Session) replayLog() (int, error) {
+	s.replaying.Store(true)
+	defer s.replaying.Store(false)
 	s.logMu.Lock()
 	log := append([]logEntry(nil), s.cmdLog...)
 	s.logMu.Unlock()

@@ -232,7 +232,7 @@ func TestSessionConcurrentLifecycleCrash(t *testing.T) {
 	}
 	results := make([]result, 2*perSide)
 	var started, done sync.WaitGroup
-	release := make(chan struct{})
+	release, killed := make(chan struct{}), make(chan struct{})
 	for i := 0; i < 2*perSide; i++ {
 		onVictim := i < perSide
 		// Victim lanes span both nodes (so recovery has somewhere to
@@ -256,7 +256,15 @@ func TestSessionConcurrentLifecycleCrash(t *testing.T) {
 				}
 				started.Done()
 				<-release
-				for r := 1; r <= 3; r++ {
+				// Rounds until the node has been killed, and three more: a
+				// lane that finished before the kill landed would have
+				// nothing to recover from.
+				for r, after := 1, 0; after < 3; r++ {
+					select {
+					case <-killed:
+						after++
+					default:
+					}
 					if err := lane.round(float32(i + 100*r)); err != nil {
 						return err
 					}
@@ -273,6 +281,7 @@ func TestSessionConcurrentLifecycleCrash(t *testing.T) {
 	started.Wait()
 	close(release)
 	cc.kill(victim)
+	close(killed)
 	done.Wait()
 
 	var victimRecoveries int64

@@ -27,8 +27,15 @@ func (rt *Runtime) SetTracer(t *trace.Tracer) *trace.Run {
 func (rt *Runtime) TraceRun() *trace.Run { return rt.trc.Load() }
 
 // WriteTrace exports everything the attached tracer has recorded in
-// Chrome trace-event format (an empty trace when none is attached).
+// Chrome trace-event format (an empty trace when none is attached). A
+// command's spans are recorded when its response is consumed, so the
+// pipelines are drained first: without that, whether a migration's push
+// made it into the export depended on how far its background watcher
+// (watchPush) had got.
 func (rt *Runtime) WriteTrace(w io.Writer) error {
+	for _, s := range rt.allSessions() {
+		s.drainPendingEvents()
+	}
 	return rt.trc.Load().Tracer().WriteChrome(w)
 }
 
@@ -85,7 +92,7 @@ func (s *Session) traceCmd(kind trace.Kind, dev *DeviceRef, queue uint64, bytes 
 		bytes:     bytes,
 		wireStart: wireStart,
 		wireEnd:   wireEnd,
-		replay:    s.rt.replaying.Load(),
+		replay:    s.replaying.Load(),
 	}
 }
 

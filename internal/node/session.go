@@ -918,11 +918,13 @@ func (c *readCmd) exec() (protocol.Message, error) {
 }
 
 // snapshotBuf returns n bytes to copy a buffer range into before it leaves
-// the node: from the payload pool when the range is bulk (the frame then
-// references the snapshot instead of copying it again), freshly allocated
-// otherwise, with a nil Buf.
+// the node: from the payload pool when the frame that carries the range
+// will reference it instead of copying it again (protocol.ReferenceFloor) —
+// the frame then owns the snapshot and its writer frees it — and freshly
+// allocated, with a nil Buf, when the range is small enough to be copied
+// into a frame's inline body.
 func snapshotBuf(n int64) ([]byte, *protocol.Buf) {
-	if n <= protocol.BatchableBodyLimit {
+	if n < protocol.ReferenceFloor {
 		return make([]byte, n), nil
 	}
 	pooled := protocol.GetBuf(int(n))

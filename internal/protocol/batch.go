@@ -3,6 +3,7 @@ package protocol
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Wire v3 Batch envelope: one FrameBatch frame carrying a sequence of
@@ -25,9 +26,11 @@ const (
 	MaxBatchBytes = 64 << 10
 
 	// BatchableBodyLimit is the largest body a frame may have and still
-	// ride in an envelope. Bulk-data frames above it are written alone:
-	// they amortize their own syscall, and keeping them out of envelopes
-	// bounds envelope size.
+	// ride in an envelope. Bulk-data frames above it are written alone and
+	// in place — they amortize their own syscall, and keeping them out of
+	// envelopes bounds envelope size — and a request body above it is read
+	// into a pooled buffer. It says nothing about copying: a payload is
+	// referenced by its frame from ReferenceFloor on.
 	BatchableBodyLimit = 16 << 10
 )
 
@@ -41,30 +44,46 @@ var (
 // kind (1) + reqID (8) + op (2) + body length (4).
 const batchSubHeader = 1 + 8 + 2 + 4
 
-// EncodeBatch packs subs into one Batch envelope frame, preserving order.
-// Sub-frames must themselves be plain (non-batch) frames.
-func EncodeBatch(subs []*Frame) (*Frame, error) {
+// AppendBatch appends the wire encoding — frame header and body — of the
+// Batch envelope carrying subs, in order, to buf and returns the extended
+// slice. It is the one place the envelope layout is written: a coalescing
+// writer stages a run of frames through it, each sub-frame's pieces (Body,
+// referenced payload, tail) copied once, from where they lie. Sub-frames
+// must themselves be plain (non-batch) frames.
+func AppendBatch(buf []byte, subs []*Frame) ([]byte, error) {
 	size := 4
 	for _, f := range subs {
+		if f.Kind == FrameBatch {
+			return buf, ErrNestedBatch
+		}
 		size += batchSubHeader + f.BodyLen()
 	}
 	if size > MaxFrameSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, size)
+		return buf, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, size)
 	}
-	e := &Encoder{buf: make([]byte, 0, size)}
+	buf = slices.Grow(buf, headerSize+size)
+	e := Encoder{buf: appendHeader(buf, FrameBatch, 0, OpBatch, size)}
 	e.U32(uint32(len(subs)))
 	for _, f := range subs {
-		if f.Kind == FrameBatch {
-			return nil, ErrNestedBatch
-		}
 		e.U8(uint8(f.Kind))
 		e.U64(f.ReqID)
 		e.U16(uint16(f.Op))
-		bulk, tail := f.Payload()
 		e.U32(uint32(f.BodyLen()))
+		bulk, tail := f.Payload()
 		e.buf = append(append(append(e.buf, f.Body...), bulk...), tail...)
 	}
-	return &Frame{Kind: FrameBatch, Op: OpBatch, Body: e.Bytes()}, nil
+	return e.buf, nil
+}
+
+// EncodeBatch packs subs into a Batch envelope frame of its own, for tools
+// and tests that want the envelope as a Frame; connections stage envelopes
+// with AppendBatch.
+func EncodeBatch(subs []*Frame) (*Frame, error) {
+	buf, err := AppendBatch(nil, subs)
+	if err != nil {
+		return nil, err
+	}
+	return &Frame{Kind: FrameBatch, Op: OpBatch, Body: buf[headerSize:]}, nil
 }
 
 // DecodeBatch unpacks a Batch envelope into its sub-frames, in order.

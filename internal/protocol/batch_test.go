@@ -184,6 +184,96 @@ func TestBatchPropertyRoundTrip(t *testing.T) {
 	}
 }
 
+// mixedRun builds a run of n frames the way senders do, through NewFrame,
+// mixing messages that stay inline with payloads either side of
+// ReferenceFloor, so some sub-frames are contiguous and some are in three
+// pieces.
+func mixedRun(rng *rand.Rand, n int) []*Frame {
+	run := make([]*Frame, n)
+	for i := range run {
+		id := uint64(i + 1)
+		switch rng.Intn(4) {
+		case 0:
+			run[i] = NewFrame(FrameRequest, id, OpRelease, &ReleaseReq{Kind: ObjEvent, ID: rng.Uint64()})
+		case 1:
+			run[i] = NewFrame(FrameResponse, id, OpRelease, nil)
+		case 2:
+			run[i] = NewFrame(FrameRequest, id, OpWriteBuffer,
+				&WriteBufferReq{QueueID: 1, BufferID: 2, Data: randBlob(rng), EventID: id, WaitEvents: []int64{3}})
+		default:
+			data := make([]byte, ReferenceFloor+rng.Intn(BatchableBodyLimit-ReferenceFloor-64))
+			rng.Read(data)
+			run[i] = NewFrame(FrameResponse, id, OpReadBuffer, &ReadBufferResp{Data: data, EventID: id})
+		}
+	}
+	return run
+}
+
+// TestAppendBatchMatchesFrameOfEnvelope: staging a run in place writes,
+// byte for byte, what allocating the envelope as a Frame and appending that
+// used to — after whatever the buffer already held — and the envelope
+// decodes to sub-frames whose bodies are the flat wire bodies of the run's
+// frames, referenced or not.
+func TestAppendBatchMatchesFrameOfEnvelope(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	referenced, mixed := 0, 0
+	for round := 0; round < 100; round++ {
+		run := mixedRun(rng, rng.Intn(12))
+		before := referenced
+		flat := make([]*Frame, len(run))
+		for i, f := range run {
+			if bulk, _ := f.Payload(); bulk != nil {
+				referenced++
+			}
+			wire, err := AppendFrame(nil, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flat[i] = &Frame{Kind: f.Kind, ReqID: f.ReqID, Op: f.Op, Body: wire[headerSize:]}
+		}
+		if n := referenced - before; n > 0 && n < len(run) {
+			mixed++
+		}
+
+		prefix := []byte("already staged")
+		got, err := AppendBatch(append([]byte(nil), prefix...), run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := EncodeBatch(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := AppendFrame(append([]byte(nil), prefix...), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: AppendBatch wrote %d bytes, AppendFrame(EncodeBatch) %d, or they differ", round, len(got), len(want))
+		}
+		// The same bytes from frames that were never in pieces: the layout
+		// does not depend on how a sub-frame holds its body.
+		if flatWire, err := AppendBatch(append([]byte(nil), prefix...), flat); err != nil || !bytes.Equal(got, flatWire) {
+			t.Fatalf("round %d: envelope of referenced frames differs from envelope of their flat copies (%v)", round, err)
+		}
+
+		read, err := ReadFrame(bytes.NewReader(got[len(prefix):]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs, err := DecodeBatch(read)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !subFramesEqual(flat, subs) {
+			t.Fatalf("round %d: decoded sub-frames differ from the run", round)
+		}
+	}
+	if mixed < 50 {
+		t.Fatalf("only %d of 100 runs mixed inline and referenced sub-frames", mixed)
+	}
+}
+
 // FuzzDecodeFrame feeds arbitrary bytes through the full frame pipeline —
 // ReadFrame, and DecodeBatch when the frame claims to be an envelope — and
 // requires clean errors, never panics or hangs. It runs its seed corpus
@@ -238,8 +328,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(sessCtx)
 	f.Add(sessCtx[:len(sessCtx)-4])
 	// Bulk frames, built by the by-reference encoder: a write and a peer
-	// deposit just over the referencing threshold, and a cut inside the
-	// payload.
+	// deposit just too big for an envelope, and a cut inside the payload.
 	bulk := make([]byte, BatchableBodyLimit+1)
 	bulkWrite, err := AppendFrame(nil, NewFrame(FrameRequest, 13, OpWriteBuffer,
 		&WriteBufferReq{QueueID: 1, BufferID: 2, Data: bulk, EventID: 3}))
@@ -253,6 +342,14 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(bulkPush)
+	// An envelope staged in place from a run mixing inline and referenced
+	// sub-frames, and a cut inside a referenced payload.
+	staged, err := AppendBatch(nil, mixedRun(rand.New(rand.NewSource(3)), 6))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(staged)
+	f.Add(staged[:len(staged)-ReferenceFloor/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))
@@ -325,9 +422,10 @@ func FuzzDecodeMessage(f *testing.F) {
 	vector := EncodeMessage(&ReleaseReq{Kind: ObjEvent, ID: 1, More: []uint64{2, 3}})
 	f.Add(uint16(17), vector)
 	f.Add(uint16(17), append(vector[:9:9], 0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5, 6, 7, 8))
-	// Payloads either side of the referencing threshold (indices into msgs
-	// below: 7 WriteBufferReq, 9 ReadBufferResp, 21 PeerPushReq).
-	for _, size := range []int{BatchableBodyLimit, BatchableBodyLimit + 1} {
+	// Payloads either side of the referencing threshold and of the envelope
+	// limit (indices into msgs below: 7 WriteBufferReq, 9 ReadBufferResp,
+	// 21 PeerPushReq).
+	for _, size := range []int{ReferenceFloor - 1, ReferenceFloor, BatchableBodyLimit, BatchableBodyLimit + 1} {
 		f.Add(uint16(7), EncodeMessage(&WriteBufferReq{QueueID: 1, Data: make([]byte, size), WaitEvents: []int64{2}}))
 		f.Add(uint16(9), EncodeMessage(&ReadBufferResp{Data: make([]byte, size), EventID: 3}))
 		f.Add(uint16(21), EncodeMessage(&PeerPushReq{Token: 4, Data: make([]byte, size)}))

@@ -1334,12 +1334,13 @@ func EncodeMessage(m Message) []byte {
 
 // NewFrame builds the frame that carries m (nil for an empty body) and is
 // how transports encode what they send. Its wire bytes are exactly those
-// of a frame whose Body is EncodeMessage(m), but a bulk payload — the
-// message's first blob above BatchableBodyLimit, the size that already
-// makes a frame travel alone — is referenced by the frame (see
-// Frame.Payload) instead of copied into its Body. The payload must
-// therefore stay unmodified until the frame has been written; a sender
-// that cannot promise that passes a private copy.
+// of a frame whose Body is EncodeMessage(m), but a payload — the message's
+// first blob of at least ReferenceFloor bytes — is referenced by the frame
+// (see Frame.Payload) instead of copied into its Body: the writer copies it
+// once, into its staging buffer, or not at all when the frame is too big
+// for an envelope and travels alone. The payload must therefore stay
+// unmodified until the frame has been written; a sender that cannot promise
+// that passes a private copy.
 //
 // The message is marshalled into a pooled scratch encoder and copied out
 // into a frame sized to it, so a small frame is one allocation, body

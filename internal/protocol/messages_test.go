@@ -40,11 +40,15 @@ func refBody(t testing.TB, m Message) []byte {
 	return got[headerSize:]
 }
 
-// TestNewFrameReferencesBulkPayload pins the threshold and the aliasing:
-// a blob above BatchableBodyLimit is referenced by the frame, one at or
-// below it is copied, and either way the wire bytes are EncodeMessage's.
+// TestNewFrameReferencesBulkPayload pins the two thresholds and the
+// aliasing. A blob of at least ReferenceFloor bytes is referenced by the
+// frame and a smaller one copied into a body that comes with the Frame;
+// BatchableBodyLimit decides something else — whether the frame may ride in
+// an envelope — and changes nothing about the reference. Either way the
+// wire bytes are EncodeMessage's.
 func TestNewFrameReferencesBulkPayload(t *testing.T) {
-	for _, size := range []int{0, 1, BatchableBodyLimit - 1, BatchableBodyLimit, BatchableBodyLimit + 1, 3*BatchableBodyLimit + 5} {
+	for _, size := range []int{0, 1, ReferenceFloor - 1, ReferenceFloor, ReferenceFloor + 1,
+		BatchableBodyLimit - 1, BatchableBodyLimit, BatchableBodyLimit + 1, 3*BatchableBodyLimit + 5} {
 		data := make([]byte, size)
 		rand.New(rand.NewSource(int64(size))).Read(data)
 		for _, m := range []Message{
@@ -55,7 +59,7 @@ func TestNewFrameReferencesBulkPayload(t *testing.T) {
 			refBody(t, m)
 			f := NewFrame(FrameResponse, 1, m.Op(), m)
 			bulk, _ := f.Payload()
-			if want := size > BatchableBodyLimit; want != (bulk != nil) {
+			if want := size >= ReferenceFloor; want != (bulk != nil) {
 				t.Fatalf("%T with %d-byte blob: referenced = %v, want %v", m, size, bulk != nil, want)
 			}
 			if bulk != nil && &bulk[0] != &data[0] {
@@ -63,8 +67,8 @@ func TestNewFrameReferencesBulkPayload(t *testing.T) {
 			}
 		}
 	}
-	// Only the first bulk blob is referenced; a second one is copied inline.
-	big := make([]byte, BatchableBodyLimit+1)
+	// Only the first such blob is referenced; a second one is copied inline.
+	big := make([]byte, ReferenceFloor)
 	refBody(t, &EnqueueKernelReq{Args: []KernelArg{{Kind: ArgScalar, Scalar: big}, {Kind: ArgScalar, Scalar: big}}})
 	// A nil message is an empty body.
 	if f := NewFrame(FrameResponse, 1, OpRelease, nil); f.BodyLen() != 0 {
@@ -76,7 +80,7 @@ func TestNewFrameReferencesBulkPayload(t *testing.T) {
 // frame that references it and is handed back by Release; a copied one
 // stays with the caller.
 func TestNewFrameOwnsPooledPayload(t *testing.T) {
-	pooled := GetBuf(BatchableBodyLimit + 1)
+	pooled := GetBuf(ReferenceFloor)
 	f := NewFrame(FrameResponse, 1, OpReadBuffer, &ReadBufferResp{Data: pooled.B, Pooled: pooled})
 	if f.ref == nil || f.ref.pooled != pooled {
 		t.Fatal("frame did not take over the pooled payload it references")
@@ -274,11 +278,15 @@ func randStr(rng *rand.Rand) string {
 }
 
 // randBlob returns a payload that is usually small and every fourth time
-// sits at or just either side of BatchableBodyLimit, where the encoder
-// switches from copying to referencing.
+// sits at or just either side of ReferenceFloor, where the encoder switches
+// from copying to referencing, or of BatchableBodyLimit, where the frame
+// stops fitting an envelope.
 func randBlob(rng *rand.Rand) []byte {
 	n := rng.Intn(64) + 1
-	if rng.Intn(4) == 0 {
+	switch rng.Intn(8) {
+	case 0:
+		n = ReferenceFloor - 1 + rng.Intn(3)
+	case 1:
 		n = BatchableBodyLimit - 1 + rng.Intn(3)
 	}
 	b := make([]byte, n)

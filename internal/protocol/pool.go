@@ -9,7 +9,8 @@ import (
 // Only buffers with a lexical lifetime are pooled (DESIGN.md §11): a
 // server-side bulk request body (dead once the request's response is
 // produced), a node's read snapshot (dead once the response frame is
-// written) and a push snapshot (dead once the peer acknowledged it).
+// written) and a push snapshot (dead once the peer acknowledged it) — the
+// first above BatchableBodyLimit, the snapshots from ReferenceFloor on.
 // Whoever Gets, Frees; a Buf that is simply dropped is collected like any
 // other garbage, so forgetting to Free costs an allocation, never
 // correctness. The pools empty themselves under GC — there is no bound to
@@ -25,10 +26,11 @@ type Buf struct {
 // Size classes step in quarter octaves — 5/8, 6/8, 7/8 and 8/8 of each
 // power of two — so a pool miss allocates at most 25 % more than asked
 // for. (Plain powers of two would round every "1 MiB payload plus a few
-// header fields" body up to 2 MiB.) The smallest class serves everything
-// up to 16 KiB; the largest is MaxFrameSize.
+// header fields" body up to 2 MiB.) The first octave is the one
+// ReferenceFloor, the smallest payload anyone pools, falls in; its smallest
+// class serves everything below it too. The largest class is MaxFrameSize.
 const (
-	minClassBits = 15 // sizes in (2^14, 2^15] form the first octave
+	minClassBits = 10 // sizes in (2^9, 2^10] form the first octave
 	maxClassBits = 30 // MaxFrameSize
 	numClasses   = (maxClassBits - minClassBits + 1) * 4
 )

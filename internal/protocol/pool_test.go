@@ -10,7 +10,8 @@ import (
 // it, wastes at most a quarter, and grows monotonically with the length.
 func TestSizeClassProperty(t *testing.T) {
 	prevClass, prevSize := 0, 0
-	for _, n := range []int{1, 100, BatchableBodyLimit, BatchableBodyLimit + 1, 20480, 20481, 32768, 32769,
+	for _, n := range []int{1, 100, 640, 641, ReferenceFloor - 1, ReferenceFloor, 1024, 1025, 4 << 10, 4<<10 + 44,
+		BatchableBodyLimit, BatchableBodyLimit + 1, 20480, 20481, 32768, 32769,
 		1 << 20, 1<<20 + 1, 1<<20 + 60, 5 << 18, 5<<18 + 1, 16 << 20, 16<<20 + 44, MaxFrameSize - 1, MaxFrameSize} {
 		class, size := sizeClass(n)
 		if class < 0 || class >= numClasses {
@@ -19,7 +20,7 @@ func TestSizeClassProperty(t *testing.T) {
 		if size < n {
 			t.Fatalf("sizeClass(%d) = %d bytes, too small", n, size)
 		}
-		if n > BatchableBodyLimit && size > n+n/4 {
+		if n >= ReferenceFloor && size > n+n/4 {
 			t.Fatalf("sizeClass(%d) = %d bytes, wastes more than a quarter", n, size)
 		}
 		if class < prevClass || size < prevSize {
@@ -33,7 +34,7 @@ func TestSizeClassProperty(t *testing.T) {
 }
 
 func TestGetBufLengthAndFree(t *testing.T) {
-	for _, n := range []int{1, BatchableBodyLimit + 1, 1<<20 + 60} {
+	for _, n := range []int{1, ReferenceFloor, BatchableBodyLimit + 1, 1<<20 + 60} {
 		b := GetBuf(n)
 		if len(b.B) != n || cap(b.B) != n {
 			t.Fatalf("GetBuf(%d): len %d cap %d", n, len(b.B), cap(b.B))

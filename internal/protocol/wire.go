@@ -58,7 +58,7 @@ const (
 type FrameKind uint8
 
 // Frame kinds. FrameBatch (wire v3) envelopes a sequence of request or
-// response frames in one wire frame; see EncodeBatch.
+// response frames in one wire frame; see AppendBatch.
 const (
 	FrameRequest FrameKind = iota + 1
 	FrameResponse
@@ -88,22 +88,24 @@ var (
 // opcode-specific body.
 //
 // A received frame's body is contiguous in Body. A frame built by NewFrame
-// from a message carrying a bulk payload is in three pieces instead — Body
-// holds only the fields before the payload, and Payload returns the
-// referenced payload and the fields after it — the bytes on the wire being
-// the same either way. BodyLen, not len(Body), is a frame's body length.
+// from a message carrying a payload of at least ReferenceFloor bytes is in
+// three pieces instead — Body holds only the fields before the payload, and
+// Payload returns the referenced payload and the fields after it — the
+// bytes on the wire being the same either way. BodyLen, not len(Body), is a
+// frame's body length.
 type Frame struct {
 	Kind  FrameKind
 	Op    Op
 	ReqID uint64
 	Body  []byte
 
-	// ref is what only bulk frames carry; nil for every small frame, which
-	// keeps the per-command Frame at its pre-bulk size.
+	// ref is what only frames with a referenced payload or a pooled body
+	// carry; nil for every small frame, which keeps the per-command Frame at
+	// its pre-bulk size.
 	ref *payloadRef
 }
 
-// payloadRef is the bulk part of a frame.
+// payloadRef is the referenced part of a frame.
 type payloadRef struct {
 	// bulk is the referenced payload of a frame encoded by reference and
 	// tail the encoded fields that follow it on the wire.
@@ -155,14 +157,18 @@ func FrameWireSize(f *Frame) int { return headerSize + f.BodyLen() }
 // writer follows it with the body's pieces; everything else wants
 // AppendFrame.
 func AppendFrameHeader(buf []byte, f *Frame) []byte {
+	return appendHeader(buf, f.Kind, f.ReqID, f.Op, f.BodyLen())
+}
+
+func appendHeader(buf []byte, kind FrameKind, reqID uint64, op Op, bodyLen int) []byte {
 	off := len(buf)
 	buf = append(buf, make([]byte, headerSize)...)
 	binary.BigEndian.PutUint16(buf[off:off+2], Magic)
-	buf[off+2] = frameVersion(f.Kind)
-	buf[off+3] = byte(f.Kind)
-	binary.BigEndian.PutUint64(buf[off+4:off+12], f.ReqID)
-	binary.BigEndian.PutUint16(buf[off+12:off+14], uint16(f.Op))
-	binary.BigEndian.PutUint32(buf[off+14:off+18], uint32(f.BodyLen()))
+	buf[off+2] = frameVersion(kind)
+	buf[off+3] = byte(kind)
+	binary.BigEndian.PutUint64(buf[off+4:off+12], reqID)
+	binary.BigEndian.PutUint16(buf[off+12:off+14], uint16(op))
+	binary.BigEndian.PutUint32(buf[off+14:off+18], uint32(bodyLen))
 	return buf
 }
 
@@ -240,6 +246,14 @@ func readFrame(r io.Reader, pool bool) (*Frame, error) {
 	return f, nil
 }
 
+// ReferenceFloor is the payload size from which NewFrame references a
+// message's payload instead of copying it into the frame's body, and from
+// which a sender's snapshot of one is worth taking from the payload pool:
+// the largest body allocFrame stores inline. Below it body and Frame are
+// one allocation and a reference would only add a second; from it on, a
+// copied payload is an allocation of its own size that the reference saves.
+const ReferenceFloor = 976
+
 // allocFrame returns a zero Frame whose Body is empty with room for n
 // bytes. A small body's storage comes with the Frame in one allocation —
 // the two die together anyway, and a command pays for its frames at both
@@ -278,10 +292,10 @@ func allocFrame(n int) *Frame {
 		})
 		s.Body = s.b[:0]
 		return &s.Frame
-	case n <= 976:
+	case n <= ReferenceFloor:
 		s := new(struct {
 			Frame
-			b [976]byte
+			b [ReferenceFloor]byte
 		})
 		s.Body = s.b[:0]
 		return &s.Frame
@@ -294,9 +308,10 @@ func allocFrame(n int) *Frame {
 type Encoder struct {
 	buf []byte
 
-	// byRef makes Blob reference, instead of copy, the first payload above
-	// BatchableBodyLimit (NewFrame's encoders): bulk is that payload, split
-	// where in buf it belongs, and pooled the buffer it lives in, if any.
+	// byRef makes Blob reference, instead of copy, the first payload of at
+	// least ReferenceFloor bytes (NewFrame's encoders): bulk is that payload,
+	// split where in buf it belongs, and pooled the buffer it lives in, if
+	// any.
 	byRef  bool
 	bulk   []byte
 	split  int
@@ -359,7 +374,7 @@ func (e *Encoder) Blob(b []byte) { e.PooledBlob(b, nil) }
 // writer frees it; when it is copied, pooled stays with the caller.
 func (e *Encoder) PooledBlob(b []byte, pooled *Buf) {
 	e.U32(uint32(len(b)))
-	if e.byRef && e.bulk == nil && len(b) > BatchableBodyLimit {
+	if e.byRef && e.bulk == nil && len(b) >= ReferenceFloor {
 		e.bulk, e.split, e.pooled = b, len(e.buf), pooled
 		return
 	}

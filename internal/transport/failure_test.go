@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -183,5 +184,54 @@ func TestNodeDeathFailsPendingCalls(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("pending call hung after server death")
 		}
+	}
+}
+
+// TestSendFailureNeverReportsBeforeOnDown holds a dying connection inside
+// its OnDown callback and issues calls in that window. None of them may
+// fail yet — not on the receive side and not on the send side, which used
+// to be killed first and so refused them with the sticky error while the
+// callback had not run: the host marks the node dead in that callback, and
+// a failure that precedes it does not classify as node loss. Once the
+// callback returns, every one of them fails.
+func TestSendFailureNeverReportsBeforeOnDown(t *testing.T) {
+	hostEnd, nodeEnd := net.Pipe()
+	c := NewClient(hostEnd)
+	defer c.Close()
+	c.EnableBatching()
+
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var ran atomic.Bool
+	c.OnDown(func(error) {
+		close(entered)
+		<-gate
+		ran.Store(true)
+	})
+	nodeEnd.Close() // the node dies; the read loop fails the connection
+	<-entered
+
+	futures := make([]*Pending, 8)
+	for i := range futures {
+		futures[i] = c.Go(&protocol.HelloReq{UserID: "in the window"}, nil)
+	}
+	c.mu.Lock()
+	pending := len(c.pending)
+	c.mu.Unlock()
+	if pending != len(futures) {
+		t.Fatalf("%d of %d calls issued while OnDown was running are still pending: the rest failed before it returned",
+			pending, len(futures))
+	}
+
+	close(gate)
+	for i, p := range futures {
+		if err := p.Wait(); err == nil {
+			t.Fatalf("call %d on a dead connection succeeded", i)
+		}
+		if !ran.Load() {
+			t.Fatalf("call %d reported its failure before OnDown had run", i)
+		}
+	}
+	if err := c.Go(&protocol.HelloReq{}, nil).Wait(); err == nil {
+		t.Fatal("call after the failure succeeded")
 	}
 }

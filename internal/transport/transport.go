@@ -37,9 +37,11 @@
 // connection's frameWriter: small frames are staged into one reused
 // buffer (packed into an envelope when several are waiting), and a bulk
 // frame — body above protocol.BatchableBodyLimit — is written vectored,
-// header and payload in place, never copied. Bulk payloads are referenced
-// on the way out and decoded in place on the way in; DESIGN.md §11 states
-// who owns which buffer and until when.
+// header and payload in place, never copied. Payloads from
+// protocol.ReferenceFloor up are referenced on the way out — staging is the
+// one copy a mid-size payload gets, a bulk one gets none — and every blob
+// is decoded in place on the way in; DESIGN.md §11 states who owns which
+// buffer and until when.
 //
 // Two transports are provided: real TCP (used by cmd/haocl-node and the
 // integration tests) and an in-process pipe network (used by unit tests and
@@ -68,8 +70,9 @@ import (
 // request bodies after that, so a handler that wants the bytes for longer
 // copies them. The one request whose body a handler may keep is a
 // protocol.OpPeerPush deposit, which is never recycled (DESIGN.md §11).
-// A response's bulk payload, in turn, is referenced until the response
-// frame is written and must not change before then.
+// A response's payload, in turn, is referenced from protocol.ReferenceFloor
+// bytes up until the response frame is written and must not change before
+// then.
 type Handler interface {
 	HandleCall(op protocol.Op, body []byte) (protocol.Message, error)
 }
@@ -127,8 +130,8 @@ type Client struct {
 
 	mu      sync.Mutex
 	pending map[uint64]*Pending // guarded by mu
-	closed  bool                // guarded by mu
-	readErr error               // guarded by mu
+	readErr error               // guarded by mu; sticky, latched by the first failure
+	closed  bool                // guarded by mu; calls fail: set once onDown has run
 	onDown  func(error)         // guarded by mu
 
 	nextID atomic.Uint64
@@ -255,13 +258,16 @@ func (c *Client) writeLoop() {
 // for concurrent use; each owner serializes its calls.
 //
 // Runs of small frames are staged into one buffer — a single frame goes
-// plain, several become a Batch envelope — and shipped with one Write.
-// A frame with a body above BatchableBodyLimit is written alone and in
-// place with vectored I/O (writev on real sockets): header plus whatever
-// precedes a referenced payload, the payload itself, and what follows it.
-// Bulk payloads amortize their own syscall, would blow up envelope sizes,
-// and a staging copy would double their memory footprint. The staging
-// buffer, run and vector are reused from write to write.
+// plain, several become a Batch envelope, either way encoded straight into
+// the buffer from wherever each frame's pieces lie — and shipped with one
+// Write: the staging copy is the only one a referenced payload of up to
+// BatchableBodyLimit gets. A frame with a body above BatchableBodyLimit is
+// written alone and in place with vectored I/O (writev on real sockets):
+// header plus whatever precedes a referenced payload, the payload itself,
+// and what follows it. Bulk payloads amortize their own syscall, would blow
+// up envelope sizes, and a staging copy would double their memory
+// footprint. The staging buffer, run and vector are reused from write to
+// write.
 type frameWriter struct {
 	w        io.Writer
 	out      []byte            // staging: a packed run, or a bulk frame's head
@@ -273,7 +279,8 @@ type frameWriter struct {
 
 // write writes frames in order and then releases them: a pooled payload a
 // frame owns (a node's read snapshot) goes back to its pool the moment the
-// frame is on the wire — or has failed to get there.
+// frame is on the wire — or has failed to get there — whether it was staged
+// or written in place.
 func (fw *frameWriter) write(frames ...*protocol.Frame) error {
 	err := fw.writeAll(frames)
 	for _, f := range frames {
@@ -315,10 +322,7 @@ func (fw *frameWriter) flush() error {
 	if len(run) == 1 {
 		fw.out, err = protocol.AppendFrame(fw.out[:0], run[0])
 	} else {
-		var env *protocol.Frame
-		if env, err = protocol.EncodeBatch(run); err == nil {
-			fw.out, err = protocol.AppendFrame(fw.out[:0], env)
-		}
+		fw.out, err = protocol.AppendBatch(fw.out[:0], run)
 	}
 	clear(run) // the reused array must not keep written frames reachable
 	if err != nil {
@@ -362,30 +366,40 @@ func (c *Client) killWrites() {
 	c.writeMu.Unlock()
 }
 
+// failAll fails the connection with err, once: the first failure does the
+// work, a later one (the other loop noticing, Close after a crash) finds
+// the sticky error latched and has nothing to add.
+//
+// It publishes in one order: the sticky error is latched, the OnDown
+// callback runs, and only then does any call fail — on the send side
+// (closed, sendDead) as on the receive side (the pending futures). Whoever
+// sees a call fail must be able to observe the state the callback
+// established: the host marks the node dead there, which is what makes the
+// failure classify as node loss and be recovered from instead of escaping
+// to the tenant.
 func (c *Client) failAll(err error) {
+	c.mu.Lock()
+	if c.readErr != nil {
+		c.mu.Unlock()
+		return
+	}
+	c.readErr = err
+	down := c.onDown
+	c.mu.Unlock()
+	// Outside the lock: the callback typically re-enters the client or
+	// kicks off recovery machinery.
+	if down != nil {
+		down(err)
+	}
+	c.mu.Lock()
+	c.closed = true
+	pending := c.pending
+	c.pending = make(map[uint64]*Pending)
+	c.mu.Unlock()
 	// The write side dies with the connection: without this, a client
 	// whose peer vanished would park its writer goroutine forever unless
 	// the caller remembered to Close.
 	c.killWrites()
-	c.mu.Lock()
-	if c.readErr == nil {
-		c.readErr = err
-	}
-	first := !c.closed
-	c.closed = true
-	pending := c.pending
-	c.pending = make(map[uint64]*Pending)
-	down := c.onDown
-	sticky := c.readErr
-	c.mu.Unlock()
-	// Notify outside the lock — the callback typically re-enters the
-	// client or kicks off recovery machinery — and strictly before the
-	// pending futures unblock: a waiter that sees the sticky error must be
-	// able to observe whatever state the callback established (the host
-	// marks the node dead here, so command failures classify as node-loss).
-	if first && down != nil {
-		down(sticky)
-	}
 	for _, p := range pending {
 		p.done.Done() // with no frame: Wait reports the sticky error
 	}
@@ -393,13 +407,12 @@ func (c *Client) failAll(err error) {
 
 // OnDown registers a callback invoked exactly once, from the goroutine
 // that detects the failure, when the connection dies (read error, send
-// error, or Close). The callback receives the sticky connection error.
-// Registering after the connection already died invokes the callback
-// immediately.
+// error, or Close) and before any call reports that failure. The callback
+// receives the sticky connection error. Registering after the connection
+// already died invokes the callback immediately.
 func (c *Client) OnDown(fn func(error)) {
 	c.mu.Lock()
-	if c.closed {
-		err := c.readErr
+	if err := c.readErr; err != nil {
 		c.mu.Unlock()
 		fn(err)
 		return
@@ -437,12 +450,13 @@ type Pending struct {
 // With batching negotiated, Go returns once the frame is queued to the
 // coalescing writer; the queue preserves Go-call order.
 //
-// A bulk payload in req (a blob above protocol.BatchableBodyLimit) is not
-// copied: the queued frame references it and the writer ships it from
-// where it lies, after Go has returned. The caller must leave those bytes
-// unmodified until the call has resolved (Wait returned) — a response
-// proves the request was read in full — and passes a private copy when it
-// cannot promise that. Smaller payloads are copied before Go returns.
+// A payload in req (a blob of at least protocol.ReferenceFloor bytes) is
+// not copied here: the queued frame references it and the writer stages or
+// ships it from where it lies, after Go has returned. The caller must leave
+// those bytes unmodified until the call has resolved (Wait returned) — a
+// response proves the request was read in full — and passes a private copy
+// when it cannot promise that. Only blobs below the floor are copied before
+// Go returns.
 //
 // haoclvet:wire
 func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {

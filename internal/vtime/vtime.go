@@ -13,6 +13,7 @@ package vtime
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 )
@@ -112,16 +113,25 @@ func (c *Clock) Reset() {
 // Unlike Clock, a Link backfills: a transfer that becomes ready at a late
 // virtual instant does not push the channel frontier for earlier idle
 // time, so independent command streams interleave on the shared channel
-// the way packets do on a real NIC. Booked intervals are kept in a sorted
-// list and coalesced.
+// the way packets do on a real NIC.
+//
+// Booked time is kept as a list of busy intervals, sorted, disjoint, and
+// with every idle gap between two neighbours at least max(Latency, 1 ns)
+// long. A shorter gap is dead — every transfer costs at least Latency, so
+// none can ever be placed in it — and the two bookings around it are stored
+// as one interval: whatever is asked of the link afterwards, a transfer
+// either ends before such a pair or starts after it, exactly as it would
+// with the gap kept. A booking therefore costs a binary search plus the
+// live gaps it is too long for, whatever the link's age (DESIGN.md §1).
 type Link struct {
-	// Latency is charged once per transfer, before any byte moves.
-	Latency Duration
-	// BytesPerSec is the sustained bandwidth of the channel.
+	// Latency is charged once per transfer, before any byte moves, and
+	// BytesPerSec is the sustained bandwidth of the channel. Both are fixed
+	// once the link has booked its first transfer.
+	Latency     Duration
 	BytesPerSec float64
 
 	mu   sync.Mutex
-	busy []interval // sorted by start, non-overlapping
+	busy []interval // sorted by start, disjoint, no gap shorter than Latency
 }
 
 type interval struct {
@@ -159,41 +169,41 @@ func (l *Link) Transfer(earliest Time, n int64) (start, end Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 
+	// Intervals that end at or before earliest can neither host nor delay
+	// the transfer; every one from i on ends after start, so each either
+	// leaves a gap that fits in front of it or pushes start to its end.
+	busy := l.busy
+	i := sort.Search(len(busy), func(i int) bool { return busy[i].end > earliest })
 	start = earliest
-	insertAt := len(l.busy)
-	for i, iv := range l.busy {
-		if iv.start.Sub(start) >= dur {
-			// The gap before this interval fits.
-			insertAt = i
-			break
-		}
-		if iv.end > start {
-			start = iv.end
-		}
+	for ; i < len(busy) && busy[i].start.Sub(start) < dur; i++ {
+		start = busy[i].end
 	}
 	end = start.Add(dur)
-	l.busy = append(l.busy, interval{})
-	copy(l.busy[insertAt+1:], l.busy[insertAt:])
-	l.busy[insertAt] = interval{start: start, end: end}
-	l.coalesce()
+
+	// The booking goes between busy[i-1] and busy[i], merging with whichever
+	// of the two it leaves no live gap to.
+	left := i > 0 && l.dead(start.Sub(busy[i-1].end))
+	right := i < len(busy) && l.dead(busy[i].start.Sub(end))
+	switch {
+	case left && right:
+		busy[i-1].end = busy[i].end
+		l.busy = append(busy[:i], busy[i+1:]...)
+	case left:
+		busy[i-1].end = end
+	case right:
+		busy[i].start = start
+	default:
+		busy = append(busy, interval{})
+		copy(busy[i+1:], busy[i:])
+		busy[i] = interval{start: start, end: end}
+		l.busy = busy
+	}
 	return start, end
 }
 
-// coalesce merges touching intervals to keep the busy list short. Caller
-// holds l.mu.
-func (l *Link) coalesce() {
-	out := l.busy[:0]
-	for _, iv := range l.busy {
-		if n := len(out); n > 0 && iv.start <= out[n-1].end {
-			if iv.end > out[n-1].end {
-				out[n-1].end = iv.end
-			}
-			continue
-		}
-		out = append(out, iv)
-	}
-	l.busy = out
-}
+// dead reports whether an idle gap of length gap can never host a transfer:
+// it is empty, or shorter than the cheapest one.
+func (l *Link) dead(gap Duration) bool { return gap <= 0 || gap < l.Latency }
 
 // Now reports the link's latest booked instant.
 func (l *Link) Now() Time {

@@ -1,6 +1,8 @@
 package vtime
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -176,10 +178,7 @@ func TestLinkCoalesceKeepsBusyListSmall(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		l.Transfer(0, 10) // contiguous back-to-back bookings
 	}
-	l.mu.Lock()
-	n := len(l.busy)
-	l.mu.Unlock()
-	if n != 1 {
+	if n := len(l.busy); n != 1 {
 		t.Fatalf("busy list has %d intervals after contiguous bookings, want 1", n)
 	}
 	if l.Now() != Time(10*1000) {
@@ -188,5 +187,203 @@ func TestLinkCoalesceKeepsBusyListSmall(t *testing.T) {
 	l.Reset()
 	if l.Now() != 0 {
 		t.Fatal("Reset did not clear bookings")
+	}
+}
+
+// TestLinkClosesDeadGaps: bookings separated by less than Latency are one
+// stored interval — the blocking round trip's pattern, where each response
+// is booked at its own completion instant and never touches the one before —
+// while a gap a zero-byte transfer still fits in stays open and is used.
+func TestLinkClosesDeadGaps(t *testing.T) {
+	const lat = 150 * time.Microsecond
+	l := NewLink(lat, 1e9)
+	at := Time(0)
+	for i := 0; i < 1000; i++ {
+		_, end := l.Transfer(at, 4096)
+		at = end.Add(lat - 1) // one nanosecond short of hosting anything
+	}
+	if n := len(l.busy); n != 1 {
+		t.Fatalf("busy list has %d intervals after bookings a dead gap apart, want 1", n)
+	}
+	_, end := l.Transfer(l.Now().Add(lat), 4096)
+	if n := len(l.busy); n != 2 {
+		t.Fatalf("busy list has %d intervals after a live gap, want 2", n)
+	}
+	if s, e := l.Transfer(0, 0); e != end.Add(-l.TransferCost(4096)) || e.Sub(s) != lat {
+		t.Fatalf("zero-byte transfer booked [%v,%v), want the live gap ending at %v", s, e, end.Add(-l.TransferCost(4096)))
+	}
+	if n := len(l.busy); n != 1 {
+		t.Fatalf("busy list has %d intervals once the gap is filled, want 1", n)
+	}
+}
+
+// refLink is Link as it was before bookings were searched and dead gaps
+// closed — Transfer and coalesce moved here verbatim — kept as the
+// reference the differential test compares against: it walks the whole busy
+// list twice per booking and stores every interval apart.
+type refLink struct {
+	Latency     Duration
+	BytesPerSec float64
+	busy        []interval
+}
+
+func (l *refLink) TransferCost(n int64) Duration {
+	if n < 0 {
+		n = 0
+	}
+	secs := float64(n) / l.BytesPerSec
+	return l.Latency + Duration(secs*1e9)
+}
+
+func (l *refLink) Transfer(earliest Time, n int64) (start, end Time) {
+	dur := l.TransferCost(n)
+	if dur <= 0 {
+		return earliest, earliest
+	}
+
+	start = earliest
+	insertAt := len(l.busy)
+	for i, iv := range l.busy {
+		if iv.start.Sub(start) >= dur {
+			// The gap before this interval fits.
+			insertAt = i
+			break
+		}
+		if iv.end > start {
+			start = iv.end
+		}
+	}
+	end = start.Add(dur)
+	l.busy = append(l.busy, interval{})
+	copy(l.busy[insertAt+1:], l.busy[insertAt:])
+	l.busy[insertAt] = interval{start: start, end: end}
+	l.coalesce()
+	return start, end
+}
+
+func (l *refLink) coalesce() {
+	out := l.busy[:0]
+	for _, iv := range l.busy {
+		if n := len(out); n > 0 && iv.start <= out[n-1].end {
+			if iv.end > out[n-1].end {
+				out[n-1].end = iv.end
+			}
+			continue
+		}
+		out = append(out, iv)
+	}
+	l.busy = out
+}
+
+func (l *refLink) Now() Time {
+	if len(l.busy) == 0 {
+		return 0
+	}
+	return l.busy[len(l.busy)-1].end
+}
+
+// checkLinkInvariants asserts what Transfer's search relies on: intervals
+// are non-empty, sorted and disjoint, and no stored gap is dead.
+func checkLinkInvariants(t *testing.T, l *Link) {
+	t.Helper()
+	for i, iv := range l.busy {
+		if iv.end <= iv.start {
+			t.Fatalf("interval %d is empty: [%d,%d)", i, iv.start, iv.end)
+		}
+		if i == 0 {
+			continue
+		}
+		if gap := iv.start.Sub(l.busy[i-1].end); gap <= 0 || gap < l.Latency {
+			t.Fatalf("intervals %d and %d are %v apart with Latency %v: [%d,%d) [%d,%d)",
+				i-1, i, gap, l.Latency, l.busy[i-1].start, l.busy[i-1].end, iv.start, iv.end)
+		}
+	}
+}
+
+// TestLinkMatchesLinearReference is the proof that neither the search nor
+// the closed gaps moved a virtual instant: seeded streams of bookings —
+// several interleaved command streams that each advance their own clock,
+// the way blocking and pipelined sessions share a NIC, mixed with bookings
+// at instant zero, in the far past and beyond the frontier, of 0 to 1 MiB,
+// some a dead gap apart and some a live one — get the same (start, end) from
+// every call, and the same Now, as the linear reference.
+func TestLinkMatchesLinearReference(t *testing.T) {
+	for _, lat := range []Duration{0, time.Microsecond, 150 * time.Microsecond} {
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			l := NewLink(lat, 125e6)
+			ref := &refLink{Latency: lat, BytesPerSec: 125e6}
+			streams := make([]Time, 1+rng.Intn(4))
+			for i := 0; i < 3000; i++ {
+				var n int64
+				switch rng.Intn(4) {
+				case 0: // a control message
+					n = int64(rng.Intn(512))
+				case 1:
+					n = int64(rng.Intn(16 << 10))
+				case 2:
+					n = int64(rng.Intn(1<<20 + 1))
+				}
+				var earliest Time
+				s := rng.Intn(len(streams))
+				switch rng.Intn(10) {
+				case 0: // instant zero: backfills the oldest gap that fits
+				case 1: // anywhere in the past
+					earliest = Time(rng.Int63n(int64(ref.Now()) + 1))
+				case 2: // beyond the frontier
+					earliest = ref.Now().Add(Duration(rng.Int63n(int64(4*lat) + 2000)))
+				default: // the stream's own clock, after a think time either side of Latency
+					earliest = streams[s].Add(Duration(rng.Int63n(int64(2*lat) + 3)))
+				}
+				gs, ge := l.Transfer(earliest, n)
+				ws, we := ref.Transfer(earliest, n)
+				if gs != ws || ge != we {
+					t.Fatalf("latency %v seed %d booking %d: Transfer(%d, %d) = [%d,%d), reference [%d,%d)",
+						lat, seed, i, earliest, n, gs, ge, ws, we)
+				}
+				if l.Now() != ref.Now() {
+					t.Fatalf("latency %v seed %d booking %d: Now = %d, reference %d", lat, seed, i, l.Now(), ref.Now())
+				}
+				streams[s] = ge
+				if i%100 == 0 {
+					checkLinkInvariants(t, l)
+				}
+			}
+			checkLinkInvariants(t, l)
+			if len(l.busy) > len(ref.busy) {
+				t.Fatalf("latency %v seed %d: %d intervals stored, reference %d", lat, seed, len(l.busy), len(ref.busy))
+			}
+		}
+	}
+}
+
+// BenchmarkLinkTransferAged books the blocking round trip's pattern — each
+// transfer a dead gap after the one before — on a link that retains 10 and
+// 100 000 older intervals (live gaps nothing backfilled). A booking's cost
+// must not depend on the link's age: the two are within 2x of each other
+// (the linear walk this replaced was 10 000x apart).
+func BenchmarkLinkTransferAged(b *testing.B) {
+	const lat = 150 * time.Microsecond
+	for _, retained := range []int{10, 100000} {
+		b.Run(fmt.Sprintf("retained=%d", retained), func(b *testing.B) {
+			l := NewLink(lat, 125e6)
+			at := Time(0)
+			for i := 0; i < retained; i++ {
+				_, end := l.Transfer(at, 4096)
+				at = end.Add(lat)
+			}
+			if len(l.busy) != retained {
+				b.Fatalf("aged link retains %d intervals, want %d", len(l.busy), retained)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, end := l.Transfer(at, 4096)
+				at = end.Add(lat / 2)
+			}
+			b.StopTimer()
+			if len(l.busy) != retained+1 {
+				b.Fatalf("link grew to %d intervals while timed, want %d", len(l.busy), retained+1)
+			}
+		})
 	}
 }
