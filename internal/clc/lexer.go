@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind classifies lexical tokens.
@@ -230,15 +231,23 @@ func (l *lexer) next() (Token, error) {
 		}
 		return Token{}, l.errf(line, col, "unterminated character literal")
 	default:
+		start := l.pos
 		l.advance()
-		return Token{Kind: TokPunct, Text: string(c), Line: line, Col: col}, nil
+		if c >= utf8.RuneSelf {
+			// A stray non-ASCII byte: keep the rune's encoding in
+			// diagnostics rather than a slice of half a character.
+			return Token{Kind: TokPunct, Text: string(rune(c)), Line: line, Col: col}, nil
+		}
+		return Token{Kind: TokPunct, Text: l.src[start:l.pos], Line: line, Col: col}, nil
 	}
 }
 
 // Tokenize lexes the whole source, mainly for tests and tooling.
 func Tokenize(src string) ([]Token, error) {
 	lx := newLexer(src)
-	var toks []Token
+	// One allocation: a token spans at least a byte, and OpenCL C source
+	// runs at about four; appending past the estimate still works.
+	toks := make([]Token, 0, len(src)/4+1)
 	for {
 		t, err := lx.next()
 		if err != nil {

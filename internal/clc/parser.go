@@ -71,7 +71,11 @@ type Kernel struct {
 	ReqdWorkGroupSize []int
 }
 
-// Program is the result of parsing one translation unit.
+// Program is the result of parsing one translation unit. It is immutable:
+// nothing writes to a Program, or to anything reachable from it, once Parse
+// has returned. Cached hands the same Program to every session, tenant and
+// in-process node that builds the same source, and Kernel hands out
+// pointers into it, so a consumer that needs a variant copies first.
 type Program struct {
 	Kernels []Kernel
 }
@@ -122,7 +126,8 @@ func (p *parser) errf(t Token, format string, args ...any) *BuildError {
 
 // Parse lexes and parses src, returning every __kernel signature. Non-kernel
 // top-level declarations (helper functions, typedefs, globals) are skipped
-// with brace/paren matching; only kernels are validated in detail.
+// with brace/paren matching; only kernels are validated in detail. Parse
+// always parses; the runtime's build paths go through Cached.
 func Parse(src string) (*Program, error) {
 	toks, err := Tokenize(src)
 	if err != nil {

@@ -1181,7 +1181,9 @@ func (q *Queue) enqueueCopy(src, dst *Buffer, srcOffset, dstOffset, size int64, 
 
 // Program is OpenCL program source plus its per-node builds. The host
 // parses the source locally with the same front end the nodes use, so arg
-// validation and written-buffer analysis happen without a round trip.
+// validation and written-buffer analysis happen without a round trip. The
+// parse is the process-wide one (clc.Cached), shared with every other
+// program of the same source and never written.
 type Program struct {
 	ctx    *Context
 	source string
@@ -1197,7 +1199,7 @@ type Program struct {
 // CreateProgram parses source and returns an unbuilt program
 // (clCreateProgramWithSource).
 func (c *Context) CreateProgram(source string) (*Program, error) {
-	parsed, err := clc.Parse(source)
+	parsed, err := clc.Cached(source)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

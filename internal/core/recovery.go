@@ -547,8 +547,8 @@ func (rt *Runtime) ReconnectNode(name string) error {
 	var client *transport.Client
 	var err error
 	delay := reconnectBackoff
-	for attempt := 0; attempt < reconnectAttempts; attempt++ {
-		if client, err = rt.dialer.Dial(h.addr); err == nil {
+	for attempt := 1; ; attempt++ {
+		if client, err = rt.dialer.Dial(h.addr); err == nil || attempt == reconnectAttempts {
 			break
 		}
 		time.Sleep(delay)

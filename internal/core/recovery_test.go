@@ -252,8 +252,17 @@ func TestReconnectBackoff(t *testing.T) {
 
 	// Build the fresh process now, but bind its address only after a
 	// delay, so ReconnectNode's first dials fail and it must back off.
+	f.rejoinRacingBind(t, 0, []float32{3, 1, 4, 1})
+}
+
+// rejoinRacingBind builds a fresh process for node i, binds it at the
+// node's address 20 ms from now — replacing whatever is still bound there —
+// and rejoins the node in the meantime, so that the first dials fail. The
+// rejoined node must then serve want out of the fixture's buffer.
+func (f *recoveryFixture) rejoinRacingBind(t *testing.T, i int, want []float32) {
+	t.Helper()
 	cc := f.cc
-	var ns = cc.cfg.Nodes[0]
+	ns := cc.cfg.Nodes[i]
 	devCfgs, err := ns.DeviceConfigs()
 	if err != nil {
 		t.Fatal(err)
@@ -266,31 +275,32 @@ func TestReconnectBackoff(t *testing.T) {
 	regErr := make(chan error, 1)
 	go func() {
 		time.Sleep(20 * time.Millisecond)
+		cc.net.Unregister(ns.Addr)
 		regErr <- cc.net.Register(ns.Addr, srv)
 	}()
 
-	if err := cc.rt.ReconnectNode(victim); err != nil {
-		t.Fatalf("rejoin with delayed bind: %v", err)
+	if err := cc.rt.ReconnectNode(ns.Name); err != nil {
+		t.Fatalf("rejoin racing the bind: %v", err)
 	}
 	if err := <-regErr; err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	cc.servers[victim] = srv
-	cc.alive[victim] = true
+	cc.servers[ns.Name] = srv
+	cc.alive[ns.Name] = true
 
 	// The rejoined node is usable.
 	var dev *core.DeviceRef
 	for _, d := range cc.rt.Devices(0) {
-		if d.Key().Node == victim {
+		if d.Key().Node == ns.Name {
 			dev = d
 		}
 	}
 	if dev == nil {
-		t.Fatalf("rejoined node %q has no device", victim)
+		t.Fatalf("rejoined node %q has no device", ns.Name)
 	}
 	q, err := f.ctx.CreateQueue(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.mustRead(t, q, []float32{3, 1, 4, 1})
+	f.mustRead(t, q, want)
 }

@@ -981,7 +981,9 @@ func (s *Session) handleBuildProgram(body []byte) (protocol.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := clc.Parse(req.Source)
+	// The parse is shared process-wide and read-only; what depends on this
+	// context's devices — the checks and the log — is produced per build.
+	prog, err := clc.Cached(req.Source)
 	if err != nil {
 		return nil, remoteErr(protocol.CodeBuildFailed, "build failed: %v", err)
 	}

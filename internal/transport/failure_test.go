@@ -195,7 +195,7 @@ func TestNodeDeathFailsPendingCalls(t *testing.T) {
 // a failure that precedes it does not classify as node loss. Once the
 // callback returns, every one of them fails.
 func TestSendFailureNeverReportsBeforeOnDown(t *testing.T) {
-	hostEnd, nodeEnd := net.Pipe()
+	hostEnd, nodeEnd := newMemConnPair()
 	c := NewClient(hostEnd)
 	defer c.Close()
 	c.EnableBatching()

@@ -2,15 +2,14 @@ package transport
 
 import (
 	"fmt"
-	"net"
 	"sync"
 )
 
 // MemNetwork is an in-process network: servers register under string
-// addresses and clients dial them, with traffic flowing over synchronous
-// net.Pipe connections through the exact same framing code as TCP. The
-// experiment harness builds its simulated clusters on a MemNetwork so a
-// 20-node run does not need 20 OS processes.
+// addresses and clients dial them, with traffic flowing over synchronous,
+// unbuffered in-memory connections (memConn) through the exact same framing
+// code as TCP. The experiment harness builds its simulated clusters on a
+// MemNetwork so a 20-node run does not need 20 OS processes.
 type MemNetwork struct {
 	mu      sync.Mutex
 	servers map[string]*Server
@@ -39,7 +38,8 @@ func (n *MemNetwork) Unregister(addr string) {
 	delete(n.servers, addr)
 }
 
-// Dial connects a new client to the server bound at addr.
+// Dial connects a new client to the server bound at addr. A server that is
+// bound but closed refuses the connection, as a closed listener would.
 func (n *MemNetwork) Dial(addr string) (*Client, error) {
 	n.mu.Lock()
 	srv := n.servers[addr]
@@ -47,8 +47,10 @@ func (n *MemNetwork) Dial(addr string) (*Client, error) {
 	if srv == nil {
 		return nil, fmt.Errorf("mem network: no server at %q", addr)
 	}
-	hostEnd, nodeEnd := net.Pipe()
-	srv.ServeConn(nodeEnd)
+	hostEnd, nodeEnd := newMemConnPair()
+	if err := srv.ServeConn(nodeEnd); err != nil {
+		return nil, fmt.Errorf("mem network: dial %q: %w", addr, err)
+	}
 	return NewClient(hostEnd), nil
 }
 

@@ -44,9 +44,9 @@
 // buffer and until when.
 //
 // Two transports are provided: real TCP (used by cmd/haocl-node and the
-// integration tests) and an in-process pipe network (used by unit tests and
-// the experiment harness, where spawning dozens of OS processes would only
-// add noise).
+// integration tests) and an in-process network of unbuffered in-memory
+// connections (used by unit tests and the experiment harness, where
+// spawning dozens of OS processes would only add noise).
 package transport
 
 import (
@@ -146,7 +146,7 @@ func Dial(addr string) (*Client, error) {
 	return NewClient(conn), nil
 }
 
-// NewClient wraps an established connection (TCP or in-memory pipe) as a
+// NewClient wraps an established connection (TCP or in-memory) as a
 // client and starts its response reader.
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
@@ -685,18 +685,20 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
-		s.ServeConn(conn)
+		// A refusal means Close won the race; the next Accept fails.
+		_ = s.ServeConn(conn)
 	}
 }
 
 // ServeConn registers conn and serves requests from it on background
-// goroutines. The in-memory network uses this directly with pipe ends.
-func (s *Server) ServeConn(conn net.Conn) {
+// goroutines. The in-memory network uses this directly with its connection
+// ends. A closed server refuses: it closes conn and returns ErrClosed.
+func (s *Server) ServeConn(conn net.Conn) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		conn.Close()
-		return
+		return ErrClosed
 	}
 	s.conns[conn] = struct{}{}
 	s.mu.Unlock()
@@ -754,6 +756,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}()
 		s.dispatchLoop(conn, handler, jobs)
 	}()
+	return nil
 }
 
 // serverJob is one request awaiting dispatch. env groups the sub-requests
