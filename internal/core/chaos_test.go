@@ -124,17 +124,11 @@ func (cc *chaosCluster) aliveCount() int {
 	return n
 }
 
-// chaosWorkload drives a deterministic randomized op mix — writes, incr
-// kernels, copies, broadcasts, range reads — over a set of buffers,
-// maintaining a host-side mirror as the coherence oracle. When inj is
-// non-nil, every kill point crashes one node mid-stream (restarting any
-// previously crashed node first), so recovery and rejoin interleave with
-// the workload. Returns the final contents of every buffer.
-func chaosWorkload(t *testing.T, cc *chaosCluster, seed int64, steps int, inj *sim.FailureInjector) []byte {
+// chaosObjects builds what a randomized workload runs on: a context over
+// every device, the incr kernel, one queue per device and nBufs buffers of
+// size bytes.
+func chaosObjects(t *testing.T, rt *core.Runtime, nBufs int, size int64) (*core.Context, *core.Kernel, []*core.Queue, []*core.Buffer) {
 	t.Helper()
-	rt := cc.rt
-	rng := rand.New(rand.NewSource(seed))
-
 	devs := rt.Devices(0)
 	ctx, err := rt.CreateContext(devs)
 	if err != nil {
@@ -159,18 +153,34 @@ func chaosWorkload(t *testing.T, cc *chaosCluster, seed int64, steps int, inj *s
 		}
 		queues = append(queues, q)
 	}
-
-	const nBufs = 3
-	const floats = 64
-	const size = floats * 4
 	var bufs []*core.Buffer
-	mirror := make([][]float32, nBufs)
 	for i := 0; i < nBufs; i++ {
 		b, err := ctx.CreateBuffer(size)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bufs = append(bufs, b)
+	}
+	return ctx, k, queues, bufs
+}
+
+// chaosWorkload drives a deterministic randomized op mix — writes, incr
+// kernels, copies, broadcasts, range reads — over a set of buffers,
+// maintaining a host-side mirror as the coherence oracle. When inj is
+// non-nil, every kill point crashes one node mid-stream (restarting any
+// previously crashed node first), so recovery and rejoin interleave with
+// the workload. Returns the final contents of every buffer.
+func chaosWorkload(t *testing.T, cc *chaosCluster, seed int64, steps int, inj *sim.FailureInjector) []byte {
+	t.Helper()
+	rt := cc.rt
+	rng := rand.New(rand.NewSource(seed))
+
+	const nBufs = 3
+	const floats = 64
+	const size = floats * 4
+	ctx, k, queues, bufs := chaosObjects(t, rt, nBufs, size)
+	mirror := make([][]float32, nBufs)
+	for i := range mirror {
 		mirror[i] = make([]float32, floats)
 	}
 

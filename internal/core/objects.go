@@ -589,6 +589,13 @@ type Buffer struct {
 	hostReadyAt vtime.Time                 // guarded by mu
 	remote      map[*NodeHandle]*remoteBuf // guarded by mu
 	released    bool                       // guarded by mu
+
+	// logDefs is the buffer's share of the session's command log (log.go):
+	// in log order, the entries that still define some of the buffer's
+	// bytes and that no kernel has pinned. logDef0 is its first backing
+	// array: a buffer that never lists two costs the log no allocation.
+	logDefs []*logDef  // guarded by cmdLog.mu
+	logDef0 [1]*logDef // guarded by cmdLog.mu
 }
 
 // CreateBuffer allocates a buffer of the given size.
@@ -674,7 +681,8 @@ func (b *Buffer) remoteOn(node *NodeHandle) (*remoteBuf, error) {
 // next Flush/Close; commands already pipelined against a replica keep
 // executing, because nodes resolve a command's objects when it is
 // registered, before the release arrives behind it. The host shadow is
-// dropped too — the buffer is unusable afterwards.
+// dropped too, and so is what the command log kept to rebuild the contents
+// — the buffer is unusable afterwards.
 func (b *Buffer) Release() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -685,6 +693,7 @@ func (b *Buffer) Release() error {
 	b.host = nil
 	b.hostValid.Reset()
 	b.released = true
+	b.ctx.sess.log.retire(b)
 	return nil
 }
 

@@ -14,7 +14,7 @@
 //
 // and its object locks nest in one documented order, innermost last:
 //
-// lock-order: Session.recGate < Buffer.mu < Context.mu < Queue.mu < Kernel.mu < Program.mu < Context.regMu < Context.remoteMu
+// lock-order: Session.recGate < Buffer.mu < Context.mu < Queue.mu < Kernel.mu < Program.mu < Context.regMu < Context.remoteMu < cmdLog.mu
 package core
 
 import (
@@ -155,6 +155,12 @@ type Metrics struct {
 	Recoveries int64
 	// ReplayedCommands counts log entries re-issued across all recoveries.
 	ReplayedCommands int64
+	// LogEntries and LogBytes are gauges, not totals: the command-log
+	// entries that a recovery would replay right now and the payload bytes
+	// they hold (Runtime.Metrics sums them over the open sessions). Both
+	// are functions of the command stream alone.
+	LogEntries int64
+	LogBytes   int64
 }
 
 // Compute reports the busiest device's kernel time: with the workload
@@ -505,11 +511,16 @@ func (rt *Runtime) SetMigrationMode(m MigrationMode) {
 func (rt *Runtime) Metrics() Metrics {
 	rt.Flush()
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	out := rt.metrics
 	out.ComputeBusy = make(map[profile.DeviceKey]vtime.Duration, len(rt.metrics.ComputeBusy))
 	for k, v := range rt.metrics.ComputeBusy {
 		out.ComputeBusy[k] = v
+	}
+	rt.mu.Unlock()
+	for _, s := range rt.allSessions() {
+		entries, bytes := s.log.stats()
+		out.LogEntries += entries
+		out.LogBytes += bytes
 	}
 	return out
 }

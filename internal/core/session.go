@@ -85,11 +85,10 @@ type Session struct {
 	relPending []pendingRelease // guarded by relMu
 	relErr     error            // guarded by relMu
 
-	// logMu guards the session's command log: every mutating command in
-	// issue order, replayed from zeroed buffer state after a node loss.
-	// Recovery replays only the logs of sessions the dead node touched.
-	logMu  sync.Mutex
-	cmdLog []logEntry // guarded by logMu
+	// log is the session's command log: the mutating commands that still
+	// matter, in issue order, replayed from zeroed buffer state after a node
+	// loss. Recovery replays only the logs of sessions the dead node touched.
+	log cmdLog
 
 	// ctxMu guards the session's context registry — its object namespace.
 	ctxMu    sync.Mutex
@@ -387,6 +386,7 @@ func (s *Session) Metrics() Metrics {
 	for k, v := range s.metrics.ComputeBusy {
 		out.ComputeBusy[k] = v
 	}
+	out.LogEntries, out.LogBytes = s.log.stats()
 	return out
 }
 
@@ -505,21 +505,17 @@ func (s *Session) logCommand(e logEntry) {
 	if s.replaying.Load() {
 		return
 	}
-	s.logMu.Lock()
-	s.cmdLog = append(s.cmdLog, e)
-	s.logMu.Unlock()
+	s.log.append(e)
 }
 
-// replayLog re-issues this session's mutation history through the enqueue
-// internals and returns how many entries were replayed. Entries whose
-// objects were released are skipped. Caller holds recoverMu and the write
-// side of s.recGate.
+// replayLog re-issues what survives of this session's mutation history
+// through the enqueue internals and returns how many entries were replayed.
+// Entries whose objects were released are skipped. Caller holds recoverMu
+// and the write side of s.recGate.
 func (s *Session) replayLog() (int, error) {
 	s.replaying.Store(true)
 	defer s.replaying.Store(false)
-	s.logMu.Lock()
-	log := append([]logEntry(nil), s.cmdLog...)
-	s.logMu.Unlock()
+	log := s.log.snapshot()
 	replayed := 0
 	for _, e := range log {
 		if e.skip() {

@@ -172,10 +172,10 @@ func (t *evTrace) emitIn(eventID uint64, p protocol.Profile, hostArrival vtime.T
 
 // WriteMetrics writes a Prometheus-text (exposition format 0.0.4)
 // snapshot of the runtime: the aggregate and per-tenant command counters,
-// wire-byte splits, virtual-time totals, recovery counters, per-device
-// monitor gauges, and — when a tracer is attached — per-(kind, tenant)
-// span latency histograms. Output is deterministic for a given state:
-// every series set is emitted in sorted order.
+// wire-byte splits, virtual-time totals, recovery counters, command-log
+// size gauges, per-device monitor gauges, and — when a tracer is attached
+// — per-(kind, tenant) span latency histograms. Output is deterministic
+// for a given state: every series set is emitted in sorted order.
 func (rt *Runtime) WriteMetrics(w io.Writer) error {
 	mw := trace.NewMetricsWriter(w)
 
@@ -197,6 +197,9 @@ func (rt *Runtime) WriteMetrics(w io.Writer) error {
 		s.mu.Lock()
 		m := s.metrics
 		s.mu.Unlock()
+		m.LogEntries, m.LogBytes = s.log.stats()
+		agg.LogEntries += m.LogEntries
+		agg.LogBytes += m.LogBytes
 		row := byTenant[s.tenant]
 		if row == nil {
 			row = &tenantRow{name: s.tenant}
@@ -209,6 +212,8 @@ func (rt *Runtime) WriteMetrics(w io.Writer) error {
 		row.m.PeerWireBytes += m.PeerWireBytes
 		row.m.Recoveries += m.Recoveries
 		row.m.ReplayedCommands += m.ReplayedCommands
+		row.m.LogEntries += m.LogEntries
+		row.m.LogBytes += m.LogBytes
 		row.m.DataCreate += m.DataCreate
 		row.m.Transfer += m.Transfer
 		if m.Makespan > row.m.Makespan {
@@ -217,14 +222,14 @@ func (rt *Runtime) WriteMetrics(w io.Writer) error {
 	}
 	sort.Strings(tenants)
 
-	counter := func(name, help string, aggV int64, perTenant func(Metrics) int64) {
-		mw.Header(name, help, "counter")
+	ints := func(typ, name, help string, aggV int64, perTenant func(Metrics) int64) {
+		mw.Header(name, help, typ)
 		mw.Int(name, nil, aggV)
 		for _, t := range tenants {
 			mw.Int(name, []trace.Label{{Key: "tenant", Val: t}}, perTenant(byTenant[t].m))
 		}
 	}
-	counter("haocl_commands_total", "Protocol round trips issued.",
+	ints("counter", "haocl_commands_total", "Protocol round trips issued.",
 		agg.Commands, func(m Metrics) int64 { return m.Commands })
 	mw.Header("haocl_wire_bytes_total", "Modeled wire traffic by path (host NIC vs node-to-node links).", "counter")
 	mw.Int("haocl_wire_bytes_total", []trace.Label{{Key: "path", Val: "host"}}, agg.HostWireBytes)
@@ -234,10 +239,14 @@ func (rt *Runtime) WriteMetrics(w io.Writer) error {
 		mw.Int("haocl_wire_bytes_total", []trace.Label{{Key: "path", Val: "host"}, {Key: "tenant", Val: t}}, m.HostWireBytes)
 		mw.Int("haocl_wire_bytes_total", []trace.Label{{Key: "path", Val: "peer"}, {Key: "tenant", Val: t}}, m.PeerWireBytes)
 	}
-	counter("haocl_recoveries_total", "Node-loss recoveries absorbed.",
+	ints("counter", "haocl_recoveries_total", "Node-loss recoveries absorbed.",
 		agg.Recoveries, func(m Metrics) int64 { return m.Recoveries })
-	counter("haocl_replayed_commands_total", "Command-log entries re-issued by recovery.",
+	ints("counter", "haocl_replayed_commands_total", "Command-log entries re-issued by recovery.",
 		agg.ReplayedCommands, func(m Metrics) int64 { return m.ReplayedCommands })
+	ints("gauge", "haocl_log_entries", "Command-log entries a recovery would replay now.",
+		agg.LogEntries, func(m Metrics) int64 { return m.LogEntries })
+	ints("gauge", "haocl_log_bytes", "Payload bytes held by the command log.",
+		agg.LogBytes, func(m Metrics) int64 { return m.LogBytes })
 
 	gauge := func(name, help string, aggV float64, perTenant func(Metrics) float64) {
 		mw.Header(name, help, "gauge")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -135,6 +136,12 @@ func TestTraceSpanTreeWellFormed(t *testing.T) {
 	tr := trace.New()
 	rt.SetTracer(tr)
 	traceWorkload(t, rt)
+	// A command's spans are recorded when its response is consumed, and the
+	// migration's push rides the service queue, which the workload's
+	// Finish calls do not wait for: drain as an export does.
+	if err := rt.WriteTrace(io.Discard); err != nil {
+		t.Fatal(err)
+	}
 
 	spans := tr.Spans()
 	if len(spans) == 0 {

@@ -19,6 +19,9 @@ const pushChunkBytes = 8 << 20
 // deposit arrives on the source node's inbound connection while the
 // AwaitPush rides the host's session, and the two must meet on the token.
 // Whichever side arrives first creates the entry; the consumer deletes it.
+// A membership change fails every entry but leaves it in place for one more
+// epoch (reset), so an await that only executes afterwards still finds the
+// verdict instead of a fresh entry nobody will ever complete.
 type rendezvous struct {
 	mu      sync.Mutex
 	entries map[uint64]*rdvEntry // guarded by mu
@@ -34,6 +37,8 @@ type rdvEntry struct {
 	data       []byte
 	simArrival int64
 	err        error
+	// stale marks an entry the last reset failed; the next one deletes it.
+	stale bool // guarded by rendezvous.mu
 }
 
 func newRendezvous() *rendezvous {
@@ -92,22 +97,38 @@ func (r *rendezvous) remove(token uint64) {
 	r.mu.Unlock()
 }
 
-// reset fails every parked rendezvous and drops every entry, deposited or
-// not. Called on a membership change: the counterpart of any pending push
-// may be gone, and the host re-plans with fresh tokens, so stale deposits
-// would never be consumed. Entry fields are written under r.mu, matching
-// deposit/cancel, so a racing deposit sees done already closed.
+// reset fails every rendezvous with err. Called on a membership change: the
+// counterpart of any pending push may be gone, and the host re-plans with
+// fresh tokens, so nothing parked here will be completed or, if deposited,
+// consumed as planned. The entries stay, as tombstones, until the next
+// reset: the awaiter of a token may execute only after its cancel — or its
+// deposit — and this reset, and must find the failure rather than create an
+// entry of its own and park on it for ever. An awaiter that got there
+// removes the entry as after any failure; the rest are dropped one
+// membership change later, which bounds the table by an epoch's tokens.
+// A parked entry is failed in place, under r.mu like deposit and cancel, so
+// a racing deposit sees done already closed. A cancelled one has failed
+// already. A deposited one may be in its awaiter's hands — immutable once
+// done is closed — so it is replaced, and loses its data to the collector.
 func (r *rendezvous) reset(err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for t, e := range r.entries {
+		if e.stale {
+			delete(r.entries, t)
+			continue
+		}
 		select {
 		case <-e.done:
+			if e.err == nil {
+				e = &rdvEntry{done: e.done, err: err}
+				r.entries[t] = e
+			}
 		default:
 			e.err = err
 			close(e.done)
 		}
-		delete(r.entries, t)
+		e.stale = true
 	}
 }
 

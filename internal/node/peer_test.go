@@ -490,3 +490,55 @@ func TestEpochHelloResetsParkedRendezvous(t *testing.T) {
 		t.Fatalf("awaiter error lost the membership cause: %v", err)
 	}
 }
+
+// TestAwaitAfterMembershipChangeFails forces the order that used to hang
+// the host for ever (DESIGN.md §7): a token's cancel — or its deposit —
+// lands, a membership change resets the rendezvous, and only then does the
+// token's AwaitPush execute. The reset must leave the verdict behind: an
+// awaiter that finds nothing creates a fresh entry nobody will complete
+// and parks on it until the session closes.
+func TestAwaitAfterMembershipChangeFails(t *testing.T) {
+	for _, first := range []struct {
+		name string
+		req  protocol.Message
+	}{
+		{"cancel", &protocol.CancelPushReq{Token: 11, Reason: "source push failed"}},
+		{"deposit", &protocol.PeerPushReq{Token: 11, Data: make([]byte, 64)}},
+	} {
+		t.Run(first.name, func(t *testing.T) {
+			net := transport.NewMemNetwork()
+			nB := servePeerNode(t, net, "beta")
+			sB, qB, bufB := openPeerSession(t, nB, nil)
+			defer sB.Close()
+			hello := func(epoch uint64) {
+				call(t, sB, &protocol.HelloReq{
+					UserID: "peer-test", WireVersion: protocol.Version, Epoch: epoch,
+				}, &protocol.HelloResp{})
+			}
+			hello(1)
+			call(t, sB, first.req, &protocol.EmptyResp{})
+			call(t, sB, &protocol.CancelPushReq{Token: 12, Reason: "never awaited"}, &protocol.EmptyResp{})
+			hello(2)
+
+			err := mustFail(t, goCall(sB, &protocol.AwaitPushReq{
+				QueueID: qB, BufferID: bufB, Token: 11, Offset: 0, Size: 64, EventID: 1,
+			}))
+			wantCode(t, err, protocol.CodeNodeLost)
+
+			// The awaiter consumed its tombstone; the one nobody awaits
+			// lasts exactly one more membership change.
+			tokens := func() (n int) {
+				nB.rdv.mu.Lock()
+				defer nB.rdv.mu.Unlock()
+				return len(nB.rdv.entries)
+			}
+			if n := tokens(); n != 1 {
+				t.Fatalf("%d rendezvous entries after the await, want the unawaited tombstone alone", n)
+			}
+			hello(3)
+			if n := tokens(); n != 0 {
+				t.Fatalf("%d tombstones survive a second membership change", n)
+			}
+		})
+	}
+}
