@@ -11,10 +11,6 @@
 //	haocl-bench -exp overhead   # §IV-B single-node overhead
 //	haocl-bench -exp ablation   # design-choice ablations (DESIGN.md)
 //	haocl-bench -exp pipeline   # async pipelining: sync vs pipelined enqueue
-//	haocl-bench -exp batch      # wire-frame batching: sync vs pipelined vs batched
-//	haocl-bench -exp lanes      # per-queue dispatch lanes: 1-lane vs per-queue node
-//	haocl-bench -exp coherence  # range coherence: full-buffer vs delta migration
-//	haocl-bench -exp p2p        # p2p data plane: host-relay vs direct node→node migration
 //	haocl-bench -exp chaos      # fault tolerance: crash, re-placement and rejoin overhead
 //	haocl-bench -exp serve      # multi-tenant serving: fair-share vs FIFO admission
 //	haocl-bench -exp serve-trace  # trace-sized serve run (the committed BENCH_trace.json)
@@ -25,10 +21,9 @@
 //
 // All reported durations are virtual time from the calibrated device and
 // network models; see DESIGN.md §1 for the methodology. The -json output
-// of the pipeline, batch, lanes, coherence, p2p, chaos and serve
-// experiments is the format committed as the BENCH_*.json perf baselines
-// at the repository root and uploaded as a CI artifact by the bench-smoke
-// job.
+// of the pipeline, chaos and serve experiments is the format committed as
+// the BENCH_*.json perf baselines at the repository root and uploaded as a
+// CI artifact by the bench-smoke job.
 //
 // -trace records every command's deterministic virtual-time span tree
 // while the experiment runs and writes Chrome trace-event JSON on exit —
@@ -65,9 +60,9 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("haocl-bench", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "experiment: table1, fig2, hetero, fig3, overhead, ablation, pipeline, batch, lanes, coherence, p2p, chaos, serve, serve-trace, all")
+		exp      = fs.String("exp", "all", "experiment: table1, fig2, hetero, fig3, overhead, ablation, pipeline, chaos, serve, serve-trace, all")
 		quick    = fs.Bool("quick", false, "reduced sweeps for a fast look")
-		jsonOut  = fs.Bool("json", false, "emit the result as JSON (pipeline, batch, lanes, coherence, p2p, chaos and serve)")
+		jsonOut  = fs.Bool("json", false, "emit the result as JSON (pipeline, chaos, serve and serve-trace)")
 		traceOut = fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
 		cpuOut   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memOut   = fs.String("memprofile", "", "write an allocation profile of the run to this file")
@@ -124,14 +119,6 @@ func run(args []string) error {
 		switch *exp {
 		case "pipeline":
 			rep, err = bench.PipelineReport(*quick)
-		case "batch":
-			rep, err = bench.BatchReport(*quick)
-		case "lanes":
-			rep, err = bench.LanesReport(*quick)
-		case "coherence":
-			rep, err = bench.CoherenceReport(*quick)
-		case "p2p":
-			rep, err = bench.P2PReport(*quick)
 		case "chaos":
 			rep, err = bench.ChaosReport(*quick)
 		case "serve":
@@ -139,7 +126,7 @@ func run(args []string) error {
 		case "serve-trace":
 			rep, err = bench.ServeTraceReport(1)
 		default:
-			return fmt.Errorf("-json supports -exp pipeline, batch, lanes, coherence, p2p, chaos, serve and serve-trace, not %q", *exp)
+			return fmt.Errorf("-json supports -exp pipeline, chaos, serve and serve-trace, not %q", *exp)
 		}
 		if err != nil {
 			return err
@@ -178,14 +165,6 @@ func run(args []string) error {
 			return bench.Ablations(w)
 		case "pipeline":
 			return bench.Pipeline(w, *quick)
-		case "batch":
-			return bench.Batch(w, *quick)
-		case "lanes":
-			return bench.Lanes(w, *quick)
-		case "coherence":
-			return bench.Coherence(w, *quick)
-		case "p2p":
-			return bench.P2P(w, *quick)
 		case "chaos":
 			return bench.Chaos(w, *quick)
 		case "serve":
@@ -200,7 +179,7 @@ func run(args []string) error {
 	if *exp != "all" {
 		return runOne(*exp)
 	}
-	for _, name := range []string{"table1", "overhead", "fig2", "hetero", "fig3", "ablation", "pipeline", "batch", "lanes", "coherence", "p2p", "chaos", "serve"} {
+	for _, name := range []string{"table1", "overhead", "fig2", "hetero", "fig3", "ablation", "pipeline", "chaos", "serve"} {
 		if err := runOne(name); err != nil {
 			return err
 		}

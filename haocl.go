@@ -38,15 +38,14 @@
 //
 // One connected Platform can serve many tenants at once. Each tenant opens
 // a Session — an isolated object namespace with its own metrics, sticky
-// errors, migration mode and scheduling policy over the shared cluster
-// substrate (DESIGN.md §8):
+// errors and scheduling policy over the shared cluster substrate
+// (DESIGN.md §8):
 //
 //	Platform.OpenSession      → per-tenant session
 //	Session.CreateContext     → contexts owned by this session
 //	Session.Metrics           → this tenant's virtual-time accounting
 //	Session.Flush             → drain this tenant's in-flight work
 //	Session.SetPolicy         → this tenant's scheduling policy
-//	Session.SetMigrationMode  → this tenant's buffer-migration strategy
 //	Session.Close             → tear the session down
 //
 // Objects never cross sessions: enqueueing a buffer, kernel or wait event
@@ -100,8 +99,6 @@ type (
 	LocalSpace = core.LocalSpace
 	// Session is one tenant's isolated view of the shared cluster.
 	Session = core.Session
-	// MigrationMode selects a session's buffer-migration strategy.
-	MigrationMode = core.MigrationMode
 	// Metrics is the virtual-time accounting of a run.
 	Metrics = core.Metrics
 	// Tracer collects deterministic virtual-time span trees (DESIGN.md §10).
@@ -130,16 +127,6 @@ const (
 
 // AnyDevice matches every device type in Platform.Devices.
 const AnyDevice DeviceType = 0
-
-// Migration modes for Session.SetMigrationMode.
-const (
-	// MigrateDelta moves only stale byte ranges, node to node.
-	MigrateDelta = core.MigrateDelta
-	// MigrateFull widens every migration to the whole buffer.
-	MigrateFull = core.MigrateFull
-	// MigrateHostRelay bounces ranges through the host.
-	MigrateHostRelay = core.MigrateHostRelay
-)
 
 // Platform is the application's entry point: one connected HaoCL cluster
 // presenting all remote devices as a single OpenCL platform.
@@ -213,7 +200,7 @@ func FloorEvent(t Time) *Event { return core.FloorEvent(t) }
 // OpenSession opens an isolated tenant session on the shared cluster.
 // Sessions are cheap: they share node connections, device handles and the
 // virtual-time network model, but keep their own object namespace, metrics,
-// sticky errors, migration mode and scheduling policy (DESIGN.md §8).
+// sticky errors and scheduling policy (DESIGN.md §8).
 func (p *Platform) OpenSession(tenant string) *Session {
 	return p.rt.OpenSession(tenant)
 }

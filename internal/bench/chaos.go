@@ -18,8 +18,8 @@ import (
 )
 
 // This file measures the failure model (DESIGN.md §7): the same seeded
-// workload runs twice per migration mode — once on a healthy cluster,
-// once with the deterministic failure injector crashing and rejoining
+// workload runs twice — once on a healthy cluster, once with the
+// deterministic failure injector crashing and rejoining
 // nodes mid-stream — and the chaos leg must end with byte-identical
 // buffer contents. The comparison's speedup is the chaos leg's command
 // rate over the healthy leg's: recovery is not free (each crash replays
@@ -168,19 +168,18 @@ func chaosSizes(quick bool) (nodes, steps, killEvery int) {
 // and returns the measured row plus the final buffer bytes. With inj
 // non-nil, every kill point restarts the previous casualty and crashes
 // the nominated victim mid-stream.
-func chaosLeg(mode core.MigrationMode, seed int64, nodes, steps int, inj *sim.FailureInjector) (PipelineRow, []byte, error) {
+func chaosLeg(seed int64, nodes, steps int, inj *sim.FailureInjector) (PipelineRow, []byte, error) {
 	legName := "no-failure"
 	if inj != nil {
 		legName = "chaos"
 	}
-	row := PipelineRow{Workload: coherenceModeName(mode), Transport: "mem", Mode: legName}
+	row := PipelineRow{Workload: "p2p", Transport: "mem", Mode: legName}
 
 	cc, err := startChaosBenchCluster(nodes)
 	if err != nil {
 		return row, nil, err
 	}
 	defer cc.close()
-	cc.rt.SetMigrationMode(mode)
 
 	rng := rand.New(rand.NewSource(seed))
 	devs := cc.rt.Devices(0)
@@ -341,48 +340,47 @@ func chaosLeg(mode core.MigrationMode, seed int64, nodes, steps int, inj *sim.Fa
 	return row, final.Bytes(), nil
 }
 
-// ChaosReport runs the fault-tolerance experiment: per migration mode, a
-// healthy leg and a failure-injected leg of the same seeded workload. The
+// ChaosReport runs the fault-tolerance experiment: a healthy leg and a
+// failure-injected leg of the same seeded workload. The
 // chaos leg must record recoveries, finish byte-identical to the healthy
 // leg (VirtualMatch carries that acceptance bit), and keep its slowdown
 // bounded (Speedup = chaos rate / healthy rate).
 func ChaosReport(quick bool) (*Report, error) {
 	nodes, steps, killEvery := chaosSizes(quick)
 	const seed = 7
-	rep := &Report{Experiment: "chaos", Quick: quick}
-
-	for _, mode := range []core.MigrationMode{core.MigrateDelta, core.MigrateFull, core.MigrateHostRelay} {
-		healthy, want, err := chaosLeg(mode, seed, nodes, steps, nil)
-		if err != nil {
-			return nil, err
-		}
-		var names []string
-		for _, ns := range clusterpkg.Synthetic("chaos-bench", 0, nodes, 0, nil).Nodes {
-			names = append(names, ns.Name)
-		}
-		inj := sim.NewFailureInjector(seed, names, killEvery)
-		chaos, got, err := chaosLeg(mode, seed, nodes, steps, inj)
-		if err != nil {
-			return nil, err
-		}
-		if chaos.Recoveries == 0 {
-			return nil, fmt.Errorf("chaos: %s leg recorded no recoveries — the injector never bit", healthy.Workload)
-		}
-		identical := bytes.Equal(got, want)
-		if !identical {
-			return nil, fmt.Errorf("chaos: %s results diverged from the no-failure leg", healthy.Workload)
-		}
-		rep.Rows = append(rep.Rows, healthy, chaos)
-		rep.Comparisons = append(rep.Comparisons, Comparison{
+	healthy, want, err := chaosLeg(seed, nodes, steps, nil)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, ns := range clusterpkg.Synthetic("chaos-bench", 0, nodes, 0, nil).Nodes {
+		names = append(names, ns.Name)
+	}
+	inj := sim.NewFailureInjector(seed, names, killEvery)
+	chaos, got, err := chaosLeg(seed, nodes, steps, inj)
+	if err != nil {
+		return nil, err
+	}
+	if chaos.Recoveries == 0 {
+		return nil, fmt.Errorf("chaos: the failure-injected leg recorded no recoveries — the injector never bit")
+	}
+	identical := bytes.Equal(got, want)
+	if !identical {
+		return nil, fmt.Errorf("chaos: results diverged from the no-failure leg")
+	}
+	return &Report{
+		Experiment: "chaos",
+		Quick:      quick,
+		Rows:       []PipelineRow{healthy, chaos},
+		Comparisons: []Comparison{{
 			Workload:     healthy.Workload,
 			Baseline:     "no-failure",
 			Mode:         "chaos",
 			Speedup:      chaos.CmdsPerSec / healthy.CmdsPerSec,
 			VirtualMatch: identical,
 			BytesRatio:   chaos.WireMB / healthy.WireMB,
-		})
-	}
-	return rep, nil
+		}},
+	}, nil
 }
 
 // Chaos runs the fault-tolerance experiment and prints it.

@@ -38,7 +38,7 @@ func TestPipelineBeatsSyncMatmul(t *testing.T) {
 // modes and reports sane numbers (the chain is fully serialized in virtual
 // time, so only the wall-clock rate may differ).
 func TestPipelineBFSChain(t *testing.T) {
-	for _, mode := range []StreamMode{ModeSync, ModePipelined, ModeBatched} {
+	for _, mode := range []StreamMode{ModeSync, ModePipelined} {
 		row, err := PipelineBFS(60, mode, false)
 		if err != nil {
 			t.Fatal(err)

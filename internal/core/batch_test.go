@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"github.com/haocl-project/haocl/internal/cluster"
@@ -15,10 +17,9 @@ import (
 	"github.com/haocl-project/haocl/internal/vtime"
 )
 
-// startRuntimeAtWire builds a one-GPU-node cluster whose node advertises
-// the given wire version (0 = current), so interop tests can stand up a
-// pre-batching peer.
-func startRuntimeAtWire(t *testing.T, wire uint32) (*core.Runtime, func()) {
+// startOneNodeRuntime builds a one-GPU-node cluster on an in-process
+// network.
+func startOneNodeRuntime(t *testing.T) (*core.Runtime, func()) {
 	t.Helper()
 	cfg := cluster.Synthetic("batch-test", 0, 1, 0, nil)
 	icd := device.NewICD()
@@ -31,7 +32,7 @@ func startRuntimeAtWire(t *testing.T, wire uint32) (*core.Runtime, func()) {
 			t.Fatal(err)
 		}
 		n, err := node.New(node.Options{
-			Name: ns.Name, Devices: devCfgs, ICD: icd, ExecWorkers: 1, WireVersion: wire,
+			Name: ns.Name, Devices: devCfgs, ICD: icd, ExecWorkers: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -108,14 +109,12 @@ func runIncrBurst(t *testing.T, rt *core.Runtime) ([]float32, vtime.Time) {
 	return mem.BytesF32(data), rt.Metrics().Makespan
 }
 
-// TestBatchingNegotiatedByDefault checks a current node negotiates v3 and
-// the batched command path computes correctly end to end.
+// TestBatchingNegotiatedByDefault checks the command path end to end:
+// there is nothing to negotiate, the host's client coalesces from its
+// first frame, and a pipelined burst computes correctly.
 func TestBatchingNegotiatedByDefault(t *testing.T) {
-	rt, cleanup := startRuntimeAtWire(t, 0)
+	rt, cleanup := startOneNodeRuntime(t)
 	defer cleanup()
-	if v := rt.Nodes()[0].WireVersion(); v != protocol.Version {
-		t.Fatalf("negotiated %d, want %d", v, protocol.Version)
-	}
 	got, makespan := runIncrBurst(t, rt)
 	want := []float32{51, 52, 53, 54}
 	for i := range want {
@@ -128,79 +127,36 @@ func TestBatchingNegotiatedByDefault(t *testing.T) {
 	}
 }
 
-// legacyHello emulates the Hello handler of a pre-negotiation node
-// binary: wire v2 with a strict equality check that rejects any other
-// offer outright (it predates negotiating down), answering with a
-// response that carries no WireVersion field semantics.
-func legacyHello(op protocol.Op, body []byte) (protocol.Message, error) {
-	if op != protocol.OpHello {
-		return nil, &protocol.RemoteError{Code: protocol.CodeUnsupported, Message: "unsupported"}
-	}
-	var req protocol.HelloReq
-	if err := protocol.DecodeMessage(&req, body); err != nil {
-		return nil, err
-	}
-	if req.WireVersion != protocol.MinVersion {
-		return nil, &protocol.RemoteError{
-			Code: protocol.CodeUnsupported,
-			Message: fmt.Sprintf("wire version mismatch: host %d, node %d",
-				req.WireVersion, protocol.MinVersion),
-		}
-	}
-	return &protocol.HelloResp{
-		NodeName: "legacy-node",
-		Devices: []protocol.DeviceInfo{{
-			ID: 1, Type: protocol.DeviceGPU, Name: "Old GPU", Shared: true,
-		}},
-	}, nil
-}
-
-// TestLegacyStrictNodeFallback connects to an emulated pre-negotiation
-// node that rejects the v3 offer instead of negotiating down: the host
-// must retry pinned at v2 and come up unbatched.
-func TestLegacyStrictNodeFallback(t *testing.T) {
-	cfg := cluster.Synthetic("legacy-test", 0, 1, 0, nil)
+// TestConnectRefusedByOtherVersionNode: a node speaking another wire
+// version refuses the host's Hello, and Connect reports that refusal as
+// it is after exactly one Hello — no second offer at an older version.
+func TestConnectRefusedByOtherVersionNode(t *testing.T) {
+	cfg := cluster.Synthetic("version-test", 0, 1, 0, nil)
 	net := transport.NewMemNetwork()
-	srv := transport.NewStaticServer(transport.HandlerFunc(legacyHello))
+	var hellos atomic.Int64
+	srv := transport.NewStaticServer(transport.HandlerFunc(func(op protocol.Op, body []byte) (protocol.Message, error) {
+		var req protocol.HelloReq
+		if err := protocol.DecodeMessage(&req, body); err != nil {
+			return nil, err
+		}
+		hellos.Add(1)
+		return nil, &protocol.RemoteError{Code: protocol.CodeUnsupported,
+			Message: fmt.Sprintf("wire version %d unsupported: node speaks version %d", req.WireVersion, protocol.Version+1)}
+	}))
 	defer srv.Close()
 	if err := net.Register(cfg.Nodes[0].Addr, srv); err != nil {
 		t.Fatal(err)
 	}
-	rt, err := core.Connect(core.Options{Config: cfg, Dialer: net, ClientName: "legacy-test"})
-	if err != nil {
-		t.Fatalf("handshake with strict v2 node failed: %v", err)
+	rt, err := core.Connect(core.Options{Config: cfg, Dialer: net, ClientName: "version-test"})
+	if err == nil {
+		rt.Close()
+		t.Fatal("connected to a node of another wire version")
 	}
-	defer rt.Close()
-	if v := rt.Nodes()[0].WireVersion(); v != protocol.MinVersion {
-		t.Fatalf("negotiated %d, want pinned %d", v, protocol.MinVersion)
+	var re *protocol.RemoteError
+	if !errors.As(err, &re) || re.Code != protocol.CodeUnsupported {
+		t.Fatalf("err = %v, want the node's CodeUnsupported refusal", err)
 	}
-	if len(rt.Devices(0)) != 1 {
-		t.Fatalf("devices = %d", len(rt.Devices(0)))
-	}
-}
-
-// TestV2PeerFallbackInterop runs the identical workload against a node
-// pinned at wire v2: negotiation must fall back, the functional result
-// must match, and the virtual makespan must be bit-identical to the
-// batched run — batching changes syscalls, never simulated time.
-func TestV2PeerFallbackInterop(t *testing.T) {
-	rtV3, cleanupV3 := startRuntimeAtWire(t, 0)
-	defer cleanupV3()
-	rtV2, cleanupV2 := startRuntimeAtWire(t, protocol.MinVersion)
-	defer cleanupV2()
-
-	if v := rtV2.Nodes()[0].WireVersion(); v != protocol.MinVersion {
-		t.Fatalf("negotiated %d against a v2 node, want %d", v, protocol.MinVersion)
-	}
-
-	gotV3, makespanV3 := runIncrBurst(t, rtV3)
-	gotV2, makespanV2 := runIncrBurst(t, rtV2)
-	for i := range gotV3 {
-		if gotV2[i] != gotV3[i] {
-			t.Fatalf("element %d: v2 %v != v3 %v", i, gotV2[i], gotV3[i])
-		}
-	}
-	if makespanV2 != makespanV3 {
-		t.Fatalf("virtual makespan diverged: v2 %v, v3 %v", makespanV2, makespanV3)
+	if n := hellos.Load(); n != 1 {
+		t.Fatalf("node saw %d Hellos, want 1", n)
 	}
 }

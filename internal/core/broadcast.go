@@ -34,17 +34,14 @@ func hopDelay(modelBytes int64) vtime.Duration {
 // transfers through the host NIC — one of the "complex inter-node data
 // transfer schemes" the backbone implements (paper §III-C).
 //
-// In the default MigrateDelta mode the chain is real: hop 0 receives the
-// payload from the host, and every later hop receives it from its
-// predecessor through a PushRange/AwaitPush pair riding the node links —
-// the host only issues control frames. DepartAt carries the host-planned
-// cut-through instant, so forwarding overlaps the predecessor's device
-// write exactly as the hopDelay arithmetic models. In MigrateHostRelay
-// (and MigrateFull) every hop keeps the pre-p2p shape: data functionally
-// crosses the host in each hop's WriteBuffer while only the virtual-time
-// charging follows the chain.
+// The chain is real: hop 0 receives the payload from the host, and every
+// later hop receives it from its predecessor through a PushRange/AwaitPush
+// pair riding the node links — the host only issues control frames.
+// DepartAt carries the host-planned cut-through instant, so forwarding
+// overlaps the predecessor's device write exactly as the hopDelay
+// arithmetic models.
 //
-// Either way the hop arrival instants are computed host-side, so every hop
+// The hop arrival instants are computed host-side, so every hop
 // is issued through the async path without waiting for any response:
 // fan-out to n nodes costs zero round trips instead of n. The returned
 // events resolve as the nodes answer. A crash-induced failure recovers
@@ -96,14 +93,13 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 	// before mutating any buffer state. Failing mid-loop would strand the
 	// buffer half-broadcast: host shadow updated and earlier hops issued,
 	// later replicas still holding (and still marked with) old data.
-	p2p := c.sess.migrationMode() == MigrateDelta
 	type hop struct {
 		q      *Queue
 		dev    *DeviceRef // q's binding, snapshotted once for the whole plan
 		qid    uint64
 		rb     *remoteBuf
 		chain  []int64
-		svc    *Queue // p2p: forwarding source lane (all but the last hop)
+		svc    *Queue // forwarding source lane (all but the last hop)
 		svcDev *DeviceRef
 		svcID  uint64
 	}
@@ -122,7 +118,7 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 			return nil, err
 		}
 		h := hop{q: q, dev: dev, qid: qid, rb: rb, chain: chain}
-		if p2p && i < len(hops)-1 {
+		if i < len(hops)-1 {
 			// Forwarding rides the node's single service lane so link
 			// bookings stay totally ordered; created here because it is a
 			// fallible round trip and must not fail mid-loop.
@@ -155,14 +151,9 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 		var wireStart vtime.Time // hop payload departure, for the wire span
 		var id uint64
 		var ev *Event
-		if i == 0 || !p2p {
-			if i == 0 {
-				// First hop crosses the host NIC.
-				wireStart, arrival = c.sess.chargeNIC(b.hostReadyAt, controlMsgBytes+b.modelSize)
-			} else {
-				// Chain hop: previous node forwards over its own link.
-				wireStart, arrival = prevArrival, prevArrival.Add(hopDelay(b.modelSize))
-			}
+		if i == 0 {
+			// First hop crosses the host NIC.
+			wireStart, arrival = c.sess.chargeNIC(b.hostReadyAt, controlMsgBytes+b.modelSize)
 			ev = &Event{dev: h.dev, queue: h.q,
 				trace: c.sess.traceCmd(trace.KindBroadcast, h.dev, h.qid, b.modelSize, wireStart, arrival)}
 			id = c.sess.issueEvent(ev, &protocol.WriteBufferReq{

@@ -179,13 +179,136 @@ func TestBroadcastFailedHopLeavesStateUntouched(t *testing.T) {
 	}
 }
 
+// migrationFixture is a two-node context with one queue per node, a
+// source buffer of size functional bytes modelled as 64× that on the wire,
+// and a same-size scratch buffer: copying the source into the scratch on
+// node B is a consumer that makes the whole source resident on B and
+// moves nothing through the host NIC itself.
+type migrationFixture struct {
+	rt       *core.Runtime
+	qA, qB   *core.Queue
+	src, dst *core.Buffer
+}
+
+const (
+	migSize  = 4096
+	migScale = 64
+)
+
+func newMigrationFixture(t *testing.T) *migrationFixture {
+	t.Helper()
+	rt, cleanup := startRuntime(t, 2)
+	t.Cleanup(cleanup)
+	devs := rt.Devices(0)
+	ctx, err := rt.CreateContext(devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &migrationFixture{rt: rt}
+	if f.qA, err = ctx.CreateQueue(devs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if f.qB, err = ctx.CreateQueue(devs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if f.src, err = ctx.CreateBuffer(migSize); err != nil {
+		t.Fatal(err)
+	}
+	f.src.SetModelSize(migSize * migScale)
+	if f.dst, err = ctx.CreateBuffer(migSize); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// consumeOnB copies the whole source into the scratch buffer on node B and
+// returns the growth of the modelled host-NIC and peer-link bytes.
+func (f *migrationFixture) consumeOnB(t *testing.T) (host, peer int64) {
+	t.Helper()
+	before := f.rt.Metrics()
+	if _, err := f.qB.EnqueueCopy(f.src, f.dst, 0, 0, migSize); err != nil {
+		t.Fatal(err)
+	}
+	after := f.rt.Metrics()
+	host = after.HostWireBytes - before.HostWireBytes
+	peer = after.PeerWireBytes - before.PeerWireBytes
+	if wire := after.WireBytes - before.WireBytes; wire != host+peer {
+		t.Fatalf("wire bytes grew %d, host %d + peer %d", wire, host, peer)
+	}
+	return host, peer
+}
+
+// checkOnB reads the scratch buffer back on node B against want.
+func (f *migrationFixture) checkOnB(t *testing.T, want []byte) {
+	t.Helper()
+	got, _, err := f.qB.EnqueueRead(f.dst, 0, migSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("consumer on node B copied different contents")
+	}
+}
+
+// TestPartialUpdateMovesOnlyStaleRange: after a partial write on node A,
+// a consumer on node B whose replica is otherwise current migrates exactly
+// the stale range, node to node — the peer links carry that range's
+// modelled bytes, and the host NIC only the push/await control frames.
+// (This is the invariant the retired coherence experiment's delta-versus-
+// full comparison stood for.)
+func TestPartialUpdateMovesOnlyStaleRange(t *testing.T) {
+	f := newMigrationFixture(t)
+	want := patternBytes(migSize, 0x5A)
+	if _, err := f.qA.EnqueueWrite(f.src, 0, want); err != nil {
+		t.Fatal(err)
+	}
+	f.consumeOnB(t)
+
+	const lo, hi = 1024, 1536
+	update := patternBytes(hi-lo, 0xC3)
+	if _, err := f.qA.EnqueueWrite(f.src, lo, update); err != nil {
+		t.Fatal(err)
+	}
+	copy(want[lo:], update)
+	host, peer := f.consumeOnB(t)
+	if exp := int64(hi-lo) * migScale; peer != exp {
+		t.Fatalf("peer links carried %d modelled bytes, want the stale range's %d", peer, exp)
+	}
+	if exp := int64(2 * core.ControlMsgBytes); host != exp {
+		t.Fatalf("host NIC carried %d modelled bytes, want two control frames (%d)", host, exp)
+	}
+	f.checkOnB(t, want)
+}
+
+// TestFullyStaleConsumerMovesBufferOnce: a consumer whose replica is
+// wholly stale moves the buffer exactly once — one push of every modelled
+// byte over the peer links, two control frames on the host NIC — and a
+// second consumer on the same node moves nothing. (The retired coherence
+// experiment's fully-stale workload.)
+func TestFullyStaleConsumerMovesBufferOnce(t *testing.T) {
+	f := newMigrationFixture(t)
+	want := patternBytes(migSize, 0x3C)
+	if _, err := f.qA.EnqueueWrite(f.src, 0, want); err != nil {
+		t.Fatal(err)
+	}
+	host, peer := f.consumeOnB(t)
+	if exp := int64(migSize * migScale); peer != exp {
+		t.Fatalf("peer links carried %d modelled bytes, want the buffer's %d", peer, exp)
+	}
+	if exp := int64(2 * core.ControlMsgBytes); host != exp {
+		t.Fatalf("host NIC carried %d modelled bytes, want two control frames (%d)", host, exp)
+	}
+	if host, peer := f.consumeOnB(t); host != 0 || peer != 0 {
+		t.Fatalf("a current replica moved again: host %d, peer %d modelled bytes", host, peer)
+	}
+	f.checkOnB(t, want)
+}
+
 // TestCoherenceOracle mirrors a random sequence of partial writes, partial
 // reads, device copies and subset broadcasts across a 3-node cluster
 // against plain in-memory byte slices: every read must be byte-identical
-// to the mirror, whatever interleaving of migrations it triggered. The
-// migration mode is flipped mid-run too, among all three data planes —
-// full, host-relay delta and p2p delta must be functionally
-// indistinguishable.
+// to the mirror, whatever interleaving of migrations it triggered — peer
+// pushes of owned ranges and relay pushes of ranges no replica owns.
 func TestCoherenceOracle(t *testing.T) {
 	for _, seed := range []int64{1, 7, 99} {
 		seed := seed
@@ -279,14 +402,9 @@ func runCoherenceOracle(t *testing.T, seed int64) {
 				t.Fatalf("seed %d step %d: broadcast: %v", seed, step, err)
 			}
 			copy(mirror[bi], payload)
-		default: // flip migration mode; functionally invisible
-			switch rng.Intn(3) {
-			case 0:
-				rt.SetMigrationMode(core.MigrateFull)
-			case 1:
-				rt.SetMigrationMode(core.MigrateHostRelay)
-			default:
-				rt.SetMigrationMode(core.MigrateDelta)
+		default: // a sync point; functionally invisible
+			if _, err := q.Finish(); err != nil {
+				t.Fatalf("seed %d step %d: finish: %v", seed, step, err)
 			}
 		}
 	}

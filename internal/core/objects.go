@@ -807,88 +807,24 @@ func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Eve
 }
 
 // ensureResident makes the byte range [lo, hi) of the buffer valid on
-// node, migrating stale ranges from the host shadow or from owning
-// replicas as needed. Caller holds b.mu. It returns the replica; any
-// subsequent command on node chains behind rb.lastEvent as usual.
+// node, migrating its stale ranges with migrateP2P. Caller holds b.mu. It
+// returns the replica; any subsequent command on node chains behind
+// rb.lastEvent as usual.
 //
 // Migration is a delta: only the Gaps of the replica's valid set within
 // [lo, hi) travel, each as its own ranged command charged per-range
-// through the virtual-time model (MigrateFull widens the request to the
-// whole buffer, restoring the pre-range behavior for comparison). In the
-// default MigrateDelta mode owner-covered ranges move directly node→node
-// (see migrateP2P); MigrateHostRelay keeps the pre-p2p data path below:
-// pulls from owners block for their data like any read, pushes to node are
-// pipelined through the context's hidden service queue, so the consumer
-// command that triggered the migration waits on the final push's event ID
-// without a round trip.
+// through the virtual-time model, and pipelined through the context's
+// hidden service queue, so the consumer command that triggered the
+// migration waits on the final transfer's event ID without a round trip.
 func (b *Buffer) ensureResident(node *NodeHandle, lo, hi int64) (*remoteBuf, error) {
 	rb, err := b.remoteOn(node)
 	if err != nil {
 		return nil, err
 	}
-	mode := b.ctx.sess.migrationMode()
-	full := mode == MigrateFull
-	if full {
-		lo, hi = 0, b.size
-	}
-	gaps := rb.valid.Gaps(lo, hi)
-	if len(gaps) == 0 {
-		return rb, nil
-	}
-	if full {
-		// Pre-range semantics: any staleness re-migrates the whole
-		// replica, not just the stale ranges.
-		gaps = []mem.Range{{Lo: 0, Hi: b.size}}
-	}
-
-	if mode == MigrateDelta {
+	if gaps := rb.valid.Gaps(lo, hi); len(gaps) > 0 {
 		if err := b.migrateP2P(node, rb, gaps); err != nil {
 			return nil, err
 		}
-		return rb, nil
-	}
-
-	// Host-relay path (MigrateFull, MigrateHostRelay): refresh the host
-	// shadow over the stale ranges first, then push from it.
-	if err := b.refreshHost(gaps); err != nil {
-		return nil, err
-	}
-
-	svc, err := b.ctx.serviceQueue(node)
-	if err != nil {
-		return nil, err
-	}
-	if err := svc.stickyErr(); err != nil {
-		return nil, err
-	}
-	chain, err := rb.chainWaits(nil)
-	if err != nil {
-		return nil, err
-	}
-	// Snapshot the service queue's binding once: recovery may re-bind it
-	// mid-loop, and a torn read (old queue ID, new device) would charge the
-	// wrong lane. A stale snapshot fails crash-classified and is retried.
-	svcDev, svcQID := svc.binding()
-	for _, g := range gaps {
-		modelBytes := b.scaled(g.Len())
-		wireStart, arrival := b.ctx.sess.chargeNIC(b.hostReadyAt, controlMsgBytes+modelBytes)
-		pushEv := &Event{dev: svcDev, queue: svc,
-			trace: b.ctx.sess.traceCmd(trace.KindMigrate, svcDev, 0, modelBytes, wireStart, arrival)}
-		id := b.ctx.sess.issueEvent(pushEv, &protocol.WriteBufferReq{
-			QueueID:    svcQID,
-			BufferID:   rb.id,
-			Offset:     g.Lo,
-			Data:       b.hostSnapshot(g),
-			SimArrival: int64(arrival),
-			ModelBytes: modelBytes,
-			WaitEvents: chain,
-		})
-		svc.track(pushEv)
-		rb.valid.Add(g.Lo, g.Hi)
-		// The pushes ride one in-order service queue, so chaining the
-		// consumer behind the last push orders it behind all of them.
-		rb.lastEvent = id
-		rb.lastEv = pushEv
 	}
 	return rb, nil
 }
@@ -899,87 +835,6 @@ func (b *Buffer) ensureResident(node *NodeHandle, lo, hi int64) (*remoteBuf, err
 // overwrites the shadow in place. Caller holds b.mu.
 func (b *Buffer) hostSnapshot(r mem.Range) []byte {
 	return append([]byte(nil), b.host[r.Lo:r.Hi]...)
-}
-
-// refreshHost makes the host shadow valid over the given ranges, pulling
-// each host-stale sub-range from a replica that holds it.
-// Caller holds b.mu.
-func (b *Buffer) refreshHost(ranges []mem.Range) error {
-	if b.host == nil {
-		b.host = make([]byte, b.size)
-	}
-	for _, r := range ranges {
-		for _, gap := range b.hostValid.Gaps(r.Lo, r.Hi) {
-			if err := b.pullRange(gap); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// pullRange fetches one host-stale range from whichever replicas hold
-// parts of it valid, using the shared planOwners cover. Sub-ranges valid
-// nowhere were never written: the zero bytes already in the shadow are
-// their content (uninitialized OpenCL buffers read deterministically as
-// zeros), so they validate without a transfer. Caller holds b.mu.
-func (b *Buffer) pullRange(gap mem.Range) error {
-	plan, leftover := b.planOwners(gap)
-	for _, ps := range plan {
-		if err := b.pullFrom(ps.node, ps.rb, ps.r); err != nil {
-			return err
-		}
-	}
-	for _, p := range leftover {
-		b.hostValid.Add(p.Lo, p.Hi)
-	}
-	return nil
-}
-
-// pullFrom reads one valid range of owner's replica back into the host
-// shadow. The pull is pipelined behind the owner's pending writes (the
-// wait on lastEvent), but the host must block for the data.
-// Caller holds b.mu.
-func (b *Buffer) pullFrom(owner *NodeHandle, orb *remoteBuf, r mem.Range) error {
-	svc, err := b.ctx.serviceQueue(owner)
-	if err != nil {
-		return err
-	}
-	ownerChain, err := orb.chainWaits(nil)
-	if err != nil {
-		return err
-	}
-	svcDev, svcQID := svc.binding()
-	modelBytes := b.scaled(r.Len())
-	wireStart, arrival := b.ctx.sess.chargeNIC(0, controlMsgBytes)
-	var resp protocol.ReadBufferResp
-	id, pend := b.ctx.sess.issue(owner, &protocol.ReadBufferReq{
-		QueueID:    svcQID,
-		BufferID:   orb.id,
-		Offset:     r.Lo,
-		Size:       r.Len(),
-		SimArrival: int64(arrival),
-		ModelBytes: modelBytes,
-		WaitEvents: ownerChain,
-	}, &resp)
-	if err := pend.Wait(); err != nil {
-		// Classify before wrapping so withRecovery's retry decision sees
-		// node loss even though the error detours through this message.
-		return fmt.Errorf("core: migrate buffer range [%d,%d) from %q: %w",
-			r.Lo, r.Hi, owner.name, classifyNodeErr(owner, err))
-	}
-	// Response data crosses the backbone back to the host.
-	_, hostArrival := b.ctx.sess.chargeNICIn(vtime.Time(resp.Profile.End), controlMsgBytes+modelBytes)
-	copy(b.host[r.Lo:r.Hi], resp.Data)
-	b.hostValid.Add(r.Lo, r.Hi)
-	if hostArrival > b.hostReadyAt {
-		b.hostReadyAt = hostArrival
-	}
-	b.ctx.sess.observeProfile(svcDev.key, resp.Profile, false)
-	// The pull blocked for its data, so its span tree is emitted here.
-	b.ctx.sess.traceCmd(trace.KindPull, svcDev, 0, modelBytes, wireStart, arrival).
-		emitIn(id, resp.Profile, hostArrival)
-	return nil
 }
 
 // chainWaits appends the wait-list entry for the replica's last writer to

@@ -149,15 +149,15 @@ func TestBroadcastCopySemantics(t *testing.T) {
 	}
 }
 
-// TestRelayPushSnapshotsHostShadow: a host-relay migration ships a range
-// of the host shadow, which the very next write overwrites in place. The
-// relay frame may still be queued at that point, so it must carry a
+// TestRelayPushSnapshotsHostShadow: a span no replica owns — here one
+// never written, whose content is the shadow's zeros — migrates as a relay
+// push of the host shadow, which the very next write overwrites in place.
+// The relay frame may still be queued at that point, so it must carry a
 // snapshot, not a view of the shadow.
 func TestRelayPushSnapshotsHostShadow(t *testing.T) {
 	const size = 1 << 20
 	rt, cleanup := startRuntime(t, 2)
 	defer cleanup()
-	rt.SetMigrationMode(core.MigrateHostRelay)
 	devs := rt.Devices(0)
 	ctx, err := rt.CreateContext(devs)
 	if err != nil {
@@ -171,22 +171,19 @@ func TestRelayPushSnapshotsHostShadow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := ctx.CreateBuffer(size)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dst, err := ctx.CreateBuffer(size)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := make([]byte, size)
 	for round := 0; round < 8; round++ {
-		want := pattern(size, byte(round))
-		if _, err := q0.EnqueueWrite(src, 0, want); err != nil {
+		src, err := ctx.CreateBuffer(size)
+		if err != nil {
 			t.Fatal(err)
 		}
-		// Copying on node 1 relays src through the host shadow; the write
-		// right behind it overwrites that shadow while the relay frame may
-		// still sit in the coalescer queue.
+		// Copying the never-written src on node 1 relays it from the host
+		// shadow; the write right behind it overwrites that shadow while
+		// the relay frame may still sit in the coalescer queue.
 		if _, err := q1.EnqueueCopy(src, dst, 0, 0, size); err != nil {
 			t.Fatal(err)
 		}

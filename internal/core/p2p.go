@@ -19,8 +19,7 @@ type ownerSpan struct {
 // runtime's deterministic node order so every host process plans the same
 // transfers for the same state. It returns the per-owner spans in supply
 // order plus the leftover sub-ranges no replica owns (either host-valid,
-// or never written and thus deterministic zeros). Shared by the host-relay
-// pull path and the p2p push planner. Caller holds b.mu.
+// or never written and thus deterministic zeros). Caller holds b.mu.
 func (b *Buffer) planOwners(gap mem.Range) (plan []ownerSpan, leftover []mem.Range) {
 	var need mem.RangeSet
 	need.Add(gap.Lo, gap.Hi)
@@ -48,10 +47,12 @@ func (b *Buffer) planOwners(gap mem.Range) (plan []ownerSpan, leftover []mem.Ran
 // frames on the host NIC, while the payload crosses the owner's node link.
 // The host stays the control plane: it plans from the validity map, assigns
 // both completion events, and wires them into the usual chains, so
-// pipelining, wait-lists and failure cascades work exactly as on the relay
-// path. Spans no replica owns still relay through the host shadow (they are
-// host-valid or deterministic zeros — there is no peer to push them).
-// Caller holds b.mu.
+// pipelining, wait-lists and failure cascades work as for any queue
+// command. Spans no replica owns relay through the host shadow instead —
+// the one host-relay push left: they are host-valid, or were never written
+// and the shadow's zeros are their content (uninitialized OpenCL buffers
+// read deterministically as zeros), so there is no peer to push them and
+// nothing to pull. Caller holds b.mu.
 func (b *Buffer) migrateP2P(node *NodeHandle, rb *remoteBuf, gaps []mem.Range) error {
 	svc, err := b.ctx.serviceQueue(node)
 	if err != nil {
@@ -68,13 +69,11 @@ func (b *Buffer) migrateP2P(node *NodeHandle, rb *remoteBuf, gaps []mem.Range) e
 				return err
 			}
 		}
-		if len(leftover) == 0 {
-			continue
-		}
-		if err := b.refreshHost(leftover); err != nil {
-			return err
+		if len(leftover) > 0 && b.host == nil {
+			b.host = make([]byte, b.size)
 		}
 		for _, r := range leftover {
+			b.hostValid.Add(r.Lo, r.Hi)
 			chain, err := rb.chainWaits(nil)
 			if err != nil {
 				return err

@@ -6,8 +6,8 @@ import (
 	"github.com/haocl-project/haocl/internal/mem"
 )
 
-// TestPlanOwners is the white-box test for the owner planner shared by the
-// host-relay pull path and the p2p push planner: the cover must walk nodes
+// TestPlanOwners is the white-box test for the p2p migration's owner
+// planner: the cover must walk nodes
 // in the runtime's deterministic order, split a gap across replica
 // boundaries exactly, never assign the same byte twice, and return the
 // unowned remainder as leftover.

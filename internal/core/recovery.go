@@ -481,7 +481,7 @@ func (rt *Runtime) rehelloLocked() error {
 		err := rt.call(n, &protocol.HelloReq{
 			UserID:      rt.userID,
 			ClientName:  rt.clientName,
-			WireVersion: n.wireVersion.Load(),
+			WireVersion: protocol.Version,
 			Peers:       peers,
 			Epoch:       rt.epoch,
 		}, &resp)
@@ -571,13 +571,9 @@ func (rt *Runtime) ReconnectNode(name string) error {
 		client.Close()
 		return fmt.Errorf("core: rejoin handshake with %q: %w", name, err)
 	}
-	if resp.WireVersion >= protocol.VersionBatch {
-		client.EnableBatching()
-	}
 	// Publish the fresh connection before flipping the handle alive, so a
 	// caller that observes stateAlive also loads the new client.
 	h.client.Store(client)
-	h.wireVersion.Store(resp.WireVersion)
 	h.bootID.Store(resp.BootID)
 	h.state.Store(stateAlive)
 	rt.watchNode(h, client)

@@ -84,11 +84,6 @@ type NodeHandle struct {
 	// as client.
 	bootID atomic.Uint64
 
-	// wireVersion is the protocol version the Hello handshake negotiated
-	// for this connection; batching is active iff it is at least
-	// protocol.VersionBatch. Atomic for the same rejoin swap as client.
-	wireVersion atomic.Uint32
-
 	// issueMu makes (event-ID assignment, frame write) atomic so that wire
 	// order equals event-ID order — the ordering contract the node's FIFO
 	// dispatch turns into in-order command execution. eventID counts the
@@ -104,9 +99,6 @@ func (n *NodeHandle) Name() string { return n.name }
 
 // Alive reports whether the node's connection is currently believed good.
 func (n *NodeHandle) Alive() bool { return n.state.Load() == stateAlive }
-
-// WireVersion reports the protocol version negotiated with this node.
-func (n *NodeHandle) WireVersion() uint32 { return n.wireVersion.Load() }
 
 // DeviceRef is one device in the cluster-wide table.
 type DeviceRef struct {
@@ -188,10 +180,10 @@ func (m *Metrics) TotalCompute() vtime.Duration {
 // Runtime is the host-side engine: the cluster substrate shared by every
 // session. It owns the node connections, the device table, the virtual-time
 // links and crash recovery; all per-tenant state — object namespaces, event
-// tracking, release drains, command logs, migration mode, policy, metrics —
-// lives on Session. The Runtime-level convenience API (CreateContext,
-// Flush, SetMigrationMode, ...) routes through an implicit default session,
-// so single-tenant hosts keep the pre-session semantics unchanged.
+// tracking, release drains, command logs, policy, metrics — lives on
+// Session. The Runtime-level convenience API (CreateContext, Flush, ...)
+// routes through an implicit default session, so single-tenant hosts keep
+// the pre-session semantics unchanged.
 type Runtime struct {
 	userID        string
 	clientName    string
@@ -292,13 +284,7 @@ func Connect(opts Options) (*Runtime, error) {
 			client.Close()
 			return nil, fmt.Errorf("core: handshake with node %q: %w", spec.Name, err)
 		}
-		nh.wireVersion.Store(resp.WireVersion)
 		nh.bootID.Store(resp.BootID)
-		if resp.WireVersion >= protocol.VersionBatch {
-			// Both ends speak v3: coalesce small control frames into
-			// Batch envelopes. Older nodes keep the plain v2 write path.
-			client.EnableBatching()
-		}
 		rt.watchNode(nh, client)
 		rt.nodes = append(rt.nodes, nh)
 		for _, info := range resp.Devices {
@@ -318,15 +304,14 @@ func Connect(opts Options) (*Runtime, error) {
 	return rt, nil
 }
 
-// hello performs the handshake via the shared transport negotiation (the
-// same path nodes use when dialing each other as peers).
+// hello performs the handshake via the shared transport path (the same one
+// nodes use when dialing each other as peers).
 func hello(client *transport.Client, userID, clientName string, peers []protocol.PeerAddr, epoch uint64) (protocol.HelloResp, error) {
 	return transport.Handshake(client, protocol.HelloReq{
-		UserID:      userID,
-		ClientName:  clientName,
-		WireVersion: protocol.Version,
-		Peers:       peers,
-		Epoch:       epoch,
+		UserID:     userID,
+		ClientName: clientName,
+		Peers:      peers,
+		Epoch:      epoch,
 	})
 }
 
@@ -473,35 +458,6 @@ func (rt *Runtime) nextPushToken() uint64 {
 	defer rt.mu.Unlock()
 	rt.pushToken++
 	return rt.pushToken
-}
-
-// MigrationMode selects how ensureResident moves stale buffer ranges.
-type MigrationMode int
-
-// Migration modes.
-const (
-	// MigrateDelta transfers only the stale byte ranges of the range a
-	// command touches, moving replica-owned ranges directly node→node via
-	// PushRange (the host stays the control plane) — the default.
-	MigrateDelta MigrationMode = iota
-	// MigrateFull widens every migration to the whole buffer, the
-	// pre-range-coherence behavior. The coherence benchmark uses it as
-	// the baseline; the two modes are functionally identical and charge
-	// identical virtual time when a buffer is fully stale.
-	MigrateFull
-	// MigrateHostRelay keeps delta-range migration but relays every range
-	// through the host shadow (pull to host, push to consumer) — the
-	// pre-p2p data path, preserved as the benchmark baseline for the
-	// node→node push plane.
-	MigrateHostRelay
-)
-
-// SetMigrationMode switches the default session between p2p delta,
-// full-buffer, and host-relay delta migration. The mode is per-session
-// state: sessions opened explicitly flip their own mode without affecting
-// other tenants.
-func (rt *Runtime) SetMigrationMode(m MigrationMode) {
-	rt.defaultSession().SetMigrationMode(m)
 }
 
 // Metrics returns a copy of the run's accumulated accounting aggregated

@@ -28,8 +28,8 @@ var ErrCrossSession = errors.New("core: object belongs to another session")
 // misbehaving application could poison for another lives here: the object
 // namespace (contexts and everything created from them), the pipelined
 // event set, the fire-and-forget release drain with its sticky error, the
-// command log replayed after a node loss, the migration mode, the
-// scheduling policy, and the per-tenant Metrics.
+// command log replayed after a node loss, the scheduling policy, and the
+// per-tenant Metrics.
 //
 // Sessions are cheap: OpenSession performs no wire traffic (remote
 // contexts are created per CreateContext call, tagged with the session's
@@ -63,9 +63,8 @@ type Session struct {
 	trc atomic.Pointer[trace.Run]
 
 	mu      sync.Mutex
-	metrics Metrics       // guarded by mu
-	migMode MigrationMode // guarded by mu
-	policy  sched.Policy  // guarded by mu
+	metrics Metrics      // guarded by mu
+	policy  sched.Policy // guarded by mu
 
 	// pendMu guards the set of this session's pipelined commands whose
 	// responses have not been consumed yet; Metrics drains it so the
@@ -120,8 +119,8 @@ func (rt *Runtime) openSessionLocked(tenant string) *Session {
 
 // defaultSession lazily opens the session backing the Runtime-level
 // convenience API: single-tenant hosts keep calling Runtime.CreateContext /
-// Flush / SetMigrationMode and get exactly the old semantics, routed
-// through one implicit session.
+// Flush and get exactly the old semantics, routed through one implicit
+// session.
 func (rt *Runtime) defaultSession() *Session {
 	rt.sessMu.Lock()
 	defer rt.sessMu.Unlock()
@@ -243,13 +242,9 @@ const maxReleaseVector = 256
 // order is therefore what it would be with one message per release, with
 // consecutive releases merged. The acknowledgement is drained at the next
 // Flush (or Close), where a failure becomes this session's sticky release
-// error. A peer that predates vectors gets them one ID long.
+// error.
 func (s *Session) releaseAsync(n *NodeHandle, kind protocol.ObjectKind, id uint64) {
 	s.bump(func(m *Metrics) { m.Commands++ })
-	limit := 1
-	if n.wireVersion.Load() >= protocol.VersionReleaseVector {
-		limit = maxReleaseVector
-	}
 	s.relMu.Lock()
 	h := s.relHeld[n]
 	if h == nil {
@@ -265,7 +260,7 @@ func (s *Session) releaseAsync(n *NodeHandle, kind protocol.ObjectKind, id uint6
 	h.kind = kind
 	h.ids = append(h.ids, id)
 	s.relHeldN.Add(1)
-	if len(h.ids) >= limit {
+	if len(h.ids) >= maxReleaseVector {
 		s.sendHeld(n, h)
 	}
 	full := len(s.relPending) >= maxPendingReleases
@@ -405,25 +400,6 @@ func (s *Session) Policy() sched.Policy {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.policy
-}
-
-// SetMigrationMode switches this session's migration strategy; other
-// sessions are untouched.
-func (s *Session) SetMigrationMode(m MigrationMode) {
-	s.mu.Lock()
-	s.migMode = m
-	s.mu.Unlock()
-}
-
-// MigrationMode returns this session's current migration strategy.
-func (s *Session) MigrationMode() MigrationMode {
-	return s.migrationMode()
-}
-
-func (s *Session) migrationMode() MigrationMode {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.migMode
 }
 
 // ModelDataCreate charges host-side creation of n bytes of input data for

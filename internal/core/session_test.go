@@ -166,8 +166,8 @@ func TestSessionReleaseErrorScoped(t *testing.T) {
 	}
 }
 
-// TestSessionPolicyAndMigrationIsolation: SetPolicy and SetMigrationMode
-// act on one session only.
+// TestSessionPolicyAndMigrationIsolation: SetPolicy acts on one session
+// only.
 func TestSessionPolicyAndMigrationIsolation(t *testing.T) {
 	rt, cleanup := startRuntime(t, 1)
 	defer cleanup()
@@ -175,17 +175,6 @@ func TestSessionPolicyAndMigrationIsolation(t *testing.T) {
 	b := rt.OpenSession("tenant-b")
 	defer a.Close()
 	defer b.Close()
-
-	if a.MigrationMode() != core.MigrateDelta || b.MigrationMode() != core.MigrateDelta {
-		t.Fatalf("default modes = %v/%v, want delta", a.MigrationMode(), b.MigrationMode())
-	}
-	a.SetMigrationMode(core.MigrateFull)
-	if b.MigrationMode() != core.MigrateDelta {
-		t.Fatalf("a's SetMigrationMode changed b's mode to %v", b.MigrationMode())
-	}
-	if a.MigrationMode() != core.MigrateFull {
-		t.Fatalf("a's mode = %v, want full", a.MigrationMode())
-	}
 
 	before := b.Policy().Name()
 	a.SetPolicy(sched.NewUserDirected())

@@ -105,7 +105,7 @@ func (t *evTrace) emit(eventID uint64, p protocol.Profile) {
 }
 
 // emitIn is emit plus the host-ingress arrival of a response payload
-// (blocking reads and migration pulls); hostArrival > 0 adds a wire-in
+// (blocking reads); hostArrival > 0 adds a wire-in
 // child and extends the root to it.
 func (t *evTrace) emitIn(eventID uint64, p protocol.Profile, hostArrival vtime.Time) {
 	if t == nil {

@@ -83,13 +83,12 @@ func traceWorkload(t testing.TB, rt *core.Runtime) {
 	}
 }
 
-// tracedRun executes the workload on a fresh cluster under the given
-// migration mode and returns the Chrome export.
-func tracedRun(t testing.TB, mode core.MigrationMode) []byte {
+// tracedRun executes the workload on a fresh cluster and returns the
+// Chrome export.
+func tracedRun(t testing.TB) []byte {
 	t.Helper()
 	rt, cleanup := startRuntime(t, 2)
 	defer cleanup()
-	rt.SetMigrationMode(mode)
 	tr := trace.New()
 	rt.SetTracer(tr)
 	traceWorkload(t, rt)
@@ -101,29 +100,22 @@ func tracedRun(t testing.TB, mode core.MigrationMode) []byte {
 }
 
 // TestTraceDeterministicAcrossReruns is the determinism oracle: the same
-// seeded workload must export a byte-identical trace on every run, under
-// all three migration modes (each exercises a different command mix —
-// P2P push/await, full-buffer pushes, host-relay pulls).
+// seeded workload, with its P2P push/await migrations, must export a
+// byte-identical trace on every run. The subtest is named for the delta
+// migration the workload exercises.
 func TestTraceDeterministicAcrossReruns(t *testing.T) {
-	modes := map[string]core.MigrationMode{
-		"delta":      core.MigrateDelta,
-		"full":       core.MigrateFull,
-		"host-relay": core.MigrateHostRelay,
-	}
-	for name, mode := range modes {
-		t.Run(name, func(t *testing.T) {
-			first := tracedRun(t, mode)
-			for i := 0; i < 2; i++ {
-				if again := tracedRun(t, mode); !bytes.Equal(first, again) {
-					t.Fatalf("rerun %d exported a different trace (%d vs %d bytes)",
-						i+1, len(first), len(again))
-				}
+	t.Run("delta", func(t *testing.T) {
+		first := tracedRun(t)
+		for i := 0; i < 2; i++ {
+			if again := tracedRun(t); !bytes.Equal(first, again) {
+				t.Fatalf("rerun %d exported a different trace (%d vs %d bytes)",
+					i+1, len(first), len(again))
 			}
-			if len(first) < 100 {
-				t.Fatalf("suspiciously small trace: %q", first)
-			}
-		})
-	}
+		}
+		if len(first) < 100 {
+			t.Fatalf("suspiciously small trace: %q", first)
+		}
+	})
 }
 
 // TestTraceSpanTreeWellFormed checks the structural invariants of every
@@ -187,9 +179,8 @@ func TestTraceSpanTreeWellFormed(t *testing.T) {
 		}
 	}
 	// The cross-node read migrates the dirty replica: some migration-path
-	// root (p2p push/await or pull) must appear.
-	if kinds[trace.KindPushRange]+kinds[trace.KindAwaitPush]+
-		kinds[trace.KindPull]+kinds[trace.KindMigrate] == 0 {
+	// root (p2p push/await or relay push) must appear.
+	if kinds[trace.KindPushRange]+kinds[trace.KindAwaitPush]+kinds[trace.KindMigrate] == 0 {
 		t.Error("cross-node read recorded no migration spans")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/haocl-project/haocl/internal/device"
-	"github.com/haocl-project/haocl/internal/kernel"
 	"github.com/haocl-project/haocl/internal/mem"
 	"github.com/haocl-project/haocl/internal/protocol"
 	"github.com/haocl-project/haocl/internal/sim"
@@ -363,41 +362,5 @@ func TestFailedDependencyCascades(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "wait event 7") {
 		t.Fatalf("cascade error does not name the failed dependency: %v", err)
-	}
-}
-
-// TestSingleLaneMode pins the SingleLane escape hatch: everything lands on
-// one lane, so a cross-queue waiter queued behind its not-yet-arrived
-// creator would deadlock — which is exactly why single-lane nodes are only
-// the benchmark baseline. Here we just verify commands on two queues
-// execute and per-queue results match the per-queue-lane configuration.
-func TestSingleLaneMode(t *testing.T) {
-	icd := device.NewICD()
-	sim.RegisterDrivers(icd, kernel.NewRegistry())
-	n, err := New(Options{
-		Name: "single-lane",
-		Devices: []device.Config{
-			{Driver: sim.DriverGPU, ID: 1, Shared: true},
-			{Driver: sim.DriverGPU, ID: 2, Shared: true},
-		},
-		ICD: icd, ExecWorkers: 1, SingleLane: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := n.NewSession().(*Session)
-	call(t, s, &protocol.HelloReq{UserID: "single", WireVersion: protocol.Version}, &protocol.HelloResp{})
-	defer s.Close()
-	ctx := call(t, s, &protocol.CreateContextReq{DeviceIDs: []int64{1, 2}}, &protocol.ObjectResp{})
-	qa := call(t, s, &protocol.CreateQueueReq{ContextID: ctx.ID, DeviceID: 1}, &protocol.ObjectResp{})
-	qb := call(t, s, &protocol.CreateQueueReq{ContextID: ctx.ID, DeviceID: 2}, &protocol.ObjectResp{})
-	ba := call(t, s, &protocol.CreateBufferReq{ContextID: ctx.ID, Size: 16}, &protocol.ObjectResp{})
-	bb := call(t, s, &protocol.CreateBufferReq{ContextID: ctx.ID, Size: 16}, &protocol.ObjectResp{})
-	data := mem.F32Bytes([]float32{1, 2, 3, 4})
-
-	a := mustEvent(t, goCall(s, &protocol.WriteBufferReq{QueueID: qa.ID, BufferID: ba.ID, Data: data, EventID: 1}))
-	b := mustEvent(t, goCall(s, &protocol.WriteBufferReq{QueueID: qb.ID, BufferID: bb.ID, Data: data, EventID: 2, WaitEvents: []int64{1}}))
-	if b.Profile.Start < a.Profile.End {
-		t.Fatalf("cross-queue wait ignored in single-lane mode: %d < %d", b.Profile.Start, a.Profile.End)
 	}
 }

@@ -2,6 +2,7 @@ package node
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -294,62 +295,33 @@ func TestReleaseVector(t *testing.T) {
 	callErr(t, s, &protocol.ReleaseReq{Kind: protocol.ObjBuffer, ID: buf2.ID}, protocol.CodeUnknownObject)
 }
 
+// TestHelloVersionNegotiation: there is nothing left to negotiate. A host
+// at protocol.Version is answered with it; any other offer — 0, the retired
+// 2 and 3, a newer 5 — is refused with CodeUnsupported naming both
+// versions, and the refused session learns nothing from the Hello.
 func TestHelloVersionNegotiation(t *testing.T) {
-	// A host older than MinVersion is rejected outright.
 	n := testNode(t)
-	s := n.NewSession().(*Session)
-	callErr(t, s, &protocol.HelloReq{UserID: "x", WireVersion: 1}, protocol.CodeUnsupported)
-
-	// A current host negotiates the node's full version.
-	s = n.NewSession().(*Session)
-	resp := call(t, s, &protocol.HelloReq{UserID: "x", WireVersion: protocol.Version}, &protocol.HelloResp{})
-	if resp.WireVersion != protocol.Version {
-		t.Fatalf("negotiated %d, want %d", resp.WireVersion, protocol.Version)
+	for _, v := range []uint32{0, 2, 3, 5} {
+		s := n.NewSession().(*Session)
+		_, err := s.HandleCall(protocol.OpHello, protocol.EncodeMessage(&protocol.HelloReq{UserID: "x", WireVersion: v}))
+		var re *protocol.RemoteError
+		if !errors.As(err, &re) || re.Code != protocol.CodeUnsupported {
+			t.Fatalf("version %d: err = %v, want CodeUnsupported", v, err)
+		}
+		for _, want := range []string{fmt.Sprintf("wire version %d", v), fmt.Sprintf("speaks version %d", protocol.Version)} {
+			if !strings.Contains(re.Message, want) {
+				t.Fatalf("version %d: refusal %q does not say %q", v, re.Message, want)
+			}
+		}
+		if u := s.user(); u != "anonymous" {
+			t.Fatalf("version %d: refused Hello set the user to %q", v, u)
+		}
 	}
 
-	// A v2-only host is accepted and pinned to v2.
-	s = n.NewSession().(*Session)
-	resp = call(t, s, &protocol.HelloReq{UserID: "x", WireVersion: protocol.MinVersion}, &protocol.HelloResp{})
-	if resp.WireVersion != protocol.MinVersion {
-		t.Fatalf("negotiated %d, want %d", resp.WireVersion, protocol.MinVersion)
-	}
-
-	// A host newer than the node falls back to the node's version.
-	s = n.NewSession().(*Session)
-	resp = call(t, s, &protocol.HelloReq{UserID: "x", WireVersion: 99}, &protocol.HelloResp{})
-	if resp.WireVersion != protocol.Version {
-		t.Fatalf("negotiated %d, want node's %d", resp.WireVersion, protocol.Version)
-	}
-}
-
-func TestNodeWireVersionCap(t *testing.T) {
-	// A node capped at v2 (emulating a pre-batching build) negotiates v2
-	// with a v3 host.
-	icd := device.NewICD()
-	sim.RegisterDrivers(icd, kernel.NewRegistry())
-	n, err := New(Options{
-		Name:        "legacy-node",
-		Devices:     []device.Config{{Driver: sim.DriverGPU, ID: 1, Shared: true}},
-		ICD:         icd,
-		WireVersion: protocol.MinVersion,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := n.NewSession().(*Session)
 	resp := call(t, s, &protocol.HelloReq{UserID: "x", WireVersion: protocol.Version}, &protocol.HelloResp{})
-	if resp.WireVersion != protocol.MinVersion {
-		t.Fatalf("negotiated %d, want %d", resp.WireVersion, protocol.MinVersion)
-	}
-
-	// Out-of-range caps are configuration errors.
-	if _, err := New(Options{
-		Name:        "bad-node",
-		Devices:     []device.Config{{Driver: sim.DriverGPU, ID: 1, Shared: true}},
-		ICD:         icd,
-		WireVersion: 1,
-	}); err == nil {
-		t.Fatal("wire version 1 accepted")
+	if resp.WireVersion != protocol.Version {
+		t.Fatalf("answered with version %d, want %d", resp.WireVersion, protocol.Version)
 	}
 }
 

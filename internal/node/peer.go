@@ -209,16 +209,12 @@ func (s *Session) dialPeer(name string) (*transport.Client, error) {
 	if err != nil {
 		return nil, remoteErr(protocol.CodeNodeLost, "dial peer %q at %q: %v", name, addr, err)
 	}
-	resp, err := transport.Handshake(client, protocol.HelloReq{
+	if _, err := transport.Handshake(client, protocol.HelloReq{
 		UserID:     s.user(),
 		ClientName: "peer:" + s.node.name,
-	})
-	if err != nil {
+	}); err != nil {
 		client.Close()
 		return nil, remoteErr(protocol.CodeNodeLost, "handshake with peer %q: %v", name, err)
-	}
-	if resp.WireVersion >= protocol.VersionBatch {
-		client.EnableBatching()
 	}
 	return client, nil
 }
@@ -295,7 +291,7 @@ func closeResolvedPeers(conns map[string]*peerConn) {
 // the full payload; a broadcast forwarding hop (DepartAt > 0) relays data
 // that is still arriving, so only the first chunk's link time separates
 // this hop's arrival from the previous one (cut-through, matching the
-// host-relay chain's hopDelay arithmetic). Either way the virtual arrival
+// host's hopDelay arithmetic). Either way the virtual arrival
 // at the peer travels with the data and the host NIC is never charged.
 func (c *pushCmd) exec() (protocol.Message, error) {
 	s, req, q, ev, buf := c.s, &c.req, c.q, c.ev, c.buf

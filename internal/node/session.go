@@ -155,16 +155,6 @@ func (l *lane) run() {
 	}
 }
 
-// laneKey maps a target queue to its lane. A node in single-lane mode
-// (benchmarks comparing against the serialized dispatch of the pre-lane
-// runtime) folds everything onto the control lane.
-func (s *Session) laneKey(queueID uint64) uint64 {
-	if s.node.singleLane {
-		return controlLane
-	}
-	return queueID
-}
-
 // submit routes one job to its lane, starting the lane worker lazily.
 func (s *Session) submit(key uint64, job laneJob) bool {
 	s.laneMu.Lock()
@@ -504,7 +494,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 		if err = c.resolve(err, c.req.WaitEvents, strictWaits); err != nil {
 			return 0, nil, err
 		}
-		return s.laneKey(c.req.QueueID), c, nil
+		return c.req.QueueID, c, nil
 	case protocol.OpReadBuffer:
 		c := new(readCmd)
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
@@ -520,7 +510,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 		if err = c.resolve(err, c.req.WaitEvents, strictWaits); err != nil {
 			return 0, nil, err
 		}
-		return s.laneKey(c.req.QueueID), c, nil
+		return c.req.QueueID, c, nil
 	case protocol.OpCopyBuffer:
 		c := new(copyCmd)
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
@@ -542,7 +532,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 		if err = c.resolve(err, c.req.WaitEvents, strictWaits); err != nil {
 			return 0, nil, err
 		}
-		return s.laneKey(c.req.QueueID), c, nil
+		return c.req.QueueID, c, nil
 	case protocol.OpEnqueueKernel:
 		c := new(kernelCmd)
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
@@ -558,7 +548,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 		if err = c.resolve(err, c.req.WaitEvents, strictWaits); err != nil {
 			return 0, nil, err
 		}
-		return s.laneKey(c.req.QueueID), c, nil
+		return c.req.QueueID, c, nil
 	case protocol.OpPushRange:
 		c := new(pushCmd)
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
@@ -577,7 +567,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 		if err = c.resolve(err, c.req.WaitEvents, strictWaits); err != nil {
 			return 0, nil, err
 		}
-		return s.laneKey(c.req.QueueID), c, nil
+		return c.req.QueueID, c, nil
 	case protocol.OpAwaitPush:
 		c := new(awaitCmd)
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
@@ -593,7 +583,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 		if err = c.resolve(err, c.req.WaitEvents, strictWaits); err != nil {
 			return 0, nil, err
 		}
-		return s.laneKey(c.req.QueueID), c, nil
+		return c.req.QueueID, c, nil
 	case protocol.OpFinishQueue:
 		var req protocol.FinishQueueReq
 		if err := protocol.DecodeMessage(&req, body); err != nil {
@@ -603,7 +593,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 		if err != nil {
 			return 0, nil, err
 		}
-		return s.laneKey(req.QueueID), &finishCmd{q: q}, nil
+		return req.QueueID, &finishCmd{q: q}, nil
 	case protocol.OpRelease:
 		// Inline: see the doc comment above.
 		resp, err := s.handleRelease(body)
@@ -697,18 +687,12 @@ func (s *Session) handleHello(body []byte) (protocol.Message, error) {
 	if err := protocol.DecodeMessage(&req, body); err != nil {
 		return nil, err
 	}
-	// Version negotiation: the session runs at the highest version both
-	// sides speak. A host newer than the node falls back to the node's
-	// version (so a v3 host interoperates with a v2-only node, minus
-	// batching); a host older than MinVersion cannot be spoken to at all.
-	if req.WireVersion < protocol.MinVersion {
+	// One wire version: a host speaking any other is refused, not
+	// negotiated down.
+	if req.WireVersion != protocol.Version {
 		return nil, remoteErr(protocol.CodeUnsupported,
-			"wire version %d unsupported: node speaks %d through %d",
-			req.WireVersion, protocol.MinVersion, s.node.wireVersion)
-	}
-	negotiated := s.node.wireVersion
-	if req.WireVersion < negotiated {
-		negotiated = req.WireVersion
+			"wire version %d unsupported: node %q speaks version %d",
+			req.WireVersion, s.node.name, protocol.Version)
 	}
 	// Learn the cluster address book for peer dialing. Our own entry is
 	// dropped: a node never pushes to itself.
@@ -744,7 +728,7 @@ func (s *Session) handleHello(body []byte) (protocol.Message, error) {
 	return &protocol.HelloResp{
 		NodeName:    s.node.name,
 		Devices:     s.node.DeviceInfos(0),
-		WireVersion: negotiated,
+		WireVersion: protocol.Version,
 		BootID:      s.node.bootID,
 	}, nil
 }
@@ -1197,15 +1181,14 @@ func (s *Session) releaseObject(kind protocol.ObjectKind, id uint64) error {
 		// The queue's lane dies with it (after draining what was already
 		// registered); without this, every create/use/release cycle would
 		// leak one parked worker goroutine for the session's lifetime.
-		s.closeLane(s.laneKey(id))
+		s.closeLane(id)
 	}
 	return nil
 }
 
 // closeLane retires one queue's lane after the queue is released: the
 // worker drains the jobs that were registered before the release, then
-// exits. The control lane (also the shared lane in single-lane mode) is
-// never retired — it serves the whole session.
+// exits. The control lane is never retired — it serves the whole session.
 func (s *Session) closeLane(key uint64) {
 	if key == controlLane {
 		return

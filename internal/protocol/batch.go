@@ -6,7 +6,7 @@ import (
 	"slices"
 )
 
-// Wire v3 Batch envelope: one FrameBatch frame carrying a sequence of
+// Batch envelope: one FrameBatch frame carrying a sequence of
 // ordinary request or response frames. Coalescing bursts of small control
 // messages into one frame (and one syscall) amortizes the per-frame header
 // and per-write overhead that dominates the pipelined command path once

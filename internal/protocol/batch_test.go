@@ -36,10 +36,8 @@ func batchRoundTrip(t *testing.T, subs []*Frame) []*Frame {
 	if err := WriteFrame(&buf, env); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	// Batch frames are stamped with the v3 version byte; plain frames
-	// keep v2 so pre-batching peers accept them.
-	if v := buf.Bytes()[2]; v != VersionBatch {
-		t.Fatalf("envelope version byte = %d, want %d", v, VersionBatch)
+	if v := buf.Bytes()[2]; v != Version {
+		t.Fatalf("envelope version byte = %d, want %d", v, Version)
 	}
 	read, err := ReadFrame(&buf)
 	if err != nil {
@@ -301,6 +299,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xDE, 0xAD})                           // bad magic
 	f.Add(append([]byte{0x48, 0x41, 99}, plain[3:]...)) // bad version
+	// Refusal seeds: the plain and envelope frames as the retired wire
+	// versions 2 and 3 stamped them.
+	f.Add(append([]byte{0x48, 0x41, 2}, plain[3:]...))
+	f.Add(append([]byte{0x48, 0x41, 3}, envBytes[3:]...))
 	// P2p data-plane frames: a PushRange command and a truncated variant.
 	pushFrame, err := AppendFrame(nil, &Frame{Kind: FrameRequest, ReqID: 9, Op: OpPushRange,
 		Body: EncodeMessage(&PushRangeReq{QueueID: 1, BufferID: 2, PeerName: "gpu-1",
@@ -353,6 +355,10 @@ func FuzzDecodeFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))
+		if len(data) >= headerSize && data[0] == 0x48 && data[1] == 0x41 && data[2] != Version &&
+			!errors.Is(err, ErrBadVersion) {
+			t.Fatalf("version %d frame: err = %v, want ErrBadVersion", data[2], err)
+		}
 		if err != nil {
 			return
 		}

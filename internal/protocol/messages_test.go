@@ -146,12 +146,19 @@ func TestEnqueueKernelRoundTrip(t *testing.T) {
 }
 
 // TestAllMessagesRoundTripProperty round-trips every message type with
-// randomized field values.
+// randomized field values, and requires every strict prefix of each
+// encoding to be a decode error: no field is optional on the wire, so a
+// truncated body never decodes to defaults. The one prefix that decodes is
+// a release vector's first ID, which is a single release.
 func TestAllMessagesRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	msgs := []func() (Message, Message){
 		func() (Message, Message) {
 			return &HelloReq{UserID: randStr(rng), ClientName: randStr(rng), WireVersion: rng.Uint32()}, &HelloReq{}
+		},
+		func() (Message, Message) {
+			return &HelloResp{NodeName: randStr(rng), Devices: []DeviceInfo{randDevice(rng)},
+				WireVersion: rng.Uint32(), BootID: rng.Uint64()}, &HelloResp{}
 		},
 		func() (Message, Message) {
 			return &GetDeviceInfosReq{TypeMask: uint8(rng.Uint32())}, &GetDeviceInfosReq{}
@@ -259,11 +266,20 @@ func TestAllMessagesRoundTripProperty(t *testing.T) {
 	for round := 0; round < 25; round++ {
 		for i, mk := range msgs {
 			in, out := mk()
-			if err := DecodeMessage(out, refBody(t, in)); err != nil {
+			body := refBody(t, in)
+			if err := DecodeMessage(out, body); err != nil {
 				t.Fatalf("case %d (%T): %v", i, in, err)
 			}
 			if !reflect.DeepEqual(in, out) {
 				t.Fatalf("case %d (%T): %+v != %+v", i, in, out, in)
+			}
+			for cut := 0; cut < len(body); cut++ {
+				if rel, ok := in.(*ReleaseReq); ok && len(rel.More) > 0 && cut == 9 {
+					continue
+				}
+				if err := DecodeMessage(out, body[:cut]); err == nil {
+					t.Fatalf("case %d (%T): truncation at %d of %d decoded without error", i, in, cut, len(body))
+				}
 			}
 		}
 	}
@@ -409,44 +425,10 @@ func TestReleaseVector(t *testing.T) {
 	}
 }
 
-// TestHelloPeerListBackCompat: a pre-p2p peer sends HelloReq without the
-// trailing peer list; the decoder must accept it with no peers rather than
-// erroring, and a hello whose peer section is cut mid-entry must error.
-func TestHelloPeerListBackCompat(t *testing.T) {
-	full := EncodeMessage(&HelloReq{UserID: "u", ClientName: "c", WireVersion: 2})
-	// Strip the epoch (8) and the (empty) peer-count word (4).
-	legacy := full[:len(full)-12]
-	var out HelloReq
-	if err := DecodeMessage(&out, legacy); err != nil {
-		t.Fatalf("legacy hello rejected: %v", err)
-	}
-	if out.UserID != "u" || out.Peers != nil || out.Epoch != 0 {
-		t.Fatalf("legacy hello decoded to %+v", out)
-	}
-
-	// A p2p-era hello without the epoch field decodes with Epoch 0.
-	var prefault HelloReq
-	if err := DecodeMessage(&prefault, full[:len(full)-8]); err != nil {
-		t.Fatalf("pre-fault-tolerance hello rejected: %v", err)
-	}
-	if prefault.Epoch != 0 {
-		t.Fatalf("missing epoch decoded as %d", prefault.Epoch)
-	}
-
-	withPeers := EncodeMessage(&HelloReq{UserID: "u", WireVersion: 2, Epoch: 4,
-		Peers: []PeerAddr{{Name: "gpu-0", Addr: "10.0.0.1:7010"}}})
-	var cut HelloReq
-	// Strip the epoch (8) plus 3 bytes to land mid-peer-entry.
-	if err := DecodeMessage(&cut, withPeers[:len(withPeers)-11]); err == nil {
-		t.Fatal("hello cut mid-peer-entry decoded without error")
-	}
-}
-
-// TestHelloEpochBootIDRoundTrip: the fault-tolerance fields appended to
-// the Hello pair survive a round trip, and a response from an older node
-// (no trailing BootID) decodes with BootID 0.
+// TestHelloEpochBootIDRoundTrip: the fault-tolerance fields of the Hello
+// pair survive a round trip.
 func TestHelloEpochBootIDRoundTrip(t *testing.T) {
-	in := &HelloReq{UserID: "u", ClientName: "c", WireVersion: 3, Epoch: 7,
+	in := &HelloReq{UserID: "u", ClientName: "c", WireVersion: Version, Epoch: 7,
 		Peers: []PeerAddr{{Name: "gpu-1", Addr: "mem://gpu-1"}}}
 	var out HelloReq
 	roundTrip(t, in, &out)
@@ -454,56 +436,12 @@ func TestHelloEpochBootIDRoundTrip(t *testing.T) {
 		t.Fatalf("%+v != %+v", out, in)
 	}
 
-	resp := &HelloResp{NodeName: "gpu-1", WireVersion: 3, BootID: 42}
+	resp := &HelloResp{NodeName: "gpu-1", WireVersion: Version, BootID: 42}
 	var outResp HelloResp
 	roundTrip(t, resp, &outResp)
 	if outResp.NodeName != resp.NodeName || outResp.WireVersion != resp.WireVersion ||
 		outResp.BootID != resp.BootID {
 		t.Fatalf("%+v != %+v", outResp, resp)
-	}
-
-	legacy := EncodeMessage(resp)
-	legacy = legacy[:len(legacy)-8] // strip the BootID
-	var old HelloResp
-	if err := DecodeMessage(&old, legacy); err != nil {
-		t.Fatalf("pre-fault-tolerance response rejected: %v", err)
-	}
-	if old.BootID != 0 || old.WireVersion != 3 {
-		t.Fatalf("legacy response decoded to %+v", old)
-	}
-}
-
-// TestCreateContextSessionBackCompat: the session identity appended to
-// CreateContextReq survives a round trip, and a request from a
-// pre-session host (no trailing SessionID/Tenant) decodes as the
-// anonymous session rather than erroring.
-func TestCreateContextSessionBackCompat(t *testing.T) {
-	in := &CreateContextReq{DeviceIDs: []int64{3, 9}, SessionID: 7, Tenant: "team-a"}
-	var out CreateContextReq
-	roundTrip(t, in, &out)
-	if !reflect.DeepEqual(in, &out) {
-		t.Fatalf("%+v != %+v", out, in)
-	}
-
-	full := EncodeMessage(&CreateContextReq{DeviceIDs: []int64{3, 9}, SessionID: 7})
-	// Strip the tenant length word (4) and the session ID (8).
-	legacy := full[:len(full)-12]
-	var old CreateContextReq
-	if err := DecodeMessage(&old, legacy); err != nil {
-		t.Fatalf("pre-session request rejected: %v", err)
-	}
-	if !reflect.DeepEqual(old.DeviceIDs, []int64{3, 9}) || old.SessionID != 0 || old.Tenant != "" {
-		t.Fatalf("legacy request decoded to %+v", old)
-	}
-
-	// A request carrying the session ID but cut before the tenant string
-	// still decodes (tenant defaults empty).
-	var mid CreateContextReq
-	if err := DecodeMessage(&mid, full[:len(full)-4]); err != nil {
-		t.Fatalf("session-only request rejected: %v", err)
-	}
-	if mid.SessionID != 7 || mid.Tenant != "" {
-		t.Fatalf("session-only request decoded to %+v", mid)
 	}
 }
 

@@ -25,27 +25,10 @@ const (
 	// (something else dialing the NMP port) fails fast.
 	Magic = 0x4841 // "HA"
 
-	// Version is the highest wire protocol version this build speaks.
-	// Version 2 added host-assigned event IDs to the enqueue requests,
-	// the basis of command pipelining; version 3 added the Batch frame
-	// that coalesces small control messages; version 4 made Release a
-	// vector of IDs. Peers negotiate the working version in the Hello
-	// handshake (min of both sides) and fall back to the v2
-	// one-frame-per-message path, and to one ID per Release, against
-	// older peers.
+	// Version is the wire protocol version, the only one this build speaks:
+	// every frame carries it, ReadFrame refuses any other, and a node
+	// refuses a Hello offering any other.
 	Version = 4
-
-	// MinVersion is the oldest version this build interoperates with.
-	MinVersion = 2
-
-	// VersionBatch is the first version whose peers understand Batch
-	// envelopes; the host only coalesces after negotiating at least this.
-	VersionBatch = 3
-
-	// VersionReleaseVector is the first version whose peers release every
-	// ID of a ReleaseReq; an older peer decodes only the first and ignores
-	// the rest, so it is sent one ID per message.
-	VersionReleaseVector = 4
 
 	// MaxFrameSize is the largest permitted frame body (1 GiB), sized to
 	// hold the largest Table I benchmark input with headroom.
@@ -57,24 +40,13 @@ const (
 // FrameKind distinguishes requests from responses on a connection.
 type FrameKind uint8
 
-// Frame kinds. FrameBatch (wire v3) envelopes a sequence of request or
+// Frame kinds. FrameBatch envelopes a sequence of request or
 // response frames in one wire frame; see AppendBatch.
 const (
 	FrameRequest FrameKind = iota + 1
 	FrameResponse
 	FrameBatch
 )
-
-// frameVersion is the version byte stamped on a frame: the minimum wire
-// version able to decode that frame kind. Plain frames carry MinVersion so
-// a v2 peer accepts them before and after negotiation; Batch frames carry
-// VersionBatch and are only sent once the peer has negotiated v3.
-func frameVersion(k FrameKind) byte {
-	if k == FrameBatch {
-		return VersionBatch
-	}
-	return MinVersion
-}
 
 // Errors returned by the framing layer.
 var (
@@ -164,7 +136,7 @@ func appendHeader(buf []byte, kind FrameKind, reqID uint64, op Op, bodyLen int) 
 	off := len(buf)
 	buf = append(buf, make([]byte, headerSize)...)
 	binary.BigEndian.PutUint16(buf[off:off+2], Magic)
-	buf[off+2] = frameVersion(kind)
+	buf[off+2] = Version
 	buf[off+3] = byte(kind)
 	binary.BigEndian.PutUint64(buf[off+4:off+12], reqID)
 	binary.BigEndian.PutUint16(buf[off+12:off+14], uint16(op))
@@ -199,9 +171,7 @@ func WriteFrame(w io.Writer, f *Frame) error {
 }
 
 // ReadFrame reads one frame from r, validating magic, version and size.
-// Any version in [MinVersion, Version] is accepted: plain frames are
-// identical across both, and Batch frames only arrive from peers that
-// negotiated v3. The body is freshly allocated and belongs to the caller.
+// The body is freshly allocated and belongs to the caller.
 func ReadFrame(r io.Reader) (*Frame, error) { return readFrame(r, false) }
 
 // ReadFramePooled is ReadFrame for a server's request stream: the body of
@@ -221,8 +191,8 @@ func readFrame(r io.Reader, pool bool) (*Frame, error) {
 	if binary.BigEndian.Uint16(hdr[0:2]) != Magic {
 		return nil, ErrBadMagic
 	}
-	if hdr[2] < MinVersion || hdr[2] > Version {
-		return nil, fmt.Errorf("%w: got %d want %d through %d", ErrBadVersion, hdr[2], MinVersion, Version)
+	if hdr[2] != Version {
+		return nil, fmt.Errorf("%w: got %d want %d", ErrBadVersion, hdr[2], Version)
 	}
 	kind, op := FrameKind(hdr[3]), Op(binary.BigEndian.Uint16(hdr[12:14]))
 	n := binary.BigEndian.Uint32(hdr[14:18])

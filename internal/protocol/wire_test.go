@@ -147,15 +147,31 @@ func TestReadFrameBadMagic(t *testing.T) {
 	}
 }
 
+// TestReadFrameBadVersion: every frame carries Version, and a frame with
+// any other version byte — the retired 2 and 3 included — is refused by
+// both readers, plain and batch frames alike.
 func TestReadFrameBadVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Frame{Kind: FrameRequest, Op: OpHello}); err != nil {
+	env, err := EncodeBatch([]*Frame{{Kind: FrameRequest, ReqID: 1, Op: OpFinishQueue}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	raw[2] = 99
-	if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("err = %v, want ErrBadVersion", err)
+	for _, f := range []*Frame{{Kind: FrameRequest, Op: OpHello}, env} {
+		raw, err := AppendFrame(nil, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw[2] != Version {
+			t.Fatalf("kind %d frame stamped version %d, want %d", f.Kind, raw[2], Version)
+		}
+		for _, v := range []byte{0, 1, 2, 3, 5, 99} {
+			raw[2] = v
+			if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadVersion) {
+				t.Fatalf("kind %d, version %d: err = %v, want ErrBadVersion", f.Kind, v, err)
+			}
+			if _, err := ReadFramePooled(bytes.NewReader(raw)); !errors.Is(err, ErrBadVersion) {
+				t.Fatalf("kind %d, version %d: pooled err = %v, want ErrBadVersion", f.Kind, v, err)
+			}
+		}
 	}
 }
 

@@ -41,7 +41,6 @@ const (
 	KindCopy                  // intra-node device copy
 	KindKernel                // kernel execution
 	KindMigrate               // host-relay migration push (ensureResident)
-	KindPull                  // dirty-replica pull back to the host
 	KindPushRange             // P2P push, source side
 	KindAwaitPush             // P2P push, consumer-side rendezvous
 	KindBroadcast             // one hop of a broadcast chain
@@ -51,7 +50,7 @@ const (
 	KindRegister  // node-side registration + dependency wait
 	KindQueueWait // device lane queue wait (deps resolved, device busy)
 	KindExec      // device busy interval
-	KindWireIn    // host NIC ingress occupancy (reads/pulls)
+	KindWireIn    // host NIC ingress occupancy (reads)
 
 	// Standalone kinds.
 	KindAdmission // FairQueue grant: submit → dispatch
@@ -61,7 +60,7 @@ const (
 )
 
 var kindNames = [kindCount]string{
-	"write", "read", "copy", "kernel", "migrate", "pull",
+	"write", "read", "copy", "kernel", "migrate",
 	"push-range", "await-push", "broadcast-hop",
 	"wire", "register", "queue-wait", "exec", "wire-in",
 	"admission", "recovery",

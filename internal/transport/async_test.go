@@ -87,7 +87,7 @@ func TestAsyncOutOfOrderResponses(t *testing.T) {
 	}
 }
 
-// TestAsyncEnvelopeCoalescedOutOfOrder speaks raw wire v3: a request
+// TestAsyncEnvelopeCoalescedOutOfOrder speaks the raw wire: a request
 // envelope whose sub-requests complete in reverse order must still come
 // back as one response envelope with each response in its request's
 // position.

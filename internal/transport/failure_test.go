@@ -198,7 +198,6 @@ func TestSendFailureNeverReportsBeforeOnDown(t *testing.T) {
 	hostEnd, nodeEnd := newMemConnPair()
 	c := NewClient(hostEnd)
 	defer c.Close()
-	c.EnableBatching()
 
 	entered, gate := make(chan struct{}), make(chan struct{})
 	var ran atomic.Bool

@@ -1,44 +1,17 @@
 package transport
 
-import (
-	"errors"
-	"strings"
-
-	"github.com/haocl-project/haocl/internal/protocol"
-)
+import "github.com/haocl-project/haocl/internal/protocol"
 
 // Handshake performs the Hello exchange on a freshly dialed client,
-// negotiating the wire version. Nodes that predate negotiation (wire v2
-// with a strict equality check) reject any offer other than their own
-// version instead of negotiating down, so a version rejection is retried
-// once pinned at MinVersion — that keeps a current speaker interoperable
-// with a pre-batching node binary, not just with a current node capped at
-// v2. Both the host runtime and node peer-dialing share this path, so the
-// two kinds of sessions negotiate identically.
+// offering protocol.Version when req names no version. There is nothing to
+// negotiate: a node speaking another version refuses with CodeUnsupported,
+// and the error is returned as is. Both the host runtime and node
+// peer-dialing share this path.
 func Handshake(client *Client, req protocol.HelloReq) (protocol.HelloResp, error) {
 	if req.WireVersion == 0 {
 		req.WireVersion = protocol.Version
 	}
 	var resp protocol.HelloResp
 	err := client.Call(&req, &resp)
-	if IsVersionReject(err) {
-		req.WireVersion = protocol.MinVersion
-		resp = protocol.HelloResp{}
-		if err = client.Call(&req, &resp); err == nil {
-			// The session runs at what was offered, whatever the legacy
-			// response claims (pre-v3 responses lack the field entirely).
-			resp.WireVersion = protocol.MinVersion
-		}
-	}
 	return resp, err
-}
-
-// IsVersionReject reports whether a Hello failure is a version mismatch,
-// as opposed to an auth/transport problem worth surfacing directly.
-func IsVersionReject(err error) bool {
-	var re *protocol.RemoteError
-	return errors.As(err, &re) &&
-		re.Op == protocol.OpHello &&
-		re.Code == protocol.CodeUnsupported &&
-		strings.Contains(re.Message, "wire version")
 }

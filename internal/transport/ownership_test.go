@@ -121,7 +121,6 @@ func TestParkedDepositSurvivesBulkTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.EnableBatching()
 
 	const size = 256 << 10
 	fill := func(seed byte) []byte {

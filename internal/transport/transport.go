@@ -22,22 +22,19 @@
 // is sticky: every in-flight and subsequent future resolves to the same
 // error.
 //
-// Once the Hello handshake negotiates wire v3, the client's write side
-// coalesces: requests queue to a writer goroutine that drains whatever has
-// accumulated, packs runs of small frames into Batch envelopes, and ships
-// them with one write — flushing whenever the queue drains, so an idle
-// connection never waits on a timer. The server unpacks envelopes into the
-// same per-connection FIFO dispatch (preserving the pipeline's ordering
-// invariant) and coalesces the responses of each envelope symmetrically.
-// Against a v2 peer the wire bytes are identical to the pre-batching
-// runtime: one frame per message.
+// The client's write side coalesces from its first frame: requests queue
+// to a writer goroutine that drains whatever has accumulated, packs runs of
+// small frames into Batch envelopes, and ships them with one write —
+// flushing whenever the queue drains, so an idle connection never waits on
+// a timer. The server unpacks envelopes into the same per-connection FIFO
+// dispatch (preserving the pipeline's ordering invariant) and coalesces the
+// responses of each envelope symmetrically.
 //
-// Every frame, in both directions and before as well as after the
-// handshake, reaches its connection through one function, the
-// connection's frameWriter: small frames are staged into one reused
-// buffer (packed into an envelope when several are waiting), and a bulk
-// frame — body above protocol.BatchableBodyLimit — is written vectored,
-// header and payload in place, never copied. Payloads from
+// Every frame, in both directions, reaches its connection through one
+// function, the connection's frameWriter: small frames are staged into one
+// reused buffer (packed into an envelope when several are waiting), and a
+// bulk frame — body above protocol.BatchableBodyLimit — is written
+// vectored, header and payload in place, never copied. Payloads from
 // protocol.ReferenceFloor up are referenced on the way out — staging is the
 // one copy a mid-size payload gets, a bulk one gets none — and every blob
 // is decoded in place on the way in; DESIGN.md §11 states who owns which
@@ -111,21 +108,17 @@ var ErrClosed = errors.New("transport: connection closed")
 // Client is the host side of one host↔node connection.
 type Client struct {
 	conn net.Conn
-	// fw writes every frame the client sends: under writeMu before
-	// batching is enabled, from the writer goroutine alone afterwards (the
-	// switch itself happens under writeMu, so the two never overlap).
+	// fw writes every frame the client sends, from the writer goroutine
+	// alone.
 	fw frameWriter
 
-	// writeMu serializes direct frame writes (pre-negotiation v2 path)
-	// and guards the coalescer state. The writer goroutine itself writes
-	// without holding it: once batching is on, every frame goes through
-	// the queue, so the two write paths never overlap.
+	// writeMu guards the coalescer queue; the writer goroutine writes
+	// without holding it.
 	writeMu    sync.Mutex
 	writeCh    *sync.Cond        // wakes the writer when frames are queued
 	spaceCh    *sync.Cond        // wakes producers when the queue drains
 	queue      []*protocol.Frame // guarded by writeMu
 	queueBytes int               // guarded by writeMu
-	batching   bool              // guarded by writeMu
 	sendDead   bool              // guarded by writeMu; write side failed or closed, queue abandoned
 
 	mu      sync.Mutex
@@ -168,16 +161,9 @@ func NewClient(conn net.Conn) *Client {
 // slow link could queue without bound.
 const maxQueuedBytes = 8 << 20
 
-// EnableBatching switches the write side to the wire v3 coalescer. Call it
-// once, after the Hello handshake negotiates VersionBatch and before
-// further traffic; frames already being written directly and frames queued
-// afterwards are serialized by writeMu, so the switch cannot reorder or
-// interleave them.
-func (c *Client) EnableBatching() {
-	c.writeMu.Lock()
-	c.batching = true
-	c.writeMu.Unlock()
-}
+// EnableBatching does nothing: a client coalesces from its first frame. It
+// remains for the benchmark module's ladder, which still calls it.
+func (c *Client) EnableBatching() {}
 
 func (c *Client) readLoop() {
 	for {
@@ -224,8 +210,10 @@ func (c *Client) deliver(f *protocol.Frame) {
 // flight, and ships the whole run in one write. Flushing is purely
 // drain-driven — a lone frame on an idle connection goes out immediately;
 // batches only form when the producer outpaces the writer, which is
-// exactly when coalescing pays.
+// exactly when coalescing pays. The drained queue and the writer's spare
+// swap places at every drain, so a steady stream reuses two arrays.
 func (c *Client) writeLoop() {
+	var spare []*protocol.Frame
 	for {
 		c.writeMu.Lock()
 		for len(c.queue) == 0 && !c.sendDead {
@@ -236,7 +224,7 @@ func (c *Client) writeLoop() {
 			return
 		}
 		run := c.queue
-		c.queue = nil
+		c.queue = spare
 		c.queueBytes = 0
 		c.spaceCh.Broadcast()
 		c.writeMu.Unlock()
@@ -248,12 +236,14 @@ func (c *Client) writeLoop() {
 			c.conn.Close()
 			return
 		}
+		clear(run) // the reused array must not keep written frames reachable
+		spare = run[:0]
 	}
 }
 
 // frameWriter is the one function through which frames reach a
-// connection: the client's coalescing writer, its pre-negotiation direct
-// path and the server's reply path all write through it, so the packing
+// connection: the client's coalescing writer and the server's reply path
+// both write through it, so the packing
 // policy and the copy-free bulk write exist exactly once. It is not safe
 // for concurrent use; each owner serializes its calls.
 //
@@ -447,8 +437,8 @@ type Pending struct {
 // be nil when the caller only needs the acknowledgement). Frames from
 // concurrent Go calls are written whole, but callers needing a defined
 // wire order across several Go calls must serialize the calls themselves.
-// With batching negotiated, Go returns once the frame is queued to the
-// coalescing writer; the queue preserves Go-call order.
+// Go returns once the frame is queued to the coalescing writer; the queue
+// preserves Go-call order.
 //
 // A payload in req (a blob of at least protocol.ReferenceFloor bytes) is
 // not copied here: the queued frame references it and the writer stages or
@@ -487,7 +477,7 @@ func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
 		return p
 	}
 	c.writeMu.Lock()
-	for c.batching && c.queueBytes >= maxQueuedBytes && !c.sendDead {
+	for c.queueBytes >= maxQueuedBytes && !c.sendDead {
 		c.spaceCh.Wait()
 	}
 	if c.sendDead {
@@ -496,23 +486,14 @@ func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
 		p.settle(fmt.Errorf("send %s: %w", req.Op(), c.sticky()))
 		return p
 	}
-	if c.batching {
-		c.queue = append(c.queue, frame)
-		// Count the wire size, not just the body: zero-body control
-		// frames (status polls, shutdown) must still hit the cap, or a
-		// producer outpacing a stalled writer queues without bound.
-		// Referenced payloads count in full: they are just as queued.
-		c.queueBytes += protocol.FrameWireSize(frame)
-		c.writeCh.Signal()
-		c.writeMu.Unlock()
-		return p
-	}
-	err := c.fw.write(frame)
+	c.queue = append(c.queue, frame)
+	// Count the wire size, not just the body: zero-body control frames
+	// (status polls, shutdown) must still hit the cap, or a producer
+	// outpacing a stalled writer queues without bound. Referenced payloads
+	// count in full: they are just as queued.
+	c.queueBytes += protocol.FrameWireSize(frame)
+	c.writeCh.Signal()
 	c.writeMu.Unlock()
-	if err != nil {
-		c.forget(id)
-		p.settle(fmt.Errorf("send %s: %w", req.Op(), err))
-	}
 	return p
 }
 
@@ -619,13 +600,6 @@ func (c *Client) Close() error {
 type Server struct {
 	factory func() Handler
 
-	// wireVersion caps the wire version this server accepts on its
-	// connections (0 = protocol.Version). A server capped below
-	// VersionBatch drops connections that send Batch envelopes, so a
-	// v2-pinned node behaves like a genuine pre-batching peer instead of
-	// relying on host-side self-restraint.
-	wireVersion uint32
-
 	mu     sync.Mutex
 	ln     net.Listener          // guarded by mu
 	conns  map[net.Conn]struct{} // guarded by mu
@@ -646,15 +620,6 @@ func NewServer(factory func() Handler) *Server {
 // handler, for tests and single-session tools.
 func NewStaticServer(h Handler) *Server {
 	return NewServer(func() Handler { return h })
-}
-
-// LimitWireVersion caps the wire version the server accepts (0 = current).
-// Call before Listen/ServeConn.
-func (s *Server) LimitWireVersion(v uint32) { s.wireVersion = v }
-
-// acceptsBatches reports whether connections may send Batch envelopes.
-func (s *Server) acceptsBatches() bool {
-	return s.wireVersion == 0 || s.wireVersion >= protocol.VersionBatch
 }
 
 // Listen starts accepting on a TCP address and returns the bound address
@@ -723,9 +688,6 @@ func (s *Server) ServeConn(conn net.Conn) error {
 				return
 			}
 			if f.Kind == protocol.FrameBatch {
-				if !s.acceptsBatches() {
-					return // batch traffic beyond the negotiated version
-				}
 				subs, err := protocol.DecodeBatch(f)
 				if err != nil {
 					return // malformed envelope: framing is poisoned

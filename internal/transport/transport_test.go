@@ -54,6 +54,47 @@ func TestTCPCallRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHandshakeRefusalIsNotRetried: Handshake offers protocol.Version when
+// the request names none, and a node of another version refusing the Hello
+// is reported as it is, after exactly one Hello — there is no fallback
+// version to retry at.
+func TestHandshakeRefusalIsNotRetried(t *testing.T) {
+	var hellos atomic.Int64
+	var offered atomic.Uint32
+	srv := NewStaticServer(HandlerFunc(func(op protocol.Op, body []byte) (protocol.Message, error) {
+		var req protocol.HelloReq
+		if err := protocol.DecodeMessage(&req, body); err != nil {
+			return nil, err
+		}
+		hellos.Add(1)
+		offered.Store(req.WireVersion)
+		return nil, &protocol.RemoteError{Code: protocol.CodeUnsupported,
+			Message: fmt.Sprintf("wire version %d unsupported: node speaks version 5", req.WireVersion)}
+	}))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	_, err = Handshake(client, protocol.HelloReq{UserID: "u"})
+	var re *protocol.RemoteError
+	if !errors.As(err, &re) || re.Code != protocol.CodeUnsupported || re.Op != protocol.OpHello {
+		t.Fatalf("err = %v, want the node's CodeUnsupported refusal", err)
+	}
+	if n := hellos.Load(); n != 1 {
+		t.Fatalf("node saw %d Hellos, want 1", n)
+	}
+	if v := offered.Load(); v != protocol.Version {
+		t.Fatalf("Handshake offered version %d, want %d", v, protocol.Version)
+	}
+}
+
 func TestRemoteErrorPropagates(t *testing.T) {
 	srv := NewStaticServer(&echoHandler{})
 	addr, err := srv.Listen("127.0.0.1:0")

@@ -36,15 +36,6 @@ type LocalClusterSpec struct {
 	// simulated nodes share one OS process; 1 keeps them fair).
 	ExecWorkers int
 
-	// WireVersion caps the wire protocol version the nodes negotiate
-	// (0 = current). Benchmarks pin it to emulate pre-batching peers.
-	WireVersion uint32
-
-	// SingleLane folds every node's dispatch onto one lane per session,
-	// the serialized pre-lane execution (DESIGN.md §4). Benchmarks use it
-	// as the baseline against per-queue lanes.
-	SingleLane bool
-
 	// Policy is the default scheduling policy.
 	Policy Policy
 }
@@ -94,8 +85,6 @@ func StartLocalCluster(spec LocalClusterSpec) (*LocalCluster, error) {
 			Devices:     devCfgs,
 			ICD:         icd,
 			ExecWorkers: spec.ExecWorkers,
-			WireVersion: spec.WireVersion,
-			SingleLane:  spec.SingleLane,
 			Dialer:      net,
 		})
 		if err != nil {
