@@ -91,8 +91,8 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 	// Validate every hop up front — sticky queue errors, replica
 	// allocation (a synchronous call that can fail), chain integrity —
 	// before mutating any buffer state. Failing mid-loop would strand the
-	// buffer half-broadcast: host shadow updated and earlier hops issued,
-	// later replicas still holding (and still marked with) old data.
+	// buffer half-broadcast: earlier hops issued, later replicas still
+	// holding (and still marked with) old data.
 	type hop struct {
 		q      *Queue
 		dev    *DeviceRef // q's binding, snapshotted once for the whole plan
@@ -134,13 +134,6 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 		}
 		plan = append(plan, h)
 	}
-
-	if b.host == nil {
-		b.host = make([]byte, b.size)
-	}
-	copy(b.host, data)
-	b.hostValid.Reset()
-	b.hostValid.Add(0, b.size)
 
 	events := make([]*Event, 0, len(plan))
 	var prevArrival vtime.Time
@@ -227,8 +220,8 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 	}
 
 	// Replicas on nodes outside the hop set now hold stale data in full:
-	// a later consumer there must re-migrate from the fresh host shadow
-	// instead of reading the pre-broadcast bytes.
+	// a later consumer there must re-migrate from a hop replica instead of
+	// reading the pre-broadcast bytes.
 	for node, orb := range b.remote {
 		if !seen[node] {
 			orb.valid.Reset()

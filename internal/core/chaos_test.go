@@ -183,6 +183,7 @@ func chaosWorkload(t *testing.T, cc *chaosCluster, seed int64, steps int, inj *s
 	for i := range mirror {
 		mirror[i] = make([]float32, floats)
 	}
+	written := make([]mem.RangeSet, nBufs)
 
 	randQ := func() *core.Queue { return queues[rng.Intn(len(queues))] }
 	randRange := func() (lo, hi int) {
@@ -219,6 +220,7 @@ func chaosWorkload(t *testing.T, cc *chaosCluster, seed int64, steps int, inj *s
 				t.Fatalf("step %d write: %v", step, err)
 			}
 			copy(m[lo:hi], vals)
+			written[bi].Add(int64(lo*4), int64(hi*4))
 		case op < 55: // incr kernel over the whole buffer
 			if err := k.SetArg(0, b); err != nil {
 				t.Fatal(err)
@@ -232,6 +234,7 @@ func chaosWorkload(t *testing.T, cc *chaosCluster, seed int64, steps int, inj *s
 			for i := range m {
 				m[i]++
 			}
+			written[bi].Add(0, size)
 		case op < 70: // copy a range into another buffer
 			oi := (bi + 1 + rng.Intn(nBufs-1)) % nBufs
 			lo, hi := randRange()
@@ -239,6 +242,7 @@ func chaosWorkload(t *testing.T, cc *chaosCluster, seed int64, steps int, inj *s
 				t.Fatalf("step %d copy: %v", step, err)
 			}
 			copy(mirror[oi][lo:hi], m[lo:hi])
+			written[oi].Add(int64(lo*4), int64(hi*4))
 		case op < 85: // ranged read, checked against the mirror
 			lo, hi := randRange()
 			data, _, err := randQ().EnqueueRead(b, int64(lo*4), int64((hi-lo)*4))
@@ -260,7 +264,9 @@ func chaosWorkload(t *testing.T, cc *chaosCluster, seed int64, steps int, inj *s
 				t.Fatalf("step %d broadcast: %v", step, err)
 			}
 			copy(m, vals)
+			written[bi].Add(0, size)
 		}
+		checkNoHostCopyNeeded(t, fmt.Sprintf("step %d", step), bufs, written)
 	}
 
 	// Settle every queue, then read all buffers back through one queue.
@@ -291,8 +297,10 @@ func chaosWorkload(t *testing.T, cc *chaosCluster, seed int64, steps int, inj *s
 // produce byte-identical buffer contents to the same workload on a cluster
 // that never fails. The host-side mirror checks every intermediate read as
 // well, so a replica leaking stale post-crash state fails loudly at the
-// step that observed it. Subtests are named for the delta migration the
-// workload exercises.
+// step that observed it, and the host-free invariant
+// (checkNoHostCopyNeeded) is checked after every step, across crashes and
+// replays. Subtests are named for the delta migration the workload
+// exercises.
 func TestChaosCoherenceOracle(t *testing.T) {
 	for _, seed := range []int64{1, 7, 99} {
 		t.Run(fmt.Sprintf("delta/seed%d", seed), func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/haocl-project/haocl/internal/core"
+	"github.com/haocl-project/haocl/internal/mem"
 )
 
 // patternBytes builds a deterministic non-zero test pattern.
@@ -304,11 +305,43 @@ func TestFullyStaleConsumerMovesBufferOnce(t *testing.T) {
 	f.checkOnB(t, want)
 }
 
+// checkNoHostCopyNeeded asserts the invariant that lets the host keep no
+// copy of buffer contents, at a boundary between two operations, for every
+// buffer against the byte ranges the workload has written to it:
+//
+//   - every written range is valid on at least one live replica — skipped
+//     while a replica sits on a dead node that recovery has yet to replay;
+//   - no span the host relay could ship (as zeros) was ever written.
+//
+// The workloads release nothing, and recovery replays the whole log before
+// the operation that triggered it returns, so "written since the buffer was
+// created" is "written since recovery last reset it" at every boundary.
+func checkNoHostCopyNeeded(t *testing.T, where string, bufs []*core.Buffer, written []mem.RangeSet) {
+	t.Helper()
+	for i, b := range bufs {
+		if valid, awaitsRecovery := b.LiveValid(); !awaitsRecovery {
+			for _, r := range written[i].Spans() {
+				if !valid.Contains(r.Lo, r.Hi) {
+					t.Fatalf("%s: buffer %d: written %v is not valid on any live replica (valid %v)",
+						where, i, r, &valid)
+				}
+			}
+		}
+		for _, r := range b.RelaySpans() {
+			if written[i].Intersects(r.Lo, r.Hi) {
+				t.Fatalf("%s: buffer %d: the relay would ship zeros for %v, which overlaps written %v",
+					where, i, r, &written[i])
+			}
+		}
+	}
+}
+
 // TestCoherenceOracle mirrors a random sequence of partial writes, partial
 // reads, device copies and subset broadcasts across a 3-node cluster
 // against plain in-memory byte slices: every read must be byte-identical
 // to the mirror, whatever interleaving of migrations it triggered — peer
-// pushes of owned ranges and relay pushes of ranges no replica owns.
+// pushes of owned ranges and relay pushes of ranges no replica owns. After
+// every operation the host-free invariant (checkNoHostCopyNeeded) holds.
 func TestCoherenceOracle(t *testing.T) {
 	for _, seed := range []int64{1, 7, 99} {
 		seed := seed
@@ -341,6 +374,7 @@ func runCoherenceOracle(t *testing.T, seed int64) {
 	}
 	bufs := make([]*core.Buffer, numBufs)
 	mirror := make([][]byte, numBufs)
+	written := make([]mem.RangeSet, numBufs)
 	for i := range bufs {
 		b, err := ctx.CreateBuffer(bufSize)
 		if err != nil {
@@ -368,6 +402,7 @@ func runCoherenceOracle(t *testing.T, seed int64) {
 				t.Fatalf("seed %d step %d: write: %v", seed, step, err)
 			}
 			copy(mirror[bi][off:], data)
+			written[bi].Add(off, off+n)
 		case op < 70: // partial read, checked against the mirror
 			off, n := randRange()
 			got, _, err := q.EnqueueRead(bufs[bi], off, n)
@@ -386,6 +421,7 @@ func runCoherenceOracle(t *testing.T, seed int64) {
 				t.Fatalf("seed %d step %d: copy: %v", seed, step, err)
 			}
 			copy(mirror[dst][dstOff:dstOff+n], mirror[src][srcOff:srcOff+n])
+			written[dst].Add(dstOff, dstOff+n)
 		case op < 95: // broadcast to a random non-empty queue subset
 			var subset []*core.Queue
 			for _, cand := range queues {
@@ -402,11 +438,13 @@ func runCoherenceOracle(t *testing.T, seed int64) {
 				t.Fatalf("seed %d step %d: broadcast: %v", seed, step, err)
 			}
 			copy(mirror[bi], payload)
+			written[bi].Add(0, bufSize)
 		default: // a sync point; functionally invisible
 			if _, err := q.Finish(); err != nil {
 				t.Fatalf("seed %d step %d: finish: %v", seed, step, err)
 			}
 		}
+		checkNoHostCopyNeeded(t, fmt.Sprintf("seed %d step %d", seed, step), bufs, written)
 	}
 
 	// Every node must agree with the mirror on every buffer, in full.
@@ -424,11 +462,11 @@ func runCoherenceOracle(t *testing.T, seed int64) {
 	}
 }
 
-// TestFailedWriteLeavesShadowUntouched: an EnqueueWrite that fails after
+// TestFailedWriteLeavesReplicasUntouched: an EnqueueWrite that fails after
 // argument validation (here: a wait list referencing a released event)
-// must not leave the host shadow claiming data the cluster never
-// received — the same no-half-mutation rule Broadcast follows.
-func TestFailedWriteLeavesShadowUntouched(t *testing.T) {
+// must not invalidate the replica holding the range's current data — the
+// same no-half-mutation rule Broadcast follows.
+func TestFailedWriteLeavesReplicasUntouched(t *testing.T) {
 	rt, cleanup := startRuntime(t, 2)
 	defer cleanup()
 	ctx, err := rt.CreateContext(rt.Devices(0))
@@ -468,14 +506,15 @@ func TestFailedWriteLeavesShadowUntouched(t *testing.T) {
 	if _, err := qA.EnqueueWrite(buf, 0, patternBytes(16, 0x66), ev); err == nil {
 		t.Fatal("write waiting on a released event accepted")
 	}
-	// Reading through node B migrates from the host shadow: it must still
-	// hold the old contents, not the failed write's.
+	// Reading through node B migrates from node A's replica: it must still
+	// be valid and hold the old contents, not zeros relayed for a range
+	// the failed write left valid nowhere.
 	got, _, err := qB.EnqueueRead(buf, 0, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, old) {
-		t.Fatalf("failed write leaked into the shadow: %x, want %x", got, old)
+		t.Fatalf("failed write lost the old contents: %x, want %x", got, old)
 	}
 }
 

@@ -565,12 +565,17 @@ type remoteBuf struct {
 	lastEv    *Event // the chained event itself, to detect released chains
 }
 
-// Buffer is a cluster-wide memory object (clCreateBuffer). The host keeps a
-// shadow copy plus per-node replicas with range-aware write-invalidate
+// Buffer is a cluster-wide memory object (clCreateBuffer). The nodes hold
+// the data, in per-node replicas with range-aware write-invalidate
 // coherence: writing a range on one device invalidates that range on the
 // others, and using the buffer on a different node triggers an automatic
 // delta migration over the backbone that moves only the stale ranges — the
-// "complex inter-node data transfer schemes" of paper §III-C.
+// "complex inter-node data transfer schemes" of paper §III-C. The host is
+// the control plane: it tracks which replica holds which range valid and
+// keeps no copy of the contents. The coherence invariant: every byte range
+// written since the buffer's creation (or since recovery last reset it) is
+// valid on at least one replica at all times; a range never written reads
+// as zeros, deterministically.
 type Buffer struct {
 	ctx  *Context
 	size int64
@@ -579,13 +584,9 @@ type Buffer struct {
 	// payload is a scaled-down stand-in for a paper-scale input.
 	modelSize int64 // guarded by mu
 
-	mu   sync.Mutex
-	host []byte // guarded by mu
-	// hostValid is the set of byte ranges of the host shadow holding
-	// current data. The coherence invariant: every byte range that was
-	// ever written is valid on the host or on at least one replica at all
-	// times (ranges never written read as zeros, deterministically).
-	hostValid   mem.RangeSet               // guarded by mu
+	mu sync.Mutex
+	// hostReadyAt is the virtual instant the last read's payload reached
+	// the host; a later host send of this buffer departs no earlier.
 	hostReadyAt vtime.Time                 // guarded by mu
 	remote      map[*NodeHandle]*remoteBuf // guarded by mu
 	released    bool                       // guarded by mu
@@ -680,9 +681,9 @@ func (b *Buffer) remoteOn(node *NodeHandle) (*remoteBuf, error) {
 // (clReleaseMemObject). The releases are fire-and-forget, drained at the
 // next Flush/Close; commands already pipelined against a replica keep
 // executing, because nodes resolve a command's objects when it is
-// registered, before the release arrives behind it. The host shadow is
-// dropped too, and so is what the command log kept to rebuild the contents
-// — the buffer is unusable afterwards.
+// registered, before the release arrives behind it. What the command log
+// kept to rebuild the contents is dropped too — the buffer is unusable
+// afterwards.
 func (b *Buffer) Release() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -690,8 +691,6 @@ func (b *Buffer) Release() error {
 		b.ctx.sess.releaseAsync(node, protocol.ObjBuffer, b.remote[node].id)
 	}
 	b.remote = make(map[*NodeHandle]*remoteBuf)
-	b.host = nil
-	b.hostValid.Reset()
 	b.released = true
 	b.ctx.sess.log.retire(b)
 	return nil
@@ -706,12 +705,12 @@ func hostRangeOK(off, n, size int64) bool {
 }
 
 // EnqueueWrite transfers data into the buffer through q's device
-// (clEnqueueWriteBuffer). The host shadow is updated and exactly the
-// written byte range is validated there and on the target replica — and
-// invalidated on every other replica; the transfer is charged to the host
-// NIC model. The command is pipelined: the call returns once the request
-// is on the wire, and the returned event resolves when the node responds.
-// A crash-induced failure recovers and retries transparently.
+// (clEnqueueWriteBuffer). Exactly the written byte range is validated on
+// the target replica and invalidated on every other replica; the transfer
+// is charged to the host NIC model. The command is pipelined: the call
+// returns once the request is on the wire, and the returned event resolves
+// when the node responds. A crash-induced failure recovers and retries
+// transparently.
 //
 // The caller may reuse data as soon as the call returns: the one private
 // copy made here serves both the command log and the wire.
@@ -749,8 +748,8 @@ func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Eve
 	defer b.mu.Unlock()
 
 	// Every fallible step runs before any buffer state mutates: a write
-	// whose replica allocation or wait list fails must not leave the host
-	// shadow claiming data the cluster never received.
+	// whose replica allocation or wait list fails must not invalidate the
+	// replicas holding the range's current data.
 	rb, err := b.remoteOn(node)
 	if err != nil {
 		return nil, err
@@ -762,13 +761,6 @@ func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Eve
 	if localWaits, err = rb.chainWaits(localWaits); err != nil {
 		return nil, err
 	}
-
-	// Update the host shadow: the written range now holds current data.
-	if b.host == nil {
-		b.host = make([]byte, b.size)
-	}
-	copy(b.host[offset:], data)
-	b.hostValid.Add(offset, end)
 
 	modelBytes := b.scaled(int64(len(data)))
 	earliest := vtime.Max(b.hostReadyAt, floor)
@@ -787,11 +779,11 @@ func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Eve
 	})
 	q.track(ev)
 
-	// Coherence at issue time (wire order is event-ID order): this node and
-	// the host now hold the written range; other replicas lose exactly the
-	// overlap. A partial write onto a stale replica must NOT validate the
-	// unwritten remainder — those bytes still hold old data, and reading
-	// them back here would expose stale content (the pre-range runtime's
+	// Coherence at issue time (wire order is event-ID order): this node now
+	// holds the written range; other replicas lose exactly the overlap. A
+	// partial write onto a stale replica must NOT validate the unwritten
+	// remainder — those bytes still hold old data, and reading them back
+	// here would expose stale content (the pre-range runtime's
 	// whole-replica flag did exactly that).
 	for other, orb := range b.remote {
 		if other != node {
@@ -827,14 +819,6 @@ func (b *Buffer) ensureResident(node *NodeHandle, lo, hi int64) (*remoteBuf, err
 		}
 	}
 	return rb, nil
-}
-
-// hostSnapshot copies one range of the host shadow for a relay push. A
-// bulk request frame references its payload until the writer goroutine
-// has shipped it, which is after b.mu is released — and the next write
-// overwrites the shadow in place. Caller holds b.mu.
-func (b *Buffer) hostSnapshot(r mem.Range) []byte {
-	return append([]byte(nil), b.host[r.Lo:r.Hi]...)
 }
 
 // chainWaits appends the wait-list entry for the replica's last writer to
@@ -917,15 +901,8 @@ func (q *Queue) enqueueRead(b *Buffer, offset, size int64, waits ...*Event) ([]b
 	if err := pend.Wait(); err != nil {
 		return nil, nil, fmt.Errorf("core: read buffer on %s: %w", dev.key, classifyNodeErr(node, err))
 	}
-	// The payload crosses the backbone to the host, freshening the host
-	// shadow over exactly the range it carried.
+	// The payload crosses the backbone to the host, straight to the caller.
 	_, hostArrival := q.ctx.sess.chargeNICIn(vtime.Time(resp.Profile.End), controlMsgBytes+modelBytes)
-
-	if b.host == nil {
-		b.host = make([]byte, b.size)
-	}
-	copy(b.host[offset:], resp.Data)
-	b.hostValid.Add(offset, offset+size)
 	if hostArrival > b.hostReadyAt {
 		b.hostReadyAt = hostArrival
 	}
@@ -1034,8 +1011,6 @@ func (q *Queue) enqueueCopy(src, dst *Buffer, srcOffset, dstOffset, size int64, 
 			orb.valid.Remove(dstOffset, dstEnd)
 		}
 	}
-	//lint:ignore haoclvet/lockguard dst.mu is held via the address-ordered first/second aliases locked above
-	dst.hostValid.Remove(dstOffset, dstEnd)
 	dstRB.valid.Add(dstOffset, dstEnd)
 	dstRB.lastEvent = id
 	dstRB.lastEv = ev
@@ -1401,7 +1376,6 @@ func (q *Queue) enqueueKernelBound(k *Kernel, bindings []argBinding, global, loc
 				orb.valid.Reset()
 			}
 		}
-		b.hostValid.Reset()
 		if rb := b.remote[node]; rb != nil {
 			rb.valid.Add(0, b.size)
 			if id > rb.lastEvent {

@@ -61,9 +61,9 @@ func pattern(n int, seed byte) []byte {
 
 // TestEnqueueWriteCopySemantics: the caller may scribble over its slice the
 // moment EnqueueWrite returns. The request frame — shipped later by the
-// writer goroutine — the host shadow and the command log must all hold the
-// original bytes: read back from the node, and again after the node has
-// crashed and recovery has replayed the log onto the survivor.
+// writer goroutine — and the command log must both hold the original bytes:
+// read back from the node, and again after the node has crashed and
+// recovery has replayed the log onto the survivor.
 func TestEnqueueWriteCopySemantics(t *testing.T) {
 	const size = 1 << 20
 	f := newRecoveryFixture(t, 2)
@@ -149,12 +149,13 @@ func TestBroadcastCopySemantics(t *testing.T) {
 	}
 }
 
-// TestRelayPushSnapshotsHostShadow: a span no replica owns — here one
-// never written, whose content is the shadow's zeros — migrates as a relay
-// push of the host shadow, which the very next write overwrites in place.
-// The relay frame may still be queued at that point, so it must carry a
-// snapshot, not a view of the shadow.
-func TestRelayPushSnapshotsHostShadow(t *testing.T) {
+// TestRelayPushShipsZeros: a span no replica owns was never written, so it
+// migrates as a relay push of zeros — whatever is issued right behind it.
+// Here a write of the very range the relay carries rides the same
+// connection as the relay frame, which may still sit in the coalescer queue
+// when the write is issued; the relayed contents must stay zeros, and the
+// relay must have carried the whole span over the host NIC.
+func TestRelayPushShipsZeros(t *testing.T) {
 	const size = 1 << 20
 	rt, cleanup := startRuntime(t, 2)
 	defer cleanup()
@@ -181,13 +182,20 @@ func TestRelayPushSnapshotsHostShadow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Copying the never-written src on node 1 relays it from the host
-		// shadow; the write right behind it overwrites that shadow while
-		// the relay frame may still sit in the coalescer queue.
+		// Copying the never-written src on node 1 relays its zeros; the
+		// write right behind it lands on node 1 (odd rounds) or node 0.
+		before := rt.Metrics().HostWireBytes
 		if _, err := q1.EnqueueCopy(src, dst, 0, 0, size); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := q0.EnqueueWrite(src, 0, bytes.Repeat([]byte{0xEE}, size)); err != nil {
+		if got, want := rt.Metrics().HostWireBytes-before, int64(core.ControlMsgBytes+size); got != want {
+			t.Fatalf("round %d: the copy put %d modelled bytes on the host NIC, want one relay push of %d", round, got, want)
+		}
+		writer := q0
+		if round%2 == 1 {
+			writer = q1
+		}
+		if _, err := writer.EnqueueWrite(src, 0, bytes.Repeat([]byte{0xEE}, size)); err != nil {
 			t.Fatal(err)
 		}
 		got, _, err := q1.EnqueueRead(dst, 0, size)
@@ -390,7 +398,7 @@ func TestBulkDataPathAllocationBudget(t *testing.T) {
 		finish(q1)
 	}
 
-	// Warm the shadows, the replicas and the connections.
+	// Warm the replicas and the connections.
 	write()
 	read()
 	stale()
@@ -408,6 +416,78 @@ func TestBulkDataPathAllocationBudget(t *testing.T) {
 	if m := rt.Metrics(); m.PeerWireBytes == 0 {
 		t.Error("the migration never crossed a node-to-node link, so its budget was not exercised")
 	}
+}
+
+// retainedHeap forces the collector until the payload pools are empty — a
+// sync.Pool drops what it holds over two collections — and returns the
+// bytes of live heap objects.
+func retainedHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestRetainedHeapAllocationBudget gates what a buffer's contents keep alive
+// process-wide (host, loopback TCP and both in-process nodes together) once
+// a 16 MiB write on node 0 has been read back through node 1:
+//
+//	command log   1  EnqueueWrite's private copy, kept to replay the write
+//	replicas      2  node 0's written copy and node 1's migrated one
+//	host          0  the nodes hold the data; the host tracks validity only
+//
+// A host-side copy of the contents would be a fourth; the budget leaves a
+// quarter of one for connections, pools and bookkeeping.
+func TestRetainedHeapAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
+	}
+	const size = 16 << 20
+	rt := startTCPRuntime(t, 2)
+	devs := rt.Devices(0)
+	ctx, err := rt.CreateContext(devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q0, err := ctx.CreateQueue(devs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	q1, err := ctx.CreateQueue(devs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := ctx.CreateBuffer(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := pattern(size, 11)
+	base := retainedHeap()
+	if _, err := q0.EnqueueWrite(buf, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := q1.EnqueueRead(buf, 0, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("read back through node 1 returned different bytes")
+	}
+	if rt.Metrics().PeerWireBytes == 0 {
+		t.Fatal("the read never migrated node to node, so node 1 holds no replica")
+	}
+	got = nil
+	grew := int64(retainedHeap()) - int64(base)
+	runtime.KeepAlive(data)
+	const copies, budget = 3, 3*size + size/4
+	t.Logf("retained heap grew %.2f MiB: %.2f copies of the contents (log + replicas = %d)",
+		float64(grew)/(1<<20), float64(grew)/size, copies)
+	if grew > budget {
+		t.Errorf("retained heap grew %.2f MiB, budget %.2f MiB: %.2f copies of a %d MiB buffer, want the log's and the replicas' %d",
+			float64(grew)/(1<<20), float64(budget)/(1<<20), float64(grew)/size, size>>20, copies)
+	}
+	runtime.KeepAlive(buf)
 }
 
 // TestServeRoundTripAllocationBudget gates what the serving layer's job — a
@@ -534,10 +614,8 @@ func TestServeRoundTripAllocationBudget(t *testing.T) {
 //	total           13.6   23.6
 //
 // A release is an ID in a vector of up to 256: 0.03 objects an event. The
-// tile comes to 2 × 13.6 + 23.6 + 0.1 ≈ 51, plus one span list when the
-// rewritten output buffer becomes host-valid again. The envelope share
-// moves with how full the coalescer finds its queue; the budget leaves a
-// tenth for it.
+// tile comes to 2 × 13.6 + 23.6 + 0.1 ≈ 51. The envelope share moves with
+// how full the coalescer finds its queue; the budget leaves a tenth for it.
 func TestSmallCommandAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")

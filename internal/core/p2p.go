@@ -18,8 +18,9 @@ type ownerSpan struct {
 // planOwners covers as much of gap as replicas hold valid, walking the
 // runtime's deterministic node order so every host process plans the same
 // transfers for the same state. It returns the per-owner spans in supply
-// order plus the leftover sub-ranges no replica owns (either host-valid,
-// or never written and thus deterministic zeros). Caller holds b.mu.
+// order plus the leftover sub-ranges no replica owns — by the coherence
+// invariant (Buffer) never written, and thus deterministic zeros.
+// Caller holds b.mu.
 func (b *Buffer) planOwners(gap mem.Range) (plan []ownerSpan, leftover []mem.Range) {
 	var need mem.RangeSet
 	need.Add(gap.Lo, gap.Hi)
@@ -48,11 +49,11 @@ func (b *Buffer) planOwners(gap mem.Range) (plan []ownerSpan, leftover []mem.Ran
 // The host stays the control plane: it plans from the validity map, assigns
 // both completion events, and wires them into the usual chains, so
 // pipelining, wait-lists and failure cascades work as for any queue
-// command. Spans no replica owns relay through the host shadow instead —
-// the one host-relay push left: they are host-valid, or were never written
-// and the shadow's zeros are their content (uninitialized OpenCL buffers
-// read deterministically as zeros), so there is no peer to push them and
-// nothing to pull. Caller holds b.mu.
+// command. Spans no replica owns were never written, so their content is
+// zeros (uninitialized OpenCL buffers read deterministically as zeros):
+// there is no peer to push them, and the host relays a zero-filled payload
+// of the span's length instead — the one host-relay push left.
+// Caller holds b.mu.
 func (b *Buffer) migrateP2P(node *NodeHandle, rb *remoteBuf, gaps []mem.Range) error {
 	svc, err := b.ctx.serviceQueue(node)
 	if err != nil {
@@ -69,11 +70,7 @@ func (b *Buffer) migrateP2P(node *NodeHandle, rb *remoteBuf, gaps []mem.Range) e
 				return err
 			}
 		}
-		if len(leftover) > 0 && b.host == nil {
-			b.host = make([]byte, b.size)
-		}
 		for _, r := range leftover {
-			b.hostValid.Add(r.Lo, r.Hi)
 			chain, err := rb.chainWaits(nil)
 			if err != nil {
 				return err
@@ -86,7 +83,7 @@ func (b *Buffer) migrateP2P(node *NodeHandle, rb *remoteBuf, gaps []mem.Range) e
 				QueueID:    svcQID,
 				BufferID:   rb.id,
 				Offset:     r.Lo,
-				Data:       b.hostSnapshot(r),
+				Data:       make([]byte, r.Len()),
 				SimArrival: int64(arrival),
 				ModelBytes: modelBytes,
 				WaitEvents: chain,

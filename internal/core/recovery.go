@@ -441,10 +441,11 @@ func (q *Queue) clearRetriableSticky() {
 }
 
 // resetForReplay clears all coherence state so the log replay
-// reconstructs contents from deterministic zeros: the host shadow is
-// zeroed and invalidated, surviving replicas keep their device arrays but
-// lose all validity (stale bytes become unreachable), and the write chains
-// are cut — pre-recovery events are never referenced again.
+// reconstructs contents from deterministic zeros: surviving replicas keep
+// their device arrays but lose all validity (stale bytes become
+// unreachable; a range the replay leaves unwritten relays as zeros), and
+// the write chains are cut — pre-recovery events are never referenced
+// again.
 func (b *Buffer) resetForReplay(isDead map[*NodeHandle]bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -453,10 +454,6 @@ func (b *Buffer) resetForReplay(isDead map[*NodeHandle]bool) {
 			delete(b.remote, node)
 		}
 	}
-	for i := range b.host {
-		b.host[i] = 0
-	}
-	b.hostValid.Reset()
 	b.hostReadyAt = 0
 	for _, rb := range b.remote {
 		rb.valid.Reset()

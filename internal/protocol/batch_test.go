@@ -352,6 +352,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add(staged)
 	f.Add(staged[:len(staged)-ReferenceFloor/2])
+	// A lying length prefix: a bulk write request claiming a 1 GiB body,
+	// followed by a few bytes and the end of the stream.
+	f.Add(append(lyingHeader(FrameRequest, OpWriteBuffer, MaxFrameSize), bulkWrite[headerSize:headerSize+64]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))

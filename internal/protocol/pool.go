@@ -28,10 +28,11 @@ type Buf struct {
 // for. (Plain powers of two would round every "1 MiB payload plus a few
 // header fields" body up to 2 MiB.) The first octave is the one
 // ReferenceFloor, the smallest payload anyone pools, falls in; its smallest
-// class serves everything below it too. The largest class is MaxFrameSize.
+// class serves everything below it too. The largest class is
+// maxUpfrontBody: a larger buffer is allocated, and collected, on its own.
 const (
 	minClassBits = 10 // sizes in (2^9, 2^10] form the first octave
-	maxClassBits = 30 // MaxFrameSize
+	maxClassBits = 26 // maxUpfrontBody, 64 MiB
 	numClasses   = (maxClassBits - minClassBits + 1) * 4
 )
 
@@ -54,7 +55,7 @@ func sizeClass(n int) (class, size int) {
 // GetBuf returns a buffer of length n, reusing a freed one of n's size
 // class when the pool has one.
 func GetBuf(n int) *Buf {
-	if n < 1 || n > MaxFrameSize {
+	if n < 1 || n > maxUpfrontBody {
 		return &Buf{B: make([]byte, n), class: -1}
 	}
 	class, size := sizeClass(n)

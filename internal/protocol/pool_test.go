@@ -12,7 +12,7 @@ func TestSizeClassProperty(t *testing.T) {
 	prevClass, prevSize := 0, 0
 	for _, n := range []int{1, 100, 640, 641, ReferenceFloor - 1, ReferenceFloor, 1024, 1025, 4 << 10, 4<<10 + 44,
 		BatchableBodyLimit, BatchableBodyLimit + 1, 20480, 20481, 32768, 32769,
-		1 << 20, 1<<20 + 1, 1<<20 + 60, 5 << 18, 5<<18 + 1, 16 << 20, 16<<20 + 44, MaxFrameSize - 1, MaxFrameSize} {
+		1 << 20, 1<<20 + 1, 1<<20 + 60, 5 << 18, 5<<18 + 1, 16 << 20, 16<<20 + 44, maxUpfrontBody - 1, maxUpfrontBody} {
 		class, size := sizeClass(n)
 		if class < 0 || class >= numClasses {
 			t.Fatalf("sizeClass(%d) = class %d, outside [0,%d)", n, class, numClasses)
@@ -46,6 +46,12 @@ func TestGetBufLengthAndFree(t *testing.T) {
 	}
 	var none *Buf
 	none.Free() // a nil handle is a no-op: unpooled snapshots carry one
+	if class, _ := sizeClass(maxUpfrontBody); class != numClasses-1 {
+		t.Fatalf("maxUpfrontBody is class %d, want the largest, %d", class, numClasses-1)
+	}
+	if b := GetBuf(maxUpfrontBody + 1); b.class != -1 || len(b.B) != maxUpfrontBody+1 {
+		t.Fatalf("GetBuf above the largest class: class %d, len %d", b.class, len(b.B))
+	}
 }
 
 // TestReadFramePooledPolicy: only bulk request frames draw their body from

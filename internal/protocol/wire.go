@@ -34,6 +34,13 @@ const (
 	// hold the largest Table I benchmark input with headroom.
 	MaxFrameSize = 1 << 30
 
+	// maxUpfrontBody (64 MiB) is the most body a frame reader allocates on
+	// its header's word alone, and the largest pooled size class: four
+	// times the largest frame any workload sends (a 16 MiB payload plus its
+	// fields). A longer body grows as its bytes arrive, so a lying length
+	// prefix costs at most this much before the stream ends.
+	maxUpfrontBody = 1 << maxClassBits
+
 	headerSize = 2 + 1 + 1 + 8 + 2 + 4 // magic, version, kind, reqID, op, length
 )
 
@@ -199,6 +206,14 @@ func readFrame(r io.Reader, pool bool) (*Frame, error) {
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
+	reqID := binary.BigEndian.Uint64(hdr[4:12])
+	if n > maxUpfrontBody {
+		body, err := readGrowing(r, int(n))
+		if err != nil {
+			return nil, err
+		}
+		return &Frame{Kind: kind, Op: op, ReqID: reqID, Body: body}, nil
+	}
 	var f *Frame
 	if pool && n > BatchableBodyLimit && kind == FrameRequest && op != OpPeerPush {
 		f = &Frame{ref: &payloadRef{pooled: GetBuf(int(n))}}
@@ -207,13 +222,33 @@ func readFrame(r io.Reader, pool bool) (*Frame, error) {
 		f = allocFrame(int(n))
 		f.Body = f.Body[:n]
 	}
-	f.Kind, f.Op, f.ReqID = kind, op, binary.BigEndian.Uint64(hdr[4:12])
+	f.Kind, f.Op, f.ReqID = kind, op, reqID
 	if n > 0 {
 		if _, err := io.ReadFull(r, f.Body); err != nil {
 			return nil, err // a pooled body is left to the collector
 		}
 	}
 	return f, nil
+}
+
+// readGrowing reads a body of n > maxUpfrontBody bytes, allocating
+// maxUpfrontBody up front and doubling only once that much has arrived.
+func readGrowing(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, 0, maxUpfrontBody)
+	for len(body) < n {
+		if len(body) == cap(body) {
+			body = append(body, make([]byte, min(len(body), n-len(body)))...)[:len(body)]
+		}
+		got, err := io.ReadFull(r, body[len(body):min(n, cap(body))])
+		body = body[:len(body)+got]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return body, nil
 }
 
 // ReferenceFloor is the payload size from which NewFrame references a

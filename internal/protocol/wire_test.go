@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -185,6 +186,80 @@ func TestReadFrameOversized(t *testing.T) {
 	raw[14], raw[15], raw[16], raw[17] = 0xFF, 0xFF, 0xFF, 0xFF
 	if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("err = %v, want ErrFrameTooBig", err)
+	}
+}
+
+// lyingHeader is a valid frame header claiming a body of n bytes.
+func lyingHeader(kind FrameKind, op Op, n uint32) []byte {
+	return appendHeader(nil, kind, 1, op, int(n))
+}
+
+// TestReadFrameLyingLengthAllocationBudget: a header that claims a 1 GiB
+// body and is followed by end of stream makes either reader allocate less
+// than twice maxUpfrontBody — not the gibibyte the header asked for — and
+// fail with a truncation error.
+func TestReadFrameLyingLengthAllocationBudget(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		kind   FrameKind
+		op     Op
+		pooled bool
+	}{
+		{"request, pooled reader", FrameRequest, OpWriteBuffer, true},
+		{"response, plain reader", FrameResponse, OpReadBuffer, false},
+	} {
+		wire := append(lyingHeader(c.kind, c.op, MaxFrameSize), "a few bytes"...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var err error
+		if c.pooled {
+			_, err = ReadFramePooled(bytes.NewReader(wire))
+		} else {
+			_, err = ReadFrame(bytes.NewReader(wire))
+		}
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: err = %v, want unexpected EOF", c.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 2*maxUpfrontBody {
+			t.Errorf("%s: a lying 1 GiB header allocated %d MiB, want under %d MiB",
+				c.name, got>>20, 2*maxUpfrontBody>>20)
+		}
+	}
+}
+
+// patternReader yields the byte sequence i*7 mod 251 without storing it.
+type patternReader struct{ off int }
+
+func (p *patternReader) Read(b []byte) (int, error) {
+	for i := range b {
+		b[i] = byte((p.off + i) * 7 % 251)
+	}
+	p.off += len(b)
+	return len(b), nil
+}
+
+// TestReadFrameGrowsLongBody: a body longer than maxUpfrontBody, which
+// the reader grows as it arrives, is read in full and intact.
+func TestReadFrameGrowsLongBody(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("reads a body of over 64 MiB into up to twice that")
+	}
+	const n = maxUpfrontBody + 4096
+	r := io.MultiReader(bytes.NewReader(lyingHeader(FrameRequest, OpWriteBuffer, n)),
+		io.LimitReader(&patternReader{}, n))
+	f, err := ReadFramePooled(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Body) != n || f.Kind != FrameRequest || f.Op != OpWriteBuffer || f.ReqID != 1 {
+		t.Fatalf("frame kind %d op %d req %d with a %d-byte body, want a %d-byte write request",
+			f.Kind, f.Op, f.ReqID, len(f.Body), n)
+	}
+	for i, b := range f.Body {
+		if b != byte(i*7%251) {
+			t.Fatalf("body byte %d = %d, want %d", i, b, byte(i*7%251))
+		}
 	}
 }
 
