@@ -78,7 +78,7 @@ func run(args []string) error {
 // sees when it ranks devices (least-loaded placement keys on EXPECTED-FREE,
 // the busy frontier plus unacknowledged pending work).
 func printStatus(p *haocl.Platform) error {
-	views := p.Runtime().Monitor().Snapshot()
+	views := p.Status()
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "DEVICE\tBUSY-UNTIL\tPENDING\tEXPECTED-FREE\tQUEUED\tKERNELS\tENERGY")
 	for _, v := range views {

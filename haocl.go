@@ -49,9 +49,11 @@
 //	Session.Close             → tear the session down
 //
 // Objects never cross sessions: enqueueing a buffer, kernel or wait event
-// owned by another session fails with core.ErrCrossSession. The
-// Platform-level CreateContext/Metrics/Flush helpers route through an
-// implicit default session, so single-tenant programs are unchanged.
+// owned by another session fails with core.ErrCrossSession. Connect opens
+// one session, the tenant "default", and the Platform keeps it: the
+// Platform-level CreateContext and ModelDataCreate helpers use it, so a
+// single-tenant program never names a session. Platform.Metrics is the
+// aggregate over every session.
 //
 // Kernel bodies are Go work-item functions registered against the kernel
 // names appearing in OpenCL C program source (see RegisterKernel); devices
@@ -109,6 +111,8 @@ type (
 	Span = trace.Span
 	// DeviceKey names a device cluster-wide.
 	DeviceKey = profile.DeviceKey
+	// DeviceStatus is the resource monitor's live view of one device.
+	DeviceStatus = profile.DeviceView
 	// Time is an instant of virtual time.
 	Time = vtime.Time
 	// Duration is a span of virtual time.
@@ -131,7 +135,8 @@ const AnyDevice DeviceType = 0
 // Platform is the application's entry point: one connected HaoCL cluster
 // presenting all remote devices as a single OpenCL platform.
 type Platform struct {
-	rt *core.Runtime
+	rt   *core.Runtime
+	sess *Session // the tenant "default", opened by Connect
 }
 
 // options collects Connect configuration.
@@ -179,7 +184,7 @@ func Connect(cfg *ClusterConfig, opts ...Option) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Platform{rt: rt}, nil
+	return &Platform{rt: rt, sess: rt.OpenSession("default")}, nil
 }
 
 // Devices lists cluster devices of the given type (AnyDevice for all),
@@ -187,9 +192,9 @@ func Connect(cfg *ClusterConfig, opts ...Option) (*Platform, error) {
 func (p *Platform) Devices(t DeviceType) []*Device { return p.rt.Devices(t) }
 
 // CreateContext builds a context over devices anywhere in the cluster,
-// owned by the platform's implicit default session.
+// owned by the platform's session.
 func (p *Platform) CreateContext(devices []*Device) (*Context, error) {
-	return p.rt.CreateContext(devices)
+	return p.sess.CreateContext(devices)
 }
 
 // FloorEvent returns a synthetic, already-complete event at virtual
@@ -205,7 +210,9 @@ func (p *Platform) OpenSession(tenant string) *Session {
 	return p.rt.OpenSession(tenant)
 }
 
-// Metrics returns the run's virtual-time accounting so far.
+// Metrics returns the run's virtual-time accounting so far, aggregated over
+// every session — the platform's own and each OpenSession tenant
+// (Session.Metrics is one tenant's view).
 func (p *Platform) Metrics() Metrics { return p.rt.Metrics() }
 
 // NewTracer returns an empty tracer ready to attach with SetTracer.
@@ -230,21 +237,19 @@ func (p *Platform) WriteMetrics(w io.Writer) error { return p.rt.WriteMetrics(w)
 
 // ModelDataCreate charges host-side materialization of n bytes of input
 // data in the virtual-time model and returns the instant it completes.
-// Call it after generating benchmark inputs (Fig. 3 "DataCreate").
-func (p *Platform) ModelDataCreate(n int64) Time { return p.rt.ModelDataCreate(n) }
+// Call it after generating benchmark inputs (Fig. 3 "DataCreate"). The
+// charge is booked to the platform's session.
+func (p *Platform) ModelDataCreate(n int64) Time { return p.sess.ModelDataCreate(n) }
 
 // PollStatus refreshes the resource monitor from every node.
 func (p *Platform) PollStatus() error { return p.rt.PollStatus() }
 
+// Status returns the resource monitor's view of every device, as of the
+// last PollStatus: what the scheduler sees when it ranks devices.
+func (p *Platform) Status() []DeviceStatus { return p.rt.Monitor().Snapshot() }
+
 // TotalEnergy reports cluster energy consumed so far, in joules.
 func (p *Platform) TotalEnergy() (float64, error) { return p.rt.TotalEnergy() }
-
-// SetPolicy swaps the default scheduling policy.
-func (p *Platform) SetPolicy(pol Policy) { p.rt.SetPolicy(pol) }
-
-// Runtime exposes the underlying runtime for advanced integrations (the
-// experiment harness uses it; applications normally do not need it).
-func (p *Platform) Runtime() *core.Runtime { return p.rt }
 
 // Close disconnects from every node.
 func (p *Platform) Close() error { return p.rt.Close() }

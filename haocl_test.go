@@ -165,3 +165,76 @@ func TestPublicAPIVecAdd(t *testing.T) {
 		t.Errorf("expected nonzero makespan")
 	}
 }
+
+// TestPlatformHelpersShareOneSession: the Platform-level helpers all act on
+// the one session Connect opened, which OpenSession tenants never touch,
+// and Status reports the monitor's view of every device.
+func TestPlatformHelpersShareOneSession(t *testing.T) {
+	rr := haocl.RoundRobinPolicy()
+	lc, err := haocl.StartLocalCluster(haocl.LocalClusterSpec{
+		UserID:      "tester",
+		GPUNodes:    2,
+		CPUNodes:    1,
+		Kernels:     vecAddRegistry(t),
+		ExecWorkers: 1,
+		Policy:      rr,
+	})
+	if err != nil {
+		t.Fatalf("StartLocalCluster: %v", err)
+	}
+	defer lc.Close()
+	p := lc.Platform
+	devs := p.Devices(haocl.AnyDevice)
+
+	c1, err := p.CreateContext(devs[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := p.CreateContext(devs[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := c1.Session()
+	if c2.Session() != sess {
+		t.Fatal("two Platform.CreateContext contexts live in different sessions")
+	}
+	if sess.Tenant() != "default" {
+		t.Fatalf("platform session tenant = %q, want default", sess.Tenant())
+	}
+
+	p.ModelDataCreate(1 << 20)
+	if got := sess.Metrics().DataCreate; got <= 0 {
+		t.Fatalf("platform session DataCreate = %v after ModelDataCreate", got)
+	}
+	if got, want := p.Metrics().DataCreate, sess.Metrics().DataCreate; got != want {
+		t.Fatalf("aggregate DataCreate = %v, want the platform session's %v", got, want)
+	}
+
+	tenant := p.OpenSession("tenant")
+	defer tenant.Close()
+	ll := haocl.LeastLoadedPolicy()
+	tenant.SetPolicy(ll)
+	if tenant.Policy() != ll {
+		t.Fatal("tenant SetPolicy did not take")
+	}
+	if sess.Policy() != rr {
+		t.Fatalf("tenant SetPolicy changed the platform session's policy to %T", sess.Policy())
+	}
+
+	if err := p.PollStatus(); err != nil {
+		t.Fatal(err)
+	}
+	status := p.Status()
+	if len(status) != len(devs) {
+		t.Fatalf("Status has %d rows for %d devices", len(status), len(devs))
+	}
+	seen := map[haocl.DeviceKey]bool{}
+	for _, row := range status {
+		seen[row.Key] = true
+	}
+	for _, d := range devs {
+		if !seen[d.Key()] {
+			t.Fatalf("Status has no row for %s", d.Key())
+		}
+	}
+}

@@ -44,7 +44,7 @@ func AblateBroadcastChain(nodes int) (AblationResult, error) {
 	const modelBytes = 240 << 20 // BFS's graph replica
 
 	run := func(chain bool) (float64, error) {
-		lc, err := cluster(nodes, 0)
+		lc, _, err := cluster(nodes, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -109,7 +109,7 @@ func AblateWeightedPartition(gpus, fpgas int) (AblationResult, error) {
 		WithDesc: "weighted", WoDesc: "equal",
 	}
 	run := func(equal bool) (float64, error) {
-		lc, err := cluster(gpus, fpgas)
+		lc, _, err := cluster(gpus, fpgas)
 		if err != nil {
 			return 0, err
 		}
@@ -144,7 +144,7 @@ func AblateSpMVPartitionStage(devices int) (AblationResult, error) {
 		WithDesc: "balanced", WoDesc: "naive",
 	}
 	run := func(naive bool) (float64, error) {
-		lc, err := cluster(devices, 0)
+		lc, _, err := cluster(devices, 0)
 		if err != nil {
 			return 0, err
 		}

@@ -46,8 +46,9 @@ func Registry() *haocl.KernelRegistry {
 	return reg
 }
 
-// cluster starts an in-process cluster with the given node mix.
-func cluster(gpus, fpgas int) (*haocl.LocalCluster, error) {
+// cluster starts an in-process cluster with the given node mix and returns
+// it with its trace run (nil when the harness is not tracing).
+func cluster(gpus, fpgas int) (*haocl.LocalCluster, *haocl.TraceRun, error) {
 	lc, err := haocl.StartLocalCluster(haocl.LocalClusterSpec{
 		UserID:      "bench",
 		GPUNodes:    gpus,
@@ -57,10 +58,9 @@ func cluster(gpus, fpgas int) (*haocl.LocalCluster, error) {
 		ExecWorkers: 1,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	attachTracer(lc.Platform)
-	return lc, nil
+	return lc, attachTracer(lc.Platform), nil
 }
 
 // appCase wires one Table I benchmark into the harness.

@@ -183,7 +183,7 @@ func chaosLeg(seed int64, nodes, steps int, inj *sim.FailureInjector) (PipelineR
 
 	rng := rand.New(rand.NewSource(seed))
 	devs := cc.rt.Devices(0)
-	ctx, err := cc.rt.CreateContext(devs)
+	ctx, err := cc.rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		return row, nil, err
 	}

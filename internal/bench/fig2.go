@@ -53,7 +53,7 @@ func (r Fig2Row) String() string {
 
 // runOnCluster measures one HaoCL configuration of one benchmark.
 func runOnCluster(c appCase, gpus, fpgas int, hetero bool) (apps.Result, error) {
-	lc, err := cluster(gpus, fpgas)
+	lc, _, err := cluster(gpus, fpgas)
 	if err != nil {
 		return apps.Result{}, err
 	}

@@ -33,7 +33,7 @@ func (r Fig3Row) String() string {
 
 // Fig3Cell measures one (size, gpus) configuration.
 func Fig3Cell(size, gpus int) (Fig3Row, error) {
-	lc, err := cluster(gpus, 0)
+	lc, _, err := cluster(gpus, 0)
 	if err != nil {
 		return Fig3Row{}, err
 	}

@@ -105,7 +105,7 @@ func (r PipelineRow) String() string {
 // the paper's GbE backbone charges.
 func pipelinePlatform(gpus int, tcp bool) (*haocl.Platform, func(), error) {
 	if !tcp {
-		lc, err := cluster(gpus, 0)
+		lc, _, err := cluster(gpus, 0)
 		if err != nil {
 			return nil, nil, err
 		}

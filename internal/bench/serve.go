@@ -217,15 +217,15 @@ func runFIFO(lanes map[string]*tenantLane, jobs []*serveJob) (vtime.Time, error)
 // fair order occupies the device. The aggressor's backlog waits inside the
 // admission queue instead of ahead of everyone on the device. Each item's
 // deficit cost is its job type's calibrated virtual service time, so the
-// shares are fair in device time, not job counts.
-func runFair(p *haocl.Platform, lanes map[string]*tenantLane, jobs []*serveJob, svcByType []vtime.Duration, quantum vtime.Duration, weights map[string]int64) (vtime.Time, error) {
+// shares are fair in device time, not job counts. When the leg is traced,
+// each grant records an admission span from the job's arrival to its grant
+// instant into run (nil run = tracing off, no-op).
+func runFair(run *haocl.TraceRun, lanes map[string]*tenantLane, jobs []*serveJob, svcByType []vtime.Duration, quantum vtime.Duration, weights map[string]int64) (vtime.Time, error) {
 	fq := sched.NewFairQueue(quantum)
 	for tenant, w := range weights {
 		fq.SetWeight(tenant, w)
 	}
-	// When the leg is traced, each grant records an admission span from the
-	// job's arrival to its grant instant (nil run = tracing off, no-op).
-	fq.SetTracer(p.Runtime().TraceRun())
+	fq.SetTracer(run)
 	var now vtime.Time
 	next := 0
 	for {
@@ -262,7 +262,7 @@ func runFair(p *haocl.Platform, lanes map[string]*tenantLane, jobs []*serveJob, 
 // cluster, so arrival rates can be expressed as device utilizations and
 // admission costs in device time.
 func calibrate() (svcByType []vtime.Duration, mean vtime.Duration, err error) {
-	lc, err := cluster(1, 0)
+	lc, _, err := cluster(1, 0)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -423,7 +423,7 @@ func serveReport(experiment string, jobsPerLight int, quick bool, seed int64) (*
 	// would bleed one leg's virtual time into the next and break the
 	// rerun-determinism check.
 	runLeg := func(fair bool, active []serveTenant) (*legResult, error) {
-		lc, err := cluster(1, 0)
+		lc, run, err := cluster(1, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -445,7 +445,7 @@ func serveReport(experiment string, jobsPerLight int, quick bool, seed int64) (*
 		sw := startStopwatch()
 		var end vtime.Time
 		if fair {
-			end, err = runFair(p, lanes, merged, svcByType, quantum, weights)
+			end, err = runFair(run, lanes, merged, svcByType, quantum, weights)
 		} else {
 			end, err = runFIFO(lanes, merged)
 		}

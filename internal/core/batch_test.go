@@ -59,7 +59,7 @@ func startOneNodeRuntime(t *testing.T) (*core.Runtime, func()) {
 // one queue and returns the functional result and the virtual makespan.
 func runIncrBurst(t *testing.T, rt *core.Runtime) ([]float32, vtime.Time) {
 	t.Helper()
-	ctx, err := rt.CreateContext(rt.Devices(0))
+	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func (cc *chaosCluster) aliveCount() int {
 func chaosObjects(t *testing.T, rt *core.Runtime, nBufs int, size int64) (*core.Context, *core.Kernel, []*core.Queue, []*core.Buffer) {
 	t.Helper()
 	devs := rt.Devices(0)
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func patternBytes(n int, tag byte) []byte {
 func TestPartialWriteOnStaleReplica(t *testing.T) {
 	rt, cleanup := startRuntime(t, 2)
 	defer cleanup()
-	ctx, err := rt.CreateContext(rt.Devices(0))
+	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestBroadcastInvalidatesNonHopReplicas(t *testing.T) {
 	rt, cleanup := startRuntime(t, 3)
 	defer cleanup()
 	devs := rt.Devices(0)
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestBroadcastFailedHopLeavesStateUntouched(t *testing.T) {
 	rt, cleanup := startRuntime(t, 2)
 	defer cleanup()
 	devs := rt.Devices(0)
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func newMigrationFixture(t *testing.T) *migrationFixture {
 	rt, cleanup := startRuntime(t, 2)
 	t.Cleanup(cleanup)
 	devs := rt.Devices(0)
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func runCoherenceOracle(t *testing.T, seed int64) {
 	rt, cleanup := startRuntime(t, 3)
 	defer cleanup()
 	devs := rt.Devices(0)
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func runCoherenceOracle(t *testing.T, seed int64) {
 func TestFailedWriteLeavesReplicasUntouched(t *testing.T) {
 	rt, cleanup := startRuntime(t, 2)
 	defer cleanup()
-	ctx, err := rt.CreateContext(rt.Devices(0))
+	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func TestFailedWriteLeavesReplicasUntouched(t *testing.T) {
 func TestHostRangeOverflow(t *testing.T) {
 	rt, cleanup := startRuntime(t, 1)
 	defer cleanup()
-	ctx, err := rt.CreateContext(rt.Devices(0))
+	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}

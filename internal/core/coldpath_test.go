@@ -145,7 +145,7 @@ func TestSharedProgramIsNeverWritten(t *testing.T) {
 	}
 
 	devs := rt.Devices(0)
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}

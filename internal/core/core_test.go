@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/haocl-project/haocl/internal/cluster"
 	"github.com/haocl-project/haocl/internal/core"
@@ -110,7 +111,7 @@ func TestBufferCoherenceAcrossNodes(t *testing.T) {
 	if len(devs) != 2 {
 		t.Fatalf("devices = %d", len(devs))
 	}
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestKernelOrderingViaWaits(t *testing.T) {
 	rt, cleanup := startRuntime(t, 1)
 	defer cleanup()
 	devs := rt.Devices(0)
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestBroadcastChainTiming(t *testing.T) {
 	rt, cleanup := startRuntime(t, 4)
 	defer cleanup()
 	devs := rt.Devices(0)
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func TestBroadcastChainTiming(t *testing.T) {
 func TestBroadcastValidation(t *testing.T) {
 	rt, cleanup := startRuntime(t, 1)
 	defer cleanup()
-	ctx, err := rt.CreateContext(rt.Devices(0))
+	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func TestBroadcastValidation(t *testing.T) {
 func TestTaskGraphDependenciesAndScheduling(t *testing.T) {
 	rt, cleanup := startRuntime(t, 3)
 	defer cleanup()
-	ctx, err := rt.CreateContext(rt.Devices(0))
+	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +384,7 @@ func TestTaskGraphDependenciesAndScheduling(t *testing.T) {
 func TestTaskGraphForeignDependencyRejected(t *testing.T) {
 	rt, cleanup := startRuntime(t, 1)
 	defer cleanup()
-	ctx, err := rt.CreateContext(rt.Devices(0))
+	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +414,7 @@ func TestTaskGraphForeignDependencyRejected(t *testing.T) {
 func TestSetArgValidation(t *testing.T) {
 	rt, cleanup := startRuntime(t, 1)
 	defer cleanup()
-	ctx, err := rt.CreateContext(rt.Devices(0))
+	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,11 +468,12 @@ func TestSetArgValidation(t *testing.T) {
 func TestMetricsAccumulate(t *testing.T) {
 	rt, cleanup := startRuntime(t, 2)
 	defer cleanup()
-	ctx, err := rt.CreateContext(rt.Devices(0))
+	sess := rt.OpenSession("default")
+	ctx, err := sess.CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.ModelDataCreate(1 << 20)
+	sess.ModelDataCreate(1 << 20)
 	m := rt.Metrics()
 	if m.DataCreate <= 0 {
 		t.Fatal("data create not charged")
@@ -502,7 +504,7 @@ func TestMetricsAccumulate(t *testing.T) {
 func TestReleaseQueue(t *testing.T) {
 	rt, cleanup := startRuntime(t, 1)
 	defer cleanup()
-	ctx, err := rt.CreateContext(rt.Devices(0))
+	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +524,7 @@ func TestReleaseQueue(t *testing.T) {
 func TestEnqueueCopy(t *testing.T) {
 	rt, cleanup := startRuntime(t, 1)
 	defer cleanup()
-	ctx, err := rt.CreateContext(rt.Devices(0))
+	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,10 +559,62 @@ func TestEnqueueCopy(t *testing.T) {
 	}
 }
 
+// TestOppositeCopiesDoNotDeadlock: a copy holds both buffers' locks, so two
+// goroutines copying A→B and B→A at once deadlock unless every copy takes
+// the two locks in one order.
+func TestOppositeCopiesDoNotDeadlock(t *testing.T) {
+	rt, cleanup := startRuntime(t, 1)
+	defer cleanup()
+	dev := rt.Devices(0)[0]
+	ctx, err := rt.OpenSession("default").CreateContext([]*core.DeviceRef{dev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := ctx.CreateBuffer(64)
+	b, _ := ctx.CreateBuffer(64)
+	var queues [2]*core.Queue
+	for i := range queues {
+		if queues[i], err = ctx.CreateQueue(dev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := queues[0].EnqueueWrite(a, 0, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := queues[0].EnqueueWrite(b, 0, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	const copies = 500
+	errs := make(chan error, 2)
+	for i, pair := range [2][2]*core.Buffer{{a, b}, {b, a}} {
+		go func(q *core.Queue, src, dst *core.Buffer) {
+			for n := 0; n < copies; n++ {
+				if _, err := q.EnqueueCopy(src, dst, 0, 0, 64); err != nil {
+					errs <- err
+					return
+				}
+			}
+			_, err := q.Finish()
+			errs <- err
+		}(queues[i], pair[0], pair[1])
+	}
+	deadline := time.After(30 * time.Second)
+	for range queues {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatal("opposite copies did not finish: the buffer locks deadlocked")
+		}
+	}
+}
+
 func TestEventRelease(t *testing.T) {
 	rt, cleanup := startRuntime(t, 1)
 	defer cleanup()
-	ctx, err := rt.CreateContext(rt.Devices(0))
+	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +656,7 @@ func TestShutdownCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The runtime is unusable afterwards.
-	if _, err := rt.CreateContext(rt.Devices(0)); err == nil {
+	if _, err := rt.OpenSession("default").CreateContext(rt.Devices(0)); err == nil {
 		t.Fatal("context created after shutdown")
 	}
 }

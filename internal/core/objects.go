@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/haocl-project/haocl/internal/clc"
 	"github.com/haocl-project/haocl/internal/kernel"
@@ -153,16 +154,16 @@ func FloorEvent(t vtime.Time) *Event {
 // command, a Finish — or its next Flush or Close (Session.releaseAsync has
 // the rule). The acknowledgement is drained at the next Flush (or Close),
 // where a failure surfaces as the session's sticky release error.
+//
+// rt is unused: an event knows its session through its queue. The
+// parameter stays because the repository benchmark (benchmark/api.go)
+// calls Release(rt).
 func (e *Event) Release(rt *Runtime) error {
 	e.released.Store(true)
 	if e.dev == nil {
 		return nil // floor events own no remote record
 	}
-	sess := rt.defaultSession()
-	if e.queue != nil {
-		sess = e.queue.ctx.sess
-	}
-	sess.releaseAsync(e.dev.node, protocol.ObjEvent, e.remoteID)
+	e.queue.ctx.sess.releaseAsync(e.dev.node, protocol.ObjEvent, e.remoteID)
 	return nil
 }
 
@@ -236,17 +237,11 @@ type Context struct {
 	programs []*Program // guarded by regMu
 }
 
-// CreateContext builds a context over the given devices
-// (clCreateContext) in the default session. Devices may live on different
-// nodes; that is the point of HaoCL.
-func (rt *Runtime) CreateContext(devices []*DeviceRef) (*Context, error) {
-	return rt.defaultSession().CreateContext(devices)
-}
-
-// CreateContext builds a context over the given devices inside this
-// session's namespace: the remote contexts are tagged with the session's
-// identity, and every object created from the context belongs to this
-// tenant alone.
+// CreateContext builds a context over the given devices (clCreateContext)
+// inside this session's namespace. Devices may live on different nodes;
+// that is the point of HaoCL. The remote contexts are tagged with the
+// session's identity, and every object created from the context belongs to
+// this tenant alone.
 func (s *Session) CreateContext(devices []*DeviceRef) (*Context, error) {
 	if s.closed.Load() {
 		return nil, fmt.Errorf("core: session %q is closed", s.tenant)
@@ -336,9 +331,6 @@ func (c *Context) checkQueuesClean() error {
 
 // Devices returns the context's devices.
 func (c *Context) Devices() []*DeviceRef { return c.devices }
-
-// Runtime returns the owning runtime.
-func (c *Context) Runtime() *Runtime { return c.rt }
 
 // Session returns the session whose namespace the context lives in.
 func (c *Context) Session() *Session { return c.sess }
@@ -952,14 +944,16 @@ func (q *Queue) enqueueCopy(src, dst *Buffer, srcOffset, dstOffset, size int64, 
 	dev, qid := q.binding()
 	node := dev.node
 
-	// Lock in address order to avoid deadlock with concurrent copies.
+	// Lock in address order, so that two copies running A→B and B→A at once
+	// cannot deadlock. Comparing addresses relies on Go's heap not moving
+	// objects; it formats and allocates nothing.
 	first, second := src, dst
-	if fmt.Sprintf("%p", first) > fmt.Sprintf("%p", second) {
+	if uintptr(unsafe.Pointer(first)) > uintptr(unsafe.Pointer(second)) {
 		first, second = second, first
 	}
 	first.mu.Lock()
 	defer first.mu.Unlock()
-	//lint:ignore haoclvet/lockorder src and dst share one lock class; the address comparison above is the deterministic tiebreak
+	//lint:ignore haoclvet/lockorder src and dst share one lock class; the address comparison above fixes one order between them for every copy
 	second.mu.Lock()
 	defer second.mu.Unlock()
 

@@ -114,7 +114,7 @@ func TestBroadcastCopySemantics(t *testing.T) {
 	rt, cleanup := startRuntime(t, 3)
 	defer cleanup()
 	devs := rt.Devices(0)
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestRelayPushShipsZeros(t *testing.T) {
 	rt, cleanup := startRuntime(t, 2)
 	defer cleanup()
 	devs := rt.Devices(0)
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestEnqueueReadDataIsTheCallers(t *testing.T) {
 	const size = 128 << 10
 	rt := startTCPRuntime(t, 1)
 	devs := rt.Devices(0)
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestBulkDataPathAllocationBudget(t *testing.T) {
 	const chunk, big, budget = 1 << 20, 16 << 20, 1.1
 	rt := startTCPRuntime(t, 2)
 	devs := rt.Devices(0)
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestRetainedHeapAllocationBudget(t *testing.T) {
 	const size = 16 << 20
 	rt := startTCPRuntime(t, 2)
 	devs := rt.Devices(0)
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +521,7 @@ func TestServeRoundTripAllocationBudget(t *testing.T) {
 	const size, jobs, budget = 4 << 10, 200, 5.0
 	rt := startTCPRuntime(t, 1)
 	devs := rt.Devices(0)
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +623,7 @@ func TestSmallCommandAllocationBudget(t *testing.T) {
 	const budget = 56.0
 	rt := startTCPRuntime(t, 1)
 	devs := rt.Devices(0)
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}

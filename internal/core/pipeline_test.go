@@ -59,7 +59,7 @@ func TestPipelinedInOrderPerQueue(t *testing.T) {
 	rt, _, cleanup := startRuntimeWithServers(t, 1)
 	defer cleanup()
 
-	ctx, err := rt.CreateContext(rt.Devices(0))
+	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestConcurrentPipelinedEnqueues(t *testing.T) {
 	defer cleanup()
 
 	devs := rt.Devices(0)
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestNodeDeathFailsPipelineSticky(t *testing.T) {
 	rt, servers, cleanup := startRuntimeWithServers(t, 1)
 	defer cleanup()
 
-	ctx, err := rt.CreateContext(rt.Devices(0))
+	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func newRecoveryFixture(t *testing.T, nodes int) *recoveryFixture {
 	if len(devs) != nodes {
 		t.Fatalf("devices = %d, want %d", len(devs), nodes)
 	}
-	ctx, err := cc.rt.CreateContext(devs)
+	ctx, err := cc.rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestPollStatusFanout(t *testing.T) {
 
 	// Put some observable state on node gpu-00.
 	devs := rt.Devices(0)
-	ctx, err := rt.CreateContext(devs[:1])
+	ctx, err := rt.OpenSession("default").CreateContext(devs[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestPollStatusFanout(t *testing.T) {
 func TestQueueReleasePipelined(t *testing.T) {
 	rt, cleanup := startRuntime(t, 1)
 	defer cleanup()
-	ctx, err := rt.CreateContext(rt.Devices(0))
+	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestQueueReleasePipelined(t *testing.T) {
 func TestReleasedChainedEventFailsFast(t *testing.T) {
 	rt, cleanup := startRuntime(t, 1)
 	defer cleanup()
-	ctx, err := rt.CreateContext(rt.Devices(0))
+	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestBufferKernelRelease(t *testing.T) {
 	rt, cleanup := startRuntime(t, 2)
 	defer cleanup()
 	devs := rt.Devices(0)
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,13 +492,11 @@ func TestHeldReleasesDieWithTheirNode(t *testing.T) {
 		}
 		f.cc.kill(victim)
 		if flushFirst {
-			for _, n := range f.cc.rt.Nodes() {
-				for deadline := time.Now().Add(10 * time.Second); n.Name() == victim && n.Alive(); {
-					if time.Now().After(deadline) {
-						t.Fatal("the host never noticed the node's death")
-					}
-					time.Sleep(time.Millisecond)
+			for deadline := time.Now().Add(10 * time.Second); qv.Device().Node().Alive(); {
+				if time.Now().After(deadline) {
+					t.Fatal("the host never noticed the node's death")
 				}
+				time.Sleep(time.Millisecond)
 			}
 			if err := f.cc.rt.Flush(); err != nil {
 				t.Fatalf("releases held for a dead node became a sticky error: %v", err)

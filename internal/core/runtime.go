@@ -179,11 +179,10 @@ func (m *Metrics) TotalCompute() vtime.Duration {
 
 // Runtime is the host-side engine: the cluster substrate shared by every
 // session. It owns the node connections, the device table, the virtual-time
-// links and crash recovery; all per-tenant state — object namespaces, event
-// tracking, release drains, command logs, policy, metrics — lives on
-// Session. The Runtime-level convenience API (CreateContext, Flush, ...)
-// routes through an implicit default session, so single-tenant hosts keep
-// the pre-session semantics unchanged.
+// links, crash recovery and tracing; all per-tenant state — object
+// namespaces, event tracking, release drains, command logs, policy, metrics
+// — lives on Session, and every object is created through one.
+// Runtime.Metrics, Flush and WriteMetrics cover every open session.
 type Runtime struct {
 	userID        string
 	clientName    string
@@ -219,12 +218,10 @@ type Runtime struct {
 	// lock-free.
 	trc atomic.Pointer[trace.Run]
 
-	// sessMu guards the session registry: every open session, plus the
-	// lazily created default session backing the Runtime-level API.
+	// sessMu guards the session registry.
 	sessMu     sync.Mutex
 	sessions   []*Session // guarded by sessMu
 	nextSessID uint64     // guarded by sessMu
-	defSess    *Session   // guarded by sessMu
 
 	nicOut  *vtime.Link // host NIC egress (paper: single host node)
 	nicIn   *vtime.Link // host NIC ingress (full-duplex GbE)
@@ -389,19 +386,8 @@ func (rt *Runtime) Devices(t protocol.DeviceType) []*DeviceRef {
 	return out
 }
 
-// Nodes lists the connected nodes.
-func (rt *Runtime) Nodes() []*NodeHandle { return rt.nodes }
-
 // Monitor exposes the runtime resource monitor.
 func (rt *Runtime) Monitor() *profile.Monitor { return rt.monitor }
-
-// Policy returns the default session's scheduling policy.
-func (rt *Runtime) Policy() sched.Policy { return rt.defaultSession().Policy() }
-
-// SetPolicy swaps the default session's scheduling policy (the "user
-// customized scheduling policies" hook). Sessions opened explicitly carry
-// their own policy and are unaffected.
-func (rt *Runtime) SetPolicy(p sched.Policy) { rt.defaultSession().SetPolicy(p) }
 
 // call performs one protocol round trip and counts it. Object lifecycle
 // operations (creates, builds, releases, status polls) stay synchronous:
@@ -440,15 +426,6 @@ func (rt *Runtime) Flush() error {
 		}
 	}
 	return firstErr
-}
-
-// ModelDataCreate charges host-side creation of n bytes of input data
-// against the virtual host-memory resource and returns the instant the
-// data is ready — the Fig. 3 DataCreate component. Workload generators
-// call this after materializing inputs. Routed through the default
-// session; sessions opened explicitly use their own ModelDataCreate.
-func (rt *Runtime) ModelDataCreate(n int64) vtime.Time {
-	return rt.defaultSession().ModelDataCreate(n)
 }
 
 // nextPushToken mints a cluster-unique rendezvous token pairing one

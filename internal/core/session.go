@@ -99,11 +99,6 @@ type Session struct {
 func (rt *Runtime) OpenSession(tenant string) *Session {
 	rt.sessMu.Lock()
 	defer rt.sessMu.Unlock()
-	return rt.openSessionLocked(tenant)
-}
-
-// openSessionLocked allocates a session. Caller holds rt.sessMu.
-func (rt *Runtime) openSessionLocked(tenant string) *Session {
 	rt.nextSessID++
 	s := &Session{
 		rt:      rt,
@@ -115,19 +110,6 @@ func (rt *Runtime) openSessionLocked(tenant string) *Session {
 	s.metrics.ComputeBusy = make(map[profile.DeviceKey]vtime.Duration)
 	rt.sessions = append(rt.sessions, s)
 	return s
-}
-
-// defaultSession lazily opens the session backing the Runtime-level
-// convenience API: single-tenant hosts keep calling Runtime.CreateContext /
-// Flush and get exactly the old semantics, routed through one implicit
-// session.
-func (rt *Runtime) defaultSession() *Session {
-	rt.sessMu.Lock()
-	defer rt.sessMu.Unlock()
-	if rt.defSess == nil {
-		rt.defSess = rt.openSessionLocked("default")
-	}
-	return rt.defSess
 }
 
 // allSessions snapshots the open sessions.
@@ -142,9 +124,6 @@ func (s *Session) Tenant() string { return s.tenant }
 
 // ID returns the session's runtime-unique identifier.
 func (s *Session) ID() uint64 { return s.id }
-
-// Runtime returns the shared substrate.
-func (s *Session) Runtime() *Runtime { return s.rt }
 
 // Close flushes the session — draining its pipelined commands and release
 // acknowledgements — and detaches it from the runtime. A closed session's
@@ -164,9 +143,6 @@ func (s *Session) Close() error {
 			s.rt.sessions = slices.Delete(s.rt.sessions, i, i+1)
 			break
 		}
-	}
-	if s.rt.defSess == s {
-		s.rt.defSess = nil
 	}
 	s.rt.sessMu.Unlock()
 	return err

@@ -22,10 +22,6 @@ func (rt *Runtime) SetTracer(t *trace.Tracer) *trace.Run {
 	return r
 }
 
-// TraceRun returns the runtime's active trace run (nil when tracing is
-// off).
-func (rt *Runtime) TraceRun() *trace.Run { return rt.trc.Load() }
-
 // WriteTrace exports everything the attached tracer has recorded in
 // Chrome trace-event format (an empty trace when none is attached). A
 // command's spans are recorded when its response is consumed, so the

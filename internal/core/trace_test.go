@@ -26,7 +26,7 @@ var updateTraceGolden = flag.Bool("update-trace-golden", false,
 func traceWorkload(t testing.TB, rt *core.Runtime) {
 	t.Helper()
 	devs := rt.Devices(protocol.DeviceGPU)
-	ctx, err := rt.CreateContext(devs)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestTraceGolden(t *testing.T) {
 	rt.SetTracer(tr)
 
 	dev := rt.Devices(protocol.DeviceGPU)
-	ctx, err := rt.CreateContext(dev)
+	ctx, err := rt.OpenSession("default").CreateContext(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func BenchmarkEnqueueWrite(b *testing.B) {
 			if traced {
 				rt.SetTracer(trace.New())
 			}
-			ctx, err := rt.CreateContext(rt.Devices(protocol.DeviceGPU))
+			ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(protocol.DeviceGPU))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -38,6 +38,11 @@ python3 scripts/check_bench_test.py
 echo '>> benchmark module (go vet, go test)'
 (cd benchmark && go vet ./... && go test ./...)
 
+# Informational: the size counters (non-test lines, mutexes, exported
+# identifiers). Gates nothing.
+echo '>> counters'
+go run scripts/counters.go
+
 run_tool() {
 	tool="$1"
 	shift
