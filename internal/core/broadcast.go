@@ -167,6 +167,7 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 			pushCtrlStart, pushCtrl := c.sess.chargeNIC(0, controlMsgBytes)
 			pushEv := &Event{dev: prev.svcDev, queue: prev.svc,
 				trace: c.sess.traceCmd(trace.KindPushRange, prev.svcDev, 0, b.modelSize, pushCtrlStart, pushCtrl)}
+			pushEv.waits[0] = int64(prevID)
 			pushID := c.sess.issueEvent(pushEv, &protocol.PushRangeReq{
 				QueueID:      prev.svcID,
 				BufferID:     prev.rb.id,
@@ -182,7 +183,7 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 				// replica before the previous hop's receive has copied the
 				// data in. Virtual timing ignores it — DepartAt models the
 				// cut-through overlap with that device write.
-				WaitEvents: []int64{int64(prevID)},
+				WaitEvents: pushEv.waits[:1],
 			})
 			prev.svc.track(pushEv)
 			// Anti-dependency: a later write to the forwarder's replica

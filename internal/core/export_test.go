@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/haocl-project/haocl/internal/clc"
 	"github.com/haocl-project/haocl/internal/mem"
 )
@@ -39,3 +41,21 @@ func (b *Buffer) RelaySpans() []mem.Range {
 	_, leftover := b.planOwners(mem.Range{Lo: 0, Hi: b.size})
 	return leftover
 }
+
+// InflightLen reports how many pipelined events the queue still lists.
+func (q *Queue) InflightLen() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.inflight)
+}
+
+// ReverseInflight reverses the queue's in-flight list: the append order
+// two goroutines racing between issue and track can produce, made certain.
+func (q *Queue) ReverseInflight() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	slices.Reverse(q.inflight)
+}
+
+// RemoteID returns the host-assigned event ID the command was issued under.
+func (e *Event) RemoteID() uint64 { return e.remoteID }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,13 +30,18 @@ type Event struct {
 	remoteID uint64
 
 	// Pipelined events carry the issuing queue, the in-flight future and
-	// the response it decodes into (see Session.issueEvent); events born
-	// resolved (reads, which must block for their data anyway) leave
-	// pending nil.
+	// the response it decodes into (see Session.issueEvent), both inside the
+	// event so that they cost no allocation of their own. Events born
+	// resolved (reads, which must block for their data anyway) never
+	// resolve: their call is waited on where it is issued.
 	queue    *Queue
-	pending  *transport.Pending
+	call     transport.Pending
 	resp     protocol.EventResp
 	isKernel bool
+
+	// waits backs the command's wire wait list (splitWaits, chainWaits):
+	// a list of up to len(waits) IDs allocates nothing.
+	waits [4]int64
 
 	// trace is the command's tracing record; nil when tracing was off at
 	// issue time. The span tree is emitted in resolve, where the node's
@@ -52,6 +59,11 @@ type Event struct {
 	profile protocol.Profile
 	err     error
 
+	// resolved is set once resolve has finished, or at birth for an event
+	// born resolved. Queue.track drops resolved events from its in-flight
+	// list without taking the event's once.
+	resolved atomic.Bool
+
 	// released marks the remote event object freed (fire-and-forget). A
 	// released event must not appear on the wire again: its node-side
 	// record is gone, so a wait referencing it could never resolve.
@@ -62,14 +74,12 @@ type Event struct {
 // publishes the profile into the runtime metrics and monitor, on failure
 // it records the error here and as the queue's sticky error.
 func (e *Event) resolve() {
+	if e.resolved.Load() {
+		return
+	}
 	e.once.Do(func() {
-		if e.pending == nil {
-			return // born resolved
-		}
-		sess := e.queue.ctx.sess
-		defer sess.forgetEvent(e)
-		defer e.queue.forget(e)
-		if err := e.pending.Wait(); err != nil {
+		defer e.resolved.Store(true)
+		if err := e.call.Wait(); err != nil {
 			// OnDown marks the handle dead before any pending future
 			// unblocks, so a failure observed while the node is dead is
 			// crash-induced — tag it retriable (recovery replays the work).
@@ -81,7 +91,7 @@ func (e *Event) resolve() {
 			return
 		}
 		e.profile = e.resp.Profile
-		sess.observeProfile(e.dev.key, e.profile, e.isKernel)
+		e.queue.ctx.sess.observeProfile(e.dev.key, e.profile, e.isKernel)
 		e.trace.emit(e.remoteID, e.profile)
 	})
 }
@@ -141,7 +151,9 @@ func (e *Event) Device() *DeviceRef { return e.dev }
 // dependency. Open-loop load generators use it to model job arrival
 // instants without wire traffic.
 func FloorEvent(t vtime.Time) *Event {
-	return &Event{profile: protocol.Profile{Start: int64(t), End: int64(t)}}
+	e := &Event{profile: protocol.Profile{Start: int64(t), End: int64(t)}}
+	e.resolved.Store(true)
+	return e
 }
 
 // Release frees the remote event object (clReleaseEvent). Long-running
@@ -167,8 +179,9 @@ func (e *Event) Release(rt *Runtime) error {
 	return nil
 }
 
-// splitWaits partitions a wait list into remote event IDs local to node and
-// a virtual-time floor for events that completed on other nodes: a remote
+// splitWaits partitions a wait list into remote event IDs local to node,
+// appended to local (backed by the issuing event's inline array), and a
+// virtual-time floor for events that completed on other nodes: a remote
 // node cannot wait on another node's event object, so cross-node
 // dependencies are folded into the command's arrival instant. Events from
 // an older recovery generation never take the local-ID path — their
@@ -176,7 +189,7 @@ func (e *Event) Release(rt *Runtime) error {
 // floor like cross-node events (a resolved event's floor is exact). Waiting
 // on another session's event is refused with ErrCrossSession: event
 // visibility is the namespace boundary.
-func (s *Session) splitWaits(node *NodeHandle, waits []*Event) (local []int64, floor vtime.Time, err error) {
+func (s *Session) splitWaits(node *NodeHandle, waits []*Event, local []int64) (_ []int64, floor vtime.Time, err error) {
 	gen := s.rt.gen.Load()
 	for _, ev := range waits {
 		if ev == nil {
@@ -377,10 +390,12 @@ type Queue struct {
 	// dev and remoteID are the queue's node binding; recovery re-points
 	// them when the node dies (rebindQueue), so concurrent enqueues must
 	// snapshot them through binding() rather than read the fields raw.
-	dev         *DeviceRef          // guarded by mu
-	remoteID    uint64              // guarded by mu
-	outstanding map[*Event]struct{} // guarded by mu
-	err         error               // guarded by mu; sticky: first pipelined command failure
+	dev      *DeviceRef // guarded by mu
+	remoteID uint64     // guarded by mu
+	// inflight lists the queue's pipelined events in issue order (see track
+	// for when it is not) until they have resolved.
+	inflight []*Event // guarded by mu
+	err      error    // guarded by mu; sticky: first pipelined command failure
 }
 
 // binding snapshots the queue's current node binding. An operation reads
@@ -393,24 +408,43 @@ func (q *Queue) binding() (*DeviceRef, uint64) {
 	return q.dev, q.remoteID
 }
 
-// track registers a pipelined command with the queue and runtime so the
+// track registers a pipelined command with the queue so the
 // synchronization points can drain it, stamping the event with the current
-// recovery generation.
+// recovery generation. Events are appended after issue, so the list is in
+// event-ID order unless two goroutines enqueueing on the queue at once
+// append in the other order than they issued; drain restores it.
 func (q *Queue) track(ev *Event) {
 	ev.gen = q.ctx.rt.gen.Load()
 	q.mu.Lock()
-	if q.outstanding == nil {
-		q.outstanding = make(map[*Event]struct{})
-	}
-	q.outstanding[ev] = struct{}{}
+	q.inflight = append(pruneResolved(q.inflight), ev)
 	q.mu.Unlock()
-	q.ctx.sess.trackEvent(ev)
 }
 
-func (q *Queue) forget(ev *Event) {
-	q.mu.Lock()
-	delete(q.outstanding, ev)
-	q.mu.Unlock()
+// pruneResolved drops resolved events from an in-flight list about to take
+// one more. The resolved prefix goes on every call, so a program that waits
+// on each command keeps the list at one entry and its array in use. A full
+// list is compacted in place before it grows, so events resolved behind one
+// nobody waits on do not stay until the next drain; it grows anyway when
+// fewer than half its slots came free, so every scan is paid for by at
+// least half as many appends.
+func pruneResolved(evs []*Event) []*Event {
+	i := 0
+	for i < len(evs) && evs[i].resolved.Load() {
+		i++
+	}
+	clear(evs[:i])
+	if i == len(evs) {
+		return evs[:0]
+	}
+	evs = evs[i:]
+	if len(evs) < cap(evs) {
+		return evs
+	}
+	evs = slices.DeleteFunc(evs, func(e *Event) bool { return e.resolved.Load() })
+	if len(evs) > cap(evs)/2 {
+		evs = slices.Grow(evs, len(evs))
+	}
+	return evs
 }
 
 // fail records the queue's first command failure.
@@ -430,34 +464,30 @@ func (q *Queue) stickyErr() error {
 	return q.err
 }
 
-// drain resolves every outstanding pipelined command on the queue.
+// drain resolves every pipelined command tracked on the queue so far, in
+// event-ID order: resolution order decides which failure latches into the
+// sticky error first, so it is the lowest-ID failure. The list is copied,
+// not taken: a concurrent drain (two Finish calls, a Flush) must find the
+// events too and block on their resolution, or it could return before the
+// failure it should report has latched. A queue's events share one node
+// binding — recovery drains before it re-binds — so the ID alone orders
+// them.
 func (q *Queue) drain() {
 	q.mu.Lock()
-	evs := drainList(q.outstanding)
+	evs := slices.Clone(q.inflight)
 	q.mu.Unlock()
+	if !slices.IsSortedFunc(evs, byRemoteID) {
+		slices.SortFunc(evs, byRemoteID)
+	}
 	for _, e := range evs {
 		e.resolve()
 	}
+	q.mu.Lock()
+	q.inflight = pruneResolved(q.inflight)
+	q.mu.Unlock()
 }
 
-// drainList snapshots a pending-event set in deterministic order: by
-// owning node, then host-assigned event ID — issue order. Resolution
-// order decides which failure latches into a sticky error slot first, so
-// it must not follow map iteration. The caller holds whatever mutex
-// guards set.
-func drainList(set map[*Event]struct{}) []*Event {
-	evs := make([]*Event, 0, len(set))
-	for e := range set {
-		evs = append(evs, e)
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if ni, nj := evs[i].dev.node.name, evs[j].dev.node.name; ni != nj {
-			return ni < nj
-		}
-		return evs[i].remoteID < evs[j].remoteID
-	})
-	return evs
-}
+func byRemoteID(a, b *Event) int { return cmp.Compare(a.remoteID, b.remoteID) }
 
 // sortedNodeKeys returns m's keys in node-name order. Every loop that
 // issues wire traffic per node must walk this instead of the map, so the
@@ -746,7 +776,8 @@ func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Eve
 	if err != nil {
 		return nil, err
 	}
-	localWaits, floor, err := q.ctx.sess.splitWaits(node, waits)
+	ev := &Event{dev: dev, queue: q}
+	localWaits, floor, err := q.ctx.sess.splitWaits(node, waits, ev.waits[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -758,8 +789,7 @@ func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Eve
 	earliest := vtime.Max(b.hostReadyAt, floor)
 	wireStart, arrival := q.ctx.sess.chargeNIC(earliest, controlMsgBytes+modelBytes)
 
-	ev := &Event{dev: dev, queue: q,
-		trace: q.ctx.sess.traceCmd(trace.KindWrite, dev, qid, modelBytes, wireStart, arrival)}
+	ev.trace = q.ctx.sess.traceCmd(trace.KindWrite, dev, qid, modelBytes, wireStart, arrival)
 	id := q.ctx.sess.issueEvent(ev, &protocol.WriteBufferReq{
 		QueueID:    qid,
 		BufferID:   rb.id,
@@ -814,9 +844,9 @@ func (b *Buffer) ensureResident(node *NodeHandle, lo, hi int64) (*remoteBuf, err
 }
 
 // chainWaits appends the wait-list entry for the replica's last writer to
-// waits (nil starts a fresh list). Reusing a buffer whose chained event was
-// released is refused: the node-side record is gone, so a wire wait on it
-// could never resolve (the pre-lane runtime failed the same sequence with
+// waits (backed by the issuing event's inline array). Reusing a buffer
+// whose chained event was released is refused: the node-side record is
+// gone, so a wire wait on it could never resolve (the pre-lane runtime failed the same sequence with
 // "unknown event"; release events only after the buffer's chain has
 // quiesced at a sync point).
 func (rb *remoteBuf) chainWaits(waits []int64) ([]int64, error) {
@@ -870,7 +900,8 @@ func (q *Queue) enqueueRead(b *Buffer, offset, size int64, waits ...*Event) ([]b
 	if err != nil {
 		return nil, nil, err
 	}
-	localWaits, floor, err := q.ctx.sess.splitWaits(node, waits)
+	ev := &Event{dev: dev, queue: q}
+	localWaits, floor, err := q.ctx.sess.splitWaits(node, waits, ev.waits[:0])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -881,7 +912,7 @@ func (q *Queue) enqueueRead(b *Buffer, offset, size int64, waits ...*Event) ([]b
 	wireStart, arrival := q.ctx.sess.chargeNIC(floor, controlMsgBytes)
 
 	var resp protocol.ReadBufferResp
-	id, pend := q.ctx.sess.issue(node, &protocol.ReadBufferReq{
+	id := q.ctx.sess.issue(ev, &protocol.ReadBufferReq{
 		QueueID:    qid,
 		BufferID:   rb.id,
 		Offset:     offset,
@@ -890,7 +921,7 @@ func (q *Queue) enqueueRead(b *Buffer, offset, size int64, waits ...*Event) ([]b
 		ModelBytes: modelBytes,
 		WaitEvents: localWaits,
 	}, &resp)
-	if err := pend.Wait(); err != nil {
+	if err := ev.call.Wait(); err != nil {
 		return nil, nil, fmt.Errorf("core: read buffer on %s: %w", dev.key, classifyNodeErr(node, err))
 	}
 	// The payload crosses the backbone to the host, straight to the caller.
@@ -906,8 +937,10 @@ func (q *Queue) enqueueRead(b *Buffer, offset, size int64, waits ...*Event) ([]b
 		emitIn(id, prof, hostArrival)
 	// The event is born resolved: the read blocked for its response. It
 	// carries the issuing queue so Release and the cross-session wait check
-	// can find its owner (resolve is a no-op: pending is nil).
-	return resp.Data, &Event{dev: dev, remoteID: id, queue: q, profile: prof, gen: q.ctx.rt.gen.Load()}, nil
+	// can find its owner (resolve is a no-op).
+	ev.profile, ev.gen = prof, q.ctx.rt.gen.Load()
+	ev.resolved.Store(true)
+	return resp.Data, ev, nil
 }
 
 // EnqueueCopy copies size bytes between two buffers on q's device
@@ -965,7 +998,8 @@ func (q *Queue) enqueueCopy(src, dst *Buffer, srcOffset, dstOffset, size int64, 
 	if err != nil {
 		return nil, err
 	}
-	localWaits, floor, err := q.ctx.sess.splitWaits(node, waits)
+	ev := &Event{dev: dev, queue: q}
+	localWaits, floor, err := q.ctx.sess.splitWaits(node, waits, ev.waits[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -977,8 +1011,7 @@ func (q *Queue) enqueueCopy(src, dst *Buffer, srcOffset, dstOffset, size int64, 
 	}
 	_ = floor // device-side op: cross-node deps already folded into srcRB
 
-	ev := &Event{dev: dev, queue: q,
-		trace: q.ctx.sess.traceCmd(trace.KindCopy, dev, qid, size, 0, 0)}
+	ev.trace = q.ctx.sess.traceCmd(trace.KindCopy, dev, qid, size, 0, 0)
 	id := q.ctx.sess.issueEvent(ev, &protocol.CopyBufferReq{
 		QueueID:    qid,
 		SrcID:      srcRB.id,
@@ -1297,7 +1330,8 @@ func (q *Queue) enqueueKernelBound(k *Kernel, bindings []argBinding, global, loc
 		return nil, err
 	}
 
-	localWaits, floor, err := q.ctx.sess.splitWaits(node, waits)
+	ev := &Event{dev: dev, queue: q, isKernel: true}
+	localWaits, floor, err := q.ctx.sess.splitWaits(node, waits, ev.waits[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -1352,8 +1386,7 @@ func (q *Queue) enqueueKernelBound(k *Kernel, bindings []argBinding, global, loc
 		CostFlops:  opts.CostFlops,
 		CostBytes:  opts.CostBytes,
 	}
-	ev := &Event{dev: dev, queue: q, isKernel: true,
-		trace: q.ctx.sess.traceCmd(trace.KindKernel, dev, qid, msgBytes, wireStart, arrival)}
+	ev.trace = q.ctx.sess.traceCmd(trace.KindKernel, dev, qid, msgBytes, wireStart, arrival)
 	id := q.ctx.sess.issueEvent(ev, req)
 	q.track(ev)
 

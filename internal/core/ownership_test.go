@@ -605,22 +605,22 @@ func TestServeRoundTripAllocationBudget(t *testing.T) {
 // table for the runtime before release vectors and one-allocation frames):
 //
 //	                write  kernel
-//	host issue       5      9   private copy, wait list, request, Event, log entry; a launch: bindings, NDRange, wire args, written set, request, Event, log entry, wait list ×2
-//	frame encode     2      2   the Pending and the frame with its body
+//	host issue       4      7   private copy, request, Event (future, response and wait list inside), log entry; a launch: bindings, NDRange, wire args, written set, request, Event, log entry
+//	frame encode     1      1   the frame with its body
 //	node register    5      9   done closure, command (request, wait list and response inside), wait IDs, event record and its channel; a launch adds NDRange ×2, wire args, launch args
 //	lane             0      2   NDRange conversion, launch state
 //	reply            1      1   the response frame with its body
 //	envelopes        0.6    0.6 encode, frame read and sub-frame slabs, per envelope and direction
-//	total           13.6   23.6
+//	total           11.6   20.6
 //
 // A release is an ID in a vector of up to 256: 0.03 objects an event. The
-// tile comes to 2 × 13.6 + 23.6 + 0.1 ≈ 51. The envelope share moves with
+// tile comes to 2 × 11.6 + 20.6 + 0.1 ≈ 44. The envelope share moves with
 // how full the coalescer finds its queue; the budget leaves a tenth for it.
 func TestSmallCommandAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
-	const budget = 56.0
+	const budget = 48.0
 	rt := startTCPRuntime(t, 1)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)

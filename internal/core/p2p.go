@@ -71,14 +71,14 @@ func (b *Buffer) migrateP2P(node *NodeHandle, rb *remoteBuf, gaps []mem.Range) e
 			}
 		}
 		for _, r := range leftover {
-			chain, err := rb.chainWaits(nil)
+			pushEv := &Event{dev: svcDev, queue: svc}
+			chain, err := rb.chainWaits(pushEv.waits[:0])
 			if err != nil {
 				return err
 			}
 			modelBytes := b.scaled(r.Len())
 			wireStart, arrival := b.ctx.sess.chargeNIC(b.hostReadyAt, controlMsgBytes+modelBytes)
-			pushEv := &Event{dev: svcDev, queue: svc,
-				trace: b.ctx.sess.traceCmd(trace.KindMigrate, svcDev, 0, modelBytes, wireStart, arrival)}
+			pushEv.trace = b.ctx.sess.traceCmd(trace.KindMigrate, svcDev, 0, modelBytes, wireStart, arrival)
 			id := b.ctx.sess.issueEvent(pushEv, &protocol.WriteBufferReq{
 				QueueID:    svcQID,
 				BufferID:   rb.id,
@@ -111,11 +111,13 @@ func (b *Buffer) pushFromPeer(node *NodeHandle, rb *remoteBuf, svc *Queue, ps ow
 	}
 	ownerDev, ownerQID := ownerSvc.binding()
 	svcDev, svcQID := svc.binding()
-	ownerChain, err := ps.rb.chainWaits(nil)
+	pushEv := &Event{dev: ownerDev, queue: ownerSvc}
+	ownerChain, err := ps.rb.chainWaits(pushEv.waits[:0])
 	if err != nil {
 		return err
 	}
-	consumerChain, err := rb.chainWaits(nil)
+	awaitEv := &Event{dev: svcDev, queue: svc}
+	consumerChain, err := rb.chainWaits(awaitEv.waits[:0])
 	if err != nil {
 		return err
 	}
@@ -126,8 +128,7 @@ func (b *Buffer) pushFromPeer(node *NodeHandle, rb *remoteBuf, svc *Queue, ps ow
 	// Only the control frames cross the host NIC. The payload is charged
 	// to the owner's egress link node-side; the host keeps byte accounting.
 	pushCtrlStart, pushCtrl := sess.chargeNIC(0, controlMsgBytes)
-	pushEv := &Event{dev: ownerDev, queue: ownerSvc,
-		trace: sess.traceCmd(trace.KindPushRange, ownerDev, 0, modelBytes, pushCtrlStart, pushCtrl)}
+	pushEv.trace = sess.traceCmd(trace.KindPushRange, ownerDev, 0, modelBytes, pushCtrlStart, pushCtrl)
 	pushID := sess.issueEvent(pushEv, &protocol.PushRangeReq{
 		QueueID:      ownerQID,
 		BufferID:     ps.rb.id,
@@ -149,8 +150,7 @@ func (b *Buffer) pushFromPeer(node *NodeHandle, rb *remoteBuf, svc *Queue, ps ow
 	ps.rb.lastEv = pushEv
 
 	awaitCtrlStart, awaitCtrl := sess.chargeNIC(0, controlMsgBytes)
-	awaitEv := &Event{dev: svcDev, queue: svc,
-		trace: sess.traceCmd(trace.KindAwaitPush, svcDev, 0, modelBytes, awaitCtrlStart, awaitCtrl)}
+	awaitEv.trace = sess.traceCmd(trace.KindAwaitPush, svcDev, 0, modelBytes, awaitCtrlStart, awaitCtrl)
 	awaitID := sess.issueEvent(awaitEv, &protocol.AwaitPushReq{
 		QueueID:    svcQID,
 		BufferID:   rb.id,

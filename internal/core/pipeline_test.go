@@ -263,3 +263,144 @@ func TestNodeDeathFailsPipelineSticky(t *testing.T) {
 		t.Fatal("enqueue after sticky failure accepted")
 	}
 }
+
+// TestConcurrentEnqueueFinishReportsLowestIDFailure has two goroutines
+// pipeline onto one queue at once, each with a failing launch in the middle
+// of its stream. Their events reach the queue's in-flight list in whatever
+// order the goroutines get there, yet Finish must resolve them in issue
+// order and report the lowest-ID failure, every round. The window that
+// lists an event ahead of an earlier-issued one is a few instructions wide,
+// so every other round reverses the list to make that order certain.
+func TestConcurrentEnqueueFinishReportsLowestIDFailure(t *testing.T) {
+	const (
+		rounds  = 8
+		perSide = 12
+		failAt  = perSide / 2
+	)
+	rt, cleanup := startRuntime(t, 1)
+	defer cleanup()
+	dev := rt.Devices(0)[0]
+	ctx, err := rt.OpenSession("default").CreateContext([]*core.DeviceRef{dev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ctx.CreateProgram(incrSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prog.Build(); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < rounds; r++ {
+		q, err := ctx.CreateQueue(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			wg     sync.WaitGroup
+			events [2][]*core.Event
+			errs   [2]error
+		)
+		for g := range events {
+			buf, err := ctx.CreateBuffer(16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, err := prog.CreateKernel("incr")
+			if err != nil {
+				t.Fatal(err)
+			}
+			k.SetArg(0, buf)
+			k.SetArg(1, int32(4))
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < perSide; i++ {
+					local := []int{4}
+					if i == failAt {
+						local = []int{3} // indivisible work-group: fails remotely
+					}
+					ev, err := q.EnqueueKernel(k, []int{4}, local, nil, nil)
+					if err != nil {
+						errs[g] = err
+						return
+					}
+					events[g] = append(events[g], ev)
+				}
+			}(g)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r%2 == 1 {
+			q.ReverseInflight()
+		}
+		_, ferr := q.Finish()
+		if ferr == nil {
+			t.Fatalf("round %d: Finish succeeded over failed launches", r)
+		}
+		var lowest *core.Event
+		for _, evs := range events {
+			for _, ev := range evs {
+				if ev.Wait() != nil && (lowest == nil || ev.RemoteID() < lowest.RemoteID()) {
+					lowest = ev
+				}
+			}
+		}
+		if lowest == nil || ferr != lowest.Wait() {
+			t.Fatalf("round %d: Finish reported %v, want the lowest-ID failure %v", r, ferr, lowest.Wait())
+		}
+	}
+}
+
+// TestWaitLoopKeepsInflightBounded waits on every command as it goes and
+// never calls Finish: the queue must not keep the resolved events listed,
+// even behind a command nobody waits on.
+func TestWaitLoopKeepsInflightBounded(t *testing.T) {
+	const iters = 500
+	rt, cleanup := startRuntime(t, 1)
+	defer cleanup()
+	dev := rt.Devices(0)[0]
+	ctx, err := rt.OpenSession("default").CreateContext([]*core.DeviceRef{dev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ctx.CreateQueue(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := ctx.CreateBuffer(16)
+	b, _ := ctx.CreateBuffer(16)
+	data := make([]byte, 16)
+	loop := func(bound int) {
+		t.Helper()
+		for i := 0; i < iters; i++ {
+			ev, err := q.EnqueueWrite(a, 0, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ev.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if n := q.InflightLen(); n > bound {
+				t.Fatalf("after %d waited writes the queue lists %d events, bound %d", i+1, n, bound)
+			}
+		}
+	}
+	loop(1)
+	// A write nobody waits on stays listed until a drain; the waited ones
+	// behind it are compacted away whenever the list fills.
+	if _, err := q.EnqueueWrite(b, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	loop(16)
+	if _, err := q.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if n := q.InflightLen(); n != 0 {
+		t.Fatalf("Finish left %d events listed", n)
+	}
+}

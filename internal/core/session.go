@@ -26,8 +26,9 @@ var ErrCrossSession = errors.New("core: object belongs to another session")
 // shared cluster substrate — node connections, the device table, the
 // virtual-time links, recovery — while every piece of state that one
 // misbehaving application could poison for another lives here: the object
-// namespace (contexts and everything created from them), the pipelined
-// event set, the fire-and-forget release drain with its sticky error, the
+// namespace (contexts and everything created from them, their queues'
+// in-flight commands among it), the fire-and-forget release drain with its
+// sticky error, the
 // command log replayed after a node loss, the scheduling policy, and the
 // per-tenant Metrics.
 //
@@ -66,12 +67,6 @@ type Session struct {
 	metrics Metrics      // guarded by mu
 	policy  sched.Policy // guarded by mu
 
-	// pendMu guards the set of this session's pipelined commands whose
-	// responses have not been consumed yet; Metrics drains it so the
-	// numbers are complete.
-	pendMu  sync.Mutex
-	pendSet map[*Event]struct{} // guarded by pendMu
-
 	// relMu guards the session's fire-and-forget releases: the IDs held
 	// back per node until the session's next message to that node (see
 	// releaseAsync), the release messages still awaiting acknowledgement,
@@ -101,11 +96,10 @@ func (rt *Runtime) OpenSession(tenant string) *Session {
 	defer rt.sessMu.Unlock()
 	rt.nextSessID++
 	s := &Session{
-		rt:      rt,
-		id:      rt.nextSessID,
-		tenant:  tenant,
-		policy:  rt.defaultPolicy,
-		pendSet: make(map[*Event]struct{}),
+		rt:     rt,
+		id:     rt.nextSessID,
+		tenant: tenant,
+		policy: rt.defaultPolicy,
 	}
 	s.metrics.ComputeBusy = make(map[profile.DeviceKey]vtime.Duration)
 	rt.sessions = append(rt.sessions, s)
@@ -169,24 +163,27 @@ func (s *Session) call(n *NodeHandle, req protocol.Message, resp protocol.Messag
 	return classifyNodeErr(n, n.client.Load().Call(req, resp))
 }
 
-// issue ships one enqueue command without waiting for the response,
-// assigning the host-side completion-event ID and writing the frame
-// atomically (see Runtime.issue for the ordering contract).
-func (s *Session) issue(n *NodeHandle, req protocol.CommandReq, resp protocol.Message) (uint64, *transport.Pending) {
+// issue ships one enqueue command without waiting for the response into
+// ev's future, assigning the host-side completion-event ID and writing the
+// frame atomically (see DESIGN.md §2 for the ordering contract). The
+// response decodes into resp.
+func (s *Session) issue(ev *Event, req protocol.CommandReq, resp protocol.Message) uint64 {
 	s.bump(func(m *Metrics) { m.Commands++ })
+	n := ev.dev.node
 	s.sendHeldReleases(n)
 	n.issueMu.Lock()
 	defer n.issueMu.Unlock()
 	n.eventID++
 	req.SetEventID(n.eventID)
-	return n.eventID, n.client.Load().Go(req, resp)
+	ev.remoteID = n.eventID
+	n.client.Load().Start(&ev.call, req, resp)
+	return ev.remoteID
 }
 
 // issueEvent ships the command whose completion ev stands for: the
 // response decodes into the event itself.
 func (s *Session) issueEvent(ev *Event, req protocol.CommandReq) uint64 {
-	ev.remoteID, ev.pending = s.issue(ev.dev.node, req, &ev.resp)
-	return ev.remoteID
+	return s.issue(ev, req, &ev.resp)
 }
 
 // heldReleases is one node's vector in the making: IDs of one kind, in
@@ -312,28 +309,15 @@ func (s *Session) drainReleases() error {
 	return s.relErr
 }
 
-// trackEvent registers an unresolved pipelined command so the session's
-// synchronization points can drain it; resolve removes it again.
-func (s *Session) trackEvent(e *Event) {
-	s.pendMu.Lock()
-	s.pendSet[e] = struct{}{}
-	s.pendMu.Unlock()
-}
-
-func (s *Session) forgetEvent(e *Event) {
-	s.pendMu.Lock()
-	delete(s.pendSet, e)
-	s.pendMu.Unlock()
-}
-
 // drainPendingEvents resolves every outstanding pipelined future of this
-// session (the event half of Flush, without touching the release pipeline).
+// session (the event half of Flush, without touching the release pipeline),
+// queue by queue. Each queue resolves in its own ID order; the order across
+// queues does not matter (DESIGN.md §2).
 func (s *Session) drainPendingEvents() {
-	s.pendMu.Lock()
-	evs := drainList(s.pendSet)
-	s.pendMu.Unlock()
-	for _, e := range evs {
-		e.resolve()
+	for _, ctx := range s.snapshotContexts() {
+		for _, q := range ctx.allQueues() {
+			q.drain()
+		}
 	}
 }
 

@@ -450,7 +450,20 @@ type Pending struct {
 //
 // haoclvet:wire
 func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
-	p := &Pending{c: c, op: req.Op(), resp: resp}
+	p := new(Pending)
+	c.Start(p, req, resp)
+	return p
+}
+
+// Start is Go with caller-owned storage for the future: it sends req and
+// makes p the call's future, so a caller that keeps the future inside an
+// object of its own (the host's Event) allocates nothing for it. p must be
+// a zero Pending that no other call has used, and must not move while the
+// call is in flight. Everything Go promises holds for Start.
+//
+// haoclvet:wire
+func (c *Client) Start(p *Pending, req protocol.Message, resp protocol.Message) {
+	p.c, p.op, p.resp = c, req.Op(), resp
 	p.done.Add(1)
 	id := c.nextID.Add(1)
 
@@ -462,7 +475,7 @@ func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
 			err = ErrClosed
 		}
 		p.settle(err)
-		return p
+		return
 	}
 	c.pending[id] = p
 	c.mu.Unlock()
@@ -474,7 +487,7 @@ func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
 		// connection-fatal.
 		c.forget(id)
 		p.settle(fmt.Errorf("send %s: %w: %d bytes", req.Op(), protocol.ErrFrameTooBig, frame.BodyLen()))
-		return p
+		return
 	}
 	c.writeMu.Lock()
 	for c.queueBytes >= maxQueuedBytes && !c.sendDead {
@@ -484,7 +497,7 @@ func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
 		c.writeMu.Unlock()
 		c.forget(id)
 		p.settle(fmt.Errorf("send %s: %w", req.Op(), c.sticky()))
-		return p
+		return
 	}
 	c.queue = append(c.queue, frame)
 	// Count the wire size, not just the body: zero-body control frames
@@ -494,7 +507,6 @@ func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
 	c.queueBytes += protocol.FrameWireSize(frame)
 	c.writeCh.Signal()
 	c.writeMu.Unlock()
-	return p
 }
 
 // forget drops a registered pending entry after a send-side failure.
@@ -554,6 +566,7 @@ func (p *Pending) Wait() error {
 		}
 		if p.resp != nil {
 			p.err = protocol.DecodeMessage(p.resp, f.Body)
+			p.resp = nil // nor must what was decoded into it
 		}
 	})
 	return p.err
