@@ -410,51 +410,3 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeMessage shreds arbitrary bodies against every request decoder
-// the node dispatch feeds, mirroring what a hostile batched peer can ship.
-func FuzzDecodeMessage(f *testing.F) {
-	f.Add(uint16(OpWriteBuffer), EncodeMessage(&WriteBufferReq{QueueID: 1, Data: []byte{1, 2}}))
-	f.Add(uint16(OpEnqueueKernel), EncodeMessage(&EnqueueKernelReq{QueueID: 1, Global: []int64{8}}))
-	f.Add(uint16(OpHello), EncodeMessage(&HelloReq{UserID: "u", WireVersion: Version,
-		Peers: []PeerAddr{{Name: "gpu-0", Addr: "10.0.0.1:7010"}}}))
-	f.Add(uint16(OpPushRange), EncodeMessage(&PushRangeReq{QueueID: 1, BufferID: 2,
-		PeerName: "gpu-1", PeerBufferID: 3, Token: 4, Offset: 8, Size: 64, WaitEvents: []int64{5}}))
-	f.Add(uint16(OpPeerPush), EncodeMessage(&PeerPushReq{Token: 4, Data: []byte{1, 2, 3}}))
-	f.Add(uint16(OpAwaitPush), EncodeMessage(&AwaitPushReq{QueueID: 1, BufferID: 2, Token: 4, Size: 64}))
-	f.Add(uint16(OpCancelPush), EncodeMessage(&CancelPushReq{Token: 4, Reason: "gone"}))
-	f.Add(uint16(OpHello), EncodeMessage(&HelloReq{UserID: "u", WireVersion: Version, Epoch: 3}))
-	f.Add(uint16(OpCreateContext), EncodeMessage(&CreateContextReq{
-		DeviceIDs: []int64{1, 2}, SessionID: 7, Tenant: "team-a"}))
-	// A release vector, and one whose count lies about the body (17
-	// ReleaseReq).
-	vector := EncodeMessage(&ReleaseReq{Kind: ObjEvent, ID: 1, More: []uint64{2, 3}})
-	f.Add(uint16(17), vector)
-	f.Add(uint16(17), append(vector[:9:9], 0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5, 6, 7, 8))
-	// Payloads either side of the referencing threshold and of the envelope
-	// limit (indices into msgs below: 7 WriteBufferReq, 9 ReadBufferResp,
-	// 21 PeerPushReq).
-	for _, size := range []int{ReferenceFloor - 1, ReferenceFloor, BatchableBodyLimit, BatchableBodyLimit + 1} {
-		f.Add(uint16(7), EncodeMessage(&WriteBufferReq{QueueID: 1, Data: make([]byte, size), WaitEvents: []int64{2}}))
-		f.Add(uint16(9), EncodeMessage(&ReadBufferResp{Data: make([]byte, size), EventID: 3}))
-		f.Add(uint16(21), EncodeMessage(&PeerPushReq{Token: 4, Data: make([]byte, size)}))
-	}
-	f.Fuzz(func(t *testing.T, op uint16, body []byte) {
-		var msgs = []Message{
-			&HelloReq{}, &HelloResp{}, &GetDeviceInfosReq{}, &GetDeviceInfosResp{},
-			&CreateContextReq{}, &CreateQueueReq{}, &CreateBufferReq{},
-			&WriteBufferReq{}, &ReadBufferReq{}, &ReadBufferResp{}, &CopyBufferReq{},
-			&BuildProgramReq{}, &BuildProgramResp{}, &CreateKernelReq{},
-			&EnqueueKernelReq{}, &FinishQueueReq{}, &QueryEventReq{},
-			&ReleaseReq{}, &NodeStatusResp{}, &ErrorResp{},
-			&PushRangeReq{}, &PeerPushReq{}, &AwaitPushReq{}, &CancelPushReq{},
-		}
-		m := msgs[int(op)%len(msgs)]
-		if DecodeMessage(m, body) != nil { // must not panic
-			return
-		}
-		// Whatever decodes must encode to the same wire bytes by
-		// reference as by copy.
-		refBody(t, m)
-	})
-}

@@ -145,6 +145,125 @@ func TestEnqueueKernelRoundTrip(t *testing.T) {
 	}
 }
 
+// messageTypes is the one table of message types the codec tests share:
+// for each type, a constructor that draws a random instance of it, every
+// field and list length included. TestAllMessagesRoundTripProperty
+// round-trips them, TestGoldenCorpusCoverage requires a golden case for
+// each, and FuzzDecodeMessage picks its decoder from it. A new message
+// type is one entry here and one golden case.
+var messageTypes = []func(rng *rand.Rand) Message{
+	func(rng *rand.Rand) Message {
+		return &HelloReq{UserID: randStr(rng), ClientName: randStr(rng), WireVersion: rng.Uint32(),
+			Peers: randSlice(rng, 0, randPeer), Epoch: rng.Uint64()}
+	},
+	func(rng *rand.Rand) Message {
+		return &HelloResp{NodeName: randStr(rng), Devices: randSlice(rng, 1, randDevice),
+			WireVersion: rng.Uint32(), BootID: rng.Uint64()}
+	},
+	func(rng *rand.Rand) Message { return &GetDeviceInfosReq{TypeMask: uint8(rng.Uint32())} },
+	func(rng *rand.Rand) Message { return &GetDeviceInfosResp{Devices: randSlice(rng, 1, randDevice)} },
+	func(rng *rand.Rand) Message {
+		return &CreateContextReq{DeviceIDs: randInts(rng), SessionID: rng.Uint64(), Tenant: randStr(rng)}
+	},
+	func(rng *rand.Rand) Message { return &ObjectResp{ID: rng.Uint64()} },
+	func(rng *rand.Rand) Message {
+		return &CreateQueueReq{ContextID: rng.Uint64(), DeviceID: rng.Uint32(), Profiling: rng.Intn(2) == 0}
+	},
+	func(rng *rand.Rand) Message { return &CreateBufferReq{ContextID: rng.Uint64(), Size: rng.Int63()} },
+	func(rng *rand.Rand) Message {
+		// Half the time a single release, else a vector of up to 300 IDs.
+		var more []uint64
+		if rng.Intn(2) == 0 {
+			more = make([]uint64, 1+rng.Intn(300))
+			for i := range more {
+				more[i] = rng.Uint64()
+			}
+		}
+		return &ReleaseReq{Kind: ObjectKind(rng.Intn(6) + 1), ID: rng.Uint64(), More: more}
+	},
+	func(*rand.Rand) Message { return &EmptyResp{} },
+	func(rng *rand.Rand) Message {
+		return &WriteBufferReq{QueueID: rng.Uint64(), BufferID: rng.Uint64(), Offset: rng.Int63(),
+			Data: randBlob(rng), SimArrival: rng.Int63(), EventID: rng.Uint64(), ModelBytes: rng.Int63(),
+			WaitEvents: randInts(rng)}
+	},
+	func(rng *rand.Rand) Message { return &EventResp{EventID: rng.Uint64(), Profile: randProfile(rng)} },
+	func(rng *rand.Rand) Message {
+		return &ReadBufferReq{QueueID: rng.Uint64(), BufferID: rng.Uint64(), Offset: rng.Int63(),
+			Size: rng.Int63(), SimArrival: rng.Int63(), EventID: rng.Uint64(), ModelBytes: rng.Int63(),
+			WaitEvents: randInts(rng)}
+	},
+	func(rng *rand.Rand) Message {
+		return &ReadBufferResp{Data: randBlob(rng), EventID: rng.Uint64(), Profile: randProfile(rng)}
+	},
+	func(rng *rand.Rand) Message {
+		return &CopyBufferReq{QueueID: rng.Uint64(), SrcID: rng.Uint64(), DstID: rng.Uint64(),
+			SrcOffset: rng.Int63(), DstOffset: rng.Int63(), Size: rng.Int63(), EventID: rng.Uint64(),
+			WaitEvents: randInts(rng)}
+	},
+	func(rng *rand.Rand) Message {
+		return &PushRangeReq{QueueID: rng.Uint64(), BufferID: rng.Uint64(), PeerName: randStr(rng),
+			PeerBufferID: rng.Uint64(), Token: rng.Uint64(), Offset: rng.Int63(), Size: rng.Int63(),
+			SimArrival: rng.Int63(), DepartAt: rng.Int63(), EventID: rng.Uint64(), ModelBytes: rng.Int63(),
+			WaitEvents: randInts(rng)}
+	},
+	func(rng *rand.Rand) Message {
+		return &PeerPushReq{Token: rng.Uint64(), Data: randBlob(rng), SimArrival: rng.Int63()}
+	},
+	func(rng *rand.Rand) Message {
+		return &AwaitPushReq{QueueID: rng.Uint64(), BufferID: rng.Uint64(), Token: rng.Uint64(),
+			Offset: rng.Int63(), Size: rng.Int63(), SimArrival: rng.Int63(), EventID: rng.Uint64(),
+			ModelBytes: rng.Int63(), WaitEvents: randInts(rng)}
+	},
+	func(rng *rand.Rand) Message { return &CancelPushReq{Token: rng.Uint64(), Reason: randStr(rng)} },
+	func(rng *rand.Rand) Message {
+		return &BuildProgramReq{ContextID: rng.Uint64(), Source: randStr(rng), Options: randStr(rng)}
+	},
+	func(rng *rand.Rand) Message {
+		return &BuildProgramResp{ProgramID: rng.Uint64(), Log: randStr(rng), Kernels: randSlice(rng, 1, randStr)}
+	},
+	func(rng *rand.Rand) Message { return &CreateKernelReq{ProgramID: rng.Uint64(), Name: randStr(rng)} },
+	func(rng *rand.Rand) Message {
+		return &EnqueueKernelReq{QueueID: rng.Uint64(), KernelID: rng.Uint64(), Global: randInts(rng),
+			Local: randInts(rng), Args: randSlice(rng, 1, randArg), SimArrival: rng.Int63(), EventID: rng.Uint64(),
+			WaitEvents: randInts(rng), CostFlops: rng.Int63(), CostBytes: rng.Int63()}
+	},
+	func(rng *rand.Rand) Message { return &FinishQueueReq{QueueID: rng.Uint64()} },
+	func(rng *rand.Rand) Message { return &FinishQueueResp{SimTime: rng.Int63()} },
+	func(rng *rand.Rand) Message { return &QueryEventReq{EventID: rng.Uint64()} },
+	func(rng *rand.Rand) Message {
+		return &QueryEventResp{Complete: rng.Intn(2) == 0, Profile: randProfile(rng)}
+	},
+	func(*rand.Rand) Message { return &NodeStatusReq{} },
+	func(rng *rand.Rand) Message { return &NodeStatusResp{Devices: randSlice(rng, 1, randStatus)} },
+	func(*rand.Rand) Message { return &ShutdownReq{} },
+	func(rng *rand.Rand) Message { return &ErrorResp{Code: rng.Uint32(), Message: randStr(rng)} },
+}
+
+// messageKinds holds the type each messageTypes entry constructs.
+var messageKinds = func() []reflect.Type {
+	rng := rand.New(rand.NewSource(0))
+	kinds := make([]reflect.Type, len(messageTypes))
+	for i, mk := range messageTypes {
+		kinds[i] = reflect.TypeOf(mk(rng)).Elem()
+	}
+	return kinds
+}()
+
+// newMessage returns a zero message of messageTypes[i]'s type.
+func newMessage(i int) Message { return reflect.New(messageKinds[i]).Interface().(Message) }
+
+// messageIndex returns the index in messageTypes of m's type.
+func messageIndex(tb testing.TB, m Message) int {
+	for i, kind := range messageKinds {
+		if reflect.TypeOf(m).Elem() == kind {
+			return i
+		}
+	}
+	tb.Fatalf("%T is not in messageTypes", m)
+	return -1
+}
+
 // TestAllMessagesRoundTripProperty round-trips every message type with
 // randomized field values, and requires every strict prefix of each
 // encoding to be a decode error: no field is optional on the wire, so a
@@ -152,120 +271,9 @@ func TestEnqueueKernelRoundTrip(t *testing.T) {
 // a release vector's first ID, which is a single release.
 func TestAllMessagesRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	msgs := []func() (Message, Message){
-		func() (Message, Message) {
-			return &HelloReq{UserID: randStr(rng), ClientName: randStr(rng), WireVersion: rng.Uint32()}, &HelloReq{}
-		},
-		func() (Message, Message) {
-			return &HelloResp{NodeName: randStr(rng), Devices: []DeviceInfo{randDevice(rng)},
-				WireVersion: rng.Uint32(), BootID: rng.Uint64()}, &HelloResp{}
-		},
-		func() (Message, Message) {
-			return &GetDeviceInfosReq{TypeMask: uint8(rng.Uint32())}, &GetDeviceInfosReq{}
-		},
-		func() (Message, Message) {
-			return &GetDeviceInfosResp{Devices: []DeviceInfo{randDevice(rng), randDevice(rng)}}, &GetDeviceInfosResp{}
-		},
-		func() (Message, Message) {
-			return &CreateContextReq{DeviceIDs: []int64{rng.Int63(), rng.Int63()},
-				SessionID: rng.Uint64(), Tenant: randStr(rng)}, &CreateContextReq{}
-		},
-		func() (Message, Message) {
-			return &CreateQueueReq{ContextID: rng.Uint64(), DeviceID: rng.Uint32(), Profiling: rng.Intn(2) == 0}, &CreateQueueReq{}
-		},
-		func() (Message, Message) {
-			return &CreateBufferReq{ContextID: rng.Uint64(), Size: rng.Int63()}, &CreateBufferReq{}
-		},
-		func() (Message, Message) {
-			return &WriteBufferReq{QueueID: rng.Uint64(), BufferID: rng.Uint64(), Offset: rng.Int63(),
-				Data: randBlob(rng), SimArrival: rng.Int63(), EventID: rng.Uint64(), ModelBytes: rng.Int63(),
-				WaitEvents: []int64{rng.Int63()}}, &WriteBufferReq{}
-		},
-		func() (Message, Message) {
-			return &ReadBufferReq{QueueID: rng.Uint64(), BufferID: rng.Uint64(), Offset: rng.Int63(),
-				Size: rng.Int63(), SimArrival: rng.Int63(), EventID: rng.Uint64(), ModelBytes: rng.Int63()}, &ReadBufferReq{}
-		},
-		func() (Message, Message) {
-			return &ReadBufferResp{Data: randBlob(rng), EventID: rng.Uint64(),
-				Profile: Profile{Queued: 1, Submit: 2, Start: 3, End: 4}}, &ReadBufferResp{}
-		},
-		func() (Message, Message) {
-			return &CopyBufferReq{QueueID: 1, SrcID: 2, DstID: 3, SrcOffset: 4, DstOffset: 5, Size: 6,
-				EventID: rng.Uint64()}, &CopyBufferReq{}
-		},
-		func() (Message, Message) {
-			return &BuildProgramReq{ContextID: rng.Uint64(), Source: randStr(rng), Options: randStr(rng)}, &BuildProgramReq{}
-		},
-		func() (Message, Message) {
-			return &BuildProgramResp{ProgramID: rng.Uint64(), Log: randStr(rng),
-				Kernels: []string{randStr(rng), randStr(rng)}}, &BuildProgramResp{}
-		},
-		func() (Message, Message) {
-			return &CreateKernelReq{ProgramID: rng.Uint64(), Name: randStr(rng)}, &CreateKernelReq{}
-		},
-		func() (Message, Message) {
-			return &FinishQueueReq{QueueID: rng.Uint64()}, &FinishQueueReq{}
-		},
-		func() (Message, Message) {
-			return &FinishQueueResp{SimTime: rng.Int63()}, &FinishQueueResp{}
-		},
-		func() (Message, Message) {
-			return &QueryEventReq{EventID: rng.Uint64()}, &QueryEventReq{}
-		},
-		func() (Message, Message) {
-			return &QueryEventResp{Complete: true, Profile: Profile{End: rng.Int63()}}, &QueryEventResp{}
-		},
-		func() (Message, Message) {
-			return &ReleaseReq{Kind: ObjBuffer, ID: rng.Uint64()}, &ReleaseReq{}
-		},
-		func() (Message, Message) {
-			more := make([]uint64, 1+rng.Intn(300))
-			for i := range more {
-				more[i] = rng.Uint64()
-			}
-			return &ReleaseReq{Kind: ObjEvent, ID: rng.Uint64(), More: more}, &ReleaseReq{}
-		},
-		func() (Message, Message) {
-			return &NodeStatusResp{Devices: []DeviceStatus{{
-				DeviceID: rng.Uint32(), BusyUntil: rng.Int63(), QueuedCmds: 3,
-				KernelsRun: 9, FlopsDone: 1e12, BytesMoved: 5e9, EnergyJ: 120,
-				ActiveUsers: 2, EWMAGFLOPS: 800, EWMAKernelSec: 0.25,
-			}}}, &NodeStatusResp{}
-		},
-		func() (Message, Message) {
-			return &ErrorResp{Code: rng.Uint32(), Message: randStr(rng)}, &ErrorResp{}
-		},
-		func() (Message, Message) {
-			return &ObjectResp{ID: rng.Uint64()}, &ObjectResp{}
-		},
-		func() (Message, Message) {
-			return &EventResp{EventID: rng.Uint64(), Profile: Profile{Start: 5, End: 9}}, &EventResp{}
-		},
-		func() (Message, Message) {
-			return &HelloReq{UserID: randStr(rng), ClientName: randStr(rng), WireVersion: rng.Uint32(),
-				Peers: []PeerAddr{{Name: randStr(rng), Addr: randStr(rng)}, {Name: randStr(rng), Addr: randStr(rng)}}}, &HelloReq{}
-		},
-		func() (Message, Message) {
-			return &PushRangeReq{QueueID: rng.Uint64(), BufferID: rng.Uint64(), PeerName: randStr(rng),
-				PeerBufferID: rng.Uint64(), Token: rng.Uint64(), Offset: rng.Int63(), Size: rng.Int63(),
-				SimArrival: rng.Int63(), DepartAt: rng.Int63(), EventID: rng.Uint64(), ModelBytes: rng.Int63(),
-				WaitEvents: []int64{rng.Int63()}}, &PushRangeReq{}
-		},
-		func() (Message, Message) {
-			return &PeerPushReq{Token: rng.Uint64(), Data: randBlob(rng), SimArrival: rng.Int63()}, &PeerPushReq{}
-		},
-		func() (Message, Message) {
-			return &AwaitPushReq{QueueID: rng.Uint64(), BufferID: rng.Uint64(), Token: rng.Uint64(),
-				Offset: rng.Int63(), Size: rng.Int63(), SimArrival: rng.Int63(), EventID: rng.Uint64(),
-				ModelBytes: rng.Int63(), WaitEvents: []int64{rng.Int63(), rng.Int63()}}, &AwaitPushReq{}
-		},
-		func() (Message, Message) {
-			return &CancelPushReq{Token: rng.Uint64(), Reason: randStr(rng)}, &CancelPushReq{}
-		},
-	}
 	for round := 0; round < 25; round++ {
-		for i, mk := range msgs {
-			in, out := mk()
+		for i, mk := range messageTypes {
+			in, out := mk(rng), newMessage(i)
 			body := refBody(t, in)
 			if err := DecodeMessage(out, body); err != nil {
 				t.Fatalf("case %d (%T): %v", i, in, err)
@@ -283,6 +291,87 @@ func TestAllMessagesRoundTripProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDecodeMessage shreds arbitrary bodies against every decoder in
+// messageTypes, host and node side, mirroring what a hostile batched peer
+// can ship. Its seeds are the golden corpus plus the bodies that sit on a
+// decoder's edges.
+func FuzzDecodeMessage(f *testing.F) {
+	frames, err := readGolden(f)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, c := range goldenCases {
+		f.Add(uint16(messageIndex(f, c.m)), frames[c.name][headerSize:])
+	}
+	// A release vector whose count lies about the body.
+	release := uint16(messageIndex(f, &ReleaseReq{}))
+	vector := EncodeMessage(&ReleaseReq{Kind: ObjEvent, ID: 1, More: []uint64{2, 3}})
+	f.Add(release, append(vector[:9:9], 0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5, 6, 7, 8))
+	// Payloads either side of the referencing threshold and of the envelope
+	// limit.
+	for _, size := range []int{ReferenceFloor - 1, ReferenceFloor, BatchableBodyLimit, BatchableBodyLimit + 1} {
+		for _, m := range []Message{
+			&WriteBufferReq{QueueID: 1, Data: make([]byte, size), WaitEvents: []int64{2}},
+			&ReadBufferResp{Data: make([]byte, size), EventID: 3},
+			&PeerPushReq{Token: 4, Data: make([]byte, size)},
+		} {
+			f.Add(uint16(messageIndex(f, m)), EncodeMessage(m))
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint16, body []byte) {
+		m := newMessage(int(which) % len(messageTypes))
+		if DecodeMessage(m, body) != nil { // must not panic
+			return
+		}
+		// Whatever decodes must encode to the same wire bytes by
+		// reference as by copy.
+		refBody(t, m)
+	})
+}
+
+// randSlice returns between min and 4 elements drawn by elem, and nil for
+// none, which is how an empty list decodes.
+func randSlice[T any](rng *rand.Rand, min int, elem func(*rand.Rand) T) []T {
+	n := min + rng.Intn(5-min)
+	if n == 0 {
+		return nil
+	}
+	s := make([]T, n)
+	for i := range s {
+		s[i] = elem(rng)
+	}
+	return s
+}
+
+func randInts(rng *rand.Rand) []int64 {
+	return randSlice(rng, 0, func(rng *rand.Rand) int64 { return rng.Int63() - rng.Int63() })
+}
+
+func randPeer(rng *rand.Rand) PeerAddr { return PeerAddr{Name: randStr(rng), Addr: randStr(rng)} }
+
+func randProfile(rng *rand.Rand) Profile {
+	return Profile{Queued: rng.Int63(), Submit: rng.Int63(), Start: rng.Int63(), End: rng.Int63()}
+}
+
+// randArg draws a kernel argument of any of the three kinds.
+func randArg(rng *rand.Rand) KernelArg {
+	switch k := ArgKind(rng.Intn(3) + 1); k {
+	case ArgBuffer:
+		return KernelArg{Kind: k, BufferID: rng.Uint64()}
+	case ArgScalar:
+		return KernelArg{Kind: k, Scalar: randBlob(rng)}
+	default:
+		return KernelArg{Kind: k, LocalLen: rng.Int63()}
+	}
+}
+
+func randStatus(rng *rand.Rand) DeviceStatus {
+	return DeviceStatus{DeviceID: rng.Uint32(), BusyUntil: rng.Int63(), QueuedCmds: rng.Int63(),
+		KernelsRun: rng.Int63(), FlopsDone: rng.Float64() * 1e12, BytesMoved: rng.Float64() * 1e9,
+		EnergyJ: rng.Float64() * 1e3, ActiveUsers: rng.Int63(), EWMAGFLOPS: rng.Float64() * 1e4,
+		EWMAKernelSec: rng.Float64()}
 }
 
 func randStr(rng *rand.Rand) string {
