@@ -105,13 +105,13 @@ func TestBatchRejectsNested(t *testing.T) {
 	}
 	// A hand-built envelope containing a batch sub-frame must be rejected
 	// on decode too.
-	e := NewEncoder()
+	e := new(Encoder)
 	e.U32(1)
 	e.U8(uint8(FrameBatch))
 	e.U64(1)
 	e.U16(uint16(OpBatch))
 	e.Blob(nil)
-	f := &Frame{Kind: FrameBatch, Op: OpBatch, Body: e.Bytes()}
+	f := &Frame{Kind: FrameBatch, Op: OpBatch, Body: e.buf}
 	if _, err := DecodeBatch(f); !errors.Is(err, ErrNestedBatch) {
 		t.Fatalf("decode nested: err = %v", err)
 	}

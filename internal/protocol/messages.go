@@ -3,7 +3,6 @@ package protocol
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Op identifies the remote operation a request frame carries. Each op
@@ -76,10 +75,9 @@ func (o Op) String() string {
 type Message interface {
 	// Op reports which operation this message belongs to.
 	Op() Op
-	// MarshalBody appends the message to the encoder.
-	MarshalBody(e *Encoder)
-	// UnmarshalBody decodes the message from the decoder.
-	UnmarshalBody(d *Decoder)
+	// fields walks the message's fields in wire order: the one statement
+	// of its layout, which encodes and decodes alike (see codec).
+	fields(c *codec)
 }
 
 // DeviceType mirrors the OpenCL device-type bitfield restricted to the
@@ -130,34 +128,19 @@ type DeviceInfo struct {
 	TDPWatts   float64 // board power for the energy model
 }
 
-func (i *DeviceInfo) marshal(e *Encoder) {
-	e.U32(i.ID)
-	e.U8(uint8(i.Type))
-	e.Str(i.Name)
-	e.Str(i.Vendor)
-	e.U32(i.ComputeUnits)
-	e.U32(i.ClockMHz)
-	e.I64(i.GlobalMemBytes)
-	e.I64(i.MaxWorkGroupSize)
-	e.Bool(i.Shared)
-	e.F64(i.PeakGFLOPS)
-	e.F64(i.MemBWGBps)
-	e.F64(i.TDPWatts)
-}
-
-func (i *DeviceInfo) unmarshal(d *Decoder) {
-	i.ID = d.U32()
-	i.Type = DeviceType(d.U8())
-	i.Name = d.Str()
-	i.Vendor = d.Str()
-	i.ComputeUnits = d.U32()
-	i.ClockMHz = d.U32()
-	i.GlobalMemBytes = d.I64()
-	i.MaxWorkGroupSize = d.I64()
-	i.Shared = d.Bool()
-	i.PeakGFLOPS = d.F64()
-	i.MemBWGBps = d.F64()
-	i.TDPWatts = d.F64()
+func (i *DeviceInfo) fields(c *codec) {
+	c.U32(&i.ID)
+	c.U8((*uint8)(&i.Type))
+	c.Str(&i.Name)
+	c.Str(&i.Vendor)
+	c.U32(&i.ComputeUnits)
+	c.U32(&i.ClockMHz)
+	c.I64(&i.GlobalMemBytes)
+	c.I64(&i.MaxWorkGroupSize)
+	c.Bool(&i.Shared)
+	c.F64(&i.PeakGFLOPS)
+	c.F64(&i.MemBWGBps)
+	c.F64(&i.TDPWatts)
 }
 
 // Profile carries the four OpenCL event-profiling timestamps, in virtual
@@ -178,18 +161,11 @@ type Profile struct {
 	End    int64
 }
 
-func (p *Profile) marshal(e *Encoder) {
-	e.I64(p.Queued)
-	e.I64(p.Submit)
-	e.I64(p.Start)
-	e.I64(p.End)
-}
-
-func (p *Profile) unmarshal(d *Decoder) {
-	p.Queued = d.I64()
-	p.Submit = d.I64()
-	p.Start = d.I64()
-	p.End = d.I64()
+func (p *Profile) fields(c *codec) {
+	c.I64(&p.Queued)
+	c.I64(&p.Submit)
+	c.I64(&p.Start)
+	c.I64(&p.End)
 }
 
 // DurationNS reports the modeled execution span (END-START) in nanoseconds.
@@ -215,18 +191,11 @@ type KernelArg struct {
 	LocalLen int64  // ArgLocal: bytes of local memory per work-group
 }
 
-func (a *KernelArg) marshal(e *Encoder) {
-	e.U8(uint8(a.Kind))
-	e.U64(a.BufferID)
-	e.Blob(a.Scalar)
-	e.I64(a.LocalLen)
-}
-
-func (a *KernelArg) unmarshal(d *Decoder) {
-	a.Kind = ArgKind(d.U8())
-	a.BufferID = d.U64()
-	a.Scalar = d.Blob()
-	a.LocalLen = d.I64()
+func (a *KernelArg) fields(c *codec) {
+	c.U8((*uint8)(&a.Kind))
+	c.U64(&a.BufferID)
+	c.Blob(&a.Scalar)
+	c.I64(&a.LocalLen)
 }
 
 // --- Session management -----------------------------------------------
@@ -237,6 +206,11 @@ func (a *KernelArg) unmarshal(d *Decoder) {
 type PeerAddr struct {
 	Name string
 	Addr string
+}
+
+func (p *PeerAddr) fields(c *codec) {
+	c.Str(&p.Name)
+	c.Str(&p.Addr)
 }
 
 // HelloReq opens a session with a node. The user identity travels with the
@@ -264,36 +238,12 @@ type HelloReq struct {
 // Op implements Message.
 func (*HelloReq) Op() Op { return OpHello }
 
-// MarshalBody implements Message.
-func (m *HelloReq) MarshalBody(e *Encoder) {
-	e.Str(m.UserID)
-	e.Str(m.ClientName)
-	e.U32(m.WireVersion)
-	e.U32(uint32(len(m.Peers)))
-	for i := range m.Peers {
-		e.Str(m.Peers[i].Name)
-		e.Str(m.Peers[i].Addr)
-	}
-	e.U64(m.Epoch)
-}
-
-// UnmarshalBody implements Message.
-func (m *HelloReq) UnmarshalBody(d *Decoder) {
-	m.UserID = d.Str()
-	m.ClientName = d.Str()
-	m.WireVersion = d.U32()
-	n := int(d.U32())
-	if !d.Need(n) {
-		return
-	}
-	if n > 0 {
-		m.Peers = make([]PeerAddr, n)
-		for i := range m.Peers {
-			m.Peers[i].Name = d.Str()
-			m.Peers[i].Addr = d.Str()
-		}
-	}
-	m.Epoch = d.U64()
+func (m *HelloReq) fields(c *codec) {
+	c.Str(&m.UserID)
+	c.Str(&m.ClientName)
+	c.U32(&m.WireVersion)
+	list(c, &m.Peers, peerList)
+	c.U64(&m.Epoch)
 }
 
 // HelloResp acknowledges a session and advertises the node's devices.
@@ -312,30 +262,11 @@ type HelloResp struct {
 // Op implements Message.
 func (*HelloResp) Op() Op { return OpHello }
 
-// MarshalBody implements Message.
-func (m *HelloResp) MarshalBody(e *Encoder) {
-	e.Str(m.NodeName)
-	e.U32(uint32(len(m.Devices)))
-	for i := range m.Devices {
-		m.Devices[i].marshal(e)
-	}
-	e.U32(m.WireVersion)
-	e.U64(m.BootID)
-}
-
-// UnmarshalBody implements Message.
-func (m *HelloResp) UnmarshalBody(d *Decoder) {
-	m.NodeName = d.Str()
-	n := int(d.U32())
-	if !d.Need(n) {
-		return
-	}
-	m.Devices = make([]DeviceInfo, n)
-	for i := range m.Devices {
-		m.Devices[i].unmarshal(d)
-	}
-	m.WireVersion = d.U32()
-	m.BootID = d.U64()
+func (m *HelloResp) fields(c *codec) {
+	c.Str(&m.NodeName)
+	list(c, &m.Devices, deviceList)
+	c.U32(&m.WireVersion)
+	c.U64(&m.BootID)
 }
 
 // GetDeviceInfosReq re-queries the device list (clGetDeviceIDs forwarding:
@@ -348,11 +279,7 @@ type GetDeviceInfosReq struct {
 // Op implements Message.
 func (*GetDeviceInfosReq) Op() Op { return OpGetDeviceInfos }
 
-// MarshalBody implements Message.
-func (m *GetDeviceInfosReq) MarshalBody(e *Encoder) { e.U8(m.TypeMask) }
-
-// UnmarshalBody implements Message.
-func (m *GetDeviceInfosReq) UnmarshalBody(d *Decoder) { m.TypeMask = d.U8() }
+func (m *GetDeviceInfosReq) fields(c *codec) { c.U8(&m.TypeMask) }
 
 // GetDeviceInfosResp lists matching devices.
 type GetDeviceInfosResp struct {
@@ -362,25 +289,7 @@ type GetDeviceInfosResp struct {
 // Op implements Message.
 func (*GetDeviceInfosResp) Op() Op { return OpGetDeviceInfos }
 
-// MarshalBody implements Message.
-func (m *GetDeviceInfosResp) MarshalBody(e *Encoder) {
-	e.U32(uint32(len(m.Devices)))
-	for i := range m.Devices {
-		m.Devices[i].marshal(e)
-	}
-}
-
-// UnmarshalBody implements Message.
-func (m *GetDeviceInfosResp) UnmarshalBody(d *Decoder) {
-	n := int(d.U32())
-	if !d.Need(n) {
-		return
-	}
-	m.Devices = make([]DeviceInfo, n)
-	for i := range m.Devices {
-		m.Devices[i].unmarshal(d)
-	}
-}
+func (m *GetDeviceInfosResp) fields(c *codec) { list(c, &m.Devices, deviceList) }
 
 // --- Object lifecycle ---------------------------------------------------
 
@@ -430,18 +339,10 @@ type CreateContextReq struct {
 // Op implements Message.
 func (*CreateContextReq) Op() Op { return OpCreateContext }
 
-// MarshalBody implements Message.
-func (m *CreateContextReq) MarshalBody(e *Encoder) {
-	e.Ints(m.DeviceIDs)
-	e.U64(m.SessionID)
-	e.Str(m.Tenant)
-}
-
-// UnmarshalBody implements Message.
-func (m *CreateContextReq) UnmarshalBody(d *Decoder) {
-	m.DeviceIDs = d.Ints()
-	m.SessionID = d.U64()
-	m.Tenant = d.Str()
+func (m *CreateContextReq) fields(c *codec) {
+	c.Ints(&m.DeviceIDs)
+	c.U64(&m.SessionID)
+	c.Str(&m.Tenant)
 }
 
 // ObjectResp returns a freshly created remote object handle.
@@ -453,11 +354,7 @@ type ObjectResp struct {
 // the frame envelope disambiguates, so this reports 0.
 func (*ObjectResp) Op() Op { return 0 }
 
-// MarshalBody implements Message.
-func (m *ObjectResp) MarshalBody(e *Encoder) { e.U64(m.ID) }
-
-// UnmarshalBody implements Message.
-func (m *ObjectResp) UnmarshalBody(d *Decoder) { m.ID = d.U64() }
+func (m *ObjectResp) fields(c *codec) { c.U64(&m.ID) }
 
 // CreateQueueReq creates an in-order command queue on one device.
 type CreateQueueReq struct {
@@ -469,18 +366,10 @@ type CreateQueueReq struct {
 // Op implements Message.
 func (*CreateQueueReq) Op() Op { return OpCreateQueue }
 
-// MarshalBody implements Message.
-func (m *CreateQueueReq) MarshalBody(e *Encoder) {
-	e.U64(m.ContextID)
-	e.U32(m.DeviceID)
-	e.Bool(m.Profiling)
-}
-
-// UnmarshalBody implements Message.
-func (m *CreateQueueReq) UnmarshalBody(d *Decoder) {
-	m.ContextID = d.U64()
-	m.DeviceID = d.U32()
-	m.Profiling = d.Bool()
+func (m *CreateQueueReq) fields(c *codec) {
+	c.U64(&m.ContextID)
+	c.U32(&m.DeviceID)
+	c.Bool(&m.Profiling)
 }
 
 // CreateBufferReq allocates a device buffer.
@@ -492,16 +381,9 @@ type CreateBufferReq struct {
 // Op implements Message.
 func (*CreateBufferReq) Op() Op { return OpCreateBuffer }
 
-// MarshalBody implements Message.
-func (m *CreateBufferReq) MarshalBody(e *Encoder) {
-	e.U64(m.ContextID)
-	e.I64(m.Size)
-}
-
-// UnmarshalBody implements Message.
-func (m *CreateBufferReq) UnmarshalBody(d *Decoder) {
-	m.ContextID = d.U64()
-	m.Size = d.I64()
+func (m *CreateBufferReq) fields(c *codec) {
+	c.U64(&m.ContextID)
+	c.I64(&m.Size)
 }
 
 // ReleaseReq drops one reference to each of a vector of remote objects of
@@ -529,33 +411,15 @@ func (m *ReleaseReq) At(i int) uint64 {
 	return m.More[i-1]
 }
 
-// MarshalBody implements Message.
-func (m *ReleaseReq) MarshalBody(e *Encoder) {
-	e.U8(uint8(m.Kind))
-	e.U64(m.ID)
-	if len(m.More) > 0 {
-		e.U32(uint32(len(m.More)))
-		for _, id := range m.More {
-			e.U64(id)
-		}
-	}
-}
-
-// UnmarshalBody implements Message.
-func (m *ReleaseReq) UnmarshalBody(d *Decoder) {
-	m.Kind = ObjectKind(d.U8())
-	m.ID = d.U64()
-	if d.Err() != nil || d.Remaining() == 0 {
+func (m *ReleaseReq) fields(c *codec) {
+	c.U8((*uint8)(&m.Kind))
+	c.U64(&m.ID)
+	if c.decoding && c.Remaining() == 0 || !c.decoding && len(m.More) == 0 {
 		return // a single release
 	}
-	n := int(d.U32())
-	if n == 0 || !d.Need(n*8) {
-		d.fail() // an empty or overlong tail is not something a host sends
-		return
-	}
-	m.More = make([]uint64, n)
-	for i := range m.More {
-		m.More[i] = d.U64()
+	list(c, &m.More, idList)
+	if len(m.More) == 0 {
+		c.fail() // an empty tail is not something a host sends
 	}
 }
 
@@ -565,11 +429,7 @@ type EmptyResp struct{}
 // Op implements Message.
 func (*EmptyResp) Op() Op { return 0 }
 
-// MarshalBody implements Message.
-func (*EmptyResp) MarshalBody(*Encoder) {}
-
-// UnmarshalBody implements Message.
-func (*EmptyResp) UnmarshalBody(*Decoder) {}
+func (*EmptyResp) fields(*codec) {}
 
 // --- Data movement -------------------------------------------------------
 
@@ -610,28 +470,15 @@ func (*WriteBufferReq) Op() Op { return OpWriteBuffer }
 // SetEventID implements CommandReq.
 func (m *WriteBufferReq) SetEventID(id uint64) { m.EventID = id }
 
-// MarshalBody implements Message.
-func (m *WriteBufferReq) MarshalBody(e *Encoder) {
-	e.U64(m.QueueID)
-	e.U64(m.BufferID)
-	e.I64(m.Offset)
-	e.Blob(m.Data)
-	e.I64(m.SimArrival)
-	e.U64(m.EventID)
-	e.I64(m.ModelBytes)
-	e.Ints(m.WaitEvents)
-}
-
-// UnmarshalBody implements Message.
-func (m *WriteBufferReq) UnmarshalBody(d *Decoder) {
-	m.QueueID = d.U64()
-	m.BufferID = d.U64()
-	m.Offset = d.I64()
-	m.Data = d.Blob()
-	m.SimArrival = d.I64()
-	m.EventID = d.U64()
-	m.ModelBytes = d.I64()
-	m.WaitEvents = d.Ints()
+func (m *WriteBufferReq) fields(c *codec) {
+	c.U64(&m.QueueID)
+	c.U64(&m.BufferID)
+	c.I64(&m.Offset)
+	c.Blob(&m.Data)
+	c.I64(&m.SimArrival)
+	c.U64(&m.EventID)
+	c.I64(&m.ModelBytes)
+	c.Ints(&m.WaitEvents)
 }
 
 // EventResp returns the event created by an enqueue operation.
@@ -643,16 +490,9 @@ type EventResp struct {
 // Op implements Message.
 func (*EventResp) Op() Op { return 0 }
 
-// MarshalBody implements Message.
-func (m *EventResp) MarshalBody(e *Encoder) {
-	e.U64(m.EventID)
-	m.Profile.marshal(e)
-}
-
-// UnmarshalBody implements Message.
-func (m *EventResp) UnmarshalBody(d *Decoder) {
-	m.EventID = d.U64()
-	m.Profile.unmarshal(d)
+func (m *EventResp) fields(c *codec) {
+	c.U64(&m.EventID)
+	m.Profile.fields(c)
 }
 
 // ReadBufferReq transfers device data back to the host
@@ -676,28 +516,15 @@ func (*ReadBufferReq) Op() Op { return OpReadBuffer }
 // SetEventID implements CommandReq.
 func (m *ReadBufferReq) SetEventID(id uint64) { m.EventID = id }
 
-// MarshalBody implements Message.
-func (m *ReadBufferReq) MarshalBody(e *Encoder) {
-	e.U64(m.QueueID)
-	e.U64(m.BufferID)
-	e.I64(m.Offset)
-	e.I64(m.Size)
-	e.I64(m.SimArrival)
-	e.U64(m.EventID)
-	e.I64(m.ModelBytes)
-	e.Ints(m.WaitEvents)
-}
-
-// UnmarshalBody implements Message.
-func (m *ReadBufferReq) UnmarshalBody(d *Decoder) {
-	m.QueueID = d.U64()
-	m.BufferID = d.U64()
-	m.Offset = d.I64()
-	m.Size = d.I64()
-	m.SimArrival = d.I64()
-	m.EventID = d.U64()
-	m.ModelBytes = d.I64()
-	m.WaitEvents = d.Ints()
+func (m *ReadBufferReq) fields(c *codec) {
+	c.U64(&m.QueueID)
+	c.U64(&m.BufferID)
+	c.I64(&m.Offset)
+	c.I64(&m.Size)
+	c.I64(&m.SimArrival)
+	c.U64(&m.EventID)
+	c.I64(&m.ModelBytes)
+	c.Ints(&m.WaitEvents)
 }
 
 // ReadBufferResp carries the data and the completion event.
@@ -714,18 +541,10 @@ type ReadBufferResp struct {
 // Op implements Message.
 func (*ReadBufferResp) Op() Op { return OpReadBuffer }
 
-// MarshalBody implements Message.
-func (m *ReadBufferResp) MarshalBody(e *Encoder) {
-	e.PooledBlob(m.Data, m.Pooled)
-	e.U64(m.EventID)
-	m.Profile.marshal(e)
-}
-
-// UnmarshalBody implements Message.
-func (m *ReadBufferResp) UnmarshalBody(d *Decoder) {
-	m.Data = d.Blob()
-	m.EventID = d.U64()
-	m.Profile.unmarshal(d)
+func (m *ReadBufferResp) fields(c *codec) {
+	c.PooledBlob(&m.Data, m.Pooled)
+	c.U64(&m.EventID)
+	m.Profile.fields(c)
 }
 
 // CopyBufferReq copies between two buffers on the same node
@@ -748,28 +567,15 @@ func (*CopyBufferReq) Op() Op { return OpCopyBuffer }
 // SetEventID implements CommandReq.
 func (m *CopyBufferReq) SetEventID(id uint64) { m.EventID = id }
 
-// MarshalBody implements Message.
-func (m *CopyBufferReq) MarshalBody(e *Encoder) {
-	e.U64(m.QueueID)
-	e.U64(m.SrcID)
-	e.U64(m.DstID)
-	e.I64(m.SrcOffset)
-	e.I64(m.DstOffset)
-	e.I64(m.Size)
-	e.U64(m.EventID)
-	e.Ints(m.WaitEvents)
-}
-
-// UnmarshalBody implements Message.
-func (m *CopyBufferReq) UnmarshalBody(d *Decoder) {
-	m.QueueID = d.U64()
-	m.SrcID = d.U64()
-	m.DstID = d.U64()
-	m.SrcOffset = d.I64()
-	m.DstOffset = d.I64()
-	m.Size = d.I64()
-	m.EventID = d.U64()
-	m.WaitEvents = d.Ints()
+func (m *CopyBufferReq) fields(c *codec) {
+	c.U64(&m.QueueID)
+	c.U64(&m.SrcID)
+	c.U64(&m.DstID)
+	c.I64(&m.SrcOffset)
+	c.I64(&m.DstOffset)
+	c.I64(&m.Size)
+	c.U64(&m.EventID)
+	c.Ints(&m.WaitEvents)
 }
 
 // --- Peer-to-peer data plane ---------------------------------------------
@@ -813,36 +619,19 @@ func (*PushRangeReq) Op() Op { return OpPushRange }
 // SetEventID implements CommandReq.
 func (m *PushRangeReq) SetEventID(id uint64) { m.EventID = id }
 
-// MarshalBody implements Message.
-func (m *PushRangeReq) MarshalBody(e *Encoder) {
-	e.U64(m.QueueID)
-	e.U64(m.BufferID)
-	e.Str(m.PeerName)
-	e.U64(m.PeerBufferID)
-	e.U64(m.Token)
-	e.I64(m.Offset)
-	e.I64(m.Size)
-	e.I64(m.SimArrival)
-	e.I64(m.DepartAt)
-	e.U64(m.EventID)
-	e.I64(m.ModelBytes)
-	e.Ints(m.WaitEvents)
-}
-
-// UnmarshalBody implements Message.
-func (m *PushRangeReq) UnmarshalBody(d *Decoder) {
-	m.QueueID = d.U64()
-	m.BufferID = d.U64()
-	m.PeerName = d.Str()
-	m.PeerBufferID = d.U64()
-	m.Token = d.U64()
-	m.Offset = d.I64()
-	m.Size = d.I64()
-	m.SimArrival = d.I64()
-	m.DepartAt = d.I64()
-	m.EventID = d.U64()
-	m.ModelBytes = d.I64()
-	m.WaitEvents = d.Ints()
+func (m *PushRangeReq) fields(c *codec) {
+	c.U64(&m.QueueID)
+	c.U64(&m.BufferID)
+	c.Str(&m.PeerName)
+	c.U64(&m.PeerBufferID)
+	c.U64(&m.Token)
+	c.I64(&m.Offset)
+	c.I64(&m.Size)
+	c.I64(&m.SimArrival)
+	c.I64(&m.DepartAt)
+	c.U64(&m.EventID)
+	c.I64(&m.ModelBytes)
+	c.Ints(&m.WaitEvents)
 }
 
 // PeerPushReq is the node→node data deposit: the source ships the bytes to
@@ -860,18 +649,10 @@ type PeerPushReq struct {
 // Op implements Message.
 func (*PeerPushReq) Op() Op { return OpPeerPush }
 
-// MarshalBody implements Message.
-func (m *PeerPushReq) MarshalBody(e *Encoder) {
-	e.U64(m.Token)
-	e.Blob(m.Data)
-	e.I64(m.SimArrival)
-}
-
-// UnmarshalBody implements Message.
-func (m *PeerPushReq) UnmarshalBody(d *Decoder) {
-	m.Token = d.U64()
-	m.Data = d.Blob()
-	m.SimArrival = d.I64()
+func (m *PeerPushReq) fields(c *codec) {
+	c.U64(&m.Token)
+	c.Blob(&m.Data)
+	c.I64(&m.SimArrival)
 }
 
 // AwaitPushReq tells the destination node to receive a deposited range into
@@ -901,30 +682,16 @@ func (*AwaitPushReq) Op() Op { return OpAwaitPush }
 // SetEventID implements CommandReq.
 func (m *AwaitPushReq) SetEventID(id uint64) { m.EventID = id }
 
-// MarshalBody implements Message.
-func (m *AwaitPushReq) MarshalBody(e *Encoder) {
-	e.U64(m.QueueID)
-	e.U64(m.BufferID)
-	e.U64(m.Token)
-	e.I64(m.Offset)
-	e.I64(m.Size)
-	e.I64(m.SimArrival)
-	e.U64(m.EventID)
-	e.I64(m.ModelBytes)
-	e.Ints(m.WaitEvents)
-}
-
-// UnmarshalBody implements Message.
-func (m *AwaitPushReq) UnmarshalBody(d *Decoder) {
-	m.QueueID = d.U64()
-	m.BufferID = d.U64()
-	m.Token = d.U64()
-	m.Offset = d.I64()
-	m.Size = d.I64()
-	m.SimArrival = d.I64()
-	m.EventID = d.U64()
-	m.ModelBytes = d.I64()
-	m.WaitEvents = d.Ints()
+func (m *AwaitPushReq) fields(c *codec) {
+	c.U64(&m.QueueID)
+	c.U64(&m.BufferID)
+	c.U64(&m.Token)
+	c.I64(&m.Offset)
+	c.I64(&m.Size)
+	c.I64(&m.SimArrival)
+	c.U64(&m.EventID)
+	c.I64(&m.ModelBytes)
+	c.Ints(&m.WaitEvents)
 }
 
 // CancelPushReq aborts a pending rendezvous: when the source side of a push
@@ -938,16 +705,9 @@ type CancelPushReq struct {
 // Op implements Message.
 func (*CancelPushReq) Op() Op { return OpCancelPush }
 
-// MarshalBody implements Message.
-func (m *CancelPushReq) MarshalBody(e *Encoder) {
-	e.U64(m.Token)
-	e.Str(m.Reason)
-}
-
-// UnmarshalBody implements Message.
-func (m *CancelPushReq) UnmarshalBody(d *Decoder) {
-	m.Token = d.U64()
-	m.Reason = d.Str()
+func (m *CancelPushReq) fields(c *codec) {
+	c.U64(&m.Token)
+	c.Str(&m.Reason)
 }
 
 // --- Programs and kernels -------------------------------------------------
@@ -964,18 +724,10 @@ type BuildProgramReq struct {
 // Op implements Message.
 func (*BuildProgramReq) Op() Op { return OpBuildProgram }
 
-// MarshalBody implements Message.
-func (m *BuildProgramReq) MarshalBody(e *Encoder) {
-	e.U64(m.ContextID)
-	e.Str(m.Source)
-	e.Str(m.Options)
-}
-
-// UnmarshalBody implements Message.
-func (m *BuildProgramReq) UnmarshalBody(d *Decoder) {
-	m.ContextID = d.U64()
-	m.Source = d.Str()
-	m.Options = d.Str()
+func (m *BuildProgramReq) fields(c *codec) {
+	c.U64(&m.ContextID)
+	c.Str(&m.Source)
+	c.Str(&m.Options)
 }
 
 // BuildProgramResp reports the program handle and build log.
@@ -988,28 +740,10 @@ type BuildProgramResp struct {
 // Op implements Message.
 func (*BuildProgramResp) Op() Op { return OpBuildProgram }
 
-// MarshalBody implements Message.
-func (m *BuildProgramResp) MarshalBody(e *Encoder) {
-	e.U64(m.ProgramID)
-	e.Str(m.Log)
-	e.U32(uint32(len(m.Kernels)))
-	for _, k := range m.Kernels {
-		e.Str(k)
-	}
-}
-
-// UnmarshalBody implements Message.
-func (m *BuildProgramResp) UnmarshalBody(d *Decoder) {
-	m.ProgramID = d.U64()
-	m.Log = d.Str()
-	n := int(d.U32())
-	if !d.Need(n) {
-		return
-	}
-	m.Kernels = make([]string, n)
-	for i := range m.Kernels {
-		m.Kernels[i] = d.Str()
-	}
+func (m *BuildProgramResp) fields(c *codec) {
+	c.U64(&m.ProgramID)
+	c.Str(&m.Log)
+	list(c, &m.Kernels, nameList)
 }
 
 // CreateKernelReq instantiates one kernel from a built program.
@@ -1021,16 +755,9 @@ type CreateKernelReq struct {
 // Op implements Message.
 func (*CreateKernelReq) Op() Op { return OpCreateKernel }
 
-// MarshalBody implements Message.
-func (m *CreateKernelReq) MarshalBody(e *Encoder) {
-	e.U64(m.ProgramID)
-	e.Str(m.Name)
-}
-
-// UnmarshalBody implements Message.
-func (m *CreateKernelReq) UnmarshalBody(d *Decoder) {
-	m.ProgramID = d.U64()
-	m.Name = d.Str()
+func (m *CreateKernelReq) fields(c *codec) {
+	c.U64(&m.ProgramID)
+	c.Str(&m.Name)
 }
 
 // EnqueueKernelReq launches an NDRange (clEnqueueNDRangeKernel). Arguments
@@ -1058,42 +785,17 @@ func (*EnqueueKernelReq) Op() Op { return OpEnqueueKernel }
 // SetEventID implements CommandReq.
 func (m *EnqueueKernelReq) SetEventID(id uint64) { m.EventID = id }
 
-// MarshalBody implements Message.
-func (m *EnqueueKernelReq) MarshalBody(e *Encoder) {
-	e.U64(m.QueueID)
-	e.U64(m.KernelID)
-	e.Ints(m.Global)
-	e.Ints(m.Local)
-	e.U32(uint32(len(m.Args)))
-	for i := range m.Args {
-		m.Args[i].marshal(e)
-	}
-	e.I64(m.SimArrival)
-	e.U64(m.EventID)
-	e.Ints(m.WaitEvents)
-	e.I64(m.CostFlops)
-	e.I64(m.CostBytes)
-}
-
-// UnmarshalBody implements Message.
-func (m *EnqueueKernelReq) UnmarshalBody(d *Decoder) {
-	m.QueueID = d.U64()
-	m.KernelID = d.U64()
-	m.Global = d.Ints()
-	m.Local = d.Ints()
-	n := int(d.U32())
-	if !d.Need(n) {
-		return
-	}
-	m.Args = make([]KernelArg, n)
-	for i := range m.Args {
-		m.Args[i].unmarshal(d)
-	}
-	m.SimArrival = d.I64()
-	m.EventID = d.U64()
-	m.WaitEvents = d.Ints()
-	m.CostFlops = d.I64()
-	m.CostBytes = d.I64()
+func (m *EnqueueKernelReq) fields(c *codec) {
+	c.U64(&m.QueueID)
+	c.U64(&m.KernelID)
+	c.Ints(&m.Global)
+	c.Ints(&m.Local)
+	list(c, &m.Args, argList)
+	c.I64(&m.SimArrival)
+	c.U64(&m.EventID)
+	c.Ints(&m.WaitEvents)
+	c.I64(&m.CostFlops)
+	c.I64(&m.CostBytes)
 }
 
 // --- Synchronization and status -------------------------------------------
@@ -1106,11 +808,7 @@ type FinishQueueReq struct {
 // Op implements Message.
 func (*FinishQueueReq) Op() Op { return OpFinishQueue }
 
-// MarshalBody implements Message.
-func (m *FinishQueueReq) MarshalBody(e *Encoder) { e.U64(m.QueueID) }
-
-// UnmarshalBody implements Message.
-func (m *FinishQueueReq) UnmarshalBody(d *Decoder) { m.QueueID = d.U64() }
+func (m *FinishQueueReq) fields(c *codec) { c.U64(&m.QueueID) }
 
 // FinishQueueResp reports the queue's virtual completion time.
 type FinishQueueResp struct {
@@ -1120,11 +818,7 @@ type FinishQueueResp struct {
 // Op implements Message.
 func (*FinishQueueResp) Op() Op { return OpFinishQueue }
 
-// MarshalBody implements Message.
-func (m *FinishQueueResp) MarshalBody(e *Encoder) { e.I64(m.SimTime) }
-
-// UnmarshalBody implements Message.
-func (m *FinishQueueResp) UnmarshalBody(d *Decoder) { m.SimTime = d.I64() }
+func (m *FinishQueueResp) fields(c *codec) { c.I64(&m.SimTime) }
 
 // QueryEventReq fetches an event's status and profiling timestamps.
 type QueryEventReq struct {
@@ -1134,11 +828,7 @@ type QueryEventReq struct {
 // Op implements Message.
 func (*QueryEventReq) Op() Op { return OpQueryEvent }
 
-// MarshalBody implements Message.
-func (m *QueryEventReq) MarshalBody(e *Encoder) { e.U64(m.EventID) }
-
-// UnmarshalBody implements Message.
-func (m *QueryEventReq) UnmarshalBody(d *Decoder) { m.EventID = d.U64() }
+func (m *QueryEventReq) fields(c *codec) { c.U64(&m.EventID) }
 
 // QueryEventResp carries the event state.
 type QueryEventResp struct {
@@ -1149,16 +839,9 @@ type QueryEventResp struct {
 // Op implements Message.
 func (*QueryEventResp) Op() Op { return OpQueryEvent }
 
-// MarshalBody implements Message.
-func (m *QueryEventResp) MarshalBody(e *Encoder) {
-	e.Bool(m.Complete)
-	m.Profile.marshal(e)
-}
-
-// UnmarshalBody implements Message.
-func (m *QueryEventResp) UnmarshalBody(d *Decoder) {
-	m.Complete = d.Bool()
-	m.Profile.unmarshal(d)
+func (m *QueryEventResp) fields(c *codec) {
+	c.Bool(&m.Complete)
+	m.Profile.fields(c)
 }
 
 // NodeStatusReq polls the node for the resource monitor.
@@ -1167,11 +850,7 @@ type NodeStatusReq struct{}
 // Op implements Message.
 func (*NodeStatusReq) Op() Op { return OpNodeStatus }
 
-// MarshalBody implements Message.
-func (*NodeStatusReq) MarshalBody(*Encoder) {}
-
-// UnmarshalBody implements Message.
-func (*NodeStatusReq) UnmarshalBody(*Decoder) {}
+func (*NodeStatusReq) fields(*codec) {}
 
 // DeviceStatus is one device's runtime load snapshot.
 type DeviceStatus struct {
@@ -1187,30 +866,17 @@ type DeviceStatus struct {
 	EWMAKernelSec float64 // observed mean kernel duration
 }
 
-func (s *DeviceStatus) marshal(e *Encoder) {
-	e.U32(s.DeviceID)
-	e.I64(s.BusyUntil)
-	e.I64(s.QueuedCmds)
-	e.I64(s.KernelsRun)
-	e.F64(s.FlopsDone)
-	e.F64(s.BytesMoved)
-	e.F64(s.EnergyJ)
-	e.I64(s.ActiveUsers)
-	e.F64(s.EWMAGFLOPS)
-	e.F64(s.EWMAKernelSec)
-}
-
-func (s *DeviceStatus) unmarshal(d *Decoder) {
-	s.DeviceID = d.U32()
-	s.BusyUntil = d.I64()
-	s.QueuedCmds = d.I64()
-	s.KernelsRun = d.I64()
-	s.FlopsDone = d.F64()
-	s.BytesMoved = d.F64()
-	s.EnergyJ = d.F64()
-	s.ActiveUsers = d.I64()
-	s.EWMAGFLOPS = d.F64()
-	s.EWMAKernelSec = d.F64()
+func (s *DeviceStatus) fields(c *codec) {
+	c.U32(&s.DeviceID)
+	c.I64(&s.BusyUntil)
+	c.I64(&s.QueuedCmds)
+	c.I64(&s.KernelsRun)
+	c.F64(&s.FlopsDone)
+	c.F64(&s.BytesMoved)
+	c.F64(&s.EnergyJ)
+	c.I64(&s.ActiveUsers)
+	c.F64(&s.EWMAGFLOPS)
+	c.F64(&s.EWMAKernelSec)
 }
 
 // NodeStatusResp is the monitor snapshot for every device on the node.
@@ -1221,25 +887,7 @@ type NodeStatusResp struct {
 // Op implements Message.
 func (*NodeStatusResp) Op() Op { return OpNodeStatus }
 
-// MarshalBody implements Message.
-func (m *NodeStatusResp) MarshalBody(e *Encoder) {
-	e.U32(uint32(len(m.Devices)))
-	for i := range m.Devices {
-		m.Devices[i].marshal(e)
-	}
-}
-
-// UnmarshalBody implements Message.
-func (m *NodeStatusResp) UnmarshalBody(d *Decoder) {
-	n := int(d.U32())
-	if !d.Need(n) {
-		return
-	}
-	m.Devices = make([]DeviceStatus, n)
-	for i := range m.Devices {
-		m.Devices[i].unmarshal(d)
-	}
-}
+func (m *NodeStatusResp) fields(c *codec) { list(c, &m.Devices, statusList) }
 
 // ShutdownReq asks the NMP to drain and exit.
 type ShutdownReq struct{}
@@ -1247,11 +895,7 @@ type ShutdownReq struct{}
 // Op implements Message.
 func (*ShutdownReq) Op() Op { return OpShutdown }
 
-// MarshalBody implements Message.
-func (*ShutdownReq) MarshalBody(*Encoder) {}
-
-// UnmarshalBody implements Message.
-func (*ShutdownReq) UnmarshalBody(*Decoder) {}
+func (*ShutdownReq) fields(*codec) {}
 
 // The enqueue requests all carry host-assignable event IDs.
 var (
@@ -1272,16 +916,9 @@ type ErrorResp struct {
 // Op implements Message.
 func (*ErrorResp) Op() Op { return OpError }
 
-// MarshalBody implements Message.
-func (m *ErrorResp) MarshalBody(e *Encoder) {
-	e.U32(m.Code)
-	e.Str(m.Message)
-}
-
-// UnmarshalBody implements Message.
-func (m *ErrorResp) UnmarshalBody(d *Decoder) {
-	m.Code = d.U32()
-	m.Message = d.Str()
+func (m *ErrorResp) fields(c *codec) {
+	c.U32(&m.Code)
+	c.Str(&m.Message)
 }
 
 // RemoteError is the host-side error produced from an ErrorResp.
@@ -1301,73 +938,3 @@ var ErrRemote = errors.New("protocol: remote error")
 
 // Is reports whether target is ErrRemote.
 func (e *RemoteError) Is(target error) bool { return target == ErrRemote }
-
-// EncodeMessage marshals m into a fresh body slice, copying any payload.
-func EncodeMessage(m Message) []byte {
-	e := NewEncoder()
-	m.MarshalBody(e)
-	return e.Bytes()
-}
-
-// NewFrame builds the frame that carries m (nil for an empty body) and is
-// how transports encode what they send. Its wire bytes are exactly those
-// of a frame whose Body is EncodeMessage(m), but a payload — the message's
-// first blob of at least ReferenceFloor bytes — is referenced by the frame
-// (see Frame.Payload) instead of copied into its Body: the writer copies it
-// once, into its staging buffer, or not at all when the frame is too big
-// for an envelope and travels alone. The payload must therefore stay
-// unmodified until the frame has been written; a sender that cannot promise
-// that passes a private copy.
-//
-// The message is marshalled into a pooled scratch encoder and copied out
-// into a frame sized to it, so a small frame is one allocation, body
-// included (allocFrame). The scratch never leaves this function.
-func NewFrame(kind FrameKind, reqID uint64, op Op, m Message) *Frame {
-	if m == nil {
-		return &Frame{Kind: kind, ReqID: reqID, Op: op}
-	}
-	e := encoders.Get().(*Encoder)
-	e.byRef = true
-	m.MarshalBody(e)
-	f := allocFrame(len(e.buf))
-	f.Kind, f.ReqID, f.Op = kind, reqID, op
-	f.Body = append(f.Body, e.buf...)
-	if e.bulk != nil {
-		// Body is what precedes the payload; the rest follows it.
-		f.ref = &payloadRef{bulk: e.bulk, tail: f.Body[e.split:], pooled: e.pooled}
-		f.Body = f.Body[:e.split:e.split]
-	}
-	if cap(e.buf) > maxScratch {
-		e.buf = nil // one oversized message must not pin its size in the pool
-	}
-	*e = Encoder{buf: e.buf[:0]}
-	encoders.Put(e)
-	return f
-}
-
-// maxScratch is the largest scratch buffer a pooled encoder keeps: any
-// body that rides in a Batch envelope fits.
-const maxScratch = 2 * BatchableBodyLimit
-
-// encoders and decoders hold the scratch state of NewFrame and
-// DecodeMessage. Both are handed to a Message's methods through an
-// interface, which would otherwise force one heap allocation per call;
-// both are taken and put back inside the one function that uses them.
-var (
-	encoders = sync.Pool{New: func() any { return new(Encoder) }}
-	decoders = sync.Pool{New: func() any { return new(Decoder) }}
-)
-
-// DecodeMessage unmarshals body into m, reporting truncation errors.
-func DecodeMessage(m Message, body []byte) error {
-	d := decoders.Get().(*Decoder)
-	d.buf = body
-	m.UnmarshalBody(d)
-	err := d.err
-	*d = Decoder{} // the pool must not keep the body reachable
-	decoders.Put(d)
-	if err != nil {
-		return fmt.Errorf("decode %T: %w", m, err)
-	}
-	return nil
-}

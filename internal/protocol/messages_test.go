@@ -2,9 +2,11 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -154,14 +156,14 @@ func TestEnqueueKernelRoundTrip(t *testing.T) {
 var messageTypes = []func(rng *rand.Rand) Message{
 	func(rng *rand.Rand) Message {
 		return &HelloReq{UserID: randStr(rng), ClientName: randStr(rng), WireVersion: rng.Uint32(),
-			Peers: randSlice(rng, 0, randPeer), Epoch: rng.Uint64()}
+			Peers: randSlice(rng, randPeer), Epoch: rng.Uint64()}
 	},
 	func(rng *rand.Rand) Message {
-		return &HelloResp{NodeName: randStr(rng), Devices: randSlice(rng, 1, randDevice),
+		return &HelloResp{NodeName: randStr(rng), Devices: randSlice(rng, randDevice),
 			WireVersion: rng.Uint32(), BootID: rng.Uint64()}
 	},
 	func(rng *rand.Rand) Message { return &GetDeviceInfosReq{TypeMask: uint8(rng.Uint32())} },
-	func(rng *rand.Rand) Message { return &GetDeviceInfosResp{Devices: randSlice(rng, 1, randDevice)} },
+	func(rng *rand.Rand) Message { return &GetDeviceInfosResp{Devices: randSlice(rng, randDevice)} },
 	func(rng *rand.Rand) Message {
 		return &CreateContextReq{DeviceIDs: randInts(rng), SessionID: rng.Uint64(), Tenant: randStr(rng)}
 	},
@@ -220,12 +222,12 @@ var messageTypes = []func(rng *rand.Rand) Message{
 		return &BuildProgramReq{ContextID: rng.Uint64(), Source: randStr(rng), Options: randStr(rng)}
 	},
 	func(rng *rand.Rand) Message {
-		return &BuildProgramResp{ProgramID: rng.Uint64(), Log: randStr(rng), Kernels: randSlice(rng, 1, randStr)}
+		return &BuildProgramResp{ProgramID: rng.Uint64(), Log: randStr(rng), Kernels: randSlice(rng, randStr)}
 	},
 	func(rng *rand.Rand) Message { return &CreateKernelReq{ProgramID: rng.Uint64(), Name: randStr(rng)} },
 	func(rng *rand.Rand) Message {
 		return &EnqueueKernelReq{QueueID: rng.Uint64(), KernelID: rng.Uint64(), Global: randInts(rng),
-			Local: randInts(rng), Args: randSlice(rng, 1, randArg), SimArrival: rng.Int63(), EventID: rng.Uint64(),
+			Local: randInts(rng), Args: randSlice(rng, randArg), SimArrival: rng.Int63(), EventID: rng.Uint64(),
 			WaitEvents: randInts(rng), CostFlops: rng.Int63(), CostBytes: rng.Int63()}
 	},
 	func(rng *rand.Rand) Message { return &FinishQueueReq{QueueID: rng.Uint64()} },
@@ -235,7 +237,7 @@ var messageTypes = []func(rng *rand.Rand) Message{
 		return &QueryEventResp{Complete: rng.Intn(2) == 0, Profile: randProfile(rng)}
 	},
 	func(*rand.Rand) Message { return &NodeStatusReq{} },
-	func(rng *rand.Rand) Message { return &NodeStatusResp{Devices: randSlice(rng, 1, randStatus)} },
+	func(rng *rand.Rand) Message { return &NodeStatusResp{Devices: randSlice(rng, randStatus)} },
 	func(*rand.Rand) Message { return &ShutdownReq{} },
 	func(rng *rand.Rand) Message { return &ErrorResp{Code: rng.Uint32(), Message: randStr(rng)} },
 }
@@ -320,6 +322,10 @@ func FuzzDecodeMessage(f *testing.F) {
 			f.Add(uint16(messageIndex(f, m)), EncodeMessage(m))
 		}
 	}
+	// Counts that claim a body's every byte as one list element.
+	for _, l := range lyingLists {
+		f.Add(uint16(messageIndex(f, l.m)), lyingBody(l.at, 64))
+	}
 	f.Fuzz(func(t *testing.T, which uint16, body []byte) {
 		m := newMessage(int(which) % len(messageTypes))
 		if DecodeMessage(m, body) != nil { // must not panic
@@ -331,10 +337,10 @@ func FuzzDecodeMessage(f *testing.F) {
 	})
 }
 
-// randSlice returns between min and 4 elements drawn by elem, and nil for
-// none, which is how an empty list decodes.
-func randSlice[T any](rng *rand.Rand, min int, elem func(*rand.Rand) T) []T {
-	n := min + rng.Intn(5-min)
+// randSlice returns up to 4 elements drawn by elem, and nil for none,
+// which is how an empty list decodes.
+func randSlice[T any](rng *rand.Rand, elem func(*rand.Rand) T) []T {
+	n := rng.Intn(5)
 	if n == 0 {
 		return nil
 	}
@@ -346,7 +352,7 @@ func randSlice[T any](rng *rand.Rand, min int, elem func(*rand.Rand) T) []T {
 }
 
 func randInts(rng *rand.Rand) []int64 {
-	return randSlice(rng, 0, func(rng *rand.Rand) int64 { return rng.Int63() - rng.Int63() })
+	return randSlice(rng, func(rng *rand.Rand) int64 { return rng.Int63() - rng.Int63() })
 }
 
 func randPeer(rng *rand.Rand) PeerAddr { return PeerAddr{Name: randStr(rng), Addr: randStr(rng)} }
@@ -494,11 +500,11 @@ func TestReleaseVector(t *testing.T) {
 		}
 	}
 	hostile := func(count uint32, tail int) []byte {
-		e := NewEncoder()
+		e := new(Encoder)
 		e.U8(uint8(ObjEvent))
 		e.U64(7)
 		e.U32(count)
-		return append(e.Bytes(), make([]byte, tail)...)
+		return append(e.buf, make([]byte, tail)...)
 	}
 	for _, c := range []struct {
 		name string
@@ -531,6 +537,50 @@ func TestHelloEpochBootIDRoundTrip(t *testing.T) {
 	if outResp.NodeName != resp.NodeName || outResp.WireVersion != resp.WireVersion ||
 		outResp.BootID != resp.BootID {
 		t.Fatalf("%+v != %+v", outResp, resp)
+	}
+}
+
+// lyingLists are the counted lists a decoder allocates for, each with the
+// offset of its count in a body whose earlier fields are all zero.
+var lyingLists = []struct {
+	name string
+	m    Message
+	at   int
+}{
+	{"EnqueueKernelReq.Args", &EnqueueKernelReq{}, 8 + 8 + 4 + 4},
+	{"HelloResp.Devices", &HelloResp{}, 4},
+	{"GetDeviceInfosResp.Devices", &GetDeviceInfosResp{}, 0},
+	{"NodeStatusResp.Devices", &NodeStatusResp{}, 0},
+	{"HelloReq.Peers", &HelloReq{}, 4 + 4 + 4},
+	{"BuildProgramResp.Kernels", &BuildProgramResp{}, 8 + 4},
+}
+
+// lyingBody returns a zero body of size bytes whose count at offset at
+// claims every byte after it as one element: it passes a check of one byte
+// per element, and no element's encoding is that small.
+func lyingBody(at, size int) []byte {
+	body := make([]byte, size)
+	binary.BigEndian.PutUint32(body[at:], uint32(size-at-4))
+	return body
+}
+
+// TestLyingCountAllocationBudget: a list count the body cannot hold is
+// refused before anything is allocated for it, so a lying count costs no
+// more memory than its frame — not one element's size times what one byte
+// per element would admit (16–96× the body).
+func TestLyingCountAllocationBudget(t *testing.T) {
+	for _, l := range lyingLists {
+		body, m := lyingBody(l.at, 1<<20), newMessage(messageIndex(t, l.m))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := DecodeMessage(m, body)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrShortMessage) {
+			t.Errorf("%s: err = %v, want ErrShortMessage", l.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+			t.Errorf("%s: a count lying about a 1 MiB body allocated %d KiB, want under 64 KiB", l.name, got>>10)
+		}
 	}
 }
 

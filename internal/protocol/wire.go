@@ -314,7 +314,7 @@ type Encoder struct {
 	buf []byte
 
 	// byRef makes Blob reference, instead of copy, the first payload of at
-	// least ReferenceFloor bytes (NewFrame's encoders): bulk is that payload,
+	// least ReferenceFloor bytes (NewFrame's scratch): bulk is that payload,
 	// split where in buf it belongs, and pooled the buffer it lives in, if
 	// any.
 	byRef  bool
@@ -322,14 +322,6 @@ type Encoder struct {
 	split  int
 	pooled *Buf
 }
-
-// NewEncoder returns an encoder with capacity pre-sized for small control
-// messages; bulk-data messages grow it once.
-func NewEncoder() *Encoder { return &Encoder{buf: make([]byte, 0, 64)} }
-
-// Bytes returns the encoded body. The returned slice aliases the encoder's
-// buffer; callers hand it straight to WriteFrame.
-func (e *Encoder) Bytes() []byte { return e.buf }
 
 // U8 appends a uint8.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
@@ -396,8 +388,8 @@ func (e *Encoder) Ints(vs []int64) {
 
 // Decoder consumes primitive values from a message body. Decoding errors
 // are sticky: after the first failure every subsequent read reports the
-// original error, so message UnmarshalBody methods can decode
-// unconditionally and check the error once.
+// original error, so a message's fields walk can decode unconditionally and
+// DecodeMessage check the error once.
 type Decoder struct {
 	buf []byte
 	off int
@@ -434,8 +426,9 @@ func (d *Decoder) take(n int) []byte {
 
 // Need reports whether at least n more bytes remain, marking the decoder
 // failed otherwise. Collection decoders call it before allocating
-// count-sized slices so a truncated or hostile count is an error, not a
-// silent partial decode.
+// count-sized slices, asking for the count times the smallest element, so
+// a truncated or hostile count is an error, not a silent partial decode or
+// an allocation larger than the body.
 func (d *Decoder) Need(n int) bool {
 	if d.err != nil {
 		return false

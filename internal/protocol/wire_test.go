@@ -10,7 +10,7 @@ import (
 )
 
 func TestEncodeDecodePrimitives(t *testing.T) {
-	e := NewEncoder()
+	e := new(Encoder)
 	e.U8(7)
 	e.U32(1 << 30)
 	e.U64(1 << 60)
@@ -22,7 +22,7 @@ func TestEncodeDecodePrimitives(t *testing.T) {
 	e.Blob([]byte{1, 2, 3})
 	e.Ints([]int64{-1, 0, 9})
 
-	d := NewDecoder(e.Bytes())
+	d := NewDecoder(e.buf)
 	if d.U8() != 7 || d.U32() != 1<<30 || d.U64() != 1<<60 || d.I64() != -42 {
 		t.Fatal("integer round trip failed")
 	}
@@ -47,7 +47,7 @@ func TestEncodeDecodePrimitives(t *testing.T) {
 // TestPrimitiveRoundTripProperty fuzzes the scalar codecs.
 func TestPrimitiveRoundTripProperty(t *testing.T) {
 	check := func(a uint32, b uint64, c int64, f float64, s string, blob []byte, vs []int64) bool {
-		e := NewEncoder()
+		e := new(Encoder)
 		e.U32(a)
 		e.U64(b)
 		e.I64(c)
@@ -55,7 +55,7 @@ func TestPrimitiveRoundTripProperty(t *testing.T) {
 		e.Str(s)
 		e.Blob(blob)
 		e.Ints(vs)
-		d := NewDecoder(e.Bytes())
+		d := NewDecoder(e.buf)
 		if d.U32() != a || d.U64() != b || d.I64() != c {
 			return false
 		}
@@ -99,13 +99,13 @@ func TestDecoderStickyError(t *testing.T) {
 
 func TestDecoderHostileLengths(t *testing.T) {
 	// A length prefix far past the buffer must fail cleanly.
-	e := NewEncoder()
+	e := new(Encoder)
 	e.U32(1 << 31)
-	d := NewDecoder(e.Bytes())
+	d := NewDecoder(e.buf)
 	if got := d.Str(); got != "" || d.Err() == nil {
 		t.Fatalf("hostile string length accepted: %q err=%v", got, d.Err())
 	}
-	d2 := NewDecoder(e.Bytes())
+	d2 := NewDecoder(e.buf)
 	if got := d2.Ints(); got != nil || d2.Err() == nil {
 		t.Fatal("hostile ints length accepted")
 	}
@@ -291,9 +291,9 @@ func TestWriteFrameRejectsOversized(t *testing.T) {
 
 // TestBlobIsView pins decode-in-place: a decoded blob aliases the body.
 func TestBlobIsView(t *testing.T) {
-	e := NewEncoder()
+	e := new(Encoder)
 	e.Blob([]byte{9, 8, 7})
-	body := e.Bytes()
+	body := e.buf
 	v := NewDecoder(body).Blob()
 	if len(v) != 3 || v[0] != 9 {
 		t.Fatalf("Blob = %v", v)
