@@ -141,16 +141,27 @@ func (l *Loader) hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+		if !e.IsDir() && buildable(dir, e.Name()) {
 			return true
 		}
 	}
 	return false
 }
 
-// LoadDir parses and type-checks the package in dir (non-test files only),
-// memoized for the loader's lifetime.
+// buildable reports whether the file name in dir is a non-test Go file of
+// the default build: its build constraints (//go:build lines, _GOOS and
+// _GOARCH suffixes) are evaluated as the go command would, without the race
+// detector or any other tag.
+func buildable(dir, name string) bool {
+	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false
+	}
+	ok, err := build.Default.MatchFile(dir, name)
+	return err == nil && ok
+}
+
+// LoadDir parses and type-checks the package in dir (the non-test files
+// of the default build only), memoized for the loader's lifetime.
 func (l *Loader) LoadDir(dir string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -171,7 +182,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !buildable(abs, name) {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(abs, name), nil, parser.ParseComments)

@@ -494,31 +494,33 @@ func TestRetainedHeapAllocationBudget(t *testing.T) {
 // blocking 4 KiB write, a kernel over it and a blocking read, the unit
 // serve-mt repeats — may cost in allocations end to end (host, loopback TCP
 // and in-process node counted together), in bytes allocated per payload
-// byte. A mid-size payload is copied once per hop, into the writer's staging
-// buffer, and allocated only where somebody keeps it (DESIGN.md §13 has the
-// same table for the runtime before payloads were referenced from
-// protocol.ReferenceFloor, which measured 10.4 here):
+// byte. A mid-size payload is copied once per hop, when the writer encodes
+// its message into the staging buffer, and allocated only where somebody
+// keeps it (DESIGN.md §13 has the same table for the runtime before
+// payloads were referenced from protocol.ReferenceFloor, which measured
+// 10.4 here, and before writers encoded messages and request envelopes were
+// pooled, 4.72):
 //
-//	host private copy   1.00  kept: the command log's entry and the frame's payload
-//	host request frame  0     references the private copy
-//	envelope, staging   0     encoded in place into the reused staging buffer
-//	node request body   1.19  kept by the collector, the command is a view of it;
-//	                          4 160 B in the allocator's 4 864 B class
-//	node read snapshot  0     pooled, freed by the reply's writer
-//	reply frame         0     references the snapshot
-//	envelope, staging   0     as above
-//	host response body  1.19  kept: handed to EnqueueRead's caller; same class
-//	everything else     1.34  ~60 small objects: requests, events, log entries,
-//	                          commands, frames (TestSmallCommandAllocationBudget's)
-//	total               4.72
+//	host private copy   1.00  kept: the command log's entry and the request's payload
+//	host request        0     the coalescer queue holds the message itself
+//	envelope, staging   0     the writer encodes it into its reused staging buffer
+//	node request body   0     pooled: the request envelope's body goes back to the
+//	                          pool once its last request has been answered
+//	node read snapshot  0     pooled, freed once the reply's writer has staged it
+//	reply, staging      0     as above
+//	host response body  1.19  kept: handed to EnqueueRead's caller; 4 160 B in
+//	                          the allocator's 4 864 B class
+//	everything else     1.05  ~40 small objects: requests, events, log entries,
+//	                          commands, frame reads (TestSmallCommandAllocationBudget's)
+//	total               3.24
 //
-// The budget leaves a twentieth for the small objects to move, not room for
-// a fourth payload-sized allocation.
+// The budget leaves a fifth for the small objects to move, not room for a
+// third payload-sized allocation.
 func TestServeRoundTripAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
-	const size, jobs, budget = 4 << 10, 200, 5.0
+	const size, jobs, budget = 4 << 10, 200, 4.0
 	rt := startTCPRuntime(t, 1)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)
@@ -606,21 +608,22 @@ func TestServeRoundTripAllocationBudget(t *testing.T) {
 //
 //	                write  kernel
 //	host issue       4      7   private copy, request, Event (future, response and wait list inside), log entry; a launch: bindings, NDRange, wire args, written set, request, Event, log entry
-//	frame encode     1      1   the frame with its body
+//	frame encode     0      0   the queue holds the request; the writer encodes it into its staging buffer
 //	node register    5      9   done closure, command (request, wait list and response inside), wait IDs, event record and its channel; a launch adds NDRange ×2, wire args, launch args
 //	lane             0      2   NDRange conversion, launch state
-//	reply            1      1   the response frame with its body
-//	envelopes        0.6    0.6 encode, frame read and sub-frame slabs, per envelope and direction
-//	total           11.6   20.6
+//	reply            0      0   the reply writer encodes the response into its staging buffer
+//	envelopes        0.3    0.3 frame reads, the node's envelope record, the host's sub-frame slabs; the node's envelope body is pooled
+//	total            9.3   18.3
 //
 // A release is an ID in a vector of up to 256: 0.03 objects an event. The
-// tile comes to 2 × 11.6 + 20.6 + 0.1 ≈ 44. The envelope share moves with
-// how full the coalescer finds its queue; the budget leaves a tenth for it.
+// tile comes to 2 × 9.3 + 18.3 + 0.1 ≈ 37. The envelope share moves with
+// how full the coalescer finds its queue; the budget leaves a twelfth for
+// it.
 func TestSmallCommandAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
-	const budget = 48.0
+	const budget = 40.0
 	rt := startTCPRuntime(t, 1)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -298,6 +299,66 @@ func startTappedRuntime(t *testing.T, gpuNodes int) (*core.Runtime, []*wireTap) 
 	}
 	t.Cleanup(func() { rt.Close() })
 	return rt, taps
+}
+
+// TestBackToBackReleaseVectorsArriveIntact: the transport encodes a
+// request on its writer goroutine after Go returned, so a release vector's
+// IDs must not be overwritten by the next vector for the same node. A
+// burst of two full vectors and a partial one, sent back to back with
+// nothing in between, reaches the node with exactly the IDs released, in
+// release order.
+func TestBackToBackReleaseVectorsArriveIntact(t *testing.T) {
+	rt, taps := startTappedRuntime(t, 1)
+	devs := rt.Devices(0)
+	sess := rt.OpenSession("tenant")
+	ctx, err := sess.CreateContext(devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ctx.CreateQueue(devs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := ctx.CreateBuffer(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const released = 2*256 + 40
+	events := make([]*core.Event, released+1) // the newest heads the buffer's chain and stays
+	for i := range events {
+		if events[i], err = q.EnqueueWrite(buf, 0, make([]byte, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := q.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events[:released] {
+		if err := ev.Release(rt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sess.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	var written, gone []uint64
+	vectors := 0
+	for _, rec := range taps[0].snapshot() {
+		switch {
+		case rec.event != 0:
+			written = append(written, rec.event)
+		case rec.kind == protocol.ObjEvent:
+			vectors++
+			gone = append(gone, rec.ids...)
+		}
+	}
+	if vectors != 3 {
+		t.Fatalf("%d IDs went out in %d release vectors, want 3", len(gone), vectors)
+	}
+	if !slices.Equal(gone, written[:released]) {
+		t.Fatalf("the nodes were asked to release %v..., the host released %v...", gone[:8], written[:8])
+	}
 }
 
 // TestReleaseVectorsKeepWireOrder releases events in bursts interleaved

@@ -187,7 +187,7 @@ func (s *Session) issueEvent(ev *Event, req protocol.CommandReq) uint64 {
 }
 
 // heldReleases is one node's vector in the making: IDs of one kind, in
-// release order. The slice is reused from vector to vector.
+// release order.
 type heldReleases struct {
 	kind protocol.ObjectKind
 	ids  []uint64
@@ -245,9 +245,11 @@ func (s *Session) releaseAsync(n *NodeHandle, kind protocol.ObjectKind, id uint6
 
 // sendHeld ships n's held IDs as one Release. Caller holds relMu — which
 // is what keeps two vectors for one node in release order — and h.ids is
-// not empty. The frame copies the IDs, so the slice is reused at once.
-// Nothing is sent to a node known to be down: the objects died with it,
-// which absolves their release just as it absolves an ack lost in flight.
+// not empty. The request references the IDs until its call resolves (the
+// transport encodes it later, on its writer goroutine), so the next vector
+// starts a slice of its own. Nothing is sent to a node known to be down:
+// the objects died with it, which absolves their release just as it
+// absolves an ack lost in flight.
 func (s *Session) sendHeld(n *NodeHandle, h *heldReleases) {
 	if n.Alive() {
 		req := &protocol.ReleaseReq{Kind: h.kind, ID: h.ids[0], More: h.ids[1:]}
@@ -257,7 +259,7 @@ func (s *Session) sendHeld(n *NodeHandle, h *heldReleases) {
 		})
 	}
 	s.relHeldN.Add(-int64(len(h.ids)))
-	h.ids = h.ids[:0]
+	h.ids = make([]uint64, 0, cap(h.ids))
 }
 
 // sendHeldReleases ships the releases held for n ahead of the message the

@@ -301,6 +301,42 @@ func TestQueueReleaseRetiresLane(t *testing.T) {
 	}
 }
 
+// TestLaneQueueZeroAlloc: in steady state a lane's queue costs nothing —
+// pushing a burst and draining it reuses the two arrays the worker swaps,
+// where popping the head used to make every push after a drain reallocate.
+func TestLaneQueueZeroAlloc(t *testing.T) {
+	l := newLane()
+	ran := 0
+	job := laneJob{cmd: &settledCmd{resp: &protocol.EmptyResp{}}, done: func(protocol.Message, error) { ran++ }}
+	var batch []laneJob
+	cycle := func() {
+		for i := 0; i < 16; i++ {
+			l.push(job)
+		}
+		var ok bool
+		if batch, ok = l.take(batch[:0]); !ok {
+			t.Fatal("an open lane with queued jobs reported itself drained")
+		}
+		for i := range batch {
+			j := batch[i]
+			batch[i] = laneJob{}
+			j.done(j.cmd.exec())
+		}
+	}
+	cycle() // grow both arrays once
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("pushing and draining 16 jobs allocates %v objects, want 0", allocs)
+	}
+	if ran != 16*103 {
+		t.Fatalf("%d jobs ran, want %d", ran, 16*103)
+	}
+	l.close()
+	if _, ok := l.take(nil); ok {
+		t.Fatal("a closed, drained lane handed out a batch")
+	}
+}
+
 // TestWaitListIDValidation is the regression test for the wait-list cast
 // bug: zero and negative IDs used to wrap through uint64 and surface as a
 // misleading "unknown event"; they are bad requests. Host-assigned IDs in

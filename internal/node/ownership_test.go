@@ -2,10 +2,15 @@ package node
 
 import (
 	"bytes"
+	"net"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 
+	"github.com/haocl-project/haocl/internal/device"
 	"github.com/haocl-project/haocl/internal/protocol"
+	"github.com/haocl-project/haocl/internal/sim"
 	"github.com/haocl-project/haocl/internal/transport"
 )
 
@@ -114,6 +119,176 @@ func TestParkedDepositsSurvivePeerTraffic(t *testing.T) {
 		if !bytes.Equal(rd.Data, fill(p)) {
 			t.Fatalf("deposit %d was overwritten while parked", p)
 		}
+	}
+}
+
+// wireConn speaks the raw wire to a node's server over one connection: it
+// sends plain frames and envelopes exactly as built, and collects every
+// response, unpacked from whatever envelope carried it.
+type wireConn struct {
+	t     *testing.T
+	conn  net.Conn
+	resps chan protocol.Frame
+}
+
+func dialWire(t *testing.T, n *Node) *wireConn {
+	t.Helper()
+	host, nodeEnd := net.Pipe()
+	srv := n.Serve()
+	if err := srv.ServeConn(nodeEnd); err != nil {
+		t.Fatal(err)
+	}
+	w := &wireConn{t: t, conn: host, resps: make(chan protocol.Frame, 64)}
+	go func() {
+		defer close(w.resps)
+		for {
+			f, err := protocol.ReadFrame(host)
+			if err != nil {
+				return
+			}
+			subs := []*protocol.Frame{f}
+			if f.Kind == protocol.FrameBatch {
+				if subs, err = protocol.DecodeBatch(f); err != nil {
+					return
+				}
+			}
+			for _, sub := range subs {
+				w.resps <- *sub
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		host.Close()
+		srv.Close()
+	})
+	return w
+}
+
+// request is the frame carrying m as request id.
+func request(id uint64, m protocol.Message) *protocol.Frame {
+	return &protocol.Frame{Kind: protocol.FrameRequest, ReqID: id, Op: m.Op(), Body: protocol.EncodeMessage(m)}
+}
+
+// send writes one plain frame, or an envelope of several.
+func (w *wireConn) send(subs ...*protocol.Frame) {
+	w.t.Helper()
+	f := subs[0]
+	if len(subs) > 1 {
+		var err error
+		if f, err = protocol.EncodeBatch(subs); err != nil {
+			w.t.Fatal(err)
+		}
+	}
+	if err := protocol.WriteFrame(w.conn, f); err != nil {
+		w.t.Fatal(err)
+	}
+}
+
+// await collects the responses to ids, in whatever order they arrive,
+// failing on a remote error or a response to anything else.
+func (w *wireConn) await(ids ...uint64) map[uint64]protocol.Frame {
+	w.t.Helper()
+	got := make(map[uint64]protocol.Frame)
+	timeout := time.After(5 * time.Second)
+	for len(got) < len(ids) {
+		select {
+		case r, ok := <-w.resps:
+			if !ok {
+				w.t.Fatal("connection closed while awaiting responses")
+			}
+			if r.Op == protocol.OpError {
+				var er protocol.ErrorResp
+				_ = protocol.DecodeMessage(&er, r.Body)
+				w.t.Fatalf("request %d failed: %s", r.ReqID, er.Message)
+			}
+			if !slices.Contains(ids, r.ReqID) {
+				w.t.Fatalf("response to request %d while awaiting %v", r.ReqID, ids)
+			}
+			got[r.ReqID] = r
+		case <-timeout:
+			w.t.Fatalf("responses to %v hung; got %d", ids, len(got))
+		}
+	}
+	return got
+}
+
+// wireCall sends m as request id on its own and decodes its response into
+// resp.
+func wireCall[T protocol.Message](w *wireConn, id uint64, m protocol.Message, resp T) T {
+	w.t.Helper()
+	w.send(request(id, m))
+	if err := protocol.DecodeMessage(resp, w.await(id)[id].Body); err != nil {
+		w.t.Fatal(err)
+	}
+	return resp
+}
+
+// TestEnvelopeBodyOutlivesParkedWrite: a request envelope's body is pooled
+// and goes back to the pool only once every request it carries has been
+// answered. Its first request is a write parked in its lane behind a wait
+// edge while its envelope-mates are answered, and a second envelope of the
+// same size class arrives before the edge resolves. The parked write must
+// still land its exact bytes: freed early, its payload would read the
+// second envelope's bytes from a reused buffer, or under the race detector
+// the poison Free leaves behind.
+func TestEnvelopeBodyOutlivesParkedWrite(t *testing.T) {
+	const size = 3000
+	n := testNode(t,
+		device.Config{Driver: sim.DriverGPU, ID: 1, Shared: true},
+		device.Config{Driver: sim.DriverGPU, ID: 2, Shared: true},
+	)
+	w := dialWire(t, n)
+	ctx := wireCall(w, 1, &protocol.CreateContextReq{DeviceIDs: []int64{1, 2}}, &protocol.ObjectResp{}).ID
+	q1 := wireCall(w, 2, &protocol.CreateQueueReq{ContextID: ctx, DeviceID: 1}, &protocol.ObjectResp{}).ID
+	q2 := wireCall(w, 3, &protocol.CreateQueueReq{ContextID: ctx, DeviceID: 2}, &protocol.ObjectResp{}).ID
+	target := wireCall(w, 4, &protocol.CreateBufferReq{ContextID: ctx, Size: size}, &protocol.ObjectResp{}).ID
+	other := wireCall(w, 5, &protocol.CreateBufferReq{ContextID: ctx, Size: size}, &protocol.ObjectResp{}).ID
+	pattern := func(seed byte) []byte {
+		b := make([]byte, size)
+		for i := range b {
+			b[i] = seed + byte(i*7)
+		}
+		return b
+	}
+	want := pattern(1)
+
+	// Envelope 1: the write to target waits for event 10, which nothing
+	// has created yet; its two mates on the other queue complete at once.
+	w.send(
+		request(10, &protocol.WriteBufferReq{QueueID: q1, BufferID: target, Data: want, EventID: 11, WaitEvents: []int64{10}}),
+		request(11, &protocol.WriteBufferReq{QueueID: q2, BufferID: other, Data: []byte{1, 2}, EventID: 12}),
+		request(12, &protocol.WriteBufferReq{QueueID: q2, BufferID: other, Data: []byte{3, 4}, EventID: 13}),
+	)
+	// The mates are answered (their responses held for the envelope) while
+	// the write stays parked.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		a := wireCall(w, 20, &protocol.QueryEventReq{EventID: 12}, &protocol.QueryEventResp{})
+		b := wireCall(w, 21, &protocol.QueryEventReq{EventID: 13}, &protocol.QueryEventResp{})
+		if a.Complete && b.Complete {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the parked write's envelope-mates never completed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if q := wireCall(w, 22, &protocol.QueryEventReq{EventID: 11}, &protocol.QueryEventResp{}); q.Complete {
+		t.Fatal("the write ran before its wait edge resolved")
+	}
+
+	// Envelope 2, of the same size class, creates event 10 behind a write
+	// of other bytes: it is read, into whatever buffer the pool has, before
+	// the parked write can run.
+	w.send(
+		request(30, &protocol.WriteBufferReq{QueueID: q2, BufferID: other, Data: pattern(99), EventID: 14}),
+		request(31, &protocol.WriteBufferReq{QueueID: q2, BufferID: other, Data: []byte{5}, EventID: 10}),
+	)
+	w.await(10, 11, 12, 30, 31)
+
+	got := wireCall(w, 40, &protocol.ReadBufferReq{QueueID: q1, BufferID: target, Size: size}, &protocol.ReadBufferResp{})
+	if !bytes.Equal(got.Data, want) {
+		t.Fatal("the parked write landed bytes other than its own: its envelope's body was freed before it ran")
 	}
 }
 

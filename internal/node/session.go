@@ -89,7 +89,7 @@ const synthEventBase = uint64(1) << 62
 // proceed concurrently. The queue is unbounded on purpose: a bounded lane
 // would stall the registration stage when full, and a stalled registration
 // stage can deadlock a cross-lane wait whose creating command is still
-// behind it (backpressure remains at the transport's job channel and the
+// behind it (backpressure remains at the transport's frame channel and the
 // host's own flow control).
 type lane struct {
 	mu     sync.Mutex
@@ -132,26 +132,40 @@ func (l *lane) close() {
 	l.mu.Unlock()
 }
 
+// take waits until jobs are queued and takes all of them, leaving drained
+// — the array of the previous batch, emptied — as the queue to fill next,
+// so a steady stream reuses two arrays and push never reallocates. ok is
+// false once the lane is closed and drained.
+func (l *lane) take(drained []laneJob) (batch []laneJob, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for len(l.jobs) == 0 && !l.closed {
+		l.cond.Wait()
+	}
+	if len(l.jobs) == 0 {
+		return nil, false
+	}
+	batch, l.jobs = l.jobs, drained
+	return batch, true
+}
+
 // run is the lane worker: it executes queued jobs in order and exits once
 // the lane is closed and drained.
 func (l *lane) run() {
+	var batch []laneJob
 	for {
-		l.mu.Lock()
-		for len(l.jobs) == 0 && !l.closed {
-			l.cond.Wait()
-		}
-		if len(l.jobs) == 0 {
-			l.mu.Unlock()
+		var ok bool
+		if batch, ok = l.take(batch[:0]); !ok {
 			return
 		}
-		job := l.jobs[0]
-		// Clear the popped slot: the backing array outlives the reslice,
-		// and a completed job still pins its request — a whole frame body,
-		// for a bulk write — and the buffers it resolved.
-		l.jobs[0] = laneJob{}
-		l.jobs = l.jobs[1:]
-		l.mu.Unlock()
-		job.done(job.cmd.exec())
+		for i := range batch {
+			job := batch[i]
+			// Clear the slot before running the job: the array is reused,
+			// and a completed job still pins its request — a whole frame
+			// body, for a bulk write — and the buffers it resolved.
+			batch[i] = laneJob{}
+			job.done(job.cmd.exec())
+		}
 	}
 }
 

@@ -182,63 +182,47 @@ func TestBatchPropertyRoundTrip(t *testing.T) {
 	}
 }
 
-// mixedRun builds a run of n frames the way senders do, through NewFrame,
-// mixing messages that stay inline with payloads either side of
-// ReferenceFloor, so some sub-frames are contiguous and some are in three
-// pieces.
-func mixedRun(rng *rand.Rand, n int) []*Frame {
-	run := make([]*Frame, n)
+// mixedRun builds a run of n messages the way writers queue them, mixing
+// empty bodies, small messages and payloads from either side of
+// ReferenceFloor up to the envelope limit.
+func mixedRun(rng *rand.Rand, n int) []Outgoing {
+	run := make([]Outgoing, n)
 	for i := range run {
 		id := uint64(i + 1)
 		switch rng.Intn(4) {
 		case 0:
-			run[i] = NewFrame(FrameRequest, id, OpRelease, &ReleaseReq{Kind: ObjEvent, ID: rng.Uint64()})
+			run[i] = NewOutgoing(FrameRequest, id, OpRelease, &ReleaseReq{Kind: ObjEvent, ID: rng.Uint64()})
 		case 1:
-			run[i] = NewFrame(FrameResponse, id, OpRelease, nil)
+			run[i] = NewOutgoing(FrameResponse, id, OpRelease, nil)
 		case 2:
-			run[i] = NewFrame(FrameRequest, id, OpWriteBuffer,
+			run[i] = NewOutgoing(FrameRequest, id, OpWriteBuffer,
 				&WriteBufferReq{QueueID: 1, BufferID: 2, Data: randBlob(rng), EventID: id, WaitEvents: []int64{3}})
 		default:
 			data := make([]byte, ReferenceFloor+rng.Intn(BatchableBodyLimit-ReferenceFloor-64))
 			rng.Read(data)
-			run[i] = NewFrame(FrameResponse, id, OpReadBuffer, &ReadBufferResp{Data: data, EventID: id})
+			run[i] = NewOutgoing(FrameResponse, id, OpReadBuffer, &ReadBufferResp{Data: data, EventID: id})
 		}
 	}
 	return run
 }
 
-// TestAppendBatchMatchesFrameOfEnvelope: staging a run in place writes,
-// byte for byte, what allocating the envelope as a Frame and appending that
-// used to — after whatever the buffer already held — and the envelope
-// decodes to sub-frames whose bodies are the flat wire bodies of the run's
-// frames, referenced or not.
+// TestAppendBatchMatchesFrameOfEnvelope: staging a run of messages writes,
+// byte for byte, what encoding each message on its own, allocating the
+// envelope as a Frame and appending that would — after whatever the buffer
+// already held — and the envelope decodes to sub-frames whose bodies are
+// the messages' encodings.
 func TestAppendBatchMatchesFrameOfEnvelope(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	referenced, mixed := 0, 0
 	for round := 0; round < 100; round++ {
 		run := mixedRun(rng, rng.Intn(12))
-		before := referenced
 		flat := make([]*Frame, len(run))
-		for i, f := range run {
-			if bulk, _ := f.Payload(); bulk != nil {
-				referenced++
-			}
-			wire, err := AppendFrame(nil, f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			flat[i] = &Frame{Kind: f.Kind, ReqID: f.ReqID, Op: f.Op, Body: wire[headerSize:]}
-		}
-		if n := referenced - before; n > 0 && n < len(run) {
-			mixed++
+		for i, o := range run {
+			flat[i] = &Frame{Kind: o.Kind, ReqID: o.ReqID, Op: o.Op, Body: EncodeMessage(o.Msg)}
 		}
 
 		prefix := []byte("already staged")
-		got, err := AppendBatch(append([]byte(nil), prefix...), run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env, err := EncodeBatch(run)
+		got := AppendOutgoingBatch(append([]byte(nil), prefix...), run)
+		env, err := EncodeBatch(flat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,12 +231,10 @@ func TestAppendBatchMatchesFrameOfEnvelope(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("round %d: AppendBatch wrote %d bytes, AppendFrame(EncodeBatch) %d, or they differ", round, len(got), len(want))
+			t.Fatalf("round %d: AppendOutgoingBatch wrote %d bytes, AppendFrame(EncodeBatch) %d, or they differ", round, len(got), len(want))
 		}
-		// The same bytes from frames that were never in pieces: the layout
-		// does not depend on how a sub-frame holds its body.
 		if flatWire, err := AppendBatch(append([]byte(nil), prefix...), flat); err != nil || !bytes.Equal(got, flatWire) {
-			t.Fatalf("round %d: envelope of referenced frames differs from envelope of their flat copies (%v)", round, err)
+			t.Fatalf("round %d: AppendBatch of the encoded frames differs from the staged messages (%v)", round, err)
 		}
 
 		read, err := ReadFrame(bytes.NewReader(got[len(prefix):]))
@@ -266,9 +248,6 @@ func TestAppendBatchMatchesFrameOfEnvelope(t *testing.T) {
 		if !subFramesEqual(flat, subs) {
 			t.Fatalf("round %d: decoded sub-frames differ from the run", round)
 		}
-	}
-	if mixed < 50 {
-		t.Fatalf("only %d of 100 runs mixed inline and referenced sub-frames", mixed)
 	}
 }
 
@@ -329,27 +308,20 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add(sessCtx)
 	f.Add(sessCtx[:len(sessCtx)-4])
-	// Bulk frames, built by the by-reference encoder: a write and a peer
-	// deposit just too big for an envelope, and a cut inside the payload.
+	// Bulk frames, as writers encode them: a write and a peer deposit just
+	// too big for an envelope, and a cut inside the payload.
 	bulk := make([]byte, BatchableBodyLimit+1)
-	bulkWrite, err := AppendFrame(nil, NewFrame(FrameRequest, 13, OpWriteBuffer,
-		&WriteBufferReq{QueueID: 1, BufferID: 2, Data: bulk, EventID: 3}))
-	if err != nil {
-		f.Fatal(err)
+	outgoing := func(reqID uint64, m Message) []byte {
+		o := NewOutgoing(FrameRequest, reqID, m.Op(), m)
+		return AppendOutgoing(nil, &o)
 	}
+	bulkWrite := outgoing(13, &WriteBufferReq{QueueID: 1, BufferID: 2, Data: bulk, EventID: 3})
 	f.Add(bulkWrite)
 	f.Add(bulkWrite[:len(bulkWrite)/2])
-	bulkPush, err := AppendFrame(nil, NewFrame(FrameRequest, 14, OpPeerPush, &PeerPushReq{Token: 4, Data: bulk}))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(bulkPush)
-	// An envelope staged in place from a run mixing inline and referenced
-	// sub-frames, and a cut inside a referenced payload.
-	staged, err := AppendBatch(nil, mixedRun(rand.New(rand.NewSource(3)), 6))
-	if err != nil {
-		f.Fatal(err)
-	}
+	f.Add(outgoing(14, &PeerPushReq{Token: 4, Data: bulk}))
+	// An envelope staged from a run of messages with payloads either side
+	// of ReferenceFloor, and a cut inside a payload.
+	staged := AppendOutgoingBatch(nil, mixedRun(rand.New(rand.NewSource(3)), 6))
 	f.Add(staged)
 	f.Add(staged[:len(staged)-ReferenceFloor/2])
 	// A lying length prefix: a bulk write request claiming a 1 GiB body,
@@ -374,7 +346,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		pf.Release()
 		if fr.Kind != FrameBatch {
 			// A payload-carrying body that decodes must re-encode to the
-			// same wire bytes by reference as by copy.
+			// same wire bytes every way a writer encodes it.
 			var m Message
 			switch fr.Op {
 			case OpWriteBuffer:

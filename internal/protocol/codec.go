@@ -8,44 +8,61 @@ import (
 // codec walks a message's fields in wire order, and is what makes each
 // message state its layout once: a message's fields method calls one codec
 // method per field (c.U64(&m.QueueID); c.Blob(&m.Data); ...), and the same
-// walk encodes the fields into the Encoder or, when decoding is set,
-// decodes them from the Decoder. A wire change is therefore an edit to one
-// fields method, a Version bump and a regenerated golden corpus
-// (TestGoldenCorpus).
+// walk encodes the fields into the Encoder, decodes them from the Decoder,
+// or only counts the bytes their encoding takes, depending on mode. A wire
+// change is therefore an edit to one fields method, a Version bump and a
+// regenerated golden corpus (TestGoldenCorpus).
 type codec struct {
 	Encoder
 	Decoder
-	decoding bool
+	mode codecMode
+	size int // sizing: the encoded bytes walked so far
 }
 
-// walk encodes *v with enc or overwrites it with what dec decodes.
-func walk[T any](c *codec, v *T, enc func(*Encoder, T), dec func(*Decoder) T) {
-	if c.decoding {
-		*v = dec(&c.Decoder)
-	} else {
+// codecMode is what a walk does with each field.
+type codecMode uint8
+
+const (
+	encoding codecMode = iota
+	decoding
+	sizing // count the bytes, write none (MessageSize)
+)
+
+// walk encodes *v with enc, overwrites it with what dec decodes, or counts
+// n, the length of its encoding.
+func walk[T any](c *codec, v *T, n int, enc func(*Encoder, T), dec func(*Decoder) T) {
+	switch c.mode {
+	case encoding:
 		enc(&c.Encoder, *v)
+	case decoding:
+		*v = dec(&c.Decoder)
+	default:
+		c.size += n
 	}
 }
 
 // The codec's primitives mirror the Encoder's and Decoder's. A one-byte
 // enum walks as U8 through a pointer conversion.
-func (c *codec) U8(v *uint8)     { walk(c, v, (*Encoder).U8, (*Decoder).U8) }
-func (c *codec) U32(v *uint32)   { walk(c, v, (*Encoder).U32, (*Decoder).U32) }
-func (c *codec) U64(v *uint64)   { walk(c, v, (*Encoder).U64, (*Decoder).U64) }
-func (c *codec) I64(v *int64)    { walk(c, v, (*Encoder).I64, (*Decoder).I64) }
-func (c *codec) F64(v *float64)  { walk(c, v, (*Encoder).F64, (*Decoder).F64) }
-func (c *codec) Bool(v *bool)    { walk(c, v, (*Encoder).Bool, (*Decoder).Bool) }
-func (c *codec) Str(v *string)   { walk(c, v, (*Encoder).Str, (*Decoder).Str) }
-func (c *codec) Blob(v *[]byte)  { walk(c, v, (*Encoder).Blob, (*Decoder).Blob) }
-func (c *codec) Ints(v *[]int64) { walk(c, v, (*Encoder).Ints, (*Decoder).Ints) }
+func (c *codec) U8(v *uint8)     { walk(c, v, 1, (*Encoder).U8, (*Decoder).U8) }
+func (c *codec) U32(v *uint32)   { walk(c, v, 4, (*Encoder).U32, (*Decoder).U32) }
+func (c *codec) U64(v *uint64)   { walk(c, v, 8, (*Encoder).U64, (*Decoder).U64) }
+func (c *codec) I64(v *int64)    { walk(c, v, 8, (*Encoder).I64, (*Decoder).I64) }
+func (c *codec) F64(v *float64)  { walk(c, v, 8, (*Encoder).F64, (*Decoder).F64) }
+func (c *codec) Bool(v *bool)    { walk(c, v, 1, (*Encoder).Bool, (*Decoder).Bool) }
+func (c *codec) Str(v *string)   { walk(c, v, 4+len(*v), (*Encoder).Str, (*Decoder).Str) }
+func (c *codec) Blob(v *[]byte)  { walk(c, v, 4+len(*v), (*Encoder).Blob, (*Decoder).Blob) }
+func (c *codec) Ints(v *[]int64) { walk(c, v, 4+8*len(*v), (*Encoder).Ints, (*Decoder).Ints) }
 
 // PooledBlob walks a payload that may live in a pooled buffer; see
 // Encoder.PooledBlob. pooled never travels, so a decoder leaves it alone.
 func (c *codec) PooledBlob(v *[]byte, pooled *Buf) {
-	if c.decoding {
-		*v = c.Decoder.Blob()
-	} else {
+	switch c.mode {
+	case encoding:
 		c.Encoder.PooledBlob(*v, pooled)
+	case decoding:
+		*v = c.Decoder.Blob()
+	default:
+		c.size += 4 + len(*v)
 	}
 }
 
@@ -58,12 +75,12 @@ type listOf[T any] struct {
 
 // newList measures elem's smallest encoding, which is that of T's zero
 // value. The lists below call it once, at package init: measuring on each
-// decode would allocate.
+// decode would cost a walk per list.
 func newList[T any](elem func(*T, *codec)) listOf[T] {
 	var zero T
-	var c codec
+	c := codec{mode: sizing}
 	elem(&zero, &c)
-	return listOf[T]{elem: elem, min: len(c.Encoder.buf)}
+	return listOf[T]{elem: elem, min: c.size}
 }
 
 // The element kinds of the counted lists.
@@ -83,7 +100,7 @@ var (
 func list[T any](c *codec, s *[]T, l listOf[T]) {
 	n := uint32(len(*s))
 	c.U32(&n)
-	if c.decoding {
+	if c.mode == decoding {
 		*s = nil
 		if n > 0 && c.Need(int(n)*l.min) {
 			*s = make([]T, n)
@@ -94,67 +111,63 @@ func list[T any](c *codec, s *[]T, l listOf[T]) {
 	}
 }
 
-// codecs holds the scratch codecs of NewFrame and DecodeMessage. A codec is
-// handed to a Message's fields method through an interface, which would
-// otherwise force one heap allocation per call; each is taken and put back
-// inside the one function that uses it.
+// codecs pools the codecs the entry points below walk messages with. A
+// codec is handed to a Message's fields method through an interface, which
+// would otherwise force one heap allocation per call; each is taken and put
+// back inside the one function that uses it, and goes back holding no
+// buffer, body or payload.
 var codecs = sync.Pool{New: func() any { return new(codec) }}
 
-// maxScratch is the largest scratch buffer a pooled codec keeps: any body
-// that rides in a Batch envelope fits.
-const maxScratch = 2 * BatchableBodyLimit
-
-// EncodeMessage marshals m into a fresh body slice, copying any payload.
-func EncodeMessage(m Message) []byte {
-	c := &codec{Encoder: Encoder{buf: make([]byte, 0, 64)}}
-	m.fields(c)
-	return c.Encoder.buf
-}
-
-// NewFrame builds the frame that carries m (nil for an empty body) and is
-// how transports encode what they send. Its wire bytes are exactly those
-// of a frame whose Body is EncodeMessage(m), but a payload — the message's
-// first blob of at least ReferenceFloor bytes — is referenced by the frame
-// (see Frame.Payload) instead of copied into its Body: the writer copies it
-// once, into its staging buffer, or not at all when the frame is too big
-// for an envelope and travels alone. The payload must therefore stay
-// unmodified until the frame has been written; a sender that cannot promise
-// that passes a private copy.
-//
-// The message is marshalled into a pooled scratch codec and copied out
-// into a frame sized to it, so a small frame is one allocation, body
-// included (allocFrame). The scratch never leaves this function.
-func NewFrame(kind FrameKind, reqID uint64, op Op, m Message) *Frame {
+// encode walks m's fields onto the end of buf and returns the encoder it
+// used: e.buf is the extended slice, and e.pooled the pooled payload m
+// hands over, if any. With byRef the first payload of at least
+// ReferenceFloor bytes is referenced instead of copied (e.bulk, e.split).
+// A nil m encodes to nothing.
+func encode(buf []byte, m Message, byRef bool) Encoder {
 	if m == nil {
-		return &Frame{Kind: kind, ReqID: reqID, Op: op}
+		return Encoder{buf: buf}
 	}
 	c := codecs.Get().(*codec)
-	e := &c.Encoder
-	e.byRef = true
+	c.Encoder = Encoder{buf: buf, byRef: byRef}
 	m.fields(c)
-	f := allocFrame(len(e.buf))
-	f.Kind, f.ReqID, f.Op = kind, reqID, op
-	f.Body = append(f.Body, e.buf...)
-	if e.bulk != nil {
-		// Body is what precedes the payload; the rest follows it.
-		f.ref = &payloadRef{bulk: e.bulk, tail: f.Body[e.split:], pooled: e.pooled}
-		f.Body = f.Body[:e.split:e.split]
-	}
-	if cap(e.buf) > maxScratch {
-		e.buf = nil // one oversized message must not pin its size in the pool
-	}
-	*e = Encoder{buf: e.buf[:0]}
+	e := c.Encoder
+	c.Encoder = Encoder{}
 	codecs.Put(c)
-	return f
+	return e
+}
+
+// MessageSize reports the length of m's encoded body (0 for nil) with a
+// sizing walk, which writes nothing: what a writer budgets and routes a
+// message by before it encodes it.
+func MessageSize(m Message) int {
+	if m == nil {
+		return 0
+	}
+	c := codecs.Get().(*codec)
+	c.mode, c.size = sizing, 0
+	m.fields(c)
+	n := c.size
+	c.mode = encoding
+	codecs.Put(c)
+	return n
+}
+
+// EncodeMessage marshals m into a fresh body slice of exactly its size,
+// copying any payload. A pooled payload m references stays with the
+// caller. Connections do not use it — their writers encode each message
+// straight into the buffer that goes to the wire (Outgoing) — it remains
+// for tools and tests that want a body on its own.
+func EncodeMessage(m Message) []byte {
+	return encode(make([]byte, 0, MessageSize(m)), m, false).buf
 }
 
 // DecodeMessage unmarshals body into m, reporting truncation errors.
 func DecodeMessage(m Message, body []byte) error {
 	c := codecs.Get().(*codec)
-	c.decoding, c.Decoder = true, Decoder{buf: body}
+	c.mode, c.Decoder = decoding, Decoder{buf: body}
 	m.fields(c)
 	err := c.err
-	c.decoding, c.Decoder = false, Decoder{} // the pool must not keep the body reachable
+	c.mode, c.Decoder = encoding, Decoder{} // the pool must not keep the body reachable
 	codecs.Put(c)
 	if err != nil {
 		return fmt.Errorf("decode %T: %w", m, err)

@@ -13,7 +13,7 @@ import (
 )
 
 // goldenPath is the frozen corpus: one line per golden case, its name and
-// the hex of the frame NewFrame built for it.
+// the hex of the frame a writer encodes for it.
 var goldenPath = filepath.Join("testdata", "messages.golden")
 
 // goldenCases are the messages whose frames the corpus freezes: every
@@ -100,13 +100,9 @@ func goldenPayload(n int) []byte {
 
 // goldenFrame is the frame a golden case is frozen as; only its body
 // depends on the message.
-func goldenFrame(tb testing.TB, m Message) []byte {
-	tb.Helper()
-	wire, err := AppendFrame(nil, NewFrame(FrameRequest, 7, m.Op(), m))
-	if err != nil {
-		tb.Fatalf("%T: %v", m, err)
-	}
-	return wire
+func goldenFrame(m Message) []byte {
+	o := NewOutgoing(FrameRequest, 7, m.Op(), m)
+	return AppendOutgoing(nil, &o)
 }
 
 // readGolden returns the corpus's frames by case name.
@@ -133,7 +129,7 @@ func writeGolden(tb testing.TB) {
 	tb.Helper()
 	var out bytes.Buffer
 	for _, c := range goldenCases {
-		out.WriteString(c.name + " " + hex.EncodeToString(goldenFrame(tb, c.m)) + "\n")
+		out.WriteString(c.name + " " + hex.EncodeToString(goldenFrame(c.m)) + "\n")
 	}
 	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 		tb.Fatal(err)
@@ -145,9 +141,10 @@ func writeGolden(tb testing.TB) {
 
 // TestGoldenCorpus proves the codec byte for byte against the corpus in
 // testdata/messages.golden, which was written by an earlier codec and is
-// never edited by hand. For each golden case NewFrame must reproduce the
-// frozen frame, EncodeMessage must agree with NewFrame, and decoding the
-// frozen body must give back the case's struct.
+// never edited by hand. For each golden case a writer's encoding
+// (AppendOutgoing) must reproduce the frozen frame, the vectored and
+// enveloped encodings and EncodeMessage must agree with it, and decoding
+// the frozen body must give back the case's struct.
 //
 // The corpus is the wire format, so regenerate it only together with a
 // Version bump (which changes every frame's version byte anyway): delete
@@ -171,11 +168,11 @@ func TestGoldenCorpus(t *testing.T) {
 			t.Errorf("%s: no frame in the corpus", c.name)
 			continue
 		}
-		if got := goldenFrame(t, c.m); !bytes.Equal(got, want) {
-			t.Errorf("%s: NewFrame wrote\n%x\nthe corpus holds\n%x", c.name, got, want)
+		if got := goldenFrame(c.m); !bytes.Equal(got, want) {
+			t.Errorf("%s: AppendOutgoing wrote\n%x\nthe corpus holds\n%x", c.name, got, want)
 			continue
 		}
-		refBody(t, c.m) // EncodeMessage agrees with NewFrame
+		refBody(t, c.m) // every other encoding agrees with it
 		out := reflect.New(reflect.TypeOf(c.m).Elem()).Interface().(Message)
 		if err := DecodeMessage(out, want[headerSize:]); err != nil {
 			t.Errorf("%s: %v", c.name, err)

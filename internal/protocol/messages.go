@@ -414,7 +414,7 @@ func (m *ReleaseReq) At(i int) uint64 {
 func (m *ReleaseReq) fields(c *codec) {
 	c.U8((*uint8)(&m.Kind))
 	c.U64(&m.ID)
-	if c.decoding && c.Remaining() == 0 || !c.decoding && len(m.More) == 0 {
+	if dec := c.mode == decoding; dec && c.Remaining() == 0 || !dec && len(m.More) == 0 {
 		return // a single release
 	}
 	list(c, &m.More, idList)
@@ -533,8 +533,8 @@ type ReadBufferResp struct {
 	EventID uint64
 	Profile Profile
 	// Pooled, when non-nil, is the pooled buffer Data is a view of (a
-	// node's read snapshot). It never travels: a sender that ships Data
-	// by reference frees it once the response frame is written.
+	// node's read snapshot). It never travels: the connection writer that
+	// sends the response frees it once the frame is written.
 	Pooled *Buf
 }
 

@@ -19,36 +19,46 @@ func roundTrip(t *testing.T, m Message, out Message) {
 	}
 }
 
-// refBody encodes m with the by-reference encoder (NewFrame), checks that
-// the frame's wire bytes are exactly those of a frame carrying
-// EncodeMessage(m), and returns the body as it would arrive off the wire.
+// refBody encodes m the three ways a writer can — staged on its own
+// (AppendOutgoing), staged in an envelope (AppendOutgoingBatch) and with
+// its payload in place (AppendOutgoingHead) — checks that each puts exactly
+// the bytes of a frame carrying EncodeMessage(m) on the wire, that the
+// sizing walk agrees, and returns the body as it would arrive off the wire.
 func refBody(t testing.TB, m Message) []byte {
 	t.Helper()
-	f := NewFrame(FrameRequest, 7, m.Op(), m)
-	got, err := AppendFrame(nil, f)
-	if err != nil {
-		t.Fatalf("append by-reference frame of %T: %v", m, err)
-	}
+	o := NewOutgoing(FrameRequest, 7, m.Op(), m)
 	want, err := AppendFrame(nil, &Frame{Kind: FrameRequest, ReqID: 7, Op: m.Op(), Body: EncodeMessage(m)})
 	if err != nil {
 		t.Fatalf("append copied frame of %T: %v", m, err)
 	}
+	got := AppendOutgoing(nil, &o)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("%T: by-reference wire bytes differ from EncodeMessage's (%d vs %d bytes)", m, len(got), len(want))
+		t.Fatalf("%T: staged wire bytes differ from EncodeMessage's (%d vs %d bytes)", m, len(got), len(want))
 	}
-	if f.BodyLen() != len(want)-headerSize || FrameWireSize(f) != len(want) {
-		t.Fatalf("%T: BodyLen %d, FrameWireSize %d, wire %d", m, f.BodyLen(), FrameWireSize(f), len(want))
+	if o.Size != len(want)-headerSize || o.WireSize() != len(want) {
+		t.Fatalf("%T: sized %d (wire %d), encoded %d (wire %d)", m, o.Size, o.WireSize(), len(want)-headerSize, len(want))
+	}
+	out, split, payload, _ := AppendOutgoingHead(nil, &o)
+	if vectored := append(append(out[:split:split], payload...), out[split:]...); !bytes.Equal(vectored, want) {
+		t.Fatalf("%T: vectored wire bytes differ from EncodeMessage's", m)
+	}
+	env, err := EncodeBatch([]*Frame{{Kind: FrameRequest, ReqID: 7, Op: m.Op(), Body: want[headerSize:]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantEnv, _ := AppendFrame(nil, env); !bytes.Equal(AppendOutgoingBatch(nil, []Outgoing{o}), wantEnv) {
+		t.Fatalf("%T: enveloped wire bytes differ from EncodeMessage's", m)
 	}
 	return got[headerSize:]
 }
 
-// TestNewFrameReferencesBulkPayload pins the two thresholds and the
-// aliasing. A blob of at least ReferenceFloor bytes is referenced by the
-// frame and a smaller one copied into a body that comes with the Frame;
-// BatchableBodyLimit decides something else — whether the frame may ride in
-// an envelope — and changes nothing about the reference. Either way the
-// wire bytes are EncodeMessage's.
-func TestNewFrameReferencesBulkPayload(t *testing.T) {
+// TestOutgoingReferencesBulkPayload pins the two thresholds and the
+// aliasing of a bulk frame's vectored write: a blob of at least
+// ReferenceFloor bytes is referenced, a smaller one encoded with the other
+// fields; BatchableBodyLimit decides something else — whether the message
+// may ride in an envelope — and changes nothing about the reference.
+// Either way the wire bytes are EncodeMessage's.
+func TestOutgoingReferencesBulkPayload(t *testing.T) {
 	for _, size := range []int{0, 1, ReferenceFloor - 1, ReferenceFloor, ReferenceFloor + 1,
 		BatchableBodyLimit - 1, BatchableBodyLimit, BatchableBodyLimit + 1, 3*BatchableBodyLimit + 5} {
 		data := make([]byte, size)
@@ -59,43 +69,53 @@ func TestNewFrameReferencesBulkPayload(t *testing.T) {
 			&PeerPushReq{Token: 10, Data: data, SimArrival: 11},
 		} {
 			refBody(t, m)
-			f := NewFrame(FrameResponse, 1, m.Op(), m)
-			bulk, _ := f.Payload()
-			if want := size >= ReferenceFloor; want != (bulk != nil) {
-				t.Fatalf("%T with %d-byte blob: referenced = %v, want %v", m, size, bulk != nil, want)
+			o := NewOutgoing(FrameResponse, 1, m.Op(), m)
+			_, _, payload, _ := AppendOutgoingHead(nil, &o)
+			if want := size >= ReferenceFloor; want != (payload != nil) {
+				t.Fatalf("%T with %d-byte blob: referenced = %v, want %v", m, size, payload != nil, want)
 			}
-			if bulk != nil && &bulk[0] != &data[0] {
-				t.Fatalf("%T: the frame holds a copy of the payload, not a reference", m)
+			if payload != nil && &payload[0] != &data[0] {
+				t.Fatalf("%T: the head holds a copy of the payload, not a reference", m)
 			}
 		}
 	}
-	// Only the first such blob is referenced; a second one is copied inline.
+	// Only the first such blob is referenced; a second one is encoded inline.
 	big := make([]byte, ReferenceFloor)
 	refBody(t, &EnqueueKernelReq{Args: []KernelArg{{Kind: ArgScalar, Scalar: big}, {Kind: ArgScalar, Scalar: big}}})
 	// A nil message is an empty body.
-	if f := NewFrame(FrameResponse, 1, OpRelease, nil); f.BodyLen() != 0 {
-		t.Fatalf("nil message encoded %d body bytes", f.BodyLen())
+	o := NewOutgoing(FrameResponse, 1, OpRelease, nil)
+	if wire := AppendOutgoing(nil, &o); o.Size != 0 || len(wire) != headerSize {
+		t.Fatalf("nil message sized %d, encoded %d body bytes", o.Size, len(wire)-headerSize)
 	}
 }
 
-// TestNewFrameOwnsPooledPayload: a pooled read snapshot travels with the
-// frame that references it and is handed back by Release; a copied one
-// stays with the caller.
-func TestNewFrameOwnsPooledPayload(t *testing.T) {
-	pooled := GetBuf(ReferenceFloor)
-	f := NewFrame(FrameResponse, 1, OpReadBuffer, &ReadBufferResp{Data: pooled.B, Pooled: pooled})
-	if f.ref == nil || f.ref.pooled != pooled {
-		t.Fatal("frame did not take over the pooled payload it references")
+// TestOutgoingFreesPooledPayload: a pooled read snapshot goes back to its
+// pool once a writer has staged it, alone or in an envelope; a bulk
+// frame's head hands it to the writer to free after the vectored write;
+// and EncodeMessage, which serves no connection, leaves it with the caller.
+func TestOutgoingFreesPooledPayload(t *testing.T) {
+	resp := func(n int) (*Buf, Outgoing) {
+		pooled := GetBuf(n)
+		return pooled, NewOutgoing(FrameResponse, 1, OpReadBuffer, &ReadBufferResp{Data: pooled.B, Pooled: pooled})
 	}
-	f.Release()
-	if bulk, _ := f.Payload(); bulk != nil || pooled.B != nil {
-		t.Fatal("Release left the pooled payload reachable through the frame")
+	pooled, o := resp(ReferenceFloor)
+	AppendOutgoing(nil, &o)
+	if pooled.B != nil {
+		t.Fatal("AppendOutgoing kept the pooled payload it staged")
 	}
-	f.Release() // idempotent
-
-	small := GetBuf(16)
-	if f := NewFrame(FrameResponse, 1, OpReadBuffer, &ReadBufferResp{Data: small.B, Pooled: small}); f.ref != nil {
-		t.Fatal("frame took over a pooled payload it copied")
+	pooled, o = resp(16)
+	AppendOutgoingBatch(nil, []Outgoing{o, NewOutgoing(FrameResponse, 2, OpRelease, nil)})
+	if pooled.B != nil {
+		t.Fatal("AppendOutgoingBatch kept the pooled payload it staged")
+	}
+	pooled, o = resp(BatchableBodyLimit + 1)
+	if _, _, payload, handed := AppendOutgoingHead(nil, &o); handed != pooled || pooled.B == nil || &payload[0] != &pooled.B[0] {
+		t.Fatal("AppendOutgoingHead did not hand the referenced pooled payload to its writer")
+	}
+	pooled, _ = resp(ReferenceFloor)
+	EncodeMessage(&ReadBufferResp{Data: pooled.B, Pooled: pooled})
+	if pooled.B == nil {
+		t.Fatal("EncodeMessage freed a pooled payload its caller still owns")
 	}
 }
 
@@ -331,8 +351,8 @@ func FuzzDecodeMessage(f *testing.F) {
 		if DecodeMessage(m, body) != nil { // must not panic
 			return
 		}
-		// Whatever decodes must encode to the same wire bytes by
-		// reference as by copy.
+		// Whatever decodes must encode to the same wire bytes every way
+		// a writer encodes it.
 		refBody(t, m)
 	})
 }
@@ -389,9 +409,9 @@ func randStr(rng *rand.Rand) string {
 }
 
 // randBlob returns a payload that is usually small and every fourth time
-// sits at or just either side of ReferenceFloor, where the encoder switches
-// from copying to referencing, or of BatchableBodyLimit, where the frame
-// stops fitting an envelope.
+// sits at or just either side of ReferenceFloor, where a bulk frame's head
+// switches from copying to referencing it, or of BatchableBodyLimit, where
+// the frame stops fitting an envelope.
 func randBlob(rng *rand.Rand) []byte {
 	n := rng.Intn(64) + 1
 	switch rng.Intn(8) {

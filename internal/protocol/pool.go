@@ -7,14 +7,14 @@ import (
 
 // Buf is a payload-sized scratch buffer drawn from size-classed sync.Pools.
 // Only buffers with a lexical lifetime are pooled (DESIGN.md §11): a
-// server-side bulk request body (dead once the request's response is
-// produced), a node's read snapshot (dead once the response frame is
-// written) and a push snapshot (dead once the peer acknowledged it) — the
-// first above BatchableBodyLimit, the snapshots from ReferenceFloor on.
-// Whoever Gets, Frees; a Buf that is simply dropped is collected like any
-// other garbage, so forgetting to Free costs an allocation, never
-// correctness. The pools empty themselves under GC — there is no bound to
-// tune and nothing outlives two collections.
+// server-side request envelope or bulk request body (dead once the last
+// request it carries has been answered), a node's read snapshot (dead once
+// the response frame is written) and a push snapshot (dead once the peer
+// acknowledged it) — the bulk body above BatchableBodyLimit, the snapshots
+// from ReferenceFloor on. Whoever Gets, Frees; a Buf that is simply dropped
+// is collected like any other garbage, so forgetting to Free costs an
+// allocation, never correctness. The pools empty themselves under GC —
+// there is no bound to tune and nothing outlives two collections.
 type Buf struct {
 	// B is the buffer, exactly as long as requested. Its contents are
 	// whatever the previous user left: callers overwrite all of it.
@@ -67,11 +67,25 @@ func GetBuf(n int) *Buf {
 	return b
 }
 
+// poison is the byte Free overwrites a buffer with under the race
+// detector.
+const poison = 0xDB
+
 // Free returns the buffer to its pool. The caller must hold no reference
 // into B afterwards. Free on a nil Buf is a no-op.
+//
+// Under the race detector Free first overwrites B with poison, so a view
+// that outlives its buffer — a decoded blob kept past its request's answer,
+// a payload still queued when its snapshot was freed — reads garbage in
+// the tests that run there, not whatever the next user happened to write.
 func (b *Buf) Free() {
 	if b == nil || b.class < 0 {
 		return
+	}
+	if raceEnabled {
+		for i := range b.B {
+			b.B[i] = poison
+		}
 	}
 	b.B = nil
 	bufPools[b.class].Put(b)

@@ -54,13 +54,25 @@ func TestGetBufLengthAndFree(t *testing.T) {
 	}
 }
 
-// TestReadFramePooledPolicy: only bulk request frames draw their body from
-// the pool; small frames, responses, envelopes and PeerPush deposits (which
-// the receiver parks past its response) get a body of their own.
+// TestReadFramePooledPolicy: request envelopes and bulk request frames draw
+// their body from the pool; small frames, responses, and PeerPush deposits
+// (which the receiver parks past its response), alone or in an envelope,
+// get a body of their own.
 func TestReadFramePooledPolicy(t *testing.T) {
 	bulk := make([]byte, BatchableBodyLimit+1)
 	for i := range bulk {
 		bulk[i] = byte(i)
+	}
+	envelope := func(ops ...Op) *Frame {
+		subs := make([]*Frame, len(ops))
+		for i, op := range ops {
+			subs[i] = &Frame{Kind: FrameRequest, ReqID: uint64(i + 1), Op: op, Body: bulk[:64]}
+		}
+		env, err := EncodeBatch(subs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env
 	}
 	cases := []struct {
 		name   string
@@ -70,8 +82,9 @@ func TestReadFramePooledPolicy(t *testing.T) {
 		{"bulk request", &Frame{Kind: FrameRequest, ReqID: 1, Op: OpWriteBuffer, Body: bulk}, true},
 		{"body at the limit", &Frame{Kind: FrameRequest, ReqID: 1, Op: OpWriteBuffer, Body: bulk[:BatchableBodyLimit]}, false},
 		{"bulk response", &Frame{Kind: FrameResponse, ReqID: 1, Op: OpReadBuffer, Body: bulk}, false},
-		{"bulk envelope", &Frame{Kind: FrameBatch, Op: OpBatch, Body: bulk}, false},
 		{"peer deposit", &Frame{Kind: FrameRequest, ReqID: 1, Op: OpPeerPush, Body: bulk}, false},
+		{"envelope", envelope(OpWriteBuffer, OpEnqueueKernel, OpRelease), true},
+		{"envelope carrying a peer deposit", envelope(OpWriteBuffer, OpPeerPush), false},
 	}
 	for _, c := range cases {
 		wire, err := AppendFrame(nil, c.f)
@@ -82,8 +95,8 @@ func TestReadFramePooledPolicy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if (got.ref != nil) != c.pooled {
-			t.Fatalf("%s: pooled = %v, want %v", c.name, got.ref != nil, c.pooled)
+		if (got.pooled != nil) != c.pooled {
+			t.Fatalf("%s: pooled = %v, want %v", c.name, got.pooled != nil, c.pooled)
 		}
 		if !bytes.Equal(got.Body, c.f.Body) {
 			t.Fatalf("%s: body differs", c.name)
@@ -92,7 +105,7 @@ func TestReadFramePooledPolicy(t *testing.T) {
 		if c.pooled && got.Body != nil {
 			t.Fatalf("%s: Release left the pooled body reachable", c.name)
 		}
-		if plain, err := ReadFrame(bytes.NewReader(wire)); err != nil || plain.ref != nil {
+		if plain, err := ReadFrame(bytes.NewReader(wire)); err != nil || plain.pooled != nil {
 			t.Fatalf("%s: ReadFrame pooled a body (err %v)", c.name, err)
 		}
 	}
@@ -103,12 +116,54 @@ func TestReadFramePooledPolicy(t *testing.T) {
 	}
 }
 
-// TestFrameAllocationBudget gates what the codec charges a small command:
-// an outbound frame is one allocation, body included, whatever its message
-// (the Frame stays at 48 bytes so that the smallest class holds it and a
-// 16 byte body); decoding a message into a caller's struct allocates only
-// what the message's own slices need; and an envelope's sub-frames are two
-// slabs however many there are.
+// TestFreePoisonsUnderRace: under the race detector, a view kept past its
+// pooled buffer's Free — here a write's payload decoded from a request
+// envelope, kept after the envelope was released — reads poison instead
+// of the bytes it was decoded from; without the detector Free writes
+// nothing.
+func TestFreePoisonsUnderRace(t *testing.T) {
+	data := bytes.Repeat([]byte{7}, 64)
+	env, err := EncodeBatch([]*Frame{{Kind: FrameRequest, ReqID: 1, Op: OpWriteBuffer,
+		Body: EncodeMessage(&WriteBufferReq{QueueID: 1, Data: data})}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := AppendFrame(nil, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ReadFramePooled(bytes.NewReader(wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, err := UnpackBatch(nil, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req WriteBufferReq
+	if err := DecodeMessage(&req, subs[0].Body); err != nil || !bytes.Equal(req.Data, data) {
+		t.Fatalf("decoded %v (%v), want the payload", req.Data, err)
+	}
+	f.Release()
+	want := byte(7)
+	if raceEnabled {
+		want = poison
+	}
+	for i, b := range req.Data {
+		if b != want {
+			t.Fatalf("byte %d of a view kept past Free reads %#x, want %#x (race detector: %v)", i, b, want, raceEnabled)
+		}
+	}
+}
+
+// TestFrameAllocationBudget gates what the codec charges a small command.
+// A writer sizes a message and encodes it into its warmed staging buffer,
+// alone or in an envelope, without allocating (so the per-message Frame
+// is gone from the send side); a received Frame stays at 48 bytes, so that
+// the smallest class holds it and a 16 byte body; decoding a message into a
+// caller's struct allocates only what the message's own slices need; and an
+// envelope's sub-frames are unpacked into a reused slice for free, or into
+// two slabs however many there are.
 func TestFrameAllocationBudget(t *testing.T) {
 	if s := unsafe.Sizeof(Frame{}); s > 48 {
 		t.Fatalf("Frame is %d bytes, want at most 48", s)
@@ -119,23 +174,29 @@ func TestFrameAllocationBudget(t *testing.T) {
 	write := &WriteBufferReq{QueueID: 3, BufferID: 7, Data: make([]byte, 256), EventID: 42, ModelBytes: 256}
 	done := &EventResp{EventID: 42, Profile: Profile{Queued: 1, Submit: 2, Start: 3, End: 4}}
 	vector := &ReleaseReq{Kind: ObjEvent, ID: 1, More: make([]uint64, 100)}
-	var sink *Frame
+	staging := make([]byte, 0, 4<<10)
+	var run []Outgoing
 	for _, c := range []struct {
 		name string
 		m    Message
-		want float64
 	}{
-		{"256 B write", write, 1},
-		{"event response", done, 1},
-		{"release of 101 events", vector, 1},
-		{"release of 256 events", &ReleaseReq{Kind: ObjEvent, ID: 1, More: make([]uint64, 255)}, 2},
-		{"empty response", &EmptyResp{}, 1},
+		{"256 B write", write},
+		{"event response", done},
+		{"release of 101 events", vector},
+		{"empty response", &EmptyResp{}},
 	} {
-		if got := testing.AllocsPerRun(200, func() { sink = NewFrame(FrameRequest, 1, c.m.Op(), c.m) }); got != c.want {
-			t.Errorf("NewFrame of a %s allocates %v objects, want %v", c.name, got, c.want)
+		o := NewOutgoing(FrameRequest, 1, OpWriteBuffer, c.m)
+		run = append(run, o)
+		if got := testing.AllocsPerRun(200, func() {
+			o = NewOutgoing(FrameRequest, 1, OpWriteBuffer, c.m)
+			staging = AppendOutgoing(staging[:0], &o)
+		}); got != 0 {
+			t.Errorf("sizing and staging a %s allocates %v objects, want 0", c.name, got)
 		}
 	}
-	_ = sink // keeps the frames above from being optimised away
+	if got := testing.AllocsPerRun(200, func() { staging = AppendOutgoingBatch(staging[:0], run) }); got != 0 {
+		t.Errorf("staging an envelope of %d messages allocates %v objects, want 0", len(run), got)
+	}
 	body := EncodeMessage(done)
 	var into EventResp
 	if got := testing.AllocsPerRun(200, func() {
@@ -147,7 +208,7 @@ func TestFrameAllocationBudget(t *testing.T) {
 	}
 	subs := make([]*Frame, MaxBatchMessages)
 	for i := range subs {
-		subs[i] = NewFrame(FrameResponse, uint64(i), OpWriteBuffer, done)
+		subs[i] = &Frame{Kind: FrameResponse, ReqID: uint64(i), Op: OpWriteBuffer, Body: body}
 	}
 	env, err := EncodeBatch(subs)
 	if err != nil {
@@ -159,6 +220,14 @@ func TestFrameAllocationBudget(t *testing.T) {
 		}
 	}); got != 2 {
 		t.Errorf("DecodeBatch of %d sub-frames allocates %v objects, want 2", len(subs), got)
+	}
+	unpacked := make([]Frame, 0, MaxBatchMessages)
+	if got := testing.AllocsPerRun(200, func() {
+		if unpacked, err = UnpackBatch(unpacked[:0], env); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("UnpackBatch of %d sub-frames into a reused slice allocates %v objects, want 0", len(subs), got)
 	}
 	wire, err := AppendFrame(nil, subs[0])
 	if err != nil {

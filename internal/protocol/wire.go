@@ -63,80 +63,31 @@ var (
 	ErrShortMessage = errors.New("protocol: truncated message body")
 )
 
-// Frame is one unit on the wire: a request or response envelope plus an
-// opcode-specific body.
-//
-// A received frame's body is contiguous in Body. A frame built by NewFrame
-// from a message carrying a payload of at least ReferenceFloor bytes is in
-// three pieces instead — Body holds only the fields before the payload, and
-// Payload returns the referenced payload and the fields after it — the
-// bytes on the wire being the same either way. BodyLen, not len(Body), is a
-// frame's body length.
+// Frame is one received unit on the wire: a request or response envelope
+// plus an opcode-specific body. Frames are what readers return;
+// connection writers send messages (Outgoing) and never build one.
 type Frame struct {
 	Kind  FrameKind
 	Op    Op
 	ReqID uint64
 	Body  []byte
 
-	// ref is what only frames with a referenced payload or a pooled body
-	// carry; nil for every small frame, which keeps the per-command Frame at
-	// its pre-bulk size.
-	ref *payloadRef
-}
-
-// payloadRef is the referenced part of a frame.
-type payloadRef struct {
-	// bulk is the referenced payload of a frame encoded by reference and
-	// tail the encoded fields that follow it on the wire.
-	bulk []byte
-	tail []byte
-	// pooled is the pooled buffer the frame owns, if any: the Body of a
-	// frame read by ReadFramePooled, or the bulk of a frame whose message
-	// handed over a pooled payload (ReadBufferResp.Pooled). See Release.
+	// pooled is the pooled buffer Body lives in, for a frame read by
+	// ReadFramePooled; nil for every other frame. See Release.
 	pooled *Buf
 }
 
-// Payload returns the rest of a by-reference frame's body: the wire body
-// is Body ‖ bulk ‖ tail. Both are nil for a frame whose body is contiguous.
-// bulk must stay unmodified until the frame has been written.
-func (f *Frame) Payload() (bulk, tail []byte) {
-	if f.ref == nil {
-		return nil, nil
-	}
-	return f.ref.bulk, f.ref.tail
-}
-
-// BodyLen reports the length of f's body on the wire.
-func (f *Frame) BodyLen() int {
-	n := len(f.Body)
-	if f.ref != nil {
-		n += len(f.ref.bulk) + len(f.ref.tail)
-	}
-	return n
-}
-
-// Release returns the pooled buffer f owns, if any, to its pool; the
-// frame's bytes must not be used afterwards. The reader of a pooled frame
-// calls it once the request has been answered, the writer of a frame that
-// carries a pooled payload once the frame has been written. It is a no-op
-// for every other frame.
+// Release returns the pooled buffer f's body lives in, if any, to its
+// pool; the frame's bytes, and every view decoded from them, must not be
+// used afterwards. The reader of a pooled frame calls it once the last
+// request the frame carries has been answered. It is a no-op for every
+// other frame.
 func (f *Frame) Release() {
-	if f.ref == nil || f.ref.pooled == nil {
+	if f.pooled == nil {
 		return
 	}
-	f.ref.pooled.Free()
-	f.ref, f.Body = nil, nil
-}
-
-// FrameWireSize reports the bytes f occupies on the wire (header + body),
-// the unit coalescing writers budget their queues in.
-func FrameWireSize(f *Frame) int { return headerSize + f.BodyLen() }
-
-// AppendFrameHeader appends f's frame header alone to buf. A vectored
-// writer follows it with the body's pieces; everything else wants
-// AppendFrame.
-func AppendFrameHeader(buf []byte, f *Frame) []byte {
-	return appendHeader(buf, f.Kind, f.ReqID, f.Op, f.BodyLen())
+	f.pooled.Free()
+	f.pooled, f.Body = nil, nil
 }
 
 func appendHeader(buf []byte, kind FrameKind, reqID uint64, op Op, bodyLen int) []byte {
@@ -151,25 +102,27 @@ func appendHeader(buf []byte, kind FrameKind, reqID uint64, op Op, bodyLen int) 
 	return buf
 }
 
+// patchLength sets the body length of the header at buf[off:] to n.
+func patchLength(buf []byte, off, n int) {
+	binary.BigEndian.PutUint32(buf[off+14:off+18], uint32(n))
+}
+
 // AppendFrame appends f's wire encoding (header + body) to buf and returns
-// the extended slice, so a coalescing writer can stack several frames into
-// one buffer and hand them to a single Write call.
+// the extended slice.
 func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
-	if f.BodyLen() > MaxFrameSize {
-		return buf, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, f.BodyLen())
+	if len(f.Body) > MaxFrameSize {
+		return buf, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, len(f.Body))
 	}
-	bulk, tail := f.Payload()
-	buf = append(AppendFrameHeader(buf, f), f.Body...)
-	return append(append(buf, bulk...), tail...), nil
+	return append(appendHeader(buf, f.Kind, f.ReqID, f.Op, len(f.Body)), f.Body...), nil
 }
 
 // WriteFrame serializes f to w as one buffer: header and body are copied
 // together and written with a single Write. No connection's data path uses
-// it — transports write through their coalescing, vectored frame writer,
-// which never copies a bulk body — it remains for tools and tests that
-// want one frame on an io.Writer.
+// it — transports encode messages straight into their writer's buffer
+// (Outgoing) — it remains for tools and tests that want one frame on an
+// io.Writer.
 func WriteFrame(w io.Writer, f *Frame) error {
-	buf, err := AppendFrame(make([]byte, 0, FrameWireSize(f)), f)
+	buf, err := AppendFrame(make([]byte, 0, headerSize+len(f.Body)), f)
 	if err != nil {
 		return err
 	}
@@ -177,17 +130,75 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	return err
 }
 
+// Outgoing is a message on its way to the wire, not yet encoded: the frame
+// header's fields and the message its body encodes. Connection writers
+// queue outgoing messages by value and encode each exactly once, straight
+// into the buffer they hand the connection: AppendOutgoing for a frame of
+// its own, AppendOutgoingBatch for a run packed into an envelope, and
+// AppendOutgoingHead for a bulk frame whose payload is written in place.
+//
+// Msg, and everything it references, must stay unmodified until it has
+// been encoded; for a request that is until its call resolves, since the
+// writer encodes it after the sender's Go returned.
+type Outgoing struct {
+	ReqID uint64
+	Msg   Message // nil: an empty body
+	Size  int     // the encoded body's length, MessageSize(Msg)
+	Op    Op
+	Kind  FrameKind
+}
+
+// NewOutgoing sizes m for the frame that will carry it.
+func NewOutgoing(kind FrameKind, reqID uint64, op Op, m Message) Outgoing {
+	return Outgoing{Kind: kind, ReqID: reqID, Op: op, Msg: m, Size: MessageSize(m)}
+}
+
+// WireSize reports the bytes o's frame occupies on the wire (header +
+// body), the unit coalescing writers budget their queues in.
+func (o *Outgoing) WireSize() int { return headerSize + o.Size }
+
+// AppendOutgoing appends o's frame — header and body, the message encoded
+// straight into buf — and returns the extended slice. A pooled payload the
+// message hands over (ReadBufferResp.Pooled) is freed once copied: the
+// copy in buf is the one the connection gets.
+func AppendOutgoing(buf []byte, o *Outgoing) []byte {
+	off := len(buf)
+	e := encode(appendHeader(buf, o.Kind, o.ReqID, o.Op, 0), o.Msg, false)
+	e.pooled.Free()
+	patchLength(e.buf, off, len(e.buf)-off-headerSize)
+	return e.buf
+}
+
+// AppendOutgoingHead appends o's frame without its payload — the first
+// blob of at least ReferenceFloor bytes — for a vectored writer that sends
+// the payload from where it lies: the frame on the wire is
+// out[:split] ‖ payload ‖ out[split:], the same bytes AppendOutgoing would
+// have staged. payload is nil when the message carries no such blob. A
+// pooled payload the message hands over is returned for the caller to free
+// once the frame has been written.
+func AppendOutgoingHead(buf []byte, o *Outgoing) (out []byte, split int, payload []byte, pooled *Buf) {
+	off := len(buf)
+	e := encode(appendHeader(buf, o.Kind, o.ReqID, o.Op, 0), o.Msg, true)
+	patchLength(e.buf, off, len(e.buf)-off-headerSize+len(e.bulk))
+	if e.bulk == nil {
+		e.split = len(e.buf)
+	}
+	return e.buf, e.split, e.bulk, e.pooled
+}
+
 // ReadFrame reads one frame from r, validating magic, version and size.
 // The body is freshly allocated and belongs to the caller.
 func ReadFrame(r io.Reader) (*Frame, error) { return readFrame(r, false) }
 
 // ReadFramePooled is ReadFrame for a server's request stream: the body of
-// a bulk request frame (above BatchableBodyLimit) comes from the payload
-// pool, and the caller must Release the frame once the request has been
-// answered. Messages decoded from the body are views of it, so they die
-// with it. One request is exempt and always gets a fresh body: a PeerPush
-// deposit, which the receiving node parks in its rendezvous table for as
-// long as it takes the matching AwaitPush to arrive.
+// a bulk request frame (above BatchableBodyLimit) and of every request
+// envelope comes from the payload pool, and the caller must Release the
+// frame once the last request it carries has been answered. Messages
+// decoded from the body are views of it, so they die with it. One request
+// is exempt and always gets a body the collector owns: a PeerPush deposit,
+// which the receiving node parks in its rendezvous table for as long as it
+// takes the matching AwaitPush to arrive — alone, or in an envelope, which
+// then is not pooled either.
 func ReadFramePooled(r io.Reader) (*Frame, error) { return readFrame(r, true) }
 
 func readFrame(r io.Reader, pool bool) (*Frame, error) {
@@ -215,9 +226,9 @@ func readFrame(r io.Reader, pool bool) (*Frame, error) {
 		return &Frame{Kind: kind, Op: op, ReqID: reqID, Body: body}, nil
 	}
 	var f *Frame
-	if pool && n > BatchableBodyLimit && kind == FrameRequest && op != OpPeerPush {
-		f = &Frame{ref: &payloadRef{pooled: GetBuf(int(n))}}
-		f.Body = f.ref.pooled.B
+	if pool && n > 0 && (kind == FrameBatch || kind == FrameRequest && n > BatchableBodyLimit && op != OpPeerPush) {
+		b := GetBuf(int(n))
+		f = &Frame{Body: b.B, pooled: b}
 	} else {
 		f = allocFrame(int(n))
 		f.Body = f.Body[:n]
@@ -227,6 +238,9 @@ func readFrame(r io.Reader, pool bool) (*Frame, error) {
 		if _, err := io.ReadFull(r, f.Body); err != nil {
 			return nil, err // a pooled body is left to the collector
 		}
+	}
+	if f.pooled != nil && kind == FrameBatch && batchCarries(f.Body, OpPeerPush) {
+		f.pooled = nil // a parked deposit outlives its response: the body is the collector's now
 	}
 	return f, nil
 }
@@ -251,20 +265,19 @@ func readGrowing(r io.Reader, n int) ([]byte, error) {
 	return body, nil
 }
 
-// ReferenceFloor is the payload size from which NewFrame references a
-// message's payload instead of copying it into the frame's body, and from
-// which a sender's snapshot of one is worth taking from the payload pool:
-// the largest body allocFrame stores inline. Below it body and Frame are
-// one allocation and a reference would only add a second; from it on, a
-// copied payload is an allocation of its own size that the reference saves.
+// ReferenceFloor is the payload size from which a sender's snapshot of one
+// is worth taking from the payload pool, and from which a bulk frame's
+// writer references the payload instead of staging it
+// (AppendOutgoingHead): the largest body allocFrame stores inline. Below it
+// a received body and its Frame are one allocation; from it on, a payload
+// is an allocation of its own size.
 const ReferenceFloor = 976
 
 // allocFrame returns a zero Frame whose Body is empty with room for n
-// bytes. A small body's storage comes with the Frame in one allocation —
-// the two die together anyway, and a command pays for its frames at both
-// ends of the wire in both directions; the inline sizes land the struct on
-// the allocator's 64, 96, 192, 384 and 1024 byte classes. A larger body is
-// allocated on its own, exactly n bytes.
+// bytes. A small received body's storage comes with the Frame in one
+// allocation — the two die together anyway; the inline sizes land the
+// struct on the allocator's 64, 96, 192, 384 and 1024 byte classes. A
+// larger body is allocated on its own, exactly n bytes.
 func allocFrame(n int) *Frame {
 	switch {
 	case n == 0:
@@ -314,12 +327,13 @@ type Encoder struct {
 	buf []byte
 
 	// byRef makes Blob reference, instead of copy, the first payload of at
-	// least ReferenceFloor bytes (NewFrame's scratch): bulk is that payload,
-	// split where in buf it belongs, and pooled the buffer it lives in, if
-	// any.
-	byRef  bool
-	bulk   []byte
-	split  int
+	// least ReferenceFloor bytes (AppendOutgoingHead): bulk is that payload
+	// and split where in buf it belongs.
+	byRef bool
+	bulk  []byte
+	split int
+	// pooled is the pooled buffer a PooledBlob's payload lives in, which
+	// whoever writes the message frees once it is on the wire.
 	pooled *Buf
 }
 
@@ -366,13 +380,16 @@ func (e *Encoder) Str(s string) {
 func (e *Encoder) Blob(b []byte) { e.PooledBlob(b, nil) }
 
 // PooledBlob is Blob for a payload that may live in a pooled buffer (nil
-// when it does not). When the payload ends up referenced rather than
-// copied, ownership of pooled passes to the frame being built, whose
-// writer frees it; when it is copied, pooled stays with the caller.
+// when it does not), which the encoder records: a connection writer frees
+// it once the message is on the wire, and EncodeMessage leaves it with the
+// caller.
 func (e *Encoder) PooledBlob(b []byte, pooled *Buf) {
 	e.U32(uint32(len(b)))
+	if pooled != nil {
+		e.pooled = pooled
+	}
 	if e.byRef && e.bulk == nil && len(b) >= ReferenceFloor {
-		e.bulk, e.split, e.pooled = b, len(e.buf), pooled
+		e.bulk, e.split = b, len(e.buf)
 		return
 	}
 	e.buf = append(e.buf, b...)

@@ -27,26 +27,33 @@ func parseStream(t *testing.T, b []byte) []*protocol.Frame {
 	return frames
 }
 
-// writeCoalesced writes frames through a fresh frameWriter.
-func writeCoalesced(w *bytes.Buffer, frames []*protocol.Frame) error {
+// writeCoalesced writes msgs through a fresh frameWriter.
+func writeCoalesced(w *bytes.Buffer, msgs []protocol.Outgoing) error {
 	fw := frameWriter{w: w}
-	return fw.write(frames...)
+	return fw.write(msgs...)
+}
+
+// writeOverhead is what a WriteBufferReq's body holds besides its payload
+// when its wait list is empty.
+const writeOverhead = 56
+
+// writeMsg is request id: a write whose body is writeOverhead+size bytes.
+func writeMsg(id uint64, size int) protocol.Outgoing {
+	return protocol.NewOutgoing(protocol.FrameRequest, id, protocol.OpWriteBuffer,
+		&protocol.WriteBufferReq{QueueID: id, Data: bytes.Repeat([]byte{byte(id)}, size)})
 }
 
 // TestWriteCoalesced checks the shared packing policy directly: runs
-// of small frames become envelopes capped by the batch thresholds, bulk
-// frames travel plain, and sub-frame order survives exactly.
+// of small messages become envelopes capped by the batch thresholds, bulk
+// messages travel plain, and sub-frame order survives exactly.
 func TestWriteCoalesced(t *testing.T) {
-	mkFrame := func(id uint64, size int) *protocol.Frame {
-		return &protocol.Frame{
-			Kind: protocol.FrameRequest, ReqID: id, Op: protocol.OpWriteBuffer,
-			Body: bytes.Repeat([]byte{byte(id)}, size),
-		}
+	if got := writeMsg(1, 0).Size; got != writeOverhead {
+		t.Fatalf("an empty write's body is %d bytes, want %d", got, writeOverhead)
 	}
 
 	t.Run("single frame stays plain", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := writeCoalesced(&buf, []*protocol.Frame{mkFrame(1, 10)}); err != nil {
+		if err := writeCoalesced(&buf, []protocol.Outgoing{writeMsg(1, 10)}); err != nil {
 			t.Fatal(err)
 		}
 		frames := parseStream(t, buf.Bytes())
@@ -57,9 +64,9 @@ func TestWriteCoalesced(t *testing.T) {
 
 	t.Run("run of small frames becomes envelopes", func(t *testing.T) {
 		const n = protocol.MaxBatchMessages*2 + 10 // 2 full envelopes + remainder
-		in := make([]*protocol.Frame, n)
+		in := make([]protocol.Outgoing, n)
 		for i := range in {
-			in[i] = mkFrame(uint64(i+1), 16)
+			in[i] = writeMsg(uint64(i+1), 16)
 		}
 		var buf bytes.Buffer
 		if err := writeCoalesced(&buf, in); err != nil {
@@ -93,11 +100,11 @@ func TestWriteCoalesced(t *testing.T) {
 	})
 
 	t.Run("bulk frames interleave plain", func(t *testing.T) {
-		in := []*protocol.Frame{
-			mkFrame(1, 8),
-			mkFrame(2, 8),
-			mkFrame(3, protocol.BatchableBodyLimit+1), // too big to envelope
-			mkFrame(4, 8),
+		in := []protocol.Outgoing{
+			writeMsg(1, 8),
+			writeMsg(2, 8),
+			writeMsg(3, protocol.BatchableBodyLimit-writeOverhead+1), // too big to envelope
+			writeMsg(4, 8),
 		}
 		var buf bytes.Buffer
 		if err := writeCoalesced(&buf, in); err != nil {
@@ -117,9 +124,9 @@ func TestWriteCoalesced(t *testing.T) {
 	t.Run("byte threshold flushes early", func(t *testing.T) {
 		// Each frame is just under the batchable limit, so roughly four
 		// of them cross MaxBatchBytes; the run must split.
-		in := make([]*protocol.Frame, 8)
+		in := make([]protocol.Outgoing, 8)
 		for i := range in {
-			in[i] = mkFrame(uint64(i+1), protocol.BatchableBodyLimit)
+			in[i] = writeMsg(uint64(i+1), protocol.BatchableBodyLimit-writeOverhead)
 		}
 		var buf bytes.Buffer
 		if err := writeCoalesced(&buf, in); err != nil {

@@ -434,12 +434,8 @@ func TestServerCloseWakesBlockedReplyWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := &protocol.FinishQueueReq{QueueID: 1}
-	req := protocol.NewFrame(protocol.FrameRequest, 1, msg.Op(), msg)
-	wire, err := protocol.AppendFrame(nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hostEnd.Write(wire); err != nil {
+	req := protocol.NewOutgoing(protocol.FrameRequest, 1, msg.Op(), msg)
+	if _, err := hostEnd.Write(protocol.AppendOutgoing(nil, &req)); err != nil {
 		t.Fatal(err)
 	}
 	<-handled // the reply is on its way into a Write nobody reads

@@ -9,8 +9,9 @@ import (
 )
 
 // These tests pin down who owns a bulk payload on each side of a
-// connection (DESIGN.md §11): referenced, never copied, on the way out;
-// pooled on the server's way in, except the one body a handler parks.
+// connection (DESIGN.md §11): sent from where it lies, never copied, on
+// the way out; pooled on the server's way in, except the one body a
+// handler parks.
 
 // writeRecorder records each Write's slice as handed over, without
 // copying, so a test can tell a referenced payload from a staged copy.
@@ -24,25 +25,26 @@ func (w *writeRecorder) Write(p []byte) (int, error) {
 	return w.stream.Write(p)
 }
 
-// TestFrameWriterReferencesBulkPayload: a frame encoded by reference
-// reaches the connection as header+prefix, the caller's own payload slice,
-// and the suffix — and the stream is byte-identical to the copying
-// encoder's. Small frames around it still coalesce.
+// TestFrameWriterReferencesBulkPayload: a bulk message reaches the
+// connection as its header and leading fields, the caller's own payload
+// slice, and its trailing fields — and the stream is byte-identical to
+// staging every message whole. Small messages around it still coalesce,
+// and a pooled payload goes back to its pool once written either way.
 func TestFrameWriterReferencesBulkPayload(t *testing.T) {
 	payload := make([]byte, 1<<20)
 	for i := range payload {
 		payload[i] = byte(i * 13)
 	}
 	req := &protocol.WriteBufferReq{QueueID: 1, BufferID: 2, Data: payload, EventID: 3, WaitEvents: []int64{4}}
-	small := func(id uint64) *protocol.Frame {
-		return protocol.NewFrame(protocol.FrameRequest, id, protocol.OpFinishQueue, &protocol.FinishQueueReq{QueueID: id})
+	small := func(id uint64) protocol.Outgoing {
+		return protocol.NewOutgoing(protocol.FrameRequest, id, protocol.OpFinishQueue, &protocol.FinishQueueReq{QueueID: id})
 	}
-	frames := []*protocol.Frame{small(1), small(2),
-		protocol.NewFrame(protocol.FrameRequest, 3, req.Op(), req), small(4)}
+	msgs := []protocol.Outgoing{small(1), small(2),
+		protocol.NewOutgoing(protocol.FrameRequest, 3, req.Op(), req), small(4)}
 
 	rec := &writeRecorder{}
 	fw := frameWriter{w: rec}
-	if err := fw.write(frames...); err != nil {
+	if err := fw.write(msgs...); err != nil {
 		t.Fatal(err)
 	}
 	// envelope(1,2) | bulk head | payload | bulk tail | plain(4)
@@ -53,15 +55,12 @@ func TestFrameWriterReferencesBulkPayload(t *testing.T) {
 		t.Fatal("the bulk payload was staged into another buffer instead of written in place")
 	}
 
-	var want bytes.Buffer
-	ref := frameWriter{w: &want}
-	copied := []*protocol.Frame{small(1), small(2),
-		{Kind: protocol.FrameRequest, ReqID: 3, Op: req.Op(), Body: protocol.EncodeMessage(req)}, small(4)}
-	if err := ref.write(copied...); err != nil {
-		t.Fatal(err)
+	want := protocol.AppendOutgoingBatch(nil, msgs[:2])
+	for i := range msgs[2:] {
+		want = protocol.AppendOutgoing(want, &msgs[2+i])
 	}
-	if !bytes.Equal(rec.stream.Bytes(), want.Bytes()) {
-		t.Fatal("by-reference stream differs from the copying encoder's")
+	if !bytes.Equal(rec.stream.Bytes(), want) {
+		t.Fatal("the vectored stream differs from staging every message whole")
 	}
 	got := parseStream(t, rec.stream.Bytes())
 	if len(got) != 3 || got[0].Kind != protocol.FrameBatch || got[1].ReqID != 3 || got[2].ReqID != 4 {
@@ -72,15 +71,25 @@ func TestFrameWriterReferencesBulkPayload(t *testing.T) {
 		t.Fatalf("bulk frame does not decode to its payload: %v", err)
 	}
 	// The writer is reusable and keeps nothing of what it wrote reachable.
-	for _, f := range fw.run[:cap(fw.run)] {
-		if f != nil {
-			t.Fatal("frameWriter keeps a written frame reachable through its run array")
-		}
-	}
 	for _, piece := range fw.vec {
 		if piece != nil {
 			t.Fatal("frameWriter keeps a written payload reachable through its vector")
 		}
+	}
+
+	// Pooled read snapshots, one staged and one written in place.
+	snapshot := func(id uint64, n int) (*protocol.Buf, protocol.Outgoing) {
+		pooled := protocol.GetBuf(n)
+		return pooled, protocol.NewOutgoing(protocol.FrameResponse, id, protocol.OpReadBuffer,
+			&protocol.ReadBufferResp{Data: pooled.B, Pooled: pooled})
+	}
+	staged, m1 := snapshot(1, protocol.ReferenceFloor)
+	inPlace, m2 := snapshot(2, protocol.BatchableBodyLimit+1)
+	if err := fw.write(m1, m2); err != nil {
+		t.Fatal(err)
+	}
+	if staged.B != nil || inPlace.B != nil {
+		t.Fatal("the writer kept a pooled payload it has written")
 	}
 }
 

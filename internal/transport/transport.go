@@ -30,15 +30,15 @@
 // dispatch (preserving the pipeline's ordering invariant) and coalesces the
 // responses of each envelope symmetrically.
 //
-// Every frame, in both directions, reaches its connection through one
-// function, the connection's frameWriter: small frames are staged into one
-// reused buffer (packed into an envelope when several are waiting), and a
-// bulk frame — body above protocol.BatchableBodyLimit — is written
-// vectored, header and payload in place, never copied. Payloads from
-// protocol.ReferenceFloor up are referenced on the way out — staging is the
-// one copy a mid-size payload gets, a bulk one gets none — and every blob
-// is decoded in place on the way in; DESIGN.md §11 states who owns which
-// buffer and until when.
+// Every message, in both directions, reaches its connection through one
+// function, the connection's frameWriter, and is encoded exactly once, by
+// it: small messages straight into one reused staging buffer (packed into
+// an envelope when several are waiting), and a bulk message — body above
+// protocol.BatchableBodyLimit — as a header in staging plus its payload in
+// place, written vectored. Staging is the one copy a small or mid-size
+// payload gets, a bulk one gets none, and every blob is decoded in place
+// on the way in; DESIGN.md §11 states who owns which buffer and until
+// when.
 //
 // Two transports are provided: real TCP (used by cmd/haocl-node and the
 // integration tests) and an in-process network of unbuffered in-memory
@@ -63,12 +63,13 @@ import (
 //
 // body — and every message decoded from it, whose blobs are views of it —
 // belongs to the handler only until it has produced its response
-// (HandleCall returned, or done was invoked): the server recycles bulk
-// request bodies after that, so a handler that wants the bytes for longer
-// copies them. The one request whose body a handler may keep is a
-// protocol.OpPeerPush deposit, which is never recycled (DESIGN.md §11).
-// A response's payload, in turn, is referenced from protocol.ReferenceFloor
-// bytes up until the response frame is written and must not change before
+// (HandleCall returned, or done was invoked): the server recycles request
+// envelopes and bulk request bodies after that, so a handler that wants
+// the bytes for longer copies them. The one request whose body a handler
+// may keep is a protocol.OpPeerPush deposit, which is never recycled
+// (DESIGN.md §11). A response, in turn, is encoded when it is written —
+// for a request from an envelope, once the whole envelope has been
+// answered — and it and everything it references must not change before
 // then.
 type Handler interface {
 	HandleCall(op protocol.Op, body []byte) (protocol.Message, error)
@@ -115,11 +116,11 @@ type Client struct {
 	// writeMu guards the coalescer queue; the writer goroutine writes
 	// without holding it.
 	writeMu    sync.Mutex
-	writeCh    *sync.Cond        // wakes the writer when frames are queued
-	spaceCh    *sync.Cond        // wakes producers when the queue drains
-	queue      []*protocol.Frame // guarded by writeMu
-	queueBytes int               // guarded by writeMu
-	sendDead   bool              // guarded by writeMu; write side failed or closed, queue abandoned
+	writeCh    *sync.Cond          // wakes the writer when messages are queued
+	spaceCh    *sync.Cond          // wakes producers when the queue drains
+	queue      []protocol.Outgoing // guarded by writeMu
+	queueBytes int                 // guarded by writeMu
+	sendDead   bool                // guarded by writeMu; write side failed or closed, queue abandoned
 
 	mu      sync.Mutex
 	pending map[uint64]*Pending // guarded by mu
@@ -154,8 +155,8 @@ func NewClient(conn net.Conn) *Client {
 	return c
 }
 
-// maxQueuedBytes bounds the wire bytes buffered in the coalescer queue,
-// referenced payloads included. Producers block once it is reached,
+// maxQueuedBytes bounds the wire bytes of the messages waiting in the
+// coalescer queue, payloads included. Producers block once it is reached,
 // restoring the write backpressure the blocking one-frame-per-write path
 // provided naturally — without it a host pipelining bulk writes over a
 // slow link could queue without bound.
@@ -205,15 +206,16 @@ func (c *Client) deliver(f *protocol.Frame) {
 	}
 }
 
-// writeLoop drains the coalescer queue: it sleeps until frames are queued,
-// grabs everything that accumulated while the previous write was in
-// flight, and ships the whole run in one write. Flushing is purely
-// drain-driven — a lone frame on an idle connection goes out immediately;
-// batches only form when the producer outpaces the writer, which is
-// exactly when coalescing pays. The drained queue and the writer's spare
-// swap places at every drain, so a steady stream reuses two arrays.
+// writeLoop drains the coalescer queue: it sleeps until messages are
+// queued, grabs everything that accumulated while the previous write was
+// in flight, and ships the whole run in one write. Flushing is purely
+// drain-driven — a lone message on an idle connection goes out
+// immediately; batches only form when the producer outpaces the writer,
+// which is exactly when coalescing pays. The drained queue and the
+// writer's spare swap places at every drain, so a steady stream reuses two
+// arrays.
 func (c *Client) writeLoop() {
-	var spare []*protocol.Frame
+	var spare []protocol.Outgoing
 	for {
 		c.writeMu.Lock()
 		for len(c.queue) == 0 && !c.sendDead {
@@ -229,122 +231,104 @@ func (c *Client) writeLoop() {
 		c.spaceCh.Broadcast()
 		c.writeMu.Unlock()
 		if err := c.fw.write(run...); err != nil {
-			// Queued frames are pre-validated, so this is an I/O failure:
-			// the connection is gone. Close it so the read side unwinds
-			// and the peer's session is released.
+			// Queued messages are pre-validated, so this is an I/O
+			// failure: the connection is gone. Close it so the read side
+			// unwinds and the peer's session is released.
 			c.failAll(fmt.Errorf("transport: send: %w", err))
 			c.conn.Close()
 			return
 		}
-		clear(run) // the reused array must not keep written frames reachable
+		clear(run) // the reused array must not keep written messages reachable
 		spare = run[:0]
 	}
 }
 
-// frameWriter is the one function through which frames reach a
+// frameWriter is the one function through which messages reach a
 // connection: the client's coalescing writer and the server's reply path
-// both write through it, so the packing
-// policy and the copy-free bulk write exist exactly once. It is not safe
+// both write through it, so the packing policy, the one encoding of each
+// message and the copy-free bulk write exist exactly once. It is not safe
 // for concurrent use; each owner serializes its calls.
 //
-// Runs of small frames are staged into one buffer — a single frame goes
-// plain, several become a Batch envelope, either way encoded straight into
-// the buffer from wherever each frame's pieces lie — and shipped with one
-// Write: the staging copy is the only one a referenced payload of up to
-// BatchableBodyLimit gets. A frame with a body above BatchableBodyLimit is
-// written alone and in place with vectored I/O (writev on real sockets):
-// header plus whatever precedes a referenced payload, the payload itself,
-// and what follows it. Bulk payloads amortize their own syscall, would blow
-// up envelope sizes, and a staging copy would double their memory
-// footprint. The staging buffer, run and vector are reused from write to
-// write.
+// Runs of small messages are encoded straight into one staging buffer — a
+// single message as a plain frame, several as a Batch envelope — and
+// shipped with one Write: the encoding is the only copy a payload of up to
+// BatchableBodyLimit gets. A message with a body above BatchableBodyLimit
+// is written alone with vectored I/O (writev on real sockets): its header
+// and fields are encoded into staging and its payload is sent from where
+// it lies. Bulk payloads amortize their own syscall, would blow up
+// envelope sizes, and a staging copy would double their memory footprint.
+// The staging buffer and the vector are reused from write to write.
 type frameWriter struct {
-	w        io.Writer
-	out      []byte            // staging: a packed run, or a bulk frame's head
-	run      []*protocol.Frame // small frames waiting to be packed
-	runBytes int
-	vec      [3][]byte   // backing array of bufs
-	bufs     net.Buffers // a field, so WriteTo's receiver does not escape per call
+	w    io.Writer
+	out  []byte      // staging: a packed run, or a bulk frame's head and tail
+	vec  [3][]byte   // backing array of bufs
+	bufs net.Buffers // a field, so WriteTo's receiver does not escape per call
 }
 
-// write writes frames in order and then releases them: a pooled payload a
-// frame owns (a node's read snapshot) goes back to its pool the moment the
-// frame is on the wire — or has failed to get there — whether it was staged
-// or written in place.
-func (fw *frameWriter) write(frames ...*protocol.Frame) error {
-	err := fw.writeAll(frames)
-	for _, f := range frames {
-		f.Release()
-	}
-	return err
-}
-
-func (fw *frameWriter) writeAll(frames []*protocol.Frame) error {
-	for _, f := range frames {
-		if f.BodyLen() > protocol.BatchableBodyLimit {
-			if err := fw.flush(); err != nil {
+// write encodes and writes msgs in order. A pooled payload a message hands
+// over (a node's read snapshot) goes back to its pool the moment it has
+// been staged, or written in place.
+func (fw *frameWriter) write(msgs ...protocol.Outgoing) error {
+	start, runBytes := 0, 0
+	for i := range msgs {
+		m := &msgs[i]
+		if m.Size > protocol.BatchableBodyLimit {
+			if err := fw.flush(msgs[start:i]); err != nil {
 				return err
 			}
-			if err := fw.writeBulk(f); err != nil {
+			if err := fw.writeBulk(m); err != nil {
 				return err
 			}
+			start, runBytes = i+1, 0
 			continue
 		}
-		fw.run = append(fw.run, f)
-		fw.runBytes += f.BodyLen()
-		if len(fw.run) >= protocol.MaxBatchMessages || fw.runBytes >= protocol.MaxBatchBytes {
-			if err := fw.flush(); err != nil {
+		runBytes += m.Size
+		if i+1-start >= protocol.MaxBatchMessages || runBytes >= protocol.MaxBatchBytes {
+			if err := fw.flush(msgs[start : i+1]); err != nil {
 				return err
 			}
+			start, runBytes = i+1, 0
 		}
 	}
-	return fw.flush()
+	return fw.flush(msgs[start:])
 }
 
-// flush ships the accumulated run as one wire unit with one Write.
-func (fw *frameWriter) flush() error {
-	run := fw.run
-	if len(run) == 0 {
+// flush ships a run of small messages as one wire unit with one Write.
+func (fw *frameWriter) flush(run []protocol.Outgoing) error {
+	switch len(run) {
+	case 0:
 		return nil
+	case 1:
+		fw.out = protocol.AppendOutgoing(fw.out[:0], &run[0])
+	default:
+		fw.out = protocol.AppendOutgoingBatch(fw.out[:0], run)
 	}
-	fw.run, fw.runBytes = run[:0], 0
-	var err error
-	if len(run) == 1 {
-		fw.out, err = protocol.AppendFrame(fw.out[:0], run[0])
-	} else {
-		fw.out, err = protocol.AppendBatch(fw.out[:0], run)
-	}
-	clear(run) // the reused array must not keep written frames reachable
-	if err != nil {
-		return err
-	}
-	_, err = fw.w.Write(fw.out)
+	_, err := fw.w.Write(fw.out)
 	return err
 }
 
-// writeBulk writes one bulk frame without copying its payload.
-func (fw *frameWriter) writeBulk(f *protocol.Frame) error {
-	if f.BodyLen() > protocol.MaxFrameSize {
-		return fmt.Errorf("%w: %d bytes", protocol.ErrFrameTooBig, f.BodyLen())
+// writeBulk writes one bulk message without copying its payload.
+func (fw *frameWriter) writeBulk(m *protocol.Outgoing) error {
+	if m.Size > protocol.MaxFrameSize {
+		return fmt.Errorf("%w: %d bytes", protocol.ErrFrameTooBig, m.Size)
 	}
-	fw.out = protocol.AppendFrameHeader(fw.out[:0], f)
-	vec := fw.vec[:0]
-	if bulk, tail := f.Payload(); bulk == nil {
-		vec = append(vec, fw.out, f.Body)
-	} else {
-		fw.out = append(fw.out, f.Body...)
-		vec = append(vec, fw.out, bulk)
-		if len(tail) > 0 {
-			vec = append(vec, tail)
-		}
+	out, split, payload, pooled := protocol.AppendOutgoingHead(fw.out[:0], m)
+	fw.out = out
+	vec := append(fw.vec[:0], out[:split])
+	if payload != nil {
+		vec = append(vec, payload)
+	}
+	if split < len(out) {
+		vec = append(vec, out[split:])
 	}
 	fw.bufs = vec
 	_, err := fw.bufs.WriteTo(fw.w)
 	fw.vec = [3][]byte{} // WriteTo clears what it consumed; after an error, drop the rest
+	pooled.Free()
 	return err
 }
 
-// killWrites abandons the write side; queued frames die with the
+// killWrites abandons the write side; queued messages die with the
 // connection (their futures fail through failAll's sticky error).
 func (c *Client) killWrites() {
 	c.writeMu.Lock()
@@ -434,19 +418,18 @@ type Pending struct {
 
 // Go sends req without waiting for the response and returns the call's
 // future. When the response arrives, Wait decodes it into resp (which may
-// be nil when the caller only needs the acknowledgement). Frames from
+// be nil when the caller only needs the acknowledgement). Messages from
 // concurrent Go calls are written whole, but callers needing a defined
 // wire order across several Go calls must serialize the calls themselves.
-// Go returns once the frame is queued to the coalescing writer; the queue
+// Go returns once req is queued to the coalescing writer; the queue
 // preserves Go-call order.
 //
-// A payload in req (a blob of at least protocol.ReferenceFloor bytes) is
-// not copied here: the queued frame references it and the writer stages or
-// ships it from where it lies, after Go has returned. The caller must leave
-// those bytes unmodified until the call has resolved (Wait returned) — a
-// response proves the request was read in full — and passes a private copy
-// when it cannot promise that. Only blobs below the floor are copied before
-// Go returns.
+// req is not encoded here: the queue holds the message itself, and the
+// writer encodes it, straight into the buffer it sends, after Go has
+// returned. So req and everything it references — payloads, lists,
+// strings' backing arrays — must stay unmodified until the call has
+// resolved (Wait returned; a response proves the request was read in
+// full). A caller that cannot promise that passes a private copy.
 //
 // haoclvet:wire
 func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
@@ -480,13 +463,13 @@ func (c *Client) Start(p *Pending, req protocol.Message, resp protocol.Message) 
 	c.pending[id] = p
 	c.mu.Unlock()
 
-	frame := protocol.NewFrame(protocol.FrameRequest, id, req.Op(), req)
-	if frame.BodyLen() > protocol.MaxFrameSize {
-		// Reject before queueing so an unsendable frame fails only its
+	out := protocol.NewOutgoing(protocol.FrameRequest, id, req.Op(), req)
+	if out.Size > protocol.MaxFrameSize {
+		// Reject before queueing so an unsendable message fails only its
 		// own call — on the coalescing path a late size error would be
 		// connection-fatal.
 		c.forget(id)
-		p.settle(fmt.Errorf("send %s: %w: %d bytes", req.Op(), protocol.ErrFrameTooBig, frame.BodyLen()))
+		p.settle(fmt.Errorf("send %s: %w: %d bytes", req.Op(), protocol.ErrFrameTooBig, out.Size))
 		return
 	}
 	c.writeMu.Lock()
@@ -499,12 +482,11 @@ func (c *Client) Start(p *Pending, req protocol.Message, resp protocol.Message) 
 		p.settle(fmt.Errorf("send %s: %w", req.Op(), c.sticky()))
 		return
 	}
-	c.queue = append(c.queue, frame)
-	// Count the wire size, not just the body: zero-body control frames
+	c.queue = append(c.queue, out)
+	// Count the wire size, not just the body: zero-body control messages
 	// (status polls, shutdown) must still hit the cap, or a producer
-	// outpacing a stalled writer queues without bound. Referenced payloads
-	// count in full: they are just as queued.
-	c.queueBytes += protocol.FrameWireSize(frame)
+	// outpacing a stalled writer queues without bound.
+	c.queueBytes += out.WireSize()
 	c.writeCh.Signal()
 	c.writeMu.Unlock()
 }
@@ -683,38 +665,22 @@ func (s *Server) ServeConn(conn net.Conn) error {
 
 	handler := s.factory()
 	// The reader keeps draining the socket while the handler executes, so a
-	// pipelining host can stream frames into the job queue without waiting
-	// for earlier commands to finish. Batch envelopes are unpacked here, in
-	// envelope order, into the same queue; each envelope's sub-requests
-	// share a respEnvelope so their responses can be coalesced back into
-	// one response envelope no matter which order they complete in.
-	jobs := make(chan serverJob, 128)
+	// pipelining host can stream frames into the queue without waiting for
+	// earlier commands to finish; the dispatch loop unpacks each envelope
+	// as it takes it. Envelope and bulk request bodies come from the
+	// payload pool, and the reply writer releases each one once its last
+	// request has been answered.
+	frames := make(chan *protocol.Frame, 128)
 	s.wg.Add(2)
 	go func() {
 		defer s.wg.Done()
-		defer close(jobs)
+		defer close(frames)
 		for {
-			// Bulk request bodies come from the payload pool; dispatchLoop
-			// releases each one when its request has been answered.
 			f, err := protocol.ReadFramePooled(conn)
 			if err != nil {
 				return
 			}
-			if f.Kind == protocol.FrameBatch {
-				subs, err := protocol.DecodeBatch(f)
-				if err != nil {
-					return // malformed envelope: framing is poisoned
-				}
-				env := &respEnvelope{
-					frames:    make([]*protocol.Frame, len(subs)),
-					remaining: len(subs),
-				}
-				for i, sub := range subs {
-					jobs <- serverJob{frame: sub, env: env, idx: i}
-				}
-				continue
-			}
-			jobs <- serverJob{frame: f}
+			frames <- f
 		}
 	}()
 	go func() {
@@ -729,15 +695,14 @@ func (s *Server) ServeConn(conn net.Conn) error {
 				_ = closer.Close()
 			}
 		}()
-		s.dispatchLoop(conn, handler, jobs)
+		s.dispatchLoop(conn, handler, frames)
 	}()
 	return nil
 }
 
-// serverJob is one request awaiting dispatch. env groups the sub-requests
-// of one Batch envelope for response assembly; idx is the request's
-// position within it.
-type serverJob struct {
+// replyTo is where one request's response goes: frame is a plain request's
+// own, and env and idx an envelope member's slot.
+type replyTo struct {
 	frame *protocol.Frame
 	env   *respEnvelope
 	idx   int
@@ -746,82 +711,125 @@ type serverJob struct {
 // respEnvelope collects the responses of one request envelope. Lanes may
 // complete an envelope's requests in any order; the envelope ships as one
 // coalesced unit when the last response lands, with each response in its
-// request's position.
+// request's position. replies holds each request's ID and op from the
+// moment it is unpacked, and its response message from the moment it is
+// answered; frame is the request envelope, whose body the requests are
+// views of.
 type respEnvelope struct {
-	frames    []*protocol.Frame
+	replies   []protocol.Outgoing
 	remaining int
+	frame     *protocol.Frame
 }
 
 // replyWriter serializes one connection's response writes. Plain requests
 // answer with a plain frame the moment they complete — a response never
 // waits behind another lane's execution — while requests from a Batch
-// envelope are held until the whole envelope has completed and then
-// written as one coalesced run (bulk responses inside it still travel
-// alone). Both go through the connection's frameWriter, the same packing
-// and vectored-write function the client side uses. Out-of-order
+// envelope are held, as messages, until the whole envelope has completed
+// and then written as one coalesced run (bulk responses inside it still
+// travel alone). Both go through the connection's frameWriter, the same
+// packing and vectored-write function the client side uses. Out-of-order
 // completion across envelopes is fine: the client correlates responses by
 // request ID.
+//
+// A request's frame is released once its response has been written — for
+// an envelope, once every response it carries has: the transport took the
+// body from the pool, so the transport gives it back, never the handler,
+// which may be handed the same body many times by a direct caller.
 type replyWriter struct {
 	mu sync.Mutex
 	fw frameWriter // guarded by mu
 }
 
-// complete delivers one finished request's response frame. Write failures
-// mean the peer vanished; the read loop notices and cleans the connection
-// up, so the errors need no second handling.
-func (w *replyWriter) complete(j serverJob, out *protocol.Frame) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if j.env == nil {
+// complete delivers one finished request's response. Write failures mean
+// the peer vanished; the read loop notices and cleans the connection up,
+// so the errors need no second handling.
+func (w *replyWriter) complete(to replyTo, resp protocol.Message, err error) {
+	if to.env == nil {
+		out := reply(to.frame.ReqID, to.frame.Op, resp, err)
+		w.mu.Lock()
 		_ = w.fw.write(out)
+		w.mu.Unlock()
+		to.frame.Release()
 		return
 	}
-	j.env.frames[j.idx] = out
-	j.env.remaining--
-	if j.env.remaining == 0 {
-		_ = w.fw.write(j.env.frames...)
+	// The slot's ID and op were set before the request was dispatched, and
+	// only this completion writes the slot again, so reading them needs no
+	// lock.
+	slot := &to.env.replies[to.idx]
+	out := reply(slot.ReqID, slot.Op, resp, err)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	*slot = out
+	if to.env.remaining--; to.env.remaining == 0 {
+		_ = w.fw.write(to.env.replies...)
+		to.env.frame.Release()
 	}
 }
 
 // dispatchLoop hands the connection's requests to the handler strictly in
-// arrival order. An AsyncHandler takes ownership of each request's
-// execution and completes it through the reply writer from its own lanes;
-// a plain Handler executes inline, preserving the strict per-connection
-// FIFO of the pre-lane runtime. Either way the request frame is released
-// once its response has been handed to the reply writer: the transport
-// took a bulk body from the pool, so the transport gives it back — never
-// the handler, which may be handed the same body many times by a direct
-// driver.
-func (s *Server) dispatchLoop(conn net.Conn, handler Handler, jobs <-chan serverJob) {
+// arrival order. A Batch envelope is unpacked in place, in envelope order,
+// into a reused slice: its requests are views of its body and share a
+// respEnvelope, so their responses can be coalesced back into one response
+// envelope no matter which order they complete in. An envelope that does
+// not parse poisons the connection's framing: the loop closes the
+// connection and drops whatever was read behind it.
+func (s *Server) dispatchLoop(conn net.Conn, handler Handler, frames <-chan *protocol.Frame) {
 	w := &replyWriter{fw: frameWriter{w: conn}}
 	async, _ := handler.(AsyncHandler)
-	for j := range jobs {
-		j := j
+	// call hands one request to the handler. An AsyncHandler takes
+	// ownership of its execution and completes it through the reply writer
+	// from its own lanes; a plain Handler executes inline, preserving the
+	// strict per-connection FIFO of the pre-lane runtime.
+	call := func(op protocol.Op, body []byte, to replyTo) {
 		if async != nil {
-			async.HandleCallAsync(j.frame.Op, j.frame.Body, func(resp protocol.Message, err error) {
-				w.complete(j, responseFrame(j.frame, resp, err))
-				j.frame.Release()
+			async.HandleCallAsync(op, body, func(resp protocol.Message, err error) {
+				w.complete(to, resp, err)
 			})
+			return
+		}
+		resp, err := handler.HandleCall(op, body)
+		w.complete(to, resp, err)
+	}
+	var subs []protocol.Frame
+	for f := range frames {
+		if f.Kind != protocol.FrameBatch {
+			call(f.Op, f.Body, replyTo{frame: f})
 			continue
 		}
-		resp, err := handler.HandleCall(j.frame.Op, j.frame.Body)
-		w.complete(j, responseFrame(j.frame, resp, err))
-		j.frame.Release()
+		var err error
+		if subs, err = protocol.UnpackBatch(subs[:0], f); err != nil {
+			conn.Close()
+			for range frames {
+			}
+			return
+		}
+		env := &respEnvelope{
+			replies:   make([]protocol.Outgoing, len(subs)),
+			remaining: len(subs),
+			frame:     f,
+		}
+		for i, sub := range subs {
+			env.replies[i] = protocol.Outgoing{Kind: protocol.FrameResponse, ReqID: sub.ReqID, Op: sub.Op}
+		}
+		for i, sub := range subs {
+			call(sub.Op, sub.Body, replyTo{env: env, idx: i})
+		}
+		clear(subs) // the reused array must not keep the body reachable
 	}
 }
 
-// responseFrame packages one request's outcome as its response frame.
-func responseFrame(req *protocol.Frame, resp protocol.Message, err error) *protocol.Frame {
+// reply packages one request's outcome as its response message.
+func reply(reqID uint64, op protocol.Op, resp protocol.Message, err error) protocol.Outgoing {
 	if err != nil {
 		var re *protocol.RemoteError
 		code := uint32(1)
 		if errors.As(err, &re) {
 			code = re.Code
 		}
-		return protocol.NewFrame(protocol.FrameResponse, req.ReqID, protocol.OpError,
+		return protocol.NewOutgoing(protocol.FrameResponse, reqID, protocol.OpError,
 			&protocol.ErrorResp{Code: code, Message: err.Error()})
 	}
-	return protocol.NewFrame(protocol.FrameResponse, req.ReqID, req.Op, resp)
+	return protocol.NewOutgoing(protocol.FrameResponse, reqID, op, resp)
 }
 
 // Close stops accepting, closes every connection and waits for in-flight
