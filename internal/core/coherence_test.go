@@ -140,8 +140,8 @@ func TestBroadcastFailedHopLeavesStateUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Poison qB's pipeline: an indivisible work-group size fails remotely,
-	// and Finish latches the sticky queue error.
+	// Poison qB's pipeline: a launch indexing past its 4-float buffer panics
+	// on the node, and Finish latches the sticky queue error.
 	prog, err := ctx.CreateProgram(incrSource)
 	if err != nil {
 		t.Fatal(err)
@@ -158,12 +158,12 @@ func TestBroadcastFailedHopLeavesStateUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.SetArg(0, scratch)
-	k.SetArg(1, int32(4))
-	if _, err := qB.EnqueueKernel(k, []int{4}, []int{3}, nil, nil); err != nil {
+	k.SetArg(1, int32(8))
+	if _, err := qB.EnqueueKernel(k, []int{8}, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := qB.Finish(); err == nil {
-		t.Fatal("indivisible work-group accepted")
+		t.Fatal("out-of-bounds launch accepted")
 	}
 
 	// The broadcast must refuse at hop 1 (i > 0) without touching state.

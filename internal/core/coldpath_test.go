@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +18,9 @@ func parses() uint64 {
 	return misses
 }
 
+// shareParseRuns numbers the runs of TestSessionsShareOneParse.
+var shareParseRuns atomic.Int64
+
 // TestSessionsShareOneParse: a source is parsed once per process. The
 // first session to build it pays for the parse; its own nodes, and a second
 // session's host side and nodes, find it, and both sessions hold the one
@@ -23,7 +28,9 @@ func parses() uint64 {
 func TestSessionsShareOneParse(t *testing.T) {
 	rt, stop := startRuntime(t, 2)
 	defer stop()
-	src := incrSource + "// as built by TestSessionsShareOneParse\n"
+	// A source of its own per run: the cache is process-wide, so under
+	// -count=2 a fixed one is already parsed when the second run starts.
+	src := fmt.Sprintf("%s// as built by run %d of TestSessionsShareOneParse\n", incrSource, shareParseRuns.Add(1))
 	before := parses()
 	var shared *clc.Program
 	for i, tenant := range []string{"first", "second"} {

@@ -370,18 +370,26 @@ func (l *copyLog) skip() bool { return l.src.isReleased() || l.dst.isReleased() 
 
 // kernelLog replays EnqueueKernel with the argument bindings snapshotted at
 // the original launch — SetArg calls made since must not leak backwards in
-// time.
+// time. It is also the launch's own record: EnqueueKernel builds it before
+// the first attempt and enqueueKernelBound issues from it.
 type kernelLog struct {
-	q        *Queue
-	k        *Kernel
+	q *Queue
+	k *Kernel
+	// bindings is the kernel's argument slice at launch, shared with the
+	// kernel until its next SetArg, which copies it (Kernel.args).
 	bindings []argBinding
-	global   []int64 // wire form, shared with the original request
-	local    []int64
-	opts     LaunchOptions
+	// dims is the NDRange's wire form, global then local dimensions,
+	// shared with the original request; EnqueueKernel admits at most 3+3.
+	dims            [6]int64
+	nGlobal, nLocal uint8
+	opts            LaunchOptions
 }
 
+func (l *kernelLog) global() []int64 { return l.dims[:l.nGlobal:l.nGlobal] }
+func (l *kernelLog) local() []int64  { return l.dims[l.nGlobal : l.nGlobal+l.nLocal] }
+
 func (l *kernelLog) replay(rt *Runtime) error {
-	_, err := l.q.enqueueKernelBound(l.k, l.bindings, l.global, l.local, nil, l.opts)
+	_, err := l.q.enqueueKernelBound(l, nil)
 	return err
 }
 

@@ -1130,10 +1130,14 @@ type Kernel struct {
 	name string
 	sig  *clc.Kernel
 
-	mu       sync.Mutex
-	remote   map[*NodeHandle]uint64 // guarded by mu
-	args     []argBinding           // guarded by mu
-	released bool                   // guarded by mu
+	mu     sync.Mutex
+	remote map[*NodeHandle]uint64 // guarded by mu
+	// args is copy-on-write: a launch takes the slice itself as its
+	// snapshot and marks it shared, and SetArg binds into a copy of a
+	// shared slice, never into the slice a launch holds.
+	args       []argBinding // guarded by mu
+	argsShared bool         // guarded by mu
+	released   bool         // guarded by mu
 }
 
 // CreateKernel instantiates the named kernel.
@@ -1214,6 +1218,9 @@ func (k *Kernel) SetArg(index int, value any) error {
 		binding = argBinding{kind: protocol.ArgScalar, scalar: scalar}
 	}
 	k.mu.Lock()
+	if k.argsShared {
+		k.args, k.argsShared = slices.Clone(k.args), false
+	}
 	k.args[index] = binding
 	k.mu.Unlock()
 	return nil
@@ -1277,48 +1284,49 @@ type LaunchOptions struct {
 // node as needed; written buffers (non-const global pointers in the
 // kernel's signature) invalidate other replicas. The launch is pipelined:
 // the call returns once the request — and any migration writes it depends
-// on — are on the wire, without a round trip.
+// on — are on the wire, without a round trip. A malformed NDRange is
+// refused here, wrapping kernel.ErrBadNDRange, before anything is charged,
+// issued or logged.
 func (q *Queue) EnqueueKernel(k *Kernel, global, local []int, waits []*Event, opts *LaunchOptions) (*Event, error) {
-	// Snapshot the argument bindings before the retry loop: a SetArg racing
-	// the recovery retry must not leak into the replayed launch.
+	if _, _, err := kernel.NormalizeRange(global, local); err != nil {
+		return nil, fmt.Errorf("core: launch kernel %q: %w", k.name, err)
+	}
+	// The launch's log entry is built once, before the retry loop: it holds
+	// the argument snapshot — a SetArg racing the recovery retry must not
+	// leak into the replayed launch — and the NDRange's wire form, which
+	// the request shares and neither sees the caller's slices again.
+	l := &kernelLog{q: q, k: k, nGlobal: uint8(len(global)), nLocal: uint8(len(local))}
 	k.mu.Lock()
-	bindings := make([]argBinding, len(k.args))
-	copy(bindings, k.args)
+	l.bindings, k.argsShared = k.args, true
 	k.mu.Unlock()
-
-	// The NDRange is converted to its wire form once, into one array: the
-	// request and the command log share it, and neither sees the caller's
-	// slices again.
-	dims := make([]int64, 0, len(global)+len(local))
-	for _, v := range global {
-		dims = append(dims, int64(v))
+	for i, v := range global {
+		l.dims[i] = int64(v)
 	}
-	for _, v := range local {
-		dims = append(dims, int64(v))
+	for i, v := range local {
+		l.dims[len(global)+i] = int64(v)
 	}
-	g64, l64 := dims[:len(global):len(global)], dims[len(global):]
-	var o LaunchOptions
 	if opts != nil {
-		o = *opts
+		l.opts = *opts
 	}
 
 	var ev *Event
 	err := q.ctx.sess.withRecovery(func() error {
 		var kerr error
-		ev, kerr = q.enqueueKernelBound(k, bindings, g64, l64, waits, o)
+		ev, kerr = q.enqueueKernelBound(l, waits)
 		return kerr
 	})
 	return ev, err
 }
 
-// enqueueKernelBound is the non-recovering EnqueueKernel internal, taking
-// the argument bindings as an explicit snapshot so the command log can
-// replay the launch exactly as issued. bindings, global and local are kept
-// by the log and must never change again; zero opts are no options.
-func (q *Queue) enqueueKernelBound(k *Kernel, bindings []argBinding, global, local []int64, waits []*Event, opts LaunchOptions) (*Event, error) {
+// enqueueKernelBound is the non-recovering EnqueueKernel internal. It
+// issues the launch l records — the argument snapshot and NDRange taken by
+// EnqueueKernel — and logs l itself, so replay issues exactly what was
+// issued.
+func (q *Queue) enqueueKernelBound(l *kernelLog, waits []*Event) (*Event, error) {
 	if err := q.stickyErr(); err != nil {
 		return nil, err
 	}
+	k := l.k
 	if k.prog.ctx.sess != q.ctx.sess {
 		return nil, fmt.Errorf("core: launch kernel %q of tenant %q: %w",
 			k.name, k.prog.ctx.sess.tenant, ErrCrossSession)
@@ -1335,10 +1343,11 @@ func (q *Queue) enqueueKernelBound(k *Kernel, bindings []argBinding, global, loc
 	if err != nil {
 		return nil, err
 	}
-	wireArgs := make([]protocol.KernelArg, len(bindings))
+	wireArgs := make([]protocol.KernelArg, len(l.bindings))
 	var msgBytes int64 = controlMsgBytes
-	var written []*Buffer
-	for i, bind := range bindings {
+	var writtenArr [8]*Buffer
+	written := writtenArr[:0]
+	for i, bind := range l.bindings {
 		param := k.sig.Params[i]
 		switch bind.kind {
 		case protocol.ArgBuffer:
@@ -1378,13 +1387,13 @@ func (q *Queue) enqueueKernelBound(k *Kernel, bindings []argBinding, global, loc
 	req := &protocol.EnqueueKernelReq{
 		QueueID:    qid,
 		KernelID:   remoteKernel,
-		Global:     global,
-		Local:      local,
+		Global:     l.global(),
+		Local:      l.local(),
 		Args:       wireArgs,
 		SimArrival: int64(arrival),
 		WaitEvents: localWaits,
-		CostFlops:  opts.CostFlops,
-		CostBytes:  opts.CostBytes,
+		CostFlops:  l.opts.CostFlops,
+		CostBytes:  l.opts.CostBytes,
 	}
 	ev.trace = q.ctx.sess.traceCmd(trace.KindKernel, dev, qid, msgBytes, wireStart, arrival)
 	id := q.ctx.sess.issueEvent(ev, req)
@@ -1412,6 +1421,6 @@ func (q *Queue) enqueueKernelBound(k *Kernel, bindings []argBinding, global, loc
 		}
 		b.mu.Unlock()
 	}
-	q.ctx.sess.logCommand(&kernelLog{q: q, k: k, bindings: bindings, global: global, local: local, opts: opts})
+	q.ctx.sess.logCommand(l)
 	return ev, nil
 }

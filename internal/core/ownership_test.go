@@ -607,23 +607,23 @@ func TestServeRoundTripAllocationBudget(t *testing.T) {
 // table for the runtime before release vectors and one-allocation frames):
 //
 //	                write  kernel
-//	host issue       4      7   private copy, request, Event (future, response and wait list inside), log entry; a launch: bindings, NDRange, wire args, written set, request, Event, log entry
+//	host issue       4      4   private copy, request, Event (future, response and wait list inside), log entry; a launch: wire args, request, Event, log entry (argument snapshot and NDRange inside)
 //	frame encode     0      0   the queue holds the request; the writer encodes it into its staging buffer
-//	node register    5      9   done closure, command (request, wait list and response inside), wait IDs, event record and its channel; a launch adds NDRange ×2, wire args, launch args
-//	lane             0      2   NDRange conversion, launch state
+//	node register    4      6   done closure, command (request, wait IDs and wait list inside), event record (the response inside) and its channel; a launch adds wire args, launch args (NDRange inside the command)
+//	lane             0      0   the NDRange conversion is in the command, the launch state pooled
 //	reply            0      0   the reply writer encodes the response into its staging buffer
 //	envelopes        0.3    0.3 frame reads, the node's envelope record, the host's sub-frame slabs; the node's envelope body is pooled
-//	total            9.3   18.3
+//	total            8.3   10.3
 //
 // A release is an ID in a vector of up to 256: 0.03 objects an event. The
-// tile comes to 2 × 9.3 + 18.3 + 0.1 ≈ 37. The envelope share moves with
-// how full the coalescer finds its queue; the budget leaves a twelfth for
-// it.
+// tile comes to 2 × 8.3 + 10.3 + 0.1 ≈ 27. The envelope share moves with
+// how full the coalescer finds its queue; the budget leaves a fourteenth
+// for it.
 func TestSmallCommandAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
-	const budget = 40.0
+	const budget = 29.0
 	rt := startTCPRuntime(t, 1)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)
@@ -697,5 +697,81 @@ func TestSmallCommandAllocationBudget(t *testing.T) {
 	t.Logf("write + write + kernel + 3 releases allocate %.1f objects", perTile)
 	if perTile > budget {
 		t.Errorf("write + write + kernel + 3 releases allocate %.1f objects, budget %.0f", perTile, budget)
+	}
+}
+
+// TestKernelLaunchAllocationBudget gates one pipelined kernel launch and
+// the release of its event, process-wide: the kernel column of
+// TestSmallCommandAllocationBudget's table, 10.3 objects. The argument
+// snapshot (the kernel's own slice, shared until the next SetArg), the
+// NDRange on the host, on the wire and in the node, the wait IDs and the
+// executor's launch state allocate nothing; a launch used to cost 18.3.
+func TestKernelLaunchAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
+	}
+	const budget, launches = 11.0, 2000
+	rt := startTCPRuntime(t, 1)
+	devs := rt.Devices(0)
+	ctx, err := rt.OpenSession("default").CreateContext(devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ctx.CreateQueue(devs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ctx.CreateProgram(incrSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prog.Build(); err != nil {
+		t.Fatal(err)
+	}
+	k, err := prog.CreateKernel("scale2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, _ := ctx.CreateBuffer(256)
+	out, _ := ctx.CreateBuffer(256)
+	for i, v := range []any{in, out, int32(64)} {
+		if err := k.SetArg(i, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dims := []int{64}
+	events := make([]*core.Event, 0, launches)
+	round := func() {
+		for i := 0; i < launches; i++ {
+			ev, err := q.EnqueueKernel(k, dims, dims, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events = append(events, ev)
+		}
+		if _, err := q.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		// The newest launch still heads the output buffer's chain.
+		last := events[len(events)-1]
+		for _, ev := range events[:len(events)-1] {
+			if err := ev.Release(rt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rt.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		events = append(events[:0], last)
+	}
+	round()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	round()
+	runtime.ReadMemStats(&after)
+	perLaunch := float64(after.Mallocs-before.Mallocs) / launches
+	t.Logf("a pipelined launch and its release allocate %.1f objects", perLaunch)
+	if perLaunch > budget {
+		t.Errorf("a pipelined launch and its release allocate %.1f objects, budget %.0f", perLaunch, budget)
 	}
 }

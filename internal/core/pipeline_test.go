@@ -312,15 +312,23 @@ func TestConcurrentEnqueueFinishReportsLowestIDFailure(t *testing.T) {
 			}
 			k.SetArg(0, buf)
 			k.SetArg(1, int32(4))
+			// The same kernel told its 4-float buffer holds 8 indexes past
+			// its end: the launch panics on the node, failing remotely.
+			bad, err := prog.CreateKernel("incr")
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad.SetArg(0, buf)
+			bad.SetArg(1, int32(8))
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < perSide; i++ {
-					local := []int{4}
+					kk, global := k, []int{4}
 					if i == failAt {
-						local = []int{3} // indivisible work-group: fails remotely
+						kk, global = bad, []int{8}
 					}
-					ev, err := q.EnqueueKernel(k, []int{4}, local, nil, nil)
+					ev, err := q.EnqueueKernel(kk, global, nil, nil, nil)
 					if err != nil {
 						errs[g] = err
 						return

@@ -174,7 +174,11 @@ func Run(spec *Spec, l Launch) error {
 		return fmt.Errorf("kernel %q: %w", spec.Name, err)
 	}
 
-	r := &ndrange{
+	// The launch state lives exactly as long as this call — runPool's
+	// workers have exited before it returns — so it is pooled.
+	r := ndranges.Get().(*ndrange)
+	defer r.release()
+	*r = ndrange{
 		spec:     spec,
 		args:     l.Args,
 		hasLocal: hasLocal,
@@ -256,6 +260,15 @@ type ndrange struct {
 	hasLocal              bool
 	groups, global, local [3]int
 	callerItem            Item // the scratch Item of a launch run by its caller
+}
+
+// ndranges pools launch state between Run calls.
+var ndranges = sync.Pool{New: func() any { return new(ndrange) }}
+
+// release clears r, so the pool pins no spec or argument, and returns it.
+func (r *ndrange) release() {
+	*r = ndrange{}
+	ndranges.Put(r)
 }
 
 // runGroup executes all work-items of the group with linear index gi and

@@ -318,8 +318,12 @@ func TestInlineRunRecoversPerGroup(t *testing.T) {
 }
 
 // TestRunAllocationBudget: a launch without local memory that its caller
-// runs allocates the launch state, once, however many groups it has.
+// runs allocates nothing, however many groups it has: its launch state
+// comes from a pool.
 func TestRunAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
+	}
 	spec := &Spec{Name: "incr", Func: func(it *Item, args []Arg) { args[0].Float32s()[it.GlobalID(0)]++ }}
 	for _, l := range []Launch{
 		{Global: []int{8, 8}, Local: []int{8, 8}, Args: []Arg{BufferArg(make([]byte, 4*64))}, Workers: 4},
@@ -329,8 +333,8 @@ func TestRunAllocationBudget(t *testing.T) {
 			if err := Run(spec, l); err != nil {
 				t.Fatal(err)
 			}
-		}); got > 1 {
-			t.Errorf("a launch of %v by %v allocates %v objects, want 1", l.Global, l.Local, got)
+		}); got > 0 {
+			t.Errorf("a launch of %v by %v allocates %v objects, want 0", l.Global, l.Local, got)
 		}
 	}
 }

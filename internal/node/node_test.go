@@ -233,6 +233,55 @@ func TestErrorPaths(t *testing.T) {
 	callErr(t, s, &protocol.FinishQueueReq{QueueID: 9999}, protocol.CodeUnknownObject)
 }
 
+// TestHostileNDRangeRefused: a launch decodes its NDRange into storage for
+// 3+3 dimensions inside its command. Longer ones — which no host sends —
+// decode into fresh slices and are refused with the executor's error, and
+// wait lists longer than the command's inline storage still resolve.
+func TestHostileNDRangeRefused(t *testing.T) {
+	n := testNode(t)
+	s := openSession(t, n, "alice")
+	ctxID, queueID, kernelID := buildPipeline(t, s)
+	buf := call(t, s, &protocol.CreateBufferReq{ContextID: ctxID, Size: 64}, &protocol.ObjectResp{})
+	args := []protocol.KernelArg{
+		{Kind: protocol.ArgBuffer, BufferID: buf.ID},
+		{Kind: protocol.ArgScalar, Scalar: kernel.EncodeScalar(int32(8))},
+	}
+	for _, r := range []struct {
+		global, local []int64
+		want          string
+	}{
+		{[]int64{8, 1, 1, 1}, nil, "4 dimensions"},
+		{[]int64{8}, []int64{1, 1, 1, 1, 1, 1, 1}, "7 dimensions"},
+		{[]int64{8, 1, 1, 1, 1, 1, 1, 1}, []int64{8, 1, 1, 1, 1, 1, 1, 1}, "8 dimensions"},
+	} {
+		_, err := s.HandleCall(protocol.OpEnqueueKernel, protocol.EncodeMessage(&protocol.EnqueueKernelReq{
+			QueueID: queueID, KernelID: kernelID, Global: r.global, Local: r.local, Args: args,
+		}))
+		var re *protocol.RemoteError
+		if !errors.As(err, &re) || re.Code != protocol.CodeLaunchFailed || !strings.Contains(err.Error(), "invalid NDRange: "+r.want) {
+			t.Fatalf("launch over %v by %v: err = %v, want a launch failure for %s", r.global, r.local, err, r.want)
+		}
+	}
+
+	var waits []int64
+	for i := 0; i < 6; i++ {
+		ev := call(t, s, &protocol.WriteBufferReq{QueueID: queueID, BufferID: buf.ID,
+			Data: mem.F32Bytes([]float32{float32(i)}), EventID: uint64(100 + i)}, &protocol.EventResp{})
+		waits = append(waits, int64(ev.EventID))
+	}
+	launch := call(t, s, &protocol.EnqueueKernelReq{
+		QueueID: queueID, KernelID: kernelID, Global: []int64{8, 1, 1}, Local: []int64{4, 1, 1},
+		Args: args, EventID: 200, WaitEvents: waits,
+	}, &protocol.EventResp{})
+	if launch.EventID != 200 {
+		t.Fatalf("launch event %d, want 200", launch.EventID)
+	}
+	rd := call(t, s, &protocol.ReadBufferReq{QueueID: queueID, BufferID: buf.ID, Size: 4}, &protocol.ReadBufferResp{})
+	if got := mem.BytesF32(rd.Data)[0]; got != 10 {
+		t.Fatalf("after the launch float 0 = %v, want 10 (the last write, doubled)", got)
+	}
+}
+
 func TestReleaseSemantics(t *testing.T) {
 	n := testNode(t)
 	s := openSession(t, n, "alice")

@@ -96,20 +96,22 @@ type kernelObj struct {
 // as an unclaimed placeholder by a wait-list lookup that ran ahead of the
 // creating command; waiters block on done either way.
 type eventObj struct {
-	id      uint64
+	// resp is the event's ID and, once done is closed, its profile: the
+	// response a completed enqueue command returns, so that the command
+	// need not carry one of its own.
+	resp    protocol.EventResp
 	claimed bool          // guarded by Session.mu
 	done    chan struct{} // closed on completion or failure
-	profile protocol.Profile
 	err     error
 }
 
 func newEvent(id uint64) *eventObj {
-	return &eventObj{id: id, done: make(chan struct{})}
+	return &eventObj{resp: protocol.EventResp{EventID: id}, done: make(chan struct{})}
 }
 
 // complete publishes the command's profile and wakes every waiter.
 func (e *eventObj) complete(p protocol.Profile) {
-	e.profile = p
+	e.resp.Profile = p
 	close(e.done)
 }
 

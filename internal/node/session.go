@@ -282,12 +282,12 @@ func (s *Session) awaitDeadline(events []*eventObj) (vtime.Time, error) {
 		case <-e.done:
 		case <-s.closedCh:
 			return 0, remoteErr(protocol.CodeBadRequest,
-				"session closed while waiting for event %d", e.id)
+				"session closed while waiting for event %d", e.resp.EventID)
 		}
 		if e.err != nil {
-			return 0, remoteErr(errCode(e.err), "wait event %d: %v", e.id, e.err)
+			return 0, remoteErr(errCode(e.err), "wait event %d: %v", e.resp.EventID, e.err)
 		}
-		if end := vtime.Time(e.profile.End); end > deadline {
+		if end := vtime.Time(e.resp.Profile.End); end > deadline {
 			deadline = end
 		}
 	}
@@ -354,23 +354,24 @@ func (s *Session) HandleCallAsync(op protocol.Op, body []byte, done func(protoco
 // command is one registered request, ready for its lane: exec runs it and
 // returns the response. A request is one allocation from registration to
 // reply — its command holds the decoded message, every object the message
-// names and the response — and belongs to the request alone: the response
-// exec returns is encoded by done before the lane moves on, and nothing
-// keeps the command afterwards.
+// names and, itself or in its completion event, the response — and belongs
+// to the request alone: the response exec returns is encoded by done
+// before the lane moves on, and nothing keeps the command afterwards.
 type command interface {
 	exec() (protocol.Message, error)
 }
 
 // queueCmd is what every enqueue command carries: the session, the target
-// queue, the completion event claimed at registration, the resolved wait
-// list (in waitArr unless it is unusually long) and the response.
+// queue, the completion event claimed at registration (which holds the
+// response) and the wait list as decoded (in waitIDs) and resolved (in
+// waitArr), both inline unless it is unusually long.
 type queueCmd struct {
 	s       *Session
 	q       *queueObj
 	ev      *eventObj
 	waits   []*eventObj
 	waitArr [4]*eventObj
-	resp    protocol.EventResp
+	waitIDs [4]int64
 }
 
 // register claims the command's completion event and resolves its target
@@ -407,8 +408,7 @@ func (c *queueCmd) resolve(err error, waitIDs []int64, strictWaits bool) error {
 // to the host through the response.
 func (c *queueCmd) completed(prof protocol.Profile) (protocol.Message, error) {
 	c.ev.complete(prof)
-	c.resp = protocol.EventResp{EventID: c.ev.id, Profile: prof}
-	return &c.resp, nil
+	return &c.ev.resp, nil
 }
 
 type (
@@ -433,6 +433,11 @@ type (
 		req  protocol.EnqueueKernelReq
 		k    *kernelObj
 		args []kernel.Arg
+		// dims backs the decoded NDRange (global, then local) and ndrange
+		// its conversion in exec, for the 3+3 dimensions a launch can
+		// have; a hostile longer one gets fresh slices and is refused.
+		dims    [6]int64
+		ndrange [6]int
 	}
 	pushCmd struct {
 		queueCmd
@@ -495,6 +500,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 	switch op {
 	case protocol.OpWriteBuffer:
 		c := new(writeCmd)
+		c.req.WaitEvents = c.waitIDs[:0]
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
 			return 0, nil, err
 		}
@@ -511,6 +517,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 		return c.req.QueueID, c, nil
 	case protocol.OpReadBuffer:
 		c := new(readCmd)
+		c.req.WaitEvents = c.waitIDs[:0]
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
 			return 0, nil, err
 		}
@@ -527,6 +534,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 		return c.req.QueueID, c, nil
 	case protocol.OpCopyBuffer:
 		c := new(copyCmd)
+		c.req.WaitEvents = c.waitIDs[:0]
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
 			return 0, nil, err
 		}
@@ -549,6 +557,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 		return c.req.QueueID, c, nil
 	case protocol.OpEnqueueKernel:
 		c := new(kernelCmd)
+		c.req.Global, c.req.Local, c.req.WaitEvents = c.dims[:0:3], c.dims[3:3], c.waitIDs[:0]
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
 			return 0, nil, err
 		}
@@ -565,6 +574,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 		return c.req.QueueID, c, nil
 	case protocol.OpPushRange:
 		c := new(pushCmd)
+		c.req.WaitEvents = c.waitIDs[:0]
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
 			return 0, nil, err
 		}
@@ -584,6 +594,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 		return c.req.QueueID, c, nil
 	case protocol.OpAwaitPush:
 		c := new(awaitCmd)
+		c.req.WaitEvents = c.waitIDs[:0]
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
 			return 0, nil, err
 		}
@@ -911,7 +922,7 @@ func (c *readCmd) exec() (protocol.Message, error) {
 		Queued: req.SimArrival, Submit: int64(arrival), Start: int64(start), End: int64(end),
 	}
 	c.ev.complete(prof)
-	c.data = protocol.ReadBufferResp{Data: out, EventID: c.ev.id, Profile: prof, Pooled: pooled}
+	c.data = protocol.ReadBufferResp{Data: out, EventID: c.ev.resp.EventID, Profile: prof, Pooled: pooled}
 	return &c.data, nil
 }
 
@@ -1080,13 +1091,12 @@ func (c *kernelCmd) exec() (protocol.Message, error) {
 		return nil, s.failCommand(ev, err)
 	}
 
-	global := make([]int, len(req.Global))
-	for i, g := range req.Global {
-		global[i] = int(g)
+	global, local := c.ndrange[:0:3], c.ndrange[3:3]
+	for _, g := range req.Global {
+		global = append(global, int(g))
 	}
-	local := make([]int, len(req.Local))
-	for i, l := range req.Local {
-		local[i] = int(l)
+	for _, l := range req.Local {
+		local = append(local, int(l))
 	}
 	g3, _, err := kernel.NormalizeRange(global, local)
 	if err != nil {
@@ -1137,7 +1147,7 @@ func (s *Session) handleQueryEvent(body []byte) (protocol.Message, error) {
 		if e.err != nil {
 			return nil, remoteErr(errCode(e.err), "event %d failed: %v", req.EventID, e.err)
 		}
-		return &protocol.QueryEventResp{Complete: true, Profile: e.profile}, nil
+		return &protocol.QueryEventResp{Complete: true, Profile: e.resp.Profile}, nil
 	default:
 		// The command is still executing on its lane (impossible under the
 		// old FIFO, where queries could only arrive after execution).

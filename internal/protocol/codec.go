@@ -43,15 +43,24 @@ func walk[T any](c *codec, v *T, n int, enc func(*Encoder, T), dec func(*Decoder
 
 // The codec's primitives mirror the Encoder's and Decoder's. A one-byte
 // enum walks as U8 through a pointer conversion.
-func (c *codec) U8(v *uint8)     { walk(c, v, 1, (*Encoder).U8, (*Decoder).U8) }
-func (c *codec) U32(v *uint32)   { walk(c, v, 4, (*Encoder).U32, (*Decoder).U32) }
-func (c *codec) U64(v *uint64)   { walk(c, v, 8, (*Encoder).U64, (*Decoder).U64) }
-func (c *codec) I64(v *int64)    { walk(c, v, 8, (*Encoder).I64, (*Decoder).I64) }
-func (c *codec) F64(v *float64)  { walk(c, v, 8, (*Encoder).F64, (*Decoder).F64) }
-func (c *codec) Bool(v *bool)    { walk(c, v, 1, (*Encoder).Bool, (*Decoder).Bool) }
-func (c *codec) Str(v *string)   { walk(c, v, 4+len(*v), (*Encoder).Str, (*Decoder).Str) }
-func (c *codec) Blob(v *[]byte)  { walk(c, v, 4+len(*v), (*Encoder).Blob, (*Decoder).Blob) }
-func (c *codec) Ints(v *[]int64) { walk(c, v, 4+8*len(*v), (*Encoder).Ints, (*Decoder).Ints) }
+func (c *codec) U8(v *uint8)    { walk(c, v, 1, (*Encoder).U8, (*Decoder).U8) }
+func (c *codec) U32(v *uint32)  { walk(c, v, 4, (*Encoder).U32, (*Decoder).U32) }
+func (c *codec) U64(v *uint64)  { walk(c, v, 8, (*Encoder).U64, (*Decoder).U64) }
+func (c *codec) I64(v *int64)   { walk(c, v, 8, (*Encoder).I64, (*Decoder).I64) }
+func (c *codec) F64(v *float64) { walk(c, v, 8, (*Encoder).F64, (*Decoder).F64) }
+func (c *codec) Bool(v *bool)   { walk(c, v, 1, (*Encoder).Bool, (*Decoder).Bool) }
+func (c *codec) Str(v *string)  { walk(c, v, 4+len(*v), (*Encoder).Str, (*Decoder).Str) }
+func (c *codec) Blob(v *[]byte) { walk(c, v, 4+len(*v), (*Encoder).Blob, (*Decoder).Blob) }
+
+// Ints decodes into the capacity *v already has when it holds the count,
+// as list does: the node presets its commands' wait IDs and NDRange.
+func (c *codec) Ints(v *[]int64) {
+	if c.mode == decoding {
+		*v = c.Decoder.intsInto(*v)
+		return
+	}
+	walk(c, v, 4+8*len(*v), (*Encoder).Ints, (*Decoder).Ints)
+}
 
 // PooledBlob walks a payload that may live in a pooled buffer; see
 // Encoder.PooledBlob. pooled never travels, so a decoder leaves it alone.
@@ -96,14 +105,23 @@ var (
 // list walks a counted list: a uint32 count, then each element. A decoder
 // allocates for a count only once the body still holds count × l.min
 // bytes, so a lying count costs no more memory than the frame that carries
-// it. An empty list decodes to nil.
+// it. An empty list decodes to nil. A destination whose capacity holds the
+// count is decoded into, not replaced, so a receiver that presets storage
+// decodes without allocating; a fresh message (nil, no capacity) behaves
+// as if there were no such rule.
 func list[T any](c *codec, s *[]T, l listOf[T]) {
 	n := uint32(len(*s))
 	c.U32(&n)
 	if c.mode == decoding {
+		dst := (*s)[:0]
 		*s = nil
 		if n > 0 && c.Need(int(n)*l.min) {
-			*s = make([]T, n)
+			if cap(dst) >= int(n) {
+				*s = dst[:n]
+				clear(*s)
+			} else {
+				*s = make([]T, n)
+			}
 		}
 	}
 	for i := range *s {

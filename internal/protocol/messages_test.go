@@ -604,6 +604,65 @@ func TestLyingCountAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestDecodeIntoPresetCapacity: Ints and list decode into the capacity a
+// destination already has when it holds the count — the node presets its
+// commands' wait IDs and NDRange — and into a fresh slice when it does not,
+// writing nothing past the preset. An empty list still decodes to nil.
+func TestDecodeIntoPresetCapacity(t *testing.T) {
+	in := &EnqueueKernelReq{
+		QueueID: 1, KernelID: 2, EventID: 3,
+		Global: []int64{8, 4},
+		Local:  []int64{2, 2, 1, 9},
+		Args:   []KernelArg{{Kind: ArgBuffer, BufferID: 7}, {Kind: ArgScalar, Scalar: []byte{1, 2, 3, 4}}},
+	}
+	body := EncodeMessage(in)
+
+	var dims [8]int64
+	for i := range dims {
+		dims[i] = -1
+	}
+	args := [3]KernelArg{{Kind: ArgLocal, LocalLen: 99}, {Scalar: []byte{9}}, {Kind: ArgLocal, LocalLen: 5}}
+	out := EnqueueKernelReq{Global: dims[0:0:3], Local: dims[3:3:6], Args: args[:0:2], WaitEvents: dims[6:6:8]}
+	if err := DecodeMessage(&out, body); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&out, in) {
+		t.Fatalf("decoded %+v, want %+v", out, *in)
+	}
+	if &out.Global[0] != &dims[0] || &out.Args[0] != &args[0] {
+		t.Fatal("a list that fits its destination's capacity was decoded into fresh storage")
+	}
+	if &out.Local[0] == &dims[3] {
+		t.Fatal("4 values were decoded into a capacity of 3")
+	}
+	if out.WaitEvents != nil {
+		t.Fatalf("an empty list decoded to %#v, want nil", out.WaitEvents)
+	}
+	for i, want := range []int64{8, 4, -1, -1, -1, -1, -1, -1} {
+		if dims[i] != want {
+			t.Fatalf("dims[%d] = %d after decoding, want %d: the decoder wrote past a preset", i, dims[i], want)
+		}
+	}
+	if args[2].Kind != ArgLocal || args[2].LocalLen != 5 {
+		t.Fatalf("args[2] = %+v after decoding: the decoder wrote past a preset", args[2])
+	}
+
+	// Decoding into storage that holds everything allocates nothing.
+	if raceEnabled {
+		return // sync.Pool drops some of what it is given: the codec may be new
+	}
+	var wide [16]int64
+	var wideArgs [2]KernelArg
+	if got := testing.AllocsPerRun(50, func() {
+		out = EnqueueKernelReq{Global: wide[0:0:3], Local: wide[3:3:8], Args: wideArgs[:0], WaitEvents: wide[8:8]}
+		if err := DecodeMessage(&out, body); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("decoding into preset storage allocates %v objects, want 0", got)
+	}
+}
+
 func TestRemoteError(t *testing.T) {
 	err := &RemoteError{Op: OpBuildProgram, Code: CodeBuildFailed, Message: "no kernel"}
 	if !errors.Is(err, ErrRemote) {

@@ -524,7 +524,11 @@ func (d *Decoder) Blob() []byte {
 
 // Ints reads a length-prefixed slice of int64 values; zero-length slices
 // decode to nil.
-func (d *Decoder) Ints() []int64 {
+func (d *Decoder) Ints() []int64 { return d.intsInto(nil) }
+
+// intsInto is Ints decoding into dst's capacity when it holds the count,
+// and into a fresh slice otherwise: it never writes past cap(dst).
+func (d *Decoder) intsInto(dst []int64) []int64 {
 	n := int(d.U32())
 	if d.err != nil {
 		return nil
@@ -536,7 +540,10 @@ func (d *Decoder) Ints() []int64 {
 		d.fail()
 		return nil
 	}
-	vs := make([]int64, n)
+	if cap(dst) < n {
+		dst = make([]int64, n)
+	}
+	vs := dst[:n]
 	for i := range vs {
 		vs[i] = d.I64()
 	}
