@@ -13,24 +13,22 @@
 //	haocl-bench -exp pipeline   # async pipelining: sync vs pipelined enqueue
 //	haocl-bench -exp chaos      # fault tolerance: crash, re-placement and rejoin overhead
 //	haocl-bench -exp serve      # multi-tenant serving: fair-share vs FIFO admission
-//	haocl-bench -exp serve-trace  # trace-sized serve run (the committed BENCH_trace.json)
+//	haocl-bench -exp serve-trace  # trace-sized serve run
 //	haocl-bench -exp fig2 -quick  # reduced sweeps
-//	haocl-bench -exp pipeline -json  # machine-readable result (see below for the list)
 //	haocl-bench -exp serve-trace -trace out.json  # export spans as Perfetto JSON
 //	haocl-bench -exp serve -cpuprofile cpu.out -memprofile mem.out  # profile the runtime itself
 //
-// All reported durations are virtual time from the calibrated device and
-// network models; see DESIGN.md §1 for the methodology. The -json output
-// of the pipeline, chaos and serve experiments is the format committed as
-// the BENCH_*.json perf baselines at the repository root and uploaded as a
-// CI artifact by the bench-smoke job.
+// Every printed figure is virtual time from the calibrated device and
+// network models (DESIGN.md §1), so a run prints the same bytes on any
+// machine; an experiment whose result breaks the invariant it exists to
+// show fails instead of printing it. The full output of every experiment
+// is pinned by internal/bench's TestVirtualGolden.
 //
 // -trace records every command's deterministic virtual-time span tree
 // while the experiment runs and writes Chrome trace-event JSON on exit —
 // load it in Perfetto (ui.perfetto.dev) or chrome://tracing. The same
-// seeded experiment exports a byte-identical trace on every run; CI
-// asserts this, and the committed BENCH_trace.json is the serve-trace
-// export (DESIGN.md §10).
+// experiment exports a byte-identical trace on every run; the golden pins
+// the SHA-256 of several experiments' exports (DESIGN.md §10).
 //
 // -cpuprofile and -memprofile profile the process — host runtime and
 // in-process nodes together — on the wall clock, with runtime/pprof, and
@@ -39,7 +37,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -62,7 +59,6 @@ func run(args []string) error {
 	var (
 		exp      = fs.String("exp", "all", "experiment: table1, fig2, hetero, fig3, overhead, ablation, pipeline, chaos, serve, serve-trace, all")
 		quick    = fs.Bool("quick", false, "reduced sweeps for a fast look")
-		jsonOut  = fs.Bool("json", false, "emit the result as JSON (pipeline, chaos, serve and serve-trace)")
 		traceOut = fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
 		cpuOut   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memOut   = fs.String("memprofile", "", "write an allocation profile of the run to this file")
@@ -111,76 +107,17 @@ func run(args []string) error {
 		}()
 	}
 
-	if *jsonOut {
-		var (
-			rep *bench.Report
-			err error
-		)
-		switch *exp {
-		case "pipeline":
-			rep, err = bench.PipelineReport(*quick)
-		case "chaos":
-			rep, err = bench.ChaosReport(*quick)
-		case "serve":
-			rep, err = bench.ServeReport(*quick, 1)
-		case "serve-trace":
-			rep, err = bench.ServeTraceReport(1)
-		default:
-			return fmt.Errorf("-json supports -exp pipeline, chaos, serve and serve-trace, not %q", *exp)
-		}
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
-	}
-
-	opts := bench.DefaultFig2Options()
-	mixes := [][2]int{{2, 1}, {4, 2}, {8, 4}, {16, 4}}
-	if *quick {
-		opts = bench.Fig2Options{
-			GPUCounts:    []int{1, 4, 16},
-			FPGACounts:   []int{1, 4},
-			HeteroMixes:  [][2]int{{4, 2}},
-			SnuCLDCounts: []int{1, 16},
-		}
-		mixes = [][2]int{{2, 1}, {8, 4}}
-	}
-
 	w := os.Stdout
-	runOne := func(name string) error {
-		switch name {
-		case "table1":
-			return bench.Table1(w)
-		case "fig2":
-			return bench.Fig2(w, opts)
-		case "hetero":
-			return bench.Hetero(w, mixes)
-		case "fig3":
-			return bench.Fig3(w)
-		case "overhead":
-			return bench.Overhead(w)
-		case "ablation":
-			return bench.Ablations(w)
-		case "pipeline":
-			return bench.Pipeline(w, *quick)
-		case "chaos":
-			return bench.Chaos(w, *quick)
-		case "serve":
-			return bench.Serve(w, *quick)
-		case "serve-trace":
-			return bench.ServeTrace(w)
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
-		}
-	}
-
 	if *exp != "all" {
-		return runOne(*exp)
+		for _, e := range bench.Experiments {
+			if e.Name == *exp {
+				return e.Run(w, *quick)
+			}
+		}
+		return fmt.Errorf("unknown experiment %q", *exp)
 	}
-	for _, name := range []string{"table1", "overhead", "fig2", "hetero", "fig3", "ablation", "pipeline", "chaos", "serve"} {
-		if err := runOne(name); err != nil {
+	for _, e := range bench.Experiments {
+		if err := e.Run(w, *quick); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)

@@ -35,6 +35,29 @@ import (
 	"github.com/haocl-project/haocl/internal/baseline"
 )
 
+// Experiment is one of haocl-bench's -exp choices. Run prints its rows,
+// over reduced sweeps when quick is set, and fails when a result breaks
+// an invariant the experiment exists to show.
+type Experiment struct {
+	Name string
+	Run  func(w io.Writer, quick bool) error
+}
+
+// Experiments lists every experiment in the order haocl-bench runs them
+// all. TestVirtualGolden runs the same list in its full form.
+var Experiments = []Experiment{
+	{"table1", func(w io.Writer, _ bool) error { return Table1(w) }},
+	{"overhead", func(w io.Writer, _ bool) error { return Overhead(w) }},
+	{"fig2", func(w io.Writer, quick bool) error { return Fig2(w, fig2Options(quick)) }},
+	{"hetero", func(w io.Writer, quick bool) error { return Hetero(w, heteroMixes(quick)) }},
+	{"fig3", func(w io.Writer, _ bool) error { return Fig3(w) }},
+	{"ablation", func(w io.Writer, _ bool) error { return Ablations(w) }},
+	{"pipeline", Pipeline},
+	{"chaos", Chaos},
+	{"serve", Serve},
+	{"serve-trace", func(w io.Writer, _ bool) error { return ServeTrace(w) }},
+}
+
 // Registry builds a kernel registry with every benchmark installed.
 func Registry() *haocl.KernelRegistry {
 	reg := haocl.NewKernelRegistry()

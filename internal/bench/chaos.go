@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"sort"
+	"time"
 
 	clusterpkg "github.com/haocl-project/haocl/internal/cluster"
 	"github.com/haocl-project/haocl/internal/core"
@@ -19,12 +20,12 @@ import (
 
 // This file measures the failure model (DESIGN.md §7): the same seeded
 // workload runs twice — once on a healthy cluster, once with the
-// deterministic failure injector crashing and rejoining
-// nodes mid-stream — and the chaos leg must end with byte-identical
-// buffer contents. The comparison's speedup is the chaos leg's command
-// rate over the healthy leg's: recovery is not free (each crash replays
-// the mutation log onto the survivors), but the overhead must stay
-// bounded, which CI gates through scripts/check_bench.py.
+// deterministic failure injector crashing and rejoining nodes between
+// steps of the stream — and the chaos leg must end with byte-identical
+// buffer contents. Recovery is not free (each crash replays the mutation
+// log onto the survivors), but its overhead must stay bounded: a test
+// holds the chaos leg's wall-clock command rate to at least a third of the
+// healthy leg's.
 
 const chaosKernelSource = `
 __kernel void chaos_incr(__global float* x, const int n) {
@@ -111,9 +112,9 @@ func (cc *chaosBenchCluster) boot(name string) error {
 	return fmt.Errorf("chaos: unknown node %q", name)
 }
 
-func (cc *chaosBenchCluster) kill(name string) {
+func (cc *chaosBenchCluster) kill(name string) error {
 	if !cc.alive[name] {
-		return
+		return nil
 	}
 	for _, ns := range cc.cfg.Nodes {
 		if ns.Name == name {
@@ -122,6 +123,19 @@ func (cc *chaosBenchCluster) kill(name string) {
 	}
 	cc.servers[name].Close()
 	cc.alive[name] = false
+	// Wait until the runtime has seen the crash, so that whether the
+	// stream's next command meets a node known dead does not depend on
+	// when the connection's reader noticed. The runtime notices within
+	// microseconds; ten seconds means it never will.
+	for _, d := range cc.rt.Devices(0) {
+		for i := 0; d.Node().Name() == name && d.Node().Alive(); i++ {
+			if i == 100_000 {
+				return fmt.Errorf("chaos: the runtime never saw %s die", name)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	return nil
 }
 
 func (cc *chaosBenchCluster) restart(name string) error {
@@ -166,8 +180,8 @@ func chaosSizes(quick bool) (nodes, steps, killEvery int) {
 // chaosLeg runs the seeded workload once — writes, kernels, copies,
 // broadcasts and checked reads over three buffers, mirrored host-side —
 // and returns the measured row plus the final buffer bytes. With inj
-// non-nil, every kill point restarts the previous casualty and crashes
-// the nominated victim mid-stream.
+// non-nil, every kill point drains the session, restarts the previous
+// casualty and crashes the nominated victim.
 func chaosLeg(seed int64, nodes, steps int, inj *sim.FailureInjector) (PipelineRow, []byte, error) {
 	legName := "no-failure"
 	if inj != nil {
@@ -183,7 +197,11 @@ func chaosLeg(seed int64, nodes, steps int, inj *sim.FailureInjector) (PipelineR
 
 	rng := rand.New(rand.NewSource(seed))
 	devs := cc.rt.Devices(0)
-	ctx, err := cc.rt.OpenSession("default").CreateContext(devs)
+	sess := cc.rt.OpenSession("default")
+	// Closed ahead of the runtime: a migration's push is answered after the
+	// transfer it feeds, and must be in the trace whichever comes first.
+	defer sess.Close()
+	ctx, err := sess.CreateContext(devs)
 	if err != nil {
 		return row, nil, err
 	}
@@ -220,6 +238,16 @@ func chaosLeg(seed int64, nodes, steps int, inj *sim.FailureInjector) (PipelineR
 		mirror[i] = make([]float32, floats)
 	}
 
+	// quiesce waits until every command of the session has been answered,
+	// the migrations on the nodes' service queues included.
+	quiesce := func() error {
+		for _, q := range queues {
+			if _, err := q.Finish(); err != nil {
+				return err
+			}
+		}
+		return sess.Flush()
+	}
 	randRange := func() (lo, hi int) {
 		lo = rng.Intn(floats)
 		hi = lo + 1 + rng.Intn(floats-lo)
@@ -231,6 +259,12 @@ func chaosLeg(seed int64, nodes, steps int, inj *sim.FailureInjector) (PipelineR
 	for step := 0; step < steps; step++ {
 		if inj != nil {
 			if victim := inj.Tick(); victim != "" {
+				// Membership changes at a quiescent point, so the figures are
+				// a function of the seed alone: with commands in flight, how
+				// many a crash strands depends on how far the nodes got.
+				if err := quiesce(); err != nil {
+					return row, nil, fmt.Errorf("chaos: step %d drain: %w", step, err)
+				}
 				// Rejoin in name order: each restart replays logs and charges
 				// virtual time, so map order would change the reported figures.
 				names := make([]string, 0, len(cc.alive))
@@ -247,7 +281,9 @@ func chaosLeg(seed int64, nodes, steps int, inj *sim.FailureInjector) (PipelineR
 					}
 				}
 				if cc.aliveCount() > 1 {
-					cc.kill(victim)
+					if err := cc.kill(victim); err != nil {
+						return row, nil, err
+					}
 				}
 			}
 		}
@@ -308,16 +344,13 @@ func chaosLeg(seed int64, nodes, steps int, inj *sim.FailureInjector) (PipelineR
 			copy(m, vals)
 		}
 	}
-	for _, q := range queues {
-		if _, err := q.Finish(); err != nil {
-			return row, nil, fmt.Errorf("chaos: finish: %w", err)
-		}
+	if err := quiesce(); err != nil {
+		return row, nil, fmt.Errorf("chaos: finish: %w", err)
 	}
 	wall := sw.elapsed()
 
 	m := cc.rt.Metrics()
 	row.Commands = m.Commands - base.Commands
-	row.WallMS = float64(wall.Microseconds()) / 1000
 	row.CmdsPerSec = float64(row.Commands) / wall.Seconds()
 	row.VirtualSec = m.Makespan.Seconds()
 	row.WireMB = float64(m.WireBytes-base.WireBytes) / (1 << 20)
@@ -340,17 +373,16 @@ func chaosLeg(seed int64, nodes, steps int, inj *sim.FailureInjector) (PipelineR
 	return row, final.Bytes(), nil
 }
 
-// ChaosReport runs the fault-tolerance experiment: a healthy leg and a
-// failure-injected leg of the same seeded workload. The
-// chaos leg must record recoveries, finish byte-identical to the healthy
-// leg (VirtualMatch carries that acceptance bit), and keep its slowdown
-// bounded (Speedup = chaos rate / healthy rate).
-func ChaosReport(quick bool) (*Report, error) {
+// chaosLegs runs the fault-tolerance experiment: a healthy leg and a
+// failure-injected leg of the same seeded workload. The chaos leg must
+// recover at least once, replay commands when it does, and finish
+// byte-identical to the healthy leg.
+func chaosLegs(quick bool) (healthy, chaos PipelineRow, err error) {
 	nodes, steps, killEvery := chaosSizes(quick)
 	const seed = 7
 	healthy, want, err := chaosLeg(seed, nodes, steps, nil)
 	if err != nil {
-		return nil, err
+		return healthy, chaos, err
 	}
 	var names []string
 	for _, ns := range clusterpkg.Synthetic("chaos-bench", 0, nodes, 0, nil).Nodes {
@@ -358,29 +390,16 @@ func ChaosReport(quick bool) (*Report, error) {
 	}
 	inj := sim.NewFailureInjector(seed, names, killEvery)
 	chaos, got, err := chaosLeg(seed, nodes, steps, inj)
-	if err != nil {
-		return nil, err
+	switch {
+	case err != nil:
+	case chaos.Recoveries == 0:
+		err = fmt.Errorf("chaos: the failure-injected leg recorded no recoveries — the injector never bit")
+	case chaos.ReplayedCommands == 0:
+		err = fmt.Errorf("chaos: the failure-injected leg recovered %d times without replaying a command", chaos.Recoveries)
+	case !bytes.Equal(got, want):
+		err = fmt.Errorf("chaos: results diverged from the no-failure leg")
 	}
-	if chaos.Recoveries == 0 {
-		return nil, fmt.Errorf("chaos: the failure-injected leg recorded no recoveries — the injector never bit")
-	}
-	identical := bytes.Equal(got, want)
-	if !identical {
-		return nil, fmt.Errorf("chaos: results diverged from the no-failure leg")
-	}
-	return &Report{
-		Experiment: "chaos",
-		Quick:      quick,
-		Rows:       []PipelineRow{healthy, chaos},
-		Comparisons: []Comparison{{
-			Workload:     healthy.Workload,
-			Baseline:     "no-failure",
-			Mode:         "chaos",
-			Speedup:      chaos.CmdsPerSec / healthy.CmdsPerSec,
-			VirtualMatch: identical,
-			BytesRatio:   chaos.WireMB / healthy.WireMB,
-		}},
-	}, nil
+	return healthy, chaos, err
 }
 
 // Chaos runs the fault-tolerance experiment and prints it.
@@ -389,12 +408,14 @@ func Chaos(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "=== Fault tolerance: crash detection, re-placement, elastic rejoin ===")
 	fmt.Fprintf(w, "(seeded workload over %d nodes, %d steps; the chaos leg crashes a node every %d steps\n",
 		nodes, steps, killEvery)
-	fmt.Fprintln(w, " and rejoins the previous casualty; results must be byte-identical to the healthy leg,")
-	fmt.Fprintln(w, " speedup is the chaos leg's command rate over the healthy leg's — the recovery overhead)")
-	rep, err := ChaosReport(quick)
+	fmt.Fprintln(w, " and rejoins the previous casualty; results must be byte-identical to the healthy leg)")
+	healthy, chaos, err := chaosLegs(quick)
 	if err != nil {
 		return err
 	}
-	printReport(w, rep)
+	fmt.Fprintln(w, healthy)
+	fmt.Fprintln(w, chaos)
+	fmt.Fprintf(w, "%s: %s vs %s (contents identical, %.2fx wire bytes)\n",
+		chaos.Workload, chaos.Mode, healthy.Mode, chaos.WireMB/healthy.WireMB)
 	return nil
 }

@@ -29,6 +29,29 @@ func DefaultFig2Options() Fig2Options {
 	}
 }
 
+// fig2Options is the Fig. 2 sweep haocl-bench runs: the paper's scales,
+// or a reduced sweep for a fast look.
+func fig2Options(quick bool) Fig2Options {
+	if quick {
+		return Fig2Options{
+			GPUCounts:    []int{1, 4, 16},
+			FPGACounts:   []int{1, 4},
+			HeteroMixes:  [][2]int{{4, 2}},
+			SnuCLDCounts: []int{1, 16},
+		}
+	}
+	return DefaultFig2Options()
+}
+
+// heteroMixes is the {gpuNodes, fpgaNodes} sweep of the heterogeneity
+// evaluation.
+func heteroMixes(quick bool) [][2]int {
+	if quick {
+		return [][2]int{{2, 1}, {8, 4}}
+	}
+	return DefaultFig2Options().HeteroMixes
+}
+
 // Fig2Row is one measured series point.
 type Fig2Row struct {
 	App     string

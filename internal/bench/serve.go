@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
-	"time"
 
 	haocl "github.com/haocl-project/haocl"
 	"github.com/haocl-project/haocl/internal/apps/matmul"
@@ -325,14 +325,13 @@ func latenciesByTenant(jobs []*serveJob) map[string][]vtime.Duration {
 }
 
 // serveRow summarizes one (leg, tenant) cell.
-func serveRow(mode, tenant string, lats []vtime.Duration, wall time.Duration) PipelineRow {
+func serveRow(mode, tenant string, lats []vtime.Duration) PipelineRow {
 	return PipelineRow{
 		Workload:     "Serve",
 		Transport:    "mem",
 		Mode:         mode,
 		Tenant:       tenant,
 		Jobs:         int64(len(lats)),
-		WallMS:       float64(wall.Microseconds()) / 1000,
 		P50VirtualMS: percentileMS(lats, 0.50),
 		P99VirtualMS: percentileMS(lats, 0.99),
 	}
@@ -346,35 +345,33 @@ func serveSizes(quick bool) int {
 	return 400
 }
 
-// ServeReport runs the full serve experiment. Tenants light-0 and light-1
-// submit at 10% device utilization each; tenant aggressor submits the same
-// job mix at 10x their rate (100% utilization), overloading the device.
-// Legs:
+// serveP99Bound is the fairness claim: under fair-share a light tenant's
+// p99 stays within this multiple of its solo p99 despite the aggressor,
+// and under FIFO it must exceed it, or the aggressor exerted no
+// contention and the bound proves nothing.
+const serveP99Bound = 3.0
+
+// serveRatio is one light tenant's p99 under an admission mode over its
+// solo p99 (>1 = worse than solo).
+type serveRatio struct {
+	tenant, mode string
+	ratio        float64
+}
+
+// runServe runs the serve legs at the given per-light-tenant job count.
+// Tenants light-0 and light-1 submit at 10% device utilization each;
+// tenant aggressor submits the same job mix at 10x their rate (100%
+// utilization), overloading the device. Legs:
 //
 //	solo — each light tenant alone on the cluster (its baseline p99);
 //	fifo — all three tenants admitted in arrival order;
 //	fair — all three through the weighted DRR queue, then rerun with the
-//	       same seed to prove grant-order and latency determinism.
-func ServeReport(quick bool, seed int64) (*Report, error) {
-	return serveReport("serve", serveSizes(quick), quick, seed)
-}
-
-// ServeTraceReport is the compact serve variant behind the serve-trace
-// experiment: the same legs and admission modes at a handful of jobs per
-// light tenant, sized so its exported trace stays a small committed
-// artifact while still showing per-tenant lane timelines, admission waits
-// and the fair-rerun determinism in Perfetto.
-func ServeTraceReport(seed int64) (*Report, error) {
-	return serveReport("serve-trace", 8, true, seed)
-}
-
-// serveReport runs the serve legs at the given per-light-tenant job count.
-func serveReport(experiment string, jobsPerLight int, quick bool, seed int64) (*Report, error) {
-	rep := &Report{Experiment: experiment, Quick: quick}
-
+//	       same seed, which must reproduce every latency.
+func runServe(jobsPerLight int) ([]PipelineRow, []serveRatio, error) {
+	const seed = 1
 	svcByType, meanSvc, err := calibrate()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Light tenants run the full mix at 10% device utilization each; the
 	// aggressor streams uniform matmul-type jobs at 100% utilization —
@@ -416,7 +413,6 @@ func serveReport(experiment string, jobsPerLight int, quick bool, seed int64) (*
 		makespan vtime.Time
 		arrival0 vtime.Time
 		jobs     int
-		wall     time.Duration
 	}
 	// Every leg gets a fresh cluster: the virtual clocks (NIC, queues,
 	// devices) are global and monotonic within one platform, so reusing it
@@ -442,7 +438,6 @@ func serveReport(experiment string, jobsPerLight int, quick bool, seed int64) (*
 			return nil, err
 		}
 		defer closeLanes(lanes)
-		sw := startStopwatch()
 		var end vtime.Time
 		if fair {
 			end, err = runFair(run, lanes, merged, svcByType, quantum, weights)
@@ -457,21 +452,21 @@ func serveReport(experiment string, jobsPerLight int, quick bool, seed int64) (*
 			makespan: end,
 			arrival0: merged[0].arrival,
 			jobs:     len(merged),
-			wall:     sw.elapsed(),
 		}, nil
 	}
 
 	// Solo baselines: each light tenant alone on its own cluster, FIFO
 	// over its own arrivals.
+	var rows []PipelineRow
 	soloP99 := make(map[string]float64)
 	for _, t := range tenants[:2] {
 		res, err := runLeg(false, []serveTenant{t})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		row := serveRow("solo", t.name, res.byTenant[t.name], res.wall)
+		row := serveRow("solo", t.name, res.byTenant[t.name])
 		soloP99[t.name] = row.P99VirtualMS
-		rep.Rows = append(rep.Rows, row)
+		rows = append(rows, row)
 	}
 
 	legs := []struct {
@@ -482,100 +477,85 @@ func serveReport(experiment string, jobsPerLight int, quick bool, seed int64) (*
 	for _, leg := range legs {
 		res, err := runLeg(leg.fair, tenants)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		results[leg.mode] = res
 		for _, name := range names {
-			rep.Rows = append(rep.Rows, serveRow(leg.mode, name, res.byTenant[name], res.wall))
+			rows = append(rows, serveRow(leg.mode, name, res.byTenant[name]))
 		}
 		// Aggregate row carries the leg's saturation throughput.
 		var all []vtime.Duration
 		for _, name := range names {
 			all = append(all, res.byTenant[name]...)
 		}
-		agg := serveRow(leg.mode, "all", all, res.wall)
+		agg := serveRow(leg.mode, "all", all)
 		agg.JobsPerVirtSec = float64(res.jobs) / vtime.Duration(res.makespan-res.arrival0).Seconds()
 		agg.VirtualSec = res.makespan.Seconds()
-		rep.Rows = append(rep.Rows, agg)
+		rows = append(rows, agg)
 	}
 
-	// Light-tenant p99 vs solo, per admission mode: Speedup holds the
-	// ratio (>1 = worse than solo). Fair-share must bound it; FIFO must
-	// show the aggressor blowing it up.
+	// Determinism: the fair rerun must reproduce every latency exactly.
+	for _, name := range names {
+		a, b := results["fair"].byTenant[name], results["fair-rerun"].byTenant[name]
+		if !slices.Equal(a, b) {
+			return nil, nil, fmt.Errorf("serve: %s latencies diverged between the fair leg and its rerun", name)
+		}
+	}
+	var ratios []serveRatio
 	for _, mode := range []string{"fifo", "fair"} {
 		for _, t := range tenants[:2] {
 			p99 := percentileMS(results[mode].byTenant[t.name], 0.99)
-			rep.Comparisons = append(rep.Comparisons, Comparison{
-				Workload: t.name,
-				Baseline: "solo",
-				Mode:     mode,
-				Speedup:  p99 / soloP99[t.name],
-			})
+			ratios = append(ratios, serveRatio{t.name, mode, p99 / soloP99[t.name]})
 		}
 	}
-	// Determinism: the fair rerun must reproduce every latency exactly.
-	match := true
-	for _, name := range names {
-		a, b := results["fair"].byTenant[name], results["fair-rerun"].byTenant[name]
-		if len(a) != len(b) {
-			match = false
-			break
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				match = false
-				break
-			}
-		}
-	}
-	rep.Comparisons = append(rep.Comparisons, Comparison{
-		Workload:     "Serve",
-		Baseline:     "fair",
-		Mode:         "fair-rerun",
-		Speedup:      1,
-		VirtualMatch: match,
-	})
-	return rep, nil
+	return rows, ratios, nil
 }
 
-// Serve runs the multi-tenant serve experiment and prints the rows.
+// Serve runs the multi-tenant serve experiment and prints the rows. It
+// fails unless fair-share holds each light tenant's p99 within
+// serveP99Bound of its solo p99 and FIFO does not.
 func Serve(w io.Writer, quick bool) error {
 	jobs := serveSizes(quick)
 	fmt.Fprintln(w, "=== Multi-tenant serving: fair-share vs FIFO admission under a 10x aggressor ===")
 	fmt.Fprintf(w, "(2 light tenants at 10%% utilization x %d jobs each + 1 aggressor at 100%% utilization,\n", jobs)
 	fmt.Fprintln(w, " seeded Poisson arrivals on one shared GPU; latencies are virtual time from arrival)")
-	rep, err := ServeReport(quick, 1)
+	rows, ratios, err := runServe(jobs)
 	if err != nil {
 		return err
 	}
-	printServeReport(w, rep)
+	printServe(w, rows, ratios)
+	for _, r := range ratios {
+		if r.mode == "fair" && r.ratio > serveP99Bound {
+			return fmt.Errorf("serve: %s fair-share p99 %.2fx solo exceeds the %.0fx bound", r.tenant, r.ratio, serveP99Bound)
+		}
+		if r.mode == "fifo" && r.ratio < serveP99Bound {
+			return fmt.Errorf("serve: %s FIFO p99 only %.2fx solo: the aggressor exerted no contention", r.tenant, r.ratio)
+		}
+	}
 	return nil
 }
 
-// ServeTrace runs the trace-sized serve variant and prints its rows.
+// ServeTrace runs the compact serve variant: the same legs and admission
+// modes at 8 jobs per light tenant, sized so its exported trace stays
+// small while still showing per-tenant lane timelines, admission waits and
+// the fair-rerun determinism in Perfetto. Too few jobs for the p99 bound
+// to mean anything, so only the rerun is checked.
 func ServeTrace(w io.Writer) error {
 	fmt.Fprintln(w, "=== Serve (trace-sized): fair-share vs FIFO at 8 jobs per light tenant ===")
-	rep, err := ServeTraceReport(1)
+	rows, ratios, err := runServe(8)
 	if err != nil {
 		return err
 	}
-	printServeReport(w, rep)
+	printServe(w, rows, ratios)
 	return nil
 }
 
-func printServeReport(w io.Writer, rep *Report) {
-	for _, r := range rep.Rows {
+func printServe(w io.Writer, rows []PipelineRow, ratios []serveRatio) {
+	for _, r := range rows {
 		fmt.Fprintln(w, r)
 	}
-	for _, c := range rep.Comparisons {
-		if c.Mode == "fair-rerun" {
-			verdict := "every latency reproduced exactly"
-			if !c.VirtualMatch {
-				verdict = "LATENCIES DIVERGED ACROSS RERUNS"
-			}
-			fmt.Fprintf(w, "%s: %s vs %s — %s\n", c.Workload, c.Mode, c.Baseline, verdict)
-			continue
-		}
-		fmt.Fprintf(w, "%s: %s p99 latency %.2fx solo\n", c.Workload, c.Mode, c.Speedup)
+	for _, r := range ratios {
+		fmt.Fprintf(w, "%s: %s p99 latency %.2fx solo\n", r.tenant, r.mode, r.ratio)
 	}
+	fmt.Fprintln(w, "Serve: fair-rerun vs fair — every latency reproduced exactly")
 }

@@ -259,6 +259,7 @@ func (rt *Runtime) recoverOnce() (bool, error) {
 	// tenant's own metrics count it too.
 	totalReplayed := 0
 	var replayErr error
+	spans := make([]trace.Span, 0, len(affected))
 	for _, s := range affected {
 		s.mu.Lock()
 		replayFrom := s.metrics.Makespan
@@ -268,15 +269,11 @@ func (rt *Runtime) recoverOnce() (bool, error) {
 		s.mu.Lock()
 		s.metrics.Recoveries++
 		s.metrics.ReplayedCommands += int64(replayed)
-		replayTo := s.metrics.Makespan
 		s.mu.Unlock()
-		// One recovery span per affected session: the makespan interval
-		// the replay advanced through, tagged with the entry count.
-		s.traceRun().Add(trace.Span{
+		spans = append(spans, trace.Span{
 			Kind:   trace.KindRecovery,
 			Tenant: s.tenant,
 			Start:  replayFrom,
-			End:    replayTo,
 			Bytes:  int64(replayed),
 			Replay: true,
 		})
@@ -285,6 +282,19 @@ func (rt *Runtime) recoverOnce() (bool, error) {
 			break
 		}
 	}
+	// One recovery span per replayed session: the makespan interval the
+	// replay advanced through, tagged with the entry count. The end is read
+	// on return, once the replayed commands have settled; read as replayLog
+	// returns, it would depend on how far the nodes had got.
+	defer func() {
+		for i, sp := range spans {
+			s := affected[i]
+			s.mu.Lock()
+			sp.End = s.metrics.Makespan
+			s.mu.Unlock()
+			s.traceRun().Add(sp)
+		}
+	}()
 	rt.mu.Lock()
 	rt.metrics.Recoveries++
 	rt.metrics.ReplayedCommands += int64(totalReplayed)

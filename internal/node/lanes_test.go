@@ -366,12 +366,25 @@ func TestWaitListIDValidation(t *testing.T) {
 		QueueID: queueID, BufferID: buf.ID, Data: data, EventID: 55,
 	}, protocol.CodeBadRequest)
 
-	// The synchronous path resolves wait lists strictly: an ID nothing has
-	// registered is the pre-lane "unknown event" error, not a parked
-	// goroutine (only the async lane path may block on future arrivals).
-	callErr(t, s, &protocol.WriteBufferReq{
-		QueueID: queueID, BufferID: buf.ID, Data: data, WaitEvents: []int64{777},
-	}, protocol.CodeUnknownObject)
+	// A direct call takes the lane path: a wait on an ID nothing has
+	// registered parks — the claiming command may still be on its way —
+	// until the session closes, and then fails.
+	errc := make(chan error, 1)
+	go func() {
+		_, err := s.HandleCall(protocol.OpWriteBuffer, protocol.EncodeMessage(&protocol.WriteBufferReq{
+			QueueID: queueID, BufferID: buf.ID, Data: data, WaitEvents: []int64{777},
+		}))
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		t.Fatalf("wait on unregistered event 777 returned before close: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	s.Close()
+	if err := <-errc; err == nil || !strings.Contains(err.Error(), "session closed") {
+		t.Fatalf("parked call after close: %v, want a session closed error", err)
+	}
 }
 
 // TestFailedDependencyCascades checks that a command whose creating

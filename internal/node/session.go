@@ -234,18 +234,15 @@ func (s *Session) registerEvent(id uint64) (*eventObj, error) {
 // are rejected up front — a zero or negative ID would otherwise wrap
 // through the uint64 cast and surface as a misleading "unknown event".
 //
-// In lane mode (strict=false) an ID with no record yet becomes an
-// unclaimed placeholder the waiter blocks on: the creating command may
-// legitimately still be ahead in another driver's registration. The flip
-// side is that waiting on an ID nothing will ever claim — e.g. an event
-// the host already released — parks the lane until session close;
-// distinguishing "future" from "never" would take an unbounded tombstone
-// table, and waiting on a released event is undefined in OpenCL too. In
-// strict mode (the synchronous HandleCall path, where registration and
-// execution are one step and nothing concurrent can still claim the ID)
-// an unclaimed ID is the pre-lane "unknown event" error — not a hang. The
-// records are appended to events, the command's own storage.
-func (s *Session) resolveWaits(events []*eventObj, ids []int64, strict bool) ([]*eventObj, error) {
+// An ID with no record yet becomes an unclaimed placeholder the waiter
+// blocks on: the creating command may legitimately still be ahead in
+// another driver's registration. The flip side is that waiting on an ID
+// nothing will ever claim — e.g. an event the host already released —
+// parks the lane until session close; distinguishing "future" from
+// "never" would take an unbounded tombstone table, and waiting on a
+// released event is undefined in OpenCL too. The records are appended to
+// events, the command's own storage.
+func (s *Session) resolveWaits(events []*eventObj, ids []int64) ([]*eventObj, error) {
 	for _, id := range ids {
 		if id <= 0 {
 			return nil, remoteErr(protocol.CodeBadRequest, "invalid wait-list event ID %d", id)
@@ -255,15 +252,11 @@ func (s *Session) resolveWaits(events []*eventObj, ids []int64, strict bool) ([]
 			s.events = make(map[uint64]*eventObj)
 		}
 		e := s.events[uint64(id)]
-		if e == nil && !strict {
+		if e == nil {
 			e = newEvent(uint64(id))
 			s.events[uint64(id)] = e
 		}
-		claimed := e != nil && e.claimed
 		s.mu.Unlock()
-		if strict && !claimed {
-			return nil, remoteErr(protocol.CodeUnknownObject, "unknown event %d", id)
-		}
 		events = append(events, e)
 	}
 	return events, nil
@@ -324,24 +317,30 @@ func checkRange(what string, off, n, size int64) error {
 	return nil
 }
 
-// HandleCall implements transport.Handler: registration plus inline
-// execution in the caller's goroutine. Direct session drivers (tests,
-// tools) use it; the transport prefers HandleCallAsync. Wait lists are
-// resolved strictly — an unregistered ID errors instead of parking the
-// caller's goroutine on an edge nothing concurrent will complete.
+// HandleCall implements transport.Handler for direct session drivers
+// (tests, tools): it submits through HandleCallAsync and waits for the
+// response, so a direct call takes the transport's one path — including
+// a wait on an ID nothing has registered, which parks until the command
+// that claims it runs or the session closes.
 func (s *Session) HandleCall(op protocol.Op, body []byte) (protocol.Message, error) {
-	_, cmd, err := s.prepare(op, body, true)
-	if err != nil {
-		return nil, err
-	}
-	return cmd.exec()
+	var (
+		resp protocol.Message
+		err  error
+	)
+	done := make(chan struct{})
+	s.HandleCallAsync(op, body, func(m protocol.Message, e error) {
+		resp, err = m, e
+		close(done)
+	})
+	<-done
+	return resp, err
 }
 
 // HandleCallAsync implements transport.AsyncHandler: the registration
 // stage runs here, in the transport's arrival-order dispatch goroutine,
 // and execution is handed to the command's lane.
 func (s *Session) HandleCallAsync(op protocol.Op, body []byte, done func(protocol.Message, error)) {
-	key, cmd, err := s.prepare(op, body, false)
+	key, cmd, err := s.prepare(op, body)
 	if err != nil {
 		done(nil, err)
 		return
@@ -394,9 +393,9 @@ func (c *queueCmd) register(s *Session, queueID, eventID uint64) error {
 // resolve finishes an enqueue command's registration: err is the outcome
 // of resolving its other objects, and the wait list is resolved last. Any
 // failure fails the command's event.
-func (c *queueCmd) resolve(err error, waitIDs []int64, strictWaits bool) error {
+func (c *queueCmd) resolve(err error, waitIDs []int64) error {
 	if err == nil {
-		c.waits, err = c.s.resolveWaits(c.waitArr[:0], waitIDs, strictWaits)
+		c.waits, err = c.s.resolveWaits(c.waitArr[:0], waitIDs)
 	}
 	if err != nil {
 		return c.s.failCommand(c.ev, err)
@@ -486,8 +485,7 @@ func (c *settledCmd) exec() (protocol.Message, error) { return c.resp, c.err }
 // the lane — is what makes fire-and-forget releases sound: a command
 // registered before a Release arrived holds references and keeps executing,
 // while one registered after deterministically sees the object gone.
-// strictWaits selects how unregistered wait-list IDs resolve (see
-// resolveWaits). Ops with no queue ride the control lane; Release itself is
+// Ops with no queue ride the control lane; Release itself is
 // special-cased to run inline (it is a pure table mutation, and
 // later-arriving commands must observe it deterministically, which only the
 // arrival-ordered registration stage can guarantee).
@@ -496,7 +494,7 @@ func (c *settledCmd) exec() (protocol.Message, error) { return c.resp, c.err }
 // its event deterministically instead of occupying a lane and blocking on
 // wait edges first. Buffer sizes are immutable, so registration-time
 // bounds hold at execution.
-func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64, command, error) {
+func (s *Session) prepare(op protocol.Op, body []byte) (uint64, command, error) {
 	switch op {
 	case protocol.OpWriteBuffer:
 		c := new(writeCmd)
@@ -511,7 +509,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 		if c.buf, err = s.node.objects.buffer(c.req.BufferID); err == nil {
 			err = checkRange("write", c.req.Offset, int64(len(c.req.Data)), c.buf.size)
 		}
-		if err = c.resolve(err, c.req.WaitEvents, strictWaits); err != nil {
+		if err = c.resolve(err, c.req.WaitEvents); err != nil {
 			return 0, nil, err
 		}
 		return c.req.QueueID, c, nil
@@ -528,7 +526,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 		if c.buf, err = s.node.objects.buffer(c.req.BufferID); err == nil {
 			err = checkRange("read", c.req.Offset, c.req.Size, c.buf.size)
 		}
-		if err = c.resolve(err, c.req.WaitEvents, strictWaits); err != nil {
+		if err = c.resolve(err, c.req.WaitEvents); err != nil {
 			return 0, nil, err
 		}
 		return c.req.QueueID, c, nil
@@ -551,7 +549,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 		if err == nil {
 			err = checkRange("copy destination", c.req.DstOffset, c.req.Size, c.dst.size)
 		}
-		if err = c.resolve(err, c.req.WaitEvents, strictWaits); err != nil {
+		if err = c.resolve(err, c.req.WaitEvents); err != nil {
 			return 0, nil, err
 		}
 		return c.req.QueueID, c, nil
@@ -568,7 +566,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 		if c.k, err = s.node.objects.kernel(c.req.KernelID); err == nil {
 			c.args, err = s.buildLaunchArgs(c.k, c.req.Args)
 		}
-		if err = c.resolve(err, c.req.WaitEvents, strictWaits); err != nil {
+		if err = c.resolve(err, c.req.WaitEvents); err != nil {
 			return 0, nil, err
 		}
 		return c.req.QueueID, c, nil
@@ -588,7 +586,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 		// The peer connection is NOT resolved here: dialing is lazy and may
 		// block, and the registration stage must stay non-blocking. A dial
 		// failure surfaces in the lane as this command's sticky error.
-		if err = c.resolve(err, c.req.WaitEvents, strictWaits); err != nil {
+		if err = c.resolve(err, c.req.WaitEvents); err != nil {
 			return 0, nil, err
 		}
 		return c.req.QueueID, c, nil
@@ -605,7 +603,7 @@ func (s *Session) prepare(op protocol.Op, body []byte, strictWaits bool) (uint64
 		if c.buf, err = s.node.objects.buffer(c.req.BufferID); err == nil {
 			err = checkRange("await-push", c.req.Offset, c.req.Size, c.buf.size)
 		}
-		if err = c.resolve(err, c.req.WaitEvents, strictWaits); err != nil {
+		if err = c.resolve(err, c.req.WaitEvents); err != nil {
 			return 0, nil, err
 		}
 		return c.req.QueueID, c, nil

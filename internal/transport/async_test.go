@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -52,6 +53,8 @@ func (h *holdingHandler) HandleCallAsync(op protocol.Op, body []byte, done func(
 			}
 			done(h.respond("release"))
 		}()
+	case "fail":
+		done(nil, errors.New("failed at once"))
 	default:
 		done(h.respond(req.UserID))
 	}
@@ -145,6 +148,72 @@ func TestAsyncEnvelopeCoalescedOutOfOrder(t *testing.T) {
 		}
 		if want := "echo:" + users[i]; hr.NodeName != want {
 			t.Fatalf("sub-frame %d: NodeName %q, want %q", i, hr.NodeName, want)
+		}
+	}
+}
+
+// TestAsyncEnvelopeFailureAnsweredAtOnce: a request that fails is answered
+// the moment it fails, whatever its envelope mates are doing. The host may
+// have to act on the failure before a mate can complete — a failed push is
+// cancelled at its consumer by the host, and a mate may be waiting for
+// that cancel — so holding it for the coalesced envelope can deadlock.
+// Here the mate is held until a request the test sends only once the
+// failure has arrived.
+func TestAsyncEnvelopeFailureAnsweredAtOnce(t *testing.T) {
+	srv := NewStaticServer(&holdingHandler{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	request := func(id uint64, user string) *protocol.Frame {
+		return &protocol.Frame{
+			Kind: protocol.FrameRequest, ReqID: id, Op: protocol.OpHello,
+			Body: protocol.EncodeMessage(&protocol.HelloReq{UserID: user}),
+		}
+	}
+	env, err := protocol.EncodeBatch([]*protocol.Frame{request(1, "hold"), request(2, "fail")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := protocol.WriteFrame(conn, env); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	f, err := protocol.ReadFrame(conn)
+	if err != nil {
+		t.Fatalf("no response while the envelope's other request is held: %v", err)
+	}
+	if f.Kind != protocol.FrameResponse || f.ReqID != 2 || f.Op != protocol.OpError {
+		t.Fatalf("first response: kind %d, req %d, op %s; want the failure of req 2 alone", f.Kind, f.ReqID, f.Op)
+	}
+
+	if err := protocol.WriteFrame(conn, request(3, "release")); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[uint64]bool)
+	for len(seen) < 2 {
+		f, err := protocol.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs := []*protocol.Frame{f}
+		if f.Kind == protocol.FrameBatch {
+			if subs, err = protocol.DecodeBatch(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, sub := range subs {
+			if sub.ReqID != 1 && sub.ReqID != 3 || seen[sub.ReqID] || sub.Op == protocol.OpError {
+				t.Fatalf("unexpected response: req %d, op %s", sub.ReqID, sub.Op)
+			}
+			seen[sub.ReqID] = true
 		}
 	}
 }

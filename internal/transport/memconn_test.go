@@ -8,7 +8,9 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -449,6 +451,48 @@ func TestServerCloseWakesBlockedReplyWriter(t *testing.T) {
 	case <-closed:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Server.Close hung on a reply writer blocked in Write")
+	}
+}
+
+// closeCounter is a handler that counts its Close calls.
+type closeCounter struct{ closed *atomic.Int64 }
+
+func (closeCounter) HandleCall(protocol.Op, []byte) (protocol.Message, error) {
+	return &protocol.EmptyResp{}, nil
+}
+
+func (h closeCounter) Close() error {
+	h.closed.Add(1)
+	return nil
+}
+
+// TestServerCloseWaitsForServeConn races ServeConn against Close: every
+// handler the factory made must be closed by the time Close returns. A
+// ServeConn that counted its goroutines only after releasing the server's
+// lock let a Close in between wait on nothing and return while the session
+// still ran (the race detector also flags the WaitGroup reuse).
+func TestServerCloseWaitsForServeConn(t *testing.T) {
+	for i := 0; i < 5000; i++ {
+		var made, closed atomic.Int64
+		srv := NewServer(func() Handler {
+			made.Add(1)
+			return closeCounter{closed: &closed}
+		})
+		hostEnd, nodeEnd := newMemConnPair()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			_ = srv.ServeConn(nodeEnd) // refused when Close wins
+		}()
+		for j := 0; j < i%8; j++ { // vary which side wins
+			runtime.Gosched()
+		}
+		srv.Close()
+		if m, c := made.Load(), closed.Load(); m != c {
+			t.Fatalf("run %d: Close returned with %d of %d handlers closed", i, c, m)
+		}
+		<-served
+		hostEnd.Close()
 	}
 }
 

@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -631,9 +632,11 @@ func (s *Server) Listen(addr string) (string, error) {
 		return "", ErrClosed
 	}
 	s.ln = ln
+	// Add under mu, after the closed check: a Close that has not yet seen
+	// the listener must still wait for its loop.
+	s.wg.Add(1)
 	s.mu.Unlock()
 
-	s.wg.Add(1)
 	go s.acceptLoop(ln)
 	return ln.Addr().String(), nil
 }
@@ -661,6 +664,9 @@ func (s *Server) ServeConn(conn net.Conn) error {
 		return ErrClosed
 	}
 	s.conns[conn] = struct{}{}
+	// Counted under mu: once the closed check passed, Close's Wait must
+	// cover this connection's goroutines and its handler's Close.
+	s.wg.Add(2)
 	s.mu.Unlock()
 
 	handler := s.factory()
@@ -671,7 +677,6 @@ func (s *Server) ServeConn(conn net.Conn) error {
 	// payload pool, and the reply writer releases each one once its last
 	// request has been answered.
 	frames := make(chan *protocol.Frame, 128)
-	s.wg.Add(2)
 	go func() {
 		defer s.wg.Done()
 		defer close(frames)
@@ -726,8 +731,9 @@ type respEnvelope struct {
 // waits behind another lane's execution — while requests from a Batch
 // envelope are held, as messages, until the whole envelope has completed
 // and then written as one coalesced run (bulk responses inside it still
-// travel alone). Both go through the connection's frameWriter, the same
-// packing and vectored-write function the client side uses. Out-of-order
+// travel alone, and so does a failure, the moment it happens). Both go
+// through the connection's frameWriter, the same packing and
+// vectored-write function the client side uses. Out-of-order
 // completion across envelopes is fine: the client correlates responses by
 // request ID.
 //
@@ -759,12 +765,24 @@ func (w *replyWriter) complete(to replyTo, resp protocol.Message, err error) {
 	out := reply(slot.ReqID, slot.Op, resp, err)
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if err != nil {
+		// A failure is answered at once, alone: the host acts on it — a
+		// failed push is cancelled at its consumer — and the envelope's
+		// other requests may be waiting for exactly that. Its slot is left
+		// empty.
+		_ = w.fw.write(out)
+		out = protocol.Outgoing{}
+	}
 	*slot = out
 	if to.env.remaining--; to.env.remaining == 0 {
-		_ = w.fw.write(to.env.replies...)
+		_ = w.fw.write(slices.DeleteFunc(to.env.replies, answeredAlone)...)
 		to.env.frame.Release()
 	}
 }
+
+// answeredAlone reports an envelope slot whose failure was written on its
+// own.
+func answeredAlone(o protocol.Outgoing) bool { return o.Kind == 0 }
 
 // dispatchLoop hands the connection's requests to the handler strictly in
 // arrival order. A Batch envelope is unpacked in place, in envelope order,

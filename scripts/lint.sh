@@ -29,9 +29,6 @@ go run ./cmd/haoclvet ./...
 echo '>> allocation budgets (no race detector)'
 go test -count=1 -run 'AllocationBudget|ZeroAlloc' ./internal/...
 
-echo '>> bench checker self-tests'
-python3 scripts/check_bench_test.py
-
 # benchmark/ is a Go module of its own: the root module's build, vet and
 # tests never see it, so a signature change that breaks it would otherwise
 # surface only at the next measurement.
