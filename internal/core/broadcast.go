@@ -99,7 +99,8 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 		qid    uint64
 		rb     *remoteBuf
 		chain  []int64
-		svc    *Queue // forwarding source lane (all but the last hop)
+		floor  vtime.Time // what chain imposes beyond its wire waits
+		svc    *Queue     // forwarding source lane (all but the last hop)
 		svcDev *DeviceRef
 		svcID  uint64
 	}
@@ -113,11 +114,11 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 		if err != nil {
 			return nil, err
 		}
-		chain, err := rb.chainWaits(nil)
+		chain, floor, err := rb.chainWaits(nil, 0)
 		if err != nil {
 			return nil, err
 		}
-		h := hop{q: q, dev: dev, qid: qid, rb: rb, chain: chain}
+		h := hop{q: q, dev: dev, qid: qid, rb: rb, chain: chain, floor: floor}
 		if i < len(hops)-1 {
 			// Forwarding rides the node's single service lane so link
 			// bookings stay totally ordered; created here because it is a
@@ -146,7 +147,7 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 		var ev *Event
 		if i == 0 {
 			// First hop crosses the host NIC.
-			wireStart, arrival = c.sess.chargeNIC(b.hostReadyAt, controlMsgBytes+b.modelSize)
+			wireStart, arrival = c.sess.chargeNIC(vtime.Max(b.hostReadyAt, h.floor), controlMsgBytes+b.modelSize)
 			ev = &Event{dev: h.dev, queue: h.q,
 				trace: c.sess.traceCmd(trace.KindBroadcast, h.dev, h.qid, b.modelSize, wireStart, arrival)}
 			id = c.sess.issueEvent(ev, &protocol.WriteBufferReq{
@@ -191,7 +192,7 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 			prev.rb.lastEvent = pushID
 			prev.rb.lastEv = pushEv
 
-			_, awaitCtrl := c.sess.chargeNIC(0, controlMsgBytes)
+			_, awaitCtrl := c.sess.chargeNIC(h.floor, controlMsgBytes)
 			// The hop's wire span is the peer-link flight [prevArrival,
 			// arrival], not the tiny control frame.
 			ev = &Event{dev: h.dev, queue: h.q,

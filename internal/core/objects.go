@@ -781,7 +781,7 @@ func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Eve
 	if err != nil {
 		return nil, err
 	}
-	if localWaits, err = rb.chainWaits(localWaits); err != nil {
+	if localWaits, floor, err = rb.chainWaits(localWaits, floor); err != nil {
 		return nil, err
 	}
 
@@ -844,19 +844,27 @@ func (b *Buffer) ensureResident(node *NodeHandle, lo, hi int64) (*remoteBuf, err
 }
 
 // chainWaits appends the wait-list entry for the replica's last writer to
-// waits (backed by the issuing event's inline array). Reusing a buffer
-// whose chained event was released is refused: the node-side record is
-// gone, so a wire wait on it could never resolve (the pre-lane runtime failed the same sequence with
-// "unknown event"; release events only after the buffer's chain has
-// quiesced at a sync point).
-func (rb *remoteBuf) chainWaits(waits []int64) ([]int64, error) {
-	if rb.lastEvent == 0 {
-		return waits, nil
+// waits (backed by the issuing event's inline array) and returns floor
+// raised to what the chain imposes in virtual time. A chained event that
+// was released has no node-side record left, so it cannot go on the wire:
+// once it is known complete it drops out of the chain, its end folded into
+// the floor as for a cross-node wait, and its failure, if it failed, is
+// the command's. One released while still in flight is refused — nothing
+// could ever resolve a wire wait on it (release events only after the
+// buffer's chain has quiesced at a sync point).
+func (rb *remoteBuf) chainWaits(waits []int64, floor vtime.Time) ([]int64, vtime.Time, error) {
+	ev := rb.lastEv
+	switch {
+	case rb.lastEvent == 0:
+		return waits, floor, nil
+	case ev == nil || !ev.released.Load():
+		return append(waits, int64(rb.lastEvent)), floor, nil
+	case !ev.resolved.Load():
+		return nil, 0, fmt.Errorf("core: buffer chain references released event %d still in flight (quiesce with Finish/Flush before releasing chained events)", rb.lastEvent)
+	case ev.err != nil:
+		return nil, 0, fmt.Errorf("core: buffer chain references failed event %d: %w", rb.lastEvent, ev.err)
 	}
-	if rb.lastEv != nil && rb.lastEv.released.Load() {
-		return nil, fmt.Errorf("core: buffer chain references released event %d (quiesce with Finish/Flush before releasing chained events)", rb.lastEvent)
-	}
-	return append(waits, int64(rb.lastEvent)), nil
+	return waits, vtime.Max(floor, ev.End()), nil
 }
 
 // EnqueueRead transfers buffer contents back to the host
@@ -905,7 +913,7 @@ func (q *Queue) enqueueRead(b *Buffer, offset, size int64, waits ...*Event) ([]b
 	if err != nil {
 		return nil, nil, err
 	}
-	if localWaits, err = rb.chainWaits(localWaits); err != nil {
+	if localWaits, floor, err = rb.chainWaits(localWaits, floor); err != nil {
 		return nil, nil, err
 	}
 	modelBytes := b.scaled(size)
@@ -1003,13 +1011,17 @@ func (q *Queue) enqueueCopy(src, dst *Buffer, srcOffset, dstOffset, size int64, 
 	if err != nil {
 		return nil, err
 	}
-	if localWaits, err = srcRB.chainWaits(localWaits); err != nil {
+	if localWaits, floor, err = srcRB.chainWaits(localWaits, floor); err != nil {
 		return nil, err
 	}
-	if localWaits, err = dstRB.chainWaits(localWaits); err != nil {
+	if localWaits, floor, err = dstRB.chainWaits(localWaits, floor); err != nil {
 		return nil, err
 	}
-	_ = floor // device-side op: cross-node deps already folded into srcRB
+	// A copy carries no arrival instant, so it has nowhere to put a floor:
+	// cross-node deps were folded into srcRB's migration, and the end of a
+	// released chain event that dropped out bounds it only through the
+	// queue's own clock.
+	_ = floor
 
 	ev.trace = q.ctx.sess.traceCmd(trace.KindCopy, dev, qid, size, 0, 0)
 	id := q.ctx.sess.issueEvent(ev, &protocol.CopyBufferReq{
@@ -1364,7 +1376,7 @@ func (q *Queue) enqueueKernelBound(l *kernelLog, waits []*Event) (*Event, error)
 				bind.buf.mu.Unlock()
 				return nil, fmt.Errorf("core: kernel %q arg %d: %w", k.name, i, err)
 			}
-			if localWaits, err = rb.chainWaits(localWaits); err != nil {
+			if localWaits, floor, err = rb.chainWaits(localWaits, floor); err != nil {
 				bind.buf.mu.Unlock()
 				return nil, fmt.Errorf("core: kernel %q arg %d: %w", k.name, i, err)
 			}

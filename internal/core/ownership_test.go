@@ -609,21 +609,21 @@ func TestServeRoundTripAllocationBudget(t *testing.T) {
 //	                write  kernel
 //	host issue       4      4   private copy, request, Event (future, response and wait list inside), log entry; a launch: wire args, request, Event, log entry (argument snapshot and NDRange inside)
 //	frame encode     0      0   the queue holds the request; the writer encodes it into its staging buffer
-//	node register    4      6   done closure, command (request, wait IDs and wait list inside), event record (the response inside) and its channel; a launch adds wire args, launch args (NDRange inside the command)
+//	node register    3      4   done closure, command (request, wait IDs and wait list inside), event record (the response inside; a wake-up only for a waiter that comes first); a launch adds launch args (wire args in pooled storage, NDRange inside the command)
 //	lane             0      0   the NDRange conversion is in the command, the launch state pooled
 //	reply            0      0   the reply writer encodes the response into its staging buffer
-//	envelopes        0.3    0.3 frame reads, the node's envelope record, the host's sub-frame slabs; the node's envelope body is pooled
-//	total            8.3   10.3
+//	envelopes        0.2    0.2 frames read with their bodies, the host's sub-frame slabs; the node's envelope body is pooled and its envelope record reused
+//	total            7.2    8.2
 //
 // A release is an ID in a vector of up to 256: 0.03 objects an event. The
-// tile comes to 2 × 8.3 + 10.3 + 0.1 ≈ 27. The envelope share moves with
-// how full the coalescer finds its queue; the budget leaves a fourteenth
+// tile comes to 2 × 7.2 + 8.2 + 0.1 ≈ 22.7. The envelope share moves with
+// how full the coalescer finds its queue; the budget leaves a sixteenth
 // for it.
 func TestSmallCommandAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
-	const budget = 29.0
+	const budget = 24.0
 	rt := startTCPRuntime(t, 1)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)
@@ -702,15 +702,16 @@ func TestSmallCommandAllocationBudget(t *testing.T) {
 
 // TestKernelLaunchAllocationBudget gates one pipelined kernel launch and
 // the release of its event, process-wide: the kernel column of
-// TestSmallCommandAllocationBudget's table, 10.3 objects. The argument
+// TestSmallCommandAllocationBudget's table, 8.2 objects. The argument
 // snapshot (the kernel's own slice, shared until the next SetArg), the
-// NDRange on the host, on the wire and in the node, the wait IDs and the
-// executor's launch state allocate nothing; a launch used to cost 18.3.
+// NDRange on the host, on the wire and in the node, the node's wire args,
+// the wait IDs and the executor's launch state allocate nothing; a launch
+// used to cost 18.3.
 func TestKernelLaunchAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
-	const budget, launches = 11.0, 2000
+	const budget, launches = 9.0, 2000
 	rt := startTCPRuntime(t, 1)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)

@@ -72,12 +72,12 @@ func (b *Buffer) migrateP2P(node *NodeHandle, rb *remoteBuf, gaps []mem.Range) e
 		}
 		for _, r := range leftover {
 			pushEv := &Event{dev: svcDev, queue: svc}
-			chain, err := rb.chainWaits(pushEv.waits[:0])
+			chain, earliest, err := rb.chainWaits(pushEv.waits[:0], b.hostReadyAt)
 			if err != nil {
 				return err
 			}
 			modelBytes := b.scaled(r.Len())
-			wireStart, arrival := b.ctx.sess.chargeNIC(b.hostReadyAt, controlMsgBytes+modelBytes)
+			wireStart, arrival := b.ctx.sess.chargeNIC(earliest, controlMsgBytes+modelBytes)
 			pushEv.trace = b.ctx.sess.traceCmd(trace.KindMigrate, svcDev, 0, modelBytes, wireStart, arrival)
 			id := b.ctx.sess.issueEvent(pushEv, &protocol.WriteBufferReq{
 				QueueID:    svcQID,
@@ -112,12 +112,12 @@ func (b *Buffer) pushFromPeer(node *NodeHandle, rb *remoteBuf, svc *Queue, ps ow
 	ownerDev, ownerQID := ownerSvc.binding()
 	svcDev, svcQID := svc.binding()
 	pushEv := &Event{dev: ownerDev, queue: ownerSvc}
-	ownerChain, err := ps.rb.chainWaits(pushEv.waits[:0])
+	ownerChain, ownerFloor, err := ps.rb.chainWaits(pushEv.waits[:0], 0)
 	if err != nil {
 		return err
 	}
 	awaitEv := &Event{dev: svcDev, queue: svc}
-	consumerChain, err := rb.chainWaits(awaitEv.waits[:0])
+	consumerChain, consumerFloor, err := rb.chainWaits(awaitEv.waits[:0], 0)
 	if err != nil {
 		return err
 	}
@@ -127,7 +127,7 @@ func (b *Buffer) pushFromPeer(node *NodeHandle, rb *remoteBuf, svc *Queue, ps ow
 
 	// Only the control frames cross the host NIC. The payload is charged
 	// to the owner's egress link node-side; the host keeps byte accounting.
-	pushCtrlStart, pushCtrl := sess.chargeNIC(0, controlMsgBytes)
+	pushCtrlStart, pushCtrl := sess.chargeNIC(ownerFloor, controlMsgBytes)
 	pushEv.trace = sess.traceCmd(trace.KindPushRange, ownerDev, 0, modelBytes, pushCtrlStart, pushCtrl)
 	pushID := sess.issueEvent(pushEv, &protocol.PushRangeReq{
 		QueueID:      ownerQID,
@@ -149,7 +149,7 @@ func (b *Buffer) pushFromPeer(node *NodeHandle, rb *remoteBuf, svc *Queue, ps ow
 	ps.rb.lastEvent = pushID
 	ps.rb.lastEv = pushEv
 
-	awaitCtrlStart, awaitCtrl := sess.chargeNIC(0, controlMsgBytes)
+	awaitCtrlStart, awaitCtrl := sess.chargeNIC(consumerFloor, controlMsgBytes)
 	awaitEv.trace = sess.traceCmd(trace.KindAwaitPush, svcDev, 0, modelBytes, awaitCtrlStart, awaitCtrl)
 	awaitID := sess.issueEvent(awaitEv, &protocol.AwaitPushReq{
 		QueueID:    svcQID,

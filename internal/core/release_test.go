@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"slices"
 	"strings"
 	"sync"
@@ -101,11 +102,11 @@ func TestQueueReleasePipelined(t *testing.T) {
 }
 
 // TestReleasedChainedEventFailsFast pins the failure mode of releasing an
-// event a buffer's write chain still references: the next enqueue on that
-// buffer must refuse immediately (the node-side event record is gone, and
-// a wire wait on it could never resolve — the pre-lane runtime failed the
-// same sequence with "unknown event", and it must not regress into a
-// parked node lane).
+// event a buffer's write chain still references while it is in flight: the
+// next enqueue on that buffer must refuse immediately (the node-side event
+// record is gone, and a wire wait on it could never resolve — it must not
+// regress into a parked node lane). Once an event is known complete it
+// drops out of the chain instead (TestReleasedCompletedChainEventDropsOut).
 func TestReleasedChainedEventFailsFast(t *testing.T) {
 	rt, cleanup := startRuntime(t, 1)
 	defer cleanup()
@@ -122,19 +123,96 @@ func TestReleasedChainedEventFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ev.Wait(); err != nil {
-		t.Fatal(err)
-	}
 	if err := ev.Release(rt); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := q.EnqueueWrite(buf, 0, make([]byte, 16)); err == nil {
-		t.Fatal("enqueue on a buffer chained to a released event accepted")
+		t.Fatal("enqueue on a buffer chained to a released in-flight event accepted")
 	}
-	// Explicit wait lists referencing the released event refuse the same way.
+	// Explicit wait lists referencing the released event refuse the same
+	// way, complete or not.
+	if err := ev.Wait(); err != nil {
+		t.Fatal(err)
+	}
 	other, _ := ctx.CreateBuffer(16)
 	if _, err := q.EnqueueWrite(other, 0, make([]byte, 16), ev); err == nil {
 		t.Fatal("wait list referencing a released event accepted")
+	}
+}
+
+// TestReleasedCompletedChainEventDropsOut: releasing a finished command's
+// event does not make its buffer unusable. The next command on the buffer
+// leaves the event off its wire wait list — the node no longer knows it —
+// and still starts no earlier, in virtual time, than the command ended,
+// even on another queue; the contents are the next command's.
+func TestReleasedCompletedChainEventDropsOut(t *testing.T) {
+	rt, cleanup := startRuntime(t, 1)
+	defer cleanup()
+	dev := rt.Devices(0)[0]
+	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q1, err := ctx.CreateQueue(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2, err := ctx.CreateQueue(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ctx.CreateProgram(incrSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prog.Build(); err != nil {
+		t.Fatal(err)
+	}
+	k, err := prog.CreateKernel("incr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	buf, _ := ctx.CreateBuffer(4 * n)
+	if err := k.SetArg(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.SetArg(1, int32(n)); err != nil {
+		t.Fatal(err)
+	}
+	// A launch modelled long enough that only a wait, not the wire, can
+	// hold the next command back until it ends.
+	launch, err := q1.EnqueueKernel(k, []int{n}, []int{n}, nil, &core.LaunchOptions{CostFlops: 1e12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q1.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	end := launch.End()
+	if err := launch.Release(rt); err != nil {
+		t.Fatal(err)
+	}
+	want := pattern(4*n, 2)
+	write, err := q2.EnqueueWrite(buf, 0, want)
+	if err != nil {
+		t.Fatalf("enqueue on a buffer chained to a released, finished event: %v", err)
+	}
+	if err := write.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if start := write.Profile().Start; start < int64(end) {
+		t.Fatalf("write starts at %d, before the released launch it follows ended (%d)", start, end)
+	}
+	got, _, err := q2.EnqueueRead(buf, 0, 4*n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("buffer does not hold the write")
+	}
+	if err := rt.Flush(); err != nil {
+		t.Fatalf("release of the dropped event: %v", err)
 	}
 }
 

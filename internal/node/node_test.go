@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/haocl-project/haocl/internal/device"
@@ -231,6 +232,82 @@ func TestErrorPaths(t *testing.T) {
 
 	callErr(t, s, &protocol.QueryEventReq{EventID: 9999}, protocol.CodeUnknownObject)
 	callErr(t, s, &protocol.FinishQueueReq{QueueID: 9999}, protocol.CodeUnknownObject)
+}
+
+// TestLaunchWireArgsBorrowed: a launch decodes its wire arguments into
+// storage it borrows for its registration only. Launches registering
+// concurrently, each with its own scalar, must each run with their own
+// arguments, and a list longer than the borrowed storage still decodes —
+// and is refused for the kernel's arity, not mangled.
+func TestLaunchWireArgsBorrowed(t *testing.T) {
+	n := testNode(t)
+	s := openSession(t, n, "alice")
+	ctxID, queueID, kernelID := buildPipeline(t, s)
+	const elems = 8
+	ones := mem.F32Bytes([]float32{1, 1, 1, 1, 1, 1, 1, 1})
+	launch := func(queueID, bufID uint64, count int32) error {
+		_, err := s.HandleCall(protocol.OpEnqueueKernel, protocol.EncodeMessage(&protocol.EnqueueKernelReq{
+			QueueID: queueID, KernelID: kernelID, Global: []int64{elems},
+			Args: []protocol.KernelArg{
+				{Kind: protocol.ArgBuffer, BufferID: bufID},
+				{Kind: protocol.ArgScalar, Scalar: kernel.EncodeScalar(count)},
+			},
+		}))
+		return err
+	}
+	var wg sync.WaitGroup
+	for g := 1; g <= 4; g++ {
+		q := call(t, s, &protocol.CreateQueueReq{ContextID: ctxID, DeviceID: 1}, &protocol.ObjectResp{})
+		buf := call(t, s, &protocol.CreateBufferReq{ContextID: ctxID, Size: 4 * elems}, &protocol.ObjectResp{})
+		wg.Add(1)
+		go func(count int32) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				if _, err := s.HandleCall(protocol.OpWriteBuffer, protocol.EncodeMessage(&protocol.WriteBufferReq{
+					QueueID: q.ID, BufferID: buf.ID, Data: ones,
+				})); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := launch(q.ID, buf.ID, count); err != nil {
+					t.Error(err)
+					return
+				}
+				m, err := s.HandleCall(protocol.OpReadBuffer, protocol.EncodeMessage(&protocol.ReadBufferReq{
+					QueueID: q.ID, BufferID: buf.ID, Size: 4 * elems,
+				}))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j, v := range mem.BytesF32(m.(*protocol.ReadBufferResp).Data) {
+					if want := float32(1 + btoi(int32(j) < count)); v != want {
+						t.Errorf("launch with n=%d: element %d = %v, want %v", count, j, v, want)
+						return
+					}
+				}
+			}
+		}(int32(g))
+	}
+	wg.Wait()
+
+	long := make([]protocol.KernelArg, 9)
+	for i := range long {
+		long[i] = protocol.KernelArg{Kind: protocol.ArgScalar, Scalar: kernel.EncodeScalar(int32(i))}
+	}
+	_, err := s.HandleCall(protocol.OpEnqueueKernel, protocol.EncodeMessage(&protocol.EnqueueKernelReq{
+		QueueID: queueID, KernelID: kernelID, Global: []int64{elems}, Args: long,
+	}))
+	if err == nil || !strings.Contains(err.Error(), "takes 2 args, got 9") {
+		t.Fatalf("launch with 9 args: %v, want the arity refused", err)
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestHostileNDRangeRefused: a launch decodes its NDRange into storage for

@@ -2,6 +2,7 @@ package node
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"github.com/haocl-project/haocl/internal/clc"
 	"github.com/haocl-project/haocl/internal/device"
@@ -91,35 +92,76 @@ type kernelObj struct {
 // eventObj is one completion event in a session's table. Its lifecycle is
 // split in two (DESIGN.md §4): *registration* claims the ID in wire-arrival
 // order (claimed, guarded by Session.mu), and *completion* happens when the
-// command finishes executing on its lane — done is closed exactly once,
-// after which profile and err are immutable. An eventObj may also be born
-// as an unclaimed placeholder by a wait-list lookup that ran ahead of the
-// creating command; waiters block on done either way.
+// command finishes executing on its lane: complete or fail publishes the
+// outcome and then settles the event, once, after which profile and err
+// are immutable. An eventObj may also be born as an unclaimed placeholder
+// by a wait-list lookup that ran ahead of the creating command.
+//
+// A record is one allocation. A waiter that finds the event settled reads
+// it and moves on; only one that arrives before completion makes the
+// wake-up channel, which every later early waiter shares and settling
+// closes.
 type eventObj struct {
-	// resp is the event's ID and, once done is closed, its profile: the
-	// response a completed enqueue command returns, so that the command
-	// need not carry one of its own.
+	// resp is the event's ID and, once settled, its profile: the response
+	// a completed enqueue command returns, so that the command need not
+	// carry one of its own.
 	resp    protocol.EventResp
-	claimed bool          // guarded by Session.mu
-	done    chan struct{} // closed on completion or failure
 	err     error
+	claimed bool // guarded by Session.mu
+
+	// wake is empty while the command runs and no one waits, the early
+	// waiters' channel once one arrives, and settled once the event is.
+	wake atomic.Value // chan struct{}
 }
 
+// settled marks a settled event's wake: a channel no waiter ever gets.
+var settled = make(chan struct{})
+
 func newEvent(id uint64) *eventObj {
-	return &eventObj{resp: protocol.EventResp{EventID: id}, done: make(chan struct{})}
+	return &eventObj{resp: protocol.EventResp{EventID: id}}
 }
 
 // complete publishes the command's profile and wakes every waiter.
 func (e *eventObj) complete(p protocol.Profile) {
 	e.resp.Profile = p
-	close(e.done)
+	e.settle()
 }
 
 // fail marks the command failed; waiters observe the error instead of a
 // deadline.
 func (e *eventObj) fail(err error) {
 	e.err = err
-	close(e.done)
+	e.settle()
+}
+
+// settle marks the event settled and closes the early waiters' channel,
+// if one was made. The outcome is written before: the swap orders it
+// before every waiter's read.
+func (e *eventObj) settle() {
+	if old, _ := e.wake.Swap(settled).(chan struct{}); old != nil && old != settled {
+		close(old)
+	}
+}
+
+// doneCh returns nil once the event is settled, and otherwise the channel
+// settling closes, made by the first waiter to ask.
+func (e *eventObj) doneCh() <-chan struct{} {
+	ch, _ := e.wake.Load().(chan struct{})
+	if ch == nil {
+		if ch = make(chan struct{}); !e.wake.CompareAndSwap(nil, ch) {
+			ch = e.wake.Load().(chan struct{})
+		}
+	}
+	if ch == settled {
+		return nil
+	}
+	return ch
+}
+
+// isDone reports, without blocking, whether the event has settled.
+func (e *eventObj) isDone() bool {
+	ch, _ := e.wake.Load().(chan struct{})
+	return ch == settled
 }
 
 // newID allocates the next object ID. Caller holds t.mu.

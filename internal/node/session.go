@@ -271,11 +271,13 @@ func (s *Session) resolveWaits(events []*eventObj, ids []int64) ([]*eventObj, er
 func (s *Session) awaitDeadline(events []*eventObj) (vtime.Time, error) {
 	var deadline vtime.Time
 	for _, e := range events {
-		select {
-		case <-e.done:
-		case <-s.closedCh:
-			return 0, remoteErr(protocol.CodeBadRequest,
-				"session closed while waiting for event %d", e.resp.EventID)
+		if wake := e.doneCh(); wake != nil {
+			select {
+			case <-wake:
+			case <-s.closedCh:
+				return 0, remoteErr(protocol.CodeBadRequest,
+					"session closed while waiting for event %d", e.resp.EventID)
+			}
 		}
 		if e.err != nil {
 			return 0, remoteErr(errCode(e.err), "wait event %d: %v", e.resp.EventID, e.err)
@@ -555,18 +557,7 @@ func (s *Session) prepare(op protocol.Op, body []byte) (uint64, command, error) 
 		return c.req.QueueID, c, nil
 	case protocol.OpEnqueueKernel:
 		c := new(kernelCmd)
-		c.req.Global, c.req.Local, c.req.WaitEvents = c.dims[:0:3], c.dims[3:3], c.waitIDs[:0]
-		if err := protocol.DecodeMessage(&c.req, body); err != nil {
-			return 0, nil, err
-		}
-		err := c.register(s, c.req.QueueID, c.req.EventID)
-		if err != nil {
-			return 0, nil, err
-		}
-		if c.k, err = s.node.objects.kernel(c.req.KernelID); err == nil {
-			c.args, err = s.buildLaunchArgs(c.k, c.req.Args)
-		}
-		if err = c.resolve(err, c.req.WaitEvents); err != nil {
+		if err := c.prepare(s, body); err != nil {
 			return 0, nil, err
 		}
 		return c.req.QueueID, c, nil
@@ -1082,6 +1073,36 @@ func (s *Session) buildLaunchArgs(k *kernelObj, wire []protocol.KernelArg) ([]ke
 	return args, nil
 }
 
+// wireArgs pools the storage a launch's wire arguments are decoded into.
+// They are dead once buildLaunchArgs has turned them into launch args, so
+// a launch borrows the storage for its registration only; a longer list
+// than it holds decodes into a slice of its own.
+var wireArgs = sync.Pool{New: func() any { return new([8]protocol.KernelArg) }}
+
+// prepare is the registration stage of a launch (see Session.prepare).
+func (c *kernelCmd) prepare(s *Session, body []byte) error {
+	wire := wireArgs.Get().(*[8]protocol.KernelArg)
+	defer func() {
+		// Neither the pool nor the command may keep the request's scalars,
+		// views of its body, reachable.
+		clear(c.req.Args)
+		c.req.Args = nil
+		wireArgs.Put(wire)
+	}()
+	c.req.Global, c.req.Local, c.req.WaitEvents, c.req.Args = c.dims[:0:3], c.dims[3:3], c.waitIDs[:0], wire[:0]
+	if err := protocol.DecodeMessage(&c.req, body); err != nil {
+		return err
+	}
+	err := c.register(s, c.req.QueueID, c.req.EventID)
+	if err != nil {
+		return err
+	}
+	if c.k, err = s.node.objects.kernel(c.req.KernelID); err == nil {
+		c.args, err = s.buildLaunchArgs(c.k, c.req.Args)
+	}
+	return c.resolve(err, c.req.WaitEvents)
+}
+
 func (c *kernelCmd) exec() (protocol.Message, error) {
 	s, req, q, ev, k, args := c.s, &c.req, c.q, c.ev, c.k, c.args
 	deadline, err := s.awaitDeadline(c.waits)
@@ -1140,17 +1161,15 @@ func (s *Session) handleQueryEvent(body []byte) (protocol.Message, error) {
 	if !claimed {
 		return nil, remoteErr(protocol.CodeUnknownObject, "unknown event %d", req.EventID)
 	}
-	select {
-	case <-e.done:
-		if e.err != nil {
-			return nil, remoteErr(errCode(e.err), "event %d failed: %v", req.EventID, e.err)
-		}
-		return &protocol.QueryEventResp{Complete: true, Profile: e.resp.Profile}, nil
-	default:
+	if !e.isDone() {
 		// The command is still executing on its lane (impossible under the
 		// old FIFO, where queries could only arrive after execution).
 		return &protocol.QueryEventResp{Complete: false}, nil
 	}
+	if e.err != nil {
+		return nil, remoteErr(errCode(e.err), "event %d failed: %v", req.EventID, e.err)
+	}
+	return &protocol.QueryEventResp{Complete: true, Profile: e.resp.Profile}, nil
 }
 
 // handleRelease drops every object a Release names, in vector order. All

@@ -239,7 +239,7 @@ func TestFrameAllocationBudget(t *testing.T) {
 		if _, err := ReadFrame(r); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 2 {
-		t.Errorf("ReadFrame of a small frame allocates %v objects, want 2: the header scratch, and the frame with its body", got)
+	}); got != 1 {
+		t.Errorf("ReadFrame of a small frame allocates %v objects, want 1: the frame with its body", got)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // Protocol limits. MaxFrameSize bounds a single message so a corrupted
@@ -201,9 +202,23 @@ func ReadFrame(r io.Reader) (*Frame, error) { return readFrame(r, false) }
 // then is not pooled either.
 func ReadFramePooled(r io.Reader) (*Frame, error) { return readFrame(r, true) }
 
+// headers pools the scratch readHeader reads into: an array handed to an
+// io.Reader escapes, so reading straight into the caller's would cost
+// every frame an allocation.
+var headers = sync.Pool{New: func() any { return new([headerSize]byte) }}
+
+// readHeader reads one frame header into hdr, which does not escape.
+func readHeader(r io.Reader, hdr *[headerSize]byte) error {
+	scratch := headers.Get().(*[headerSize]byte)
+	_, err := io.ReadFull(r, scratch[:])
+	*hdr = *scratch
+	headers.Put(scratch)
+	return err
+}
+
 func readFrame(r io.Reader, pool bool) (*Frame, error) {
 	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if err := readHeader(r, &hdr); err != nil {
 		return nil, err
 	}
 	if binary.BigEndian.Uint16(hdr[0:2]) != Magic {

@@ -719,12 +719,18 @@ type replyTo struct {
 // request's position. replies holds each request's ID and op from the
 // moment it is unpacked, and its response message from the moment it is
 // answered; frame is the request envelope, whose body the requests are
-// views of.
+// views of. Once the last response is written, the record is cleared and
+// goes back to its connection's reply writer for the next envelope.
 type respEnvelope struct {
 	replies   []protocol.Outgoing
 	remaining int
 	frame     *protocol.Frame
 }
+
+// maxSpareEnvelopes bounds the cleared envelope records a connection keeps
+// for reuse: enough for the envelopes a steady stream has in flight, few
+// enough that a burst's records do not outlive it.
+const maxSpareEnvelopes = 8
 
 // replyWriter serializes one connection's response writes. Plain requests
 // answer with a plain frame the moment they complete — a response never
@@ -744,6 +750,30 @@ type respEnvelope struct {
 type replyWriter struct {
 	mu sync.Mutex
 	fw frameWriter // guarded by mu
+	// spare holds envelope records whose responses have all been written,
+	// cleared, for the dispatch loop to reuse.
+	spare []*respEnvelope // guarded by mu
+}
+
+// envelope returns the record for request envelope f, whose requests are
+// subs: a spare one when the connection has one, else a new one.
+func (w *replyWriter) envelope(f *protocol.Frame, subs []protocol.Frame) *respEnvelope {
+	var env *respEnvelope
+	w.mu.Lock()
+	if n := len(w.spare); n > 0 {
+		env = w.spare[n-1]
+		w.spare[n-1] = nil
+		w.spare = w.spare[:n-1]
+	}
+	w.mu.Unlock()
+	if env == nil {
+		env = &respEnvelope{replies: make([]protocol.Outgoing, 0, len(subs))}
+	}
+	env.remaining, env.frame = len(subs), f
+	for _, sub := range subs {
+		env.replies = append(env.replies, protocol.Outgoing{Kind: protocol.FrameResponse, ReqID: sub.ReqID, Op: sub.Op})
+	}
+	return env
 }
 
 // complete delivers one finished request's response. Write failures mean
@@ -761,7 +791,8 @@ func (w *replyWriter) complete(to replyTo, resp protocol.Message, err error) {
 	// The slot's ID and op were set before the request was dispatched, and
 	// only this completion writes the slot again, so reading them needs no
 	// lock.
-	slot := &to.env.replies[to.idx]
+	env := to.env
+	slot := &env.replies[to.idx]
 	out := reply(slot.ReqID, slot.Op, resp, err)
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -774,9 +805,16 @@ func (w *replyWriter) complete(to replyTo, resp protocol.Message, err error) {
 		out = protocol.Outgoing{}
 	}
 	*slot = out
-	if to.env.remaining--; to.env.remaining == 0 {
-		_ = w.fw.write(slices.DeleteFunc(to.env.replies, answeredAlone)...)
-		to.env.frame.Release()
+	if env.remaining--; env.remaining == 0 {
+		_ = w.fw.write(slices.DeleteFunc(env.replies, answeredAlone)...)
+		env.frame.Release()
+		// No response, nor the request body, may stay reachable from a
+		// spare record.
+		clear(env.replies)
+		env.replies, env.frame = env.replies[:0], nil
+		if len(w.spare) < maxSpareEnvelopes {
+			w.spare = append(w.spare, env)
+		}
 	}
 }
 
@@ -821,14 +859,7 @@ func (s *Server) dispatchLoop(conn net.Conn, handler Handler, frames <-chan *pro
 			}
 			return
 		}
-		env := &respEnvelope{
-			replies:   make([]protocol.Outgoing, len(subs)),
-			remaining: len(subs),
-			frame:     f,
-		}
-		for i, sub := range subs {
-			env.replies[i] = protocol.Outgoing{Kind: protocol.FrameResponse, ReqID: sub.ReqID, Op: sub.Op}
-		}
+		env := w.envelope(f, subs)
 		for i, sub := range subs {
 			call(sub.Op, sub.Body, replyTo{env: env, idx: i})
 		}
