@@ -138,7 +138,7 @@ func (e *eventObj) fail(err error) {
 // if one was made. The outcome is written before: the swap orders it
 // before every waiter's read.
 func (e *eventObj) settle() {
-	if old, _ := e.wake.Swap(settled).(chan struct{}); old != nil && old != settled {
+	if old, _ := e.wake.Swap(settled).(chan struct{}); old != nil {
 		close(old)
 	}
 }
