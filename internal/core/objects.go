@@ -1006,6 +1006,14 @@ func (q *Queue) enqueueCopy(src, dst *Buffer, srcOffset, dstOffset, size int64, 
 	if err != nil {
 		return nil, err
 	}
+	// A copy carries no arrival instant, so it has nowhere to put the floor
+	// a released chain event would drop into: only its own queue's order
+	// keeps it behind one. A released event from another queue is refused.
+	for _, rb := range [2]*remoteBuf{srcRB, dstRB} {
+		if ev := rb.lastEv; rb.lastEvent != 0 && ev != nil && ev.released.Load() && ev.queue != q {
+			return nil, fmt.Errorf("core: copy chained to released event %d of another queue (quiesce with Finish/Flush before releasing chained events)", rb.lastEvent)
+		}
+	}
 	ev := &Event{dev: dev, queue: q}
 	localWaits, floor, err := q.ctx.sess.splitWaits(node, waits, ev.waits[:0])
 	if err != nil {
@@ -1017,11 +1025,7 @@ func (q *Queue) enqueueCopy(src, dst *Buffer, srcOffset, dstOffset, size int64, 
 	if localWaits, floor, err = dstRB.chainWaits(localWaits, floor); err != nil {
 		return nil, err
 	}
-	// A copy carries no arrival instant, so it has nowhere to put a floor:
-	// cross-node deps were folded into srcRB's migration, and the end of a
-	// released chain event that dropped out bounds it only through the
-	// queue's own clock.
-	_ = floor
+	_ = floor // device-side op: cross-node deps already folded into srcRB
 
 	ev.trace = q.ctx.sess.traceCmd(trace.KindCopy, dev, qid, size, 0, 0)
 	id := q.ctx.sess.issueEvent(ev, &protocol.CopyBufferReq{

@@ -253,14 +253,6 @@ func (rt *Runtime) recoverOnce() (bool, error) {
 	if err := rt.rehelloLocked(); err != nil {
 		return true, err
 	}
-	// A node this pass's census missed — its crash noticed only since —
-	// kept its replicas above, but the re-hello may already have dropped it
-	// from the survivors' address books: a replay that planned a transfer
-	// to it would fail as an unknown peer, not as node loss. The next round
-	// takes it in.
-	if rt.anyDead() {
-		return true, nil
-	}
 
 	// 6. Replay the affected sessions' mutation histories from zeroed
 	// state. One pass counts one recovery in the aggregate; each affected

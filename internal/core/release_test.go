@@ -211,8 +211,35 @@ func TestReleasedCompletedChainEventDropsOut(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("buffer does not hold the write")
 	}
+	// A copy has no arrival instant to carry the released event's end: it
+	// is refused on another queue, and on the event's own queue the queue's
+	// order holds it back.
+	if _, err := q2.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	writeEnd := write.End()
+	if err := write.Release(rt); err != nil {
+		t.Fatal(err)
+	}
+	dst, _ := ctx.CreateBuffer(4 * n)
+	if _, err := q1.EnqueueCopy(buf, dst, 0, 0, 4*n); err == nil {
+		t.Fatal("copy on another queue than the released event it follows accepted")
+	}
+	cp, err := q2.EnqueueCopy(buf, dst, 0, 0, 4*n)
+	if err != nil {
+		t.Fatalf("copy on the released event's own queue: %v", err)
+	}
+	if err := cp.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if start := cp.Profile().Start; start < int64(writeEnd) {
+		t.Fatalf("copy starts at %d, before the released write it follows ended (%d)", start, writeEnd)
+	}
+	if got, _, err = q2.EnqueueRead(dst, 0, 4*n); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("copy destination does not hold the write (err %v)", err)
+	}
 	if err := rt.Flush(); err != nil {
-		t.Fatalf("release of the dropped event: %v", err)
+		t.Fatalf("release of the dropped events: %v", err)
 	}
 }
 

@@ -129,6 +129,27 @@ func TestEventWithoutEarlyWaiterMakesNoWakeup(t *testing.T) {
 	}
 }
 
+// TestEventSettledTwicePanics: a second complete or fail is a bug in the
+// lane that ran the command, so it panics where it happens, whether or not
+// a waiter made a wake-up first.
+func TestEventSettledTwicePanics(t *testing.T) {
+	for _, early := range []bool{false, true} {
+		e := newEvent(1)
+		if early {
+			e.doneCh()
+		}
+		e.complete(protocol.Profile{End: 1})
+		func() {
+			defer func() {
+				if r := recover(); r != "node: event settled twice" {
+					t.Errorf("early waiter %v: second settle recovered %v, want the double-settle panic", early, r)
+				}
+			}()
+			e.fail(remoteErr(protocol.CodeLaunchFailed, "again"))
+		}()
+	}
+}
+
 // TestSessionCloseFailsPlaceholderWaiters closes a session whose lanes are
 // parked on placeholders nothing will claim — several commands on one ID,
 // commands on two queues: each fails with "session closed", and Close

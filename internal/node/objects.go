@@ -136,9 +136,14 @@ func (e *eventObj) fail(err error) {
 
 // settle marks the event settled and closes the early waiters' channel,
 // if one was made. The outcome is written before: the swap orders it
-// before every waiter's read.
+// before every waiter's read. A second settle is a bug and panics, as
+// closing a closed channel would.
 func (e *eventObj) settle() {
-	if old, _ := e.wake.Swap(settled).(chan struct{}); old != nil {
+	old, _ := e.wake.Swap(settled).(chan struct{})
+	if old == settled {
+		panic("node: event settled twice")
+	}
+	if old != nil {
 		close(old)
 	}
 }
