@@ -49,13 +49,9 @@ func hopDelay(modelBytes int64) vtime.Duration {
 // returns: one private copy serves the command log and every hop's frame.
 func (c *Context) Broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, error) {
 	owned := append([]byte(nil), data...)
-	var events []*Event
-	err := c.sess.withRecovery(func() error {
-		var berr error
-		events, berr = c.broadcast(b, owned, queues)
-		return berr
+	return withRecovery(c.sess, func() ([]*Event, error) {
+		return c.broadcast(b, owned, queues)
 	})
-	return events, err
 }
 
 // broadcast is the non-recovering Broadcast internal; replay drives it
@@ -94,140 +90,68 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 	// buffer half-broadcast: earlier hops issued, later replicas still
 	// holding (and still marked with) old data.
 	type hop struct {
-		q      *Queue
-		dev    *DeviceRef // q's binding, snapshotted once for the whole plan
-		qid    uint64
-		rb     *remoteBuf
-		chain  []int64
-		floor  vtime.Time // what chain imposes beyond its wire waits
-		svc    *Queue     // forwarding source lane (all but the last hop)
-		svcDev *DeviceRef
-		svcID  uint64
+		rb  *remoteBuf
+		c   cmd // the hop's receive, on its queue
+		fwd cmd // the forward to the next hop (all but the last hop)
 	}
 	plan := make([]hop, 0, len(hops))
 	for i, q := range hops {
-		if err := q.stickyErr(); err != nil {
+		var h hop
+		var err error
+		if h.c, err = q.begin(nil); err != nil {
 			return nil, err
 		}
-		dev, qid := q.binding()
-		rb, err := b.remoteOn(dev.node)
-		if err != nil {
+		if h.rb, err = b.remoteOn(h.c.dev.node); err != nil {
 			return nil, err
 		}
-		chain, floor, err := rb.chainWaits(nil, 0)
-		if err != nil {
+		if err = h.c.after(h.rb); err != nil {
 			return nil, err
 		}
-		h := hop{q: q, dev: dev, qid: qid, rb: rb, chain: chain, floor: floor}
 		if i < len(hops)-1 {
 			// Forwarding rides the node's single service lane so link
 			// bookings stay totally ordered; created here because it is a
 			// fallible round trip and must not fail mid-loop.
-			svc, err := c.serviceQueue(dev.node)
+			svc, err := c.serviceQueue(h.c.dev.node)
 			if err != nil {
 				return nil, err
 			}
-			if err := svc.stickyErr(); err != nil {
+			if h.fwd, err = svc.begin(nil); err != nil {
 				return nil, err
 			}
-			h.svc = svc
-			h.svcDev, h.svcID = svc.binding()
 		}
 		plan = append(plan, h)
 	}
 
 	events := make([]*Event, 0, len(plan))
-	var prevArrival vtime.Time
-	var prevID uint64
-	for i, h := range plan {
-		node := h.dev.node
-		var arrival vtime.Time
-		var wireStart vtime.Time // hop payload departure, for the wire span
-		var id uint64
-		var ev *Event
+	for i := range plan {
+		h := &plan[i]
 		if i == 0 {
-			// First hop crosses the host NIC.
-			wireStart, arrival = c.sess.chargeNIC(vtime.Max(b.hostReadyAt, h.floor), controlMsgBytes+b.modelSize)
-			ev = &Event{dev: h.dev, queue: h.q,
-				trace: c.sess.traceCmd(trace.KindBroadcast, h.dev, h.qid, b.modelSize, wireStart, arrival)}
-			id = c.sess.issueEvent(ev, &protocol.WriteBufferReq{
-				QueueID:    h.qid,
+			// First hop crosses the host NIC. Every other replica loses the
+			// buffer; the later hops receive it back.
+			h.c.charge(b.hostReadyAt, controlMsgBytes+b.modelSize)
+			h.c.send(trace.KindBroadcast, b.modelSize, &protocol.WriteBufferReq{
+				QueueID:    h.c.qid,
 				BufferID:   h.rb.id,
 				Offset:     0,
 				Data:       data,
-				SimArrival: int64(arrival),
+				SimArrival: int64(h.c.arrival),
 				ModelBytes: b.modelSize,
-				WaitEvents: h.chain,
+				WaitEvents: h.c.waits,
 			})
+			b.define(h.c.dev.node, h.rb, 0, b.size, h.c.ev)
 		} else {
 			// Chain hop over the node links: the previous node forwards
-			// the buffer it just received, cut through at DepartAt.
-			prev := plan[i-1]
-			wireStart, arrival = prevArrival, prevArrival.Add(hopDelay(b.modelSize))
-			token := c.rt.nextPushToken()
-			pushCtrlStart, pushCtrl := c.sess.chargeNIC(0, controlMsgBytes)
-			pushEv := &Event{dev: prev.svcDev, queue: prev.svc,
-				trace: c.sess.traceCmd(trace.KindPushRange, prev.svcDev, 0, b.modelSize, pushCtrlStart, pushCtrl)}
-			pushEv.waits[0] = int64(prevID)
-			pushID := c.sess.issueEvent(pushEv, &protocol.PushRangeReq{
-				QueueID:      prev.svcID,
-				BufferID:     prev.rb.id,
-				PeerName:     node.name,
-				PeerBufferID: h.rb.id,
-				Token:        token,
-				Offset:       0,
-				Size:         b.size,
-				SimArrival:   int64(pushCtrl),
-				DepartAt:     int64(prevArrival),
-				ModelBytes:   b.modelSize,
-				// Functional edge only: the forward must not read the
-				// replica before the previous hop's receive has copied the
-				// data in. Virtual timing ignores it — DepartAt models the
-				// cut-through overlap with that device write.
-				WaitEvents: pushEv.waits[:1],
-			})
-			prev.svc.track(pushEv)
-			// Anti-dependency: a later write to the forwarder's replica
-			// waits for the forward to have read it.
-			prev.rb.lastEvent = pushID
-			prev.rb.lastEv = pushEv
-
-			_, awaitCtrl := c.sess.chargeNIC(h.floor, controlMsgBytes)
-			// The hop's wire span is the peer-link flight [prevArrival,
-			// arrival], not the tiny control frame.
-			ev = &Event{dev: h.dev, queue: h.q,
-				trace: c.sess.traceCmd(trace.KindBroadcast, h.dev, h.qid, b.modelSize, wireStart, arrival)}
-			id = c.sess.issueEvent(ev, &protocol.AwaitPushReq{
-				QueueID:    h.qid,
-				BufferID:   h.rb.id,
-				Token:      token,
-				Offset:     0,
-				Size:       b.size,
-				SimArrival: int64(awaitCtrl),
-				ModelBytes: b.modelSize,
-				WaitEvents: h.chain,
-			})
-			c.sess.chargePeer(b.modelSize)
-			c.rt.watchPush(node.client.Load(), token, pushEv)
+			// the buffer it just received, cut through at the instant it
+			// arrived there. The forward waits on that receive as a
+			// functional edge only: it must not read the replica before
+			// the receive has copied the data in, while virtual timing
+			// ignores it — DepartAt models the cut-through overlap with
+			// that device write.
+			prev := &plan[i-1]
+			prev.fwd.waits = append(prev.fwd.waits, int64(prev.c.ev.remoteID))
+			c.sess.push(&prev.fwd, &h.c, prev.rb, h.rb, 0, b.size, b.modelSize, prev.c.arrival)
 		}
-		prevArrival = arrival
-		prevID = id
-
-		h.q.track(ev)
-		h.rb.valid.Reset()
-		h.rb.valid.Add(0, b.size)
-		h.rb.lastEvent = id
-		h.rb.lastEv = ev
-		events = append(events, ev)
-	}
-
-	// Replicas on nodes outside the hop set now hold stale data in full:
-	// a later consumer there must re-migrate from a hop replica instead of
-	// reading the pre-broadcast bytes.
-	for node, orb := range b.remote {
-		if !seen[node] {
-			orb.valid.Reset()
-		}
+		events = append(events, h.c.ev)
 	}
 	c.sess.logCommand(&broadcastLog{
 		c:    c,

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/haocl-project/haocl/internal/cluster"
 	"github.com/haocl-project/haocl/internal/core"
@@ -91,6 +93,22 @@ func (cc *chaosCluster) kill(name string) {
 	cc.net.Unregister(cc.addrs[name])
 	cc.servers[name].Close()
 	cc.alive[name] = false
+}
+
+// awaitDown waits until the host has noticed that the named node died —
+// its devices leave the platform view — and fails the test after a
+// deadline. The host marks a node dead when its connection's failure
+// reaches the transport's OnDown hook, asynchronously, and a Recover that
+// runs before then finds nothing to recover.
+func (cc *chaosCluster) awaitDown(name string) {
+	cc.t.Helper()
+	onNode := func(d *core.DeviceRef) bool { return d.Node().Name() == name }
+	for deadline := time.Now().Add(10 * time.Second); slices.ContainsFunc(cc.rt.Devices(0), onNode); {
+		if time.Now().After(deadline) {
+			cc.t.Fatalf("the host never noticed %q's death", name)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // restart boots a fresh process for the node and rejoins it.

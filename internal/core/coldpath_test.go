@@ -70,6 +70,7 @@ func TestRejoinParsesNothing(t *testing.T) {
 	hits, misses := clc.CacheStats()
 
 	f.cc.kill(victim)
+	f.cc.awaitDown(victim)
 	if err := f.cc.rt.Recover(); err != nil {
 		t.Fatalf("recover: %v", err)
 	}

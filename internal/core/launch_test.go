@@ -117,6 +117,7 @@ func TestReplayUsesLaunchSnapshot(t *testing.T) {
 	}
 
 	f.cc.kill(victim)
+	f.cc.awaitDown(victim)
 	if err := f.cc.rt.Recover(); err != nil {
 		t.Fatalf("recover: %v", err)
 	}

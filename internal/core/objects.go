@@ -30,8 +30,8 @@ type Event struct {
 	remoteID uint64
 
 	// Pipelined events carry the issuing queue, the in-flight future and
-	// the response it decodes into (see Session.issueEvent), both inside the
-	// event so that they cost no allocation of their own. Events born
+	// the response it decodes into (see cmd.send), both inside the event so
+	// that they cost no allocation of their own. Events born
 	// resolved (reads, which must block for their data anyway) never
 	// resolve: their call is waited on where it is issued.
 	queue    *Queue
@@ -39,8 +39,8 @@ type Event struct {
 	resp     protocol.EventResp
 	isKernel bool
 
-	// waits backs the command's wire wait list (splitWaits, chainWaits):
-	// a list of up to len(waits) IDs allocates nothing.
+	// waits backs the command's wire wait list (cmd.begin, cmd.after): a
+	// list of up to len(waits) IDs allocates nothing.
 	waits [4]int64
 
 	// trace is the command's tracing record; nil when tracing was off at
@@ -60,8 +60,8 @@ type Event struct {
 	err     error
 
 	// resolved is set once resolve has finished, or at birth for an event
-	// born resolved. Queue.track drops resolved events from its in-flight
-	// list without taking the event's once.
+	// born resolved. cmd.send drops resolved events from the queue's
+	// in-flight list without taking the event's once.
 	resolved atomic.Bool
 
 	// released marks the remote event object freed (fire-and-forget). A
@@ -221,6 +221,85 @@ func (s *Session) splitWaits(node *NodeHandle, waits []*Event, local []int64) (_
 	return local, floor, nil
 }
 
+// cmd is one queued command on its way to the wire: the queue it rides and
+// that queue's binding, snapshotted once, the event standing for its
+// completion, its wire wait list and the virtual-time floor of the waits
+// that cannot go on the wire. Every queued command — the enqueues, the
+// migration relays and push pairs, the broadcast hops — is issued in the
+// same steps: begin, after (once per replica the command waits on), charge
+// (if its request crosses the host NIC) and send.
+type cmd struct {
+	q     *Queue
+	dev   *DeviceRef
+	qid   uint64
+	ev    *Event
+	waits []int64
+	floor vtime.Time
+	// wireStart and arrival are the request's host NIC booking: when it
+	// enters the link and when it arrives. Zero for a device-side copy.
+	wireStart, arrival vtime.Time
+}
+
+// begin starts a command on q that waits on waits and on the heads of
+// the replicas rbs. A queue that latched a failure refuses it; otherwise
+// begin snapshots the queue's binding, makes the command's event, splits
+// waits into wire IDs and a floor (splitWaits) and chains the command
+// behind each replica (after).
+func (q *Queue) begin(waits []*Event, rbs ...*remoteBuf) (c cmd, err error) {
+	q.mu.Lock()
+	c.q, c.dev, c.qid, err = q, q.dev, q.remoteID, q.err
+	q.mu.Unlock()
+	if err != nil {
+		return c, err
+	}
+	c.ev = &Event{dev: c.dev, queue: q}
+	c.waits, c.floor, err = q.ctx.sess.splitWaits(c.dev.node, waits, c.ev.waits[:0])
+	for _, rb := range rbs {
+		if err == nil {
+			err = c.after(rb)
+		}
+	}
+	return c, err
+}
+
+// after chains the command behind rb's head (chainWaits).
+func (c *cmd) after(rb *remoteBuf) (err error) {
+	c.waits, c.floor, err = rb.chainWaits(c.waits, c.floor)
+	return err
+}
+
+// charge books the command's n-byte request on the host NIC egress,
+// departing no earlier than earliest and the command's floor.
+func (c *cmd) charge(earliest vtime.Time, n int64) {
+	c.wireStart, c.arrival = c.q.ctx.sess.chargeHost(c.q.ctx.rt.nicOut, vtime.Max(earliest, c.floor), n)
+}
+
+// record builds the command's trace record, nil when tracing is off. A
+// service queue's commands trace as queue 0.
+func (c *cmd) record(kind trace.Kind, bytes int64) *evTrace {
+	qid := c.qid
+	if c.q.svc {
+		qid = 0
+	}
+	return c.q.ctx.sess.traceCmd(kind, c.dev, qid, bytes, c.wireStart, c.arrival)
+}
+
+// send traces and issues the command, its response decoding into its
+// event, and lists the event, stamped with the current recovery
+// generation, in the queue's in-flight list so the synchronization points
+// can drain it. Events are listed after issue, so the list is in event-ID
+// order unless two goroutines enqueueing on the queue at once list them in
+// the other order than they issued; drain restores it.
+func (c *cmd) send(kind trace.Kind, bytes int64, req protocol.CommandReq) {
+	q := c.q
+	c.ev.trace = c.record(kind, bytes)
+	q.ctx.sess.issue(c.ev, req, &c.ev.resp)
+	c.ev.gen = q.ctx.rt.gen.Load()
+	q.mu.Lock()
+	q.inflight = append(pruneResolved(q.inflight), c.ev)
+	q.mu.Unlock()
+}
+
 // Context is a cluster-wide OpenCL context spanning devices on any number
 // of nodes. One remote context is created on each involved node.
 type Context struct {
@@ -274,18 +353,24 @@ func (s *Session) CreateContext(devices []*DeviceRef) (*Context, error) {
 		perNode[d.node] = append(perNode[d.node], int64(d.info.ID))
 	}
 	for _, node := range sortedNodeKeys(perNode) {
-		ids := perNode[node]
-		var resp protocol.ObjectResp
-		req := &protocol.CreateContextReq{DeviceIDs: ids, SessionID: s.id, Tenant: s.tenant}
-		if err := s.call(node, req, &resp); err != nil {
+		id, err := s.remoteContext(node, perNode[node])
+		if err != nil {
 			return nil, fmt.Errorf("core: create context on %q: %w", node.name, err)
 		}
-		ctx.setRemote(node, resp.ID)
+		ctx.setRemote(node, id)
 	}
 	s.ctxMu.Lock()
 	s.contexts = append(s.contexts, ctx)
 	s.ctxMu.Unlock()
 	return ctx, nil
+}
+
+// remoteContext creates the session's context instance over node's devices
+// ids — for CreateContext, and for a rejoin's restore (restoreOn).
+func (s *Session) remoteContext(node *NodeHandle, ids []int64) (uint64, error) {
+	var resp protocol.ObjectResp
+	err := s.call(node, &protocol.CreateContextReq{DeviceIDs: ids, SessionID: s.id, Tenant: s.tenant}, &resp)
+	return resp.ID, err
 }
 
 // remoteID returns the context's remote instance ID on node, if any.
@@ -373,6 +458,7 @@ func (c *Context) serviceQueue(node *NodeHandle) (*Queue, error) {
 	if err != nil {
 		return nil, err
 	}
+	q.svc = true // before any command can run on it
 	c.svcQueue[node] = q
 	return q, nil
 }
@@ -385,6 +471,9 @@ func (c *Context) serviceQueue(node *NodeHandle) (*Queue, error) {
 // OpenCL's in-order queue semantics.
 type Queue struct {
 	ctx *Context
+	// svc marks a context's hidden migration queue (serviceQueue): its
+	// commands trace as queue 0.
+	svc bool
 
 	mu sync.Mutex
 	// dev and remoteID are the queue's node binding; recovery re-points
@@ -392,8 +481,8 @@ type Queue struct {
 	// snapshot them through binding() rather than read the fields raw.
 	dev      *DeviceRef // guarded by mu
 	remoteID uint64     // guarded by mu
-	// inflight lists the queue's pipelined events in issue order (see track
-	// for when it is not) until they have resolved.
+	// inflight lists the queue's pipelined events in issue order (see
+	// cmd.send for when it is not) until they have resolved.
 	inflight []*Event // guarded by mu
 	err      error    // guarded by mu; sticky: first pipelined command failure
 }
@@ -406,18 +495,6 @@ func (q *Queue) binding() (*DeviceRef, uint64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.dev, q.remoteID
-}
-
-// track registers a pipelined command with the queue so the
-// synchronization points can drain it, stamping the event with the current
-// recovery generation. Events are appended after issue, so the list is in
-// event-ID order unless two goroutines enqueueing on the queue at once
-// append in the other order than they issued; drain restores it.
-func (q *Queue) track(ev *Event) {
-	ev.gen = q.ctx.rt.gen.Load()
-	q.mu.Lock()
-	q.inflight = append(pruneResolved(q.inflight), ev)
-	q.mu.Unlock()
 }
 
 // pruneResolved drops resolved events from an in-flight list about to take
@@ -504,9 +581,23 @@ func sortedNodeKeys[V any](m map[*NodeHandle]V) []*NodeHandle {
 
 // CreateQueue creates a command queue on dev.
 func (c *Context) CreateQueue(dev *DeviceRef) (*Queue, error) {
+	id, err := c.remoteQueue(dev)
+	if err != nil {
+		return nil, err
+	}
+	q := &Queue{ctx: c, dev: dev, remoteID: id}
+	c.regMu.Lock()
+	c.queues = append(c.queues, q)
+	c.regMu.Unlock()
+	return q, nil
+}
+
+// remoteQueue creates a queue object on dev's node — for a new queue, and
+// for recovery's re-placement of one (rebindQueue).
+func (c *Context) remoteQueue(dev *DeviceRef) (uint64, error) {
 	ctxID, ok := c.remoteID(dev.node)
 	if !ok {
-		return nil, fmt.Errorf("core: device %s is not in this context", dev.key)
+		return 0, fmt.Errorf("core: device %s is not in this context", dev.key)
 	}
 	var resp protocol.ObjectResp
 	err := c.sess.call(dev.node, &protocol.CreateQueueReq{
@@ -515,13 +606,9 @@ func (c *Context) CreateQueue(dev *DeviceRef) (*Queue, error) {
 		Profiling: true,
 	}, &resp)
 	if err != nil {
-		return nil, fmt.Errorf("core: create queue on %s: %w", dev.key, err)
+		return 0, fmt.Errorf("core: create queue on %s: %w", dev.key, err)
 	}
-	q := &Queue{ctx: c, dev: dev, remoteID: resp.ID}
-	c.regMu.Lock()
-	c.queues = append(c.queues, q)
-	c.regMu.Unlock()
-	return q, nil
+	return resp.ID, nil
 }
 
 // Device returns the queue's device.
@@ -537,13 +624,7 @@ func (q *Queue) Device() *DeviceRef {
 // is reported here. A crash-induced failure triggers recovery and a
 // retry: node loss is retriable, only genuine command failures stick.
 func (q *Queue) Finish() (vtime.Time, error) {
-	var t vtime.Time
-	err := q.ctx.sess.withRecovery(func() error {
-		var ferr error
-		t, ferr = q.finish()
-		return ferr
-	})
-	return t, err
+	return withRecovery(q.ctx.sess, q.finish)
 }
 
 // finish is the non-recovering Finish internal.
@@ -576,15 +657,25 @@ func (q *Queue) Release() error {
 // remoteBuf tracks one node's replica of a buffer. valid is the set of
 // byte ranges whose replica bytes hold current data — a partial write
 // validates exactly the written range, an overlapping writer elsewhere
-// invalidates exactly the overlap (DESIGN.md §5). lastEvent chains the
-// replica's most recent writer: because event IDs are host-assigned at
-// issue time, a dependent command can be pipelined behind the writer
-// without waiting for the writer's response.
+// invalidates exactly the overlap (DESIGN.md §5). head is the replica's
+// chain head: the last command issued that writes the replica, or that
+// reads it ahead of a later write (a copy's or a push's source). Because
+// event IDs are host-assigned at issue time, a dependent command can be
+// pipelined behind the head without waiting for its response.
 type remoteBuf struct {
-	id        uint64
-	valid     mem.RangeSet
-	lastEvent uint64 // event ID of the last write, for ordering
-	lastEv    *Event // the chained event itself, to detect released chains
+	id    uint64
+	valid mem.RangeSet
+	head  *Event
+}
+
+// setHead makes ev the replica's chain head unless a later-issued command
+// already is. Event IDs are assigned in wire order, so a smaller ID never
+// replaces a larger one: a launch updates its written buffers after issue,
+// when a concurrent writer may already have issued behind it.
+func (rb *remoteBuf) setHead(ev *Event) {
+	if rb.head == nil || ev.remoteID > rb.head.remoteID {
+		rb.head = ev
+	}
 }
 
 // Buffer is a cluster-wide memory object (clCreateBuffer). The nodes hold
@@ -738,13 +829,9 @@ func hostRangeOK(off, n, size int64) bool {
 // copy made here serves both the command log and the wire.
 func (q *Queue) EnqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Event) (*Event, error) {
 	owned := append([]byte(nil), data...)
-	var ev *Event
-	err := q.ctx.sess.withRecovery(func() error {
-		var werr error
-		ev, werr = q.enqueueWrite(b, offset, owned, waits...)
-		return werr
+	return withRecovery(q.ctx.sess, func() (*Event, error) {
+		return q.enqueueWrite(b, offset, owned, waits...)
 	})
-	return ev, err
 }
 
 // enqueueWrite is the non-recovering EnqueueWrite internal; replay drives
@@ -753,9 +840,6 @@ func (q *Queue) EnqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Eve
 // it (DESIGN.md §11). EnqueueWrite passes its private copy, replay the
 // log's own slice.
 func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Event) (*Event, error) {
-	if err := q.stickyErr(); err != nil {
-		return nil, err
-	}
 	if b.ctx.sess != q.ctx.sess {
 		return nil, fmt.Errorf("core: write to buffer of tenant %q: %w", b.ctx.sess.tenant, ErrCrossSession)
 	}
@@ -763,67 +847,62 @@ func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Eve
 		return nil, fmt.Errorf("core: write range at offset %d of %d bytes out of bounds (buffer %d bytes)",
 			offset, len(data), b.size)
 	}
-	dev, qid := q.binding()
-	node := dev.node
-	end := offset + int64(len(data))
+	c, err := q.begin(waits)
+	if err != nil {
+		return nil, err
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 
 	// Every fallible step runs before any buffer state mutates: a write
 	// whose replica allocation or wait list fails must not invalidate the
 	// replicas holding the range's current data.
-	rb, err := b.remoteOn(node)
+	rb, err := b.remoteOn(c.dev.node)
 	if err != nil {
 		return nil, err
 	}
-	ev := &Event{dev: dev, queue: q}
-	localWaits, floor, err := q.ctx.sess.splitWaits(node, waits, ev.waits[:0])
-	if err != nil {
+	if err := c.after(rb); err != nil {
 		return nil, err
 	}
-	if localWaits, floor, err = rb.chainWaits(localWaits, floor); err != nil {
-		return nil, err
-	}
-
 	modelBytes := b.scaled(int64(len(data)))
-	earliest := vtime.Max(b.hostReadyAt, floor)
-	wireStart, arrival := q.ctx.sess.chargeNIC(earliest, controlMsgBytes+modelBytes)
-
-	ev.trace = q.ctx.sess.traceCmd(trace.KindWrite, dev, qid, modelBytes, wireStart, arrival)
-	id := q.ctx.sess.issueEvent(ev, &protocol.WriteBufferReq{
-		QueueID:    qid,
+	c.charge(b.hostReadyAt, controlMsgBytes+modelBytes)
+	c.send(trace.KindWrite, modelBytes, &protocol.WriteBufferReq{
+		QueueID:    c.qid,
 		BufferID:   rb.id,
 		Offset:     offset,
 		Data:       data,
-		SimArrival: int64(arrival),
+		SimArrival: int64(c.arrival),
 		ModelBytes: modelBytes,
-		WaitEvents: localWaits,
+		WaitEvents: c.waits,
 	})
-	q.track(ev)
-
-	// Coherence at issue time (wire order is event-ID order): this node now
-	// holds the written range; other replicas lose exactly the overlap. A
-	// partial write onto a stale replica must NOT validate the unwritten
+	// A partial write onto a stale replica must NOT validate the unwritten
 	// remainder — those bytes still hold old data, and reading them back
 	// here would expose stale content (the pre-range runtime's
 	// whole-replica flag did exactly that).
-	for other, orb := range b.remote {
-		if other != node {
-			orb.valid.Remove(offset, end)
-		}
-	}
-	rb.valid.Add(offset, end)
-	rb.lastEvent = id
-	rb.lastEv = ev
+	b.define(c.dev.node, rb, offset, offset+int64(len(data)), c.ev)
 	// Log under b.mu so the log order matches the issue order per buffer.
 	q.ctx.sess.logCommand(&writeLog{q: q, b: b, off: offset, data: data})
-	return ev, nil
+	return c.ev, nil
+}
+
+// define records at issue time (wire order is event-ID order) that node's
+// replica rb now holds [lo, hi), written by ev: every other replica loses
+// exactly that range, and ev becomes rb's chain head (setHead).
+// Caller holds b.mu.
+func (b *Buffer) define(node *NodeHandle, rb *remoteBuf, lo, hi int64, ev *Event) {
+	for other, orb := range b.remote {
+		if other != node {
+			orb.valid.Remove(lo, hi)
+		}
+	}
+	rb.valid.Add(lo, hi)
+	rb.setHead(ev)
 }
 
 // ensureResident makes the byte range [lo, hi) of the buffer valid on
 // node, migrating its stale ranges with migrateP2P. Caller holds b.mu. It
 // returns the replica; any subsequent command on node chains behind
-// rb.lastEvent as usual.
+// its head as usual.
 //
 // Migration is a delta: only the Gaps of the replica's valid set within
 // [lo, hi) travel, each as its own ranged command charged per-range
@@ -843,26 +922,26 @@ func (b *Buffer) ensureResident(node *NodeHandle, lo, hi int64) (*remoteBuf, err
 	return rb, nil
 }
 
-// chainWaits appends the wait-list entry for the replica's last writer to
+// chainWaits appends the wait-list entry for the replica's chain head to
 // waits (backed by the issuing event's inline array) and returns floor
-// raised to what the chain imposes in virtual time. A chained event that
-// was released has no node-side record left, so it cannot go on the wire:
-// once it is known complete it drops out of the chain, its end folded into
-// the floor as for a cross-node wait, and its failure, if it failed, is
-// the command's. One released while still in flight is refused — nothing
-// could ever resolve a wire wait on it (release events only after the
-// buffer's chain has quiesced at a sync point).
+// raised to what the chain imposes in virtual time. A head that was
+// released has no node-side record left, so it cannot go on the wire: once
+// it is known complete it drops out of the chain, its end folded into the
+// floor as for a cross-node wait, and its failure, if it failed, is the
+// command's. One released while still in flight is refused — nothing could
+// ever resolve a wire wait on it (release events only after the buffer's
+// chain has quiesced at a sync point).
 func (rb *remoteBuf) chainWaits(waits []int64, floor vtime.Time) ([]int64, vtime.Time, error) {
-	ev := rb.lastEv
+	ev := rb.head
 	switch {
-	case rb.lastEvent == 0:
+	case ev == nil:
 		return waits, floor, nil
-	case ev == nil || !ev.released.Load():
-		return append(waits, int64(rb.lastEvent)), floor, nil
+	case !ev.released.Load():
+		return append(waits, int64(ev.remoteID)), floor, nil
 	case !ev.resolved.Load():
-		return nil, 0, fmt.Errorf("core: buffer chain references released event %d still in flight (quiesce with Finish/Flush before releasing chained events)", rb.lastEvent)
+		return nil, 0, fmt.Errorf("core: buffer chain references released event %d still in flight (quiesce with Finish/Flush before releasing chained events)", ev.remoteID)
 	case ev.err != nil:
-		return nil, 0, fmt.Errorf("core: buffer chain references failed event %d: %w", rb.lastEvent, ev.err)
+		return nil, 0, fmt.Errorf("core: buffer chain references failed event %d: %w", ev.remoteID, ev.err)
 	}
 	return waits, vtime.Max(floor, ev.End()), nil
 }
@@ -874,12 +953,10 @@ func (rb *remoteBuf) chainWaits(waits []int64, floor vtime.Time) ([]int64, vtime
 // call itself blocks until the data arrives, making it a natural
 // synchronization point for the buffer's command chain.
 func (q *Queue) EnqueueRead(b *Buffer, offset, size int64, waits ...*Event) ([]byte, *Event, error) {
-	var data []byte
 	var ev *Event
-	err := q.ctx.sess.withRecovery(func() error {
-		var rerr error
-		data, ev, rerr = q.enqueueRead(b, offset, size, waits...)
-		return rerr
+	data, err := withRecovery(q.ctx.sess, func() (data []byte, err error) {
+		data, ev, err = q.enqueueRead(b, offset, size, waits...)
+		return data, err
 	})
 	return data, ev, err
 }
@@ -887,9 +964,6 @@ func (q *Queue) EnqueueRead(b *Buffer, offset, size int64, waits ...*Event) ([]b
 // enqueueRead is the non-recovering EnqueueRead internal. Reads are not
 // logged: they do not mutate contents.
 func (q *Queue) enqueueRead(b *Buffer, offset, size int64, waits ...*Event) ([]byte, *Event, error) {
-	if err := q.stickyErr(); err != nil {
-		return nil, nil, err
-	}
 	if b.ctx.sess != q.ctx.sess {
 		return nil, nil, fmt.Errorf("core: read from buffer of tenant %q: %w", b.ctx.sess.tenant, ErrCrossSession)
 	}
@@ -897,79 +971,69 @@ func (q *Queue) enqueueRead(b *Buffer, offset, size int64, waits ...*Event) ([]b
 		return nil, nil, fmt.Errorf("core: read range at offset %d of %d bytes out of bounds (buffer %d bytes)",
 			offset, size, b.size)
 	}
-	dev, qid := q.binding()
-	node := dev.node
+	c, err := q.begin(waits)
+	if err != nil {
+		return nil, nil, err
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 
 	// Only the read range needs to be resident: delta migration fetches
 	// and pushes exactly the stale sub-ranges.
-	rb, err := b.ensureResident(node, offset, offset+size)
+	rb, err := b.ensureResident(c.dev.node, offset, offset+size)
 	if err != nil {
 		return nil, nil, err
 	}
-	ev := &Event{dev: dev, queue: q}
-	localWaits, floor, err := q.ctx.sess.splitWaits(node, waits, ev.waits[:0])
-	if err != nil {
-		return nil, nil, err
-	}
-	if localWaits, floor, err = rb.chainWaits(localWaits, floor); err != nil {
+	if err := c.after(rb); err != nil {
 		return nil, nil, err
 	}
 	modelBytes := b.scaled(size)
-	wireStart, arrival := q.ctx.sess.chargeNIC(floor, controlMsgBytes)
+	c.charge(0, controlMsgBytes)
 
+	// The read blocks for its response, so it is issued but not listed in
+	// the queue's in-flight list, and its span tree is emitted here.
 	var resp protocol.ReadBufferResp
-	id := q.ctx.sess.issue(ev, &protocol.ReadBufferReq{
-		QueueID:    qid,
+	q.ctx.sess.issue(c.ev, &protocol.ReadBufferReq{
+		QueueID:    c.qid,
 		BufferID:   rb.id,
 		Offset:     offset,
 		Size:       size,
-		SimArrival: int64(arrival),
+		SimArrival: int64(c.arrival),
 		ModelBytes: modelBytes,
-		WaitEvents: localWaits,
+		WaitEvents: c.waits,
 	}, &resp)
-	if err := ev.call.Wait(); err != nil {
-		return nil, nil, fmt.Errorf("core: read buffer on %s: %w", dev.key, classifyNodeErr(node, err))
+	if err := c.ev.call.Wait(); err != nil {
+		return nil, nil, fmt.Errorf("core: read buffer on %s: %w", c.dev.key, classifyNodeErr(c.dev.node, err))
 	}
 	// The payload crosses the backbone to the host, straight to the caller.
-	_, hostArrival := q.ctx.sess.chargeNICIn(vtime.Time(resp.Profile.End), controlMsgBytes+modelBytes)
+	_, hostArrival := q.ctx.sess.chargeHost(q.ctx.rt.nicIn, vtime.Time(resp.Profile.End), controlMsgBytes+modelBytes)
 	if hostArrival > b.hostReadyAt {
 		b.hostReadyAt = hostArrival
 	}
 	prof := resp.Profile
-	q.ctx.sess.observeProfile(dev.key, prof, false)
+	q.ctx.sess.observeProfile(c.dev.key, prof, false)
 	q.ctx.sess.observeMakespan(hostArrival)
-	// The read blocked for its data, so its span tree is emitted here.
-	q.ctx.sess.traceCmd(trace.KindRead, dev, qid, modelBytes, wireStart, arrival).
-		emitIn(id, prof, hostArrival)
+	c.record(trace.KindRead, modelBytes).emitIn(c.ev.remoteID, prof, hostArrival)
 	// The event is born resolved: the read blocked for its response. It
 	// carries the issuing queue so Release and the cross-session wait check
 	// can find its owner (resolve is a no-op).
-	ev.profile, ev.gen = prof, q.ctx.rt.gen.Load()
-	ev.resolved.Store(true)
-	return resp.Data, ev, nil
+	c.ev.profile, c.ev.gen = prof, q.ctx.rt.gen.Load()
+	c.ev.resolved.Store(true)
+	return resp.Data, c.ev, nil
 }
 
 // EnqueueCopy copies size bytes between two buffers on q's device
 // (clEnqueueCopyBuffer). Both buffers are made resident on the node first;
 // the copy happens device-side with no backbone traffic.
 func (q *Queue) EnqueueCopy(src, dst *Buffer, srcOffset, dstOffset, size int64, waits ...*Event) (*Event, error) {
-	var ev *Event
-	err := q.ctx.sess.withRecovery(func() error {
-		var cerr error
-		ev, cerr = q.enqueueCopy(src, dst, srcOffset, dstOffset, size, waits...)
-		return cerr
+	return withRecovery(q.ctx.sess, func() (*Event, error) {
+		return q.enqueueCopy(src, dst, srcOffset, dstOffset, size, waits...)
 	})
-	return ev, err
 }
 
 // enqueueCopy is the non-recovering EnqueueCopy internal; replay drives it
 // directly.
 func (q *Queue) enqueueCopy(src, dst *Buffer, srcOffset, dstOffset, size int64, waits ...*Event) (*Event, error) {
-	if err := q.stickyErr(); err != nil {
-		return nil, err
-	}
 	if src.ctx.sess != q.ctx.sess {
 		return nil, fmt.Errorf("core: copy from buffer of tenant %q: %w", src.ctx.sess.tenant, ErrCrossSession)
 	}
@@ -982,8 +1046,11 @@ func (q *Queue) enqueueCopy(src, dst *Buffer, srcOffset, dstOffset, size int64, 
 	if src == dst {
 		return nil, fmt.Errorf("core: copy within one buffer is not supported")
 	}
-	dev, qid := q.binding()
-	node := dev.node
+	c, err := q.begin(waits)
+	if err != nil {
+		return nil, err
+	}
+	node := c.dev.node
 
 	// Lock in address order, so that two copies running A→B and B→A at once
 	// cannot deadlock. Comparing addresses relies on Go's heap not moving
@@ -1010,55 +1077,38 @@ func (q *Queue) enqueueCopy(src, dst *Buffer, srcOffset, dstOffset, size int64, 
 	// a released chain event would drop into: only its own queue's order
 	// keeps it behind one. A released event from another queue is refused.
 	for _, rb := range [2]*remoteBuf{srcRB, dstRB} {
-		if ev := rb.lastEv; rb.lastEvent != 0 && ev != nil && ev.released.Load() && ev.queue != q {
-			return nil, fmt.Errorf("core: copy chained to released event %d of another queue (quiesce with Finish/Flush before releasing chained events)", rb.lastEvent)
+		if ev := rb.head; ev != nil && ev.released.Load() && ev.queue != q {
+			return nil, fmt.Errorf("core: copy chained to released event %d of another queue (quiesce with Finish/Flush before releasing chained events)", ev.remoteID)
 		}
 	}
-	ev := &Event{dev: dev, queue: q}
-	localWaits, floor, err := q.ctx.sess.splitWaits(node, waits, ev.waits[:0])
-	if err != nil {
+	// The floor goes unused: a device-side op's cross-node dependencies
+	// are already folded into srcRB.
+	if err := c.after(srcRB); err != nil {
 		return nil, err
 	}
-	if localWaits, floor, err = srcRB.chainWaits(localWaits, floor); err != nil {
+	if err := c.after(dstRB); err != nil {
 		return nil, err
 	}
-	if localWaits, floor, err = dstRB.chainWaits(localWaits, floor); err != nil {
-		return nil, err
-	}
-	_ = floor // device-side op: cross-node deps already folded into srcRB
-
-	ev.trace = q.ctx.sess.traceCmd(trace.KindCopy, dev, qid, size, 0, 0)
-	id := q.ctx.sess.issueEvent(ev, &protocol.CopyBufferReq{
-		QueueID:    qid,
+	c.send(trace.KindCopy, size, &protocol.CopyBufferReq{
+		QueueID:    c.qid,
 		SrcID:      srcRB.id,
 		DstID:      dstRB.id,
 		SrcOffset:  srcOffset,
 		DstOffset:  dstOffset,
 		Size:       size,
-		WaitEvents: localWaits,
+		WaitEvents: c.waits,
 	})
-	q.track(ev)
 	// Anti-dependency on the source: a later writer of this replica — a
 	// same-node kernel on another queue, say — must wait until the copy has
 	// read it, or the copy would observe the later write's bytes (the push
 	// paths chain the same way; deep pipelines, like recovery replay, hit
 	// this window).
-	srcRB.lastEvent = id
-	srcRB.lastEv = ev
+	srcRB.setHead(c.ev)
 	// This node's replica is now the only valid holder of the copied
 	// range; validity outside it is untouched everywhere.
-	dstEnd := dstOffset + size
-	//lint:ignore haoclvet/lockguard dst.mu is held via the address-ordered first/second aliases locked above
-	for other, orb := range dst.remote {
-		if other != node {
-			orb.valid.Remove(dstOffset, dstEnd)
-		}
-	}
-	dstRB.valid.Add(dstOffset, dstEnd)
-	dstRB.lastEvent = id
-	dstRB.lastEv = ev
+	dst.define(node, dstRB, dstOffset, dstOffset+size, c.ev)
 	q.ctx.sess.logCommand(&copyLog{q: q, src: src, dst: dst, srcOff: srcOffset, dstOff: dstOffset, size: size})
-	return ev, nil
+	return c.ev, nil
 }
 
 // Program is OpenCL program source plus its per-node builds. The host
@@ -1106,11 +1156,7 @@ func (p *Program) Build() error {
 	}
 	snap := p.ctx.remoteSnapshot()
 	for _, node := range sortedNodeKeys(snap) {
-		var resp protocol.BuildProgramResp
-		err := p.ctx.sess.call(node, &protocol.BuildProgramReq{
-			ContextID: snap[node],
-			Source:    p.source,
-		}, &resp)
+		resp, err := p.buildOn(node, snap[node])
 		p.log += resp.Log
 		if err != nil {
 			return fmt.Errorf("core: build on %q: %w", node.name, err)
@@ -1119,6 +1165,14 @@ func (p *Program) Build() error {
 	}
 	p.built = true
 	return nil
+}
+
+// buildOn builds the program in the context instance ctxID on node — for
+// Build, and for a rejoin's restore (restoreOn), which keeps the log out of
+// BuildLog.
+func (p *Program) buildOn(node *NodeHandle, ctxID uint64) (resp protocol.BuildProgramResp, err error) {
+	err = p.ctx.sess.call(node, &protocol.BuildProgramReq{ContextID: ctxID, Source: p.source}, &resp)
+	return resp, err
 }
 
 // BuildLog returns the accumulated build logs.
@@ -1325,13 +1379,9 @@ func (q *Queue) EnqueueKernel(k *Kernel, global, local []int, waits []*Event, op
 		l.opts = *opts
 	}
 
-	var ev *Event
-	err := q.ctx.sess.withRecovery(func() error {
-		var kerr error
-		ev, kerr = q.enqueueKernelBound(l, waits)
-		return kerr
+	return withRecovery(q.ctx.sess, func() (*Event, error) {
+		return q.enqueueKernelBound(l, waits)
 	})
-	return ev, err
 }
 
 // enqueueKernelBound is the non-recovering EnqueueKernel internal. It
@@ -1339,23 +1389,18 @@ func (q *Queue) EnqueueKernel(k *Kernel, global, local []int, waits []*Event, op
 // EnqueueKernel — and logs l itself, so replay issues exactly what was
 // issued.
 func (q *Queue) enqueueKernelBound(l *kernelLog, waits []*Event) (*Event, error) {
-	if err := q.stickyErr(); err != nil {
-		return nil, err
-	}
 	k := l.k
 	if k.prog.ctx.sess != q.ctx.sess {
 		return nil, fmt.Errorf("core: launch kernel %q of tenant %q: %w",
 			k.name, k.prog.ctx.sess.tenant, ErrCrossSession)
 	}
-	dev, qid := q.binding()
-	node := dev.node
-	remoteKernel, err := k.remoteOn(node)
+	c, err := q.begin(waits)
 	if err != nil {
 		return nil, err
 	}
-
-	ev := &Event{dev: dev, queue: q, isKernel: true}
-	localWaits, floor, err := q.ctx.sess.splitWaits(node, waits, ev.waits[:0])
+	c.ev.isKernel = true
+	node := c.dev.node
+	remoteKernel, err := k.remoteOn(node)
 	if err != nil {
 		return nil, err
 	}
@@ -1376,11 +1421,10 @@ func (q *Queue) enqueueKernelBound(l *kernelLog, waits []*Event) (*Event, error)
 			// whole replica must be resident (delta migration still moves
 			// only the stale ranges of it).
 			rb, err := bind.buf.ensureResident(node, 0, bind.buf.size)
-			if err != nil {
-				bind.buf.mu.Unlock()
-				return nil, fmt.Errorf("core: kernel %q arg %d: %w", k.name, i, err)
+			if err == nil {
+				err = c.after(rb)
 			}
-			if localWaits, floor, err = rb.chainWaits(localWaits, floor); err != nil {
+			if err != nil {
 				bind.buf.mu.Unlock()
 				return nil, fmt.Errorf("core: kernel %q arg %d: %w", k.name, i, err)
 			}
@@ -1399,44 +1443,31 @@ func (q *Queue) enqueueKernelBound(l *kernelLog, waits []*Event) (*Event, error)
 		}
 	}
 
-	wireStart, arrival := q.ctx.sess.chargeNIC(floor, msgBytes)
-	req := &protocol.EnqueueKernelReq{
-		QueueID:    qid,
+	c.charge(0, msgBytes)
+	c.send(trace.KindKernel, msgBytes, &protocol.EnqueueKernelReq{
+		QueueID:    c.qid,
 		KernelID:   remoteKernel,
 		Global:     l.global(),
 		Local:      l.local(),
 		Args:       wireArgs,
-		SimArrival: int64(arrival),
-		WaitEvents: localWaits,
+		SimArrival: int64(c.arrival),
+		WaitEvents: c.waits,
 		CostFlops:  l.opts.CostFlops,
 		CostBytes:  l.opts.CostBytes,
-	}
-	ev.trace = q.ctx.sess.traceCmd(trace.KindKernel, dev, qid, msgBytes, wireStart, arrival)
-	id := q.ctx.sess.issueEvent(ev, req)
-	q.track(ev)
+	})
 
-	// Written-buffer coherence at issue time. The monotonic guard keeps a
-	// concurrent later-issued writer's chain intact: event IDs are assigned
-	// in wire order, so a smaller ID must never overwrite a larger one.
+	// Written-buffer coherence at issue time. A kernel may write any byte,
+	// so the launch node's replica — fully resident since arg setup above —
+	// becomes the only valid holder of the whole buffer. The buffer was
+	// unlocked since its chain was read: a writer that issued behind the
+	// launch meanwhile keeps its place as the head (setHead).
 	for _, b := range written {
 		b.mu.Lock()
-		// A kernel may write any byte, so the launch node's replica —
-		// fully resident since arg setup above — becomes the only valid
-		// holder of the whole buffer.
-		for other, orb := range b.remote {
-			if other != node {
-				orb.valid.Reset()
-			}
-		}
 		if rb := b.remote[node]; rb != nil {
-			rb.valid.Add(0, b.size)
-			if id > rb.lastEvent {
-				rb.lastEvent = id
-				rb.lastEv = ev
-			}
+			b.define(node, rb, 0, b.size, c.ev)
 		}
 		b.mu.Unlock()
 	}
 	q.ctx.sess.logCommand(l)
-	return ev, nil
+	return c.ev, nil
 }

@@ -5,6 +5,7 @@ import (
 	"github.com/haocl-project/haocl/internal/protocol"
 	"github.com/haocl-project/haocl/internal/trace"
 	"github.com/haocl-project/haocl/internal/transport"
+	"github.com/haocl-project/haocl/internal/vtime"
 )
 
 // ownerSpan assigns one sub-range of a migration gap to the replica that
@@ -44,8 +45,7 @@ func (b *Buffer) planOwners(gap mem.Range) (plan []ownerSpan, leftover []mem.Ran
 
 // migrateP2P moves the stale gaps of node's replica directly from their
 // owning replicas: for each owner-covered span the host issues a PushRange
-// to the owner and a matching AwaitPush to the consumer — two control
-// frames on the host NIC, while the payload crosses the owner's node link.
+// to the owner and a matching AwaitPush to the consumer (Session.push).
 // The host stays the control plane: it plans from the validity map, assigns
 // both completion events, and wires them into the usual chains, so
 // pipelining, wait-lists and failure cascades work as for any queue
@@ -59,116 +59,99 @@ func (b *Buffer) migrateP2P(node *NodeHandle, rb *remoteBuf, gaps []mem.Range) e
 	if err != nil {
 		return err
 	}
-	if err := svc.stickyErr(); err != nil {
-		return err
-	}
-	svcDev, svcQID := svc.binding()
 	for _, g := range gaps {
 		plan, leftover := b.planOwners(g)
 		for _, ps := range plan {
-			if err := b.pushFromPeer(node, rb, svc, ps); err != nil {
+			ownerSvc, err := b.ctx.serviceQueue(ps.node)
+			if err != nil {
 				return err
 			}
+			src, err := ownerSvc.begin(nil, ps.rb)
+			if err != nil {
+				return err
+			}
+			dst, err := svc.begin(nil, rb)
+			if err != nil {
+				return err
+			}
+			b.ctx.sess.push(&src, &dst, ps.rb, rb, ps.r.Lo, ps.r.Hi, b.scaled(ps.r.Len()), 0)
 		}
 		for _, r := range leftover {
-			pushEv := &Event{dev: svcDev, queue: svc}
-			chain, earliest, err := rb.chainWaits(pushEv.waits[:0], b.hostReadyAt)
+			c, err := svc.begin(nil, rb)
 			if err != nil {
 				return err
 			}
 			modelBytes := b.scaled(r.Len())
-			wireStart, arrival := b.ctx.sess.chargeNIC(earliest, controlMsgBytes+modelBytes)
-			pushEv.trace = b.ctx.sess.traceCmd(trace.KindMigrate, svcDev, 0, modelBytes, wireStart, arrival)
-			id := b.ctx.sess.issueEvent(pushEv, &protocol.WriteBufferReq{
-				QueueID:    svcQID,
+			c.charge(b.hostReadyAt, controlMsgBytes+modelBytes)
+			c.send(trace.KindMigrate, modelBytes, &protocol.WriteBufferReq{
+				QueueID:    c.qid,
 				BufferID:   rb.id,
 				Offset:     r.Lo,
 				Data:       make([]byte, r.Len()),
-				SimArrival: int64(arrival),
+				SimArrival: int64(c.arrival),
 				ModelBytes: modelBytes,
-				WaitEvents: chain,
+				WaitEvents: c.waits,
 			})
-			svc.track(pushEv)
 			rb.valid.Add(r.Lo, r.Hi)
-			rb.lastEvent = id
-			rb.lastEv = pushEv
+			rb.setHead(c.ev)
 		}
 	}
 	return nil
 }
 
-// pushFromPeer issues one PushRange/AwaitPush pair moving ps.r from its
-// owner to node. Caller holds b.mu.
-func (b *Buffer) pushFromPeer(node *NodeHandle, rb *remoteBuf, svc *Queue, ps ownerSpan) error {
-	rt := b.ctx.rt
-	sess := b.ctx.sess
-	ownerSvc, err := b.ctx.serviceQueue(ps.node)
-	if err != nil {
-		return err
-	}
-	if err := ownerSvc.stickyErr(); err != nil {
-		return err
-	}
-	ownerDev, ownerQID := ownerSvc.binding()
-	svcDev, svcQID := svc.binding()
-	pushEv := &Event{dev: ownerDev, queue: ownerSvc}
-	ownerChain, ownerFloor, err := ps.rb.chainWaits(pushEv.waits[:0], 0)
-	if err != nil {
-		return err
-	}
-	awaitEv := &Event{dev: svcDev, queue: svc}
-	consumerChain, consumerFloor, err := rb.chainWaits(awaitEv.waits[:0], 0)
-	if err != nil {
-		return err
-	}
-
-	token := rt.nextPushToken()
-	modelBytes := b.scaled(ps.r.Len())
-
-	// Only the control frames cross the host NIC. The payload is charged
-	// to the owner's egress link node-side; the host keeps byte accounting.
-	pushCtrlStart, pushCtrl := sess.chargeNIC(ownerFloor, controlMsgBytes)
-	pushEv.trace = sess.traceCmd(trace.KindPushRange, ownerDev, 0, modelBytes, pushCtrlStart, pushCtrl)
-	pushID := sess.issueEvent(pushEv, &protocol.PushRangeReq{
-		QueueID:      ownerQID,
-		BufferID:     ps.rb.id,
-		PeerName:     node.name,
-		PeerBufferID: rb.id,
+// push issues the PushRange/AwaitPush pair that moves [lo, hi) of a
+// buffer from the replica srcRB to the replica dstRB, through src on the
+// source node's service queue and dst on the consumer's side; both are
+// begun and chained. Only the control frames cross the host NIC: the
+// payload is charged to the source node's egress link node-side, and the
+// host keeps byte accounting. A broadcast hop passes hop, the instant its
+// predecessor's payload arrived: the push departs then (DepartAt, cut
+// through), and dst traces as the hop itself over the peer-link flight,
+// which leaves dst.arrival at the hop's arrival. Caller holds the
+// buffer's mu.
+func (s *Session) push(src, dst *cmd, srcRB, dstRB *remoteBuf, lo, hi, modelBytes int64, hop vtime.Time) {
+	token := s.rt.nextPushToken()
+	src.charge(0, controlMsgBytes)
+	src.send(trace.KindPushRange, modelBytes, &protocol.PushRangeReq{
+		QueueID:      src.qid,
+		BufferID:     srcRB.id,
+		PeerName:     dst.dev.node.name,
+		PeerBufferID: dstRB.id,
 		Token:        token,
-		Offset:       ps.r.Lo,
-		Size:         ps.r.Len(),
-		SimArrival:   int64(pushCtrl),
+		Offset:       lo,
+		Size:         hi - lo,
+		SimArrival:   int64(src.arrival),
+		DepartAt:     int64(hop),
 		ModelBytes:   modelBytes,
-		WaitEvents:   ownerChain,
+		WaitEvents:   src.waits,
 	})
-	ownerSvc.track(pushEv)
-	// The push becomes the owner replica's chain head: a later write there
+	// The push becomes the source replica's chain head: a later write there
 	// must wait for the device read (anti-dependency), and the in-order
 	// service queue sequences later pushes for free. Validity is untouched
 	// — a push does not invalidate its source.
-	ps.rb.lastEvent = pushID
-	ps.rb.lastEv = pushEv
+	srcRB.setHead(src.ev)
 
-	awaitCtrlStart, awaitCtrl := sess.chargeNIC(consumerFloor, controlMsgBytes)
-	awaitEv.trace = sess.traceCmd(trace.KindAwaitPush, svcDev, 0, modelBytes, awaitCtrlStart, awaitCtrl)
-	awaitID := sess.issueEvent(awaitEv, &protocol.AwaitPushReq{
-		QueueID:    svcQID,
-		BufferID:   rb.id,
+	dst.charge(0, controlMsgBytes)
+	req := &protocol.AwaitPushReq{
+		QueueID:    dst.qid,
+		BufferID:   dstRB.id,
 		Token:      token,
-		Offset:     ps.r.Lo,
-		Size:       ps.r.Len(),
-		SimArrival: int64(awaitCtrl),
+		Offset:     lo,
+		Size:       hi - lo,
+		SimArrival: int64(dst.arrival),
 		ModelBytes: modelBytes,
-		WaitEvents: consumerChain,
-	})
-	svc.track(awaitEv)
-	sess.chargePeer(modelBytes)
-	rt.watchPush(node.client.Load(), token, pushEv)
-
-	rb.valid.Add(ps.r.Lo, ps.r.Hi)
-	rb.lastEvent = awaitID
-	rb.lastEv = awaitEv
-	return nil
+		WaitEvents: dst.waits,
+	}
+	kind := trace.KindAwaitPush
+	if hop != 0 {
+		kind = trace.KindBroadcast
+		dst.wireStart, dst.arrival = hop, hop.Add(hopDelay(modelBytes))
+	}
+	dst.send(kind, modelBytes, req)
+	s.chargePeer(modelBytes)
+	s.rt.watchPush(dst.dev.node.client.Load(), token, src.ev)
+	dstRB.valid.Add(lo, hi)
+	dstRB.setHead(dst.ev)
 }
 
 // watchPush cancels the consumer-side rendezvous when the source push

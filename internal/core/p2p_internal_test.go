@@ -118,3 +118,33 @@ func TestPlanOwnersNoOwners(t *testing.T) {
 		t.Fatalf("leftover = %+v, want the whole gap", leftover)
 	}
 }
+
+// TestDefineKeepsLaterHead pins the chain-head rule: a launch updates its
+// written buffers after issue, with the buffer unlocked in between, so a
+// writer issued behind it may already have defined the replica. The
+// launch's define still moves validity, but must leave the larger event ID
+// as the head, or a later command would chain behind the earlier event
+// and could overtake the write.
+func TestDefineKeepsLaterHead(t *testing.T) {
+	nA := &NodeHandle{name: "alpha"}
+	nB := &NodeHandle{name: "beta"}
+	rbA := &remoteBuf{id: 1}
+	rbB := &remoteBuf{id: 2}
+	rbB.valid.Add(0, 64)
+	b := &Buffer{size: 64, remote: map[*NodeHandle]*remoteBuf{nA: rbA, nB: rbB}}
+
+	later := &Event{remoteID: 7}
+	b.define(nA, rbA, 0, 16, later)
+	b.define(nA, rbA, 0, 64, &Event{remoteID: 5})
+	if rbA.head != later {
+		t.Fatalf("head is event %d after defining event 5 behind 7, want 7", rbA.head.remoteID)
+	}
+	if !rbA.valid.Contains(0, 64) || !rbB.valid.Empty() {
+		t.Fatalf("valid: alpha %v, beta %v; want alpha [0,64), beta empty", rbA.valid.String(), rbB.valid.String())
+	}
+	next := &Event{remoteID: 9}
+	b.define(nA, rbA, 16, 32, next)
+	if rbA.head != next {
+		t.Fatalf("head is event %d after defining event 9, want 9", rbA.head.remoteID)
+	}
+}

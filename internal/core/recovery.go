@@ -112,26 +112,27 @@ func (rt *Runtime) shouldRecover(err error) bool {
 	return isNodeLost(err) || rt.anyDead()
 }
 
-// withRecovery runs op, and on crash-induced failure recovers and retries.
-// The public enqueue/synchronization entry points all funnel through here;
-// the internals they wrap never recover (replay uses them directly). op
-// runs under the read side of the session's recovery gate, which is dropped
-// before recovering: a pass that replays this session waits for op to
-// finish and keeps the retry out until the replay is verified.
-func (s *Session) withRecovery(op func() error) error {
-	gated := func() error {
+// withRecovery runs op for session s, and on crash-induced failure
+// recovers and retries. The public enqueue/synchronization entry points all
+// funnel through here; the internals they wrap never recover (replay uses
+// them directly). op runs under the read side of the session's recovery
+// gate, which is dropped before recovering: a pass that replays this
+// session waits for op to finish and keeps the retry out until the replay
+// is verified.
+func withRecovery[T any](s *Session, op func() (T, error)) (T, error) {
+	gated := func() (T, error) {
 		s.recGate.RLock()
 		defer s.recGate.RUnlock()
 		return op()
 	}
-	err := gated()
+	v, err := gated()
 	for tries := 0; err != nil && tries < 3 && s.rt.shouldRecover(err); tries++ {
-		if rerr := s.rt.Recover(); rerr != nil {
-			return rerr
+		if err = s.rt.Recover(); err != nil {
+			return v, err
 		}
-		err = gated()
+		v, err = gated()
 	}
-	return err
+	return v, err
 }
 
 // Recover re-places the work of every dead node on the survivors and
@@ -401,22 +402,13 @@ func (c *Context) rebindQueue(q *Queue) error {
 	if target == nil {
 		return fmt.Errorf("core: no surviving device to re-place queue from %s", old.key)
 	}
-	ctxID, ok := c.remoteID(target.node)
-	if !ok {
-		return fmt.Errorf("core: context has no remote instance on %q", target.node.name)
-	}
-	var resp protocol.ObjectResp
-	err := c.sess.call(target.node, &protocol.CreateQueueReq{
-		ContextID: ctxID,
-		DeviceID:  target.info.ID,
-		Profiling: true,
-	}, &resp)
+	id, err := c.remoteQueue(target)
 	if err != nil {
-		return fmt.Errorf("core: re-place queue on %s: %w", target.key, err)
+		return fmt.Errorf("core: re-place queue from %s: %w", old.key, err)
 	}
 	q.mu.Lock()
 	q.dev = target
-	q.remoteID = resp.ID
+	q.remoteID = id
 	q.mu.Unlock()
 	return nil
 }
@@ -467,8 +459,7 @@ func (b *Buffer) resetForReplay(isDead map[*NodeHandle]bool) {
 	b.hostReadyAt = 0
 	for _, rb := range b.remote {
 		rb.valid.Reset()
-		rb.lastEvent = 0
-		rb.lastEv = nil
+		rb.head = nil
 	}
 }
 
@@ -479,10 +470,7 @@ func (b *Buffer) resetForReplay(isDead map[*NodeHandle]bool) {
 // Caller holds rt.recoverMu.
 func (rt *Runtime) rehelloLocked() error {
 	alive := rt.aliveNodes()
-	peers := make([]protocol.PeerAddr, 0, len(alive))
-	for _, n := range alive {
-		peers = append(peers, protocol.PeerAddr{Name: n.name, Addr: n.addr})
-	}
+	peers := peerAddrs(alive)
 	for _, n := range alive {
 		var resp protocol.HelloResp
 		err := rt.call(n, &protocol.HelloReq{
@@ -500,6 +488,16 @@ func (rt *Runtime) rehelloLocked() error {
 		}
 	}
 	return nil
+}
+
+// peerAddrs is the address book a Hello carries: nodes' names and
+// addresses, in order.
+func peerAddrs(nodes []*NodeHandle) []protocol.PeerAddr {
+	peers := make([]protocol.PeerAddr, 0, len(nodes))
+	for _, n := range nodes {
+		peers = append(peers, protocol.PeerAddr{Name: n.name, Addr: n.addr})
+	}
+	return peers
 }
 
 // reconnectAttempts bounds the rejoin dial loop; backoff doubles from
@@ -566,14 +564,7 @@ func (rt *Runtime) ReconnectNode(name string) error {
 	}
 
 	rt.epoch++
-	alive := rt.aliveNodes()
-	peers := make([]protocol.PeerAddr, 0, len(alive)+1)
-	for _, n := range alive {
-		peers = append(peers, protocol.PeerAddr{Name: n.name, Addr: n.addr})
-	}
-	peers = append(peers, protocol.PeerAddr{Name: h.name, Addr: h.addr})
-
-	resp, err := hello(client, rt.userID, rt.clientName, peers, rt.epoch)
+	resp, err := hello(client, rt.userID, rt.clientName, peerAddrs(append(rt.aliveNodes(), h)), rt.epoch)
 	if err != nil {
 		client.Close()
 		return fmt.Errorf("core: rejoin handshake with %q: %w", name, err)
@@ -616,12 +607,11 @@ func (c *Context) restoreOn(h *NodeHandle) error {
 	if len(ids) == 0 {
 		return nil // context does not span this node
 	}
-	var resp protocol.ObjectResp
-	req := &protocol.CreateContextReq{DeviceIDs: ids, SessionID: c.sess.id, Tenant: c.sess.tenant}
-	if err := c.sess.call(h, req, &resp); err != nil {
+	ctxID, err := c.sess.remoteContext(h, ids)
+	if err != nil {
 		return fmt.Errorf("re-create context: %w", err)
 	}
-	c.setRemote(h, resp.ID)
+	c.setRemote(h, ctxID)
 	c.regMu.Lock()
 	programs := append([]*Program(nil), c.programs...)
 	c.regMu.Unlock()
@@ -632,13 +622,12 @@ func (c *Context) restoreOn(h *NodeHandle) error {
 		if !built {
 			continue
 		}
-		var bresp protocol.BuildProgramResp
-		err := c.sess.call(h, &protocol.BuildProgramReq{ContextID: resp.ID, Source: p.source}, &bresp)
+		resp, err := p.buildOn(h, ctxID)
 		if err != nil {
 			return fmt.Errorf("re-build program: %w", err)
 		}
 		p.mu.Lock()
-		p.remote[h] = bresp.ProgramID
+		p.remote[h] = resp.ProgramID
 		p.mu.Unlock()
 	}
 	return nil

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/haocl-project/haocl/internal/cluster"
 	"github.com/haocl-project/haocl/internal/core"
@@ -658,12 +657,7 @@ func TestHeldReleasesDieWithTheirNode(t *testing.T) {
 		}
 		f.cc.kill(victim)
 		if flushFirst {
-			for deadline := time.Now().Add(10 * time.Second); qv.Device().Node().Alive(); {
-				if time.Now().After(deadline) {
-					t.Fatal("the host never noticed the node's death")
-				}
-				time.Sleep(time.Millisecond)
-			}
+			f.cc.awaitDown(victim)
 			if err := f.cc.rt.Flush(); err != nil {
 				t.Fatalf("releases held for a dead node became a sticky error: %v", err)
 			}

@@ -167,7 +167,7 @@ func (s *Session) call(n *NodeHandle, req protocol.Message, resp protocol.Messag
 // ev's future, assigning the host-side completion-event ID and writing the
 // frame atomically (see DESIGN.md §2 for the ordering contract). The
 // response decodes into resp.
-func (s *Session) issue(ev *Event, req protocol.CommandReq, resp protocol.Message) uint64 {
+func (s *Session) issue(ev *Event, req protocol.CommandReq, resp protocol.Message) {
 	s.bump(func(m *Metrics) { m.Commands++ })
 	n := ev.dev.node
 	s.sendHeldReleases(n)
@@ -177,13 +177,6 @@ func (s *Session) issue(ev *Event, req protocol.CommandReq, resp protocol.Messag
 	req.SetEventID(n.eventID)
 	ev.remoteID = n.eventID
 	n.client.Load().Start(&ev.call, req, resp)
-	return ev.remoteID
-}
-
-// issueEvent ships the command whose completion ev stands for: the
-// response decodes into the event itself.
-func (s *Session) issueEvent(ev *Event, req protocol.CommandReq) uint64 {
-	return s.issue(ev, req, &ev.resp)
 }
 
 // heldReleases is one node's vector in the making: IDs of one kind, in
@@ -374,27 +367,15 @@ func (s *Session) ModelDataCreate(n int64) vtime.Time {
 	return end
 }
 
-// chargeNIC books an n-byte outbound message on the shared host NIC egress
-// link, recording it in both the session's and the aggregate transfer
-// metrics, and returns the booked interval: start is when the frame enters
-// the link (the wire span's origin for tracing), end its arrival instant
-// at the far end.
-func (s *Session) chargeNIC(earliest vtime.Time, n int64) (start, end vtime.Time) {
-	cost := s.rt.nicOut.TransferCost(n)
-	start, end = s.rt.nicOut.Transfer(earliest, n)
-	s.bump(func(m *Metrics) {
-		m.Transfer += cost
-		m.WireBytes += n
-		m.HostWireBytes += n
-	})
-	return start, end
-}
-
-// chargeNICIn books an n-byte response payload on the host NIC ingress
-// link (full-duplex GbE: reads do not contend with writes).
-func (s *Session) chargeNICIn(earliest vtime.Time, n int64) (start, end vtime.Time) {
-	cost := s.rt.nicIn.TransferCost(n)
-	start, end = s.rt.nicIn.Transfer(earliest, n)
+// chargeHost books an n-byte message on one direction of the shared host
+// NIC — rt.nicOut for requests, rt.nicIn for response payloads
+// (full-duplex GbE: reads do not contend with writes) — recording it in
+// both the session's and the aggregate transfer metrics, and returns the
+// booked interval: start is when the frame enters the link (the wire
+// span's origin for tracing), end its arrival instant at the far end.
+func (s *Session) chargeHost(link *vtime.Link, earliest vtime.Time, n int64) (start, end vtime.Time) {
+	cost := link.TransferCost(n)
+	start, end = link.Transfer(earliest, n)
 	s.bump(func(m *Metrics) {
 		m.Transfer += cost
 		m.WireBytes += n

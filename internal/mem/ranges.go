@@ -67,6 +67,10 @@ func (s *RangeSet) Remove(lo, hi int64) {
 	if hi <= lo || len(s.spans) == 0 {
 		return
 	}
+	if lo <= s.spans[0].Lo && hi >= s.spans[len(s.spans)-1].Hi {
+		s.spans = nil // nothing survives: Reset, without the copy below
+		return
+	}
 	out := make([]Range, 0, len(s.spans)+1)
 	for _, sp := range s.spans {
 		if sp.Hi <= lo || sp.Lo >= hi {

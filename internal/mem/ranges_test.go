@@ -69,6 +69,24 @@ func TestRangeSetRemoveSplits(t *testing.T) {
 	}
 }
 
+// TestRangeSetRemoveAllZeroAlloc: removing a range that covers every span
+// — a kernel invalidating the other replicas of a buffer it writes —
+// empties the set without building a new span list.
+func TestRangeSetRemoveAllZeroAlloc(t *testing.T) {
+	spans := []Range{{8, 16}, {32, 40}}
+	var s RangeSet
+	allocs := testing.AllocsPerRun(100, func() {
+		s.spans = spans
+		s.Remove(8, 40)
+	})
+	if !s.Empty() {
+		t.Fatalf("covering remove left %v", s.String())
+	}
+	if allocs != 0 {
+		t.Fatalf("covering remove allocates %.1f/op, want 0", allocs)
+	}
+}
+
 func TestRangeSetContainsAndIntersects(t *testing.T) {
 	var s RangeSet
 	s.Add(10, 20)
