@@ -321,10 +321,11 @@ func allocPerByte(rounds int, payload int64, prep, op func()) float64 {
 //
 //	write    1.0  the private copy shared by the command log and the frame
 //	read     1.0  the response frame's body, which becomes the caller's
-//	migrate  1.0  the destination's frame body, parked in its rendezvous
+//	migrate  0.0  the destination's frame body is pooled, and freed by the
+//	              rendezvous entry once its awaiter has copied it
 //
-// Everything else on the way is referenced, viewed or pooled. The budget
-// leaves a tenth for control messages and bookkeeping.
+// Everything else on the way is referenced, viewed or pooled. Each budget
+// leaves a tenth of a payload byte for control messages and bookkeeping.
 func TestBulkDataPathAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("moves a few hundred MiB")
@@ -332,7 +333,7 @@ func TestBulkDataPathAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
-	const chunk, big, budget = 1 << 20, 16 << 20, 1.1
+	const chunk, big = 1 << 20, 16 << 20
 	rt := startTCPRuntime(t, 2)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)
@@ -403,16 +404,16 @@ func TestBulkDataPathAllocationBudget(t *testing.T) {
 	read()
 	stale()
 	migrate()
-	check := func(what string, got float64) {
+	check := func(what string, budget, got float64) {
 		t.Helper()
 		t.Logf("%s: %.3f B allocated per payload byte", what, got)
 		if got > budget {
 			t.Errorf("%s allocates %.3f B per payload byte, budget %.1f", what, got, budget)
 		}
 	}
-	check("1 MiB EnqueueWrite+Finish", allocPerByte(15, chunk, nil, write))
-	check("1 MiB EnqueueRead", allocPerByte(15, chunk, nil, read))
-	check("16 MiB node-to-node migration", allocPerByte(7, big, stale, migrate))
+	check("1 MiB EnqueueWrite+Finish", 1.1, allocPerByte(15, chunk, nil, write))
+	check("1 MiB EnqueueRead", 1.1, allocPerByte(15, chunk, nil, read))
+	check("16 MiB node-to-node migration", 0.1, allocPerByte(7, big, stale, migrate))
 	if m := rt.Metrics(); m.PeerWireBytes == 0 {
 		t.Error("the migration never crossed a node-to-node link, so its budget was not exercised")
 	}

@@ -318,3 +318,204 @@ func TestWriteDoesNotRetainRequestBody(t *testing.T) {
 		t.Fatal("buffer contents changed when the request body was recycled")
 	}
 }
+
+// A bulk PeerPush body is pooled: the transport hands it to the deposit's
+// rendezvous entry once the ack is written (depositAck.KeepBody), and the
+// entry frees it when both that hand-over and the awaiter, done copying,
+// have let go. The tests below drive each order through the real transport
+// server and assert the replica's bytes and that the body is freed exactly
+// once: released reaches 2, and only the party that makes it 2 frees.
+
+// depositSize is above protocol.BatchableBodyLimit, so a deposit's body is
+// read into the payload pool.
+const depositSize = 32 << 10
+
+// migrationPair serves two one-GPU peer nodes on an in-process network and
+// opens a session with one queue and one depositSize buffer on each.
+func migrationPair(t *testing.T) (nB *Node, sA *Session, qA, bufA uint64, sB *Session, qB, bufB uint64) {
+	t.Helper()
+	net := transport.NewMemNetwork()
+	nA := servePeerNode(t, net, "alpha")
+	nB = servePeerNode(t, net, "beta")
+	book := []protocol.PeerAddr{
+		{Name: "alpha", Addr: "mem://alpha"},
+		{Name: "beta", Addr: "mem://beta"},
+	}
+	sA, qA, bufA = openSizedPeerSession(t, nA, book, depositSize)
+	sB, qB, bufB = openSizedPeerSession(t, nB, book, depositSize)
+	t.Cleanup(func() {
+		sA.Close()
+		sB.Close()
+	})
+	return nB, sA, qA, bufA, sB, qB, bufB
+}
+
+// depositPattern is the payload a test pushes under token.
+func depositPattern(token uint64) []byte {
+	b := make([]byte, depositSize)
+	for i := range b {
+		b[i] = byte(token*13 + uint64(i)*7)
+	}
+	return b
+}
+
+// pushFromAlpha writes token's pattern into alpha's buffer and pushes it to
+// beta's, returning once beta has acknowledged the deposit.
+func pushFromAlpha(t *testing.T, sA *Session, qA, bufA, bufB, token uint64) {
+	t.Helper()
+	mustEvent(t, goCall(sA, &protocol.WriteBufferReq{
+		QueueID: qA, BufferID: bufA, Data: depositPattern(token), EventID: 2*token - 1,
+	}))
+	mustEvent(t, goCall(sA, &protocol.PushRangeReq{
+		QueueID: qA, BufferID: bufA, PeerName: "beta", PeerBufferID: bufB,
+		Token: token, Offset: 0, Size: depositSize, EventID: 2 * token,
+	}))
+}
+
+// waitReleased waits until want parties have released e.
+func waitReleased(t *testing.T, e *rdvEntry, want int32) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for e.released.Load() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("deposit released by %d parties, want %d", e.released.Load(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// assertFreedOnce checks e's pooled body was handed over and freed by the
+// second of exactly two releases.
+func assertFreedOnce(t *testing.T, e *rdvEntry) {
+	t.Helper()
+	waitReleased(t, e, 2)
+	if e.body == nil {
+		t.Fatal("the deposit's body was never handed over: it was not pooled")
+	}
+}
+
+// replica reads beta's whole buffer.
+func replica(t *testing.T, sB *Session, qB, bufB uint64) []byte {
+	t.Helper()
+	var rd protocol.ReadBufferResp
+	call(t, sB, &protocol.ReadBufferReq{QueueID: qB, BufferID: bufB, Offset: 0, Size: depositSize}, &rd)
+	return rd.Data
+}
+
+// TestDepositHandedOverBeforeAwait: the deposit is acknowledged and its
+// body handed to the entry before the AwaitPush runs; the awaiter copies
+// it and frees it. Another awaiter holding the entry — two hosts can mint
+// the same token — may not take it after that.
+func TestDepositHandedOverBeforeAwait(t *testing.T) {
+	nB, sA, qA, bufA, sB, qB, bufB := migrationPair(t)
+	pushFromAlpha(t, sA, qA, bufA, bufB, 1)
+	e := parkedEntry(t, nB, 1)
+	waitReleased(t, e, 1)
+
+	mustEvent(t, goCall(sB, &protocol.AwaitPushReq{
+		QueueID: qB, BufferID: bufB, Token: 1, Offset: 0, Size: depositSize, EventID: 1,
+	}))
+	assertFreedOnce(t, e)
+	if nB.rdv.take(1, e) {
+		t.Fatal("a second awaiter took a deposit whose body is freed")
+	}
+	if !bytes.Equal(replica(t, sB, qB, bufB), depositPattern(1)) {
+		t.Fatal("the awaited replica does not hold the deposited bytes")
+	}
+}
+
+// TestAwaiterCopiesBeforeHandOver: the AwaitPush is parked when the deposit
+// lands, and copies it while the ack is still unwritten — the source here
+// is a raw connection that has not read it — so the hand-over comes second
+// and frees the body.
+func TestAwaiterCopiesBeforeHandOver(t *testing.T) {
+	nB, _, _, _, sB, qB, bufB := migrationPair(t)
+	awaitCh := goCall(sB, &protocol.AwaitPushReq{
+		QueueID: qB, BufferID: bufB, Token: 2, Offset: 0, Size: depositSize, EventID: 1,
+	})
+	e := parkedEntry(t, nB, 2)
+
+	host, nodeEnd := net.Pipe()
+	srv := nB.Serve()
+	if err := srv.ServeConn(nodeEnd); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer host.Close()
+	if err := protocol.WriteFrame(host, request(1, &protocol.PeerPushReq{Token: 2, Data: depositPattern(2)})); err != nil {
+		t.Fatal(err)
+	}
+	mustEvent(t, awaitCh)
+	if got := e.released.Load(); got != 1 {
+		t.Fatalf("deposit released by %d parties before its ack was read, want the awaiter alone", got)
+	}
+	if !bytes.Equal(replica(t, sB, qB, bufB), depositPattern(2)) {
+		t.Fatal("the awaited replica does not hold the deposited bytes")
+	}
+
+	ack, err := protocol.ReadFrame(host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Op != protocol.OpPeerPush || ack.ReqID != 1 || len(ack.Body) != 0 {
+		t.Fatalf("deposit answered with op %s, %d body bytes; want an empty ack", ack.Op, len(ack.Body))
+	}
+	assertFreedOnce(t, e)
+}
+
+// TestMismatchedAwaitFreesDeposit: an AwaitPush whose size differs from the
+// deposit's refuses it, lands nothing, and still lets go of the body.
+func TestMismatchedAwaitFreesDeposit(t *testing.T) {
+	nB, sA, qA, bufA, sB, qB, bufB := migrationPair(t)
+	pushFromAlpha(t, sA, qA, bufA, bufB, 3)
+	e := parkedEntry(t, nB, 3)
+
+	err := mustFail(t, goCall(sB, &protocol.AwaitPushReq{
+		QueueID: qB, BufferID: bufB, Token: 3, Offset: 0, Size: depositSize / 2, EventID: 1,
+	}))
+	wantCode(t, err, protocol.CodeBadRequest)
+	assertFreedOnce(t, e)
+	if !bytes.Equal(replica(t, sB, qB, bufB), make([]byte, depositSize)) {
+		t.Fatal("a refused deposit landed bytes in the replica")
+	}
+}
+
+// TestResetReplacesHeldDeposit: a membership change replaces a deposited
+// entry whose awaiter already holds it. The holder still consumes its
+// bytes and frees the body once; the token's tombstone fails every later
+// awaiter. An awaiter is between finding its entry and taking it only for
+// an instant, so the test holds the entry the way exec does.
+func TestResetReplacesHeldDeposit(t *testing.T) {
+	nB, sA, qA, bufA, sB, qB, bufB := migrationPair(t)
+	hello := func(epoch uint64) {
+		call(t, sB, &protocol.HelloReq{UserID: "peer-test", WireVersion: protocol.Version, Epoch: epoch}, &protocol.HelloResp{})
+	}
+	hello(1)
+	pushFromAlpha(t, sA, qA, bufA, bufB, 4)
+	e := parkedEntry(t, nB, 4)
+	waitReleased(t, e, 1)
+	if held := nB.rdv.entry(4); held != e {
+		t.Fatal("the awaiter found another entry than the deposit's")
+	}
+
+	hello(2)
+	if nB.rdv.entry(4) == e {
+		t.Fatal("the membership change left the deposited entry in place")
+	}
+	err := mustFail(t, goCall(sB, &protocol.AwaitPushReq{
+		QueueID: qB, BufferID: bufB, Token: 4, Offset: 0, Size: depositSize, EventID: 1,
+	}))
+	wantCode(t, err, protocol.CodeNodeLost)
+	if !bytes.Equal(replica(t, sB, qB, bufB), make([]byte, depositSize)) {
+		t.Fatal("the tombstone's awaiter landed bytes in the replica")
+	}
+
+	if !nB.rdv.take(4, e) {
+		t.Fatal("the holder could not take the replaced entry")
+	}
+	if e.err != nil || !bytes.Equal(e.data, depositPattern(4)) {
+		t.Fatalf("the replaced entry lost its deposit (err %v)", e.err)
+	}
+	e.release()
+	assertFreedOnce(t, e)
+}

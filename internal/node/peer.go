@@ -2,6 +2,7 @@ package node
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"github.com/haocl-project/haocl/internal/protocol"
 	"github.com/haocl-project/haocl/internal/transport"
@@ -31,7 +32,8 @@ type rendezvous struct {
 // deposit or by a cancel — after which data/simArrival/err are immutable.
 // data is a view of the PeerPush frame's body, kept until the awaiter has
 // copied it into the replica: the one request body that outlives its
-// response, which is why the transport never pools it (DESIGN.md §11).
+// response (DESIGN.md §11). A bulk body is pooled, and the transport hands
+// it over once the deposit's ack is written (depositAck.KeepBody).
 type rdvEntry struct {
 	done       chan struct{}
 	data       []byte
@@ -39,6 +41,39 @@ type rdvEntry struct {
 	err        error
 	// stale marks an entry the last reset failed; the next one deletes it.
 	stale bool // guarded by rendezvous.mu
+	// taken marks an entry an awaiter has consumed or abandoned: no other
+	// awaiter may read its data.
+	taken bool // guarded by rendezvous.mu
+	// body is the pooled buffer data lives in, set by the hand-over before
+	// it counts itself in released; nil when the body is not pooled.
+	body *protocol.Buf
+	// released counts the parties done with data: the hand-over of body,
+	// and the awaiter once it has copied data (or refused it). The second
+	// frees body. An entry only one of them reaches — replaced by a reset
+	// before an awaiter took it, or never awaited — leaves body to the
+	// collector.
+	released atomic.Int32
+}
+
+// release counts one party done with e.data, freeing the body on the
+// second.
+func (e *rdvEntry) release() {
+	if e.released.Add(1) == 2 {
+		e.body.Free()
+	}
+}
+
+// depositAck answers a PeerPush: an empty response on the wire, and the
+// hand-over of the deposit's body to the entry that parks it.
+type depositAck struct {
+	protocol.EmptyResp
+	e *rdvEntry
+}
+
+// KeepBody implements protocol.BodyKeeper.
+func (a *depositAck) KeepBody(b *protocol.Buf) {
+	a.e.body = b
+	a.e.release()
 }
 
 func newRendezvous() *rendezvous {
@@ -58,20 +93,21 @@ func (r *rendezvous) entry(token uint64) *rdvEntry {
 	return e
 }
 
-// deposit parks pushed data under token, waking the awaiter.
-func (r *rendezvous) deposit(token uint64, data []byte, simArrival int64) error {
+// deposit parks pushed data under token, waking the awaiter, and returns
+// the entry that holds it.
+func (r *rendezvous) deposit(token uint64, data []byte, simArrival int64) (*rdvEntry, error) {
 	e := r.entry(token)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	select {
 	case <-e.done:
-		return remoteErr(protocol.CodeBadRequest, "duplicate push for token %d", token)
+		return nil, remoteErr(protocol.CodeBadRequest, "duplicate push for token %d", token)
 	default:
 	}
 	e.data = data
 	e.simArrival = simArrival
 	close(e.done)
-	return nil
+	return e, nil
 }
 
 // cancel fails a pending rendezvous so its awaiter errors out instead of
@@ -90,11 +126,30 @@ func (r *rendezvous) cancel(token uint64, err error) {
 	close(e.done)
 }
 
-// remove drops a consumed entry.
-func (r *rendezvous) remove(token uint64) {
+// take claims completed entry e for the awaiter of token and drops it from
+// the table, reporting false when another awaiter claimed it first.
+func (r *rendezvous) take(token uint64, e *rdvEntry) bool {
 	r.mu.Lock()
-	delete(r.entries, token)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	if e.taken {
+		return false
+	}
+	e.taken = true
+	if r.entries[token] == e {
+		delete(r.entries, token)
+	}
+	return true
+}
+
+// abandon is an awaiter leaving e because its session closed. A pending
+// entry is failed in place, a tombstone like a cancel's, so a later deposit
+// is refused instead of parking a body nobody will consume; a deposit that
+// made it is taken and its body let go.
+func (r *rendezvous) abandon(token uint64, e *rdvEntry, err error) {
+	r.cancel(token, err)
+	if e.err == nil && r.take(token, e) {
+		e.release()
+	}
 }
 
 // reset fails every rendezvous with err. Called on a membership change: the
@@ -109,7 +164,8 @@ func (r *rendezvous) remove(token uint64) {
 // A parked entry is failed in place, under r.mu like deposit and cancel, so
 // a racing deposit sees done already closed. A cancelled one has failed
 // already. A deposited one may be in its awaiter's hands — immutable once
-// done is closed — so it is replaced, and loses its data to the collector.
+// done is closed — so it is replaced, and loses its data to the collector
+// unless that awaiter takes it.
 func (r *rendezvous) reset(err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -372,16 +428,20 @@ func (c *awaitCmd) exec() (protocol.Message, error) {
 	select {
 	case <-entry.done:
 	case <-s.closedCh:
+		err := remoteErr(protocol.CodeBadRequest, "session closed while awaiting push %d", req.Token)
+		s.node.rdv.abandon(req.Token, entry, err)
+		return nil, s.failCommand(ev, err)
+	}
+	if !s.node.rdv.take(req.Token, entry) {
 		return nil, s.failCommand(ev, remoteErr(protocol.CodeBadRequest,
-			"session closed while awaiting push %d", req.Token))
+			"push %d awaited twice", req.Token))
 	}
 	if entry.err != nil {
-		s.node.rdv.remove(req.Token)
 		return nil, s.failCommand(ev, remoteErr(errCode(entry.err),
 			"await push %d: %v", req.Token, entry.err))
 	}
 	if int64(len(entry.data)) != req.Size {
-		s.node.rdv.remove(req.Token)
+		entry.release()
 		return nil, s.failCommand(ev, remoteErr(protocol.CodeBadRequest,
 			"push %d carried %d bytes, await expects %d", req.Token, len(entry.data), req.Size))
 	}
@@ -398,7 +458,7 @@ func (c *awaitCmd) exec() (protocol.Message, error) {
 	copy(buf.data[req.Offset:], entry.data)
 	buf.mu.Unlock()
 	q.execMu.Unlock()
-	s.node.rdv.remove(req.Token)
+	entry.release()
 
 	q.stats.observeTransfer(modelBytes, q.dev.EnergyRate(), dur, end)
 	prof := protocol.Profile{
@@ -416,10 +476,11 @@ func (s *Session) handlePeerPush(body []byte) (protocol.Message, error) {
 	if err := protocol.DecodeMessage(&req, body); err != nil {
 		return nil, err
 	}
-	if err := s.node.rdv.deposit(req.Token, req.Data, req.SimArrival); err != nil {
+	e, err := s.node.rdv.deposit(req.Token, req.Data, req.SimArrival)
+	if err != nil {
 		return nil, err
 	}
-	return &protocol.EmptyResp{}, nil
+	return &depositAck{e: e}, nil
 }
 
 // handleCancelPush aborts a pending rendezvous, failing its awaiter.

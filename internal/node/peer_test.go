@@ -53,13 +53,19 @@ func servePeerNode(t *testing.T, net *transport.MemNetwork, name string) *Node {
 // address book, then builds one queue and one 64-byte buffer.
 func openPeerSession(t *testing.T, n *Node, peers []protocol.PeerAddr) (s *Session, queueID, bufID uint64) {
 	t.Helper()
+	return openSizedPeerSession(t, n, peers, 64)
+}
+
+// openSizedPeerSession is openPeerSession with a buffer of size bytes.
+func openSizedPeerSession(t *testing.T, n *Node, peers []protocol.PeerAddr, size int64) (s *Session, queueID, bufID uint64) {
+	t.Helper()
 	s = n.NewSession().(*Session)
 	call(t, s, &protocol.HelloReq{
 		UserID: "peer-test", WireVersion: protocol.Version, Peers: peers,
 	}, &protocol.HelloResp{})
 	ctx := call(t, s, &protocol.CreateContextReq{DeviceIDs: []int64{1}}, &protocol.ObjectResp{})
 	q := call(t, s, &protocol.CreateQueueReq{ContextID: ctx.ID, DeviceID: 1}, &protocol.ObjectResp{})
-	b := call(t, s, &protocol.CreateBufferReq{ContextID: ctx.ID, Size: 64}, &protocol.ObjectResp{})
+	b := call(t, s, &protocol.CreateBufferReq{ContextID: ctx.ID, Size: size}, &protocol.ObjectResp{})
 	return s, q.ID, b.ID
 }
 
@@ -466,19 +472,7 @@ func TestEpochHelloResetsParkedRendezvous(t *testing.T) {
 	// Wait until the awaiter is actually parked on the rendezvous: the
 	// lane runs asynchronously, and a reset that lands first has nothing
 	// to fail.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		nB.rdv.mu.Lock()
-		_, parked := nB.rdv.entries[9]
-		nB.rdv.mu.Unlock()
-		if parked {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("awaiter never reached the rendezvous")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	parkedEntry(t, nB, 9)
 
 	call(t, sB, &protocol.HelloReq{
 		UserID: "peer-test", WireVersion: protocol.Version, Epoch: 2,
@@ -541,4 +535,71 @@ func TestAwaitAfterMembershipChangeFails(t *testing.T) {
 			}
 		})
 	}
+}
+
+// parkedEntry waits until n's rendezvous holds an entry for token and
+// returns it.
+func parkedEntry(t *testing.T, n *Node, token uint64) *rdvEntry {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n.rdv.mu.Lock()
+		e := n.rdv.entries[token]
+		n.rdv.mu.Unlock()
+		if e != nil {
+			return e
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no rendezvous entry for token %d", token)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestAwaiterLeavingOnCloseStrandsNothing: an AwaitPush that leaves its
+// rendezvous entry because its session closed must not leave the entry
+// open for a deposit nobody will consume. A pending entry becomes a
+// tombstone that refuses the later deposit; one whose deposit already
+// arrived is dropped and its body freed.
+func TestAwaiterLeavingOnCloseStrandsNothing(t *testing.T) {
+	t.Run("pending", func(t *testing.T) {
+		net := transport.NewMemNetwork()
+		nB := servePeerNode(t, net, "beta")
+		sB, qB, bufB := openPeerSession(t, nB, nil)
+		awaitCh := goCall(sB, &protocol.AwaitPushReq{
+			QueueID: qB, BufferID: bufB, Token: 9, Offset: 0, Size: 64, EventID: 1,
+		})
+		parkedEntry(t, nB, 9)
+		if err := sB.Close(); err != nil {
+			t.Fatal(err)
+		}
+		mustFail(t, awaitCh)
+
+		other, _, _ := openPeerSession(t, nB, nil)
+		defer other.Close()
+		callErr(t, other, &protocol.PeerPushReq{Token: 9, Data: make([]byte, 64)}, protocol.CodeBadRequest)
+		nB.rdv.mu.Lock()
+		defer nB.rdv.mu.Unlock()
+		if e := nB.rdv.entries[9]; e == nil || e.data != nil {
+			t.Fatal("token 9 after the abandoned await: want a tombstone without data")
+		}
+	})
+	// A session's close can only race a deposit that wakes its awaiter, so
+	// this order is driven on the rendezvous itself.
+	t.Run("deposited", func(t *testing.T) {
+		r := newRendezvous()
+		e := r.entry(9)
+		body := protocol.GetBuf(64)
+		if _, err := r.deposit(9, body.B, 0); err != nil {
+			t.Fatal(err)
+		}
+		(&depositAck{e: e}).KeepBody(body)
+		r.abandon(9, e, errors.New("session closed"))
+		if len(r.entries) != 0 {
+			t.Fatal("the abandoned deposit stays in the rendezvous table")
+		}
+		if got := e.released.Load(); got != 2 {
+			t.Fatalf("abandoned deposit released by %d parties, want 2 (freed once)", got)
+		}
+	})
 }

@@ -8,7 +8,8 @@ import (
 // Buf is a payload-sized scratch buffer drawn from size-classed sync.Pools.
 // Only buffers with a lexical lifetime are pooled (DESIGN.md §11): a
 // server-side request envelope or bulk request body (dead once the last
-// request it carries has been answered), a node's read snapshot (dead once
+// request it carries has been answered, or, for a PeerPush deposit, once
+// its awaiter has copied it), a node's read snapshot (dead once
 // the response frame is written) and a push snapshot (dead once the peer
 // acknowledged it) — the bulk body above BatchableBodyLimit, the snapshots
 // from ReferenceFloor on. Whoever Gets, Frees; a Buf that is simply dropped

@@ -54,10 +54,11 @@ func TestGetBufLengthAndFree(t *testing.T) {
 	}
 }
 
-// TestReadFramePooledPolicy: request envelopes and bulk request frames draw
-// their body from the pool; small frames, responses, and PeerPush deposits
-// (which the receiver parks past its response), alone or in an envelope,
-// get a body of their own.
+// TestReadFramePooledPolicy: request envelopes and bulk request frames —
+// a PeerPush deposit among them, whose handler takes the buffer over —
+// draw their body from the pool; small frames, responses, and an envelope
+// carrying a deposit (which the receiver parks past its response) get a
+// body of their own.
 func TestReadFramePooledPolicy(t *testing.T) {
 	bulk := make([]byte, BatchableBodyLimit+1)
 	for i := range bulk {
@@ -82,7 +83,7 @@ func TestReadFramePooledPolicy(t *testing.T) {
 		{"bulk request", &Frame{Kind: FrameRequest, ReqID: 1, Op: OpWriteBuffer, Body: bulk}, true},
 		{"body at the limit", &Frame{Kind: FrameRequest, ReqID: 1, Op: OpWriteBuffer, Body: bulk[:BatchableBodyLimit]}, false},
 		{"bulk response", &Frame{Kind: FrameResponse, ReqID: 1, Op: OpReadBuffer, Body: bulk}, false},
-		{"peer deposit", &Frame{Kind: FrameRequest, ReqID: 1, Op: OpPeerPush, Body: bulk}, false},
+		{"peer deposit", &Frame{Kind: FrameRequest, ReqID: 1, Op: OpPeerPush, Body: bulk}, true},
 		{"envelope", envelope(OpWriteBuffer, OpEnqueueKernel, OpRelease), true},
 		{"envelope carrying a peer deposit", envelope(OpWriteBuffer, OpPeerPush), false},
 	}

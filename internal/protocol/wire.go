@@ -91,6 +91,26 @@ func (f *Frame) Release() {
 	f.pooled, f.Body = nil, nil
 }
 
+// Detach hands the pooled buffer f's body lives in, if any, to the caller,
+// who frees it once nothing views the body any more; f no longer owns it,
+// so a later Release is a no-op. It returns nil for every other frame,
+// whose body is the collector's.
+func (f *Frame) Detach() *Buf {
+	b := f.pooled
+	f.pooled = nil
+	return b
+}
+
+// BodyKeeper is a response whose handler keeps its request's body past
+// the response: a node parking a PeerPush deposit until the matching
+// AwaitPush consumes it. Once the response is written, the server hands
+// it the pooled buffer the body lives in (Frame.Detach; nil when the body
+// is not pooled), instead of recycling it.
+type BodyKeeper interface {
+	Message
+	KeepBody(*Buf)
+}
+
 func appendHeader(buf []byte, kind FrameKind, reqID uint64, op Op, bodyLen int) []byte {
 	off := len(buf)
 	buf = append(buf, make([]byte, headerSize)...)
@@ -195,11 +215,11 @@ func ReadFrame(r io.Reader) (*Frame, error) { return readFrame(r, false) }
 // a bulk request frame (above BatchableBodyLimit) and of every request
 // envelope comes from the payload pool, and the caller must Release the
 // frame once the last request it carries has been answered. Messages
-// decoded from the body are views of it, so they die with it. One request
-// is exempt and always gets a body the collector owns: a PeerPush deposit,
-// which the receiving node parks in its rendezvous table for as long as it
-// takes the matching AwaitPush to arrive — alone, or in an envelope, which
-// then is not pooled either.
+// decoded from the body are views of it, so they die with it. A handler
+// that keeps a plain request's body longer — a PeerPush deposit, parked
+// until the matching AwaitPush arrives — answers with a BodyKeeper, which
+// takes the buffer over. An envelope carrying a PeerPush is not pooled:
+// its body is the collector's.
 func ReadFramePooled(r io.Reader) (*Frame, error) { return readFrame(r, true) }
 
 // headers pools readFrame's header scratch: an array handed to an
@@ -238,7 +258,7 @@ func readFrame(r io.Reader, pool bool) (*Frame, error) {
 		return &Frame{Kind: kind, Op: op, ReqID: reqID, Body: body}, nil
 	}
 	var f *Frame
-	if pool && n > 0 && (kind == FrameBatch || kind == FrameRequest && n > BatchableBodyLimit && op != OpPeerPush) {
+	if pool && n > 0 && (kind == FrameBatch || kind == FrameRequest && n > BatchableBodyLimit) {
 		b := GetBuf(int(n))
 		f = &Frame{Body: b.B, pooled: b}
 	} else {

@@ -94,11 +94,18 @@ func TestFrameWriterReferencesBulkPayload(t *testing.T) {
 }
 
 // parkingHandler keeps the body of every PeerPush it is handed — as a
-// node's rendezvous table does — and drops everything else.
+// node's rendezvous table does — answering with a BodyKeeper, and drops
+// everything else.
 type parkingHandler struct {
 	mu     sync.Mutex
 	parked map[uint64][]byte // token → Data, a view of the request body
 }
+
+// parkedAck takes a deposit's pooled body over and never frees it: the
+// handler keeps viewing it.
+type parkedAck struct{ protocol.EmptyResp }
+
+func (*parkedAck) KeepBody(*protocol.Buf) {}
 
 func (h *parkingHandler) HandleCall(op protocol.Op, body []byte) (protocol.Message, error) {
 	if op == protocol.OpPeerPush {
@@ -109,14 +116,15 @@ func (h *parkingHandler) HandleCall(op protocol.Op, body []byte) (protocol.Messa
 		h.mu.Lock()
 		h.parked[req.Token] = req.Data
 		h.mu.Unlock()
+		return &parkedAck{}, nil
 	}
 	return &protocol.EmptyResp{}, nil
 }
 
 // TestParkedDepositSurvivesBulkTraffic: a PeerPush body parked by the
 // handler must still hold its bytes after any number of later bulk frames
-// on the same connection — those recycle pooled bodies, a deposit's is
-// never one of them.
+// on the same connection — those recycle pooled bodies, and a deposit's,
+// handed to its BodyKeeper response, is never one of them.
 func TestParkedDepositSurvivesBulkTraffic(t *testing.T) {
 	h := &parkingHandler{parked: make(map[uint64][]byte)}
 	srv := NewStaticServer(h)

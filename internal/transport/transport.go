@@ -66,12 +66,12 @@ import (
 // belongs to the handler only until it has produced its response
 // (HandleCall returned, or done was invoked): the server recycles request
 // envelopes and bulk request bodies after that, so a handler that wants
-// the bytes for longer copies them. The one request whose body a handler
-// may keep is a protocol.OpPeerPush deposit, which is never recycled
-// (DESIGN.md §11). A response, in turn, is encoded when it is written —
-// for a request from an envelope, once the whole envelope has been
-// answered — and it and everything it references must not change before
-// then.
+// the bytes for longer copies them, or, for a plain request, answers with
+// a protocol.BodyKeeper, which is handed the body's pooled buffer once the
+// response is written (a PeerPush deposit; DESIGN.md §11). A response, in
+// turn, is encoded when it is written — for a request from an envelope,
+// once the whole envelope has been answered — and it and everything it
+// references must not change before then.
 type Handler interface {
 	HandleCall(op protocol.Op, body []byte) (protocol.Message, error)
 }
@@ -746,7 +746,9 @@ const maxSpareEnvelopes = 8
 // A request's frame is released once its response has been written — for
 // an envelope, once every response it carries has: the transport took the
 // body from the pool, so the transport gives it back, never the handler,
-// which may be handed the same body many times by a direct caller.
+// which may be handed the same body many times by a direct caller. The one
+// exception is a plain request answered with a protocol.BodyKeeper, which
+// takes the buffer over instead.
 type replyWriter struct {
 	mu sync.Mutex
 	fw frameWriter // guarded by mu
@@ -785,6 +787,10 @@ func (w *replyWriter) complete(to replyTo, resp protocol.Message, err error) {
 		w.mu.Lock()
 		_ = w.fw.write(out)
 		w.mu.Unlock()
+		if k, ok := resp.(protocol.BodyKeeper); ok && err == nil {
+			k.KeepBody(to.frame.Detach())
+			return
+		}
 		to.frame.Release()
 		return
 	}
