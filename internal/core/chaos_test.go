@@ -30,6 +30,9 @@ type chaosCluster struct {
 	servers map[string]*transport.Server
 	addrs   map[string]string
 	alive   map[string]bool
+	// trips holds the tripwire in front of each node (second_fault_test.go);
+	// an unarmed one passes every request through.
+	trips map[string]*tripwire
 }
 
 func startChaosCluster(t *testing.T, gpuNodes int) *chaosCluster {
@@ -42,10 +45,12 @@ func startChaosCluster(t *testing.T, gpuNodes int) *chaosCluster {
 		servers: make(map[string]*transport.Server),
 		addrs:   make(map[string]string),
 		alive:   make(map[string]bool),
+		trips:   make(map[string]*tripwire),
 	}
 	sim.RegisterDrivers(cc.icd, testRegistry())
 	for _, ns := range cc.cfg.Nodes {
 		cc.addrs[ns.Name] = ns.Addr
+		cc.trips[ns.Name] = &tripwire{}
 		cc.boot(ns.Name)
 	}
 	rt, err := core.Connect(core.Options{Config: cc.cfg, Dialer: cc.net, ClientName: "chaos-test"})
@@ -72,7 +77,7 @@ func (cc *chaosCluster) boot(name string) {
 		if err != nil {
 			cc.t.Fatal(err)
 		}
-		srv := n.Serve()
+		srv := cc.trips[name].serve(n, cc.net, ns.Addr)
 		if err := cc.net.Register(ns.Addr, srv); err != nil {
 			cc.t.Fatal(err)
 		}
@@ -102,13 +107,22 @@ func (cc *chaosCluster) kill(name string) {
 // runs before then finds nothing to recover.
 func (cc *chaosCluster) awaitDown(name string) {
 	cc.t.Helper()
+	if !seenDown(cc.rt, name) {
+		cc.t.Fatalf("the host never noticed %q's death", name)
+	}
+}
+
+// seenDown waits up to ten seconds for the named node's devices to leave
+// the runtime's platform view and reports whether they did.
+func seenDown(rt *core.Runtime, name string) bool {
 	onNode := func(d *core.DeviceRef) bool { return d.Node().Name() == name }
-	for deadline := time.Now().Add(10 * time.Second); slices.ContainsFunc(cc.rt.Devices(0), onNode); {
+	for deadline := time.Now().Add(10 * time.Second); slices.ContainsFunc(rt.Devices(0), onNode); {
 		if time.Now().After(deadline) {
-			cc.t.Fatalf("the host never noticed %q's death", name)
+			return false
 		}
 		time.Sleep(time.Millisecond)
 	}
+	return true
 }
 
 // restart boots a fresh process for the node and rejoins it.

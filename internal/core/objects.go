@@ -108,7 +108,7 @@ func (e *Event) Wait() error {
 	}
 	rt := e.queue.ctx.rt
 	if rt.shouldRecover(err) {
-		if rerr := rt.Recover(); rerr != nil {
+		if rerr := e.queue.ctx.sess.recover(); rerr != nil {
 			return rerr
 		}
 	}
@@ -309,7 +309,7 @@ type Context struct {
 
 	// remoteMu guards remote, the per-node context instance IDs. The map
 	// is immutable between membership changes, but recovery deletes a dead
-	// node's entry (stripDead) and rejoin re-adds it (restoreOn) while
+	// node's entry (strip) and rejoin re-adds it (restoreOn) while
 	// other goroutines create objects, so every access goes through
 	// remoteID/remoteSnapshot/setRemote/dropRemote. remoteMu is a leaf
 	// lock: it is taken while holding mu, regMu, a Buffer's or Program's
@@ -413,18 +413,6 @@ func (c *Context) allQueues() []*Queue {
 	c.regMu.Lock()
 	defer c.regMu.Unlock()
 	return append([]*Queue(nil), c.queues...)
-}
-
-// checkQueuesClean reports the first sticky error latched on any of the
-// context's queues — recovery's post-replay verification.
-func (c *Context) checkQueuesClean() error {
-	for _, q := range c.allQueues() {
-		q.drain()
-		if err := q.stickyErr(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Devices returns the context's devices.

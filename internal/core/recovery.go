@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/haocl-project/haocl/internal/protocol"
@@ -12,25 +13,20 @@ import (
 
 // This file implements crash recovery and elastic membership (DESIGN.md §7).
 //
-// Detection: the transport's OnDown hook marks a node's handle dead the
-// instant its connection fails, before any pending future unblocks, so
-// every error a caller observes afterwards classifies as node loss.
+// Detection: the transport's OnDown hook marks a node's handle dead before
+// any pending future unblocks, so every error a caller observes afterwards
+// classifies as node loss.
 //
-// Re-placement: recovery drains the in-flight pipeline, strips the dead
-// node out of every context / queue / buffer / program / kernel, re-binds
-// user queues onto surviving devices, resets all buffer state to zeros and
-// re-issues the command log — buffer contents are a pure function of the
-// mutation history, so the replay reconstructs exactly the pre-crash bytes
-// with the dead node's share re-placed on survivors. Node-loss failures
-// are retriable, not sticky: queues poisoned by the crash are cleared and
-// events from before the recovery are absolved (their effects were
-// replayed), while genuine command failures stay sticky as before.
+// Recovery is two steps under recoverMu. The membership step moves the dead
+// nodes out and advances the epoch, which every session that owes no
+// replay records at once. Each other session catches up on its own: it
+// strips every node that is not alive, replays its command log from zeroed
+// buffers — contents are a pure function of the mutation history — and
+// records the epoch only once the replay verified.
 //
-// Rejoin: ReconnectNode dials the node's address again with bounded
-// backoff, repeats the Hello handshake under a bumped membership epoch,
-// re-creates contexts and program builds on the fresh process, and lets
-// replicas re-materialize lazily — the first consumer command migrates the
-// stale ranges back through the ordinary RangeSet gap machinery.
+// Rejoin: ReconnectNode dials the node again, repeats the Hello under a
+// bumped epoch and re-creates contexts and program builds on the fresh
+// process; replicas re-materialize lazily through the RangeSet gaps.
 
 // errNodeLost marks failures caused by a node crash; they are retriable
 // (recovery clears them and re-issues the lost work), unlike ordinary
@@ -45,20 +41,13 @@ func (e *nodeLostError) Error() string   { return fmt.Sprintf("node lost: %v", e
 func (e *nodeLostError) Unwrap() []error { return []error{errNodeLost, e.cause} }
 
 // classifyNodeErr tags a transport-level failure as crash-induced when the
-// node it was observed on is no longer alive. OnDown marks the handle dead
-// before any pending future unblocks — but by the time a concurrent caller
-// inspects its own failure, a recovery pass driven by another session's
-// goroutine may already have moved the node from dead to removed, so the
-// liveness check must be "not alive", not "dead". A RemoteError is the
-// node answering, i.e. a genuine command failure, and passes through.
+// node it was observed on is no longer alive: not "dead", since a
+// membership step another goroutine drives may already have removed it. A
+// RemoteError is the node answering, a genuine failure, and passes through.
 //
 // haoclvet:errclass-sanitizer
 func classifyNodeErr(n *NodeHandle, err error) error {
-	if err == nil || n.Alive() || isNodeLost(err) {
-		return err
-	}
-	var re *protocol.RemoteError
-	if errors.As(err, &re) {
+	if err == nil || n.Alive() || isNodeLost(err) || errors.As(err, new(*protocol.RemoteError)) {
 		return err
 	}
 	return &nodeLostError{cause: err}
@@ -71,11 +60,8 @@ func classifyNodeErr(n *NodeHandle, err error) error {
 //
 // haoclvet:errclass-sink
 func isNodeLost(err error) bool {
-	if errors.Is(err, errNodeLost) {
-		return true
-	}
 	var re *protocol.RemoteError
-	return errors.As(err, &re) && re.Code == protocol.CodeNodeLost
+	return errors.Is(err, errNodeLost) || errors.As(err, &re) && re.Code == protocol.CodeNodeLost
 }
 
 // anyDead reports whether some node awaits recovery.
@@ -102,7 +88,7 @@ func (rt *Runtime) aliveNodes() []*NodeHandle {
 // shouldRecover reports whether err warrants running recovery and retrying:
 // either the error itself is crash-induced, or some node is marked dead (in
 // which case even an untyped failure — a synchronous call that died with
-// the connection — is worth one recovery pass).
+// the connection — is worth one recovery).
 //
 // haoclvet:errclass-sink
 func (rt *Runtime) shouldRecover(err error) bool {
@@ -113,21 +99,25 @@ func (rt *Runtime) shouldRecover(err error) bool {
 }
 
 // withRecovery runs op for session s, and on crash-induced failure
-// recovers and retries. The public enqueue/synchronization entry points all
-// funnel through here; the internals they wrap never recover (replay uses
-// them directly). op runs under the read side of the session's recovery
-// gate, which is dropped before recovering: a pass that replays this
-// session waits for op to finish and keeps the retry out until the replay
-// is verified.
+// recovers the session and retries. The public enqueue/synchronization
+// entry points all funnel through here; the internals they wrap never
+// recover (replay uses them directly). op runs under the read side of the
+// session's recovery gate, and only while the session is caught up to the
+// runtime's epoch: a session behind — a membership step ran, or its own
+// catch-up failed — catches up first, so no command sees pre-replay state.
 func withRecovery[T any](s *Session, op func() (T, error)) (T, error) {
 	gated := func() (T, error) {
 		s.recGate.RLock()
 		defer s.recGate.RUnlock()
+		if s.epoch.Load() != s.rt.epoch.Load() {
+			var behind T
+			return behind, errNodeLost
+		}
 		return op()
 	}
 	v, err := gated()
 	for tries := 0; err != nil && tries < 3 && s.rt.shouldRecover(err); tries++ {
-		if err = s.rt.Recover(); err != nil {
+		if err = s.recover(); err != nil {
 			return v, err
 		}
 		v, err = gated()
@@ -135,213 +125,242 @@ func withRecovery[T any](s *Session, op func() (T, error)) (T, error) {
 	return v, err
 }
 
-// Recover re-places the work of every dead node on the survivors and
-// replays the command log. It is a no-op when nothing is dead and no
-// crash-induced failure is latched, so calling it opportunistically is
-// cheap. Public API wrappers call it automatically; hosts driving the
-// runtime manually may call it after noticing a failure themselves.
+// Recover moves every dead node out of the cluster and catches every open
+// session up, replaying the logs of those that owe it. It is a no-op when
+// nothing is dead and no session is behind or latched a crash-induced
+// failure, so calling it opportunistically is cheap. It reports the first
+// catch-up that failed in this call. Public API wrappers recover their own
+// session automatically; hosts driving the runtime manually may call this
+// after noticing a failure themselves.
 func (rt *Runtime) Recover() error {
 	rt.recoverMu.Lock()
 	defer rt.recoverMu.Unlock()
 	return rt.recoverLocked()
 }
 
-// recoverLocked loops recovery passes until the cluster is stable: a node
-// that dies while a pass is replaying is picked up by the next pass.
+// recoverLocked runs the membership step, after settling every session's
+// commands in flight if a node is dead (see recover), then catches up each
+// session that is not stuck, again while a removal moved the epoch.
 // Caller holds recoverMu.
 func (rt *Runtime) recoverLocked() error {
-	for round := 0; ; round++ {
-		if round > len(rt.nodes)+1 {
-			return fmt.Errorf("core: recovery did not converge after %d rounds", round)
+	if rt.anyDead() {
+		for _, s := range rt.allSessions() {
+			s.drainPendingEvents()
 		}
-		ran, err := rt.recoverOnce()
-		if err != nil {
+	}
+	firstErr := rt.membershipLocked()
+	for epoch := uint64(0); epoch != rt.epoch.Load(); {
+		epoch = rt.epoch.Load()
+		for _, s := range rt.allSessions() {
+			if s.stuck() != nil {
+				continue // its commands report its failure
+			}
+			if err := s.catchUpLocked(); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+	}
+	return firstErr
+}
+
+// recover catches s up; other sessions catch up on their own. Its commands
+// in flight settle first: the membership step's re-hello cancels parked
+// push rendezvous, and a push between two survivors cut short by it would
+// make what the replay redoes depend on how far the nodes had got.
+func (s *Session) recover() error {
+	s.rt.recoverMu.Lock()
+	defer s.rt.recoverMu.Unlock()
+	s.drainPendingEvents()
+	return s.catchUpLocked()
+}
+
+// catchUpLocked alternates membership steps and s's catch-up until s is
+// caught up. A node-lost error means a node died — a re-hello finds one
+// the host has not seen — so the next step removes one, and len(nodes)+1
+// steps bound the loop. Any other error is returned and s stays behind.
+// Caller holds Runtime.recoverMu.
+func (s *Session) catchUpLocked() error {
+	rt := s.rt
+	var err error
+	for round := 0; round <= len(rt.nodes); round++ {
+		if err != nil && !rt.anyDead() {
+			_ = rt.rehelloLocked() // a dead peer's failed Hello marks it dead
+		}
+		if err := rt.membershipLocked(); err != nil {
 			return err
 		}
-		if !ran {
-			return nil
+		if err := s.stuck(); err != nil {
+			return err
 		}
-		if !rt.anyDead() {
-			return nil
+		if err = s.catchUp(); err == nil || !rt.shouldRecover(err) {
+			return err
 		}
 	}
+	s.owed = fmt.Errorf("core: recovery of tenant %q did not converge: %v", s.tenant, err)
+	return s.owed
 }
 
-// recoverOnce performs one recovery pass. It reports false when there was
-// nothing to recover. Recovery is session-scoped: only the sessions whose
-// contexts span a dead node (or whose queues latched a crash-induced
-// failure) are gated, drained, stripped and replayed; bystander tenants
-// keep running, and keep their pipelines, sticky release errors and command
-// logs untouched. Caller holds rt.recoverMu.
-func (rt *Runtime) recoverOnce() (bool, error) {
-	var dead []*NodeHandle
-	for _, n := range rt.nodes {
-		if n.state.Load() == stateDead {
-			dead = append(dead, n)
-		}
+// stuck returns the hard failure of s's last catch-up while the epoch has
+// not moved since. Caller holds Runtime.recoverMu.
+func (s *Session) stuck() error {
+	if s.owed != nil && !isNodeLost(s.owed) && s.owedAt == s.rt.epoch.Load() {
+		return s.owed
 	}
-	sessions := rt.allSessions()
-	var affected []*Session
-	for _, s := range sessions {
-		if s.needsRecovery(dead) {
-			affected = append(affected, s)
-		}
-	}
-	if len(dead) == 0 && len(affected) == 0 {
-		return false, nil
-	}
-	for _, n := range dead {
-		n.client.Load().Close()
-	}
+	return nil
+}
 
-	// Gate the affected sessions for the whole pass. Their commands in
-	// flight finish first — the dead connections are closed, so none waits
-	// for an answer that cannot come — and their next ones wait for the
-	// verified replay: an owner that kept enqueueing would have its newer
-	// write overwritten by the replay of older entries.
-	for _, s := range affected {
-		s.recGate.Lock()
-		defer s.recGate.Unlock()
-	}
-
-	// 1. Materialize every in-flight failure of the affected sessions:
-	// resolve their pipelined futures (watchPush cancel goroutines unpark
-	// awaiters stranded by a dead pusher) and reap their fire-and-forget
-	// releases. Release acks that died with a dead connection are
-	// expendable — the objects died with the node — so the crash does not
-	// become a sticky release error; a genuine RemoteError from a live
-	// node (drainReleases classifies each failure) stays latched and still
-	// surfaces at the tenant's Flush/Close.
-	for _, s := range affected {
-		s.drainPendingEvents()
-		s.drainReleases()
-		s.relMu.Lock()
-		if isNodeLost(s.relErr) {
-			s.relErr = nil
-		}
-		s.relMu.Unlock()
-	}
-
-	// 2. Membership: the scheduler's device view must drop the dead nodes
-	// before anything is re-placed.
-	for _, n := range dead {
-		rt.monitor.RemoveNode(n.name)
-		n.state.Store(stateRemoved)
-	}
-
-	// 3. Strip dead-node state from the affected namespaces and re-bind
-	// orphaned queues.
-	var contexts []*Context
-	for _, s := range affected {
-		contexts = append(contexts, s.snapshotContexts()...)
-	}
-	for _, ctx := range contexts {
-		if err := ctx.stripDead(dead); err != nil {
-			return true, err
-		}
-	}
-
-	// 4. New generation: events issued from here on are post-recovery;
-	// everything older is never referenced on the wire again and its
-	// crash-induced failure is absolved. The generation is global — an
-	// unaffected session's older events simply fold into exact virtual-time
-	// floors instead of wire waits, which preserves their semantics.
-	rt.gen.Add(1)
-
-	// 5. New membership epoch: survivors drop pooled peer connections and
-	// cancel parked rendezvous, so replayed p2p traffic starts clean.
-	rt.epoch++
-	if err := rt.rehelloLocked(); err != nil {
-		return true, err
-	}
-
-	// 6. Replay the affected sessions' mutation histories from zeroed
-	// state. One pass counts one recovery in the aggregate; each affected
-	// tenant's own metrics count it too.
-	totalReplayed := 0
-	var replayErr error
-	spans := make([]trace.Span, 0, len(affected))
-	for _, s := range affected {
-		s.mu.Lock()
-		replayFrom := s.metrics.Makespan
-		s.mu.Unlock()
-		replayed, err := s.replayLog()
-		totalReplayed += replayed
-		s.mu.Lock()
-		s.metrics.Recoveries++
-		s.metrics.ReplayedCommands += int64(replayed)
-		s.mu.Unlock()
-		spans = append(spans, trace.Span{
-			Kind:   trace.KindRecovery,
-			Tenant: s.tenant,
-			Start:  replayFrom,
-			Bytes:  int64(replayed),
-			Replay: true,
-		})
-		if err != nil {
-			replayErr = err
-			break
-		}
-	}
-	// One recovery span per replayed session: the makespan interval the
-	// replay advanced through, tagged with the entry count. The end is read
-	// on return, once the replayed commands have settled; read as replayLog
-	// returns, it would depend on how far the nodes had got.
-	defer func() {
-		for i, sp := range spans {
-			s := affected[i]
-			s.mu.Lock()
-			sp.End = s.metrics.Makespan
-			s.mu.Unlock()
-			s.traceRun().Add(sp)
-		}
-	}()
-	rt.mu.Lock()
-	rt.metrics.Recoveries++
-	rt.metrics.ReplayedCommands += int64(totalReplayed)
-	rt.mu.Unlock()
-	if replayErr != nil {
-		if rt.shouldRecover(replayErr) {
-			return true, nil // another node died mid-replay: next round
-		}
-		return true, fmt.Errorf("core: recovery replay: %w", replayErr)
-	}
-
-	// 7. Settle and verify: every replayed command must have succeeded.
-	for _, s := range affected {
-		s.drainPendingEvents()
-	}
-	for _, ctx := range contexts {
-		if err := ctx.checkQueuesClean(); err != nil {
-			if rt.shouldRecover(err) {
-				return true, nil // next round picks the new death up
+// membershipLocked is the membership step: each dead node's connection
+// closes, the scheduler forgets its devices and its handle records the
+// epoch it left under; the generation and epoch advance, the survivors are
+// re-helloed (one that dies meanwhile goes in the next iteration) and the
+// bystanders pass. Caller holds recoverMu.
+func (rt *Runtime) membershipLocked() error {
+	for rt.anyDead() {
+		epoch := rt.epoch.Load() + 1
+		for _, n := range rt.nodes {
+			if n.state.Load() == stateDead {
+				n.client.Load().Close()
+				rt.monitor.RemoveNode(n.name)
+				n.left = epoch
+				n.state.Store(stateRemoved)
 			}
-			return true, fmt.Errorf("core: recovery verification: %w", err)
 		}
+		rt.gen.Add(1)
+		rt.epoch.Store(epoch)
+		rt.mu.Lock()
+		rt.metrics.Recoveries++
+		rt.mu.Unlock()
+		if err := rt.rehelloLocked(); err != nil {
+			return err
+		}
+		rt.passBystanders()
 	}
-	return true, nil
+	return nil
 }
 
-// stripDead removes every trace of the dead nodes from the context:
-// remote context/object bindings, service queues, replicas. User queues
-// bound to a dead device are re-bound to a surviving one; buffer state is
-// reset to zeros so the log replay reconstructs contents deterministically;
-// crash-poisoned queues are cleared.
-func (c *Context) stripDead(dead []*NodeHandle) error {
-	isDead := make(map[*NodeHandle]bool, len(dead))
-	for _, n := range dead {
-		isDead[n] = true
+// passBystanders records the epoch of every session that owes no replay:
+// its next command does not wait on recoverMu behind others' replays.
+// Caller holds recoverMu.
+func (rt *Runtime) passBystanders() {
+	epoch := rt.epoch.Load()
+	for _, s := range rt.allSessions() {
+		if !s.owesReplay() {
+			s.epoch.Store(epoch)
+		}
+	}
+}
+
+// catchUp is s's catch-up step. A session that owes no replay only records
+// the epoch. One that does holds its gate's write side throughout: its
+// commands in flight settle first, and its next ones wait for the verified
+// replay, which would overwrite them with older entries. A genuine failure
+// from before the crash is lifted for the replay, which repeats it, and
+// latched again; one the replay latches fails the catch-up.
+// Caller holds Runtime.recoverMu.
+func (s *Session) catchUp() error {
+	rt := s.rt
+	epoch := rt.epoch.Load()
+	if !s.owesReplay() {
+		s.epoch.Store(epoch)
+		return nil
+	}
+	s.recGate.Lock()
+	defer s.recGate.Unlock()
+
+	// Materialize every in-flight failure (watchPush goroutines unpark the
+	// awaiters a dead pusher stranded). Release acks that died with a node
+	// are expendable — the objects died with it; a genuine RemoteError
+	// stays latched for the tenant's Flush.
+	s.drainPendingEvents()
+	s.drainReleases()
+	s.relMu.Lock()
+	if isNodeLost(s.relErr) {
+		s.relErr = nil
+	}
+	s.relMu.Unlock()
+
+	contexts := s.snapshotContexts()
+	kept := make(map[*Queue]error)
+	for _, ctx := range contexts {
+		for _, q := range ctx.allQueues() {
+			q.mu.Lock()
+			if q.err != nil && !isNodeLost(q.err) {
+				kept[q] = q.err
+			}
+			q.err = nil
+			q.mu.Unlock()
+		}
 	}
 
+	// Strip every node that is not alive and replay in a new generation:
+	// older events are never referenced on the wire again.
+	gone := make(map[*NodeHandle]bool)
+	for _, n := range rt.nodes {
+		if !n.Alive() {
+			gone[n] = true
+		}
+	}
+	var err error
+	for _, ctx := range contexts {
+		if err == nil {
+			err = ctx.strip(gone)
+		}
+	}
+	rt.gen.Add(1)
+	s.mu.Lock()
+	span := trace.Span{Kind: trace.KindRecovery, Tenant: s.tenant, Start: s.metrics.Makespan, Replay: true}
+	s.mu.Unlock()
+	replayed := 0
+	if err == nil {
+		if replayed, err = s.replayLog(kept); err != nil {
+			err = fmt.Errorf("core: recovery replay: %w", err)
+		}
+	}
+	// Verify that every replayed command succeeded.
+	for _, ctx := range contexts {
+		for _, q := range ctx.allQueues() {
+			q.drain()
+			q.mu.Lock()
+			if _, ok := kept[q]; !ok && q.err != nil && err == nil {
+				err = fmt.Errorf("core: recovery verification: %w", q.err)
+			}
+			q.err = kept[q]
+			q.mu.Unlock()
+		}
+	}
+	// One recovery span per replay: the makespan interval it advanced
+	// through, read once the replayed commands have settled.
+	s.bump(func(m *Metrics) { m.ReplayedCommands += int64(replayed) })
+	s.mu.Lock()
+	s.metrics.Recoveries++
+	span.End, span.Bytes = s.metrics.Makespan, int64(replayed)
+	s.mu.Unlock()
+	s.traceRun().Add(span)
+	if err != nil {
+		s.owed, s.owedAt = err, epoch
+		return err
+	}
+	s.owed = nil
+	s.epoch.Store(epoch)
+	return nil
+}
+
+// strip removes every trace of the gone nodes from the context: remote
+// instances, service queues, replicas, program and kernel builds, and
+// resets buffer state to zeros for the replay. User queues bound to a gone
+// device are re-bound to a surviving one last, when all else is gone.
+func (c *Context) strip(gone map[*NodeHandle]bool) error {
 	c.mu.Lock()
-	for node, q := range c.svcQueue {
-		if isDead[node] {
+	for node, svc := range c.svcQueue {
+		if gone[node] {
 			delete(c.svcQueue, node)
-			c.dropQueue(q)
+			c.regMu.Lock()
+			c.queues = slices.DeleteFunc(c.queues, func(q *Queue) bool { return q == svc })
+			c.regMu.Unlock()
 		}
 	}
 	c.mu.Unlock()
-	for _, n := range dead {
+	for n := range gone {
 		c.dropRemote(n)
 	}
 	c.regMu.Lock()
@@ -350,55 +369,45 @@ func (c *Context) stripDead(dead []*NodeHandle) error {
 	programs := append([]*Program(nil), c.programs...)
 	c.regMu.Unlock()
 
-	for _, q := range queues {
-		if dev, _ := q.binding(); isDead[dev.node] {
-			if err := c.rebindQueue(q); err != nil {
-				return err
-			}
-		}
-		q.clearRetriableSticky()
-	}
 	for _, b := range buffers {
-		b.resetForReplay(isDead)
+		b.resetForReplay(gone)
 	}
 	for _, p := range programs {
 		p.mu.Lock()
-		for _, n := range dead {
+		for n := range gone {
 			delete(p.remote, n)
 		}
 		kernels := append([]*Kernel(nil), p.kernels...)
 		p.mu.Unlock()
 		for _, k := range kernels {
 			k.mu.Lock()
-			for _, n := range dead {
+			for n := range gone {
 				delete(k.remote, n)
 			}
 			k.mu.Unlock()
 		}
 	}
+	for _, q := range queues {
+		if dev, _ := q.binding(); gone[dev.node] {
+			if err := c.rebindQueue(q); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
-// dropQueue removes a (service) queue from the context registry; its node
-// died, and service queues are re-created lazily rather than re-bound.
-func (c *Context) dropQueue(q *Queue) {
-	c.regMu.Lock()
-	defer c.regMu.Unlock()
-	for i, cand := range c.queues {
-		if cand == q {
-			c.queues = append(c.queues[:i], c.queues[i+1:]...)
-			return
-		}
-	}
-}
-
-// rebindQueue moves a user queue whose device died onto a surviving
-// context device, preferring one of the same type — the re-placement step
-// of recovery. The queue object is the same host-side handle; only its
-// device binding and remote ID change.
+// rebindQueue moves a user queue whose device is gone onto a surviving
+// context device: the first of the lost device's type, else the first. The
+// queue stays the same host-side handle; its binding and remote ID change.
 func (c *Context) rebindQueue(q *Queue) error {
 	old, _ := q.binding()
-	target := c.replacementDevice(old)
+	var target *DeviceRef
+	for _, d := range c.devices {
+		if d.node.Alive() && (target == nil || d.info.Type == old.info.Type && target.info.Type != old.info.Type) {
+			target = d
+		}
+	}
 	if target == nil {
 		return fmt.Errorf("core: no surviving device to re-place queue from %s", old.key)
 	}
@@ -413,46 +422,17 @@ func (c *Context) rebindQueue(q *Queue) error {
 	return nil
 }
 
-// replacementDevice picks a surviving context device for re-placement,
-// preferring the crashed device's type.
-func (c *Context) replacementDevice(old *DeviceRef) *DeviceRef {
-	var fallback *DeviceRef
-	for _, d := range c.devices {
-		if !d.node.Alive() {
-			continue
-		}
-		if d.info.Type == old.info.Type {
-			return d
-		}
-		if fallback == nil {
-			fallback = d
-		}
-	}
-	return fallback
-}
-
-// clearRetriableSticky lifts a crash-induced sticky error off the queue:
-// node loss is retriable — the replay re-establishes the lost work —
-// whereas genuine command failures stay sticky exactly as before.
-func (q *Queue) clearRetriableSticky() {
-	q.mu.Lock()
-	if isNodeLost(q.err) {
-		q.err = nil
-	}
-	q.mu.Unlock()
-}
-
 // resetForReplay clears all coherence state so the log replay
 // reconstructs contents from deterministic zeros: surviving replicas keep
 // their device arrays but lose all validity (stale bytes become
 // unreachable; a range the replay leaves unwritten relays as zeros), and
 // the write chains are cut — pre-recovery events are never referenced
 // again.
-func (b *Buffer) resetForReplay(isDead map[*NodeHandle]bool) {
+func (b *Buffer) resetForReplay(gone map[*NodeHandle]bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for node := range b.remote {
-		if isDead[node] {
+		if gone[node] {
 			delete(b.remote, node)
 		}
 	}
@@ -470,20 +450,12 @@ func (b *Buffer) resetForReplay(isDead map[*NodeHandle]bool) {
 // Caller holds rt.recoverMu.
 func (rt *Runtime) rehelloLocked() error {
 	alive := rt.aliveNodes()
-	peers := peerAddrs(alive)
+	req := &protocol.HelloReq{UserID: rt.userID, ClientName: rt.clientName,
+		WireVersion: protocol.Version, Peers: peerAddrs(alive), Epoch: rt.epoch.Load()}
 	for _, n := range alive {
 		var resp protocol.HelloResp
-		err := rt.call(n, &protocol.HelloReq{
-			UserID:      rt.userID,
-			ClientName:  rt.clientName,
-			WireVersion: protocol.Version,
-			Peers:       peers,
-			Epoch:       rt.epoch,
-		}, &resp)
-		if err != nil {
-			if rt.shouldRecover(err) {
-				continue // died during the re-hello: next round handles it
-			}
+		// A node that dies meanwhile is the membership step's next removal.
+		if err := rt.call(n, req, &resp); err != nil && !rt.shouldRecover(err) {
 			return fmt.Errorf("core: re-hello %q: %w", n.name, err)
 		}
 	}
@@ -512,42 +484,30 @@ const (
 // membership epoch, and re-create this runtime's contexts and program
 // builds on the fresh process. Replicas are NOT eagerly restored — they
 // re-materialize lazily, the first consumer command migrating the stale
-// ranges back through the ordinary RangeSet gap machinery. If the node's
-// crash has not been recovered yet, recovery runs first so the rejoin
-// starts from a consistent cluster.
+// ranges back through the ordinary RangeSet gap machinery. Recovery runs
+// first, so the rejoin starts from a consistent cluster; a session that
+// cannot catch up does not fail the rejoin.
 func (rt *Runtime) ReconnectNode(name string) error {
 	rt.recoverMu.Lock()
 	defer rt.recoverMu.Unlock()
 
-	var h *NodeHandle
-	for _, n := range rt.nodes {
-		if n.name == name {
-			h = n
-			break
-		}
-	}
-	if h == nil {
+	i := slices.IndexFunc(rt.nodes, func(n *NodeHandle) bool { return n.name == name })
+	if i < 0 {
 		return fmt.Errorf("core: unknown node %q", name)
 	}
+	h := rt.nodes[i]
 	if h.Alive() {
-		// Looking alive may just mean the crash is undetected: nothing
-		// touched this node since it died. Probe the pooled connection —
-		// a live node makes the rejoin a no-op, a dead one fails the
-		// probe, which marks the handle down (OnDown fires before the
-		// pending call unblocks) and the rejoin proceeds.
-		rt.mu.Lock()
-		rt.metrics.Commands++
-		rt.mu.Unlock()
+		// The crash may be undetected. A live node makes the rejoin a
+		// no-op; a dead one fails the probe, which marks it down (OnDown
+		// fires before the pending call unblocks).
 		var status protocol.NodeStatusResp
-		if err := h.client.Load().Call(&protocol.NodeStatusReq{}, &status); err == nil {
+		if rt.call(h, &protocol.NodeStatusReq{}, &status) == nil {
 			return nil // genuinely alive: double rejoin
 		}
 	}
-	if rt.anyDead() {
-		if err := rt.recoverLocked(); err != nil {
-			return err
-		}
-	}
+	// Every session catches up first, so that none holds objects of the
+	// node's previous incarnation; one that cannot keeps its failure.
+	_ = rt.recoverLocked()
 
 	var client *transport.Client
 	var err error
@@ -563,8 +523,8 @@ func (rt *Runtime) ReconnectNode(name string) error {
 		return fmt.Errorf("core: reconnect %q: %w", name, err)
 	}
 
-	rt.epoch++
-	resp, err := hello(client, rt.userID, rt.clientName, peerAddrs(append(rt.aliveNodes(), h)), rt.epoch)
+	epoch := rt.epoch.Add(1)
+	resp, err := hello(client, rt.userID, rt.clientName, peerAddrs(append(rt.aliveNodes(), h)), epoch)
 	if err != nil {
 		client.Close()
 		return fmt.Errorf("core: rejoin handshake with %q: %w", name, err)
@@ -591,8 +551,13 @@ func (rt *Runtime) ReconnectNode(name string) error {
 	}
 
 	// Survivors learn the new address book and epoch, dropping any pooled
-	// connection to the node's previous incarnation.
-	return rt.rehelloLocked()
+	// connection to the node's previous incarnation; every session that
+	// owes nothing is at the new epoch before its next command.
+	if err := rt.rehelloLocked(); err != nil {
+		return err
+	}
+	rt.passBystanders()
+	return nil
 }
 
 // restoreOn re-creates the context and its built programs on a rejoined

@@ -78,6 +78,11 @@ type NodeHandle struct {
 	// removed, rejoin removed → alive.
 	state atomic.Int32
 
+	// left is the membership epoch under which recovery last removed the
+	// node (0: never). A session whose epoch is older and whose contexts
+	// span the node owes a replay (Session.owesReplay).
+	left uint64 // guarded by Runtime.recoverMu
+
 	// bootID is the node incarnation reported in the last Hello: a rejoin
 	// that comes back with a different bootID is a fresh process whose
 	// objects and replicas are all gone. Atomic for the same rejoin swap
@@ -142,8 +147,8 @@ type Metrics struct {
 	// pushes and broadcast forwarding hops). These never contend with the
 	// host NIC and are excluded from the Transfer occupancy metric.
 	PeerWireBytes int64
-	// Recoveries counts node-loss recoveries: each one re-placed the dead
-	// node's work on survivors and replayed the command log.
+	// Recoveries counts node-loss recoveries. The runtime counts membership
+	// steps that moved dead nodes out; a session counts its replays.
 	Recoveries int64
 	// ReplayedCommands counts log entries re-issued across all recoveries.
 	ReplayedCommands int64
@@ -197,8 +202,8 @@ type Runtime struct {
 	// teardown, so Close does not look like a cluster-wide crash.
 	closing atomic.Bool
 
-	// gen is the recovery generation: bumped after every completed
-	// recovery. Events stamp the generation they were issued under; an
+	// gen is the recovery generation: bumped by every membership step and
+	// every replay. Events stamp the generation they were issued under; an
 	// event from an older generation is never referenced on the wire again
 	// (its node-side record may be gone or poisoned) and its failure is
 	// absolved — the replay re-established its effect.
@@ -206,11 +211,12 @@ type Runtime struct {
 
 	// epoch is the membership generation shipped in Hello requests. Every
 	// death or (re)join bumps it; nodes that see a higher epoch drop their
-	// pooled peer connections and cancel parked push rendezvous.
-	epoch uint64 // guarded by recoverMu
+	// pooled peer connections and cancel parked push rendezvous. Written
+	// under recoverMu; a session compares its own epoch with it lock-free.
+	epoch atomic.Uint64
 
-	// recoverMu serializes recovery and rejoin. A pass takes the recovery
-	// gates of the sessions it replays under it (Session.recGate).
+	// recoverMu serializes recovery and rejoin: membership steps and
+	// session catch-ups (Session.recGate is taken under it).
 	recoverMu sync.Mutex
 
 	// trc is the runtime-level tracing attachment (nil = tracing off);
@@ -256,8 +262,8 @@ func Connect(opts Options) (*Runtime, error) {
 		nicOut:        sim.NewHostNIC(),
 		nicIn:         sim.NewHostNIC(),
 		hostMem:       sim.NewHostMemory(),
-		epoch:         1,
 	}
+	rt.epoch.Store(1)
 	rt.metrics.ComputeBusy = make(map[profile.DeviceKey]vtime.Duration)
 
 	// Ship the full topology with every Hello so nodes can dial each other
@@ -275,7 +281,7 @@ func Connect(opts Options) (*Runtime, error) {
 		}
 		nh := &NodeHandle{name: spec.Name, addr: spec.Addr}
 		nh.client.Store(client)
-		resp, err := hello(client, rt.userID, rt.clientName, peers, rt.epoch)
+		resp, err := hello(client, rt.userID, rt.clientName, peers, rt.epoch.Load())
 		if err != nil {
 			rt.Close()
 			client.Close()

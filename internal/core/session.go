@@ -44,17 +44,26 @@ type Session struct {
 
 	closed atomic.Bool
 
+	// epoch is the membership epoch the session's state is caught up to.
+	// withRecovery compares it with the runtime's before every command; a
+	// session behind catches up first (recovery.go).
+	epoch atomic.Uint64
+
+	// owed is the error of the session's last catch-up if it failed, and
+	// owedAt the epoch it ran under: the session owes a replay until one
+	// succeeds, but not before the epoch moves if it failed hard (stuck).
+	owed   error  // guarded by Runtime.recoverMu
+	owedAt uint64 // guarded by Runtime.recoverMu
+
 	// recGate is the session's recovery gate. Every public entry point that
-	// enqueues (withRecovery) runs its command under the read side; a
-	// recovery pass holds the write side of each session it strips and
-	// replays, from draining its pipeline to verifying the replay. A
-	// session's own commands therefore never interleave with the replay of
-	// its log: one either lands, and is logged, before the pass and is
-	// replayed by it, or runs after it against the recovered state.
-	// Bystander sessions are never gated. replaying is set by the pass,
-	// under the write side, while it re-issues the log, so that replayed
-	// commands are not logged again — it says nothing about other sessions,
-	// whose commands keep being logged while this one replays.
+	// enqueues (withRecovery) runs its command under the read side; the
+	// session's catch-up holds the write side from draining its pipeline
+	// to verifying its replay. A session's own commands therefore never
+	// interleave with the replay of its log: one either lands, and is
+	// logged, before the catch-up and is replayed by it, or runs after it
+	// against the recovered state. No other session's catch-up takes it.
+	// replaying is set, under the write side, while the log is re-issued,
+	// so that replayed commands are not logged again.
 	recGate   sync.RWMutex
 	replaying atomic.Bool
 
@@ -81,7 +90,7 @@ type Session struct {
 
 	// log is the session's command log: the mutating commands that still
 	// matter, in issue order, replayed from zeroed buffer state after a node
-	// loss. Recovery replays only the logs of sessions the dead node touched.
+	// loss. Only a session that owes a replay replays its log.
 	log cmdLog
 
 	// ctxMu guards the session's context registry — its object namespace.
@@ -102,6 +111,7 @@ func (rt *Runtime) OpenSession(tenant string) *Session {
 		policy: rt.defaultPolicy,
 	}
 	s.metrics.ComputeBusy = make(map[profile.DeviceKey]vtime.Duration)
+	s.epoch.Store(rt.epoch.Load())
 	rt.sessions = append(rt.sessions, s)
 	return s
 }
@@ -429,9 +439,10 @@ func (s *Session) logCommand(e logEntry) {
 
 // replayLog re-issues what survives of this session's mutation history
 // through the enqueue internals and returns how many entries were replayed.
-// Entries whose objects were released are skipped. Caller holds recoverMu
+// Entries whose objects were released are skipped, and so are those a
+// queue of kept refuses: its failure is history. Caller holds recoverMu
 // and the write side of s.recGate.
-func (s *Session) replayLog() (int, error) {
+func (s *Session) replayLog(kept map[*Queue]error) (int, error) {
 	s.replaying.Store(true)
 	defer s.replaying.Store(false)
 	log := s.log.snapshot()
@@ -441,6 +452,9 @@ func (s *Session) replayLog() (int, error) {
 			continue
 		}
 		if err := e.replay(s.rt); err != nil {
+			if refusedBy(kept, err) {
+				continue
+			}
 			return replayed, err
 		}
 		replayed++
@@ -455,14 +469,28 @@ func (s *Session) snapshotContexts() []*Context {
 	return append([]*Context(nil), s.contexts...)
 }
 
-// needsRecovery reports whether this session's state was touched by the
-// dead nodes: a context spanning one of them, or a queue poisoned by a
-// crash-induced sticky error. Recovery drains, strips and replays exactly
-// these sessions; bystander tenants keep their pipelines and logs intact.
-func (s *Session) needsRecovery(dead []*NodeHandle) bool {
+// refusedBy reports whether err is the failure a queue of kept latched.
+func refusedBy(kept map[*Queue]error, err error) bool {
+	for q := range kept {
+		if qerr := q.stickyErr(); qerr != nil && errors.Is(err, qerr) {
+			return true
+		}
+	}
+	return false
+}
+
+// owesReplay reports whether s must replay its log to catch up: its last
+// catch-up failed, one of its contexts spans a node that left after the
+// session's epoch, or one of its queues latched a crash-induced failure.
+// Caller holds Runtime.recoverMu.
+func (s *Session) owesReplay() bool {
+	if s.owed != nil {
+		return true
+	}
+	epoch := s.epoch.Load()
 	for _, ctx := range s.snapshotContexts() {
-		for _, n := range dead {
-			if _, ok := ctx.remoteID(n); ok {
+		for _, d := range ctx.devices {
+			if d.node.left > epoch {
 				return true
 			}
 		}

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -252,10 +253,16 @@ func (s *Session) peerClient(name string) (*transport.Client, error) {
 func (s *Session) dialPeer(name string) (*transport.Client, error) {
 	s.mu.Lock()
 	addr, ok := s.peers[name]
+	book := s.peers != nil
 	s.mu.Unlock()
-	if !ok {
+	switch {
+	case !book:
 		return nil, remoteErr(protocol.CodeUnknownObject,
 			"node %q has no address for peer %q (host did not send a peer list)", s.node.name, name)
+	case !ok:
+		// The host's latest address book leaves the peer out: it left the
+		// membership after this push was planned.
+		return nil, remoteErr(protocol.CodeNodeLost, "node %q: peer %q left the membership", s.node.name, name)
 	}
 	if s.node.dialer == nil {
 		return nil, remoteErr(protocol.CodeUnsupported,
@@ -400,9 +407,14 @@ func (c *pushCmd) exec() (protocol.Message, error) {
 	push := &protocol.PeerPushReq{Token: req.Token, Data: data, SimArrival: int64(arrival)}
 	if err := client.Call(push, nil); err != nil {
 		// The snapshot is left to the collector: a failed call does not
-		// prove the writer goroutine is done reading it.
+		// prove the writer goroutine is done reading it. A peer that
+		// answered — refusing a push whose rendezvous a membership change
+		// failed — keeps its connection for the pushes after it.
+		answered := errors.As(err, new(*protocol.RemoteError))
 		err = remoteErr(protocol.CodeNodeLost, "push to peer %q: %v", req.PeerName, err)
-		s.markPeerDown(req.PeerName, err)
+		if !answered {
+			s.markPeerDown(req.PeerName, err)
+		}
 		return nil, s.failCommand(ev, err)
 	}
 	pooled.Free() // acknowledged, so read in full by the peer

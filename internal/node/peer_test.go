@@ -208,6 +208,58 @@ func TestPeerPushWithoutAddressBook(t *testing.T) {
 	wantCode(t, err, protocol.CodeUnknownObject)
 }
 
+// TestPeerPushOutsideAddressBookIsNodeLost: a peer the host's address book
+// leaves out has left the membership, so a push planned toward it before
+// the host said so fails as node loss, which the host retries.
+func TestPeerPushOutsideAddressBookIsNodeLost(t *testing.T) {
+	net := transport.NewMemNetwork()
+	nA := servePeerNode(t, net, "alpha")
+	sA, qA, bufA := openPeerSession(t, nA, []protocol.PeerAddr{{Name: "alpha", Addr: "mem://alpha"}})
+	defer sA.Close()
+
+	err := mustFail(t, goCall(sA, &protocol.PushRangeReq{
+		QueueID: qA, BufferID: bufA, PeerName: "beta", PeerBufferID: 1,
+		Token: 1, Offset: 0, Size: 64, EventID: 2,
+	}))
+	wantCode(t, err, protocol.CodeNodeLost)
+}
+
+// TestRefusedPushKeepsPeerConnection: a peer that refuses a deposit — its
+// rendezvous for the token was failed first, as a membership change does
+// — answered, so the connection to it is sound and the next push over it
+// goes through instead of failing with the refusal.
+func TestRefusedPushKeepsPeerConnection(t *testing.T) {
+	net := transport.NewMemNetwork()
+	nA := servePeerNode(t, net, "alpha")
+	nB := servePeerNode(t, net, "beta")
+	book := []protocol.PeerAddr{
+		{Name: "alpha", Addr: "mem://alpha"},
+		{Name: "beta", Addr: "mem://beta"},
+	}
+	sA, qA, bufA := openPeerSession(t, nA, book)
+	defer sA.Close()
+	sB, qB, bufB := openPeerSession(t, nB, book)
+	defer sB.Close()
+
+	call(t, sB, &protocol.CancelPushReq{Token: 5, Reason: "membership changed"}, &protocol.EmptyResp{})
+	refused := mustFail(t, goCall(sA, &protocol.PushRangeReq{
+		QueueID: qA, BufferID: bufA, PeerName: "beta", PeerBufferID: bufB,
+		Token: 5, Offset: 0, Size: 64, EventID: 1,
+	}))
+	if !strings.Contains(refused.Error(), "duplicate push") {
+		t.Fatalf("push into a failed rendezvous: %v, want the peer's refusal", refused)
+	}
+
+	awaitCh := goCall(sB, &protocol.AwaitPushReq{
+		QueueID: qB, BufferID: bufB, Token: 6, Offset: 0, Size: 64, EventID: 1,
+	})
+	mustEvent(t, goCall(sA, &protocol.PushRangeReq{
+		QueueID: qA, BufferID: bufA, PeerName: "beta", PeerBufferID: bufB,
+		Token: 6, Offset: 0, Size: 64, EventID: 2,
+	}))
+	mustEvent(t, awaitCh)
+}
+
 // TestCancelPushFailsParkedAwaiter: the host's failure cascade sends
 // CancelPush when a source-side push dies; the parked AwaitPush must error
 // out with the carried reason instead of waiting forever, and commands
