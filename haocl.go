@@ -171,12 +171,11 @@ func Connect(cfg *ClusterConfig, opts ...Option) (*Platform, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	internalCfg, err := cfg.internal()
-	if err != nil {
-		return nil, err
+	if cfg == nil {
+		return nil, fmt.Errorf("haocl: nil cluster config")
 	}
 	rt, err := core.Connect(core.Options{
-		Config:     internalCfg,
+		Config:     cfg,
 		Dialer:     o.dialer,
 		Policy:     o.policy,
 		ClientName: o.clientName,
@@ -254,80 +253,20 @@ func (p *Platform) TotalEnergy() (float64, error) { return p.rt.TotalEnergy() }
 // Close disconnects from every node.
 func (p *Platform) Close() error { return p.rt.Close() }
 
-// DeviceSpec describes one device in a cluster configuration.
-type DeviceSpec struct {
-	// Type is "cpu", "gpu" or "fpga".
-	Type string
-	// Model selects a hardware preset; empty picks the type default.
-	Model string
-	// Shared permits concurrent users.
-	Shared bool
-	// Bitstreams lists pre-built kernels available on an FPGA.
-	Bitstreams []string
-}
+// DeviceSpec describes one device in a cluster configuration: its Type
+// ("cpu", "gpu" or "fpga"), an optional hardware Model preset, whether it
+// is Shared between users, and an FPGA's pre-built Bitstreams.
+type DeviceSpec = cluster.DeviceSpec
 
-// NodeSpec describes one device node.
-type NodeSpec struct {
-	Name    string
-	Addr    string
-	Devices []DeviceSpec
-}
+// NodeSpec describes one device node: its Name, Addr and Devices.
+type NodeSpec = cluster.NodeSpec
 
 // ClusterConfig describes a HaoCL cluster: the system configuration file
 // of paper §III-C.
-type ClusterConfig struct {
-	UserID string
-	Nodes  []NodeSpec
-}
+type ClusterConfig = cluster.Config
 
 // LoadClusterConfig reads a JSON cluster configuration file.
-func LoadClusterConfig(path string) (*ClusterConfig, error) {
-	c, err := cluster.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	return fromInternalConfig(c), nil
-}
-
-func fromInternalConfig(c *cluster.Config) *ClusterConfig {
-	out := &ClusterConfig{UserID: c.UserID}
-	for _, n := range c.Nodes {
-		ns := NodeSpec{Name: n.Name, Addr: n.Addr}
-		for _, d := range n.Devices {
-			ns.Devices = append(ns.Devices, DeviceSpec{
-				Type:       d.Type,
-				Model:      d.Model,
-				Shared:     d.Shared,
-				Bitstreams: d.Bitstreams,
-			})
-		}
-		out.Nodes = append(out.Nodes, ns)
-	}
-	return out
-}
-
-func (c *ClusterConfig) internal() (*cluster.Config, error) {
-	if c == nil {
-		return nil, fmt.Errorf("haocl: nil cluster config")
-	}
-	out := &cluster.Config{UserID: c.UserID}
-	for _, n := range c.Nodes {
-		ns := cluster.NodeSpec{Name: n.Name, Addr: n.Addr}
-		for _, d := range n.Devices {
-			ns.Devices = append(ns.Devices, cluster.DeviceSpec{
-				Type:       d.Type,
-				Model:      d.Model,
-				Shared:     d.Shared,
-				Bitstreams: d.Bitstreams,
-			})
-		}
-		out.Nodes = append(out.Nodes, ns)
-	}
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func LoadClusterConfig(path string) (*ClusterConfig, error) { return cluster.Load(path) }
 
 // ShutdownCluster asks every Node Management Process to drain and exit,
 // then disconnects — the orderly teardown for dedicated clusters started

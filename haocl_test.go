@@ -3,6 +3,8 @@ package haocl_test
 import (
 	"encoding/binary"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	haocl "github.com/haocl-project/haocl"
@@ -236,5 +238,44 @@ func TestPlatformHelpersShareOneSession(t *testing.T) {
 		if !seen[d.Key()] {
 			t.Fatalf("Status has no row for %s", d.Key())
 		}
+	}
+}
+
+// TestStartLocalClusterLeavesConfigUnchanged: StartLocalCluster fills in
+// the user ID on its own copy of the caller's config, refuses an invalid
+// config before it boots a node, and Connect refuses a nil one.
+func TestStartLocalClusterLeavesConfigUnchanged(t *testing.T) {
+	cfg := &haocl.ClusterConfig{Nodes: []haocl.NodeSpec{
+		{Name: "gpu-a", Addr: "mem://gpu-a", Devices: []haocl.DeviceSpec{{Type: "gpu", Shared: true}}},
+		{Name: "cpu-b", Addr: "mem://cpu-b", Devices: []haocl.DeviceSpec{{Type: "cpu"}}},
+	}}
+	want := &haocl.ClusterConfig{Nodes: []haocl.NodeSpec{
+		{Name: "gpu-a", Addr: "mem://gpu-a", Devices: []haocl.DeviceSpec{{Type: "gpu", Shared: true}}},
+		{Name: "cpu-b", Addr: "mem://cpu-b", Devices: []haocl.DeviceSpec{{Type: "cpu"}}},
+	}}
+	lc, err := haocl.StartLocalCluster(haocl.LocalClusterSpec{
+		UserID: "tester", Config: cfg, Kernels: vecAddRegistry(t), ExecWorkers: 1,
+	})
+	if err != nil {
+		t.Fatalf("StartLocalCluster: %v", err)
+	}
+	defer lc.Close()
+	if got := len(lc.Platform.Devices(haocl.AnyDevice)); got != 2 {
+		t.Fatalf("platform has %d devices, want 2", got)
+	}
+	if !reflect.DeepEqual(cfg, want) {
+		t.Fatalf("StartLocalCluster changed the caller's config to %+v", cfg)
+	}
+
+	bad := &haocl.ClusterConfig{Nodes: []haocl.NodeSpec{
+		{Name: "x", Addr: "mem://x", Devices: []haocl.DeviceSpec{{Type: "gpu"}}},
+		{Name: "y", Addr: "mem://x", Devices: []haocl.DeviceSpec{{Type: "gpu"}}},
+	}}
+	if _, err := haocl.StartLocalCluster(haocl.LocalClusterSpec{Config: bad, Kernels: vecAddRegistry(t)}); err == nil ||
+		!strings.Contains(err.Error(), "duplicate node address") {
+		t.Fatalf("invalid config: err = %v, want a duplicate address", err)
+	}
+	if _, err := haocl.Connect(nil); err == nil || !strings.Contains(err.Error(), "nil cluster config") {
+		t.Fatalf("Connect(nil): err = %v, want nil cluster config", err)
 	}
 }

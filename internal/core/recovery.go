@@ -177,12 +177,16 @@ func (s *Session) recover() error {
 // catchUpLocked alternates membership steps and s's catch-up until s is
 // caught up. A node-lost error means a node died — a re-hello finds one
 // the host has not seen — so the next step removes one, and len(nodes)+1
-// steps bound the loop. Any other error is returned and s stays behind.
+// steps bound the loop. Any other error is returned and s stays behind; a
+// catch-up that fails so gets one more try at the epoch, at the tenant's
+// next synchronization, and then none before the epoch moves (stuck).
 // Caller holds Runtime.recoverMu.
 func (s *Session) catchUpLocked() error {
 	rt := s.rt
+	epoch := rt.epoch.Load()
+	again := s.owed != nil && s.owedAt == epoch
 	var err error
-	for round := 0; round <= len(rt.nodes); round++ {
+	for round := 0; ; round++ {
 		if err != nil && !rt.anyDead() {
 			_ = rt.rehelloLocked() // a dead peer's failed Hello marks it dead
 		}
@@ -193,17 +197,23 @@ func (s *Session) catchUpLocked() error {
 			return err
 		}
 		if err = s.catchUp(); err == nil || !rt.shouldRecover(err) {
-			return err
+			break
+		}
+		if round == len(rt.nodes) {
+			s.owed = fmt.Errorf("core: recovery of tenant %q did not converge: %v", s.tenant, err)
+			err = s.owed
+			break
 		}
 	}
-	s.owed = fmt.Errorf("core: recovery of tenant %q did not converge: %v", s.tenant, err)
-	return s.owed
+	s.retried = err != nil && again && s.owedAt == epoch
+	return err
 }
 
-// stuck returns the hard failure of s's last catch-up while the epoch has
-// not moved since. Caller holds Runtime.recoverMu.
+// stuck returns the hard failure of s's last catch-up once that was the
+// one more try at the epoch, until the epoch moves.
+// Caller holds Runtime.recoverMu.
 func (s *Session) stuck() error {
-	if s.owed != nil && !isNodeLost(s.owed) && s.owedAt == s.rt.epoch.Load() {
+	if s.retried && !isNodeLost(s.owed) && s.owedAt == s.rt.epoch.Load() {
 		return s.owed
 	}
 	return nil
@@ -532,7 +542,6 @@ func (rt *Runtime) ReconnectNode(name string) error {
 	// Publish the fresh connection before flipping the handle alive, so a
 	// caller that observes stateAlive also loads the new client.
 	h.client.Store(client)
-	h.bootID.Store(resp.BootID)
 	h.state.Store(stateAlive)
 	rt.watchNode(h, client)
 	for _, info := range resp.Devices {

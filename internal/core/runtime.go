@@ -83,12 +83,6 @@ type NodeHandle struct {
 	// span the node owes a replay (Session.owesReplay).
 	left uint64 // guarded by Runtime.recoverMu
 
-	// bootID is the node incarnation reported in the last Hello: a rejoin
-	// that comes back with a different bootID is a fresh process whose
-	// objects and replicas are all gone. Atomic for the same rejoin swap
-	// as client.
-	bootID atomic.Uint64
-
 	// issueMu makes (event-ID assignment, frame write) atomic so that wire
 	// order equals event-ID order — the ordering contract the node's FIFO
 	// dispatch turns into in-order command execution. eventID counts the
@@ -287,7 +281,6 @@ func Connect(opts Options) (*Runtime, error) {
 			client.Close()
 			return nil, fmt.Errorf("core: handshake with node %q: %w", spec.Name, err)
 		}
-		nh.bootID.Store(resp.BootID)
 		rt.watchNode(nh, client)
 		rt.nodes = append(rt.nodes, nh)
 		for _, info := range resp.Devices {

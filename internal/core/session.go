@@ -51,9 +51,11 @@ type Session struct {
 
 	// owed is the error of the session's last catch-up if it failed, and
 	// owedAt the epoch it ran under: the session owes a replay until one
-	// succeeds, but not before the epoch moves if it failed hard (stuck).
-	owed   error  // guarded by Runtime.recoverMu
-	owedAt uint64 // guarded by Runtime.recoverMu
+	// succeeds. retried records that the last failure was the one more try
+	// a failed catch-up gets at its epoch (stuck).
+	owed    error  // guarded by Runtime.recoverMu
+	owedAt  uint64 // guarded by Runtime.recoverMu
+	retried bool   // guarded by Runtime.recoverMu
 
 	// recGate is the session's recovery gate. Every public entry point that
 	// enqueues (withRecovery) runs its command under the read side; the

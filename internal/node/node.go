@@ -10,7 +10,7 @@
 //
 // Cross-goroutine state follows one lock order, checked by haoclvet:
 //
-// lock-order: Session.mu < Session.laneMu < Session.peerMu < lane.mu < objectTable.mu < queueObj.execMu < bufferObj.mu < rendezvous.mu < deviceStats.mu
+// lock-order: Session.mu < Session.laneMu < Session.peerMu < lane.mu < queueObj.execMu < bufferObj.mu < rendezvous.mu < deviceStats.mu
 package node
 
 import (
@@ -26,9 +26,9 @@ import (
 )
 
 // bootCounter mints process-wide unique boot IDs. A restarted node is a
-// fresh Node value, so it reports a fresh BootID in Hello responses; the
-// host uses the change to tell "same process, repeated Hello" apart from
-// "new process at the same address" (all objects and replicas gone).
+// fresh Node value, so it reports a fresh BootID in Hello responses. The
+// host does not read it: a rejoining host re-creates everything, as on a
+// fresh node, whether or not the process survived.
 var bootCounter atomic.Uint64
 
 // Options configures a Node.
@@ -58,7 +58,9 @@ type Node struct {
 	execWorkers int
 	dialer      transport.Dialer
 
-	objects *objectTable
+	// nextID mints object IDs, unique node-wide although each object
+	// belongs to the session that created it (Session.objects).
+	nextID atomic.Uint64
 
 	// nicOut models this node's Gigabit egress link: every peer-to-peer
 	// push the node originates serializes through it in virtual time, the
@@ -157,7 +159,6 @@ func New(opts Options) (*Node, error) {
 		bootID:      bootCounter.Add(1),
 		execWorkers: opts.ExecWorkers,
 		dialer:      opts.Dialer,
-		objects:     newObjectTable(),
 		nicOut:      vtime.NewLink(sim.MessageLatency, sim.GigabitBytesPerSec),
 		rdv:         newRendezvous(),
 	}
@@ -180,9 +181,6 @@ func New(opts Options) (*Node, error) {
 
 // Name returns the node's name.
 func (n *Node) Name() string { return n.name }
-
-// BootID returns this node incarnation's process-wide unique boot ID.
-func (n *Node) BootID() uint64 { return n.bootID }
 
 // Devices returns the opened devices, indexed by position.
 func (n *Node) Devices() []device.Device { return n.devices }

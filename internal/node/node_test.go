@@ -371,6 +371,23 @@ func TestReleaseSemantics(t *testing.T) {
 	// The released buffer is unusable.
 	callErr(t, s, &protocol.WriteBufferReq{QueueID: queueID, BufferID: buf.ID, Data: []byte{1}},
 		protocol.CodeUnknownObject)
+
+	// An ID under the wrong kind — a buffer's as a queue's — is refused with
+	// the kind's name and leaves the object in place.
+	other := call(t, s, &protocol.CreateBufferReq{ContextID: ctxID, Size: 16}, &protocol.ObjectResp{})
+	for _, req := range []protocol.Message{
+		&protocol.ReleaseReq{Kind: protocol.ObjQueue, ID: other.ID},
+		&protocol.WriteBufferReq{QueueID: other.ID, BufferID: other.ID, Data: []byte{1}},
+	} {
+		_, err := s.HandleCall(req.Op(), protocol.EncodeMessage(req))
+		var re *protocol.RemoteError
+		if !errors.As(err, &re) || re.Code != protocol.CodeUnknownObject ||
+			!strings.Contains(re.Message, fmt.Sprintf("unknown queue %d", other.ID)) {
+			t.Fatalf("%s naming buffer %d as a queue: err = %v, want unknown queue", req.Op(), other.ID, err)
+		}
+	}
+	call(t, s, &protocol.WriteBufferReq{QueueID: queueID, BufferID: other.ID, Data: []byte{1}}, &protocol.EventResp{})
+
 	call(t, s, &protocol.ReleaseReq{Kind: protocol.ObjQueue, ID: queueID}, &protocol.EmptyResp{})
 	callErr(t, s, &protocol.ReleaseReq{Kind: protocol.ObjectKind(99), ID: 1}, protocol.CodeBadRequest)
 }
@@ -629,5 +646,111 @@ func TestRangedCommandValidation(t *testing.T) {
 	var re *protocol.RemoteError
 	if err := <-done; !errors.As(err, &re) {
 		t.Fatalf("waiter behind failed range = %v, want remote error cascade", err)
+	}
+}
+
+// objectCount reads the size of a session's object table.
+func objectCount(s *Session) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.objects)
+}
+
+// TestSessionCloseDropsObjects: a connection that closes without a single
+// Release leaves nothing on the node — its table is empty, and its
+// exclusive device is free for another user.
+func TestSessionCloseDropsObjects(t *testing.T) {
+	n := testNode(t, device.Config{Driver: sim.DriverGPU, Shared: false})
+	alice := openSession(t, n, "alice")
+	ctxID, _, _ := buildPipeline(t, alice)
+	call(t, alice, &protocol.CreateBufferReq{ContextID: ctxID, Size: 1 << 20}, &protocol.ObjectResp{})
+	if got := objectCount(alice); got != 5 {
+		t.Fatalf("table holds %d objects, want context, queue, program, kernel and buffer", got)
+	}
+	if err := alice.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := objectCount(alice); got != 0 {
+		t.Fatalf("%d objects survive Close", got)
+	}
+	if users := n.Status()[0].ActiveUsers; users != 0 {
+		t.Fatalf("device has %d users after Close, want 0", users)
+	}
+	bob := openSession(t, n, "bob")
+	ctxB := call(t, bob, &protocol.CreateContextReq{DeviceIDs: []int64{1}}, &protocol.ObjectResp{})
+	call(t, bob, &protocol.CreateQueueReq{ContextID: ctxB.ID, DeviceID: 1}, &protocol.ObjectResp{})
+}
+
+// TestObjectsBelongToTheirConnection: a second connection, of the same
+// user, can neither write to the first one's buffer nor release it or the
+// first one's queue, and the first connection's objects keep working.
+func TestObjectsBelongToTheirConnection(t *testing.T) {
+	n := testNode(t)
+	first := openSession(t, n, "alice")
+	ctx1 := call(t, first, &protocol.CreateContextReq{DeviceIDs: []int64{1}}, &protocol.ObjectResp{})
+	q1 := call(t, first, &protocol.CreateQueueReq{ContextID: ctx1.ID, DeviceID: 1}, &protocol.ObjectResp{})
+	buf1 := call(t, first, &protocol.CreateBufferReq{ContextID: ctx1.ID, Size: 4}, &protocol.ObjectResp{})
+	call(t, first, &protocol.WriteBufferReq{QueueID: q1.ID, BufferID: buf1.ID, Data: []byte{1, 2, 3, 4}}, &protocol.EventResp{})
+
+	second := openSession(t, n, "alice")
+	ctx2 := call(t, second, &protocol.CreateContextReq{DeviceIDs: []int64{1}}, &protocol.ObjectResp{})
+	q2 := call(t, second, &protocol.CreateQueueReq{ContextID: ctx2.ID, DeviceID: 1}, &protocol.ObjectResp{})
+	callErr(t, second, &protocol.WriteBufferReq{QueueID: q2.ID, BufferID: buf1.ID, Data: []byte{9, 9, 9, 9}},
+		protocol.CodeUnknownObject)
+	callErr(t, second, &protocol.ReleaseReq{Kind: protocol.ObjBuffer, ID: buf1.ID}, protocol.CodeUnknownObject)
+	callErr(t, second, &protocol.ReleaseReq{Kind: protocol.ObjQueue, ID: q1.ID}, protocol.CodeUnknownObject)
+
+	call(t, first, &protocol.WriteBufferReq{QueueID: q1.ID, BufferID: buf1.ID, Offset: 3, Data: []byte{5}}, &protocol.EventResp{})
+	got := call(t, first, &protocol.ReadBufferReq{QueueID: q1.ID, BufferID: buf1.ID, Size: 4}, &protocol.ReadBufferResp{})
+	if string(got.Data) != string([]byte{1, 2, 3, 5}) {
+		t.Fatalf("first connection reads %v, want [1 2 3 5]", got.Data)
+	}
+}
+
+// TestCloseRacesControlLane: creates in flight on the control lane while
+// the session closes either complete or are refused as the session shuts
+// down, and none of what completed survives Close.
+func TestCloseRacesControlLane(t *testing.T) {
+	n := testNode(t, device.Config{Driver: sim.DriverGPU, Shared: false})
+	for round := 0; round < 10; round++ {
+		s := openSession(t, n, "alice")
+		ctx := call(t, s, &protocol.CreateContextReq{DeviceIDs: []int64{1}}, &protocol.ObjectResp{})
+		var wg, started sync.WaitGroup
+		errs := make(chan error, 32)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			started.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 8; i++ {
+					if i == 1 {
+						started.Done()
+					}
+					var req protocol.Message = &protocol.CreateBufferReq{ContextID: ctx.ID, Size: 64}
+					if i%2 == 1 {
+						req = &protocol.CreateQueueReq{ContextID: ctx.ID, DeviceID: 1}
+					}
+					_, err := s.HandleCall(req.Op(), protocol.EncodeMessage(req))
+					if err != nil && !strings.Contains(err.Error(), "session is shutting down") {
+						errs <- fmt.Errorf("%s: %w", req.Op(), err)
+					}
+				}
+			}()
+		}
+		started.Wait() // every goroutine's first create is done
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if got := objectCount(s); got != 0 {
+			t.Fatalf("round %d: %d objects survive Close", round, got)
+		}
+		if users := n.Status()[0].ActiveUsers; users != 0 {
+			t.Fatalf("round %d: device has %d users after Close", round, users)
+		}
 	}
 }

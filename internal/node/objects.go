@@ -11,38 +11,18 @@ import (
 	"github.com/haocl-project/haocl/internal/vtime"
 )
 
-// objectTable holds every remote object the node has handed out. Handles
-// are node-global (the host may reach the same object over several
-// connections), but queue objects remember their owning user so exclusive
-// devices can be enforced and sessions can clean up on disconnect.
+// A session's objects — contexts, queues, buffers, programs and kernels —
+// live in its table (Session.objects) and die with its connection: another
+// connection cannot name them, and Session.Close drops whatever the host
+// left unreleased. Their IDs come from one node-wide counter, so an ID from
+// a closed connection never aliases a live object.
 //
-// Events are the exception: they live in the Session, not here. Their IDs
-// are host-assigned (so the host can pipeline commands that wait on events
+// Events live in the session too, in a table of their own: their IDs are
+// host-assigned (so the host can pipeline commands that wait on events
 // whose creating command has not responded yet), and host counters are
 // only unique per connection.
-type objectTable struct {
-	mu     sync.Mutex
-	nextID uint64 // guarded by mu
-
-	contexts map[uint64]*contextObj // guarded by mu
-	queues   map[uint64]*queueObj   // guarded by mu
-	buffers  map[uint64]*bufferObj  // guarded by mu
-	programs map[uint64]*programObj // guarded by mu
-	kernels  map[uint64]*kernelObj  // guarded by mu
-}
-
-func newObjectTable() *objectTable {
-	return &objectTable{
-		contexts: make(map[uint64]*contextObj),
-		queues:   make(map[uint64]*queueObj),
-		buffers:  make(map[uint64]*bufferObj),
-		programs: make(map[uint64]*programObj),
-		kernels:  make(map[uint64]*kernelObj),
-	}
-}
 
 type contextObj struct {
-	id      uint64
 	devices []uint32
 
 	// sessionID and tenant attribute the context to one host-side session:
@@ -53,7 +33,6 @@ type contextObj struct {
 }
 
 type queueObj struct {
-	id        uint64
 	dev       device.Device
 	stats     *deviceStats
 	owner     string // user ID that created the queue
@@ -67,7 +46,6 @@ type queueObj struct {
 }
 
 type bufferObj struct {
-	id uint64
 	// size is immutable after construction; the registration stage bounds-
 	// checks against it without touching the guarded bytes.
 	size int64
@@ -76,14 +54,12 @@ type bufferObj struct {
 }
 
 type programObj struct {
-	id     uint64
 	prog   *clc.Program
 	log    string
 	source string
 }
 
 type kernelObj struct {
-	id   uint64
 	name string
 	sig  *clc.Kernel
 	spec *kernel.Spec
@@ -169,137 +145,68 @@ func (e *eventObj) isDone() bool {
 	return ch == settled
 }
 
-// newID allocates the next object ID. Caller holds t.mu.
-func (t *objectTable) newID() uint64 {
-	t.nextID++
-	return t.nextID
+// put files one object in the session's table under a fresh node-wide ID.
+func (s *Session) put(obj any) uint64 {
+	id := s.node.nextID.Add(1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.objects == nil {
+		s.objects = make(map[uint64]any)
+	}
+	s.objects[id] = obj
+	return id
 }
 
-func (t *objectTable) putContext(c *contextObj) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c.id = t.newID()
-	t.contexts[c.id] = c
-	return c.id
-}
-
-func (t *objectTable) context(id uint64) (*contextObj, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c, ok := t.contexts[id]
+// lookup resolves one of the session's objects as a T; kind names T in the
+// error. An ID of another kind, or another connection's, is unknown.
+func lookup[T any](s *Session, kind string, id uint64) (T, error) {
+	s.mu.Lock()
+	obj, ok := s.objects[id].(T)
+	s.mu.Unlock()
 	if !ok {
-		return nil, remoteErr(protocol.CodeUnknownObject, "unknown context %d", id)
+		return obj, remoteErr(protocol.CodeUnknownObject, "unknown %s %d", kind, id)
 	}
-	return c, nil
+	return obj, nil
 }
 
-func (t *objectTable) putQueue(q *queueObj) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	q.id = t.newID()
-	t.queues[q.id] = q
-	return q.id
+// kindOf tags a table object with its wire kind.
+func kindOf(obj any) protocol.ObjectKind {
+	switch obj.(type) {
+	case *contextObj:
+		return protocol.ObjContext
+	case *queueObj:
+		return protocol.ObjQueue
+	case *bufferObj:
+		return protocol.ObjBuffer
+	case *programObj:
+		return protocol.ObjProgram
+	case *kernelObj:
+		return protocol.ObjKernel
+	}
+	return 0
 }
 
-func (t *objectTable) queue(id uint64) (*queueObj, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	q, ok := t.queues[id]
+// releaseObject drops one of the session's non-event objects. A queue gives
+// back its device-user count and retires its lane.
+func (s *Session) releaseObject(kind protocol.ObjectKind, id uint64) error {
+	if kind < protocol.ObjContext || kind > protocol.ObjKernel {
+		return remoteErr(protocol.CodeBadRequest, "release: unknown object kind %d", kind)
+	}
+	s.mu.Lock()
+	obj, ok := s.objects[id]
+	if ok = ok && kindOf(obj) == kind; ok {
+		delete(s.objects, id)
+	}
+	s.mu.Unlock()
 	if !ok {
-		return nil, remoteErr(protocol.CodeUnknownObject, "unknown queue %d", id)
+		return remoteErr(protocol.CodeUnknownObject, "release: unknown %s %d", kind, id)
 	}
-	return q, nil
-}
-
-func (t *objectTable) putBuffer(b *bufferObj) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b.id = t.newID()
-	t.buffers[b.id] = b
-	return b.id
-}
-
-func (t *objectTable) buffer(id uint64) (*bufferObj, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b, ok := t.buffers[id]
-	if !ok {
-		return nil, remoteErr(protocol.CodeUnknownObject, "unknown buffer %d", id)
+	if q, isQueue := obj.(*queueObj); isQueue {
+		s.dropQueueUser(q)
+		// The queue's lane dies with it (after draining what was already
+		// registered); without this, every create/use/release cycle would
+		// leak one parked worker goroutine for the session's lifetime.
+		s.closeLane(id)
 	}
-	return b, nil
-}
-
-func (t *objectTable) putProgram(p *programObj) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p.id = t.newID()
-	t.programs[p.id] = p
-	return p.id
-}
-
-func (t *objectTable) program(id uint64) (*programObj, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, ok := t.programs[id]
-	if !ok {
-		return nil, remoteErr(protocol.CodeUnknownObject, "unknown program %d", id)
-	}
-	return p, nil
-}
-
-func (t *objectTable) putKernel(k *kernelObj) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	k.id = t.newID()
-	t.kernels[k.id] = k
-	return k.id
-}
-
-func (t *objectTable) kernel(id uint64) (*kernelObj, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	k, ok := t.kernels[id]
-	if !ok {
-		return nil, remoteErr(protocol.CodeUnknownObject, "unknown kernel %d", id)
-	}
-	return k, nil
-}
-
-// release removes one object, returning whether it existed, plus the queue
-// object when a queue was released so the caller can update user counts.
-func (t *objectTable) release(kind protocol.ObjectKind, id uint64) (*queueObj, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	switch kind {
-	case protocol.ObjContext:
-		if _, ok := t.contexts[id]; !ok {
-			return nil, remoteErr(protocol.CodeUnknownObject, "release: unknown context %d", id)
-		}
-		delete(t.contexts, id)
-	case protocol.ObjQueue:
-		q, ok := t.queues[id]
-		if !ok {
-			return nil, remoteErr(protocol.CodeUnknownObject, "release: unknown queue %d", id)
-		}
-		delete(t.queues, id)
-		return q, nil
-	case protocol.ObjBuffer:
-		if _, ok := t.buffers[id]; !ok {
-			return nil, remoteErr(protocol.CodeUnknownObject, "release: unknown buffer %d", id)
-		}
-		delete(t.buffers, id)
-	case protocol.ObjProgram:
-		if _, ok := t.programs[id]; !ok {
-			return nil, remoteErr(protocol.CodeUnknownObject, "release: unknown program %d", id)
-		}
-		delete(t.programs, id)
-	case protocol.ObjKernel:
-		if _, ok := t.kernels[id]; !ok {
-			return nil, remoteErr(protocol.CodeUnknownObject, "release: unknown kernel %d", id)
-		}
-		delete(t.kernels, id)
-	default:
-		return nil, remoteErr(protocol.CodeBadRequest, "release: unknown object kind %d", kind)
-	}
-	return nil, nil
+	return nil
 }

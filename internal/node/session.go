@@ -29,8 +29,10 @@ type Session struct {
 	node *Node
 
 	mu     sync.Mutex
-	userID string               // guarded by mu
-	queues map[uint64]*queueObj // guarded by mu; queues created by this session
+	userID string // guarded by mu
+	// objects are the contexts, queues, buffers, programs and kernels this
+	// connection created, by ID (see objects.go); Close drops them.
+	objects map[uint64]any // guarded by mu
 	// events are session-local because their IDs are host-assigned: the
 	// pipelining host names each command's completion event up front so a
 	// later command's wait list can reference it before the response
@@ -386,7 +388,7 @@ func (c *queueCmd) register(s *Session, queueID, eventID uint64) error {
 		return err
 	}
 	c.s, c.ev = s, ev
-	if c.q, err = s.node.objects.queue(queueID); err != nil {
+	if c.q, err = lookup[*queueObj](s, "queue", queueID); err != nil {
 		return s.failCommand(ev, err)
 	}
 	return nil
@@ -508,7 +510,7 @@ func (s *Session) prepare(op protocol.Op, body []byte) (uint64, command, error) 
 		if err != nil {
 			return 0, nil, err
 		}
-		if c.buf, err = s.node.objects.buffer(c.req.BufferID); err == nil {
+		if c.buf, err = lookup[*bufferObj](s, "buffer", c.req.BufferID); err == nil {
 			err = checkRange("write", c.req.Offset, int64(len(c.req.Data)), c.buf.size)
 		}
 		if err = c.resolve(err, c.req.WaitEvents); err != nil {
@@ -525,7 +527,7 @@ func (s *Session) prepare(op protocol.Op, body []byte) (uint64, command, error) 
 		if err != nil {
 			return 0, nil, err
 		}
-		if c.buf, err = s.node.objects.buffer(c.req.BufferID); err == nil {
+		if c.buf, err = lookup[*bufferObj](s, "buffer", c.req.BufferID); err == nil {
 			err = checkRange("read", c.req.Offset, c.req.Size, c.buf.size)
 		}
 		if err = c.resolve(err, c.req.WaitEvents); err != nil {
@@ -542,8 +544,8 @@ func (s *Session) prepare(op protocol.Op, body []byte) (uint64, command, error) 
 		if err != nil {
 			return 0, nil, err
 		}
-		if c.src, err = s.node.objects.buffer(c.req.SrcID); err == nil {
-			c.dst, err = s.node.objects.buffer(c.req.DstID)
+		if c.src, err = lookup[*bufferObj](s, "buffer", c.req.SrcID); err == nil {
+			c.dst, err = lookup[*bufferObj](s, "buffer", c.req.DstID)
 		}
 		if err == nil {
 			err = checkRange("copy source", c.req.SrcOffset, c.req.Size, c.src.size)
@@ -571,7 +573,7 @@ func (s *Session) prepare(op protocol.Op, body []byte) (uint64, command, error) 
 		if err != nil {
 			return 0, nil, err
 		}
-		if c.buf, err = s.node.objects.buffer(c.req.BufferID); err == nil {
+		if c.buf, err = lookup[*bufferObj](s, "buffer", c.req.BufferID); err == nil {
 			err = checkRange("push", c.req.Offset, c.req.Size, c.buf.size)
 		}
 		// The peer connection is NOT resolved here: dialing is lazy and may
@@ -591,7 +593,7 @@ func (s *Session) prepare(op protocol.Op, body []byte) (uint64, command, error) 
 		if err != nil {
 			return 0, nil, err
 		}
-		if c.buf, err = s.node.objects.buffer(c.req.BufferID); err == nil {
+		if c.buf, err = lookup[*bufferObj](s, "buffer", c.req.BufferID); err == nil {
 			err = checkRange("await-push", c.req.Offset, c.req.Size, c.buf.size)
 		}
 		if err = c.resolve(err, c.req.WaitEvents); err != nil {
@@ -603,7 +605,7 @@ func (s *Session) prepare(op protocol.Op, body []byte) (uint64, command, error) 
 		if err := protocol.DecodeMessage(&req, body); err != nil {
 			return 0, nil, err
 		}
-		q, err := s.node.objects.queue(req.QueueID)
+		q, err := lookup[*queueObj](s, "queue", req.QueueID)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -652,8 +654,9 @@ func (s *Session) handleControl(op protocol.Op, body []byte) (protocol.Message, 
 
 // Close implements the optional transport session-cleanup hook: lanes are
 // drained (outstanding commands finish or fail fast through the closed
-// channel), then queues the session still owns are released so exclusive
-// devices free up when a host disconnects uncleanly.
+// channel), then every object the session still holds is dropped, and its
+// queues give back their device-user counts, so a host that disconnects
+// uncleanly leaves nothing behind and frees its exclusive devices.
 func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
 		// Unblock wait-list waiters first: a lane draining on Close must
@@ -675,11 +678,11 @@ func (s *Session) Close() error {
 		s.closePeers()
 
 		s.mu.Lock()
-		queues := s.queues
-		s.queues = nil
+		objects := s.objects
+		s.objects = nil
 		s.mu.Unlock()
-		for id, q := range queues {
-			if _, err := s.node.objects.release(protocol.ObjQueue, id); err == nil {
+		for _, obj := range objects {
+			if q, ok := obj.(*queueObj); ok {
 				s.dropQueueUser(q)
 			}
 		}
@@ -770,7 +773,7 @@ func (s *Session) handleCreateContext(body []byte) (protocol.Message, error) {
 		}
 		devs = append(devs, uint32(id))
 	}
-	id := s.node.objects.putContext(&contextObj{
+	id := s.put(&contextObj{
 		devices:   devs,
 		sessionID: req.SessionID,
 		tenant:    req.Tenant,
@@ -783,7 +786,7 @@ func (s *Session) handleCreateQueue(body []byte) (protocol.Message, error) {
 	if err := protocol.DecodeMessage(&req, body); err != nil {
 		return nil, err
 	}
-	ctx, err := s.node.objects.context(req.ContextID)
+	ctx, err := lookup[*contextObj](s, "context", req.ContextID)
 	if err != nil {
 		return nil, err
 	}
@@ -819,13 +822,7 @@ func (s *Session) handleCreateQueue(body []byte) (protocol.Message, error) {
 	stats.mu.Unlock()
 
 	q := &queueObj{dev: dev, stats: stats, owner: user, profiling: req.Profiling}
-	id := s.node.objects.putQueue(q)
-	s.mu.Lock()
-	if s.queues == nil {
-		s.queues = make(map[uint64]*queueObj)
-	}
-	s.queues[id] = q
-	s.mu.Unlock()
+	id := s.put(q)
 	return &protocol.ObjectResp{ID: id}, nil
 }
 
@@ -844,13 +841,13 @@ func (s *Session) handleCreateBuffer(body []byte) (protocol.Message, error) {
 	if err := protocol.DecodeMessage(&req, body); err != nil {
 		return nil, err
 	}
-	if _, err := s.node.objects.context(req.ContextID); err != nil {
+	if _, err := lookup[*contextObj](s, "context", req.ContextID); err != nil {
 		return nil, err
 	}
 	if req.Size <= 0 || req.Size > protocol.MaxFrameSize {
 		return nil, remoteErr(protocol.CodeBadRequest, "invalid buffer size %d", req.Size)
 	}
-	id := s.node.objects.putBuffer(&bufferObj{size: req.Size, data: make([]byte, req.Size)})
+	id := s.put(&bufferObj{size: req.Size, data: make([]byte, req.Size)})
 	return &protocol.ObjectResp{ID: id}, nil
 }
 
@@ -975,7 +972,7 @@ func (s *Session) handleBuildProgram(body []byte) (protocol.Message, error) {
 	if err := protocol.DecodeMessage(&req, body); err != nil {
 		return nil, err
 	}
-	ctx, err := s.node.objects.context(req.ContextID)
+	ctx, err := lookup[*contextObj](s, "context", req.ContextID)
 	if err != nil {
 		return nil, err
 	}
@@ -999,7 +996,7 @@ func (s *Session) handleBuildProgram(body []byte) (protocol.Message, error) {
 			return &protocol.BuildProgramResp{Log: log}, remoteErr(protocol.CodeBuildFailed, "%v", err)
 		}
 	}
-	id := s.node.objects.putProgram(&programObj{prog: prog, log: log, source: req.Source})
+	id := s.put(&programObj{prog: prog, log: log, source: req.Source})
 	return &protocol.BuildProgramResp{ProgramID: id, Log: log, Kernels: prog.KernelNames()}, nil
 }
 
@@ -1008,7 +1005,7 @@ func (s *Session) handleCreateKernel(body []byte) (protocol.Message, error) {
 	if err := protocol.DecodeMessage(&req, body); err != nil {
 		return nil, err
 	}
-	prog, err := s.node.objects.program(req.ProgramID)
+	prog, err := lookup[*programObj](s, "program", req.ProgramID)
 	if err != nil {
 		return nil, err
 	}
@@ -1023,7 +1020,7 @@ func (s *Session) handleCreateKernel(body []byte) (protocol.Message, error) {
 	if err != nil {
 		return nil, remoteErr(protocol.CodeBuildFailed, "%v", err)
 	}
-	id := s.node.objects.putKernel(&kernelObj{name: req.Name, sig: sig, spec: spec})
+	id := s.put(&kernelObj{name: req.Name, sig: sig, spec: spec})
 	return &protocol.ObjectResp{ID: id}, nil
 }
 
@@ -1043,7 +1040,7 @@ func (s *Session) buildLaunchArgs(k *kernelObj, wire []protocol.KernelArg) ([]ke
 				return nil, remoteErr(protocol.CodeLaunchFailed,
 					"kernel %q arg %d (%s): buffer bound to non-buffer parameter", k.name, i, param.Name)
 			}
-			buf, err := s.node.objects.buffer(wa.BufferID)
+			buf, err := lookup[*bufferObj](s, "buffer", wa.BufferID)
 			if err != nil {
 				return nil, err
 			}
@@ -1097,7 +1094,7 @@ func (c *kernelCmd) prepare(s *Session, body []byte) error {
 	if err != nil {
 		return err
 	}
-	if c.k, err = s.node.objects.kernel(c.req.KernelID); err == nil {
+	if c.k, err = lookup[*kernelObj](s, "kernel", c.req.KernelID); err == nil {
 		c.args, err = s.buildLaunchArgs(c.k, c.req.Args)
 	}
 	return c.resolve(err, c.req.WaitEvents)
@@ -1206,25 +1203,6 @@ func (s *Session) handleRelease(body []byte) (protocol.Message, error) {
 		return nil, first
 	}
 	return &protocol.EmptyResp{}, nil
-}
-
-// releaseObject drops one non-event object.
-func (s *Session) releaseObject(kind protocol.ObjectKind, id uint64) error {
-	q, err := s.node.objects.release(kind, id)
-	if err != nil {
-		return err
-	}
-	if q != nil {
-		s.dropQueueUser(q)
-		s.mu.Lock()
-		delete(s.queues, id)
-		s.mu.Unlock()
-		// The queue's lane dies with it (after draining what was already
-		// registered); without this, every create/use/release cycle would
-		// leak one parked worker goroutine for the session's lifetime.
-		s.closeLane(id)
-	}
-	return nil
 }
 
 // closeLane retires one queue's lane after the queue is released: the

@@ -252,10 +252,9 @@ type HelloResp struct {
 	Devices  []DeviceInfo
 	// WireVersion is the protocol version the node speaks, always Version.
 	WireVersion uint32
-	// BootID identifies this incarnation of the node process. A restarted
-	// node reports a fresh BootID, letting the host distinguish "same
-	// process, repeated Hello" (epoch bump) from "new process at the same
-	// address" (all prior replicas and objects are gone).
+	// BootID identifies this incarnation of the node process: a restarted
+	// node reports a fresh one. The host does not read it; a rejoining host
+	// re-creates everything whether or not the process survived.
 	BootID uint64
 }
 

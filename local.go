@@ -57,16 +57,16 @@ func StartLocalCluster(spec LocalClusterSpec) (*LocalCluster, error) {
 	if spec.Kernels == nil {
 		return nil, fmt.Errorf("haocl: LocalClusterSpec.Kernels is required")
 	}
-	var internalCfg *cluster.Config
+	var cfg *cluster.Config
 	if spec.Config != nil {
-		var err error
-		internalCfg, err = spec.Config.internal()
-		if err != nil {
-			return nil, err
-		}
-		internalCfg.UserID = firstNonEmpty(spec.Config.UserID, spec.UserID)
+		c := *spec.Config
+		c.UserID = firstNonEmpty(c.UserID, spec.UserID)
+		cfg = &c
 	} else {
-		internalCfg = cluster.Synthetic(spec.UserID, spec.CPUNodes, spec.GPUNodes, spec.FPGANodes, spec.Bitstreams)
+		cfg = cluster.Synthetic(spec.UserID, spec.CPUNodes, spec.GPUNodes, spec.FPGANodes, spec.Bitstreams)
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 
 	icd := device.NewICD()
@@ -74,7 +74,7 @@ func StartLocalCluster(spec LocalClusterSpec) (*LocalCluster, error) {
 	net := transport.NewMemNetwork()
 
 	lc := &LocalCluster{}
-	for _, ns := range internalCfg.Nodes {
+	for _, ns := range cfg.Nodes {
 		devCfgs, err := ns.DeviceConfigs()
 		if err != nil {
 			lc.Close()
@@ -101,7 +101,7 @@ func StartLocalCluster(spec LocalClusterSpec) (*LocalCluster, error) {
 		lc.servers = append(lc.servers, srv)
 	}
 
-	platform, err := Connect(fromInternalConfig(internalCfg),
+	platform, err := Connect(cfg,
 		withDialer(net),
 		WithPolicy(spec.Policy),
 		WithClientName("haocl-local"),
