@@ -47,6 +47,7 @@ func hopDelay(modelBytes int64) vtime.Duration {
 // events resolve as the nodes answer. A crash-induced failure recovers
 // and retries transparently. The caller may reuse data as soon as the call
 // returns: one private copy serves the command log and every hop's frame.
+// Unlike a write's, that copy is not pooled: the collector has it.
 func (c *Context) Broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, error) {
 	owned := append([]byte(nil), data...)
 	return withRecovery(c.sess, func() ([]*Event, error) {
@@ -55,7 +56,7 @@ func (c *Context) Broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 }
 
 // broadcast is the non-recovering Broadcast internal; replay drives it
-// directly. data must never change again (see enqueueWrite).
+// directly. data must never change again (see writeLog.enqueue).
 func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, error) {
 	if len(queues) == 0 {
 		return nil, fmt.Errorf("core: broadcast needs at least one queue")

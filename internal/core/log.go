@@ -1,6 +1,11 @@
 package core
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+
+	"github.com/haocl-project/haocl/internal/protocol"
+)
 
 // The command log is the replay substrate of crash recovery (DESIGN.md §7):
 // every mutating command — writes, copies, kernel launches, broadcasts — is
@@ -32,8 +37,9 @@ import "sync"
 //
 // An entry whose interval is empty and that nobody references is dead: it
 // leaves the log at once — its slot becomes a tombstone, and with the slot
-// goes the log's hold on the payload (the request frame keeps its own until
-// shipped, then the collector has it) — its references are given back,
+// goes the log's hold on the payload (a request frame keeps its own until
+// shipped; a pooled write record goes back to its pool with the last
+// hold, writeLog.Free) — its references are given back,
 // which may kill what only it had read, and tombstones are compacted away
 // once they outnumber surviving entries. All of it happens in the critical
 // section of the append, so liveness is computed in log order, which is
@@ -78,6 +84,10 @@ type logDef struct {
 	refs int32 // guarded by cmdLog.mu
 	// chunk, slot locate the entry in the log, so that dying is O(1).
 	chunk, slot int32 // guarded by cmdLog.mu
+	// holds counts the owners of a pooled write record (writeLog.Free). It
+	// sits in the header's padding, so no entry grows; zero in every other
+	// entry.
+	holds atomic.Int32
 }
 
 func (d *logDef) def() *logDef { return d }
@@ -110,14 +120,20 @@ type cmdLog struct {
 	spare []logEntry // guarded by mu
 	// work is the cascade's worklist, kept for its capacity.
 	work []*logDef // guarded by mu
+	// ended is set once the session closed (end): nothing is logged, and
+	// the buffers' lists, which may name recycled records, are not read.
+	ended bool // guarded by mu
 }
 
 // append logs e and updates liveness for its footprint, dropping every
 // entry e supersedes. A definition of no bytes changes nothing and is not
-// logged.
+// logged, and neither is anything once the log has ended.
 func (l *cmdLog) append(e logEntry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.ended {
+		return
+	}
 	switch e := e.(type) {
 	case *writeLog:
 		if len(e.data) == 0 {
@@ -232,6 +248,9 @@ func (l *cmdLog) retire(b *Buffer) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, x := range b.logDefs {
+		if l.ended {
+			break
+		}
 		x.lo = x.hi
 		if x.refs == 0 {
 			l.drop(x)
@@ -239,6 +258,24 @@ func (l *cmdLog) retire(b *Buffer) {
 	}
 	b.logDefs, b.logDef0 = nil, [1]*logDef{}
 	l.compact()
+}
+
+// end gives back the log's hold on every write record it lists and
+// forgets every entry: the session closed, so its log is never replayed.
+// A replay under way keeps the records its snapshot holds.
+func (l *cmdLog) end() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, chunk := range l.chunks {
+		for _, e := range chunk {
+			if w, ok := e.(*writeLog); ok {
+				w.Free()
+			}
+		}
+	}
+	l.chunks, l.spare, l.work = nil, nil, nil
+	l.live, l.dead, l.bytes = 0, 0, 0
+	l.ended = true
 }
 
 // drop removes the entry of d — empty interval, no references, hence in no
@@ -256,8 +293,11 @@ func (l *cmdLog) drop(d *logDef) {
 		l.live--
 		l.dead++
 		l.bytes -= payloadLen(e)
-		if c, ok := e.(*copyLog); ok {
-			for _, r := range c.reads {
+		switch e := e.(type) {
+		case *writeLog:
+			e.Free() // the log's hold
+		case *copyLog:
+			for _, r := range e.reads {
 				r.refs--
 				if r.refs == 0 && r.lo >= r.hi {
 					l.work = append(l.work, r)
@@ -300,16 +340,22 @@ func (l *cmdLog) compact() {
 	l.dead = 0
 }
 
-// snapshot returns the surviving entries in log order.
+// snapshot returns the surviving entries in log order, with a hold on
+// every pooled write record among them: whoever takes a snapshot frees
+// each write record in it once done with it (Session.replayLog).
 func (l *cmdLog) snapshot() []logEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]logEntry, 0, l.live)
 	for _, chunk := range l.chunks {
 		for _, e := range chunk {
-			if e != nil {
-				out = append(out, e)
+			if e == nil {
+				continue
 			}
+			if w, ok := e.(*writeLog); ok {
+				w.hold()
+			}
+			out = append(out, e)
 		}
 	}
 	return out
@@ -334,17 +380,72 @@ func payloadLen(e logEntry) int64 {
 	return 0
 }
 
-// writeLog replays EnqueueWrite.
+// writeLog replays EnqueueWrite. It is also the write's own record:
+// EnqueueWrite builds it (newWriteLog) before the first attempt and
+// enqueue issues from it.
+//
+// From protocol.ReferenceFloor bytes up to the largest size class the
+// record and its payload are one pooled unit. Its hold count is one for
+// the log, one for each request frame that carries the payload and one
+// for a replay's snapshot that lists it; whoever gives back the last
+// returns it to writePools, and a hold a dropped frame never gives back
+// leaves the record to the collector. No record points at an Event.
 type writeLog struct {
 	logDef
 	q    *Queue
 	b    *Buffer
 	off  int64
-	data []byte // EnqueueWrite's private copy, shared with the request frame
+	data []byte // EnqueueWrite's private copy, shared with the request frames that carry it
+}
+
+// writePools recycle pooled write records by their payload's size class
+// (protocol.SizeClass); a pooled record's data has its class's capacity.
+var writePools [protocol.NumSizeClasses]sync.Pool
+
+// newWriteLog returns the record of a write of data at off of b through q,
+// with a private copy of data. A pooled one comes from writePools (a miss
+// allocates the record and its backing array, as an unpooled one does)
+// and holds one hold, the log's; an unpooled one holds none.
+func newWriteLog(q *Queue, b *Buffer, off int64, data []byte) *writeLog {
+	class, size := protocol.SizeClass(len(data))
+	if len(data) < protocol.ReferenceFloor || class < 0 {
+		return &writeLog{q: q, b: b, off: off, data: append([]byte(nil), data...)}
+	}
+	w, _ := writePools[class].Get().(*writeLog)
+	if w == nil {
+		w = &writeLog{data: make([]byte, 0, size)}
+	}
+	w.q, w.b, w.off, w.data = q, b, off, append(w.data[:0], data...)
+	w.holds.Store(1)
+	return w
+}
+
+// hold takes one more hold on w, for a request frame or a snapshot, and
+// reports whether w is pooled. The caller holds one already, so a pooled
+// record's count is positive here; an unpooled one's is zero and stays so.
+func (w *writeLog) hold() bool {
+	if w.holds.Load() == 0 {
+		return false
+	}
+	w.holds.Add(1)
+	return true
+}
+
+// Free gives back one hold on a pooled record, and nothing on an unpooled
+// one. The last hold returns the record to its pool, its payload poisoned
+// under the race detector.
+func (w *writeLog) Free() {
+	if w.holds.Load() == 0 || w.holds.Add(-1) > 0 {
+		return
+	}
+	class, _ := protocol.SizeClass(len(w.data))
+	protocol.Poison(w.data)
+	*w = writeLog{data: w.data[:0]}
+	writePools[class].Put(w)
 }
 
 func (l *writeLog) replay(rt *Runtime) error {
-	_, err := l.q.enqueueWrite(l.b, l.off, l.data)
+	_, err := l.enqueue()
 	return err
 }
 

@@ -254,6 +254,58 @@ func TestLogRetireOnRelease(t *testing.T) {
 	}
 }
 
+// TestLogHoldsPooledRecords: a pooled write record stays out of its pool
+// while the log, a frame or a snapshot holds it, and goes back with the
+// last hold. Ending the log (Session.Close) gives back its holds, and a
+// buffer released afterwards leaves the records alone — one may already
+// serve another session's log.
+func TestLogHoldsPooledRecords(t *testing.T) {
+	var l, other cmdLog
+	a, b := &Buffer{size: 4 << 10}, &Buffer{size: 4 << 10}
+	data := make([]byte, 2<<10)
+	w := newWriteLog(nil, a, 0, data)
+	l.append(w)
+	if !w.hold() { // a frame
+		t.Fatal("a write of 2 KiB is not pooled")
+	}
+	snap := l.snapshot()
+	l.append(newWriteLog(nil, a, 0, data)) // supersedes w: the log lets go
+	w.Free()                               // the frame
+	if w.b != a {
+		t.Fatal("the record was recycled while a snapshot held it")
+	}
+	for _, e := range snap {
+		e.(*writeLog).Free()
+	}
+	if w.b != nil || w.holds.Load() != 0 {
+		t.Fatal("the last hold did not return the record to its pool")
+	}
+
+	last := l.snapshot()[0].(*writeLog)
+	last.Free() // the snapshot's hold
+	l.end()
+	if last.b != nil {
+		t.Fatal("ending the log did not return the record it listed")
+	}
+	if entries, payload := l.stats(); entries != 0 || payload != 0 {
+		t.Fatalf("an ended log reports %d entries, %d bytes", entries, payload)
+	}
+	// The pool hands the record to another session's write of b.
+	*last = writeLog{b: b, data: append(last.data[:0], data...)}
+	last.holds.Store(1)
+	other.append(last)
+	l.retire(a) // a still lists last's header
+	l.append(newWriteLog(nil, a, 0, data))
+	if entries, _ := l.stats(); entries != 0 {
+		t.Fatal("an ended log logged a write")
+	}
+	checkLogConsistent(t, &other, b)
+	if entries, payload := other.stats(); entries != 1 || payload != int64(len(data)) || last.lo != 0 || last.hi != int64(len(data)) {
+		t.Fatalf("releasing a buffer of the ended log changed another log's record: %d entries, %d bytes, [%d, %d)",
+			entries, payload, last.lo, last.hi)
+	}
+}
+
 // TestLogChunksNeverCopy: the log grows by chunks — small first, doubling
 // to logChunk, fixed from there — and an append never moves an entry.
 func TestLogChunksNeverCopy(t *testing.T) {

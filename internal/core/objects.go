@@ -814,20 +814,32 @@ func hostRangeOK(off, n, size int64) bool {
 // transparently.
 //
 // The caller may reuse data as soon as the call returns: the one private
-// copy made here serves both the command log and the wire.
+// copy made here serves both the command log and the wire. From
+// protocol.ReferenceFloor bytes on, that copy lives in a pooled write
+// record, which the log and each request frame carrying it hold until they
+// let go — the log when a later command supersedes the write, the buffer
+// is released or the session closes, a frame once its connection's writer
+// has staged or written it — so a superseded write's memory serves a later
+// one (DESIGN.md §11).
 func (q *Queue) EnqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Event) (*Event, error) {
-	owned := append([]byte(nil), data...)
-	return withRecovery(q.ctx.sess, func() (*Event, error) {
-		return q.enqueueWrite(b, offset, owned, waits...)
+	w := newWriteLog(q, b, offset, data)
+	ev, err := withRecovery(q.ctx.sess, func() (*Event, error) {
+		return w.enqueue(waits...)
 	})
+	if err != nil {
+		w.Free() // never logged nor sent: enqueue fails before either
+	}
+	return ev, err
 }
 
-// enqueueWrite is the non-recovering EnqueueWrite internal; replay drives
-// it directly. data must never change again: the command log keeps it and
-// the request frame references it until the writer goroutine has shipped
-// it (DESIGN.md §11). EnqueueWrite passes its private copy, replay the
-// log's own slice.
-func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Event) (*Event, error) {
+// enqueue is the non-recovering EnqueueWrite internal, issuing w through
+// w.q; replay drives it directly. w.data must never change while w is
+// held: the command log keeps it and the request frame references it until
+// the writer goroutine has staged or written it (DESIGN.md §11). A pooled
+// record's frame takes a hold of its own (heldWrite); w is logged only by
+// the original command, never by a replay.
+func (w *writeLog) enqueue(waits ...*Event) (*Event, error) {
+	q, b, offset, data := w.q, w.b, w.off, w.data
 	if b.ctx.sess != q.ctx.sess {
 		return nil, fmt.Errorf("core: write to buffer of tenant %q: %w", b.ctx.sess.tenant, ErrCrossSession)
 	}
@@ -854,7 +866,16 @@ func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Eve
 	}
 	modelBytes := b.scaled(int64(len(data)))
 	c.charge(b.hostReadyAt, controlMsgBytes+modelBytes)
-	c.send(trace.KindWrite, modelBytes, &protocol.WriteBufferReq{
+	var req protocol.CommandReq
+	var m *protocol.WriteBufferReq
+	if w.hold() {
+		h := &heldWrite{w: w}
+		req, m = h, &h.WriteBufferReq
+	} else {
+		m = new(protocol.WriteBufferReq)
+		req = m
+	}
+	*m = protocol.WriteBufferReq{
 		QueueID:    c.qid,
 		BufferID:   rb.id,
 		Offset:     offset,
@@ -862,16 +883,28 @@ func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Eve
 		SimArrival: int64(c.arrival),
 		ModelBytes: modelBytes,
 		WaitEvents: c.waits,
-	})
+	}
+	c.send(trace.KindWrite, modelBytes, req)
 	// A partial write onto a stale replica must NOT validate the unwritten
 	// remainder — those bytes still hold old data, and reading them back
 	// here would expose stale content (the pre-range runtime's
 	// whole-replica flag did exactly that).
 	b.define(c.dev.node, rb, offset, offset+int64(len(data)), c.ev)
 	// Log under b.mu so the log order matches the issue order per buffer.
-	q.ctx.sess.logCommand(&writeLog{q: q, b: b, off: offset, data: data})
+	q.ctx.sess.logCommand(w)
 	return c.ev, nil
 }
+
+// heldWrite is the request of a pooled write record's frame, which holds
+// the record until the connection's writer frees it: once the frame is
+// staged or written, its bytes no longer need the record's.
+type heldWrite struct {
+	protocol.WriteBufferReq
+	w *writeLog
+}
+
+// Free gives back the frame's hold; the connection's writer calls it.
+func (h *heldWrite) Free() { h.w.Free() }
 
 // define records at issue time (wire order is event-ID order) that node's
 // replica rb now holds [lo, hi), written by ev: every other replica loses

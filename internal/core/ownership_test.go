@@ -292,34 +292,38 @@ func TestClosedSessionsAreCollectable(t *testing.T) {
 }
 
 // allocPerByte returns the bytes allocated, process-wide, per payload byte
-// moved by one run of op: the median over rounds runs, with the collector
-// off meanwhile so the payload pools stay warm. The median, because a
-// sync.Pool is warm per P: a Get misses while the buffer it wants sits in
-// another P's private slot, which costs a bounded number of fresh
-// allocations (at most one per P) whenever they happen to fall. prep, if
-// any, runs uncounted before every op.
-func allocPerByte(rounds int, payload int64, prep, op func()) float64 {
+// moved by one run of op, and the objects one run allocates: each the
+// median over rounds runs, with the collector off meanwhile so the payload
+// pools stay warm. The median, because a sync.Pool is warm per P: a Get
+// misses while the buffer it wants sits in another P's private slot, which
+// costs a bounded number of fresh allocations (at most one per P) whenever
+// they happen to fall. prep, if any, runs uncounted before every op.
+func allocPerByte(rounds int, payload int64, prep, op func()) (perByte, objects float64) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	perRound := make([]float64, rounds)
+	bytesPer, objs := make([]float64, rounds), make([]float64, rounds)
 	var before, after runtime.MemStats
-	for i := range perRound {
+	for i := range bytesPer {
 		if prep != nil {
 			prep()
 		}
 		runtime.ReadMemStats(&before)
 		op()
 		runtime.ReadMemStats(&after)
-		perRound[i] = float64(after.TotalAlloc-before.TotalAlloc) / float64(payload)
+		bytesPer[i] = float64(after.TotalAlloc-before.TotalAlloc) / float64(payload)
+		objs[i] = float64(after.Mallocs - before.Mallocs)
 	}
-	sort.Float64s(perRound)
-	return perRound[rounds/2]
+	sort.Float64s(bytesPer)
+	sort.Float64s(objs)
+	return bytesPer[rounds/2], objs[rounds/2]
 }
 
 // TestBulkDataPathAllocationBudget gates what a bulk payload may cost in
 // allocations end to end — host, loopback TCP and in-process node counted
 // together — in bytes allocated per payload byte moved:
 //
-//	write    1.0  the private copy shared by the command log and the frame
+//	write    0.0  the private copy shared by the command log and the frame
+//	              lives in a pooled write record: each write supersedes the
+//	              previous one, whose record it reuses
 //	read     1.0  the response frame's body, which becomes the caller's
 //	migrate  0.0  the destination's frame body is pooled, and freed by the
 //	              rendezvous entry once its awaiter has copied it
@@ -411,9 +415,13 @@ func TestBulkDataPathAllocationBudget(t *testing.T) {
 			t.Errorf("%s allocates %.3f B per payload byte, budget %.1f", what, got, budget)
 		}
 	}
-	check("1 MiB EnqueueWrite+Finish", 1.1, allocPerByte(15, chunk, nil, write))
-	check("1 MiB EnqueueRead", 1.1, allocPerByte(15, chunk, nil, read))
-	check("16 MiB node-to-node migration", 0.1, allocPerByte(7, big, stale, migrate))
+	perByte := func(rounds int, payload int64, prep, op func()) float64 {
+		b, _ := allocPerByte(rounds, payload, prep, op)
+		return b
+	}
+	check("1 MiB EnqueueWrite+Finish", 0.1, perByte(15, chunk, nil, write))
+	check("1 MiB EnqueueRead", 1.1, perByte(15, chunk, nil, read))
+	check("16 MiB node-to-node migration", 0.1, perByte(7, big, stale, migrate))
 	if m := rt.Metrics(); m.PeerWireBytes == 0 {
 		t.Error("the migration never crossed a node-to-node link, so its budget was not exercised")
 	}
@@ -502,7 +510,9 @@ func TestRetainedHeapAllocationBudget(t *testing.T) {
 // 10.4 here, and before writers encoded messages and request envelopes were
 // pooled, 4.72):
 //
-//	host private copy   1.00  kept: the command log's entry and the request's payload
+//	host private copy   1.00  kept: the command log's pooled write record and the
+//	                          request's payload; the kernel pins it, so it is
+//	                          never recycled and each write misses the pool
 //	host request        0     the coalescer queue holds the message itself
 //	envelope, staging   0     the writer encodes it into its reused staging buffer
 //	node request body   0     pooled: the request envelope's body goes back to the
@@ -516,12 +526,15 @@ func TestRetainedHeapAllocationBudget(t *testing.T) {
 //	total               3.24
 //
 // The budget leaves a fifth for the small objects to move, not room for a
-// third payload-sized allocation.
+// third payload-sized allocation. A job allocates 26.02 objects; the
+// object budget leaves half of one, so a write record's pool miss that cost
+// more than the record and its payload — as a protocol.Buf per write
+// would — fails here.
 func TestServeRoundTripAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
-	const size, jobs, budget = 4 << 10, 200, 4.0
+	const size, jobs, budget, objBudget = 4 << 10, 200, 4.0, 26.5
 	rt := startTCPRuntime(t, 1)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)
@@ -593,10 +606,13 @@ func TestServeRoundTripAllocationBudget(t *testing.T) {
 		events = events[:copy(events, events[len(old):])]
 	}
 	serve() // warm the replica, the connection and the pools
-	got := allocPerByte(9, jobs*size, release, serve)
-	t.Logf("4 KiB write + kernel + read: %.2f B allocated per payload byte", got)
+	got, objs := allocPerByte(9, jobs*size, release, serve)
+	t.Logf("4 KiB write + kernel + read: %.2f B allocated per payload byte, %.2f objects a job", got, objs/jobs)
 	if got > budget {
 		t.Errorf("4 KiB write + kernel + read allocates %.2f B per payload byte, budget %.1f", got, budget)
+	}
+	if objs/jobs > objBudget {
+		t.Errorf("4 KiB write + kernel + read allocates %.2f objects a job, budget %.1f", objs/jobs, objBudget)
 	}
 }
 

@@ -2,9 +2,11 @@ package core_test
 
 import (
 	"bytes"
+	"hash/crc32"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/haocl-project/haocl/internal/cluster"
@@ -317,17 +319,21 @@ func TestBufferKernelRelease(t *testing.T) {
 
 // wireTap sits between a node's transport and its session and records, in
 // arrival order, what the registration stage is handed: which event every
-// enqueue command claims, and which IDs every Release names.
+// enqueue command claims, the checksum of every write's payload, and which
+// IDs every Release names. While held is set, every write waits for it to
+// close before the node sees it, and so does everything behind it.
 type wireTap struct {
 	transport.AsyncHandler
-	mu  sync.Mutex
-	log []tapped
+	mu   sync.Mutex
+	log  []tapped
+	held atomic.Pointer[chan struct{}]
 }
 
-// tapped is one recorded request: an enqueue command (event != 0), a
-// Release (ids != nil) or anything else.
+// tapped is one recorded request: an enqueue command (event != 0; a write
+// also has sum), a Release (ids != nil) or anything else.
 type tapped struct {
 	event uint64
+	sum   uint32
 	kind  protocol.ObjectKind
 	ids   []uint64
 }
@@ -338,7 +344,10 @@ func (w *wireTap) HandleCallAsync(op protocol.Op, body []byte, done func(protoco
 	case protocol.OpWriteBuffer:
 		var req protocol.WriteBufferReq
 		if protocol.DecodeMessage(&req, body) == nil {
-			rec.event = req.EventID
+			rec.event, rec.sum = req.EventID, crc32.ChecksumIEEE(req.Data)
+		}
+		if held := w.held.Load(); held != nil {
+			<-*held
 		}
 	case protocol.OpRelease:
 		var req protocol.ReleaseReq

@@ -133,13 +133,14 @@ func (s *Session) ID() uint64 { return s.id }
 
 // Close flushes the session — draining its pipelined commands and release
 // acknowledgements — and detaches it from the runtime. A closed session's
-// command log is no longer replayed by recovery, and its sticky release
-// error is reported here one last time. Objects the session created are
-// released by their own Release calls; Close does not reach into the
-// namespace.
+// command log ends: recovery no longer replays it, and its write records go
+// back to their pool. Its sticky release error is reported here one last
+// time. Objects the session created are released by their own Release
+// calls; Close does not reach into the namespace.
 func (s *Session) Close() error {
 	err := s.Flush()
 	s.closed.Store(true)
+	s.log.end()
 	s.rt.sessMu.Lock()
 	for i, cand := range s.rt.sessions {
 		if cand == s {
@@ -442,26 +443,26 @@ func (s *Session) logCommand(e logEntry) {
 // replayLog re-issues what survives of this session's mutation history
 // through the enqueue internals and returns how many entries were replayed.
 // Entries whose objects were released are skipped, and so are those a
-// queue of kept refuses: its failure is history. Caller holds recoverMu
+// queue of kept refuses: its failure is history. The snapshot holds each
+// pooled write record until the record has been re-issued or skipped: a
+// Release or Close meanwhile must not recycle it. Caller holds recoverMu
 // and the write side of s.recGate.
-func (s *Session) replayLog(kept map[*Queue]error) (int, error) {
+func (s *Session) replayLog(kept map[*Queue]error) (replayed int, err error) {
 	s.replaying.Store(true)
 	defer s.replaying.Store(false)
-	log := s.log.snapshot()
-	replayed := 0
-	for _, e := range log {
-		if e.skip() {
-			continue
-		}
-		if err := e.replay(s.rt); err != nil {
-			if refusedBy(kept, err) {
-				continue
+	for _, e := range s.log.snapshot() {
+		if err == nil && !e.skip() {
+			if err = e.replay(s.rt); err == nil {
+				replayed++
+			} else if refusedBy(kept, err) {
+				err = nil
 			}
-			return replayed, err
 		}
-		replayed++
+		if w, ok := e.(*writeLog); ok {
+			w.Free() // the snapshot's hold
+		}
 	}
-	return replayed, nil
+	return replayed, err
 }
 
 // snapshotContexts copies the session's context registry.

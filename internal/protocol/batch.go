@@ -87,8 +87,7 @@ func AppendBatch(buf []byte, subs []*Frame) ([]byte, error) {
 
 // AppendOutgoingBatch appends the Batch envelope carrying run, in order,
 // each message encoded straight into buf: the one encoding a message sent
-// in an envelope gets. A pooled payload a message hands over is freed once
-// copied. Writers keep runs small (MaxBatchMessages, MaxBatchBytes) and
+// in an envelope gets. Writers keep runs small (MaxBatchMessages, MaxBatchBytes) and
 // bodies above BatchableBodyLimit out of them.
 func AppendOutgoingBatch(buf []byte, run []Outgoing) []byte {
 	off := len(buf)
@@ -96,9 +95,7 @@ func AppendOutgoingBatch(buf []byte, run []Outgoing) []byte {
 	for i := range run {
 		o := &run[i]
 		sub := len(buf)
-		e := encode(appendSubHeader(buf, o.Kind, o.ReqID, o.Op, 0), o.Msg, false)
-		e.pooled.Free()
-		buf = e.buf
+		buf = encode(appendSubHeader(buf, o.Kind, o.ReqID, o.Op, 0), o.Msg, false).buf
 		binary.BigEndian.PutUint32(buf[sub+batchSubHeader-4:], uint32(len(buf)-sub-batchSubHeader))
 	}
 	patchLength(buf, off, len(buf)-off-headerSize)

@@ -62,19 +62,6 @@ func (c *codec) Ints(v *[]int64) {
 	walk(c, v, 4+8*len(*v), (*Encoder).Ints, (*Decoder).Ints)
 }
 
-// PooledBlob walks a payload that may live in a pooled buffer; see
-// Encoder.PooledBlob. pooled never travels, so a decoder leaves it alone.
-func (c *codec) PooledBlob(v *[]byte, pooled *Buf) {
-	switch c.mode {
-	case encoding:
-		c.Encoder.PooledBlob(*v, pooled)
-	case decoding:
-		*v = c.Decoder.Blob()
-	default:
-		c.size += 4 + len(*v)
-	}
-}
-
 // listOf describes the elements of a counted list: how to walk one, and
 // min, the size of its smallest encoding.
 type listOf[T any] struct {
@@ -137,8 +124,7 @@ func list[T any](c *codec, s *[]T, l listOf[T]) {
 var codecs = sync.Pool{New: func() any { return new(codec) }}
 
 // encode walks m's fields onto the end of buf and returns the encoder it
-// used: e.buf is the extended slice, and e.pooled the pooled payload m
-// hands over, if any. With byRef the first payload of at least
+// used: e.buf is the extended slice. With byRef the first payload of at least
 // ReferenceFloor bytes is referenced instead of copied (e.bulk, e.split).
 // A nil m encodes to nothing.
 func encode(buf []byte, m Message, byRef bool) Encoder {
@@ -171,8 +157,8 @@ func MessageSize(m Message) int {
 }
 
 // EncodeMessage marshals m into a fresh body slice of exactly its size,
-// copying any payload. A pooled payload m references stays with the
-// caller. Connections do not use it — their writers encode each message
+// copying any payload; it never frees a borrowed payload (Outgoing).
+// Connections do not use it — their writers encode each message
 // straight into the buffer that goes to the wire (Outgoing) — it remains
 // for tools and tests that want a body on its own.
 func EncodeMessage(m Message) []byte {

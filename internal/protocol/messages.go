@@ -533,15 +533,24 @@ type ReadBufferResp struct {
 	Profile Profile
 	// Pooled, when non-nil, is the pooled buffer Data is a view of (a
 	// node's read snapshot). It never travels: the connection writer that
-	// sends the response frees it once the frame is written.
+	// sends the response frees it (Free) once the frame is staged or written.
 	Pooled *Buf
 }
 
 // Op implements Message.
 func (*ReadBufferResp) Op() Op { return OpReadBuffer }
 
+// Free returns the pooled read snapshot, if any, and forgets it, so a
+// second Free is a no-op. The connection writer calls it once the
+// response is staged or written; a response a failed connection drops is
+// never freed, and its snapshot is left to the collector.
+func (m *ReadBufferResp) Free() {
+	m.Pooled.Free()
+	m.Pooled = nil
+}
+
 func (m *ReadBufferResp) fields(c *codec) {
-	c.PooledBlob(&m.Data, m.Pooled)
+	c.Blob(&m.Data)
 	c.U64(&m.EventID)
 	m.Profile.fields(c)
 }

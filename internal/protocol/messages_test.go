@@ -38,7 +38,7 @@ func refBody(t testing.TB, m Message) []byte {
 	if o.Size != len(want)-headerSize || o.WireSize() != len(want) {
 		t.Fatalf("%T: sized %d (wire %d), encoded %d (wire %d)", m, o.Size, o.WireSize(), len(want)-headerSize, len(want))
 	}
-	out, split, payload, _ := AppendOutgoingHead(nil, &o)
+	out, split, payload := AppendOutgoingHead(nil, &o)
 	if vectored := append(append(out[:split:split], payload...), out[split:]...); !bytes.Equal(vectored, want) {
 		t.Fatalf("%T: vectored wire bytes differ from EncodeMessage's", m)
 	}
@@ -70,7 +70,7 @@ func TestOutgoingReferencesBulkPayload(t *testing.T) {
 		} {
 			refBody(t, m)
 			o := NewOutgoing(FrameResponse, 1, m.Op(), m)
-			_, _, payload, _ := AppendOutgoingHead(nil, &o)
+			_, _, payload := AppendOutgoingHead(nil, &o)
 			if want := size >= ReferenceFloor; want != (payload != nil) {
 				t.Fatalf("%T with %d-byte blob: referenced = %v, want %v", m, size, payload != nil, want)
 			}
@@ -89,34 +89,29 @@ func TestOutgoingReferencesBulkPayload(t *testing.T) {
 	}
 }
 
-// TestOutgoingFreesPooledPayload: a pooled read snapshot goes back to its
-// pool once a writer has staged it, alone or in an envelope; a bulk
-// frame's head hands it to the writer to free after the vectored write;
-// and EncodeMessage, which serves no connection, leaves it with the caller.
-func TestOutgoingFreesPooledPayload(t *testing.T) {
-	resp := func(n int) (*Buf, Outgoing) {
+// TestEncodingLeavesPooledPayload: encoding a message — staged, enveloped
+// or with its payload in place — never frees what it borrowed; the
+// connection writer calls its Free once the frame is staged or written
+// (transport's TestWriterFreesBorrowedPayloads). ReadBufferResp's Free
+// returns its snapshot.
+func TestEncodingLeavesPooledPayload(t *testing.T) {
+	for _, n := range []int{16, ReferenceFloor, BatchableBodyLimit + 1} {
 		pooled := GetBuf(n)
-		return pooled, NewOutgoing(FrameResponse, 1, OpReadBuffer, &ReadBufferResp{Data: pooled.B, Pooled: pooled})
+		m := &ReadBufferResp{Data: pooled.B, Pooled: pooled}
+		o := NewOutgoing(FrameResponse, 1, OpReadBuffer, m)
+		AppendOutgoing(nil, &o)
+		AppendOutgoingBatch(nil, []Outgoing{o, NewOutgoing(FrameResponse, 2, OpRelease, nil)})
+		AppendOutgoingHead(nil, &o)
+		EncodeMessage(m)
+		if pooled.B == nil {
+			t.Fatalf("%d B: an encoder freed the pooled payload", n)
+		}
+		m.Free()
+		if pooled.B != nil {
+			t.Fatalf("%d B: ReadBufferResp.Free kept the pooled payload", n)
+		}
 	}
-	pooled, o := resp(ReferenceFloor)
-	AppendOutgoing(nil, &o)
-	if pooled.B != nil {
-		t.Fatal("AppendOutgoing kept the pooled payload it staged")
-	}
-	pooled, o = resp(16)
-	AppendOutgoingBatch(nil, []Outgoing{o, NewOutgoing(FrameResponse, 2, OpRelease, nil)})
-	if pooled.B != nil {
-		t.Fatal("AppendOutgoingBatch kept the pooled payload it staged")
-	}
-	pooled, o = resp(BatchableBodyLimit + 1)
-	if _, _, payload, handed := AppendOutgoingHead(nil, &o); handed != pooled || pooled.B == nil || &payload[0] != &pooled.B[0] {
-		t.Fatal("AppendOutgoingHead did not hand the referenced pooled payload to its writer")
-	}
-	pooled, _ = resp(ReferenceFloor)
-	EncodeMessage(&ReadBufferResp{Data: pooled.B, Pooled: pooled})
-	if pooled.B == nil {
-		t.Fatal("EncodeMessage freed a pooled payload its caller still owns")
-	}
+	(&ReadBufferResp{}).Free() // an unpooled response frees nothing
 }
 
 func TestHelloRoundTrip(t *testing.T) {

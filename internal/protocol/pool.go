@@ -34,13 +34,20 @@ type Buf struct {
 const (
 	minClassBits = 10 // sizes in (2^9, 2^10] form the first octave
 	maxClassBits = 26 // maxUpfrontBody, 64 MiB
-	numClasses   = (maxClassBits - minClassBits + 1) * 4
+	// NumSizeClasses is the number of payload size classes (SizeClass).
+	NumSizeClasses = (maxClassBits - minClassBits + 1) * 4
 )
 
-var bufPools [numClasses]sync.Pool
+var bufPools [NumSizeClasses]sync.Pool
 
-// sizeClass maps a requested length to its pool index and class size.
-func sizeClass(n int) (class, size int) {
+// SizeClass maps a payload length to its size class — a pool index below
+// NumSizeClasses — and the class's size, at least n. class is -1 when n is
+// not positive or above the largest class: such a buffer is allocated,
+// and collected, on its own.
+func SizeClass(n int) (class, size int) {
+	if n < 1 || n > maxUpfrontBody {
+		return -1, n
+	}
 	k := bits.Len(uint(n - 1)) // smallest k with n <= 2^k
 	if k < minClassBits {
 		k = minClassBits
@@ -56,10 +63,10 @@ func sizeClass(n int) (class, size int) {
 // GetBuf returns a buffer of length n, reusing a freed one of n's size
 // class when the pool has one.
 func GetBuf(n int) *Buf {
-	if n < 1 || n > maxUpfrontBody {
+	class, size := SizeClass(n)
+	if class < 0 {
 		return &Buf{B: make([]byte, n), class: -1}
 	}
-	class, size := sizeClass(n)
 	b, _ := bufPools[class].Get().(*Buf)
 	if b == nil {
 		b = &Buf{full: make([]byte, size), class: class}
@@ -83,11 +90,17 @@ func (b *Buf) Free() {
 	if b == nil || b.class < 0 {
 		return
 	}
-	if raceEnabled {
-		for i := range b.B {
-			b.B[i] = poison
-		}
-	}
+	Poison(b.B)
 	b.B = nil
 	bufPools[b.class].Put(b)
+}
+
+// Poison overwrites b with poison under the race detector, and does
+// nothing otherwise: whoever returns memory to a pool calls it first.
+func Poison(b []byte) {
+	if raceEnabled {
+		for i := range b {
+			b[i] = poison
+		}
+	}
 }

@@ -13,20 +13,20 @@ func TestSizeClassProperty(t *testing.T) {
 	for _, n := range []int{1, 100, 640, 641, ReferenceFloor - 1, ReferenceFloor, 1024, 1025, 4 << 10, 4<<10 + 44,
 		BatchableBodyLimit, BatchableBodyLimit + 1, 20480, 20481, 32768, 32769,
 		1 << 20, 1<<20 + 1, 1<<20 + 60, 5 << 18, 5<<18 + 1, 16 << 20, 16<<20 + 44, maxUpfrontBody - 1, maxUpfrontBody} {
-		class, size := sizeClass(n)
-		if class < 0 || class >= numClasses {
-			t.Fatalf("sizeClass(%d) = class %d, outside [0,%d)", n, class, numClasses)
+		class, size := SizeClass(n)
+		if class < 0 || class >= NumSizeClasses {
+			t.Fatalf("SizeClass(%d) = class %d, outside [0,%d)", n, class, NumSizeClasses)
 		}
 		if size < n {
-			t.Fatalf("sizeClass(%d) = %d bytes, too small", n, size)
+			t.Fatalf("SizeClass(%d) = %d bytes, too small", n, size)
 		}
 		if n >= ReferenceFloor && size > n+n/4 {
-			t.Fatalf("sizeClass(%d) = %d bytes, wastes more than a quarter", n, size)
+			t.Fatalf("SizeClass(%d) = %d bytes, wastes more than a quarter", n, size)
 		}
 		if class < prevClass || size < prevSize {
-			t.Fatalf("sizeClass not monotonic at %d: class %d size %d after class %d size %d", n, class, size, prevClass, prevSize)
+			t.Fatalf("SizeClass not monotonic at %d: class %d size %d after class %d size %d", n, class, size, prevClass, prevSize)
 		}
-		if c2, s2 := sizeClass(size); c2 != class || s2 != size {
+		if c2, s2 := SizeClass(size); c2 != class || s2 != size {
 			t.Fatalf("class size %d of length %d maps to class %d size %d, want itself (class %d)", size, n, c2, s2, class)
 		}
 		prevClass, prevSize = class, size
@@ -46,8 +46,13 @@ func TestGetBufLengthAndFree(t *testing.T) {
 	}
 	var none *Buf
 	none.Free() // a nil handle is a no-op: unpooled snapshots carry one
-	if class, _ := sizeClass(maxUpfrontBody); class != numClasses-1 {
-		t.Fatalf("maxUpfrontBody is class %d, want the largest, %d", class, numClasses-1)
+	if class, _ := SizeClass(maxUpfrontBody); class != NumSizeClasses-1 {
+		t.Fatalf("maxUpfrontBody is class %d, want the largest, %d", class, NumSizeClasses-1)
+	}
+	for _, n := range []int{0, maxUpfrontBody + 1} {
+		if class, size := SizeClass(n); class != -1 || size != n {
+			t.Fatalf("SizeClass(%d) = class %d size %d, want no class", n, class, size)
+		}
 	}
 	if b := GetBuf(maxUpfrontBody + 1); b.class != -1 || len(b.B) != maxUpfrontBody+1 {
 		t.Fatalf("GetBuf above the largest class: class %d, len %d", b.class, len(b.B))

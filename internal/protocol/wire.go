@@ -158,9 +158,12 @@ func WriteFrame(w io.Writer, f *Frame) error {
 // its own, AppendOutgoingBatch for a run packed into an envelope, and
 // AppendOutgoingHead for a bulk frame whose payload is written in place.
 //
-// Msg, and everything it references, must stay unmodified until it has
-// been encoded; for a request that is until its call resolves, since the
-// writer encodes it after the sender's Go returned.
+// Msg, and everything it references, must stay unmodified until the
+// connection's writer has staged it or written it in place, which happens
+// after the sender's Go returned. A success response implies it; a failed
+// call does not, since the writer may still be writing it. A message with
+// a Free method borrows its payload until then, and the writer calls Free
+// the moment it has staged or written it (ReadBufferResp.Free).
 type Outgoing struct {
 	ReqID uint64
 	Msg   Message // nil: an empty body
@@ -179,13 +182,10 @@ func NewOutgoing(kind FrameKind, reqID uint64, op Op, m Message) Outgoing {
 func (o *Outgoing) WireSize() int { return headerSize + o.Size }
 
 // AppendOutgoing appends o's frame — header and body, the message encoded
-// straight into buf — and returns the extended slice. A pooled payload the
-// message hands over (ReadBufferResp.Pooled) is freed once copied: the
-// copy in buf is the one the connection gets.
+// straight into buf — and returns the extended slice.
 func AppendOutgoing(buf []byte, o *Outgoing) []byte {
 	off := len(buf)
 	e := encode(appendHeader(buf, o.Kind, o.ReqID, o.Op, 0), o.Msg, false)
-	e.pooled.Free()
 	patchLength(e.buf, off, len(e.buf)-off-headerSize)
 	return e.buf
 }
@@ -194,17 +194,15 @@ func AppendOutgoing(buf []byte, o *Outgoing) []byte {
 // blob of at least ReferenceFloor bytes — for a vectored writer that sends
 // the payload from where it lies: the frame on the wire is
 // out[:split] ‖ payload ‖ out[split:], the same bytes AppendOutgoing would
-// have staged. payload is nil when the message carries no such blob. A
-// pooled payload the message hands over is returned for the caller to free
-// once the frame has been written.
-func AppendOutgoingHead(buf []byte, o *Outgoing) (out []byte, split int, payload []byte, pooled *Buf) {
+// have staged. payload is nil when the message carries no such blob.
+func AppendOutgoingHead(buf []byte, o *Outgoing) (out []byte, split int, payload []byte) {
 	off := len(buf)
 	e := encode(appendHeader(buf, o.Kind, o.ReqID, o.Op, 0), o.Msg, true)
 	patchLength(e.buf, off, len(e.buf)-off-headerSize+len(e.bulk))
 	if e.bulk == nil {
 		e.split = len(e.buf)
 	}
-	return e.buf, e.split, e.bulk, e.pooled
+	return e.buf, e.split, e.bulk
 }
 
 // ReadFrame reads one frame from r, validating magic, version and size.
@@ -364,9 +362,6 @@ type Encoder struct {
 	byRef bool
 	bulk  []byte
 	split int
-	// pooled is the pooled buffer a PooledBlob's payload lives in, which
-	// whoever writes the message frees once it is on the wire.
-	pooled *Buf
 }
 
 // U8 appends a uint8.
@@ -409,17 +404,8 @@ func (e *Encoder) Str(s string) {
 }
 
 // Blob appends a length-prefixed byte slice.
-func (e *Encoder) Blob(b []byte) { e.PooledBlob(b, nil) }
-
-// PooledBlob is Blob for a payload that may live in a pooled buffer (nil
-// when it does not), which the encoder records: a connection writer frees
-// it once the message is on the wire, and EncodeMessage leaves it with the
-// caller.
-func (e *Encoder) PooledBlob(b []byte, pooled *Buf) {
+func (e *Encoder) Blob(b []byte) {
 	e.U32(uint32(len(b)))
-	if pooled != nil {
-		e.pooled = pooled
-	}
 	if e.byRef && e.bulk == nil && len(b) >= ReferenceFloor {
 		e.bulk, e.split = b, len(e.buf)
 		return

@@ -93,6 +93,76 @@ func TestFrameWriterReferencesBulkPayload(t *testing.T) {
 	}
 }
 
+// borrowedWrite is a write whose payload is lent until the writer frees it
+// (freer), as a host's pooled write record lends its bytes: Free
+// scribbles over the payload, as the record's next user would.
+type borrowedWrite struct {
+	protocol.WriteBufferReq
+	frees int
+}
+
+func (m *borrowedWrite) Free() {
+	m.frees++
+	for i := range m.Data {
+		m.Data[i] = 0xEE
+	}
+}
+
+// TestWriterFreesBorrowedPayloads: the writer frees a message that borrowed
+// its payload exactly once, and only once its bytes are staged — alone or
+// in an envelope — or written in place, so the stream carries the bytes
+// the message was given whatever the lender does with them next.
+func TestWriterFreesBorrowedPayloads(t *testing.T) {
+	var msgs []protocol.Outgoing
+	var sent []*borrowedWrite
+	var want [][]byte
+	for i, n := range []int{64, protocol.ReferenceFloor, protocol.BatchableBodyLimit + 1, 4 << 10} {
+		m := &borrowedWrite{WriteBufferReq: protocol.WriteBufferReq{QueueID: uint64(i), Data: make([]byte, n)}}
+		for j := range m.Data {
+			m.Data[j] = byte(i + j)
+		}
+		want = append(want, append([]byte(nil), m.Data...))
+		sent = append(sent, m)
+		msgs = append(msgs, protocol.NewOutgoing(protocol.FrameRequest, uint64(i+1), m.Op(), m))
+	}
+	rec := &writeRecorder{}
+	fw := frameWriter{w: rec}
+	if err := fw.write(msgs...); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range sent {
+		if m.frees != 1 {
+			t.Fatalf("message %d freed %d times, want once", i, m.frees)
+		}
+	}
+	// envelope(0,1) | bulk 2 | plain 3
+	var got [][]byte
+	for _, f := range parseStream(t, rec.stream.Bytes()) {
+		subs := []*protocol.Frame{f}
+		if f.Kind == protocol.FrameBatch {
+			var err error
+			if subs, err = protocol.DecodeBatch(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, sub := range subs {
+			var req protocol.WriteBufferReq
+			if err := protocol.DecodeMessage(&req, sub.Body); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, req.Data)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d writes on the wire, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("write %d (%d B) carries bytes its lender wrote after the free", i, len(want[i]))
+		}
+	}
+}
+
 // parkingHandler keeps the body of every PeerPush it is handed — as a
 // node's rendezvous table does — answering with a BodyKeeper, and drops
 // everything else.

@@ -266,9 +266,9 @@ type frameWriter struct {
 	bufs net.Buffers // a field, so WriteTo's receiver does not escape per call
 }
 
-// write encodes and writes msgs in order. A pooled payload a message hands
-// over (a node's read snapshot) goes back to its pool the moment it has
-// been staged, or written in place.
+// write encodes and writes msgs in order. A message that borrowed its
+// payload (freer) gives it back the moment it has been staged, or written
+// in place.
 func (fw *frameWriter) write(msgs ...protocol.Outgoing) error {
 	start, runBytes := 0, 0
 	for i := range msgs {
@@ -304,8 +304,25 @@ func (fw *frameWriter) flush(run []protocol.Outgoing) error {
 	default:
 		fw.out = protocol.AppendOutgoingBatch(fw.out[:0], run)
 	}
+	for i := range run {
+		free(run[i].Msg)
+	}
 	_, err := fw.w.Write(fw.out)
 	return err
+}
+
+// freer is a message that borrows its payload from an owner until it is
+// on the wire — a node's pooled read snapshot (protocol.ReadBufferResp), a
+// host's pooled write record — and gives it back when freed. A message a
+// failed connection drops is never freed: what it borrowed is left to the
+// collector.
+type freer interface{ Free() }
+
+// free gives back what m borrowed for its payload, if anything.
+func free(m protocol.Message) {
+	if f, ok := m.(freer); ok {
+		f.Free()
+	}
 }
 
 // writeBulk writes one bulk message without copying its payload.
@@ -313,7 +330,7 @@ func (fw *frameWriter) writeBulk(m *protocol.Outgoing) error {
 	if m.Size > protocol.MaxFrameSize {
 		return fmt.Errorf("%w: %d bytes", protocol.ErrFrameTooBig, m.Size)
 	}
-	out, split, payload, pooled := protocol.AppendOutgoingHead(fw.out[:0], m)
+	out, split, payload := protocol.AppendOutgoingHead(fw.out[:0], m)
 	fw.out = out
 	vec := append(fw.vec[:0], out[:split])
 	if payload != nil {
@@ -325,7 +342,7 @@ func (fw *frameWriter) writeBulk(m *protocol.Outgoing) error {
 	fw.bufs = vec
 	_, err := fw.bufs.WriteTo(fw.w)
 	fw.vec = [3][]byte{} // WriteTo clears what it consumed; after an error, drop the rest
-	pooled.Free()
+	free(m.Msg)
 	return err
 }
 
