@@ -866,16 +866,8 @@ func (w *writeLog) enqueue(waits ...*Event) (*Event, error) {
 	}
 	modelBytes := b.scaled(int64(len(data)))
 	c.charge(b.hostReadyAt, controlMsgBytes+modelBytes)
-	var req protocol.CommandReq
-	var m *protocol.WriteBufferReq
-	if w.hold() {
-		h := &heldWrite{w: w}
-		req, m = h, &h.WriteBufferReq
-	} else {
-		m = new(protocol.WriteBufferReq)
-		req = m
-	}
-	*m = protocol.WriteBufferReq{
+	h := heldWrites.Get().(*heldWrite)
+	h.WriteBufferReq = protocol.WriteBufferReq{
 		QueueID:    c.qid,
 		BufferID:   rb.id,
 		Offset:     offset,
@@ -884,7 +876,10 @@ func (w *writeLog) enqueue(waits ...*Event) (*Event, error) {
 		ModelBytes: modelBytes,
 		WaitEvents: c.waits,
 	}
-	c.send(trace.KindWrite, modelBytes, req)
+	if w.hold() {
+		h.w = w
+	}
+	c.send(trace.KindWrite, modelBytes, h)
 	// A partial write onto a stale replica must NOT validate the unwritten
 	// remainder — those bytes still hold old data, and reading them back
 	// here would expose stale content (the pre-range runtime's
@@ -895,16 +890,60 @@ func (w *writeLog) enqueue(waits ...*Event) (*Event, error) {
 	return c.ev, nil
 }
 
-// heldWrite is the request of a pooled write record's frame, which holds
-// the record until the connection's writer frees it: once the frame is
-// staged or written, its bytes no longer need the record's.
+// heldWrite is a write's request. It comes from heldWrites, belongs to
+// the transport from Start on, and goes back to its pool when the
+// connection's writer frees it, once its frame is staged or written. A
+// pooled write record's request holds the record until then (w). A
+// request that a dead connection drops is never freed: the collector
+// takes it, and the record's hold with it.
 type heldWrite struct {
 	protocol.WriteBufferReq
-	w *writeLog
+	w *writeLog // nil unless the record is pooled
 }
 
-// Free gives back the frame's hold; the connection's writer calls it.
-func (h *heldWrite) Free() { h.w.Free() }
+var heldWrites = sync.Pool{New: func() any { return new(heldWrite) }}
+
+// Free gives back the frame's hold on its record and recycles the
+// request; the connection's writer calls it.
+func (h *heldWrite) Free() {
+	retire(h.EventID)
+	if h.w != nil {
+		h.w.Free()
+	}
+	*h = heldWrite{WriteBufferReq: protocol.WriteBufferReq{QueueID: recycledID, EventID: recycledID}}
+	heldWrites.Put(h)
+}
+
+// launchReq is a launch's request with room for 8 wire arguments inline;
+// a longer list is allocated. It comes from launchReqs and goes back when
+// the connection's writer frees it, as a heldWrite does.
+type launchReq struct {
+	protocol.EnqueueKernelReq
+	args [8]protocol.KernelArg
+}
+
+var launchReqs = sync.Pool{New: func() any { return new(launchReq) }}
+
+// Free recycles the request; the connection's writer calls it.
+func (r *launchReq) Free() {
+	retire(r.EventID)
+	*r = launchReq{EnqueueKernelReq: protocol.EnqueueKernelReq{QueueID: recycledID, EventID: recycledID}}
+	launchReqs.Put(r)
+}
+
+// recycledID is what a recycled request's event and queue IDs read: a
+// request encoded after it was recycled names an event ID the node
+// refuses and a queue it does not know, and shows as a failed command.
+const recycledID = ^uint64(0)
+
+// retire is the tripwire a pooled request whose event ID reads eventID
+// passes on its way back to its pool: under the race detector, freeing a
+// request twice panics.
+func retire(eventID uint64) {
+	if raceEnabled && eventID == recycledID {
+		panic("core: request freed twice")
+	}
+}
 
 // define records at issue time (wire order is event-ID order) that node's
 // replica rb now holds [lo, hi), written by ev: every other replica loses
@@ -1425,7 +1464,10 @@ func (q *Queue) enqueueKernelBound(l *kernelLog, waits []*Event) (*Event, error)
 	if err != nil {
 		return nil, err
 	}
-	wireArgs := make([]protocol.KernelArg, len(l.bindings))
+	// A launch that fails before it is sent leaves its request to the
+	// collector.
+	req := launchReqs.Get().(*launchReq)
+	wireArgs := slices.Grow(req.args[:0], len(l.bindings))[:len(l.bindings)]
 	var msgBytes int64 = controlMsgBytes
 	var writtenArr [8]*Buffer
 	written := writtenArr[:0]
@@ -1465,7 +1507,7 @@ func (q *Queue) enqueueKernelBound(l *kernelLog, waits []*Event) (*Event, error)
 	}
 
 	c.charge(0, msgBytes)
-	c.send(trace.KindKernel, msgBytes, &protocol.EnqueueKernelReq{
+	req.EnqueueKernelReq = protocol.EnqueueKernelReq{
 		QueueID:    c.qid,
 		KernelID:   remoteKernel,
 		Global:     l.global(),
@@ -1475,7 +1517,8 @@ func (q *Queue) enqueueKernelBound(l *kernelLog, waits []*Event) (*Event, error)
 		WaitEvents: c.waits,
 		CostFlops:  l.opts.CostFlops,
 		CostBytes:  l.opts.CostBytes,
-	})
+	}
+	c.send(trace.KindKernel, msgBytes, req)
 
 	// Written-buffer coherence at issue time. A kernel may write any byte,
 	// so the launch node's replica — fully resident since arg setup above —

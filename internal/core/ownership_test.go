@@ -513,28 +513,31 @@ func TestRetainedHeapAllocationBudget(t *testing.T) {
 //	host private copy   1.00  kept: the command log's pooled write record and the
 //	                          request's payload; the kernel pins it, so it is
 //	                          never recycled and each write misses the pool
-//	host request        0     the coalescer queue holds the message itself
+//	host request        0     pooled; the coalescer queue holds it, and the writer
+//	                          recycles it once it is staged
 //	envelope, staging   0     the writer encodes it into its reused staging buffer
 //	node request body   0     pooled: the request envelope's body goes back to the
 //	                          pool once its last request has been answered
+//	node command        0     pooled for a write and a launch, recycled by its lane
 //	node read snapshot  0     pooled, freed once the reply's writer has staged it
 //	reply, staging      0     as above
 //	host response body  1.19  kept: handed to EnqueueRead's caller; 4 160 B in
 //	                          the allocator's 4 864 B class
-//	everything else     1.05  ~40 small objects: requests, events, log entries,
-//	                          commands, frame reads (TestSmallCommandAllocationBudget's)
-//	total               3.24
+//	everything else     0.52  ~15 small objects: events, log entries, event records,
+//	                          the read's command, frame reads
+//	                          (TestSmallCommandAllocationBudget's)
+//	total               2.71
 //
-// The budget leaves a fifth for the small objects to move, not room for a
-// third payload-sized allocation. A job allocates 26.02 objects; the
-// object budget leaves half of one, so a write record's pool miss that cost
-// more than the record and its payload — as a protocol.Buf per write
-// would — fails here.
+// The budget leaves 0.6 B per payload byte for the small objects to move,
+// not room for a third payload-sized allocation. A job allocates
+// 17.03 objects (26.02 before its requests and commands were recycled);
+// the object budget leaves one and a half, so a write or launch request or
+// command that stopped being recycled fails here.
 func TestServeRoundTripAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
-	const size, jobs, budget, objBudget = 4 << 10, 200, 4.0, 26.5
+	const size, jobs, budget, objBudget = 4 << 10, 200, 3.3, 18.5
 	rt := startTCPRuntime(t, 1)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)
@@ -621,26 +624,31 @@ func TestServeRoundTripAllocationBudget(t *testing.T) {
 // objects allocated per tile: two pipelined 256 B writes, one single-group
 // kernel launch and the release of their three events, the unit cmd-stream
 // repeats. What a tile allocates, by layer (DESIGN.md §12 has the same
-// table for the runtime before release vectors and one-allocation frames):
+// table):
 //
 //	                write  kernel
-//	host issue       4      4   private copy, request, Event (future, response and wait list inside), log entry; a launch: wire args, request, Event, log entry (argument snapshot and NDRange inside)
-//	frame encode     0      0   the queue holds the request; the writer encodes it into its staging buffer
-//	node register    3      4   done closure, command (request, wait IDs and wait list inside), event record (the response inside; a wake-up only for a waiter that comes first); a launch adds launch args (wire args in pooled storage, NDRange inside the command)
-//	lane             0      0   the NDRange conversion is in the command, the launch state pooled
+//	host issue       3      2   private copy, Event (future, response and wait list inside), log entry; a launch: Event, log entry (argument snapshot and NDRange inside); the request is pooled, a launch's wire args inline in it
+//	frame encode     0      0   the queue holds the request; the writer encodes it into its staging buffer, then recycles it
+//	node register    1      1   event record (the response inside; a wake-up only for a waiter that comes first); the command is pooled (request, wait IDs, wait list, wire and launch args inside), and done is its envelope slot's, made once per slot
+//	lane             0      0   the NDRange conversion is in the command, the launch state pooled; the lane recycles the command once done has run
 //	reply            0      0   the reply writer encodes the response into its staging buffer
 //	envelopes        0.2    0.2 frames read with their bodies, the host's sub-frame slabs; the node's envelope body is pooled and its envelope record reused
-//	total            7.2    8.2
+//	total            4.2    3.2
 //
 // A release is an ID in a vector of up to 256: 0.03 objects an event. The
-// tile comes to 2 × 7.2 + 8.2 + 0.1 ≈ 22.7. The envelope share moves with
-// how full the coalescer finds its queue; the budget leaves a sixteenth
-// for it.
+// tile comes to 2 × 4.2 + 3.2 + 0.1 ≈ 11.7. On top of that a round pays
+// for what its pools miss: a record is minted whenever more commands are in
+// flight than ever before, which moves with scheduling. So the figure is
+// the median of five rounds with the collector off (allocPerByte), as for
+// the payload budgets: 11.4–12.9 on two vCPUs at GOMAXPROCS 1, 2 and 4
+// (a single round with the collector running scattered over 12.6–17.2).
+// The budget sits a tenth above the highest of those medians: one object
+// more per command, three a tile, fails.
 func TestSmallCommandAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
-	const budget = 24.0
+	const budget = 14.5
 	rt := startTCPRuntime(t, 1)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)
@@ -706,29 +714,28 @@ func TestSmallCommandAllocationBudget(t *testing.T) {
 		events = events[:copy(events, events[len(old):])]
 	}
 	round()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	round()
-	runtime.ReadMemStats(&after)
-	perTile := float64(after.Mallocs-before.Mallocs) / tiles
+	_, objs := allocPerByte(5, 1, nil, round)
+	perTile := objs / tiles
 	t.Logf("write + write + kernel + 3 releases allocate %.1f objects", perTile)
 	if perTile > budget {
-		t.Errorf("write + write + kernel + 3 releases allocate %.1f objects, budget %.0f", perTile, budget)
+		t.Errorf("write + write + kernel + 3 releases allocate %.1f objects, budget %.1f", perTile, budget)
 	}
 }
 
 // TestKernelLaunchAllocationBudget gates one pipelined kernel launch and
 // the release of its event, process-wide: the kernel column of
-// TestSmallCommandAllocationBudget's table, 8.2 objects. The argument
-// snapshot (the kernel's own slice, shared until the next SetArg), the
-// NDRange on the host, on the wire and in the node, the node's wire args,
-// the wait IDs and the executor's launch state allocate nothing; a launch
-// used to cost 18.3.
+// TestSmallCommandAllocationBudget's table, 3.2 objects, measured the same
+// way. The argument snapshot (the kernel's own slice, shared until the
+// next SetArg), the NDRange on the host, on the wire and in the node, the
+// request and its wire args, the node's command, wire args and launch
+// args, the wait IDs and the executor's launch state allocate nothing; a
+// launch used to cost 18.3, and 8.2 before its request and command were
+// recycled.
 func TestKernelLaunchAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
-	const budget, launches = 9.0, 2000
+	const budget, launches = 4.5, 2000
 	rt := startTCPRuntime(t, 1)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)
@@ -783,13 +790,10 @@ func TestKernelLaunchAllocationBudget(t *testing.T) {
 		events = append(events[:0], last)
 	}
 	round()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	round()
-	runtime.ReadMemStats(&after)
-	perLaunch := float64(after.Mallocs-before.Mallocs) / launches
+	_, objs := allocPerByte(5, 1, nil, round)
+	perLaunch := objs / launches
 	t.Logf("a pipelined launch and its release allocate %.1f objects", perLaunch)
 	if perLaunch > budget {
-		t.Errorf("a pipelined launch and its release allocate %.1f objects, budget %.0f", perLaunch, budget)
+		t.Errorf("a pipelined launch and its release allocate %.1f objects, budget %.1f", perLaunch, budget)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/haocl-project/haocl/internal/core"
+	"github.com/haocl-project/haocl/internal/mem"
 	"github.com/haocl-project/haocl/internal/protocol"
 )
 
@@ -260,5 +261,137 @@ func TestRecycledRecordReplaysItsOwnBytes(t *testing.T) {
 			logged(sess, core.Metrics{}, int64(len(owned)))
 			logged(bySess, byBase, 0)
 		})
+	}
+}
+
+// TestPooledRequestsDieWithTheirNode: a write's and a launch's request come
+// from pools and belong to the transport from Start on; the connection's
+// writer recycles each once it has staged or written it, and a request its
+// dead connection drops is never recycled. A node dies while pooled write
+// and launch requests sit in its host's coalescer queue, behind frames its
+// stalled handler left unread, and the recovery replays the log onto the
+// survivors. Every buffer must read back the bytes the host's model says
+// it holds, and under the race detector no request may be recycled twice
+// (core.retire panics).
+func TestPooledRequestsDieWithTheirNode(t *testing.T) {
+	const (
+		// Frames of their own, more than the node's reader takes in while
+		// its handler stalls, so that what follows stays on the host.
+		fillSize, fills = protocol.BatchableBodyLimit + 4<<10, 160
+		tiles           = 20
+	)
+	cc := startChaosCluster(t, 3)
+	t.Cleanup(cc.close)
+	n1 := cc.cfg.Nodes[0].Name
+	devs := cc.rt.Devices(0)
+	ctx, err := cc.rt.OpenSession("A").CreateContext(devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q *core.Queue
+	for _, d := range devs {
+		if d.Node().Name() == n1 && q == nil {
+			if q, err = ctx.CreateQueue(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	prog, err := ctx.CreateProgram(incrSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prog.Build(); err != nil {
+		t.Fatal(err)
+	}
+	// A 256 B write has an unpooled record, a 4 KiB one a pooled record;
+	// both have pooled requests.
+	fill, err := ctx.CreateBuffer(fillSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[*core.Buffer][]byte{fill: pattern(fillSize, 0)}
+	kernels := map[*core.Buffer]*core.Kernel{}
+	for _, elems := range []int{64, 1024} {
+		b, err := ctx.CreateBuffer(int64(4 * elems))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := prog.CreateKernel("incr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range []any{b, int32(elems)} {
+			if err := k.SetArg(i, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		kernels[b], want[b] = k, make([]byte, 4*elems)
+	}
+	// Allocate the replicas and the node's kernels first: a stalled node
+	// never answers the creates a first write or launch waits for.
+	for b, data := range want {
+		if _, err := q.EnqueueWrite(b, 0, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for b, k := range kernels {
+		if _, err := q.EnqueueKernel(k, []int{int(b.Size() / 4)}, nil, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := q.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The node's handler stalls on the first write and never answers it.
+	gate := make(chan struct{})
+	cc.trips[n1].arm(protocol.OpWriteBuffer, func(func(), func(protocol.Message, error)) { <-gate })
+	for i := 0; i < fills; i++ {
+		want[fill] = pattern(fillSize, byte(i))
+		if _, err := q.EnqueueWrite(fill, 0, want[fill]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < tiles; i++ {
+		for b, k := range kernels {
+			vals := make([]float32, b.Size()/4)
+			for j := range vals {
+				vals[j] = float32(i*10000 + j)
+			}
+			if _, err := q.EnqueueWrite(b, 0, mem.F32Bytes(vals)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := q.EnqueueKernel(k, []int{len(vals)}, nil, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			for j := range vals {
+				vals[j]++
+			}
+			want[b] = mem.F32Bytes(vals)
+		}
+	}
+
+	// Closing the node's server waits for its stalled handler: let the
+	// handler go once the host has seen the connection die.
+	crashed := make(chan struct{})
+	go func() {
+		cc.trips[n1].crash()
+		close(crashed)
+	}()
+	cc.awaitDown(n1)
+	close(gate)
+	<-crashed
+	cc.alive[n1] = false
+	if err := cc.rt.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for b, data := range want {
+		got, _, err := q.EnqueueRead(b, 0, b.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("a %d-byte buffer reads back other bytes than the host's model after the recovery", b.Size())
+		}
 	}
 }

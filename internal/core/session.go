@@ -251,11 +251,13 @@ func (s *Session) releaseAsync(n *NodeHandle, kind protocol.ObjectKind, id uint6
 
 // sendHeld ships n's held IDs as one Release. Caller holds relMu — which
 // is what keeps two vectors for one node in release order — and h.ids is
-// not empty. The request references the IDs until its call resolves (the
-// transport encodes it later, on its writer goroutine), so the next vector
-// starts a slice of its own. Nothing is sent to a node known to be down:
-// the objects died with it, which absolves their release just as it
-// absolves an ack lost in flight.
+// not empty. The request references the IDs until the connection's writer
+// has staged it (the transport encodes it later, on its writer goroutine,
+// and a failed call does not mean it has), so the next vector starts a
+// slice of its own; a request with a Free method would belong to the
+// transport from Go on, but a Release has none. Nothing is sent to a node
+// known to be down: the objects died with it, which absolves their
+// release just as it absolves an ack lost in flight.
 func (s *Session) sendHeld(n *NodeHandle, h *heldReleases) {
 	if n.Alive() {
 		req := &protocol.ReleaseReq{Kind: h.kind, ID: h.ids[0], More: h.ids[1:]}

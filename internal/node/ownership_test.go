@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"github.com/haocl-project/haocl/internal/device"
+	"github.com/haocl-project/haocl/internal/kernel"
+	"github.com/haocl-project/haocl/internal/mem"
 	"github.com/haocl-project/haocl/internal/protocol"
 	"github.com/haocl-project/haocl/internal/sim"
 	"github.com/haocl-project/haocl/internal/transport"
@@ -518,4 +520,104 @@ func TestResetReplacesHeldDeposit(t *testing.T) {
 	}
 	e.release()
 	assertFreedOnce(t, e)
+}
+
+// TestRecycledCommandsKeepTheirReplies: a write, copy or launch command
+// goes back to its pool the moment its lane has run done, while its
+// envelope may still hold its reply, so the reply must not live in the
+// command; a read's does, and reads are not pooled. One envelope carries
+// writes and launches on two queues and a read; the second queue's lane
+// parks on a wait edge, so the first queue's replies stay held while later
+// commands reuse the recycled records. Every held reply must carry its own
+// event ID and profile, and the read its bytes.
+func TestRecycledCommandsKeepTheirReplies(t *testing.T) {
+	const elems = 64
+	n := testNode(t,
+		device.Config{Driver: sim.DriverGPU, ID: 1, Shared: true},
+		device.Config{Driver: sim.DriverGPU, ID: 2, Shared: true},
+	)
+	w := dialWire(t, n)
+	ctx := wireCall(w, 1, &protocol.CreateContextReq{DeviceIDs: []int64{1, 2}}, &protocol.ObjectResp{}).ID
+	q1 := wireCall(w, 2, &protocol.CreateQueueReq{ContextID: ctx, DeviceID: 1}, &protocol.ObjectResp{}).ID
+	q2 := wireCall(w, 3, &protocol.CreateQueueReq{ContextID: ctx, DeviceID: 2}, &protocol.ObjectResp{}).ID
+	prog := wireCall(w, 4, &protocol.BuildProgramReq{ContextID: ctx, Source: doubleSource}, &protocol.BuildProgramResp{}).ProgramID
+	k := wireCall(w, 5, &protocol.CreateKernelReq{ProgramID: prog, Name: "double_it"}, &protocol.ObjectResp{}).ID
+	a := wireCall(w, 6, &protocol.CreateBufferReq{ContextID: ctx, Size: 4 * elems}, &protocol.ObjectResp{}).ID
+	b := wireCall(w, 7, &protocol.CreateBufferReq{ContextID: ctx, Size: 4 * elems}, &protocol.ObjectResp{}).ID
+	values := func(base float32) []byte {
+		f := make([]float32, elems)
+		for i := range f {
+			f[i] = base + float32(i)
+		}
+		return mem.F32Bytes(f)
+	}
+	write := func(q, buf uint64, data []byte, event uint64, waits ...int64) *protocol.WriteBufferReq {
+		return &protocol.WriteBufferReq{QueueID: q, BufferID: buf, Data: data, EventID: event,
+			SimArrival: int64(event) * 1000, WaitEvents: waits}
+	}
+	launch := func(q, buf, event uint64) *protocol.EnqueueKernelReq {
+		return &protocol.EnqueueKernelReq{QueueID: q, KernelID: k, Global: []int64{elems}, EventID: event,
+			SimArrival: int64(event) * 1000, Args: []protocol.KernelArg{
+				{Kind: protocol.ArgBuffer, BufferID: buf},
+				{Kind: protocol.ArgScalar, Scalar: kernel.EncodeScalar(int32(elems))},
+			}}
+	}
+
+	// Queue 2 waits for event 99, which nothing has created yet.
+	held := map[uint64]uint64{10: 21, 11: 22, 12: 23, 13: 24} // request → event
+	w.send(
+		request(10, write(q1, a, values(1), 21)),
+		request(11, write(q2, b, values(5), 22, 99)),
+		request(12, launch(q1, a, 23)),
+		request(13, launch(q2, b, 24)),
+		request(14, &protocol.ReadBufferReq{QueueID: q1, BufferID: a, Size: 4 * elems, EventID: 25}),
+	)
+	query := func(id, event uint64) *protocol.QueryEventResp {
+		return wireCall(w, id, &protocol.QueryEventReq{EventID: event}, &protocol.QueryEventResp{})
+	}
+	for deadline := time.Now().Add(5 * time.Second); !query(30, 25).Complete; {
+		if time.Now().After(deadline) {
+			t.Fatal("the first queue's commands never completed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if query(31, 22).Complete {
+		t.Fatal("the parked write ran before its wait edge resolved")
+	}
+
+	// The first queue's records are back in their pools; these commands
+	// take them over while the envelope still holds their replies.
+	id, event := uint64(100), uint64(200)
+	for i := 0; i < 20; i++ {
+		w.send(request(id, write(q1, a, values(float32(100+i)), event)))
+		w.send(request(id+1, launch(q1, a, event+1)))
+		w.send(request(id+2, &protocol.ReadBufferReq{QueueID: q1, BufferID: a, Size: 4 * elems, EventID: event + 2}))
+		w.await(id, id+1, id+2)
+		id, event = id+3, event+3
+	}
+	w.send(request(id, write(q1, b, values(9), 99)))
+	got := w.await(10, 11, 12, 13, 14, id)
+
+	for req, ev := range held {
+		var resp protocol.EventResp
+		if err := protocol.DecodeMessage(&resp, got[req].Body); err != nil {
+			t.Fatal(err)
+		}
+		want := query(40, ev)
+		if resp.EventID != ev || resp.Profile != want.Profile || resp.Profile.Queued != int64(ev)*1000 {
+			t.Fatalf("request %d answered for event %d with profile %+v; want event %d, profile %+v",
+				req, resp.EventID, resp.Profile, ev, want.Profile)
+		}
+	}
+	var rd protocol.ReadBufferResp
+	if err := protocol.DecodeMessage(&rd, got[14].Body); err != nil {
+		t.Fatal(err)
+	}
+	doubled := mem.BytesF32(values(1))
+	for i := range doubled {
+		doubled[i] *= 2
+	}
+	if rd.EventID != 25 || !bytes.Equal(rd.Data, mem.F32Bytes(doubled)) {
+		t.Fatalf("the held read answered for event %d with other bytes than its buffer held", rd.EventID)
+	}
 }

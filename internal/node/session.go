@@ -2,6 +2,7 @@ package node
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"github.com/haocl-project/haocl/internal/clc"
@@ -167,6 +168,9 @@ func (l *lane) run() {
 			// body, for a bulk write — and the buffers it resolved.
 			batch[i] = laneJob{}
 			job.done(job.cmd.exec())
+			if r, ok := job.cmd.(recycler); ok {
+				r.recycle()
+			}
 		}
 	}
 }
@@ -355,13 +359,58 @@ func (s *Session) HandleCallAsync(op protocol.Op, body []byte, done func(protoco
 }
 
 // command is one registered request, ready for its lane: exec runs it and
-// returns the response. A request is one allocation from registration to
-// reply — its command holds the decoded message, every object the message
-// names and, itself or in its completion event, the response — and belongs
-// to the request alone: the response exec returns is encoded by done
-// before the lane moves on, and nothing keeps the command afterwards.
+// returns the response. It holds the decoded message, every object the
+// message names and, itself or in its completion event, the response, and
+// belongs to the request alone.
 type command interface {
 	exec() (protocol.Message, error)
+}
+
+// recycler is a pooled command: a write, copy or launch. Its response is
+// its event's (queueCmd.completed), which outlives it, so nothing needs
+// the command once done has taken the response, and lane.run recycles it
+// then. A read answers with a response of its own, which an envelope
+// holds until its last member is answered; push and await commands take
+// part in the rendezvous hand-over (peer.go). Neither is pooled. A command
+// whose registration fails is left to the collector.
+type recycler interface{ recycle() }
+
+var (
+	writeCmds  = sync.Pool{New: func() any { return new(writeCmd) }}
+	copyCmds   = sync.Pool{New: func() any { return new(copyCmd) }}
+	kernelCmds = sync.Pool{New: func() any { return new(kernelCmd) }}
+)
+
+// recycledID is what a recycled command's event and queue IDs read: a use
+// after recycle names an event and a queue no host issued, and shows as a
+// wrong reply.
+const recycledID = ^uint64(0)
+
+// retire is the tripwire a pooled command whose event ID reads eventID
+// passes on its way back to its pool: under the race detector, recycling
+// a command twice panics.
+func retire(eventID uint64) {
+	if raceEnabled && eventID == recycledID {
+		panic("node: command recycled twice")
+	}
+}
+
+func (c *writeCmd) recycle() {
+	retire(c.req.EventID)
+	*c = writeCmd{req: protocol.WriteBufferReq{QueueID: recycledID, EventID: recycledID}}
+	writeCmds.Put(c)
+}
+
+func (c *copyCmd) recycle() {
+	retire(c.req.EventID)
+	*c = copyCmd{req: protocol.CopyBufferReq{QueueID: recycledID, EventID: recycledID}}
+	copyCmds.Put(c)
+}
+
+func (c *kernelCmd) recycle() {
+	retire(c.req.EventID)
+	*c = kernelCmd{req: protocol.EnqueueKernelReq{QueueID: recycledID, EventID: recycledID}}
+	kernelCmds.Put(c)
 }
 
 // queueCmd is what every enqueue command carries: the session, the target
@@ -433,9 +482,14 @@ type (
 	}
 	kernelCmd struct {
 		queueCmd
-		req  protocol.EnqueueKernelReq
-		k    *kernelObj
-		args []kernel.Arg
+		req protocol.EnqueueKernelReq
+		k   *kernelObj
+		// wire backs the decoded wire args and argArr the launch args
+		// built from them, for up to 8 arguments; a longer list gets
+		// slices of its own.
+		wire   [8]protocol.KernelArg
+		args   []kernel.Arg
+		argArr [8]kernel.Arg
 		// dims backs the decoded NDRange (global, then local) and ndrange
 		// its conversion in exec, for the 3+3 dimensions a launch can
 		// have; a hostile longer one gets fresh slices and is refused.
@@ -501,7 +555,7 @@ func (c *settledCmd) exec() (protocol.Message, error) { return c.resp, c.err }
 func (s *Session) prepare(op protocol.Op, body []byte) (uint64, command, error) {
 	switch op {
 	case protocol.OpWriteBuffer:
-		c := new(writeCmd)
+		c := writeCmds.Get().(*writeCmd)
 		c.req.WaitEvents = c.waitIDs[:0]
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
 			return 0, nil, err
@@ -535,7 +589,7 @@ func (s *Session) prepare(op protocol.Op, body []byte) (uint64, command, error) 
 		}
 		return c.req.QueueID, c, nil
 	case protocol.OpCopyBuffer:
-		c := new(copyCmd)
+		c := copyCmds.Get().(*copyCmd)
 		c.req.WaitEvents = c.waitIDs[:0]
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
 			return 0, nil, err
@@ -558,7 +612,7 @@ func (s *Session) prepare(op protocol.Op, body []byte) (uint64, command, error) 
 		}
 		return c.req.QueueID, c, nil
 	case protocol.OpEnqueueKernel:
-		c := new(kernelCmd)
+		c := kernelCmds.Get().(*kernelCmd)
 		if err := c.prepare(s, body); err != nil {
 			return 0, nil, err
 		}
@@ -1025,13 +1079,14 @@ func (s *Session) handleCreateKernel(body []byte) (protocol.Message, error) {
 }
 
 // buildLaunchArgs validates wire arguments against the kernel's parsed
-// OpenCL C signature and resolves buffer handles to backing storage.
-func (s *Session) buildLaunchArgs(k *kernelObj, wire []protocol.KernelArg) ([]kernel.Arg, error) {
+// OpenCL C signature, resolves buffer handles to backing storage and
+// appends the launch args to args.
+func (s *Session) buildLaunchArgs(k *kernelObj, wire []protocol.KernelArg, args []kernel.Arg) ([]kernel.Arg, error) {
 	if len(wire) != len(k.sig.Params) {
 		return nil, remoteErr(protocol.CodeLaunchFailed,
 			"kernel %q takes %d args, got %d", k.name, len(k.sig.Params), len(wire))
 	}
-	args := make([]kernel.Arg, len(wire))
+	args = slices.Grow(args, len(wire))[:len(wire)]
 	for i, wa := range wire {
 		param := k.sig.Params[i]
 		switch wa.Kind {
@@ -1070,23 +1125,9 @@ func (s *Session) buildLaunchArgs(k *kernelObj, wire []protocol.KernelArg) ([]ke
 	return args, nil
 }
 
-// wireArgs pools the storage a launch's wire arguments are decoded into.
-// They are dead once buildLaunchArgs has turned them into launch args, so
-// a launch borrows the storage for its registration only; a longer list
-// than it holds decodes into a slice of its own.
-var wireArgs = sync.Pool{New: func() any { return new([8]protocol.KernelArg) }}
-
 // prepare is the registration stage of a launch (see Session.prepare).
 func (c *kernelCmd) prepare(s *Session, body []byte) error {
-	wire := wireArgs.Get().(*[8]protocol.KernelArg)
-	defer func() {
-		// Neither the pool nor the command may keep the request's scalars,
-		// views of its body, reachable.
-		clear(c.req.Args)
-		c.req.Args = nil
-		wireArgs.Put(wire)
-	}()
-	c.req.Global, c.req.Local, c.req.WaitEvents, c.req.Args = c.dims[:0:3], c.dims[3:3], c.waitIDs[:0], wire[:0]
+	c.req.Global, c.req.Local, c.req.WaitEvents, c.req.Args = c.dims[:0:3], c.dims[3:3], c.waitIDs[:0], c.wire[:0]
 	if err := protocol.DecodeMessage(&c.req, body); err != nil {
 		return err
 	}
@@ -1095,7 +1136,7 @@ func (c *kernelCmd) prepare(s *Session, body []byte) error {
 		return err
 	}
 	if c.k, err = lookup[*kernelObj](s, "kernel", c.req.KernelID); err == nil {
-		c.args, err = s.buildLaunchArgs(c.k, c.req.Args)
+		c.args, err = s.buildLaunchArgs(c.k, c.req.Args, c.argArr[:0])
 	}
 	return c.resolve(err, c.req.WaitEvents)
 }

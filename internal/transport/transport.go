@@ -445,9 +445,12 @@ type Pending struct {
 // req is not encoded here: the queue holds the message itself, and the
 // writer encodes it, straight into the buffer it sends, after Go has
 // returned. So req and everything it references — payloads, lists,
-// strings' backing arrays — must stay unmodified until the call has
-// resolved (Wait returned; a response proves the request was read in
-// full). A caller that cannot promise that passes a private copy.
+// strings' backing arrays — must stay unmodified until the writer has
+// staged or written it (protocol.Outgoing), which a response implies and
+// a failed call does not. A caller that cannot promise that passes a
+// private copy. A req with a Free method belongs to the transport from Go
+// on: the writer frees it once it is staged or written, and a connection
+// that dies first drops it unfreed, so the caller must not touch it again.
 //
 // haoclvet:wire
 func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
@@ -460,7 +463,8 @@ func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
 // makes p the call's future, so a caller that keeps the future inside an
 // object of its own (the host's Event) allocates nothing for it. p must be
 // a zero Pending that no other call has used, and must not move while the
-// call is in flight. Everything Go promises holds for Start.
+// call is in flight. Everything Go promises and requires holds for Start:
+// a req with a Free method belongs to the transport from Start on.
 //
 // haoclvet:wire
 func (c *Client) Start(p *Pending, req protocol.Message, resp protocol.Message) {
@@ -738,16 +742,32 @@ type replyTo struct {
 // answered; frame is the request envelope, whose body the requests are
 // views of. Once the last response is written, the record is cleared and
 // goes back to its connection's reply writer for the next envelope.
+//
+// dones[i] is slot i's completion, the done its request is dispatched
+// with. It is made the first time the record has an i-th slot and kept
+// with the record from envelope to envelope, so dispatching an envelope's
+// request allocates nothing. w is the reply writer of the connection the
+// record serves now.
 type respEnvelope struct {
 	replies   []protocol.Outgoing
 	remaining int
 	frame     *protocol.Frame
+	dones     []func(protocol.Message, error)
+	w         *replyWriter
 }
 
 // maxSpareEnvelopes bounds the cleared envelope records a connection keeps
 // for reuse: enough for the envelopes a steady stream has in flight, few
-// enough that a burst's records do not outlive it.
+// enough that a burst's records do not outlive it. A record past the bound
+// goes to spareEnvelopes.
 const maxSpareEnvelopes = 8
+
+// spareEnvelopes holds cleared envelope records beyond their connections'
+// spares, for any connection, until the collector empties it: a node that
+// registers a whole round ahead of its lanes has more envelopes in flight
+// than a connection keeps, and a record from here comes with its slots'
+// dones.
+var spareEnvelopes = sync.Pool{New: func() any { return new(respEnvelope) }}
 
 // replyWriter serializes one connection's response writes. Plain requests
 // answer with a plain frame the moment they complete — a response never
@@ -775,7 +795,8 @@ type replyWriter struct {
 }
 
 // envelope returns the record for request envelope f, whose requests are
-// subs: a spare one when the connection has one, else a new one.
+// subs: a spare one when the connection has one, else one from
+// spareEnvelopes, with a done for each slot.
 func (w *replyWriter) envelope(f *protocol.Frame, subs []protocol.Frame) *respEnvelope {
 	var env *respEnvelope
 	w.mu.Lock()
@@ -786,11 +807,16 @@ func (w *replyWriter) envelope(f *protocol.Frame, subs []protocol.Frame) *respEn
 	}
 	w.mu.Unlock()
 	if env == nil {
-		env = &respEnvelope{replies: make([]protocol.Outgoing, 0, len(subs))}
+		env = spareEnvelopes.Get().(*respEnvelope)
 	}
-	env.remaining, env.frame = len(subs), f
+	env.remaining, env.frame, env.w = len(subs), f, w
+	env.replies = slices.Grow(env.replies, len(subs))
 	for _, sub := range subs {
 		env.replies = append(env.replies, protocol.Outgoing{Kind: protocol.FrameResponse, ReqID: sub.ReqID, Op: sub.Op})
+	}
+	for i := len(env.dones); i < len(subs); i++ {
+		to := replyTo{env: env, idx: i}
+		env.dones = append(env.dones, func(resp protocol.Message, err error) { to.env.w.complete(to, resp, err) })
 	}
 	return env
 }
@@ -837,6 +863,9 @@ func (w *replyWriter) complete(to replyTo, resp protocol.Message, err error) {
 		env.replies, env.frame = env.replies[:0], nil
 		if len(w.spare) < maxSpareEnvelopes {
 			w.spare = append(w.spare, env)
+		} else {
+			env.w = nil
+			spareEnvelopes.Put(env)
 		}
 	}
 }
@@ -846,48 +875,71 @@ func (w *replyWriter) complete(to replyTo, resp protocol.Message, err error) {
 func answeredAlone(o protocol.Outgoing) bool { return o.Kind == 0 }
 
 // dispatchLoop hands the connection's requests to the handler strictly in
-// arrival order. A Batch envelope is unpacked in place, in envelope order,
-// into a reused slice: its requests are views of its body and share a
-// respEnvelope, so their responses can be coalesced back into one response
-// envelope no matter which order they complete in. An envelope that does
-// not parse poisons the connection's framing: the loop closes the
-// connection and drops whatever was read behind it.
+// arrival order (dispatcher). An envelope that does not parse poisons the
+// connection's framing: the loop closes the connection and drops whatever
+// was read behind it.
 func (s *Server) dispatchLoop(conn net.Conn, handler Handler, frames <-chan *protocol.Frame) {
-	w := &replyWriter{fw: frameWriter{w: conn}}
-	async, _ := handler.(AsyncHandler)
-	// call hands one request to the handler. An AsyncHandler takes
-	// ownership of its execution and completes it through the reply writer
-	// from its own lanes; a plain Handler executes inline, preserving the
-	// strict per-connection FIFO of the pre-lane runtime.
-	call := func(op protocol.Op, body []byte, to replyTo) {
-		if async != nil {
-			async.HandleCallAsync(op, body, func(resp protocol.Message, err error) {
-				w.complete(to, resp, err)
-			})
-			return
-		}
-		resp, err := handler.HandleCall(op, body)
-		w.complete(to, resp, err)
-	}
-	var subs []protocol.Frame
+	d := newDispatcher(&replyWriter{fw: frameWriter{w: conn}}, handler)
 	for f := range frames {
-		if f.Kind != protocol.FrameBatch {
-			call(f.Op, f.Body, replyTo{frame: f})
-			continue
-		}
-		var err error
-		if subs, err = protocol.UnpackBatch(subs[:0], f); err != nil {
+		if err := d.dispatch(f); err != nil {
 			conn.Close()
 			for range frames {
 			}
 			return
 		}
-		env := w.envelope(f, subs)
-		for i, sub := range subs {
-			call(sub.Op, sub.Body, replyTo{env: env, idx: i})
-		}
-		clear(subs) // the reused array must not keep the body reachable
 	}
+}
+
+// dispatcher hands one connection's frames to its handler. An
+// AsyncHandler takes ownership of each request's execution and completes
+// it through the reply writer from its own lanes; a plain Handler executes
+// inline, preserving the strict per-connection FIFO of the pre-lane
+// runtime.
+type dispatcher struct {
+	w       *replyWriter
+	handler Handler
+	async   AsyncHandler     // handler, when it is one
+	subs    []protocol.Frame // reused for each envelope's requests
+}
+
+func newDispatcher(w *replyWriter, handler Handler) *dispatcher {
+	d := &dispatcher{w: w, handler: handler}
+	d.async, _ = handler.(AsyncHandler)
+	return d
+}
+
+// dispatch hands f's requests to the handler. A Batch envelope is
+// unpacked in place, in envelope order: its requests are views of its
+// body and share a respEnvelope, so their responses can be coalesced back
+// into one response envelope no matter which order they complete in, and
+// each is dispatched with its slot's done. A plain request's done is made
+// for it. The error is an envelope that does not parse.
+func (d *dispatcher) dispatch(f *protocol.Frame) error {
+	if f.Kind != protocol.FrameBatch {
+		if d.async == nil {
+			resp, err := d.handler.HandleCall(f.Op, f.Body)
+			d.w.complete(replyTo{frame: f}, resp, err)
+			return nil
+		}
+		d.async.HandleCallAsync(f.Op, f.Body, func(resp protocol.Message, err error) {
+			d.w.complete(replyTo{frame: f}, resp, err)
+		})
+		return nil
+	}
+	var err error
+	if d.subs, err = protocol.UnpackBatch(d.subs[:0], f); err != nil {
+		return err
+	}
+	env := d.w.envelope(f, d.subs)
+	for i, sub := range d.subs {
+		if d.async == nil {
+			env.dones[i](d.handler.HandleCall(sub.Op, sub.Body))
+		} else {
+			d.async.HandleCallAsync(sub.Op, sub.Body, env.dones[i])
+		}
+	}
+	clear(d.subs) // the reused array must not keep the body reachable
+	return nil
 }
 
 // reply packages one request's outcome as its response message.
