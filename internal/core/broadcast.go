@@ -102,7 +102,7 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 		if h.c, err = q.begin(nil); err != nil {
 			return nil, err
 		}
-		if h.rb, err = b.remoteOn(h.c.dev.node); err != nil {
+		if h.rb, err = b.remoteOn(&h.c); err != nil {
 			return nil, err
 		}
 		if err = h.c.after(h.rb); err != nil {

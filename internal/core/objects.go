@@ -87,6 +87,9 @@ func (e *Event) resolve() {
 				err = &nodeLostError{cause: err}
 			}
 			e.err = fmt.Errorf("core: command on %s: %w", e.dev.key, err)
+			// A create this command depends on may have failed first; its
+			// error is the one the queue reports.
+			e.queue.settleCreates()
 			e.queue.fail(e.err)
 			return
 		}
@@ -368,9 +371,7 @@ func (s *Session) CreateContext(devices []*DeviceRef) (*Context, error) {
 // remoteContext creates the session's context instance over node's devices
 // ids — for CreateContext, and for a rejoin's restore (restoreOn).
 func (s *Session) remoteContext(node *NodeHandle, ids []int64) (uint64, error) {
-	var resp protocol.ObjectResp
-	err := s.call(node, &protocol.CreateContextReq{DeviceIDs: ids, SessionID: s.id, Tenant: s.tenant}, &resp)
-	return resp.ID, err
+	return s.createWait(node, &protocol.CreateContextReq{DeviceIDs: ids, SessionID: s.id, Tenant: s.tenant}, nil)
 }
 
 // remoteID returns the context's remote instance ID on node, if any.
@@ -472,7 +473,10 @@ type Queue struct {
 	// inflight lists the queue's pipelined events in issue order (see
 	// cmd.send for when it is not) until they have resolved.
 	inflight []*Event // guarded by mu
-	err      error    // guarded by mu; sticky: first pipelined command failure
+	// creates lists the lazy creates the queue's commands sent until a
+	// synchronization point has settled them (settleCreates).
+	creates []*creation // guarded by mu
+	err     error       // guarded by mu; sticky: first pipelined command failure
 }
 
 // binding snapshots the queue's current node binding. An operation reads
@@ -538,6 +542,7 @@ func (q *Queue) stickyErr() error {
 // binding — recovery drains before it re-binds — so the ID alone orders
 // them.
 func (q *Queue) drain() {
+	q.settleCreates()
 	q.mu.Lock()
 	evs := slices.Clone(q.inflight)
 	q.mu.Unlock()
@@ -553,6 +558,77 @@ func (q *Queue) drain() {
 }
 
 func byRemoteID(a, b *Event) int { return cmp.Compare(a.remoteID, b.remoteID) }
+
+// creation is one object the host creates on a node without waiting — a
+// buffer's replica, a kernel's instance. The host names it (Session.create)
+// and the command that needed it names it right behind the create, so the
+// first use of a buffer or a kernel on a node costs no round trip. call is
+// the create's future, in the object's own storage. The queue of the
+// command that sent the create lists it until a synchronization point
+// settles it (settleCreates).
+type creation struct {
+	id      uint64
+	node    *NodeHandle
+	call    transport.Pending
+	settled atomic.Bool
+}
+
+// create sends the creation's request to node through s. A node known to
+// be down is not sent anything: the create fails at once as node loss, so
+// the command that needed it recovers and retries instead of being issued
+// into a dead connection.
+func (cr *creation) create(s *Session, node *NodeHandle, req protocol.CreateReq) error {
+	if !node.Alive() {
+		return fmt.Errorf("core: %s on %q: %w", req.Op(), node.name, errNodeLost)
+	}
+	cr.node = node
+	cr.id = s.create(node, &cr.call, req, nil)
+	return nil
+}
+
+// wait blocks until the create is answered and reports its failure,
+// classified: one that died with its node is node loss.
+func (cr *creation) wait() error {
+	err := cr.call.Wait()
+	cr.settled.Store(true)
+	if err != nil {
+		return fmt.Errorf("core: create object %d on %q: %w", cr.id, cr.node.name, classifyNodeErr(cr.node, err))
+	}
+	return nil
+}
+
+func (cr *creation) isSettled() bool { return cr.settled.Load() }
+
+// lazy lists a create that one of the queue's commands sent.
+func (q *Queue) lazy(cr *creation) {
+	q.mu.Lock()
+	q.creates = append(q.creates, cr)
+	q.mu.Unlock()
+}
+
+// settleCreates waits for the lazy creates the queue's commands sent and
+// latches each failure as the queue's sticky error, the first one winning.
+// A refused create fails every command naming its object, but the create's
+// error is the cause, so it is settled before any event (drain, and an
+// event's own failure in resolve) and is what the queue reports. A create
+// that died with its node is node loss, recovered like any command.
+func (q *Queue) settleCreates() {
+	q.mu.Lock()
+	if len(q.creates) == 0 {
+		q.mu.Unlock()
+		return
+	}
+	creates := slices.Clone(q.creates)
+	q.mu.Unlock()
+	for _, cr := range creates {
+		if err := cr.wait(); err != nil {
+			q.fail(err)
+		}
+	}
+	q.mu.Lock()
+	q.creates = slices.DeleteFunc(q.creates, (*creation).isSettled)
+	q.mu.Unlock()
+}
 
 // sortedNodeKeys returns m's keys in node-name order. Every loop that
 // issues wire traffic per node must walk this instead of the map, so the
@@ -587,16 +663,15 @@ func (c *Context) remoteQueue(dev *DeviceRef) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: device %s is not in this context", dev.key)
 	}
-	var resp protocol.ObjectResp
-	err := c.sess.call(dev.node, &protocol.CreateQueueReq{
+	id, err := c.sess.createWait(dev.node, &protocol.CreateQueueReq{
 		ContextID: ctxID,
 		DeviceID:  dev.info.ID,
 		Profiling: true,
-	}, &resp)
+	}, nil)
 	if err != nil {
 		return 0, fmt.Errorf("core: create queue on %s: %w", dev.key, err)
 	}
-	return resp.ID, nil
+	return id, nil
 }
 
 // Device returns the queue's device.
@@ -651,7 +726,7 @@ func (q *Queue) Release() error {
 // event IDs are host-assigned at issue time, a dependent command can be
 // pipelined behind the head without waiting for its response.
 type remoteBuf struct {
-	id    uint64
+	creation
 	valid mem.RangeSet
 	head  *Event
 }
@@ -755,12 +830,15 @@ func (b *Buffer) scaled(n int64) int64 {
 	return int64(float64(n) * float64(b.modelSize) / float64(b.size))
 }
 
-// remoteOn lazily allocates the buffer's replica on a node.
+// remoteOn returns the buffer's replica on the node c runs on, allocating
+// it lazily: the create is sent without waiting, ahead of c, which names
+// the replica at once, and c's queue settles it (creation).
 // Caller holds b.mu.
-func (b *Buffer) remoteOn(node *NodeHandle) (*remoteBuf, error) {
+func (b *Buffer) remoteOn(c *cmd) (*remoteBuf, error) {
 	if b.released {
 		return nil, fmt.Errorf("core: buffer was released")
 	}
+	node := c.dev.node
 	if rb, ok := b.remote[node]; ok {
 		return rb, nil
 	}
@@ -768,12 +846,11 @@ func (b *Buffer) remoteOn(node *NodeHandle) (*remoteBuf, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: context spans no device on node %q", node.name)
 	}
-	var resp protocol.ObjectResp
-	err := b.ctx.sess.call(node, &protocol.CreateBufferReq{ContextID: ctxID, Size: b.size}, &resp)
-	if err != nil {
-		return nil, fmt.Errorf("core: allocate buffer on %q: %w", node.name, err)
+	rb := new(remoteBuf)
+	if err := rb.create(b.ctx.sess, node, &protocol.CreateBufferReq{ContextID: ctxID, Size: b.size}); err != nil {
+		return nil, err
 	}
-	rb := &remoteBuf{id: resp.ID}
+	c.q.lazy(&rb.creation)
 	b.remote[node] = rb
 	return rb, nil
 }
@@ -857,7 +934,7 @@ func (w *writeLog) enqueue(waits ...*Event) (*Event, error) {
 	// Every fallible step runs before any buffer state mutates: a write
 	// whose replica allocation or wait list fails must not invalidate the
 	// replicas holding the range's current data.
-	rb, err := b.remoteOn(c.dev.node)
+	rb, err := b.remoteOn(&c)
 	if err != nil {
 		return nil, err
 	}
@@ -959,23 +1036,23 @@ func (b *Buffer) define(node *NodeHandle, rb *remoteBuf, lo, hi int64, ev *Event
 	rb.setHead(ev)
 }
 
-// ensureResident makes the byte range [lo, hi) of the buffer valid on
-// node, migrating its stale ranges with migrateP2P. Caller holds b.mu. It
-// returns the replica; any subsequent command on node chains behind
-// its head as usual.
+// ensureResident makes the byte range [lo, hi) of the buffer valid on the
+// node c runs on, migrating its stale ranges with migrateP2P. Caller holds
+// b.mu. It returns the replica; any subsequent command on the node chains
+// behind its head as usual.
 //
 // Migration is a delta: only the Gaps of the replica's valid set within
 // [lo, hi) travel, each as its own ranged command charged per-range
 // through the virtual-time model, and pipelined through the context's
 // hidden service queue, so the consumer command that triggered the
 // migration waits on the final transfer's event ID without a round trip.
-func (b *Buffer) ensureResident(node *NodeHandle, lo, hi int64) (*remoteBuf, error) {
-	rb, err := b.remoteOn(node)
+func (b *Buffer) ensureResident(c *cmd, lo, hi int64) (*remoteBuf, error) {
+	rb, err := b.remoteOn(c)
 	if err != nil {
 		return nil, err
 	}
 	if gaps := rb.valid.Gaps(lo, hi); len(gaps) > 0 {
-		if err := b.migrateP2P(node, rb, gaps); err != nil {
+		if err := b.migrateP2P(c.dev.node, rb, gaps); err != nil {
 			return nil, err
 		}
 	}
@@ -1040,7 +1117,7 @@ func (q *Queue) enqueueRead(b *Buffer, offset, size int64, waits ...*Event) ([]b
 
 	// Only the read range needs to be resident: delta migration fetches
 	// and pushes exactly the stale sub-ranges.
-	rb, err := b.ensureResident(c.dev.node, offset, offset+size)
+	rb, err := b.ensureResident(&c, offset, offset+size)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1125,11 +1202,11 @@ func (q *Queue) enqueueCopy(src, dst *Buffer, srcOffset, dstOffset, size int64, 
 	second.mu.Lock()
 	defer second.mu.Unlock()
 
-	srcRB, err := src.ensureResident(node, srcOffset, srcOffset+size)
+	srcRB, err := src.ensureResident(&c, srcOffset, srcOffset+size)
 	if err != nil {
 		return nil, err
 	}
-	dstRB, err := dst.remoteOn(node)
+	dstRB, err := dst.remoteOn(&c)
 	if err != nil {
 		return nil, err
 	}
@@ -1216,12 +1293,12 @@ func (p *Program) Build() error {
 	}
 	snap := p.ctx.remoteSnapshot()
 	for _, node := range sortedNodeKeys(snap) {
-		resp, err := p.buildOn(node, snap[node])
-		p.log += resp.Log
+		id, log, err := p.buildOn(node, snap[node])
+		p.log += log
 		if err != nil {
 			return fmt.Errorf("core: build on %q: %w", node.name, err)
 		}
-		p.remote[node] = resp.ProgramID
+		p.remote[node] = id
 	}
 	p.built = true
 	return nil
@@ -1230,9 +1307,10 @@ func (p *Program) Build() error {
 // buildOn builds the program in the context instance ctxID on node — for
 // Build, and for a rejoin's restore (restoreOn), which keeps the log out of
 // BuildLog.
-func (p *Program) buildOn(node *NodeHandle, ctxID uint64) (resp protocol.BuildProgramResp, err error) {
-	err = p.ctx.sess.call(node, &protocol.BuildProgramReq{ContextID: ctxID, Source: p.source}, &resp)
-	return resp, err
+func (p *Program) buildOn(node *NodeHandle, ctxID uint64) (id uint64, log string, err error) {
+	var resp protocol.BuildProgramResp
+	id, err = p.ctx.sess.createWait(node, &protocol.BuildProgramReq{ContextID: ctxID, Source: p.source}, &resp)
+	return id, resp.Log, err
 }
 
 // BuildLog returns the accumulated build logs.
@@ -1261,7 +1339,7 @@ type Kernel struct {
 	sig  *clc.Kernel
 
 	mu     sync.Mutex
-	remote map[*NodeHandle]uint64 // guarded by mu
+	remote map[*NodeHandle]*creation // guarded by mu
 	// args is copy-on-write: a launch takes the slice itself as its
 	// snapshot and marks it shared, and SetArg binds into a copy of a
 	// shared slice, never into the slice a launch holds.
@@ -1286,7 +1364,7 @@ func (p *Program) CreateKernel(name string) (*Kernel, error) {
 		prog:   p,
 		name:   name,
 		sig:    sig,
-		remote: make(map[*NodeHandle]uint64),
+		remote: make(map[*NodeHandle]*creation),
 		args:   make([]argBinding, len(sig.Params)),
 	}
 	p.mu.Lock()
@@ -1360,29 +1438,35 @@ func (k *Kernel) SetArg(index int, value any) error {
 // SetArg.
 type LocalSpace int64
 
-// remoteOn lazily instantiates the kernel on a node.
-func (k *Kernel) remoteOn(node *NodeHandle) (uint64, error) {
+// remoteOn returns the kernel's instance on the node c runs on,
+// instantiating it lazily as Buffer.remoteOn allocates a replica.
+func (k *Kernel) remoteOn(c *cmd) (uint64, error) {
+	node := c.dev.node
 	k.mu.Lock()
-	defer k.mu.Unlock()
 	if k.released {
+		k.mu.Unlock()
 		return 0, fmt.Errorf("core: kernel %q was released", k.name)
 	}
-	if id, ok := k.remote[node]; ok {
-		return id, nil
+	if cr, ok := k.remote[node]; ok {
+		k.mu.Unlock()
+		return cr.id, nil
 	}
 	k.prog.mu.Lock()
 	progID, ok := k.prog.remote[node]
 	k.prog.mu.Unlock()
 	if !ok {
+		k.mu.Unlock()
 		return 0, fmt.Errorf("core: program not built on node %q", node.name)
 	}
-	var resp protocol.ObjectResp
-	err := k.prog.ctx.sess.call(node, &protocol.CreateKernelReq{ProgramID: progID, Name: k.name}, &resp)
-	if err != nil {
-		return 0, fmt.Errorf("core: create kernel %q on %q: %w", k.name, node.name, err)
+	cr := new(creation)
+	if err := cr.create(k.prog.ctx.sess, node, &protocol.CreateKernelReq{ProgramID: progID, Name: k.name}); err != nil {
+		k.mu.Unlock()
+		return 0, err
 	}
-	k.remote[node] = resp.ID
-	return resp.ID, nil
+	k.remote[node] = cr
+	k.mu.Unlock()
+	c.q.lazy(cr) // a queue's lock is taken before a kernel's, never inside
+	return cr.id, nil
 }
 
 // Release frees the kernel's remote instances on every node that created
@@ -1393,9 +1477,9 @@ func (k *Kernel) Release() error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	for _, node := range sortedNodeKeys(k.remote) {
-		k.prog.ctx.sess.releaseAsync(node, protocol.ObjKernel, k.remote[node])
+		k.prog.ctx.sess.releaseAsync(node, protocol.ObjKernel, k.remote[node].id)
 	}
-	k.remote = make(map[*NodeHandle]uint64)
+	k.remote = make(map[*NodeHandle]*creation)
 	k.released = true
 	return nil
 }
@@ -1460,7 +1544,7 @@ func (q *Queue) enqueueKernelBound(l *kernelLog, waits []*Event) (*Event, error)
 	}
 	c.ev.isKernel = true
 	node := c.dev.node
-	remoteKernel, err := k.remoteOn(node)
+	remoteKernel, err := k.remoteOn(&c)
 	if err != nil {
 		return nil, err
 	}
@@ -1483,7 +1567,7 @@ func (q *Queue) enqueueKernelBound(l *kernelLog, waits []*Event) (*Event, error)
 			// A kernel may touch any byte of its buffer arguments, so the
 			// whole replica must be resident (delta migration still moves
 			// only the stale ranges of it).
-			rb, err := bind.buf.ensureResident(node, 0, bind.buf.size)
+			rb, err := bind.buf.ensureResident(&c, 0, bind.buf.size)
 			if err == nil {
 				err = c.after(rb)
 			}

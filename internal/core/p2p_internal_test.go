@@ -17,10 +17,10 @@ func TestPlanOwners(t *testing.T) {
 	nC := &NodeHandle{name: "gamma"} // holds no replica at all
 	rt := &Runtime{nodes: []*NodeHandle{nA, nB, nC}}
 
-	rbA := &remoteBuf{id: 1}
+	rbA := &remoteBuf{creation: creation{id: 1}}
 	rbA.valid.Add(0, 16)
 	rbA.valid.Add(48, 64)
-	rbB := &remoteBuf{id: 2}
+	rbB := &remoteBuf{creation: creation{id: 2}}
 	rbB.valid.Add(8, 40) // overlaps A on [8,16): A must win by node order
 
 	b := &Buffer{
@@ -85,7 +85,7 @@ func TestPlanOwners(t *testing.T) {
 // single-span plan and no leftover.
 func TestPlanOwnersFullyOwned(t *testing.T) {
 	n := &NodeHandle{name: "alpha"}
-	rb := &remoteBuf{id: 1}
+	rb := &remoteBuf{creation: creation{id: 1}}
 	rb.valid.Add(0, 64)
 	b := &Buffer{
 		ctx:    &Context{rt: &Runtime{nodes: []*NodeHandle{n}}},
@@ -128,8 +128,8 @@ func TestPlanOwnersNoOwners(t *testing.T) {
 func TestDefineKeepsLaterHead(t *testing.T) {
 	nA := &NodeHandle{name: "alpha"}
 	nB := &NodeHandle{name: "beta"}
-	rbA := &remoteBuf{id: 1}
-	rbB := &remoteBuf{id: 2}
+	rbA := &remoteBuf{creation: creation{id: 1}}
+	rbB := &remoteBuf{creation: creation{id: 2}}
 	rbB.valid.Add(0, 64)
 	b := &Buffer{size: 64, remote: map[*NodeHandle]*remoteBuf{nA: rbA, nB: rbB}}
 

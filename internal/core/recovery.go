@@ -302,6 +302,11 @@ func (s *Session) catchUp() error {
 		}
 	}
 
+	// The log is read before the re-placement, which waits on nodes: a
+	// Release meanwhile retires entries the snapshot still holds, and the
+	// replay skips them.
+	snap := s.log.snapshot()
+
 	// Strip every node that is not alive and replay in a new generation:
 	// older events are never referenced on the wire again.
 	gone := make(map[*NodeHandle]bool)
@@ -320,11 +325,9 @@ func (s *Session) catchUp() error {
 	s.mu.Lock()
 	span := trace.Span{Kind: trace.KindRecovery, Tenant: s.tenant, Start: s.metrics.Makespan, Replay: true}
 	s.mu.Unlock()
-	replayed := 0
-	if err == nil {
-		if replayed, err = s.replayLog(kept); err != nil {
-			err = fmt.Errorf("core: recovery replay: %w", err)
-		}
+	replayed, rerr := s.replayLog(snap, kept, err)
+	if err == nil && rerr != nil {
+		err = fmt.Errorf("core: recovery replay: %w", rerr)
 	}
 	// Verify that every replayed command succeeded.
 	for _, ctx := range contexts {
@@ -540,8 +543,12 @@ func (rt *Runtime) ReconnectNode(name string) error {
 		return fmt.Errorf("core: rejoin handshake with %q: %w", name, err)
 	}
 	// Publish the fresh connection before flipping the handle alive, so a
-	// caller that observes stateAlive also loads the new client.
+	// caller that observes stateAlive also loads the new client. Its
+	// object IDs count from 1 again: the node's table is the connection's.
+	h.issueMu.Lock()
 	h.client.Store(client)
+	h.objectID = 0
+	h.issueMu.Unlock()
 	h.state.Store(stateAlive)
 	rt.watchNode(h, client)
 	for _, info := range resp.Devices {
@@ -596,12 +603,12 @@ func (c *Context) restoreOn(h *NodeHandle) error {
 		if !built {
 			continue
 		}
-		resp, err := p.buildOn(h, ctxID)
+		id, _, err := p.buildOn(h, ctxID)
 		if err != nil {
 			return fmt.Errorf("re-build program: %w", err)
 		}
 		p.mu.Lock()
-		p.remote[h] = resp.ProgramID
+		p.remote[h] = id
 		p.mu.Unlock()
 	}
 	return nil

@@ -173,8 +173,10 @@ func TestRecycledRecordReplaysItsOwnBytes(t *testing.T) {
 			write(qa, z, pattern(size, 15))
 			finish(qa)
 
-			// The first replica a replay allocates on a survivor triggers
-			// the release of z and B's write, then proceeds.
+			// A's queue re-placed on a survivor — the catch-up's last
+			// round trip after it took the log's snapshot and before the
+			// replay — triggers the release of z and B's write, then
+			// proceeds.
 			wantB := pattern(size, 16)
 			var once sync.Once
 			var fired atomic.Bool
@@ -190,8 +192,8 @@ func TestRecycledRecordReplaysItsOwnBytes(t *testing.T) {
 				})
 				forward()
 			}
-			cc.trips[n2].arm(protocol.OpCreateBuffer, act)
-			cc.trips[n3].arm(protocol.OpCreateBuffer, act)
+			cc.trips[n2].arm(protocol.OpCreateQueue, act)
+			cc.trips[n3].arm(protocol.OpCreateQueue, act)
 
 			before, byBase := sess.Metrics().ReplayedCommands, bySess.Metrics()
 			cc.kill(n1)

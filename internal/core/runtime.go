@@ -83,14 +83,19 @@ type NodeHandle struct {
 	// span the node owes a replay (Session.owesReplay).
 	left uint64 // guarded by Runtime.recoverMu
 
-	// issueMu makes (event-ID assignment, frame write) atomic so that wire
-	// order equals event-ID order — the ordering contract the node's FIFO
-	// dispatch turns into in-order command execution. eventID counts the
+	// issueMu makes (ID assignment, frame write) atomic so that wire order
+	// equals ID order — the ordering contract the node's FIFO dispatch
+	// turns into in-order command execution, and what lets a command name
+	// an object whose create went out just before it. eventID counts the
 	// host-assigned completion-event IDs for this connection. The counter
 	// survives reconnects: a restarted node has no old event records, so
 	// continuing the sequence keeps IDs unique without coordination.
-	issueMu sync.Mutex
-	eventID uint64 // guarded by issueMu
+	// objectID counts the host-named object IDs (Session.create) on the
+	// current connection; the node's object table belongs to the
+	// connection, so the count restarts with each new client.
+	issueMu  sync.Mutex
+	eventID  uint64 // guarded by issueMu
+	objectID uint64 // guarded by issueMu
 }
 
 // Name returns the node's configured name.

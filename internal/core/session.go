@@ -192,6 +192,32 @@ func (s *Session) issue(ev *Event, req protocol.CommandReq, resp protocol.Messag
 	n.client.Load().Start(&ev.call, req, resp)
 }
 
+// create ships one create request to n without waiting for the response,
+// naming the object itself: the ID is the connection's next, assigned with
+// the frame write under issueMu as an event's is (issue), so a command
+// naming the object may follow at once — the node files the object when it
+// registers the create, in wire order. p is the call's future, in storage
+// of the caller's, and resp, if not nil, what the response decodes into.
+func (s *Session) create(n *NodeHandle, p *transport.Pending, req protocol.CreateReq, resp protocol.Message) uint64 {
+	s.bump(func(m *Metrics) { m.Commands++ })
+	s.sendHeldReleases(n)
+	n.issueMu.Lock()
+	defer n.issueMu.Unlock()
+	n.objectID++
+	req.SetObjectID(n.objectID)
+	n.client.Load().Start(p, req, resp)
+	return n.objectID
+}
+
+// createWait is create followed by its wait, for the creates whose errors
+// the API reports at once: a context, a queue (an exclusive device's
+// refusal), a build (its log).
+func (s *Session) createWait(n *NodeHandle, req protocol.CreateReq, resp protocol.Message) (uint64, error) {
+	var p transport.Pending
+	id := s.create(n, &p, req, resp)
+	return id, classifyNodeErr(n, p.Wait())
+}
+
 // heldReleases is one node's vector in the making: IDs of one kind, in
 // release order.
 type heldReleases struct {
@@ -442,17 +468,20 @@ func (s *Session) logCommand(e logEntry) {
 	s.log.append(e)
 }
 
-// replayLog re-issues what survives of this session's mutation history
-// through the enqueue internals and returns how many entries were replayed.
-// Entries whose objects were released are skipped, and so are those a
-// queue of kept refuses: its failure is history. The snapshot holds each
+// replayLog re-issues entries, what survived of this session's mutation
+// history when the catch-up took its snapshot (cmdLog.snapshot), through
+// the enqueue internals and returns how many entries were replayed.
+// Entries whose objects were released since are skipped, and so are those
+// a queue of kept refuses: its failure is history. The snapshot holds each
 // pooled write record until the record has been re-issued or skipped: a
-// Release or Close meanwhile must not recycle it. Caller holds recoverMu
-// and the write side of s.recGate.
-func (s *Session) replayLog(kept map[*Queue]error) (replayed int, err error) {
+// Release or Close meanwhile must not recycle it. err is the catch-up's
+// failure so far: while it is set, nothing is replayed, but every hold is
+// still given back. Caller holds recoverMu and the write side of
+// s.recGate.
+func (s *Session) replayLog(entries []logEntry, kept map[*Queue]error, err error) (replayed int, _ error) {
 	s.replaying.Store(true)
 	defer s.replaying.Store(false)
-	for _, e := range s.log.snapshot() {
+	for _, e := range entries {
 		if err == nil && !e.skip() {
 			if err = e.replay(s.rt); err == nil {
 				replayed++

@@ -58,8 +58,9 @@ type Node struct {
 	execWorkers int
 	dialer      transport.Dialer
 
-	// nextID mints object IDs, unique node-wide although each object
-	// belongs to the session that created it (Session.objects).
+	// nextID mints the IDs of objects whose create named none, unique
+	// node-wide although each object belongs to the session that created
+	// it (Session.objects).
 	nextID atomic.Uint64
 
 	// nicOut models this node's Gigabit egress link: every peer-to-peer

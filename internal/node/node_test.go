@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -440,11 +441,11 @@ func TestReleaseVector(t *testing.T) {
 
 // TestHelloVersionNegotiation: there is nothing left to negotiate. A host
 // at protocol.Version is answered with it; any other offer — 0, the retired
-// 2 and 3, a newer 5 — is refused with CodeUnsupported naming both
+// 2 to 4, a newer one — is refused with CodeUnsupported naming both
 // versions, and the refused session learns nothing from the Hello.
 func TestHelloVersionNegotiation(t *testing.T) {
 	n := testNode(t)
-	for _, v := range []uint32{0, 2, 3, 5} {
+	for _, v := range []uint32{0, 2, 3, 4, protocol.Version + 1} {
 		s := n.NewSession().(*Session)
 		_, err := s.HandleCall(protocol.OpHello, protocol.EncodeMessage(&protocol.HelloReq{UserID: "x", WireVersion: v}))
 		var re *protocol.RemoteError
@@ -752,5 +753,71 @@ func TestCloseRacesControlLane(t *testing.T) {
 		if users := n.Status()[0].ActiveUsers; users != 0 {
 			t.Fatalf("round %d: device has %d users after Close", round, users)
 		}
+	}
+}
+
+// TestHostNamedObjects: a create takes effect when it is registered, under
+// the ID its request carries, so a request behind it in the same envelope
+// can name the object. A taken ID, or one in the node's synthetic range,
+// is refused with CodeBadRequest and the object holding it survives; a
+// create naming no ID gets one minted by the node, which its reply
+// carries.
+func TestHostNamedObjects(t *testing.T) {
+	n := testNode(t)
+	w := dialWire(t, n)
+	wireCall(w, 1, &protocol.HelloReq{UserID: "host", WireVersion: protocol.Version}, &protocol.HelloResp{})
+	wireCall(w, 2, &protocol.CreateContextReq{DeviceIDs: []int64{1}, ID: 1}, &protocol.ObjectResp{})
+	wireCall(w, 3, &protocol.CreateQueueReq{ContextID: 1, DeviceID: 1, ID: 2}, &protocol.ObjectResp{})
+
+	want := []byte("host-named object")
+	w.send(
+		request(4, &protocol.CreateBufferReq{ContextID: 1, Size: int64(len(want)), ID: 7}),
+		request(5, &protocol.WriteBufferReq{QueueID: 2, BufferID: 7, Data: want, EventID: 1}),
+	)
+	var created protocol.ObjectResp
+	if err := protocol.DecodeMessage(&created, w.await(4, 5)[4].Body); err != nil || created.ID != 7 {
+		t.Fatalf("CreateBuffer answered ID %d (%v), want the 7 it named", created.ID, err)
+	}
+	readBack := func(id uint64, reqID uint64) []byte {
+		t.Helper()
+		return wireCall(w, reqID, &protocol.ReadBufferReq{QueueID: 2, BufferID: id, Size: int64(len(want))},
+			&protocol.ReadBufferResp{}).Data
+	}
+	if got := readBack(7, 6); !bytes.Equal(got, want) {
+		t.Fatalf("buffer 7 reads %q, want %q", got, want)
+	}
+
+	s := openSession(t, n, "direct")
+	ctx := call(t, s, &protocol.CreateContextReq{DeviceIDs: []int64{1}, ID: 1}, &protocol.ObjectResp{})
+	if ctx.ID != 1 {
+		t.Fatalf("context answered ID %d, want 1", ctx.ID)
+	}
+	q := call(t, s, &protocol.CreateQueueReq{ContextID: 1, DeviceID: 1, ID: 2}, &protocol.ObjectResp{})
+	call(t, s, &protocol.CreateBufferReq{ContextID: 1, Size: int64(len(want)), ID: 7}, &protocol.ObjectResp{})
+	call(t, s, &protocol.WriteBufferReq{QueueID: q.ID, BufferID: 7, Data: want}, &protocol.EventResp{})
+	call(t, s, &protocol.BuildProgramReq{ContextID: 1, Source: doubleSource, ID: 3}, &protocol.BuildProgramResp{})
+	for _, req := range []protocol.Message{
+		&protocol.CreateBufferReq{ContextID: 1, Size: 64, ID: 7},
+		&protocol.CreateKernelReq{ProgramID: 3, Name: "double_it", ID: 2},
+		&protocol.CreateBufferReq{ContextID: 1, Size: 64, ID: synthBase},
+	} {
+		callErr(t, s, req, protocol.CodeBadRequest)
+	}
+	rd := call(t, s, &protocol.ReadBufferReq{QueueID: q.ID, BufferID: 7, Size: int64(len(want))}, &protocol.ReadBufferResp{})
+	if !bytes.Equal(rd.Data, want) {
+		t.Fatalf("buffer 7 reads %q after the refused duplicate, want %q", rd.Data, want)
+	}
+	if got := objectCount(s); got != 4 {
+		t.Fatalf("%d objects after the refused creates, want 4", got)
+	}
+
+	minted := call(t, s, &protocol.CreateBufferReq{ContextID: 1, Size: 4}, &protocol.ObjectResp{})
+	if minted.ID < synthBase {
+		t.Fatalf("node-minted ID %d lies below the synthetic range", minted.ID)
+	}
+	call(t, s, &protocol.WriteBufferReq{QueueID: q.ID, BufferID: minted.ID, Data: []byte("mint")}, &protocol.EventResp{})
+	rd = call(t, s, &protocol.ReadBufferReq{QueueID: q.ID, BufferID: minted.ID, Size: 4}, &protocol.ReadBufferResp{})
+	if string(rd.Data) != "mint" {
+		t.Fatalf("the minted buffer reads %q, want %q", rd.Data, "mint")
 	}
 }

@@ -14,8 +14,13 @@ import (
 // A session's objects — contexts, queues, buffers, programs and kernels —
 // live in its table (Session.objects) and die with its connection: another
 // connection cannot name them, and Session.Close drops whatever the host
-// left unreleased. Their IDs come from one node-wide counter, so an ID from
-// a closed connection never aliases a live object.
+// left unreleased. Their IDs are host-assigned, like events' (DESIGN.md
+// §2): the create request carries the ID, so the host can pipeline
+// commands naming the object before the node has responded. A create
+// takes effect at registration, in wire order (prepare), so those commands
+// find it. A create that carries no ID (direct session drivers and tests)
+// gets one minted from a node-wide counter in the synthetic range, clear
+// of any host's.
 //
 // Events live in the session too, in a table of their own: their IDs are
 // host-assigned (so the host can pipeline commands that wait on events
@@ -145,16 +150,41 @@ func (e *eventObj) isDone() bool {
 	return ch == settled
 }
 
-// put files one object in the session's table under a fresh node-wide ID.
-func (s *Session) put(obj any) uint64 {
-	id := s.node.nextID.Add(1)
+// put files one object in the session's table under the host-assigned id,
+// or under a minted one when id is 0, and returns the ID. An ID that is
+// taken, or that lands in the synthetic range, is refused, and so is any
+// create once the session has started to close: Close drops the table,
+// and nothing may be filed behind it.
+func (s *Session) put(id uint64, obj any) (uint64, error) {
+	if id == 0 {
+		id = synthBase + s.node.nextID.Add(1)
+	} else if id >= synthBase {
+		return 0, remoteErr(protocol.CodeBadRequest,
+			"host-assigned object ID %d lands in the reserved synthetic range", id)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	select {
+	case <-s.closedCh:
+		return 0, errShuttingDown
+	default:
+	}
+	if _, taken := s.objects[id]; taken {
+		return 0, remoteErr(protocol.CodeBadRequest, "duplicate object ID %d", id)
+	}
 	if s.objects == nil {
 		s.objects = make(map[uint64]any)
 	}
 	s.objects[id] = obj
-	return id
+	return id, nil
+}
+
+// objectResp answers a create that put filed under id.
+func objectResp(id uint64, err error) (protocol.Message, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &protocol.ObjectResp{ID: id}, nil
 }
 
 // lookup resolves one of the session's objects as a T; kind names T in the

@@ -82,9 +82,14 @@ func newSession(n *Node) *Session {
 // controlLane is the lane key for ops that target no queue.
 const controlLane uint64 = 0
 
-// synthEventBase is the first synthetic event ID; host-assigned IDs must
-// stay below it.
-const synthEventBase = uint64(1) << 62
+// synthBase is the first synthetic ID, for events and objects alike: the
+// node mints IDs from there for requests that carry none, and
+// host-assigned IDs must stay below it.
+const synthBase = uint64(1) << 62
+
+// errShuttingDown refuses a request that arrives once the session has
+// started to close.
+var errShuttingDown = remoteErr(protocol.CodeBadRequest, "session is shutting down")
 
 // lane is one in-order execution stream. The registration stage appends
 // jobs; a dedicated worker goroutine runs them one at a time, so commands
@@ -211,8 +216,8 @@ func (s *Session) registerEvent(id uint64) (*eventObj, error) {
 	defer s.mu.Unlock()
 	if id == 0 {
 		s.synthEventID++
-		id = synthEventBase + s.synthEventID
-	} else if id >= synthEventBase {
+		id = synthBase + s.synthEventID
+	} else if id >= synthBase {
 		// A host counter can never legitimately reach the synthetic range;
 		// letting it through would silently collide with node-assigned IDs.
 		return nil, remoteErr(protocol.CodeBadRequest,
@@ -354,7 +359,7 @@ func (s *Session) HandleCallAsync(op protocol.Op, body []byte, done func(protoco
 		return
 	}
 	if !s.submit(key, laneJob{cmd: cmd, done: done}) {
-		done(nil, remoteErr(protocol.CodeBadRequest, "session is shutting down"))
+		done(nil, errShuttingDown)
 	}
 }
 
@@ -517,8 +522,9 @@ type (
 		op   protocol.Op
 		body []byte
 	}
-	// settledCmd is a request the registration stage already ran (Release):
-	// the lane only delivers its outcome, in arrival order.
+	// settledCmd is a request the registration stage already ran (a
+	// Release, a create): the lane only delivers its outcome, in arrival
+	// order.
 	settledCmd struct {
 		resp protocol.Message
 		err  error
@@ -543,10 +549,13 @@ func (c *settledCmd) exec() (protocol.Message, error) { return c.resp, c.err }
 // the lane — is what makes fire-and-forget releases sound: a command
 // registered before a Release arrived holds references and keeps executing,
 // while one registered after deterministically sees the object gone.
-// Ops with no queue ride the control lane; Release itself is
-// special-cased to run inline (it is a pure table mutation, and
-// later-arriving commands must observe it deterministically, which only the
-// arrival-ordered registration stage can guarantee).
+// Ops with no queue ride the control lane; Release and the creates but
+// BuildProgram are special-cased to run inline (they are table mutations,
+// and later-arriving commands must observe them deterministically, which
+// only the arrival-ordered registration stage can guarantee: a pipelining
+// host names a buffer in the write right behind its create). A build
+// compiles, so it stays on the control lane; its host waits for the reply
+// before naming the program.
 //
 // Ranged-transfer bounds are validated here too: a malformed range fails
 // its event deterministically instead of occupying a lane and blocking on
@@ -664,16 +673,18 @@ func (s *Session) prepare(op protocol.Op, body []byte) (uint64, command, error) 
 			return 0, nil, err
 		}
 		return req.QueueID, &finishCmd{q: q}, nil
-	case protocol.OpRelease:
+	case protocol.OpRelease, protocol.OpCreateContext, protocol.OpCreateQueue,
+		protocol.OpCreateBuffer, protocol.OpCreateKernel:
 		// Inline: see the doc comment above.
-		resp, err := s.handleRelease(body)
+		resp, err := s.handleControl(op, body)
 		return controlLane, &settledCmd{resp: resp, err: err}, nil
 	default:
 		return controlLane, &controlCmd{s: s, op: op, body: body}, nil
 	}
 }
 
-// handleControl dispatches the non-queue ops (the control lane's work).
+// handleControl dispatches the non-queue ops: the control lane's work, and
+// the table mutations the registration stage runs inline (prepare).
 func (s *Session) handleControl(op protocol.Op, body []byte) (protocol.Message, error) {
 	switch op {
 	case protocol.OpHello:
@@ -690,6 +701,8 @@ func (s *Session) handleControl(op protocol.Op, body []byte) (protocol.Message, 
 		return s.handleBuildProgram(body)
 	case protocol.OpCreateKernel:
 		return s.handleCreateKernel(body)
+	case protocol.OpRelease:
+		return s.handleRelease(body)
 	case protocol.OpQueryEvent:
 		return s.handleQueryEvent(body)
 	case protocol.OpPeerPush:
@@ -827,12 +840,11 @@ func (s *Session) handleCreateContext(body []byte) (protocol.Message, error) {
 		}
 		devs = append(devs, uint32(id))
 	}
-	id := s.put(&contextObj{
+	return objectResp(s.put(req.ID, &contextObj{
 		devices:   devs,
 		sessionID: req.SessionID,
 		tenant:    req.Tenant,
-	})
-	return &protocol.ObjectResp{ID: id}, nil
+	}))
 }
 
 func (s *Session) handleCreateQueue(body []byte) (protocol.Message, error) {
@@ -876,8 +888,11 @@ func (s *Session) handleCreateQueue(body []byte) (protocol.Message, error) {
 	stats.mu.Unlock()
 
 	q := &queueObj{dev: dev, stats: stats, owner: user, profiling: req.Profiling}
-	id := s.put(q)
-	return &protocol.ObjectResp{ID: id}, nil
+	id, err := s.put(req.ID, q)
+	if err != nil {
+		s.dropQueueUser(q)
+	}
+	return objectResp(id, err)
 }
 
 func (s *Session) dropQueueUser(q *queueObj) {
@@ -901,8 +916,7 @@ func (s *Session) handleCreateBuffer(body []byte) (protocol.Message, error) {
 	if req.Size <= 0 || req.Size > protocol.MaxFrameSize {
 		return nil, remoteErr(protocol.CodeBadRequest, "invalid buffer size %d", req.Size)
 	}
-	id := s.put(&bufferObj{size: req.Size, data: make([]byte, req.Size)})
-	return &protocol.ObjectResp{ID: id}, nil
+	return objectResp(s.put(req.ID, &bufferObj{size: req.Size, data: make([]byte, req.Size)}))
 }
 
 func (c *writeCmd) exec() (protocol.Message, error) {
@@ -1050,7 +1064,10 @@ func (s *Session) handleBuildProgram(body []byte) (protocol.Message, error) {
 			return &protocol.BuildProgramResp{Log: log}, remoteErr(protocol.CodeBuildFailed, "%v", err)
 		}
 	}
-	id := s.put(&programObj{prog: prog, log: log, source: req.Source})
+	id, err := s.put(req.ID, &programObj{prog: prog, log: log, source: req.Source})
+	if err != nil {
+		return nil, err
+	}
 	return &protocol.BuildProgramResp{ProgramID: id, Log: log, Kernels: prog.KernelNames()}, nil
 }
 
@@ -1074,8 +1091,7 @@ func (s *Session) handleCreateKernel(body []byte) (protocol.Message, error) {
 	if err != nil {
 		return nil, remoteErr(protocol.CodeBuildFailed, "%v", err)
 	}
-	id := s.put(&kernelObj{name: req.Name, sig: sig, spec: spec})
-	return &protocol.ObjectResp{ID: id}, nil
+	return objectResp(s.put(req.ID, &kernelObj{name: req.Name, sig: sig, spec: spec}))
 }
 
 // buildLaunchArgs validates wire arguments against the kernel's parsed

@@ -102,6 +102,20 @@ func AppendOutgoingBatch(buf []byte, run []Outgoing) []byte {
 	return buf
 }
 
+// StagedSize reports the bytes a run of messages takes staged: one
+// message's frame (AppendOutgoing), or the envelope carrying several
+// (AppendOutgoingBatch).
+func StagedSize(run []Outgoing) int {
+	if len(run) == 1 {
+		return run[0].WireSize()
+	}
+	n := headerSize + 4
+	for i := range run {
+		n += batchSubHeader + run[i].Size
+	}
+	return n
+}
+
 // EncodeBatch packs subs into a Batch envelope frame of its own, for tools
 // and tests that want the envelope as a Frame.
 func EncodeBatch(subs []*Frame) (*Frame, error) {

@@ -34,10 +34,10 @@ var goldenCases = []struct {
 	{"GetDeviceInfosResp", &GetDeviceInfosResp{Devices: []DeviceInfo{goldenDevice,
 		{ID: 2, Type: DeviceFPGA, Name: "Arria 10", Vendor: "Intel", ComputeUnits: 1, ClockMHz: 240,
 			GlobalMemBytes: 2 << 30, MaxWorkGroupSize: 256, PeakGFLOPS: 1366, MemBWGBps: 34, TDPWatts: 60}}}},
-	{"CreateContextReq", &CreateContextReq{DeviceIDs: []int64{1, 2, -3}, SessionID: 11, Tenant: "team-a"}},
+	{"CreateContextReq", &CreateContextReq{DeviceIDs: []int64{1, 2, -3}, SessionID: 11, Tenant: "team-a", ID: 3}},
 	{"ObjectResp", &ObjectResp{ID: 1 << 40}},
-	{"CreateQueueReq", &CreateQueueReq{ContextID: 3, DeviceID: 2, Profiling: true}},
-	{"CreateBufferReq", &CreateBufferReq{ContextID: 3, Size: 1 << 20}},
+	{"CreateQueueReq", &CreateQueueReq{ContextID: 3, DeviceID: 2, Profiling: true, ID: 4}},
+	{"CreateBufferReq", &CreateBufferReq{ContextID: 3, Size: 1 << 20, ID: 5}},
 	{"ReleaseReq", &ReleaseReq{Kind: ObjBuffer, ID: 9}},
 	{"ReleaseReq/vector", &ReleaseReq{Kind: ObjEvent, ID: 7, More: []uint64{8, 9, 1 << 40}}},
 	{"EmptyResp", &EmptyResp{}},
@@ -58,9 +58,9 @@ var goldenCases = []struct {
 	{"AwaitPushReq", &AwaitPushReq{QueueID: 8, BufferID: 15, Token: 77, Offset: 1024, Size: 4096,
 		SimArrival: 510, EventID: 48, ModelBytes: 8192, WaitEvents: []int64{12}}},
 	{"CancelPushReq", &CancelPushReq{Token: 77, Reason: "source died"}},
-	{"BuildProgramReq", &BuildProgramReq{ContextID: 3, Source: "__kernel void k(__global float *x) {}", Options: "-cl-fast-relaxed-math"}},
+	{"BuildProgramReq", &BuildProgramReq{ContextID: 3, Source: "__kernel void k(__global float *x) {}", Options: "-cl-fast-relaxed-math", ID: 12}},
 	{"BuildProgramResp", &BuildProgramResp{ProgramID: 12, Log: "ok", Kernels: []string{"saxpy", "matmul"}}},
-	{"CreateKernelReq", &CreateKernelReq{ProgramID: 12, Name: "saxpy"}},
+	{"CreateKernelReq", &CreateKernelReq{ProgramID: 12, Name: "saxpy", ID: 13}},
 	{"EnqueueKernelReq", &EnqueueKernelReq{QueueID: 4, KernelID: 13, Global: []int64{1024, 32, 1}, Local: []int64{64},
 		Args: []KernelArg{
 			{Kind: ArgBuffer, BufferID: 5},

@@ -325,6 +325,16 @@ func (k ObjectKind) String() string {
 	}
 }
 
+// CreateReq is implemented by the requests that create an object: the
+// host names the object itself (SetObjectID), the way it names events
+// (CommandReq), so that it can pipeline commands naming the object before
+// the node has responded. A zero ID asks the node to mint one (used by
+// direct-session tests); either way the response carries the ID.
+type CreateReq interface {
+	Message
+	SetObjectID(id uint64)
+}
+
 // CreateContextReq creates a context over a set of node-local devices.
 type CreateContextReq struct {
 	DeviceIDs []int64
@@ -333,15 +343,21 @@ type CreateContextReq struct {
 	// tenants. 0/"" is one anonymous session.
 	SessionID uint64
 	Tenant    string
+	// ID, when non-zero, is the host-assigned object ID (see CreateReq).
+	ID uint64
 }
 
 // Op implements Message.
 func (*CreateContextReq) Op() Op { return OpCreateContext }
 
+// SetObjectID implements CreateReq.
+func (m *CreateContextReq) SetObjectID(id uint64) { m.ID = id }
+
 func (m *CreateContextReq) fields(c *codec) {
 	c.Ints(&m.DeviceIDs)
 	c.U64(&m.SessionID)
 	c.Str(&m.Tenant)
+	c.U64(&m.ID)
 }
 
 // ObjectResp returns a freshly created remote object handle.
@@ -360,29 +376,41 @@ type CreateQueueReq struct {
 	ContextID uint64
 	DeviceID  uint32
 	Profiling bool
+	// ID, when non-zero, is the host-assigned object ID (see CreateReq).
+	ID uint64
 }
 
 // Op implements Message.
 func (*CreateQueueReq) Op() Op { return OpCreateQueue }
 
+// SetObjectID implements CreateReq.
+func (m *CreateQueueReq) SetObjectID(id uint64) { m.ID = id }
+
 func (m *CreateQueueReq) fields(c *codec) {
 	c.U64(&m.ContextID)
 	c.U32(&m.DeviceID)
 	c.Bool(&m.Profiling)
+	c.U64(&m.ID)
 }
 
 // CreateBufferReq allocates a device buffer.
 type CreateBufferReq struct {
 	ContextID uint64
 	Size      int64
+	// ID, when non-zero, is the host-assigned object ID (see CreateReq).
+	ID uint64
 }
 
 // Op implements Message.
 func (*CreateBufferReq) Op() Op { return OpCreateBuffer }
 
+// SetObjectID implements CreateReq.
+func (m *CreateBufferReq) SetObjectID(id uint64) { m.ID = id }
+
 func (m *CreateBufferReq) fields(c *codec) {
 	c.U64(&m.ContextID)
 	c.I64(&m.Size)
+	c.U64(&m.ID)
 }
 
 // ReleaseReq drops one reference to each of a vector of remote objects of
@@ -727,15 +755,21 @@ type BuildProgramReq struct {
 	ContextID uint64
 	Source    string
 	Options   string
+	// ID, when non-zero, is the host-assigned object ID (see CreateReq).
+	ID uint64
 }
 
 // Op implements Message.
 func (*BuildProgramReq) Op() Op { return OpBuildProgram }
 
+// SetObjectID implements CreateReq.
+func (m *BuildProgramReq) SetObjectID(id uint64) { m.ID = id }
+
 func (m *BuildProgramReq) fields(c *codec) {
 	c.U64(&m.ContextID)
 	c.Str(&m.Source)
 	c.Str(&m.Options)
+	c.U64(&m.ID)
 }
 
 // BuildProgramResp reports the program handle and build log.
@@ -758,14 +792,20 @@ func (m *BuildProgramResp) fields(c *codec) {
 type CreateKernelReq struct {
 	ProgramID uint64
 	Name      string
+	// ID, when non-zero, is the host-assigned object ID (see CreateReq).
+	ID uint64
 }
 
 // Op implements Message.
 func (*CreateKernelReq) Op() Op { return OpCreateKernel }
 
+// SetObjectID implements CreateReq.
+func (m *CreateKernelReq) SetObjectID(id uint64) { m.ID = id }
+
 func (m *CreateKernelReq) fields(c *codec) {
 	c.U64(&m.ProgramID)
 	c.Str(&m.Name)
+	c.U64(&m.ID)
 }
 
 // EnqueueKernelReq launches an NDRange (clEnqueueNDRangeKernel). Arguments

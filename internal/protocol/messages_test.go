@@ -180,13 +180,15 @@ var messageTypes = []func(rng *rand.Rand) Message{
 	func(rng *rand.Rand) Message { return &GetDeviceInfosReq{TypeMask: uint8(rng.Uint32())} },
 	func(rng *rand.Rand) Message { return &GetDeviceInfosResp{Devices: randSlice(rng, randDevice)} },
 	func(rng *rand.Rand) Message {
-		return &CreateContextReq{DeviceIDs: randInts(rng), SessionID: rng.Uint64(), Tenant: randStr(rng)}
+		return &CreateContextReq{DeviceIDs: randInts(rng), SessionID: rng.Uint64(), Tenant: randStr(rng), ID: rng.Uint64()}
 	},
 	func(rng *rand.Rand) Message { return &ObjectResp{ID: rng.Uint64()} },
 	func(rng *rand.Rand) Message {
-		return &CreateQueueReq{ContextID: rng.Uint64(), DeviceID: rng.Uint32(), Profiling: rng.Intn(2) == 0}
+		return &CreateQueueReq{ContextID: rng.Uint64(), DeviceID: rng.Uint32(), Profiling: rng.Intn(2) == 0, ID: rng.Uint64()}
 	},
-	func(rng *rand.Rand) Message { return &CreateBufferReq{ContextID: rng.Uint64(), Size: rng.Int63()} },
+	func(rng *rand.Rand) Message {
+		return &CreateBufferReq{ContextID: rng.Uint64(), Size: rng.Int63(), ID: rng.Uint64()}
+	},
 	func(rng *rand.Rand) Message {
 		// Half the time a single release, else a vector of up to 300 IDs.
 		var more []uint64
@@ -234,12 +236,14 @@ var messageTypes = []func(rng *rand.Rand) Message{
 	},
 	func(rng *rand.Rand) Message { return &CancelPushReq{Token: rng.Uint64(), Reason: randStr(rng)} },
 	func(rng *rand.Rand) Message {
-		return &BuildProgramReq{ContextID: rng.Uint64(), Source: randStr(rng), Options: randStr(rng)}
+		return &BuildProgramReq{ContextID: rng.Uint64(), Source: randStr(rng), Options: randStr(rng), ID: rng.Uint64()}
 	},
 	func(rng *rand.Rand) Message {
 		return &BuildProgramResp{ProgramID: rng.Uint64(), Log: randStr(rng), Kernels: randSlice(rng, randStr)}
 	},
-	func(rng *rand.Rand) Message { return &CreateKernelReq{ProgramID: rng.Uint64(), Name: randStr(rng)} },
+	func(rng *rand.Rand) Message {
+		return &CreateKernelReq{ProgramID: rng.Uint64(), Name: randStr(rng), ID: rng.Uint64()}
+	},
 	func(rng *rand.Rand) Message {
 		return &EnqueueKernelReq{QueueID: rng.Uint64(), KernelID: rng.Uint64(), Global: randInts(rng),
 			Local: randInts(rng), Args: randSlice(rng, randArg), SimArrival: rng.Int63(), EventID: rng.Uint64(),

@@ -29,7 +29,7 @@ const (
 	// Version is the wire protocol version, the only one this build speaks:
 	// every frame carries it, ReadFrame refuses any other, and a node
 	// refuses a Hello offering any other.
-	Version = 4
+	Version = 5
 
 	// MaxFrameSize is the largest permitted frame body (1 GiB), sized to
 	// hold the largest Table I benchmark input with headroom.

@@ -149,7 +149,7 @@ func TestReadFrameBadMagic(t *testing.T) {
 }
 
 // TestReadFrameBadVersion: every frame carries Version, and a frame with
-// any other version byte — the retired 2 and 3 included — is refused by
+// any other version byte — the retired 2 to 4 included — is refused by
 // both readers, plain and batch frames alike.
 func TestReadFrameBadVersion(t *testing.T) {
 	env, err := EncodeBatch([]*Frame{{Kind: FrameRequest, ReqID: 1, Op: OpFinishQueue}})
@@ -164,7 +164,7 @@ func TestReadFrameBadVersion(t *testing.T) {
 		if raw[2] != Version {
 			t.Fatalf("kind %d frame stamped version %d, want %d", f.Kind, raw[2], Version)
 		}
-		for _, v := range []byte{0, 1, 2, 3, 5, 99} {
+		for _, v := range []byte{0, 1, 2, 3, 4, Version + 1, 99} {
 			raw[2] = v
 			if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadVersion) {
 				t.Fatalf("kind %d, version %d: err = %v, want ErrBadVersion", f.Kind, v, err)

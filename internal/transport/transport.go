@@ -37,8 +37,10 @@
 // protocol.BatchableBodyLimit — as a header in staging plus its payload in
 // place, written vectored. Staging is the one copy a small or mid-size
 // payload gets, a bulk one gets none, and every blob is decoded in place
-// on the way in; DESIGN.md §11 states who owns which buffer and until
-// when.
+// on the way in. The staging buffer comes from the payload pool and goes
+// back when the connection's writer is done with it, so a short-lived
+// connection does not grow one of its own; DESIGN.md §11 states who owns
+// which buffer and until when.
 //
 // Two transports are provided: real TCP (used by cmd/haocl-node and the
 // integration tests) and an in-process network of unbuffered in-memory
@@ -216,6 +218,7 @@ func (c *Client) deliver(f *protocol.Frame) {
 // writer's spare swap places at every drain, so a steady stream reuses two
 // arrays.
 func (c *Client) writeLoop() {
+	defer c.fw.release()
 	var spare []protocol.Outgoing
 	for {
 		c.writeMu.Lock()
@@ -258,12 +261,32 @@ func (c *Client) writeLoop() {
 // and fields are encoded into staging and its payload is sent from where
 // it lies. Bulk payloads amortize their own syscall, would blow up
 // envelope sizes, and a staging copy would double their memory footprint.
-// The staging buffer and the vector are reused from write to write.
+// The staging buffer and the vector are reused from write to write. The
+// staging buffer is taken from the payload pool at the first write,
+// replaced by one of a larger size class when a run outgrows it, and given
+// back by release once the writer is done; a write after that takes a
+// fresh one.
 type frameWriter struct {
-	w    io.Writer
-	out  []byte      // staging: a packed run, or a bulk frame's head and tail
-	vec  [3][]byte   // backing array of bufs
-	bufs net.Buffers // a field, so WriteTo's receiver does not escape per call
+	w       io.Writer
+	staging *protocol.Buf // a packed run, or a bulk frame's head and tail
+	vec     [3][]byte     // backing array of bufs
+	bufs    net.Buffers   // a field, so WriteTo's receiver does not escape per call
+}
+
+// stage returns the staging buffer, empty, with room for n bytes.
+func (fw *frameWriter) stage(n int) []byte {
+	if fw.staging == nil || cap(fw.staging.B) < n {
+		fw.staging.Free()
+		_, size := protocol.SizeClass(n)
+		fw.staging = protocol.GetBuf(size)
+	}
+	return fw.staging.B[:0]
+}
+
+// release gives the staging buffer back to the payload pool.
+func (fw *frameWriter) release() {
+	fw.staging.Free()
+	fw.staging = nil
 }
 
 // write encodes and writes msgs in order. A message that borrowed its
@@ -296,18 +319,19 @@ func (fw *frameWriter) write(msgs ...protocol.Outgoing) error {
 
 // flush ships a run of small messages as one wire unit with one Write.
 func (fw *frameWriter) flush(run []protocol.Outgoing) error {
-	switch len(run) {
-	case 0:
+	if len(run) == 0 {
 		return nil
-	case 1:
-		fw.out = protocol.AppendOutgoing(fw.out[:0], &run[0])
-	default:
-		fw.out = protocol.AppendOutgoingBatch(fw.out[:0], run)
+	}
+	out := fw.stage(protocol.StagedSize(run))
+	if len(run) == 1 {
+		out = protocol.AppendOutgoing(out, &run[0])
+	} else {
+		out = protocol.AppendOutgoingBatch(out, run)
 	}
 	for i := range run {
 		free(run[i].Msg)
 	}
-	_, err := fw.w.Write(fw.out)
+	_, err := fw.w.Write(out)
 	return err
 }
 
@@ -330,8 +354,9 @@ func (fw *frameWriter) writeBulk(m *protocol.Outgoing) error {
 	if m.Size > protocol.MaxFrameSize {
 		return fmt.Errorf("%w: %d bytes", protocol.ErrFrameTooBig, m.Size)
 	}
-	out, split, payload := protocol.AppendOutgoingHead(fw.out[:0], m)
-	fw.out = out
+	// A head and tail fit in ReferenceFloor bytes but for an unusual
+	// message, whose encoding grows into memory the collector takes.
+	out, split, payload := protocol.AppendOutgoingHead(fw.stage(protocol.ReferenceFloor), m)
 	vec := append(fw.vec[:0], out[:split])
 	if payload != nil {
 		vec = append(vec, payload)
@@ -711,6 +736,7 @@ func (s *Server) ServeConn(conn net.Conn) error {
 	}()
 	go func() {
 		defer s.wg.Done()
+		w := &replyWriter{fw: frameWriter{w: conn}}
 		defer func() {
 			s.mu.Lock()
 			delete(s.conns, conn)
@@ -720,8 +746,9 @@ func (s *Server) ServeConn(conn net.Conn) error {
 				// Session cleanup failures have no caller to report to.
 				_ = closer.Close()
 			}
+			w.release()
 		}()
-		s.dispatchLoop(conn, handler, frames)
+		s.dispatchLoop(conn, w, handler, frames)
 	}()
 	return nil
 }
@@ -792,6 +819,14 @@ type replyWriter struct {
 	// spare holds envelope records whose responses have all been written,
 	// cleared, for the dispatch loop to reuse.
 	spare []*respEnvelope // guarded by mu
+}
+
+// release gives the staging buffer back once the connection's handler has
+// closed; a lane that answers later takes a fresh one.
+func (w *replyWriter) release() {
+	w.mu.Lock()
+	w.fw.release()
+	w.mu.Unlock()
 }
 
 // envelope returns the record for request envelope f, whose requests are
@@ -878,8 +913,8 @@ func answeredAlone(o protocol.Outgoing) bool { return o.Kind == 0 }
 // arrival order (dispatcher). An envelope that does not parse poisons the
 // connection's framing: the loop closes the connection and drops whatever
 // was read behind it.
-func (s *Server) dispatchLoop(conn net.Conn, handler Handler, frames <-chan *protocol.Frame) {
-	d := newDispatcher(&replyWriter{fw: frameWriter{w: conn}}, handler)
+func (s *Server) dispatchLoop(conn net.Conn, w *replyWriter, handler Handler, frames <-chan *protocol.Frame) {
+	d := newDispatcher(w, handler)
 	for f := range frames {
 		if err := d.dispatch(f); err != nil {
 			conn.Close()
