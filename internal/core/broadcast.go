@@ -110,9 +110,9 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 		}
 		if i < len(hops)-1 {
 			// Forwarding rides the node's single service lane so link
-			// bookings stay totally ordered; created here because it is a
-			// fallible round trip and must not fail mid-loop.
-			svc, err := c.serviceQueue(h.c.dev.node)
+			// bookings stay totally ordered; begun here because a refused
+			// or dead service queue must not fail the loop midway.
+			svc, err := c.serviceQueue(h.c.dev.node, &h.c)
 			if err != nil {
 				return nil, err
 			}

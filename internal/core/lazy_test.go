@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,22 +26,45 @@ import (
 // replyGate sits in front of every session of one node. Requests of an op
 // in hold reach the node at once, so they take effect in wire order, but
 // their replies wait until open is called; requests of an op in refuse
-// never reach the node and are answered with that error code.
+// never reach the node and are answered with that error code — at once,
+// or at open if the op is held too. set changes the rules midway.
 type replyGate struct {
-	hold    map[protocol.Op]bool
-	refuse  map[protocol.Op]uint32
-	release chan struct{}
-	once    sync.Once
+	mu      sync.Mutex
+	hold    map[protocol.Op]bool   // guarded by mu
+	refuse  map[protocol.Op]uint32 // guarded by mu
+	release chan struct{}          // guarded by mu
 	held    atomic.Int32
+	closed  atomic.Int32   // sessions closed
 	pending sync.WaitGroup // held replies not yet delivered
 }
 
 func newReplyGate(hold map[protocol.Op]bool, refuse map[protocol.Op]uint32) *replyGate {
-	return &replyGate{hold: hold, refuse: refuse, release: make(chan struct{})}
+	g := new(replyGate)
+	g.set(hold, refuse)
+	return g
 }
 
-// open delivers the held replies, and every later one at once.
-func (g *replyGate) open() { g.once.Do(func() { close(g.release) }) }
+// set replaces the gate's rules. Replies held so far stay held until open.
+func (g *replyGate) set(hold map[protocol.Op]bool, refuse map[protocol.Op]uint32) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.hold, g.refuse = hold, refuse
+	if g.release == nil {
+		g.release = make(chan struct{})
+	}
+}
+
+// open delivers the held replies and lifts the hold rules: every later
+// reply goes at once, until set holds again.
+func (g *replyGate) open() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.release != nil {
+		close(g.release)
+		g.release = nil
+	}
+	g.hold = nil
+}
 
 type gatedSession struct {
 	transport.AsyncHandler
@@ -49,66 +73,105 @@ type gatedSession struct {
 
 func (s *gatedSession) HandleCallAsync(op protocol.Op, body []byte, done func(protocol.Message, error)) {
 	g := s.g
-	if code, ok := g.refuse[op]; ok {
-		done(nil, &protocol.RemoteError{Op: op, Code: code, Message: "refused by the test's gate"})
+	g.mu.Lock()
+	code, refused := g.refuse[op]
+	held, release := g.hold[op], g.release
+	g.mu.Unlock()
+	reply := done
+	if held {
+		g.held.Add(1)
+		g.pending.Add(1)
+		reply = func(resp protocol.Message, err error) {
+			go func() {
+				defer g.pending.Done()
+				<-release
+				done(resp, err)
+			}()
+		}
+	}
+	if refused {
+		reply(nil, &protocol.RemoteError{Op: op, Code: code, Message: "refused by the test's gate"})
 		return
 	}
-	if !g.hold[op] {
-		s.AsyncHandler.HandleCallAsync(op, body, done)
-		return
-	}
-	g.held.Add(1)
-	g.pending.Add(1)
-	s.AsyncHandler.HandleCallAsync(op, body, func(resp protocol.Message, err error) {
-		go func() {
-			defer g.pending.Done()
-			<-g.release
-			done(resp, err)
-		}()
-	})
+	s.AsyncHandler.HandleCallAsync(op, body, reply)
 }
 
 func (s *gatedSession) Close() error {
+	s.g.closed.Add(1)
 	return s.AsyncHandler.(interface{ Close() error }).Close()
+}
+
+// serveGated serves cfg's nodes on a fresh in-memory network, node i behind
+// gates[i] (none if nil or missing).
+func serveGated(t *testing.T, cfg *cluster.Config, gates ...*replyGate) *transport.MemNetwork {
+	t.Helper()
+	icd := device.NewICD()
+	sim.RegisterDrivers(icd, testRegistry())
+	memNet := transport.NewMemNetwork()
+	for i, ns := range cfg.Nodes {
+		devCfgs, err := ns.DeviceConfigs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := node.New(node.Options{Name: ns.Name, Devices: devCfgs, ICD: icd, ExecWorkers: 1, Dialer: memNet})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var g *replyGate
+		if i < len(gates) {
+			g = gates[i]
+		}
+		srv := transport.NewServer(func() transport.Handler {
+			if g == nil {
+				return n.NewSession()
+			}
+			return &gatedSession{AsyncHandler: n.NewSession().(transport.AsyncHandler), g: g}
+		})
+		if err := memNet.Register(ns.Addr, srv); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			if g != nil {
+				g.open()
+			}
+			srv.Close()
+			if g != nil {
+				g.pending.Wait()
+			}
+		})
+	}
+	return memNet
+}
+
+// connectGated connects a runtime to the nodes serveGated serves. Cleanup
+// opens the gates before it closes the runtime, whose releases may wait
+// for held creates.
+func connectGated(t *testing.T, cfg *cluster.Config, memNet *transport.MemNetwork, gates ...*replyGate) *core.Runtime {
+	t.Helper()
+	rt, err := core.Connect(core.Options{Config: cfg, Dialer: memNet, ClientName: "gated"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, g := range gates {
+			g.open()
+		}
+		rt.Close()
+	})
+	return rt
 }
 
 // startGatedRuntime connects a runtime to one GPU node behind g and opens
 // a context on it with one queue, the incr program built, its kernel and
 // an 8-byte buffer bound as its first argument. Nothing has been created
 // on the node for the buffer or the kernel yet.
-func startGatedRuntime(t *testing.T, g *replyGate) (*core.Queue, *core.Kernel, *core.Buffer) {
+func startGatedRuntime(t *testing.T, g *replyGate) (*core.Session, *core.Queue, *core.Kernel, *core.Buffer) {
 	t.Helper()
 	cfg := cluster.Synthetic("gated", 0, 1, 0, nil)
-	icd := device.NewICD()
-	sim.RegisterDrivers(icd, testRegistry())
-	memNet := transport.NewMemNetwork()
-	ns := cfg.Nodes[0]
-	devCfgs, err := ns.DeviceConfigs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := node.New(node.Options{Name: ns.Name, Devices: devCfgs, ICD: icd, ExecWorkers: 1, Dialer: memNet})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := transport.NewServer(func() transport.Handler {
-		return &gatedSession{AsyncHandler: n.NewSession().(transport.AsyncHandler), g: g}
-	})
-	if err := memNet.Register(ns.Addr, srv); err != nil {
-		t.Fatal(err)
-	}
-	rt, err := core.Connect(core.Options{Config: cfg, Dialer: memNet, ClientName: "gated"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		g.open()
-		rt.Close()
-		srv.Close()
-		g.pending.Wait()
-	})
+	rt := connectGated(t, cfg, serveGated(t, cfg, g), g)
 	devs := rt.Devices(0)
-	ctx, err := rt.OpenSession("lazy").CreateContext(devs)
+	sess := rt.OpenSession("lazy")
+	ctx, err := sess.CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +179,17 @@ func startGatedRuntime(t *testing.T, g *replyGate) (*core.Queue, *core.Kernel, *
 	if err != nil {
 		t.Fatal(err)
 	}
+	k, buf := incrKernel(t, ctx, 8), mustBuffer(t, ctx, 8)
+	if err := k.SetArg(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	return sess, q, k, buf
+}
+
+// incrKernel builds the incr program in ctx and returns its kernel, set to
+// run over the first n/4 floats of whatever buffer is bound as argument 0.
+func incrKernel(t *testing.T, ctx *core.Context, n int) *core.Kernel {
+	t.Helper()
 	prog, err := ctx.CreateProgram(incrSource)
 	if err != nil {
 		t.Fatal(err)
@@ -127,17 +201,20 @@ func startGatedRuntime(t *testing.T, g *replyGate) (*core.Queue, *core.Kernel, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := ctx.CreateBuffer(8)
+	if err := k.SetArg(1, int32(n/4)); err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// mustBuffer creates an n-byte buffer in ctx.
+func mustBuffer(t *testing.T, ctx *core.Context, n int64) *core.Buffer {
+	t.Helper()
+	buf, err := ctx.CreateBuffer(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k.SetArg(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.SetArg(1, int32(2)); err != nil {
-		t.Fatal(err)
-	}
-	return q, k, buf
+	return buf
 }
 
 // within runs f on its own goroutine and returns its error, failing the
@@ -162,7 +239,7 @@ func within(t *testing.T, d time.Duration, what string, f func() error) error {
 // and the launch ran on the bytes the write put there.
 func TestLazyCreatesDoNotWait(t *testing.T) {
 	g := newReplyGate(map[protocol.Op]bool{protocol.OpCreateBuffer: true, protocol.OpCreateKernel: true}, nil)
-	q, k, buf := startGatedRuntime(t, g)
+	_, q, k, buf := startGatedRuntime(t, g)
 
 	err := within(t, 10*time.Second, "the first write and launch on the node", func() error {
 		if _, err := q.EnqueueWrite(buf, 0, mem.F32Bytes([]float32{1, 2})); err != nil {
@@ -209,18 +286,30 @@ func TestLazyCreatesDoNotWait(t *testing.T) {
 // TestRefusedLazyCreateSurfacesAtSync: the node refuses a lazy create. The
 // enqueue that sent it returns nil, as it did not wait; the command naming
 // the object fails on the node, and the next Finish reports the create's
-// own error, with its remote code. Nothing hangs.
+// own error, with its remote code. Nothing hangs. The refused object left
+// nothing on the node to release, so releasing it — after Finish, or before
+// the refusal was even answered — adds no error: Flush returns nil.
 func TestRefusedLazyCreateSurfacesAtSync(t *testing.T) {
 	for _, tc := range []struct {
-		op   protocol.Op
-		code uint32
+		op    protocol.Op
+		code  uint32
+		early bool // release before the refusal is answered
 	}{
-		{protocol.OpCreateBuffer, protocol.CodeDeviceBusy},
-		{protocol.OpCreateKernel, protocol.CodeBuildFailed},
+		{protocol.OpCreateBuffer, protocol.CodeDeviceBusy, false},
+		{protocol.OpCreateKernel, protocol.CodeBuildFailed, false},
+		{protocol.OpCreateBuffer, protocol.CodeDeviceBusy, true},
+		{protocol.OpCreateKernel, protocol.CodeBuildFailed, true},
 	} {
-		t.Run(tc.op.String(), func(t *testing.T) {
+		name := tc.op.String()
+		if tc.early {
+			name += "/release-before-answer"
+		}
+		t.Run(name, func(t *testing.T) {
 			g := newReplyGate(nil, map[protocol.Op]uint32{tc.op: tc.code})
-			q, k, buf := startGatedRuntime(t, g)
+			sess, q, k, buf := startGatedRuntime(t, g)
+			if tc.early {
+				g.set(map[protocol.Op]bool{tc.op: true}, map[protocol.Op]uint32{tc.op: tc.code})
+			}
 			err := within(t, 10*time.Second, "the enqueues", func() error {
 				if _, err := q.EnqueueWrite(buf, 0, mem.F32Bytes([]float32{1, 2})); err != nil {
 					return fmt.Errorf("write: %w", err)
@@ -233,6 +322,18 @@ func TestRefusedLazyCreateSurfacesAtSync(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v, want nil: a refused create surfaces at the next synchronization point", err)
 			}
+			release := func() error {
+				if err := buf.Release(); err != nil {
+					return err
+				}
+				return k.Release()
+			}
+			if tc.early {
+				if err := within(t, 10*time.Second, "Release before the create's answer", release); err != nil {
+					t.Fatalf("Release: %v", err)
+				}
+				g.open()
+			}
 			err = within(t, 10*time.Second, "Finish", func() error {
 				_, err := q.Finish()
 				return err
@@ -241,6 +342,259 @@ func TestRefusedLazyCreateSurfacesAtSync(t *testing.T) {
 			if !errors.As(err, &re) || re.Op != tc.op || re.Code != tc.code {
 				t.Fatalf("Finish: %v, want the refused %s's error (code %d)", err, tc.op, tc.code)
 			}
+			if !tc.early {
+				if err := release(); err != nil {
+					t.Fatalf("Release: %v", err)
+				}
+			}
+			if err := within(t, 10*time.Second, "Flush", sess.Flush); err != nil {
+				t.Fatalf("Flush after releasing the refused objects: %v, want nil", err)
+			}
 		})
+	}
+}
+
+// gatedPair connects a runtime to two GPU nodes, the second behind g, and
+// opens a context over both with user queues on each: q0 on gpu-00, and
+// qs on gpu-01. The incr kernel is built and bound to an 8-byte buffer.
+// Nothing more is created when it returns: g's rules are set after it.
+func gatedPair(t *testing.T, g *replyGate, qs int) (sess *core.Session, q0 *core.Queue, q1 []*core.Queue, k *core.Kernel, buf *core.Buffer) {
+	t.Helper()
+	cfg := cluster.Synthetic("gated", 0, 2, 0, nil)
+	rt := connectGated(t, cfg, serveGated(t, cfg, nil, g), g)
+	devs := rt.Devices(0)
+	sess = rt.OpenSession("migrate")
+	ctx, err := sess.CreateContext(devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q0, err = ctx.CreateQueue(devs[0]); err != nil {
+		t.Fatal(err)
+	}
+	for range qs {
+		q, err := ctx.CreateQueue(devs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		q1 = append(q1, q)
+	}
+	k, buf = incrKernel(t, ctx, 8), mustBuffer(t, ctx, 8)
+	if err := k.SetArg(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	return sess, q0, q1, k, buf
+}
+
+// TestMigrationDoesNotWaitForServiceQueue: with gpu-01's CreateQueue
+// replies held, a launch there on a buffer written on gpu-00 migrates it
+// through a service queue whose create is unanswered, and still returns.
+// Finish settles the create, so it returns once the reply is released, and
+// the bytes read back are the write's, incremented on gpu-01.
+func TestMigrationDoesNotWaitForServiceQueue(t *testing.T) {
+	g := newReplyGate(nil, nil)
+	_, q0, q1, k, buf := gatedPair(t, g, 1)
+	g.set(map[protocol.Op]bool{protocol.OpCreateQueue: true}, nil)
+
+	err := within(t, 10*time.Second, "the launch that migrates onto gpu-01", func() error {
+		if _, err := q0.EnqueueWrite(buf, 0, mem.F32Bytes([]float32{1, 2})); err != nil {
+			return err
+		}
+		_, err := q1[0].EnqueueKernel(k, []int{2}, nil, nil, nil)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := make(chan error, 1)
+	go func() {
+		_, err := q1[0].Finish()
+		finished <- err
+	}()
+	select {
+	case err := <-finished:
+		t.Fatalf("Finish returned (%v) while the service queue's create was unanswered", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	g.open()
+	select {
+	case err := <-finished:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Finish did not return after the service queue's create was answered")
+	}
+	if n := g.held.Load(); n != 1 {
+		t.Fatalf("gpu-01 held %d CreateQueue replies, want 1 (its service queue's)", n)
+	}
+	data, _, err := q1[0].EnqueueRead(buf, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mem.BytesF32(data); got[0] != 2 || got[1] != 3 {
+		t.Fatalf("read %v after write [1 2] on gpu-00 and one incr on gpu-01, want [2 3]", got)
+	}
+}
+
+// TestRefusedServiceQueueSurfacesAtSync: gpu-01 refuses its service
+// queue's create. The launch that needed the migration returns nil, and the
+// next Finish reports the CreateQueue's own code. A later migration onto
+// gpu-01 fails the same way instead of hanging, and the session still
+// flushes.
+func TestRefusedServiceQueueSurfacesAtSync(t *testing.T) {
+	g := newReplyGate(nil, nil)
+	sess, q0, q1, k, buf := gatedPair(t, g, 2)
+	g.set(nil, map[protocol.Op]uint32{protocol.OpCreateQueue: protocol.CodeDeviceBusy})
+
+	for i, q := range q1 {
+		err := within(t, 10*time.Second, "the launch that migrates onto gpu-01", func() error {
+			if _, err := q0.EnqueueWrite(buf, 0, mem.F32Bytes([]float32{1, float32(i)})); err != nil {
+				return err
+			}
+			_, err := q.EnqueueKernel(k, []int{2}, nil, nil, nil)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("migration %d: %v, want nil: the refusal surfaces at Finish", i, err)
+		}
+		err = within(t, 10*time.Second, "Finish", func() error {
+			_, err := q.Finish()
+			return err
+		})
+		var re *protocol.RemoteError
+		if !errors.As(err, &re) || re.Op != protocol.OpCreateQueue || re.Code != protocol.CodeDeviceBusy {
+			t.Fatalf("migration %d: Finish: %v, want the refused CreateQueue's error (code %d)",
+				i, err, protocol.CodeDeviceBusy)
+		}
+	}
+	if err := within(t, 10*time.Second, "Flush", sess.Flush); err != nil {
+		t.Fatalf("Flush: %v, want nil", err)
+	}
+}
+
+// TestPerNodeCreatesGoOutTogether: Connect, CreateContext and Build send
+// every node its request before they wait for any reply, so all three
+// nodes hold theirs at once. A failure is still the first in node order,
+// named by its node; the build log is every node's in node order; and a
+// Connect that fails closes every connection it dialed.
+func TestPerNodeCreatesGoOutTogether(t *testing.T) {
+	cfg := cluster.Synthetic("gated", 1, 2, 0, nil) // cpu-00, gpu-00, gpu-01
+	gates := []*replyGate{newReplyGate(nil, nil), newReplyGate(nil, nil), newReplyGate(nil, nil)}
+	memNet := serveGated(t, cfg, gates...)
+
+	// together runs f with op's replies held on every node, and fails the
+	// test unless all three nodes hold one before any is released.
+	together := func(op protocol.Op, f func() error) error {
+		t.Helper()
+		for _, g := range gates {
+			g.set(map[protocol.Op]bool{op: true}, nil)
+		}
+		done := make(chan error, 1)
+		go func() { done <- f() }()
+		deadline := time.Now().Add(10 * time.Second)
+		for i := 0; i < len(gates); {
+			select {
+			case err := <-done:
+				t.Fatalf("%s returned (%v) with its replies held", op, err)
+			default:
+			}
+			if gates[i].held.Load() > 0 {
+				i++
+				continue
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: node %d holds no request while node 0's reply is held", op, i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		for _, g := range gates {
+			g.held.Store(0)
+			g.open()
+		}
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s did not return once its replies were released", op)
+			return nil
+		}
+	}
+
+	var rt *core.Runtime
+	if err := together(protocol.OpHello, func() (err error) {
+		rt, err = core.Connect(core.Options{Config: cfg, Dialer: memNet, ClientName: "fan-out"})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	sess := rt.OpenSession("fan-out")
+	devs := rt.Devices(0)
+	var ctx *core.Context
+	if err := together(protocol.OpCreateContext, func() (err error) {
+		ctx, err = sess.CreateContext(devs)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ctx.CreateProgram(incrSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := together(protocol.OpBuildProgram, prog.Build); err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for _, d := range devs { // one device per node, in node order
+		one, err := sess.CreateContext([]*core.DeviceRef{d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := one.CreateProgram(incrSource)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Build(); err != nil {
+			t.Fatal(err)
+		}
+		want += p.BuildLog()
+	}
+	if got := prog.BuildLog(); got != want {
+		t.Fatalf("BuildLog:\n%q\nwant every node's log in node order:\n%q", got, want)
+	}
+
+	// Node 2 refuses: the call fails naming it.
+	last := cfg.Nodes[2].Name
+	gates[2].set(nil, map[protocol.Op]uint32{protocol.OpCreateContext: protocol.CodeDeviceBusy})
+	if _, err := sess.CreateContext(devs); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", last)) {
+		t.Fatalf("CreateContext with %s refusing: %v, want an error naming %s", last, err, last)
+	}
+	gates[2].set(nil, map[protocol.Op]uint32{protocol.OpBuildProgram: protocol.CodeBuildFailed})
+	p2, err := ctx.CreateProgram(incrSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p2.Build(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", last)) {
+		t.Fatalf("Build with %s refusing: %v, want an error naming %s", last, err, last)
+	}
+
+	// A refused Hello fails Connect, which closes every connection it dialed.
+	before := make([]int32, len(gates))
+	for i, g := range gates {
+		before[i] = g.closed.Load()
+	}
+	gates[1].set(nil, map[protocol.Op]uint32{protocol.OpHello: protocol.CodeUnsupported})
+	if _, err := core.Connect(core.Options{Config: cfg, Dialer: memNet, ClientName: "refused"}); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprintf("%q", cfg.Nodes[1].Name)) {
+		t.Fatalf("Connect with %s refusing the Hello: %v, want an error naming it", cfg.Nodes[1].Name, err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for i, g := range gates {
+		for g.closed.Load() == before[i] {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d's connection from the failed Connect is still open", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }

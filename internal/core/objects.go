@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -281,7 +282,7 @@ func (c *cmd) charge(earliest vtime.Time, n int64) {
 // service queue's commands trace as queue 0.
 func (c *cmd) record(kind trace.Kind, bytes int64) *evTrace {
 	qid := c.qid
-	if c.q.svc {
+	if c.q.made != nil {
 		qid = 0
 	}
 	return c.q.ctx.sess.traceCmd(kind, c.dev, qid, bytes, c.wireStart, c.arrival)
@@ -355,12 +356,16 @@ func (s *Session) CreateContext(devices []*DeviceRef) (*Context, error) {
 	for _, d := range devices {
 		perNode[d.node] = append(perNode[d.node], int64(d.info.ID))
 	}
-	for _, node := range sortedNodeKeys(perNode) {
-		id, err := s.remoteContext(node, perNode[node])
-		if err != nil {
-			return nil, fmt.Errorf("core: create context on %q: %w", node.name, err)
-		}
-		ctx.setRemote(node, id)
+	nodes := sortedNodeKeys(perNode)
+	cs := make([]nodeCreate, len(nodes))
+	for i, node := range nodes {
+		cs[i].node, cs[i].req = node, s.contextReq(perNode[node])
+	}
+	if node, err := s.createEach(protocol.ObjContext, cs); err != nil {
+		return nil, fmt.Errorf("core: create context on %q: %w", node.name, err)
+	}
+	for i := range cs {
+		ctx.setRemote(cs[i].node, cs[i].id)
 	}
 	s.ctxMu.Lock()
 	s.contexts = append(s.contexts, ctx)
@@ -368,10 +373,10 @@ func (s *Session) CreateContext(devices []*DeviceRef) (*Context, error) {
 	return ctx, nil
 }
 
-// remoteContext creates the session's context instance over node's devices
-// ids — for CreateContext, and for a rejoin's restore (restoreOn).
-func (s *Session) remoteContext(node *NodeHandle, ids []int64) (uint64, error) {
-	return s.createWait(node, &protocol.CreateContextReq{DeviceIDs: ids, SessionID: s.id, Tenant: s.tenant}, nil)
+// contextReq is the create of the session's context instance over one
+// node's devices ids.
+func (s *Session) contextReq(ids []int64) *protocol.CreateContextReq {
+	return &protocol.CreateContextReq{DeviceIDs: ids, SessionID: s.id, Tenant: s.tenant}
 }
 
 // remoteID returns the context's remote instance ID on node, if any.
@@ -408,6 +413,13 @@ func (c *Context) dropRemote(node *NodeHandle) {
 	c.remoteMu.Unlock()
 }
 
+// unregister drops q from the context's queue registry. Caller holds mu.
+func (c *Context) unregister(q *Queue) {
+	c.regMu.Lock()
+	c.queues = slices.DeleteFunc(c.queues, func(r *Queue) bool { return r == q })
+	c.regMu.Unlock()
+}
+
 // allQueues snapshots the context's queue registry (user and service
 // queues alike).
 func (c *Context) allQueues() []*Queue {
@@ -432,23 +444,56 @@ func (c *Context) deviceOnNode(node *NodeHandle) (*DeviceRef, bool) {
 	return nil, false
 }
 
-// serviceQueue lazily creates the hidden migration queue for a node.
-func (c *Context) serviceQueue(node *NodeHandle) (*Queue, error) {
+// serviceQueue returns the context's hidden migration queue on node. Its
+// first use creates it there lazily, like a replica (creation): the host
+// names the queue, so the push, the await or the broadcast hop behind the
+// create names it at once. trigger is the command that needs the
+// migration: its queue lists the create until it settles, so a refusal
+// surfaces at that queue's next synchronization point. A queue whose create
+// is known to have failed is replaced by a fresh one, as a user would retry
+// a refused CreateQueue.
+func (c *Context) serviceQueue(node *NodeHandle, trigger *cmd) (*Queue, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if q, ok := c.svcQueue[node]; ok {
-		return q, nil
+	q := c.svcQueue[node]
+	if q == nil || q.made.failed() {
+		if q != nil {
+			c.unregister(q)
+		}
+		var err error
+		if q, err = c.newServiceQueue(node); err != nil {
+			c.mu.Unlock()
+			return nil, err
+		}
+		c.svcQueue[node] = q
 	}
+	c.mu.Unlock()
+	if !q.made.isSettled() {
+		trigger.q.lazyOnce(q.made)
+	}
+	return q, nil
+}
+
+// newServiceQueue sends the create of node's service queue and registers
+// the queue. The queue lists its own create, so its commands, which the
+// node refuses if the create was, report the create's error. Caller holds
+// mu.
+func (c *Context) newServiceQueue(node *NodeHandle) (*Queue, error) {
 	dev, ok := c.deviceOnNode(node)
 	if !ok {
 		return nil, fmt.Errorf("core: context has no device on node %q", node.name)
 	}
-	q, err := c.CreateQueue(dev)
-	if err != nil {
+	ctxID, ok := c.remoteID(node)
+	if !ok {
+		return nil, fmt.Errorf("core: device %s is not in this context", dev.key)
+	}
+	cr := new(creation)
+	if err := cr.create(c.sess, node, queueReq(ctxID, dev)); err != nil {
 		return nil, err
 	}
-	q.svc = true // before any command can run on it
-	c.svcQueue[node] = q
+	q := &Queue{ctx: c, dev: dev, remoteID: cr.id, made: cr, creates: []*creation{cr}}
+	c.regMu.Lock()
+	c.queues = append(c.queues, q)
+	c.regMu.Unlock()
 	return q, nil
 }
 
@@ -460,9 +505,10 @@ func (c *Context) serviceQueue(node *NodeHandle) (*Queue, error) {
 // OpenCL's in-order queue semantics.
 type Queue struct {
 	ctx *Context
-	// svc marks a context's hidden migration queue (serviceQueue): its
-	// commands trace as queue 0.
-	svc bool
+	// made is a context's hidden migration queue's lazy create
+	// (serviceQueue), nil for a user queue. A service queue's commands
+	// trace as queue 0.
+	made *creation
 
 	mu sync.Mutex
 	// dev and remoteID are the queue's node binding; recovery re-points
@@ -599,10 +645,26 @@ func (cr *creation) wait() error {
 
 func (cr *creation) isSettled() bool { return cr.settled.Load() }
 
+// failed reports, without blocking, whether the create is known to have
+// failed — refused, or died with its node. Either way the node holds no
+// object to use or release.
+func (cr *creation) failed() bool { return cr.call.Answered() && cr.call.Wait() != nil }
+
 // lazy lists a create that one of the queue's commands sent.
 func (q *Queue) lazy(cr *creation) {
 	q.mu.Lock()
 	q.creates = append(q.creates, cr)
+	q.mu.Unlock()
+}
+
+// lazyOnce lists a create that one of the queue's commands relies on, once:
+// every migration onto a node relies on its service queue's create until
+// the create settles.
+func (q *Queue) lazyOnce(cr *creation) {
+	q.mu.Lock()
+	if !slices.Contains(q.creates, cr) {
+		q.creates = append(q.creates, cr)
+	}
 	q.mu.Unlock()
 }
 
@@ -663,15 +725,17 @@ func (c *Context) remoteQueue(dev *DeviceRef) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: device %s is not in this context", dev.key)
 	}
-	id, err := c.sess.createWait(dev.node, &protocol.CreateQueueReq{
-		ContextID: ctxID,
-		DeviceID:  dev.info.ID,
-		Profiling: true,
-	}, nil)
+	id, err := c.sess.createWait(dev.node, queueReq(ctxID, dev), nil)
 	if err != nil {
 		return 0, fmt.Errorf("core: create queue on %s: %w", dev.key, err)
 	}
 	return id, nil
+}
+
+// queueReq is the create of a profiling queue on dev in the context
+// instance ctxID.
+func queueReq(ctxID uint64, dev *DeviceRef) *protocol.CreateQueueReq {
+	return &protocol.CreateQueueReq{ContextID: ctxID, DeviceID: dev.info.ID, Profiling: true}
 }
 
 // Device returns the queue's device.
@@ -866,7 +930,7 @@ func (b *Buffer) Release() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, node := range sortedNodeKeys(b.remote) {
-		b.ctx.sess.releaseAsync(node, protocol.ObjBuffer, b.remote[node].id)
+		b.ctx.sess.releaseCreated(protocol.ObjBuffer, &b.remote[node].creation)
 	}
 	b.remote = make(map[*NodeHandle]*remoteBuf)
 	b.released = true
@@ -1052,7 +1116,7 @@ func (b *Buffer) ensureResident(c *cmd, lo, hi int64) (*remoteBuf, error) {
 		return nil, err
 	}
 	if gaps := rb.valid.Gaps(lo, hi); len(gaps) > 0 {
-		if err := b.migrateP2P(c.dev.node, rb, gaps); err != nil {
+		if err := b.migrateP2P(c, rb, gaps); err != nil {
 			return nil, err
 		}
 	}
@@ -1292,25 +1356,36 @@ func (p *Program) Build() error {
 		return nil
 	}
 	snap := p.ctx.remoteSnapshot()
-	for _, node := range sortedNodeKeys(snap) {
-		id, log, err := p.buildOn(node, snap[node])
-		p.log += log
-		if err != nil {
-			return fmt.Errorf("core: build on %q: %w", node.name, err)
+	nodes := sortedNodeKeys(snap)
+	cs := make([]nodeCreate, len(nodes))
+	resps := make([]protocol.BuildProgramResp, len(nodes))
+	for i, node := range nodes {
+		cs[i].node, cs[i].req, cs[i].resp = node, p.buildReq(snap[node]), &resps[i]
+	}
+	failed, err := p.ctx.sess.createEach(protocol.ObjProgram, cs)
+	// The log is what building one node after the other would have
+	// gathered: every node's up to the one that failed.
+	var log strings.Builder
+	for i := range cs {
+		log.WriteString(resps[i].Log)
+		if cs[i].node == failed {
+			break
 		}
-		p.remote[node] = id
+	}
+	p.log += log.String()
+	if err != nil {
+		return fmt.Errorf("core: build on %q: %w", failed.name, err)
+	}
+	for i := range cs {
+		p.remote[cs[i].node] = cs[i].id
 	}
 	p.built = true
 	return nil
 }
 
-// buildOn builds the program in the context instance ctxID on node — for
-// Build, and for a rejoin's restore (restoreOn), which keeps the log out of
-// BuildLog.
-func (p *Program) buildOn(node *NodeHandle, ctxID uint64) (id uint64, log string, err error) {
-	var resp protocol.BuildProgramResp
-	id, err = p.ctx.sess.createWait(node, &protocol.BuildProgramReq{ContextID: ctxID, Source: p.source}, &resp)
-	return id, resp.Log, err
+// buildReq is the program's build in the context instance ctxID.
+func (p *Program) buildReq(ctxID uint64) *protocol.BuildProgramReq {
+	return &protocol.BuildProgramReq{ContextID: ctxID, Source: p.source}
 }
 
 // BuildLog returns the accumulated build logs.
@@ -1477,7 +1552,7 @@ func (k *Kernel) Release() error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	for _, node := range sortedNodeKeys(k.remote) {
-		k.prog.ctx.sess.releaseAsync(node, protocol.ObjKernel, k.remote[node].id)
+		k.prog.ctx.sess.releaseCreated(protocol.ObjKernel, k.remote[node])
 	}
 	k.remote = make(map[*NodeHandle]*creation)
 	k.released = true

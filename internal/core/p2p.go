@@ -53,16 +53,17 @@ func (b *Buffer) planOwners(gap mem.Range) (plan []ownerSpan, leftover []mem.Ran
 // zeros (uninitialized OpenCL buffers read deterministically as zeros):
 // there is no peer to push them, and the host relays a zero-filled payload
 // of the span's length instead — the one host-relay push left.
-// Caller holds b.mu.
-func (b *Buffer) migrateP2P(node *NodeHandle, rb *remoteBuf, gaps []mem.Range) error {
-	svc, err := b.ctx.serviceQueue(node)
+// The migration is issued for c, the command that needs the replica (see
+// serviceQueue). Caller holds b.mu.
+func (b *Buffer) migrateP2P(c *cmd, rb *remoteBuf, gaps []mem.Range) error {
+	svc, err := b.ctx.serviceQueue(c.dev.node, c)
 	if err != nil {
 		return err
 	}
 	for _, g := range gaps {
 		plan, leftover := b.planOwners(g)
 		for _, ps := range plan {
-			ownerSvc, err := b.ctx.serviceQueue(ps.node)
+			ownerSvc, err := b.ctx.serviceQueue(ps.node, c)
 			if err != nil {
 				return err
 			}
@@ -77,23 +78,23 @@ func (b *Buffer) migrateP2P(node *NodeHandle, rb *remoteBuf, gaps []mem.Range) e
 			b.ctx.sess.push(&src, &dst, ps.rb, rb, ps.r.Lo, ps.r.Hi, b.scaled(ps.r.Len()), 0)
 		}
 		for _, r := range leftover {
-			c, err := svc.begin(nil, rb)
+			relay, err := svc.begin(nil, rb)
 			if err != nil {
 				return err
 			}
 			modelBytes := b.scaled(r.Len())
-			c.charge(b.hostReadyAt, controlMsgBytes+modelBytes)
-			c.send(trace.KindMigrate, modelBytes, &protocol.WriteBufferReq{
-				QueueID:    c.qid,
+			relay.charge(b.hostReadyAt, controlMsgBytes+modelBytes)
+			relay.send(trace.KindMigrate, modelBytes, &protocol.WriteBufferReq{
+				QueueID:    relay.qid,
 				BufferID:   rb.id,
 				Offset:     r.Lo,
 				Data:       make([]byte, r.Len()),
-				SimArrival: int64(c.arrival),
+				SimArrival: int64(relay.arrival),
 				ModelBytes: modelBytes,
-				WaitEvents: c.waits,
+				WaitEvents: relay.waits,
 			})
 			rb.valid.Add(r.Lo, r.Hi)
-			rb.setHead(c.ev)
+			rb.setHead(relay.ev)
 		}
 	}
 	return nil

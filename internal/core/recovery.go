@@ -367,9 +367,7 @@ func (c *Context) strip(gone map[*NodeHandle]bool) error {
 	for node, svc := range c.svcQueue {
 		if gone[node] {
 			delete(c.svcQueue, node)
-			c.regMu.Lock()
-			c.queues = slices.DeleteFunc(c.queues, func(q *Queue) bool { return q == svc })
-			c.regMu.Unlock()
+			c.unregister(svc)
 		}
 	}
 	c.mu.Unlock()
@@ -588,7 +586,7 @@ func (c *Context) restoreOn(h *NodeHandle) error {
 	if len(ids) == 0 {
 		return nil // context does not span this node
 	}
-	ctxID, err := c.sess.remoteContext(h, ids)
+	ctxID, err := c.sess.createWait(h, c.sess.contextReq(ids), nil)
 	if err != nil {
 		return fmt.Errorf("re-create context: %w", err)
 	}
@@ -603,7 +601,8 @@ func (c *Context) restoreOn(h *NodeHandle) error {
 		if !built {
 			continue
 		}
-		id, _, err := p.buildOn(h, ctxID)
+		// The log stays out of BuildLog.
+		id, err := c.sess.createWait(h, p.buildReq(ctxID), nil)
 		if err != nil {
 			return fmt.Errorf("re-build program: %w", err)
 		}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"hash/crc32"
 	"slices"
 	"strings"
@@ -684,5 +685,22 @@ func TestHeldReleasesDieWithTheirNode(t *testing.T) {
 		if err := f.cc.rt.Flush(); err == nil || !strings.Contains(err.Error(), "unknown queue") {
 			t.Fatalf("double release on the survivor: err = %v, want the node's unknown-queue error", err)
 		}
+	}
+}
+
+// TestRemoteErrorSaysOpAndCodeOnce: a node's refusal reaches the host as
+// one RemoteError naming the op and the code once, around the node's own
+// message.
+func TestRemoteErrorSaysOpAndCodeOnce(t *testing.T) {
+	sess, q, _, _ := startGatedRuntime(t, newReplyGate(nil, nil))
+	q.Release()
+	q.Release()
+	err := sess.Flush()
+	var re *protocol.RemoteError
+	if !errors.As(err, &re) {
+		t.Fatalf("Flush after a double release: %v, want a remote error", err)
+	}
+	if want := "remote Release: release: unknown queue 2 (code 2)"; re.Error() != want {
+		t.Fatalf("remote error reads %q, want %q", re.Error(), want)
 	}
 }

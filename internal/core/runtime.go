@@ -272,23 +272,38 @@ func Connect(opts Options) (*Runtime, error) {
 		peers = append(peers, protocol.PeerAddr{Name: spec.Name, Addr: spec.Addr})
 	}
 
-	for _, spec := range opts.Config.Nodes {
+	// Every node is dialed and sent its Hello before any reply is awaited,
+	// so connecting costs one round trip, not one per node.
+	req := &protocol.HelloReq{UserID: rt.userID, ClientName: rt.clientName,
+		WireVersion: protocol.Version, Peers: peers, Epoch: rt.epoch.Load()}
+	nodes := make([]*NodeHandle, 0, len(opts.Config.Nodes))
+	calls := make([]transport.Pending, len(opts.Config.Nodes))
+	resps := make([]protocol.HelloResp, len(opts.Config.Nodes))
+	fail := func(err error) (*Runtime, error) {
+		for _, nh := range nodes {
+			nh.client.Load().Close()
+		}
+		return nil, err
+	}
+	for i, spec := range opts.Config.Nodes {
 		client, err := opts.Dialer.Dial(spec.Addr)
 		if err != nil {
-			rt.Close()
-			return nil, fmt.Errorf("core: connect node %q: %w", spec.Name, err)
+			return fail(fmt.Errorf("core: connect node %q: %w", spec.Name, err))
 		}
 		nh := &NodeHandle{name: spec.Name, addr: spec.Addr}
 		nh.client.Store(client)
-		resp, err := hello(client, rt.userID, rt.clientName, peers, rt.epoch.Load())
-		if err != nil {
-			rt.Close()
-			client.Close()
-			return nil, fmt.Errorf("core: handshake with node %q: %w", spec.Name, err)
+		nodes = append(nodes, nh)
+		client.Start(&calls[i], req, &resps[i])
+	}
+	for i, nh := range nodes {
+		if err := calls[i].Wait(); err != nil {
+			return fail(fmt.Errorf("core: handshake with node %q: %w", nh.name, classifyNodeErr(nh, err)))
 		}
-		rt.watchNode(nh, client)
+	}
+	for i, nh := range nodes {
+		rt.watchNode(nh, nh.client.Load())
 		rt.nodes = append(rt.nodes, nh)
-		for _, info := range resp.Devices {
+		for _, info := range resps[i].Devices {
 			ref := &DeviceRef{
 				node: nh,
 				info: info,

@@ -88,6 +88,7 @@ type Session struct {
 	relHeld    map[*NodeHandle]*heldReleases // guarded by relMu
 	relHeldN   atomic.Int64
 	relPending []pendingRelease // guarded by relMu
+	relLater   []laterRelease   // guarded by relMu
 	relErr     error            // guarded by relMu
 
 	// log is the session's command log: the mutating commands that still
@@ -218,6 +219,42 @@ func (s *Session) createWait(n *NodeHandle, req protocol.CreateReq, resp protoco
 	return id, classifyNodeErr(n, p.Wait())
 }
 
+// nodeCreate is one node's share of a create every node of a context
+// needs (createEach): the request, what its response decodes into, and the
+// call and object ID once sent.
+type nodeCreate struct {
+	node *NodeHandle
+	req  protocol.CreateReq
+	resp protocol.Message
+	call transport.Pending
+	id   uint64
+}
+
+// createEach sends every create before it waits for any, so a context's or
+// a build's nodes work at once and the call costs one round trip, not one
+// per node. It reports the first failure in slice order, classified, with
+// the node it names, as creating one node after the other would. On a
+// failure the objects the others created are released (kind): the call
+// fails as a whole.
+func (s *Session) createEach(kind protocol.ObjectKind, cs []nodeCreate) (failed *NodeHandle, err error) {
+	for i := range cs {
+		cs[i].id = s.create(cs[i].node, &cs[i].call, cs[i].req, cs[i].resp)
+	}
+	for i := range cs {
+		if werr := cs[i].call.Wait(); werr != nil && err == nil {
+			failed, err = cs[i].node, classifyNodeErr(cs[i].node, werr)
+		}
+	}
+	if err != nil {
+		for i := range cs {
+			if cs[i].call.Wait() == nil {
+				s.releaseAsync(cs[i].node, kind, cs[i].id)
+			}
+		}
+	}
+	return failed, err
+}
+
 // heldReleases is one node's vector in the making: IDs of one kind, in
 // release order.
 type heldReleases struct {
@@ -231,6 +268,13 @@ type pendingRelease struct {
 	kind  protocol.ObjectKind
 	count int
 	pend  *transport.Pending
+}
+
+// laterRelease is the release of a lazily created object whose create was
+// not answered yet (releaseCreated).
+type laterRelease struct {
+	kind protocol.ObjectKind
+	cr   *creation
 }
 
 // maxReleaseVector caps the IDs one Release message carries. A teardown
@@ -275,6 +319,27 @@ func (s *Session) releaseAsync(n *NodeHandle, kind protocol.ObjectKind, id uint6
 	}
 }
 
+// releaseCreated releases an object the host created lazily (creation). A
+// create known to have failed left nothing on the node to release: the
+// release would be refused, a second error for the one refusal the
+// object's queue reports. One not answered yet is released at the next
+// drainReleases, once it is, by the same rule.
+func (s *Session) releaseCreated(kind protocol.ObjectKind, cr *creation) {
+	if cr.call.Answered() {
+		if cr.call.Wait() == nil {
+			s.releaseAsync(cr.node, kind, cr.id)
+		}
+		return
+	}
+	s.relMu.Lock()
+	s.relLater = append(s.relLater, laterRelease{kind: kind, cr: cr})
+	full := len(s.relLater) >= maxPendingReleases
+	s.relMu.Unlock()
+	if full {
+		s.drainReleases()
+	}
+}
+
 // sendHeld ships n's held IDs as one Release. Caller holds relMu — which
 // is what keeps two vectors for one node in release order — and h.ids is
 // not empty. The request references the IDs until the connection's writer
@@ -309,15 +374,25 @@ func (s *Session) sendHeldReleases(n *NodeHandle) {
 	s.relMu.Unlock()
 }
 
-// drainReleases ships every held release, waits for every outstanding
-// acknowledgement and returns the session's sticky release error: the
-// first release that ever failed on this session, kept so a
+// drainReleases ships every held release, with those waiting for their
+// object's create to be answered (releaseCreated), waits for every
+// outstanding acknowledgement and returns the session's sticky release
+// error: the first release that ever failed on this session, kept so a
 // fire-and-forget failure is reported rather than lost — to this tenant
 // only. Failures are classified before latching: an ack that died with a
 // dead node's connection is tagged as node loss so recovery can absolve
 // exactly those (the objects died with the node), while a live node's
 // RemoteError — it names the offending ID — stays a genuine sticky error.
 func (s *Session) drainReleases() error {
+	s.relMu.Lock()
+	later := s.relLater
+	s.relLater = nil
+	s.relMu.Unlock()
+	for _, r := range later {
+		if r.cr.call.Wait() == nil {
+			s.releaseAsync(r.cr.node, r.kind, r.cr.id)
+		}
+	}
 	s.relMu.Lock()
 	if s.relHeldN.Load() > 0 {
 		for _, n := range sortedNodeKeys(s.relHeld) {

@@ -2,6 +2,7 @@ package node
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -252,8 +253,14 @@ func (s *Session) peerClient(name string) (*transport.Client, error) {
 // dialPeer opens and handshakes one peer connection.
 func (s *Session) dialPeer(name string) (*transport.Client, error) {
 	s.mu.Lock()
-	addr, ok := s.peers[name]
 	book := s.peers != nil
+	var addr string
+	i := slices.IndexFunc(s.peers, func(p protocol.PeerAddr) bool { return p.Name == name })
+	// A node never pushes to itself: its own entry does not count.
+	ok := i >= 0 && name != s.node.name
+	if ok {
+		addr = s.peers[i].Addr
+	}
 	s.mu.Unlock()
 	switch {
 	case !book:

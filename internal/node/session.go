@@ -45,10 +45,10 @@ type Session struct {
 	// session drivers and tests); the high range keeps them clear of
 	// host-assigned counters.
 	synthEventID uint64 // guarded by mu
-	// peers is the cluster address book learned from the host's Hello
-	// (name → listen address), consulted when PushRange commands dial
-	// sibling nodes.
-	peers map[string]string // guarded by mu
+	// peers is the cluster address book learned from the host's Hello, as
+	// decoded, consulted when PushRange commands dial sibling nodes. It
+	// lists this node too; dialPeer never picks it.
+	peers []protocol.PeerAddr // guarded by mu
 	// epoch is the host's membership generation from the last Hello; a
 	// repeat Hello with a higher epoch signals a membership change and
 	// resets the peer pool and parked push rendezvous.
@@ -778,22 +778,13 @@ func (s *Session) handleHello(body []byte) (protocol.Message, error) {
 			"wire version %d unsupported: node %q speaks version %d",
 			req.WireVersion, s.node.name, protocol.Version)
 	}
-	// Learn the cluster address book for peer dialing. Our own entry is
-	// dropped: a node never pushes to itself.
-	var peers map[string]string
-	if len(req.Peers) > 0 {
-		peers = make(map[string]string, len(req.Peers))
-		for _, p := range req.Peers {
-			if p.Name != s.node.name {
-				peers[p.Name] = p.Addr
-			}
-		}
-	}
+	// Learn the cluster address book for peer dialing; a Hello without
+	// one (a peer's) keeps the last.
 	s.mu.Lock()
 	prevEpoch := s.epoch
 	s.userID = req.UserID
-	if peers != nil {
-		s.peers = peers
+	if len(req.Peers) > 0 {
+		s.peers = req.Peers
 	}
 	if req.Epoch > s.epoch {
 		s.epoch = req.Epoch

@@ -205,6 +205,7 @@ func (c *Client) deliver(f *protocol.Frame) {
 	c.mu.Unlock()
 	if ok {
 		p.frame = f
+		p.answered.Store(true)
 		p.done.Done()
 	}
 }
@@ -418,6 +419,7 @@ func (c *Client) failAll(err error) {
 	// the caller remembered to Close.
 	c.killWrites()
 	for _, p := range pending {
+		p.answered.Store(true)
 		p.done.Done() // with no frame: Wait reports the sticky error
 	}
 }
@@ -444,9 +446,12 @@ func (c *Client) OnDown(fn func(error)) {
 // connection error). Wait is safe to call from any goroutine, any number
 // of times; the first call blocks and every call returns the same result.
 type Pending struct {
-	c    *Client
-	op   protocol.Op
-	resp protocol.Message
+	c  *Client
+	op protocol.Op
+	// answered is set before done is released, and by settle: Wait would
+	// return at once (Answered).
+	answered atomic.Bool
+	resp     protocol.Message
 
 	// done is released exactly once by whoever removes the call from the
 	// client's pending table: deliver, after setting frame, or failAll,
@@ -558,7 +563,12 @@ func (c *Client) sticky() error {
 // settle resolves the future before Wait ever ran (send-side failures).
 func (p *Pending) settle(err error) {
 	p.once.Do(func() { p.err = err })
+	p.answered.Store(true)
 }
+
+// Answered reports, without blocking, whether the call has completed —
+// answered, or failed — so that Wait would return at once.
+func (p *Pending) Answered() bool { return p.answered.Load() }
 
 // Wait blocks until the call completes and returns its error, decoding the
 // response into the resp passed to Go. A remote failure surfaces as a
@@ -985,8 +995,14 @@ func reply(reqID uint64, op protocol.Op, resp protocol.Message, err error) proto
 		if errors.As(err, &re) {
 			code = re.Code
 		}
+		// The host rebuilds a RemoteError around the message, with the op
+		// and the code, so a RemoteError ships its message alone.
+		msg := err.Error()
+		if re, ok := err.(*protocol.RemoteError); ok {
+			msg = re.Message
+		}
 		return protocol.NewOutgoing(protocol.FrameResponse, reqID, protocol.OpError,
-			&protocol.ErrorResp{Code: code, Message: err.Error()})
+			&protocol.ErrorResp{Code: code, Message: msg})
 	}
 	return protocol.NewOutgoing(protocol.FrameResponse, reqID, op, resp)
 }
