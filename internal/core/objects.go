@@ -959,9 +959,9 @@ func hostRangeOK(off, n, size int64) bool {
 // protocol.ReferenceFloor bytes on, that copy lives in a pooled write
 // record, which the log and each request frame carrying it hold until they
 // let go — the log when a later command supersedes the write, the buffer
-// is released or the session closes, a frame once its connection's writer
-// has staged or written it — so a superseded write's memory serves a later
-// one (DESIGN.md §11).
+// is released or the session closes, a frame once the write carrying it
+// has returned — so a superseded write's memory serves a later one
+// (DESIGN.md §11).
 func (q *Queue) EnqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Event) (*Event, error) {
 	w := newWriteLog(q, b, offset, data)
 	ev, err := withRecovery(q.ctx.sess, func() (*Event, error) {
@@ -1033,7 +1033,8 @@ func (w *writeLog) enqueue(waits ...*Event) (*Event, error) {
 
 // heldWrite is a write's request. It comes from heldWrites, belongs to
 // the transport from Start on, and goes back to its pool when the
-// connection's writer frees it, once its frame is staged or written. A
+// connection's writer frees it, once the write carrying its frame has
+// returned. A
 // pooled write record's request holds the record until then (w). A
 // request that a dead connection drops is never freed: the collector
 // takes it, and the record's hold with it.

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"sync"
@@ -291,6 +292,70 @@ func TestCancelPushFailsParkedAwaiter(t *testing.T) {
 	}
 	if err := mustFail(t, depCh); !strings.Contains(err.Error(), "source push failed") {
 		t.Fatalf("dependent of cancelled await lost the root cause: %v", err)
+	}
+}
+
+// TestConnectionReadsPastParkedAwait: the server reads a connection's
+// frames and registers each on the same goroutine, so nothing registration
+// does may wait for a lane. An AwaitPush parked on queue A must leave the
+// connection readable: a write and a read on queue B behind it complete,
+// and so does the CancelPush that fails the parked await with its reason.
+func TestConnectionReadsPastParkedAwait(t *testing.T) {
+	net := transport.NewMemNetwork()
+	n := servePeerNode(t, net, "alpha")
+	c, err := net.Dial("mem://alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := transport.Handshake(c, protocol.HelloReq{UserID: "reader"}); err != nil {
+		t.Fatal(err)
+	}
+	create := func(req protocol.Message) uint64 {
+		var resp protocol.ObjectResp
+		if err := c.Call(req, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.ID
+	}
+	ctx := create(&protocol.CreateContextReq{DeviceIDs: []int64{1}})
+	qA := create(&protocol.CreateQueueReq{ContextID: ctx, DeviceID: 1})
+	qB := create(&protocol.CreateQueueReq{ContextID: ctx, DeviceID: 1})
+	buf := create(&protocol.CreateBufferReq{ContextID: ctx, Size: 64})
+
+	await := c.Go(&protocol.AwaitPushReq{QueueID: qA, BufferID: buf, Token: 9, Size: 64, EventID: 1}, nil)
+	// Parked before anything else is sent, so it travels alone: the
+	// responses of an envelope's requests ship together (DESIGN.md §4).
+	parkedEntry(t, n, 9)
+	data := make([]byte, 64)
+	for i := range data {
+		data[i] = byte(i + 1)
+	}
+	if err := c.Call(&protocol.WriteBufferReq{QueueID: qB, BufferID: buf, Data: data, EventID: 2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var read protocol.ReadBufferResp
+	if err := c.Call(&protocol.ReadBufferReq{QueueID: qB, BufferID: buf, Size: 64, EventID: 3}, &read); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(read.Data, data) {
+		t.Fatal("queue B read back other bytes than it wrote")
+	}
+	if await.Answered() {
+		t.Fatal("the await completed with no push and no cancel")
+	}
+	if err := c.Call(&protocol.CancelPushReq{Token: 9, Reason: "source push failed"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- await.Wait() }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "source push failed") {
+			t.Fatalf("the cancelled await returned %v, want its reason", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the cancelled await hung")
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // for compilation and execution").
 //
 // Dispatch is split into two stages (DESIGN.md §4). The *registration*
-// stage runs in the transport's per-connection dispatch goroutine, strictly
+// stage runs on the goroutine that reads the transport connection, strictly
 // in wire-arrival order: it parses the command, claims its host-assigned
 // completion event, resolves the target queue, and routes the command to a
 // *lane*. Lanes — one per target queue, plus a control lane for everything
@@ -97,8 +97,8 @@ var errShuttingDown = remoteErr(protocol.CodeBadRequest, "session is shutting do
 // proceed concurrently. The queue is unbounded on purpose: a bounded lane
 // would stall the registration stage when full, and a stalled registration
 // stage can deadlock a cross-lane wait whose creating command is still
-// behind it (backpressure remains at the transport's frame channel and the
-// host's own flow control).
+// behind it (backpressure remains at the socket, which is not read while
+// registration runs, and the host's own flow control).
 type lane struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -140,21 +140,27 @@ func (l *lane) close() {
 	l.mu.Unlock()
 }
 
-// take waits until jobs are queued and takes all of them, leaving drained
-// — the array of the previous batch, emptied — as the queue to fill next,
-// so a steady stream reuses two arrays and push never reallocates. ok is
-// false once the lane is closed and drained.
-func (l *lane) take(drained []laneJob) (batch []laneJob, ok bool) {
+// take drops the done jobs at the head of the queue — the batch the worker
+// has just run — then waits until jobs are queued and hands out all of
+// them. They stay in the queue's array, and push appends behind them: the
+// worker only reads a batch, and the jobs queued behind it move to the
+// front of the array at the next take, so a lane keeps one array however
+// deep its backlog grows. ok is false once the lane is closed and drained.
+func (l *lane) take(done int) (batch []laneJob, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	n := copy(l.jobs, l.jobs[done:])
+	// The array is reused: a completed job must not pin its request — a
+	// whole frame body, for a bulk write — nor the buffers it resolved.
+	clear(l.jobs[n:])
+	l.jobs = l.jobs[:n]
 	for len(l.jobs) == 0 && !l.closed {
 		l.cond.Wait()
 	}
 	if len(l.jobs) == 0 {
 		return nil, false
 	}
-	batch, l.jobs = l.jobs, drained
-	return batch, true
+	return l.jobs, true
 }
 
 // run is the lane worker: it executes queued jobs in order and exits once
@@ -163,15 +169,10 @@ func (l *lane) run() {
 	var batch []laneJob
 	for {
 		var ok bool
-		if batch, ok = l.take(batch[:0]); !ok {
+		if batch, ok = l.take(len(batch)); !ok {
 			return
 		}
-		for i := range batch {
-			job := batch[i]
-			// Clear the slot before running the job: the array is reused,
-			// and a completed job still pins its request — a whole frame
-			// body, for a bulk write — and the buffers it resolved.
-			batch[i] = laneJob{}
+		for _, job := range batch {
 			job.done(job.cmd.exec())
 			if r, ok := job.cmd.(recycler); ok {
 				r.recycle()
@@ -350,8 +351,9 @@ func (s *Session) HandleCall(op protocol.Op, body []byte) (protocol.Message, err
 }
 
 // HandleCallAsync implements transport.AsyncHandler: the registration
-// stage runs here, in the transport's arrival-order dispatch goroutine,
-// and execution is handed to the command's lane.
+// stage runs here, on the goroutine that reads the connection, in arrival
+// order, and execution is handed to the command's lane. It never blocks:
+// until it returns, the connection is not read.
 func (s *Session) HandleCallAsync(op protocol.Op, body []byte, done func(protocol.Message, error)) {
 	key, cmd, err := s.prepare(op, body)
 	if err != nil {

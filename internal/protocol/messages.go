@@ -561,7 +561,8 @@ type ReadBufferResp struct {
 	Profile Profile
 	// Pooled, when non-nil, is the pooled buffer Data is a view of (a
 	// node's read snapshot). It never travels: the connection writer that
-	// sends the response frees it (Free) once the frame is staged or written.
+	// sends the response frees it (Free) once the write carrying the frame
+	// has returned.
 	Pooled *Buf
 }
 
@@ -569,9 +570,9 @@ type ReadBufferResp struct {
 func (*ReadBufferResp) Op() Op { return OpReadBuffer }
 
 // Free returns the pooled read snapshot, if any, and forgets it, so a
-// second Free is a no-op. The connection writer calls it once the
-// response is staged or written; a response a failed connection drops is
-// never freed, and its snapshot is left to the collector.
+// second Free is a no-op. The connection writer calls it once the write
+// carrying the response has returned; a response a failed connection
+// drops is never freed, and its snapshot is left to the collector.
 func (m *ReadBufferResp) Free() {
 	m.Pooled.Free()
 	m.Pooled = nil

@@ -163,7 +163,7 @@ func WriteFrame(w io.Writer, f *Frame) error {
 // after the sender's Go returned. A success response implies it; a failed
 // call does not, since the writer may still be writing it. A message with
 // a Free method borrows its payload until then, and the writer calls Free
-// the moment it has staged or written it (ReadBufferResp.Free).
+// once the write carrying it has returned (ReadBufferResp.Free).
 type Outgoing struct {
 	ReqID uint64
 	Msg   Message // nil: an empty body

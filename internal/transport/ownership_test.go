@@ -25,11 +25,13 @@ func (w *writeRecorder) Write(p []byte) (int, error) {
 	return w.stream.Write(p)
 }
 
-// TestFrameWriterReferencesBulkPayload: a bulk message reaches the
-// connection as its header and leading fields, the caller's own payload
-// slice, and its trailing fields — and the stream is byte-identical to
-// staging every message whole. Small messages around it still coalesce,
-// and a pooled payload goes back to its pool once written either way.
+// TestFrameWriterReferencesBulkPayload: a run holding a bulk message
+// reaches the connection as one vector — the staged bytes before the
+// payload (an envelope of the small messages ahead of it, then the bulk
+// frame's header and leading fields), the caller's own payload slice, and
+// the staged bytes after it (the trailing fields, then the next small
+// message) — and the stream is byte-identical to staging every message
+// whole. A writer that is not a socket takes the vector one Write a piece.
 func TestFrameWriterReferencesBulkPayload(t *testing.T) {
 	payload := make([]byte, 1<<20)
 	for i := range payload {
@@ -47,15 +49,20 @@ func TestFrameWriterReferencesBulkPayload(t *testing.T) {
 	if err := fw.write(msgs...); err != nil {
 		t.Fatal(err)
 	}
-	// envelope(1,2) | bulk head | payload | bulk tail | plain(4)
-	if len(rec.writes) != 5 {
-		t.Fatalf("%d writes, want 5", len(rec.writes))
+	// envelope(1,2) + bulk head | payload | bulk tail + plain(4)
+	if len(rec.writes) != 3 {
+		t.Fatalf("%d buffers written, want 3", len(rec.writes))
 	}
-	if w := rec.writes[2]; len(w) != len(payload) || &w[0] != &payload[0] {
+	if w := rec.writes[1]; len(w) != len(payload) || &w[0] != &payload[0] {
 		t.Fatal("the bulk payload was staged into another buffer instead of written in place")
 	}
+	_, headLen, _ := protocol.AppendOutgoingHead(nil, &msgs[2])
+	envelope := protocol.AppendOutgoingBatch(nil, msgs[:2])
+	if len(rec.writes[0]) != len(envelope)+headLen {
+		t.Fatalf("first buffer is %d bytes, want the envelope and the bulk frame's head", len(rec.writes[0]))
+	}
 
-	want := protocol.AppendOutgoingBatch(nil, msgs[:2])
+	want := envelope
 	for i := range msgs[2:] {
 		want = protocol.AppendOutgoing(want, &msgs[2+i])
 	}
@@ -71,26 +78,135 @@ func TestFrameWriterReferencesBulkPayload(t *testing.T) {
 		t.Fatalf("bulk frame does not decode to its payload: %v", err)
 	}
 	// The writer is reusable and keeps nothing of what it wrote reachable.
-	for _, piece := range fw.vec {
+	for _, piece := range fw.vec[:cap(fw.vec)] {
 		if piece != nil {
 			t.Fatal("frameWriter keeps a written payload reachable through its vector")
 		}
 	}
+	for _, ref := range fw.refs[:cap(fw.refs)] {
+		if ref.payload != nil {
+			t.Fatal("frameWriter keeps a written payload reachable through its references")
+		}
+	}
 
-	// Pooled read snapshots, one staged and one written in place.
-	snapshot := func(id uint64, n int) (*protocol.Buf, protocol.Outgoing) {
-		pooled := protocol.GetBuf(n)
-		return pooled, protocol.NewOutgoing(protocol.FrameResponse, id, protocol.OpReadBuffer,
-			&protocol.ReadBufferResp{Data: pooled.B, Pooled: pooled})
+}
+
+// sizedWrite returns a request whose frame is exactly wire bytes long.
+func sizedWrite(t *testing.T, id uint64, wire int) protocol.Outgoing {
+	t.Helper()
+	req := &protocol.WriteBufferReq{QueueID: id}
+	empty := protocol.NewOutgoing(protocol.FrameRequest, id, req.Op(), req)
+	req.Data = make([]byte, wire-empty.WireSize())
+	out := protocol.NewOutgoing(protocol.FrameRequest, id, req.Op(), req)
+	if out.WireSize() != wire {
+		t.Fatalf("a %d-byte frame came out %d bytes", wire, out.WireSize())
 	}
-	staged, m1 := snapshot(1, protocol.ReferenceFloor)
-	inPlace, m2 := snapshot(2, protocol.BatchableBodyLimit+1)
-	if err := fw.write(m1, m2); err != nil {
-		t.Fatal(err)
+	return out
+}
+
+// writeCounter keeps a copy of each Write — the staging buffer behind it
+// is reused by the next chunk — and calls check before taking it.
+type writeCounter struct {
+	writes [][]byte
+	check  func()
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	if w.check != nil {
+		w.check()
 	}
-	if staged.B != nil || inPlace.B != nil {
-		t.Fatal("the writer kept a pooled payload it has written")
-	}
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestFrameWriterRunIsOneVectoredWrite: a run goes out as one write for
+// every MaxBatchBytes it stages, however many envelopes it packs into; a
+// run past that bound splits at the message that reaches it, so the
+// staging buffer keeps the size class of one bounded chunk; and a
+// borrowed payload is given back only once the write carrying it has
+// returned.
+func TestFrameWriterRunIsOneVectoredWrite(t *testing.T) {
+	t.Run("small run", func(t *testing.T) {
+		var msgs []protocol.Outgoing
+		for id := uint64(1); id <= protocol.MaxBatchMessages+36; id++ {
+			msgs = append(msgs, protocol.NewOutgoing(protocol.FrameRequest, id, protocol.OpFinishQueue, &protocol.FinishQueueReq{QueueID: id}))
+		}
+		w := &writeCounter{}
+		fw := frameWriter{w: w}
+		defer fw.release()
+		if err := fw.write(msgs...); err != nil {
+			t.Fatal(err)
+		}
+		want := protocol.AppendOutgoingBatch(nil, msgs[:protocol.MaxBatchMessages])
+		want = protocol.AppendOutgoingBatch(want, msgs[protocol.MaxBatchMessages:])
+		if len(w.writes) != 1 || !bytes.Equal(w.writes[0], want) {
+			t.Fatalf("%d writes, want the run's two envelopes in one", len(w.writes))
+		}
+	})
+
+	t.Run("staging bound", func(t *testing.T) {
+		const quarter = protocol.MaxBatchBytes / 4
+		for _, c := range []struct {
+			fourth, first int // the fourth frame's size; messages in the first write
+		}{{quarter, 4}, {quarter - 1, 5}} {
+			msgs := []protocol.Outgoing{sizedWrite(t, 1, quarter), sizedWrite(t, 2, quarter),
+				sizedWrite(t, 3, quarter), sizedWrite(t, 4, c.fourth), sizedWrite(t, 5, quarter), sizedWrite(t, 6, 100)}
+			w := &writeCounter{}
+			fw := frameWriter{w: w}
+			if err := fw.write(msgs...); err != nil {
+				t.Fatal(err)
+			}
+			fw.release()
+			if len(w.writes) != 2 || !bytes.Equal(w.writes[0], protocol.AppendOutgoingBatch(nil, msgs[:c.first])) {
+				t.Fatalf("fourth frame %d B: %d writes, want 2, the first the envelope of %d", c.fourth, len(w.writes), c.first)
+			}
+		}
+
+		// A long drain: chunk after chunk reuses one staging buffer no
+		// larger than a bounded chunk needs.
+		var msgs []protocol.Outgoing
+		for id := uint64(1); id <= 64; id++ {
+			msgs = append(msgs, sizedWrite(t, id, protocol.BatchableBodyLimit-1000))
+		}
+		w := &writeCounter{}
+		fw := frameWriter{w: w}
+		defer fw.release()
+		if err := fw.write(msgs...); err != nil {
+			t.Fatal(err)
+		}
+		_, bound := protocol.SizeClass(protocol.MaxBatchBytes + protocol.BatchableBodyLimit + protocol.ReferenceFloor)
+		if len(w.writes) < 2 || cap(fw.staging.B) > bound {
+			t.Fatalf("a %d-message drain took %d writes and a %d-byte staging buffer, want several writes and at most %d",
+				len(msgs), len(w.writes), cap(fw.staging.B), bound)
+		}
+	})
+
+	t.Run("pooled payloads", func(t *testing.T) {
+		snapshot := func(id uint64, n int) (*protocol.Buf, protocol.Outgoing) {
+			pooled := protocol.GetBuf(n)
+			return pooled, protocol.NewOutgoing(protocol.FrameResponse, id, protocol.OpReadBuffer,
+				&protocol.ReadBufferResp{Data: pooled.B, Pooled: pooled})
+		}
+		staged, m1 := snapshot(1, protocol.ReferenceFloor)
+		inPlace, m2 := snapshot(2, protocol.BatchableBodyLimit+1)
+		w := &writeCounter{}
+		w.check = func() {
+			if staged.B == nil || inPlace.B == nil {
+				t.Error("a pooled payload was given back before the write carrying it returned")
+			}
+		}
+		fw := frameWriter{w: w}
+		defer fw.release()
+		if err := fw.write(m1, m2); err != nil {
+			t.Fatal(err)
+		}
+		if len(w.writes) != 3 {
+			t.Fatalf("%d buffers written, want 3: the staged frame and bulk head, the payload, the bulk tail", len(w.writes))
+		}
+		if staged.B != nil || inPlace.B != nil {
+			t.Fatal("the writer kept a pooled payload it has written")
+		}
+	})
 }
 
 // borrowedWrite is a write whose payload is lent until the writer frees it

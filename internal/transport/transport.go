@@ -3,9 +3,11 @@
 // talks to the Node Management Processes.
 //
 // The design follows paper §III-C. Each node runs an acceptor that listens
-// asynchronously; every accepted connection gets a reader goroutine plus a
-// dispatch worker — the Go equivalent of the Boost.Asio acceptor structure
-// the paper describes. Requests from one connection are *dispatched* in
+// asynchronously; every accepted connection gets one goroutine that reads
+// its frames and dispatches each as it is read — the Go equivalent of the
+// Boost.Asio acceptor structure the paper describes, with the reader and
+// the dispatcher run to completion in one place, since dispatch never
+// blocks. Requests from one connection are *dispatched* in
 // arrival order: the host runtime pipelines commands without waiting for
 // their responses, and in-order dispatch is what lets a later command
 // reference the host-assigned event ID of an earlier one that has not
@@ -22,25 +24,27 @@
 // is sticky: every in-flight and subsequent future resolves to the same
 // error.
 //
-// The client's write side coalesces from its first frame: requests queue
-// to a writer goroutine that drains whatever has accumulated, packs runs of
-// small frames into Batch envelopes, and ships them with one write —
-// flushing whenever the queue drains, so an idle connection never waits on
-// a timer. The server unpacks envelopes into the same per-connection FIFO
-// dispatch (preserving the pipeline's ordering invariant) and coalesces the
-// responses of each envelope symmetrically.
+// The client's write side coalesces from its first frame: requests queue to
+// a writer goroutine that drains whatever has accumulated, packs runs of
+// small frames into Batch envelopes, and ships the drain with one vectored
+// write per protocol.MaxBatchBytes staged — flushing whenever the queue
+// drains, so an idle connection never waits on a timer. The server unpacks
+// envelopes into the same per-connection FIFO dispatch (preserving the
+// pipeline's ordering invariant) and coalesces the responses of each
+// envelope symmetrically. Both sides read through a pooled buffer, so a
+// burst of small frames costs one read, not two a frame.
 //
 // Every message, in both directions, reaches its connection through one
 // function, the connection's frameWriter, and is encoded exactly once, by
 // it: small messages straight into one reused staging buffer (packed into
 // an envelope when several are waiting), and a bulk message — body above
 // protocol.BatchableBodyLimit — as a header in staging plus its payload in
-// place, written vectored. Staging is the one copy a small or mid-size
-// payload gets, a bulk one gets none, and every blob is decoded in place
-// on the way in. The staging buffer comes from the payload pool and goes
-// back when the connection's writer is done with it, so a short-lived
-// connection does not grow one of its own; DESIGN.md §11 states who owns
-// which buffer and until when.
+// place, in the same vectored write as its neighbours. Staging is the one
+// copy a small or mid-size payload gets, a bulk one gets none, and every
+// blob is decoded in place on the way in. The staging buffer comes from the
+// payload pool and goes back when the connection's writer is done with it,
+// so a short-lived connection does not grow one of its own; DESIGN.md §11
+// states who owns which buffer and until when.
 //
 // Two transports are provided: real TCP (used by cmd/haocl-node and the
 // integration tests) and an in-process network of unbuffered in-memory
@@ -49,6 +53,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -79,14 +84,15 @@ type Handler interface {
 }
 
 // AsyncHandler is a Handler that may complete calls out of order. The
-// server invokes HandleCallAsync from the connection's dispatch goroutine
-// strictly in arrival order — that call is the handler's registration
-// stage — and the handler routes the request to whatever internal
-// execution lane it belongs to. done must be invoked exactly once per
-// call, from any goroutine, with the response (or error) to ship. A plain
-// request's response is written the moment it completes, never behind
-// another lane's execution; requests that arrived inside one Batch
-// envelope keep the symmetric response-envelope contract, so their
+// server invokes HandleCallAsync from the goroutine that reads the
+// connection, strictly in arrival order — that call is the handler's
+// registration stage — and the handler routes the request to whatever
+// internal execution lane it belongs to. It must not block: until it
+// returns, nothing more is read from the connection. done must be invoked
+// exactly once per call, from any goroutine, with the response (or error)
+// to ship. A plain request's response is written the moment it completes,
+// never behind another lane's execution; requests that arrived inside one
+// Batch envelope keep the symmetric response-envelope contract, so their
 // responses are held and shipped together when the whole envelope has
 // completed — a deliberate batching tradeoff that couples envelope-mates'
 // latency (DESIGN.md §4).
@@ -121,7 +127,7 @@ type Client struct {
 	writeMu    sync.Mutex
 	writeCh    *sync.Cond          // wakes the writer when messages are queued
 	spaceCh    *sync.Cond          // wakes producers when the queue drains
-	queue      []protocol.Outgoing // guarded by writeMu
+	queue      []protocol.Outgoing // guarded by writeMu; the run being written stays at its head
 	queueBytes int                 // guarded by writeMu
 	sendDead   bool                // guarded by writeMu; write side failed or closed, queue abandoned
 
@@ -169,9 +175,30 @@ const maxQueuedBytes = 8 << 20
 // remains for the benchmark module's ladder, which still calls it.
 func (c *Client) EnableBatching() {}
 
+// frameReaders pools the connections' read buffers. A reader is taken
+// when a connection's read loop starts and given back when it exits, so a
+// short-lived connection does not allocate one. Through it a small frame
+// costs one read, or none when an earlier read brought it in; a body
+// larger than the buffer is read straight into its frame. Frame bodies
+// are always copied out (protocol.ReadFrame), never views of the buffer.
+var frameReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 4<<10) }}
+
+func newFrameReader(conn net.Conn) *bufio.Reader {
+	r := frameReaders.Get().(*bufio.Reader)
+	r.Reset(conn)
+	return r
+}
+
+func freeFrameReader(r *bufio.Reader) {
+	r.Reset(nil)
+	frameReaders.Put(r)
+}
+
 func (c *Client) readLoop() {
+	r := newFrameReader(c.conn)
+	defer freeFrameReader(r)
 	for {
-		f, err := protocol.ReadFrame(c.conn)
+		f, err := protocol.ReadFrame(r)
 		if err != nil {
 			c.failAll(err)
 			return
@@ -211,18 +238,26 @@ func (c *Client) deliver(f *protocol.Frame) {
 }
 
 // writeLoop drains the coalescer queue: it sleeps until messages are
-// queued, grabs everything that accumulated while the previous write was
-// in flight, and ships the whole run in one write. Flushing is purely
-// drain-driven — a lone message on an idle connection goes out
-// immediately; batches only form when the producer outpaces the writer,
-// which is exactly when coalescing pays. The drained queue and the
-// writer's spare swap places at every drain, so a steady stream reuses two
-// arrays.
+// queued, takes everything that accumulated while the previous write was
+// in flight, and ships the whole run. Flushing is purely drain-driven — a
+// lone message on an idle connection goes out immediately; batches only
+// form when the producer outpaces the writer, which is exactly when
+// coalescing pays. A run stays in the queue's array while it is written,
+// with producers appending behind it; the next drain moves what they
+// queued to the front, so a connection keeps one array however deep its
+// backlog grows.
 func (c *Client) writeLoop() {
 	defer c.fw.release()
-	var spare []protocol.Outgoing
+	written := 0
 	for {
 		c.writeMu.Lock()
+		if c.sendDead {
+			c.writeMu.Unlock()
+			return
+		}
+		n := copy(c.queue, c.queue[written:])
+		clear(c.queue[n:]) // the reused array must not keep written messages reachable
+		c.queue = c.queue[:n]
 		for len(c.queue) == 0 && !c.sendDead {
 			c.writeCh.Wait()
 		}
@@ -231,7 +266,7 @@ func (c *Client) writeLoop() {
 			return
 		}
 		run := c.queue
-		c.queue = spare
+		written = len(run)
 		c.queueBytes = 0
 		c.spaceCh.Broadcast()
 		c.writeMu.Unlock()
@@ -243,8 +278,6 @@ func (c *Client) writeLoop() {
 			c.conn.Close()
 			return
 		}
-		clear(run) // the reused array must not keep written messages reachable
-		spare = run[:0]
 	}
 }
 
@@ -254,34 +287,50 @@ func (c *Client) writeLoop() {
 // message and the copy-free bulk write exist exactly once. It is not safe
 // for concurrent use; each owner serializes its calls.
 //
-// Runs of small messages are encoded straight into one staging buffer — a
-// single message as a plain frame, several as a Batch envelope — and
-// shipped with one Write: the encoding is the only copy a payload of up to
-// BatchableBodyLimit gets. A message with a body above BatchableBodyLimit
-// is written alone with vectored I/O (writev on real sockets): its header
-// and fields are encoded into staging and its payload is sent from where
-// it lies. Bulk payloads amortize their own syscall, would blow up
-// envelope sizes, and a staging copy would double their memory footprint.
-// The staging buffer and the vector are reused from write to write. The
+// A write goes out in chunks, each with one vectored write (writev on real
+// sockets). Runs of small messages are encoded straight into the staging
+// buffer — a single message as a plain frame, several as a Batch envelope —
+// so the encoding is the only copy a payload of up to BatchableBodyLimit
+// gets. A message with a body above BatchableBodyLimit stays out of
+// envelopes: its header and fields are staged and its payload is referenced
+// where it lies, as one more piece of the chunk's vector. Bulk payloads
+// would blow up envelope sizes, and a staging copy would double their
+// memory footprint. A chunk ends with the message that brings it to
+// MaxBatchBytes — a small message counted at its wire size, a bulk one at
+// its staged head and tail — so the staging buffer keeps the size class of
+// one bounded chunk however much a drain took. The staging buffer, the
+// vector and the payload references are reused from write to write. The
 // staging buffer is taken from the payload pool at the first write,
-// replaced by one of a larger size class when a run outgrows it, and given
-// back by release once the writer is done; a write after that takes a
+// replaced by one of a larger size class when a chunk outgrows it, and
+// given back by release once the writer is done; a write after that takes a
 // fresh one.
 type frameWriter struct {
 	w       io.Writer
-	staging *protocol.Buf // a packed run, or a bulk frame's head and tail
-	vec     [3][]byte     // backing array of bufs
+	staging *protocol.Buf // a chunk's packed runs and bulk frames' heads and tails
+	refs    []payloadRef  // a chunk's bulk payloads, in order
+	vec     [][]byte      // backing array of bufs
 	bufs    net.Buffers   // a field, so WriteTo's receiver does not escape per call
 }
 
-// stage returns the staging buffer, empty, with room for n bytes.
-func (fw *frameWriter) stage(n int) []byte {
-	if fw.staging == nil || cap(fw.staging.B) < n {
-		fw.staging.Free()
-		_, size := protocol.SizeClass(n)
-		fw.staging = protocol.GetBuf(size)
+// payloadRef is a bulk payload written in place: on the wire it follows
+// the chunk's staged bytes up to offset at.
+type payloadRef struct {
+	at      int
+	payload []byte
+}
+
+// reserve returns out with room for n more bytes, moving it into a staging
+// buffer of a larger size class when it has none.
+func (fw *frameWriter) reserve(out []byte, n int) []byte {
+	if cap(out)-len(out) >= n {
+		return out
 	}
-	return fw.staging.B[:0]
+	_, size := protocol.SizeClass(len(out) + n)
+	b := protocol.GetBuf(size)
+	out = append(b.B[:0], out...)
+	fw.staging.Free()
+	fw.staging = b
+	return out
 }
 
 // release gives the staging buffer back to the payload pool.
@@ -290,50 +339,90 @@ func (fw *frameWriter) release() {
 	fw.staging = nil
 }
 
-// write encodes and writes msgs in order. A message that borrowed its
-// payload (freer) gives it back the moment it has been staged, or written
-// in place.
+// write encodes and writes msgs in order, a chunk at a time. A message
+// that borrowed its payload (freer) gives it back once the write carrying
+// it has returned.
 func (fw *frameWriter) write(msgs ...protocol.Outgoing) error {
-	start, runBytes := 0, 0
-	for i := range msgs {
-		m := &msgs[i]
-		if m.Size > protocol.BatchableBodyLimit {
-			if err := fw.flush(msgs[start:i]); err != nil {
-				return err
-			}
-			if err := fw.writeBulk(m); err != nil {
-				return err
-			}
-			start, runBytes = i+1, 0
-			continue
+	for len(msgs) > 0 {
+		n, err := fw.writeChunk(msgs)
+		if err != nil {
+			return err
 		}
-		runBytes += m.Size
-		if i+1-start >= protocol.MaxBatchMessages || runBytes >= protocol.MaxBatchBytes {
-			if err := fw.flush(msgs[start : i+1]); err != nil {
-				return err
-			}
-			start, runBytes = i+1, 0
-		}
+		msgs = msgs[n:]
 	}
-	return fw.flush(msgs[start:])
+	return nil
 }
 
-// flush ships a run of small messages as one wire unit with one Write.
-func (fw *frameWriter) flush(run []protocol.Outgoing) error {
+// writeChunk stages and writes the chunk msgs start with, and returns how
+// many messages it took.
+func (fw *frameWriter) writeChunk(msgs []protocol.Outgoing) (int, error) {
+	var out []byte
+	if fw.staging != nil {
+		out = fw.staging.B[:0]
+	}
+	start, n, size := 0, 0, 0
+	for n < len(msgs) && size < protocol.MaxBatchBytes {
+		m := &msgs[n]
+		if m.Size <= protocol.BatchableBodyLimit {
+			n++
+			size += m.WireSize()
+			if n-start == protocol.MaxBatchMessages {
+				out, start = fw.pack(out, msgs[start:n]), n
+			}
+			continue
+		}
+		if m.Size > protocol.MaxFrameSize {
+			if n > 0 {
+				break // the chunk before it still goes out
+			}
+			return 0, fmt.Errorf("%w: %d bytes", protocol.ErrFrameTooBig, m.Size)
+		}
+		out = fw.pack(out, msgs[start:n])
+		// A head and tail fit in ReferenceFloor bytes but for an unusual
+		// message, whose encoding grows into memory the collector takes.
+		head := len(out)
+		var split int
+		var payload []byte
+		out, split, payload = protocol.AppendOutgoingHead(fw.reserve(out, protocol.ReferenceFloor), m)
+		if payload != nil {
+			fw.refs = append(fw.refs, payloadRef{at: split, payload: payload})
+		}
+		n++
+		start, size = n, size+len(out)-head
+	}
+	out = fw.pack(out, msgs[start:n])
+
+	vec, at := fw.vec[:0], 0
+	for _, r := range fw.refs {
+		vec = append(vec, out[at:r.at], r.payload)
+		at = r.at
+	}
+	if at < len(out) {
+		vec = append(vec, out[at:])
+	}
+	fw.bufs = vec
+	_, err := fw.bufs.WriteTo(fw.w)
+	// Nothing written may stay reachable from the reused vector and
+	// references, whatever WriteTo consumed before an error.
+	clear(vec)
+	clear(fw.refs)
+	fw.vec, fw.refs = vec[:0], fw.refs[:0]
+	for i := range msgs[:n] {
+		free(msgs[i].Msg)
+	}
+	return n, err
+}
+
+// pack stages a run of small messages onto out as one wire unit.
+func (fw *frameWriter) pack(out []byte, run []protocol.Outgoing) []byte {
 	if len(run) == 0 {
-		return nil
+		return out
 	}
-	out := fw.stage(protocol.StagedSize(run))
+	out = fw.reserve(out, protocol.StagedSize(run))
 	if len(run) == 1 {
-		out = protocol.AppendOutgoing(out, &run[0])
-	} else {
-		out = protocol.AppendOutgoingBatch(out, run)
+		return protocol.AppendOutgoing(out, &run[0])
 	}
-	for i := range run {
-		free(run[i].Msg)
-	}
-	_, err := fw.w.Write(out)
-	return err
+	return protocol.AppendOutgoingBatch(out, run)
 }
 
 // freer is a message that borrows its payload from an owner until it is
@@ -348,28 +437,6 @@ func free(m protocol.Message) {
 	if f, ok := m.(freer); ok {
 		f.Free()
 	}
-}
-
-// writeBulk writes one bulk message without copying its payload.
-func (fw *frameWriter) writeBulk(m *protocol.Outgoing) error {
-	if m.Size > protocol.MaxFrameSize {
-		return fmt.Errorf("%w: %d bytes", protocol.ErrFrameTooBig, m.Size)
-	}
-	// A head and tail fit in ReferenceFloor bytes but for an unusual
-	// message, whose encoding grows into memory the collector takes.
-	out, split, payload := protocol.AppendOutgoingHead(fw.stage(protocol.ReferenceFloor), m)
-	vec := append(fw.vec[:0], out[:split])
-	if payload != nil {
-		vec = append(vec, payload)
-	}
-	if split < len(out) {
-		vec = append(vec, out[split:])
-	}
-	fw.bufs = vec
-	_, err := fw.bufs.WriteTo(fw.w)
-	fw.vec = [3][]byte{} // WriteTo clears what it consumed; after an error, drop the rest
-	free(m.Msg)
-	return err
 }
 
 // killWrites abandons the write side; queued messages die with the
@@ -479,8 +546,9 @@ type Pending struct {
 // staged or written it (protocol.Outgoing), which a response implies and
 // a failed call does not. A caller that cannot promise that passes a
 // private copy. A req with a Free method belongs to the transport from Go
-// on: the writer frees it once it is staged or written, and a connection
-// that dies first drops it unfreed, so the caller must not touch it again.
+// on: the writer frees it once the write carrying it has returned, and a
+// connection that dies first drops it unfreed, so the caller must not
+// touch it again.
 //
 // haoclvet:wire
 func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
@@ -628,8 +696,8 @@ func (c *Client) Close() error {
 }
 
 // Server is the node side of the backbone: an acceptor plus, per
-// connection, a reader goroutine and a dispatch worker that hands the
-// connection's requests to its handler strictly in arrival order.
+// connection, one goroutine that reads the connection's requests and hands
+// each to its handler the moment it is read, strictly in arrival order.
 //
 // In-order *dispatch* per connection is a protocol guarantee, not an
 // implementation detail: the host pipelines enqueue commands without
@@ -638,7 +706,7 @@ func (c *Client) Close() error {
 // whose response has not been produced yet. Arrival-order dispatch lets
 // the handler register those IDs before anything executes, making the
 // reference valid by construction. Whether *execution* is also serial is
-// the handler's choice: a plain Handler runs inline in the dispatch
+// the handler's choice: a plain Handler runs inline in the connection's
 // goroutine (strict FIFO, the pre-lane behavior), while an AsyncHandler
 // fans requests out to its own execution lanes and completes them out of
 // order — the reply path reassembles per-envelope response batches from
@@ -709,8 +777,8 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// ServeConn registers conn and serves requests from it on background
-// goroutines. The in-memory network uses this directly with its connection
+// ServeConn registers conn and serves requests from it on a goroutine of
+// its own. The in-memory network uses this directly with its connection
 // ends. A closed server refuses: it closes conn and returns ErrClosed.
 func (s *Server) ServeConn(conn net.Conn) error {
 	s.mu.Lock()
@@ -721,46 +789,50 @@ func (s *Server) ServeConn(conn net.Conn) error {
 	}
 	s.conns[conn] = struct{}{}
 	// Counted under mu: once the closed check passed, Close's Wait must
-	// cover this connection's goroutines and its handler's Close.
-	s.wg.Add(2)
+	// cover this connection's goroutine and its handler's Close.
+	s.wg.Add(1)
 	s.mu.Unlock()
 
-	handler := s.factory()
-	// The reader keeps draining the socket while the handler executes, so a
-	// pipelining host can stream frames into the queue without waiting for
-	// earlier commands to finish; the dispatch loop unpacks each envelope
-	// as it takes it. Envelope and bulk request bodies come from the
-	// payload pool, and the reply writer releases each one once its last
-	// request has been answered.
-	frames := make(chan *protocol.Frame, 128)
-	go func() {
-		defer s.wg.Done()
-		defer close(frames)
-		for {
-			f, err := protocol.ReadFramePooled(conn)
-			if err != nil {
-				return
-			}
-			frames <- f
-		}
-	}()
-	go func() {
-		defer s.wg.Done()
-		w := &replyWriter{fw: frameWriter{w: conn}}
-		defer func() {
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-			conn.Close()
-			if closer, ok := handler.(interface{ Close() error }); ok {
-				// Session cleanup failures have no caller to report to.
-				_ = closer.Close()
-			}
-			w.release()
-		}()
-		s.dispatchLoop(conn, w, handler, frames)
-	}()
+	go s.serve(conn, s.factory())
 	return nil
+}
+
+// serve reads conn's frames and dispatches each the moment it is read, on
+// one goroutine, until the connection ends. Dispatch is registration only
+// — an AsyncHandler files the request with its execution lane and returns
+// (DESIGN.md §4) — so the loop is back at the socket at once, and a
+// pipelining host streams frames in while earlier commands execute: that
+// registration never blocks is what keeps the socket drained. Envelope and
+// bulk request bodies come from the payload pool, and the reply writer
+// releases each one once its last request has been answered. An envelope
+// that does not parse poisons the connection's framing: the loop drops the
+// connection and whatever was sent behind it.
+func (s *Server) serve(conn net.Conn, handler Handler) {
+	defer s.wg.Done()
+	r := newFrameReader(conn)
+	w := &replyWriter{fw: frameWriter{w: conn}}
+	defer func() {
+		freeFrameReader(r)
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		conn.Close()
+		if closer, ok := handler.(interface{ Close() error }); ok {
+			// Session cleanup failures have no caller to report to.
+			_ = closer.Close()
+		}
+		w.release()
+	}()
+	d := newDispatcher(w, handler)
+	for {
+		f, err := protocol.ReadFramePooled(r)
+		if err != nil {
+			return
+		}
+		if err := d.dispatch(f); err != nil {
+			return
+		}
+	}
 }
 
 // replyTo is where one request's response goes: frame is a plain request's
@@ -810,8 +882,9 @@ var spareEnvelopes = sync.Pool{New: func() any { return new(respEnvelope) }}
 // answer with a plain frame the moment they complete — a response never
 // waits behind another lane's execution — while requests from a Batch
 // envelope are held, as messages, until the whole envelope has completed
-// and then written as one coalesced run (bulk responses inside it still
-// travel alone, and so does a failure, the moment it happens). Both go
+// and then written as one coalesced run (a bulk response's payload goes
+// out in place in the same vectored write; a failure travels alone, the
+// moment it happens). Both go
 // through the connection's frameWriter, the same packing and
 // vectored-write function the client side uses. Out-of-order
 // completion across envelopes is fine: the client correlates responses by
@@ -918,22 +991,6 @@ func (w *replyWriter) complete(to replyTo, resp protocol.Message, err error) {
 // answeredAlone reports an envelope slot whose failure was written on its
 // own.
 func answeredAlone(o protocol.Outgoing) bool { return o.Kind == 0 }
-
-// dispatchLoop hands the connection's requests to the handler strictly in
-// arrival order (dispatcher). An envelope that does not parse poisons the
-// connection's framing: the loop closes the connection and drops whatever
-// was read behind it.
-func (s *Server) dispatchLoop(conn net.Conn, w *replyWriter, handler Handler, frames <-chan *protocol.Frame) {
-	d := newDispatcher(w, handler)
-	for f := range frames {
-		if err := d.dispatch(f); err != nil {
-			conn.Close()
-			for range frames {
-			}
-			return
-		}
-	}
-}
 
 // dispatcher hands one connection's frames to its handler. An
 // AsyncHandler takes ownership of each request's execution and completes

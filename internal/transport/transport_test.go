@@ -3,6 +3,8 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -335,5 +337,54 @@ func TestLargePayloadRoundTrip(t *testing.T) {
 		if resp.Data[i] != payload[i] {
 			t.Fatalf("payload corrupted at %d", i)
 		}
+	}
+}
+
+// TestConnectionCycleAllocationBudget: a short-lived connection — a dial,
+// one call, a close — stays as cheap as when each server connection had a
+// reader goroutine, a dispatch goroutine and a frame channel between them
+// (24.1 objects and 3.35 KB a cycle; one goroutine and pooled read buffers
+// now make it 23.1 objects and 2.0 KB). An unpooled read buffer alone
+// costs 4 KiB a side. Each cycle has its own server, whose Close returns
+// once the connection's goroutine has given everything back to its pools.
+func TestConnectionCycleAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
+	}
+	const cycles, objBudget, byteBudget = 500, 24.2, 3400
+	network := NewMemNetwork()
+	h := HandlerFunc(func(protocol.Op, []byte) (protocol.Message, error) { return &protocol.EmptyResp{}, nil })
+	req := &protocol.FinishQueueReq{QueueID: 1}
+	cycle := func() {
+		srv := NewStaticServer(h)
+		if err := network.Register("mem://cycle", srv); err != nil {
+			t.Fatal(err)
+		}
+		c, err := network.Dial("mem://cycle")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Call(req, nil); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		srv.Close()
+		network.Unregister("mem://cycle")
+	}
+	for i := 0; i < 20; i++ {
+		cycle() // fill the pools
+	}
+	// A collection empties the pools: keep it out of the measured cycles.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	objs := float64(after.Mallocs-before.Mallocs) / cycles
+	size := float64(after.TotalAlloc-before.TotalAlloc) / cycles
+	if objs > objBudget || size > byteBudget {
+		t.Fatalf("a connection's cycle allocates %.1f objects and %.0f B, budget %.1f and %d B", objs, size, objBudget, byteBudget)
 	}
 }
