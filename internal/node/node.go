@@ -14,6 +14,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -249,4 +250,15 @@ func (n *Node) Serve() *transport.Server {
 // remoteErr builds a protocol error with a code the host can match on.
 func remoteErr(code uint32, format string, args ...any) error {
 	return &protocol.RemoteError{Code: code, Message: fmt.Sprintf(format, args...)}
+}
+
+// wrapRemote is remoteErr around err, with err's code. The host names the
+// op and the code, so a RemoteError contributes its message alone.
+func wrapRemote(err error, format string, args ...any) error {
+	code, msg := protocol.CodeInternal, err.Error()
+	var re *protocol.RemoteError
+	if errors.As(err, &re) {
+		code, msg = re.Code, re.Message
+	}
+	return remoteErr(code, "%s: %s", fmt.Sprintf(format, args...), msg)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"net"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -126,11 +125,13 @@ func TestParkedDepositsSurvivePeerTraffic(t *testing.T) {
 
 // wireConn speaks the raw wire to a node's server over one connection: it
 // sends plain frames and envelopes exactly as built, and collects every
-// response, unpacked from whatever envelope carried it.
+// response, unpacked from whatever envelope carried it. A response that
+// arrives while others are awaited is set aside until it is awaited.
 type wireConn struct {
 	t     *testing.T
 	conn  net.Conn
 	resps chan protocol.Frame
+	aside map[uint64]protocol.Frame
 }
 
 func dialWire(t *testing.T, n *Node) *wireConn {
@@ -140,7 +141,7 @@ func dialWire(t *testing.T, n *Node) *wireConn {
 	if err := srv.ServeConn(nodeEnd); err != nil {
 		t.Fatal(err)
 	}
-	w := &wireConn{t: t, conn: host, resps: make(chan protocol.Frame, 64)}
+	w := &wireConn{t: t, conn: host, resps: make(chan protocol.Frame, 64), aside: make(map[uint64]protocol.Frame)}
 	go func() {
 		defer close(w.resps)
 		for {
@@ -186,30 +187,43 @@ func (w *wireConn) send(subs ...*protocol.Frame) {
 	}
 }
 
-// await collects the responses to ids, in whatever order they arrive,
-// failing on a remote error or a response to anything else.
-func (w *wireConn) await(ids ...uint64) map[uint64]protocol.Frame {
+// reply returns the response to id, failing if it does not arrive within
+// deadline; it may be an ErrorResp.
+func (w *wireConn) reply(id uint64, deadline time.Duration) protocol.Frame {
 	w.t.Helper()
-	got := make(map[uint64]protocol.Frame)
-	timeout := time.After(5 * time.Second)
-	for len(got) < len(ids) {
+	timeout := time.After(deadline)
+	for {
+		if r, ok := w.aside[id]; ok {
+			delete(w.aside, id)
+			return r
+		}
 		select {
 		case r, ok := <-w.resps:
 			if !ok {
-				w.t.Fatal("connection closed while awaiting responses")
+				w.t.Fatalf("connection closed while awaiting the response to request %d", id)
 			}
-			if r.Op == protocol.OpError {
-				var er protocol.ErrorResp
-				_ = protocol.DecodeMessage(&er, r.Body)
-				w.t.Fatalf("request %d failed: %s", r.ReqID, er.Message)
+			if _, dup := w.aside[r.ReqID]; dup {
+				w.t.Fatalf("request %d answered twice", r.ReqID)
 			}
-			if !slices.Contains(ids, r.ReqID) {
-				w.t.Fatalf("response to request %d while awaiting %v", r.ReqID, ids)
-			}
-			got[r.ReqID] = r
+			w.aside[r.ReqID] = r
 		case <-timeout:
-			w.t.Fatalf("responses to %v hung; got %d", ids, len(got))
+			w.t.Fatalf("no response to request %d within %v", id, deadline)
 		}
+	}
+}
+
+// await collects the responses to ids, failing on a remote error.
+func (w *wireConn) await(ids ...uint64) map[uint64]protocol.Frame {
+	w.t.Helper()
+	got := make(map[uint64]protocol.Frame)
+	for _, id := range ids {
+		r := w.reply(id, 5*time.Second)
+		if r.Op == protocol.OpError {
+			var er protocol.ErrorResp
+			_ = protocol.DecodeMessage(&er, r.Body)
+			w.t.Fatalf("request %d failed: %s", r.ReqID, er.Message)
+		}
+		got[id] = r
 	}
 	return got
 }
@@ -226,10 +240,10 @@ func wireCall[T protocol.Message](w *wireConn, id uint64, m protocol.Message, re
 }
 
 // TestEnvelopeBodyOutlivesParkedWrite: a request envelope's body is pooled
-// and goes back to the pool only once every request it carries has been
-// answered. Its first request is a write parked in its lane behind a wait
-// edge while its envelope-mates are answered, and a second envelope of the
-// same size class arrives before the edge resolves. The parked write must
+// and goes back to the pool only once the reply to the last request it
+// carries has been written. Its first request is a write parked in its
+// lane behind a wait edge while its envelope-mates are answered, and a
+// second envelope of the same size class arrives before the edge resolves. The parked write must
 // still land its exact bytes: freed early, its payload would read the
 // second envelope's bytes from a reused buffer, or under the race detector
 // the poison Free leaves behind.
@@ -261,8 +275,8 @@ func TestEnvelopeBodyOutlivesParkedWrite(t *testing.T) {
 		request(11, &protocol.WriteBufferReq{QueueID: q2, BufferID: other, Data: []byte{1, 2}, EventID: 12}),
 		request(12, &protocol.WriteBufferReq{QueueID: q2, BufferID: other, Data: []byte{3, 4}, EventID: 13}),
 	)
-	// The mates are answered (their responses held for the envelope) while
-	// the write stays parked.
+	// The mates are answered while the write stays parked.
+	w.await(11, 12)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		a := wireCall(w, 20, &protocol.QueryEventReq{EventID: 12}, &protocol.QueryEventResp{})
@@ -286,7 +300,7 @@ func TestEnvelopeBodyOutlivesParkedWrite(t *testing.T) {
 		request(30, &protocol.WriteBufferReq{QueueID: q2, BufferID: other, Data: pattern(99), EventID: 14}),
 		request(31, &protocol.WriteBufferReq{QueueID: q2, BufferID: other, Data: []byte{5}, EventID: 10}),
 	)
-	w.await(10, 11, 12, 30, 31)
+	w.await(10, 30, 31)
 
 	got := wireCall(w, 40, &protocol.ReadBufferReq{QueueID: q1, BufferID: target, Size: size}, &protocol.ReadBufferResp{})
 	if !bytes.Equal(got.Data, want) {
@@ -523,13 +537,14 @@ func TestResetReplacesHeldDeposit(t *testing.T) {
 }
 
 // TestRecycledCommandsKeepTheirReplies: a write, copy or launch command
-// goes back to its pool the moment its lane has run done, while its
-// envelope may still hold its reply, so the reply must not live in the
-// command; a read's does, and reads are not pooled. One envelope carries
-// writes and launches on two queues and a read; the second queue's lane
-// parks on a wait edge, so the first queue's replies stay held while later
-// commands reuse the recycled records. Every held reply must carry its own
-// event ID and profile, and the read its bytes.
+// goes back to its pool the moment its lane has run done, while its reply
+// may still wait in the connection's queue to be written, so the reply
+// must not live in the command; a read's does, and reads are not pooled.
+// One envelope carries writes and launches on two queues and a read; the
+// second queue's lane parks on a wait edge, and later commands reuse the
+// first queue's recycled records while the envelope's body is still
+// pooled. Every reply must carry its own event ID and profile, and the
+// read its bytes.
 func TestRecycledCommandsKeepTheirReplies(t *testing.T) {
 	const elems = 64
 	n := testNode(t,
@@ -586,7 +601,7 @@ func TestRecycledCommandsKeepTheirReplies(t *testing.T) {
 	}
 
 	// The first queue's records are back in their pools; these commands
-	// take them over while the envelope still holds their replies.
+	// take them over while the envelope's parked write is unanswered.
 	id, event := uint64(100), uint64(200)
 	for i := 0; i < 20; i++ {
 		w.send(request(id, write(q1, a, values(float32(100+i)), event)))

@@ -456,8 +456,7 @@ func (c *awaitCmd) exec() (protocol.Message, error) {
 			"push %d awaited twice", req.Token))
 	}
 	if entry.err != nil {
-		return nil, s.failCommand(ev, remoteErr(errCode(entry.err),
-			"await push %d: %v", req.Token, entry.err))
+		return nil, s.failCommand(ev, wrapRemote(entry.err, "await push %d", req.Token))
 	}
 	if int64(len(entry.data)) != req.Size {
 		entry.release()

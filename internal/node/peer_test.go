@@ -324,8 +324,9 @@ func TestConnectionReadsPastParkedAwait(t *testing.T) {
 	buf := create(&protocol.CreateBufferReq{ContextID: ctx, Size: 64})
 
 	await := c.Go(&protocol.AwaitPushReq{QueueID: qA, BufferID: buf, Token: 9, Size: 64, EventID: 1}, nil)
-	// Parked before anything else is sent, so it travels alone: the
-	// responses of an envelope's requests ship together (DESIGN.md §4).
+	// Parked before anything else is sent, so it travels alone and this
+	// test sees the reader, not the reply path;
+	// TestEnvelopeMateAnsweredPastParkedAwait covers an envelope-mate.
 	parkedEntry(t, n, 9)
 	data := make([]byte, 64)
 	for i := range data {
@@ -356,6 +357,75 @@ func TestConnectionReadsPastParkedAwait(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the cancelled await hung")
+	}
+}
+
+// TestEnvelopeMateAnsweredPastParkedAwait: a reply never waits for its
+// envelope-mates. One envelope carries an AwaitPush on queue A, with no
+// deposit coming, and a write on queue B: the write is answered while the
+// await stays parked, and the CancelPush sent after that fails the await
+// with its reason. A host that waits on the write before cancelling the
+// push would otherwise stall.
+func TestEnvelopeMateAnsweredPastParkedAwait(t *testing.T) {
+	n := testNode(t, device.Config{Driver: sim.DriverGPU, ID: 1, Shared: true})
+	w := dialWire(t, n)
+	ctx := wireCall(w, 1, &protocol.CreateContextReq{DeviceIDs: []int64{1}}, &protocol.ObjectResp{}).ID
+	qA := wireCall(w, 2, &protocol.CreateQueueReq{ContextID: ctx, DeviceID: 1}, &protocol.ObjectResp{}).ID
+	qB := wireCall(w, 3, &protocol.CreateQueueReq{ContextID: ctx, DeviceID: 1}, &protocol.ObjectResp{}).ID
+	buf := wireCall(w, 4, &protocol.CreateBufferReq{ContextID: ctx, Size: 64}, &protocol.ObjectResp{}).ID
+
+	w.send(
+		request(10, &protocol.AwaitPushReq{QueueID: qA, BufferID: buf, Token: 9, Size: 64, EventID: 1}),
+		request(11, &protocol.WriteBufferReq{QueueID: qB, BufferID: buf, Data: make([]byte, 64), EventID: 2}),
+	)
+	if r := w.reply(11, 3*time.Second); r.Op != protocol.OpWriteBuffer {
+		t.Fatalf("the write was answered with %s", r.Op)
+	}
+	wireCall(w, 12, &protocol.CancelPushReq{Token: 9, Reason: "source push failed"}, &protocol.EmptyResp{})
+	r := w.reply(10, 5*time.Second)
+	var er protocol.ErrorResp
+	if r.Op != protocol.OpError || protocol.DecodeMessage(&er, r.Body) != nil || !strings.Contains(er.Message, "source push failed") {
+		t.Fatalf("the cancelled await was answered with %s %q, want its reason", r.Op, er.Message)
+	}
+}
+
+// TestEventWaitErrorSaysOpAndCodeOnce: a command whose wait-list event
+// failed reaches the host as one RemoteError naming its own op and the
+// code once, around the failed event's message. Here the event is an
+// AwaitPush refusing a deposit of the wrong size, and a read waits on it.
+func TestEventWaitErrorSaysOpAndCodeOnce(t *testing.T) {
+	net := transport.NewMemNetwork()
+	servePeerNode(t, net, "alpha")
+	c, err := net.Dial("mem://alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := transport.Handshake(c, protocol.HelloReq{UserID: "waiter"}); err != nil {
+		t.Fatal(err)
+	}
+	create := func(req protocol.Message) uint64 {
+		var resp protocol.ObjectResp
+		if err := c.Call(req, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.ID
+	}
+	ctx := create(&protocol.CreateContextReq{DeviceIDs: []int64{1}})
+	q := create(&protocol.CreateQueueReq{ContextID: ctx, DeviceID: 1})
+	buf := create(&protocol.CreateBufferReq{ContextID: ctx, Size: 64})
+
+	if err := c.Call(&protocol.PeerPushReq{Token: 5, Data: make([]byte, 64)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	await := c.Go(&protocol.AwaitPushReq{QueueID: q, BufferID: buf, Token: 5, Size: 32, EventID: 1}, nil)
+	err = c.Call(&protocol.ReadBufferReq{QueueID: q, BufferID: buf, Size: 64, EventID: 2, WaitEvents: []int64{1}},
+		&protocol.ReadBufferResp{})
+	if want := "remote ReadBuffer: wait event 1: push 5 carried 64 bytes, await expects 32 (code 7)"; err == nil || err.Error() != want {
+		t.Fatalf("the read waiting on a failed event reports %v, want %q", err, want)
+	}
+	if err := await.Wait(); err == nil {
+		t.Fatal("the await of a deposit of the wrong size succeeded")
 	}
 }
 

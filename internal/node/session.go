@@ -1,7 +1,6 @@
 package node
 
 import (
-	"errors"
 	"slices"
 	"sync"
 
@@ -292,22 +291,13 @@ func (s *Session) awaitDeadline(events []*eventObj) (vtime.Time, error) {
 			}
 		}
 		if e.err != nil {
-			return 0, remoteErr(errCode(e.err), "wait event %d: %v", e.resp.EventID, e.err)
+			return 0, wrapRemote(e.err, "wait event %d", e.resp.EventID)
 		}
 		if end := vtime.Time(e.resp.Profile.End); end > deadline {
 			deadline = end
 		}
 	}
 	return deadline, nil
-}
-
-// errCode extracts a protocol code from an error, defaulting to 1.
-func errCode(err error) uint32 {
-	var re *protocol.RemoteError
-	if errors.As(err, &re) {
-		return re.Code
-	}
-	return 1
 }
 
 // failCommand marks a command's completion event failed — waiters observe
@@ -376,10 +366,11 @@ type command interface {
 // recycler is a pooled command: a write, copy or launch. Its response is
 // its event's (queueCmd.completed), which outlives it, so nothing needs
 // the command once done has taken the response, and lane.run recycles it
-// then. A read answers with a response of its own, which an envelope
-// holds until its last member is answered; push and await commands take
-// part in the rendezvous hand-over (peer.go). Neither is pooled. A command
-// whose registration fails is left to the collector.
+// then, while the reply may still wait in the connection's queue. A read
+// answers with a response of its own, which is encoded only when the
+// reply is written; push and await commands take part in the rendezvous
+// hand-over (peer.go). Neither is pooled. A command whose registration
+// fails is left to the collector.
 type recycler interface{ recycle() }
 
 var (
@@ -1214,7 +1205,7 @@ func (s *Session) handleQueryEvent(body []byte) (protocol.Message, error) {
 		return &protocol.QueryEventResp{Complete: false}, nil
 	}
 	if e.err != nil {
-		return nil, remoteErr(errCode(e.err), "event %d failed: %v", req.EventID, e.err)
+		return nil, wrapRemote(e.err, "event %d failed", req.EventID)
 	}
 	return &protocol.QueryEventResp{Complete: true, Profile: e.resp.Profile}, nil
 }

@@ -80,9 +80,9 @@ type Frame struct {
 
 // Release returns the pooled buffer f's body lives in, if any, to its
 // pool; the frame's bytes, and every view decoded from them, must not be
-// used afterwards. The reader of a pooled frame calls it once the last
-// request the frame carries has been answered. It is a no-op for every
-// other frame.
+// used afterwards. The reader of a pooled frame has it called once the
+// replies to every request the frame carries are written. It is a no-op
+// for every other frame.
 func (f *Frame) Release() {
 	if f.pooled == nil {
 		return
@@ -164,12 +164,17 @@ func WriteFrame(w io.Writer, f *Frame) error {
 // call does not, since the writer may still be writing it. A message with
 // a Free method borrows its payload until then, and the writer calls Free
 // once the write carrying it has returned (ReadBufferResp.Free).
+//
+// Borrows is the request frame a response may view (for an envelope's
+// last answered member, the envelope): the writer releases it, or hands it
+// to a BodyKeeper response, once the write carrying the response returned.
 type Outgoing struct {
-	ReqID uint64
-	Msg   Message // nil: an empty body
-	Size  int     // the encoded body's length, MessageSize(Msg)
-	Op    Op
-	Kind  FrameKind
+	ReqID   uint64
+	Msg     Message // nil: an empty body
+	Size    int     // the encoded body's length, MessageSize(Msg)
+	Borrows *Frame
+	Op      Op
+	Kind    FrameKind
 }
 
 // NewOutgoing sizes m for the frame that will carry it.
@@ -212,7 +217,7 @@ func ReadFrame(r io.Reader) (*Frame, error) { return readFrame(r, false) }
 // ReadFramePooled is ReadFrame for a server's request stream: the body of
 // a bulk request frame (above BatchableBodyLimit) and of every request
 // envelope comes from the payload pool, and the caller must Release the
-// frame once the last request it carries has been answered. Messages
+// frame once the reply to the last request it carries is written. Messages
 // decoded from the body are views of it, so they die with it. A handler
 // that keeps a plain request's body longer — a PeerPush deposit, parked
 // until the matching AwaitPush arrives — answers with a BodyKeeper, which

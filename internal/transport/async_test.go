@@ -90,11 +90,11 @@ func TestAsyncOutOfOrderResponses(t *testing.T) {
 	}
 }
 
-// TestAsyncEnvelopeCoalescedOutOfOrder speaks the raw wire: a request
-// envelope whose sub-requests complete in reverse order must still come
-// back as one response envelope with each response in its request's
-// position.
-func TestAsyncEnvelopeCoalescedOutOfOrder(t *testing.T) {
+// TestAsyncEnvelopeAnsweredOutOfOrder speaks the raw wire: a request
+// envelope whose sub-requests complete in reverse order must have each
+// request answered exactly once, with its own ID and response, whatever
+// frames carry the replies.
+func TestAsyncEnvelopeAnsweredOutOfOrder(t *testing.T) {
 	srv := NewStaticServer(&holdingHandler{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -124,30 +124,30 @@ func TestAsyncEnvelopeCoalescedOutOfOrder(t *testing.T) {
 	}
 
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	resp, err := protocol.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Kind != protocol.FrameBatch {
-		t.Fatalf("response kind = %d, want batch envelope", resp.Kind)
-	}
-	out, err := protocol.DecodeBatch(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(users) {
-		t.Fatalf("response envelope has %d sub-frames, want %d", len(out), len(users))
-	}
-	for i, f := range out {
-		if f.ReqID != uint64(i+1) {
-			t.Fatalf("sub-frame %d carries req %d: envelope positions not preserved", i, f.ReqID)
+	answered := make(map[uint64]bool)
+	for len(answered) < len(users) {
+		f, err := protocol.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("after %d of %d replies: %v", len(answered), len(users), err)
 		}
-		var hr protocol.HelloResp
-		if err := protocol.DecodeMessage(&hr, f.Body); err != nil {
-			t.Fatal(err)
+		out := []*protocol.Frame{f}
+		if f.Kind == protocol.FrameBatch {
+			if out, err = protocol.DecodeBatch(f); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if want := "echo:" + users[i]; hr.NodeName != want {
-			t.Fatalf("sub-frame %d: NodeName %q, want %q", i, hr.NodeName, want)
+		for _, sub := range out {
+			if sub.ReqID < 1 || sub.ReqID > uint64(len(users)) || answered[sub.ReqID] {
+				t.Fatalf("reply to request %d: unknown or answered twice", sub.ReqID)
+			}
+			answered[sub.ReqID] = true
+			var hr protocol.HelloResp
+			if err := protocol.DecodeMessage(&hr, sub.Body); err != nil {
+				t.Fatal(err)
+			}
+			if want := "echo:" + users[sub.ReqID-1]; hr.NodeName != want {
+				t.Fatalf("request %d: NodeName %q, want %q", sub.ReqID, hr.NodeName, want)
+			}
 		}
 	}
 }
@@ -156,9 +156,9 @@ func TestAsyncEnvelopeCoalescedOutOfOrder(t *testing.T) {
 // the moment it fails, whatever its envelope mates are doing. The host may
 // have to act on the failure before a mate can complete — a failed push is
 // cancelled at its consumer by the host, and a mate may be waiting for
-// that cancel — so holding it for the coalesced envelope can deadlock.
-// Here the mate is held until a request the test sends only once the
-// failure has arrived.
+// that cancel — so a reply held for its mates can deadlock. Here the mate
+// is held until a request the test sends only once the failure has
+// arrived.
 func TestAsyncEnvelopeFailureAnsweredAtOnce(t *testing.T) {
 	srv := NewStaticServer(&holdingHandler{})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -235,8 +235,8 @@ func (b bulkEcho) HandleCallAsync(op protocol.Op, body []byte, done func(protoco
 }
 
 // TestAsyncEnvelopeBulkResponseTravelsAlone checks the packing policy on
-// the assembled reply path: a bulk response inside an envelope is written
-// as a plain frame while its small siblings coalesce.
+// the reply path: a bulk response to an envelope member is written as a
+// plain frame, never inside a response envelope.
 func TestAsyncEnvelopeBulkResponseTravelsAlone(t *testing.T) {
 	srv := NewStaticServer(bulkEcho{})
 	addr, err := srv.Listen("127.0.0.1:0")

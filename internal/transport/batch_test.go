@@ -3,8 +3,10 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -228,64 +230,84 @@ func TestBatchedOrderPreserved(t *testing.T) {
 	}
 }
 
-// TestServerBatchedResponses speaks the raw wire to the server: a request
-// envelope must come back as a response envelope covering exactly its
-// requests, in order.
+// TestServerBatchedResponses: replies that complete while a write is in
+// flight leave packed in one envelope, in completion order, in the
+// writer's next run. On an unbuffered in-memory pipe the first reply's
+// write stays in flight until the host reads all of it, so reading its
+// first byte is enough to know the other three are queued behind it.
 func TestServerBatchedResponses(t *testing.T) {
-	srv := NewStaticServer(&echoHandler{})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := &slotHandler{}
+	srv := NewStaticServer(h)
 	defer srv.Close()
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
+	hostEnd, nodeEnd := newMemConnPair()
+	defer hostEnd.Close()
+	if err := srv.ServeConn(nodeEnd); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-
-	var subs []*protocol.Frame
-	for i := 1; i <= 3; i++ {
-		subs = append(subs, &protocol.Frame{
-			Kind: protocol.FrameRequest, ReqID: uint64(i), Op: protocol.OpHello,
-			Body: protocol.EncodeMessage(&protocol.HelloReq{UserID: fmt.Sprintf("u%d", i)}),
-		})
+	var wire []byte
+	for id := uint64(1); id <= 4; id++ {
+		msg := &protocol.HelloReq{UserID: fmt.Sprint(id)}
+		out := protocol.NewOutgoing(protocol.FrameRequest, id, msg.Op(), msg)
+		wire = protocol.AppendOutgoing(wire, &out)
 	}
-	env, err := protocol.EncodeBatch(subs)
-	if err != nil {
+	if _, err := hostEnd.Write(wire); err != nil {
 		t.Fatal(err)
 	}
-	if err := protocol.WriteFrame(conn, env); err != nil {
-		t.Fatal(err)
-	}
-
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	resp, err := protocol.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Kind != protocol.FrameBatch {
-		t.Fatalf("response kind = %d, want batch envelope", resp.Kind)
-	}
-	out, err := protocol.DecodeBatch(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("response envelope has %d sub-frames, want 3", len(out))
-	}
-	for i, f := range out {
-		if f.Kind != protocol.FrameResponse || f.ReqID != uint64(i+1) {
-			t.Fatalf("sub-frame %d: kind %d req %d", i, f.Kind, f.ReqID)
+	var parked []slotCall
+	for deadline := time.Now().Add(5 * time.Second); len(parked) < 4; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 4 requests dispatched", len(parked))
 		}
-		var hr protocol.HelloResp
-		if err := protocol.DecodeMessage(&hr, f.Body); err != nil {
+		time.Sleep(time.Millisecond)
+		h.mu.Lock()
+		parked = h.parked
+		h.mu.Unlock()
+	}
+	answer := func(c slotCall) { c.done(&protocol.HelloResp{NodeName: "echo:" + c.user}, nil) }
+
+	go answer(parked[0])
+	first := make([]byte, 1)
+	if _, err := io.ReadFull(hostEnd, first); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range parked[1:] {
+		answer(c) // queued behind the write in flight: returns at once
+	}
+
+	r := io.MultiReader(bytes.NewReader(first), hostEnd)
+	hostEnd.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var frames [][]*protocol.Frame
+	for n := 0; n < 4; {
+		f, err := protocol.ReadFrame(r)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if want := fmt.Sprintf("echo:u%d", i+1); hr.NodeName != want {
-			t.Fatalf("sub-frame %d: NodeName %q, want %q", i, hr.NodeName, want)
+		subs := []*protocol.Frame{f}
+		if f.Kind == protocol.FrameBatch {
+			if subs, err = protocol.DecodeBatch(f); err != nil {
+				t.Fatal(err)
+			}
 		}
+		frames = append(frames, subs)
+		n += len(subs)
+	}
+	var shape []string
+	for _, subs := range frames {
+		var ids []string
+		for _, sub := range subs {
+			var hr protocol.HelloResp
+			if err := protocol.DecodeMessage(&hr, sub.Body); err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("echo:%d", sub.ReqID); sub.Kind != protocol.FrameResponse || hr.NodeName != want {
+				t.Fatalf("request %d answered with kind %d, %q", sub.ReqID, sub.Kind, hr.NodeName)
+			}
+			ids = append(ids, fmt.Sprint(sub.ReqID))
+		}
+		shape = append(shape, strings.Join(ids, ","))
+	}
+	if got := strings.Join(shape, " | "); got != "1 | 2,3,4" {
+		t.Fatalf("replies left as %q, want the first alone and the three queued behind it in one envelope: %q", got, "1 | 2,3,4")
 	}
 }
 

@@ -12,59 +12,99 @@ import (
 	"github.com/haocl-project/haocl/internal/protocol"
 )
 
-// TestEnvelopeRecordReuse drives one connection's reply writer through
-// envelopes of different lengths, each with a failure answered alone
-// before its mates: once an envelope's last reply is written its record
-// goes back cleared, holding no response and no frame, and the next
-// envelope reuses it with every slot its own.
+// startWriter runs a connection writer over out until the test ends.
+func startWriter(t *testing.T, out io.Writer) *connWriter {
+	t.Helper()
+	w := new(connWriter)
+	w.init(out)
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		w.run(nil)
+	}()
+	t.Cleanup(func() {
+		w.kill()
+		<-stopped
+	})
+	return w
+}
+
+// drain waits until w has written everything it was given.
+func drain(w *connWriter) {
+	for {
+		w.mu.Lock()
+		idle := len(w.queue) == 0 && !w.busy
+		w.mu.Unlock()
+		if idle {
+			return
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// pooledEnvelope is helloEnvelope(ids) read back the way a server reads
+// it, into a body from the payload pool.
+func pooledEnvelope(t *testing.T, ids ...uint64) *protocol.Frame {
+	t.Helper()
+	wire, err := protocol.AppendFrame(nil, helloEnvelope(t, ids...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := protocol.ReadFramePooled(bytes.NewReader(wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestEnvelopeRecordReuse drives one connection's writer through
+// envelopes of different lengths, each with a failure answered before its
+// mates, which complete in reverse. Each reply is queued as it completes,
+// so the wire carries them in completion order. The envelope's pooled body
+// stays while any reply is unwritten and is released once the last one has
+// been written; the record goes back cleared, holding no frame, no slots
+// and no writer.
 func TestEnvelopeRecordReuse(t *testing.T) {
 	var wire bytes.Buffer
-	w := &replyWriter{fw: frameWriter{w: &wire}}
-	var first *respEnvelope
+	w := startWriter(t, &wire)
 	nextID := uint64(1)
 	for round, n := range []int{3, 1, 6, 2} {
 		subs := make([]protocol.Frame, n)
+		ids := make([]uint64, n)
 		for i := range subs {
+			ids[i] = nextID
 			subs[i] = protocol.Frame{Kind: protocol.FrameRequest, ReqID: nextID, Op: protocol.OpHello}
 			nextID++
 		}
-		f := &protocol.Frame{Kind: protocol.FrameBatch}
+		f := pooledEnvelope(t, ids...)
 		env := w.envelope(f, subs)
-		if first == nil {
-			first = env
-		} else if env != first {
-			t.Fatalf("round %d: a new envelope record, want the spare one", round)
+		if env.frame != f || env.remaining != n || len(env.slots) != n || len(env.dones) < n {
+			t.Fatalf("round %d: record holds frame %p, %d remaining, %d slots, %d dones; want %p, %d, %d, %d",
+				round, env.frame, env.remaining, len(env.slots), len(env.dones), f, n, n, n)
 		}
-		if env.frame != f || env.remaining != n || len(env.replies) != n {
-			t.Fatalf("round %d: record holds frame %p, %d remaining, %d slots; want %p, %d, %d",
-				round, env.frame, env.remaining, len(env.replies), f, n, n)
-		}
-		for i, o := range env.replies {
-			want := protocol.Outgoing{Kind: protocol.FrameResponse, ReqID: subs[i].ReqID, Op: protocol.OpHello}
-			if o != want {
-				t.Fatalf("round %d: slot %d reads %+v, want %+v", round, i, o, want)
+		for i, s := range env.slots {
+			if s != (slot{subs[i].ReqID, protocol.OpHello}) {
+				t.Fatalf("round %d: slot %d reads %+v", round, i, s)
 			}
 		}
 		// The last request fails first; the others complete in reverse.
-		w.complete(replyTo{env: env, idx: n - 1}, nil, fmt.Errorf("round %d fails", round))
+		env.dones[n-1](nil, fmt.Errorf("round %d fails", round))
 		for i := n - 2; i >= 0; i-- {
-			w.complete(replyTo{env: env, idx: i}, &protocol.HelloResp{NodeName: fmt.Sprint(subs[i].ReqID)}, nil)
-		}
-		if len(w.spare) != 1 || w.spare[0] != env {
-			t.Fatalf("round %d: %d spare records after the last reply, want this one", round, len(w.spare))
-		}
-		if env.frame != nil || len(env.replies) != 0 {
-			t.Fatalf("round %d: spare record keeps frame %p and %d slots", round, env.frame, len(env.replies))
-		}
-		for i, o := range env.replies[:cap(env.replies)] {
-			if o != (protocol.Outgoing{}) {
-				t.Fatalf("round %d: spare slot %d keeps %+v", round, i, o)
+			drain(w)
+			if f.Body == nil {
+				t.Fatalf("round %d: the envelope body was released with %d requests unanswered", round, i+1)
 			}
+			env.dones[i](&protocol.HelloResp{NodeName: fmt.Sprint(subs[i].ReqID)}, nil)
+		}
+		if env.frame != nil || len(env.slots) != 0 || env.w != nil {
+			t.Fatalf("round %d: the recycled record keeps frame %p, %d slots, writer %p", round, env.frame, len(env.slots), env.w)
+		}
+		drain(w)
+		if f.Body != nil {
+			t.Fatalf("round %d: the envelope body outlived its last reply's write", round)
 		}
 	}
 
-	// On the wire: each failure alone, then its envelope's successes in
-	// request order.
 	var got []string
 	for wire.Len() > 0 {
 		f, err := protocol.ReadFrame(&wire)
@@ -92,7 +132,7 @@ func TestEnvelopeRecordReuse(t *testing.T) {
 			got = append(got, fmt.Sprint(sub.ReqID))
 		}
 	}
-	want := "[3:error 1 2 4:error 10:error 5 6 7 8 9 12:error 11]"
+	want := "[3:error 2 1 4:error 10:error 9 8 7 6 5 12:error 11]"
 	if fmt.Sprint(got) != want {
 		t.Fatalf("responses in wire order %v, want %s", got, want)
 	}
@@ -100,9 +140,9 @@ func TestEnvelopeRecordReuse(t *testing.T) {
 
 // TestBackToBackEnvelopesMixingFailures streams envelopes of different
 // lengths over a real connection without waiting: each mixes a failure
-// answered alone with held requests a later envelope's member completes
-// from another goroutine, so records are recycled on one goroutine while
-// the dispatch loop takes them on another. Every request must be answered
+// with held requests a later envelope's member completes from another
+// goroutine, so records are recycled on one goroutine while the dispatch
+// loop takes them on another. Every request must be answered
 // once, with its own response.
 func TestBackToBackEnvelopesMixingFailures(t *testing.T) {
 	srv := NewStaticServer(&holdingHandler{})
@@ -250,15 +290,15 @@ func helloEnvelope(t *testing.T, ids ...uint64) *protocol.Frame {
 
 // TestEnvelopeSlotDoneBoundOnce: an envelope member is dispatched with its
 // slot's done, made once per slot and kept with the record. Back-to-back
-// envelopes of different lengths reuse one record, and their members
-// complete out of order from two goroutines: each response must reach its
-// own request ID. Dispatching an envelope whose record has its slots
-// allocates nothing (checked without the race detector).
+// envelopes of different lengths complete out of order from two
+// goroutines: each response must reach its own request ID, once.
+// Dispatching an envelope whose record has its slots allocates nothing
+// (checked without the race detector).
 func TestEnvelopeSlotDoneBoundOnce(t *testing.T) {
 	var wire bytes.Buffer
 	h := &slotHandler{}
-	d := newDispatcher(&replyWriter{fw: frameWriter{w: &wire}}, h)
-	var record *respEnvelope
+	w := startWriter(t, &wire)
+	d := newDispatcher(w, h)
 	nextID := uint64(1)
 	for round, n := range []int{4, 7, 3, 7} {
 		ids := make([]uint64, n)
@@ -288,14 +328,8 @@ func TestEnvelopeSlotDoneBoundOnce(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if len(d.w.spare) != 1 || (record != nil && d.w.spare[0] != record) {
-			t.Fatalf("round %d: %d spare records, want the one record every round reuses", round, len(d.w.spare))
-		}
-		record = d.w.spare[0]
 	}
-	if len(record.dones) < 7 {
-		t.Fatalf("the record has %d slot dones after an envelope of 7", len(record.dones))
-	}
+	drain(w)
 
 	answered := make(map[uint64]bool)
 	for wire.Len() > 0 {
@@ -303,9 +337,11 @@ func TestEnvelopeSlotDoneBoundOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		subs, err := protocol.DecodeBatch(f)
-		if err != nil {
-			t.Fatal(err)
+		subs := []*protocol.Frame{f}
+		if f.Kind == protocol.FrameBatch {
+			if subs, err = protocol.DecodeBatch(f); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, sub := range subs {
 			var hr protocol.HelloResp
@@ -325,7 +361,7 @@ func TestEnvelopeSlotDoneBoundOnce(t *testing.T) {
 	if raceEnabled {
 		return // sync.Pool drops a quarter of what it is given: the writer's codec misses
 	}
-	d = newDispatcher(&replyWriter{fw: frameWriter{w: io.Discard}}, &answeringHandler{})
+	d = newDispatcher(startWriter(t, io.Discard), &answeringHandler{})
 	f := helloEnvelope(t, 1, 2, 3, 4)
 	if allocs := testing.AllocsPerRun(100, func() {
 		if err := d.dispatch(f); err != nil {

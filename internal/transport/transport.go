@@ -13,9 +13,9 @@
 // reference the host-assigned event ID of an earlier one that has not
 // produced a response yet. Whether execution is also serial is the
 // handler's choice — an AsyncHandler (the node's session, with its
-// per-queue dispatch lanes) completes requests out of order and the reply
-// path reassembles per-envelope response batches; a plain Handler keeps
-// the strict FIFO of the pre-lane runtime.
+// per-queue dispatch lanes) completes requests out of order, and each reply
+// leaves as its request completes; a plain Handler keeps the strict FIFO of
+// the pre-lane runtime.
 //
 // The host side issues calls through Go, which ships the request and
 // returns a Pending future; Call is Go followed by Wait. Any number of
@@ -24,15 +24,13 @@
 // is sticky: every in-flight and subsequent future resolves to the same
 // error.
 //
-// The client's write side coalesces from its first frame: requests queue to
-// a writer goroutine that drains whatever has accumulated, packs runs of
-// small frames into Batch envelopes, and ships the drain with one vectored
-// write per protocol.MaxBatchBytes staged — flushing whenever the queue
-// drains, so an idle connection never waits on a timer. The server unpacks
-// envelopes into the same per-connection FIFO dispatch (preserving the
-// pipeline's ordering invariant) and coalesces the responses of each
-// envelope symmetrically. Both sides read through a pooled buffer, so a
-// burst of small frames costs one read, not two a frame.
+// Both ends write through a connWriter: messages queue, and one goroutine
+// drains whatever has accumulated, packs runs of small frames into Batch
+// envelopes, and ships the drain with one vectored write per
+// protocol.MaxBatchBytes staged — flushing whenever the queue drains, so
+// an idle connection never waits on a timer. The node queues each reply
+// the moment its request completes. Both sides read through a pooled
+// buffer, so a burst of small frames costs one read, not two a frame.
 //
 // Every message, in both directions, reaches its connection through one
 // function, the connection's frameWriter, and is encoded exactly once, by
@@ -58,7 +56,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -72,13 +69,13 @@ import (
 // body — and every message decoded from it, whose blobs are views of it —
 // belongs to the handler only until it has produced its response
 // (HandleCall returned, or done was invoked): the server recycles request
-// envelopes and bulk request bodies after that, so a handler that wants
-// the bytes for longer copies them, or, for a plain request, answers with
-// a protocol.BodyKeeper, which is handed the body's pooled buffer once the
-// response is written (a PeerPush deposit; DESIGN.md §11). A response, in
-// turn, is encoded when it is written — for a request from an envelope,
-// once the whole envelope has been answered — and it and everything it
-// references must not change before then.
+// envelopes and bulk request bodies once the response is written, so a
+// handler that wants the bytes for longer copies them, or, for a plain
+// request, answers with a protocol.BodyKeeper, which is handed the body's
+// pooled buffer once the response is written (a PeerPush deposit;
+// DESIGN.md §11). A response, in turn, is encoded when it is written, which
+// may be after the handler returned, and it and everything it references
+// must not change before then.
 type Handler interface {
 	HandleCall(op protocol.Op, body []byte) (protocol.Message, error)
 }
@@ -87,15 +84,13 @@ type Handler interface {
 // server invokes HandleCallAsync from the goroutine that reads the
 // connection, strictly in arrival order — that call is the handler's
 // registration stage — and the handler routes the request to whatever
-// internal execution lane it belongs to. It must not block: until it
-// returns, nothing more is read from the connection. done must be invoked
-// exactly once per call, from any goroutine, with the response (or error)
-// to ship. A plain request's response is written the moment it completes,
-// never behind another lane's execution; requests that arrived inside one
-// Batch envelope keep the symmetric response-envelope contract, so their
-// responses are held and shipped together when the whole envelope has
-// completed — a deliberate batching tradeoff that couples envelope-mates'
-// latency (DESIGN.md §4).
+// internal execution lane it belongs to. It must not block — until it
+// returns, nothing more is read from the connection — but a done invoked
+// during registration waits while the connection's queue is full. done
+// must be invoked exactly once per call, from any goroutine, with the
+// response (or error) to ship, which leaves the moment its request
+// completes, never behind another request's execution, even an envelope
+// mate's (DESIGN.md §4).
 //
 // Handlers that need the old strictly-serial behavior simply implement
 // Handler alone; the server then executes calls inline, in arrival order.
@@ -118,21 +113,11 @@ var ErrClosed = errors.New("transport: connection closed")
 // Client is the host side of one host↔node connection.
 type Client struct {
 	conn net.Conn
-	// fw writes every frame the client sends, from the writer goroutine
-	// alone.
-	fw frameWriter
-
-	// writeMu guards the coalescer queue; the writer goroutine writes
-	// without holding it.
-	writeMu    sync.Mutex
-	writeCh    *sync.Cond          // wakes the writer when messages are queued
-	spaceCh    *sync.Cond          // wakes producers when the queue drains
-	queue      []protocol.Outgoing // guarded by writeMu; the run being written stays at its head
-	queueBytes int                 // guarded by writeMu
-	sendDead   bool                // guarded by writeMu; write side failed or closed, queue abandoned
+	// w queues every request the client sends; its goroutine is writeLoop.
+	w connWriter
 
 	mu      sync.Mutex
-	pending map[uint64]*Pending // guarded by mu
+	pending map[uint64]*Pending // guarded by mu; nil once failAll has taken it
 	readErr error               // guarded by mu; sticky, latched by the first failure
 	closed  bool                // guarded by mu; calls fail: set once onDown has run
 	onDown  func(error)         // guarded by mu
@@ -154,22 +139,13 @@ func Dial(addr string) (*Client, error) {
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:    conn,
-		fw:      frameWriter{w: conn},
 		pending: make(map[uint64]*Pending),
 	}
-	c.writeCh = sync.NewCond(&c.writeMu)
-	c.spaceCh = sync.NewCond(&c.writeMu)
+	c.w.init(conn)
 	go c.readLoop()
 	go c.writeLoop()
 	return c
 }
-
-// maxQueuedBytes bounds the wire bytes of the messages waiting in the
-// coalescer queue, payloads included. Producers block once it is reached,
-// restoring the write backpressure the blocking one-frame-per-write path
-// provided naturally — without it a host pipelining bulk writes over a
-// slow link could queue without bound.
-const maxQueuedBytes = 8 << 20
 
 // EnableBatching does nothing: a client coalesces from its first frame. It
 // remains for the benchmark module's ladder, which still calls it.
@@ -194,98 +170,178 @@ func freeFrameReader(r *bufio.Reader) {
 	frameReaders.Put(r)
 }
 
+// readLoop hands each response to its future. A response envelope is
+// unpacked into one reused array, so it costs its frame's allocation and
+// nothing more.
 func (c *Client) readLoop() {
 	r := newFrameReader(c.conn)
 	defer freeFrameReader(r)
+	var subs []protocol.Frame
 	for {
 		f, err := protocol.ReadFrame(r)
 		if err != nil {
 			c.failAll(err)
 			return
 		}
-		if f.Kind == protocol.FrameBatch {
-			subs, err := protocol.DecodeBatch(f)
-			if err != nil {
-				// A malformed envelope poisons the stream's framing.
-				c.failAll(err)
-				c.conn.Close()
-				return
-			}
-			for _, sub := range subs {
-				c.deliver(sub)
-			}
+		if f.Kind != protocol.FrameBatch {
+			c.deliver(f.ReqID, f.Op, f.Body)
 			continue
 		}
-		c.deliver(f)
+		if subs, err = protocol.UnpackBatch(subs[:0], f); err != nil {
+			// A malformed envelope poisons the stream's framing.
+			c.failAll(err)
+			c.conn.Close()
+			return
+		}
+		for i := range subs {
+			c.deliver(subs[i].ReqID, subs[i].Op, subs[i].Body)
+		}
+		clear(subs) // the reused array must not keep the envelope's body reachable
 	}
 }
 
-// deliver hands one response frame to its waiting future. Responses with
-// no waiter are dropped: the caller timed out or the connection is
-// shutting down.
-func (c *Client) deliver(f *protocol.Frame) {
+// deliver hands one response to its waiting future. Responses with no
+// waiter are dropped: the caller timed out or the connection is shutting
+// down.
+func (c *Client) deliver(reqID uint64, op protocol.Op, body []byte) {
 	c.mu.Lock()
-	p, ok := c.pending[f.ReqID]
+	p, ok := c.pending[reqID]
 	if ok {
-		delete(c.pending, f.ReqID)
+		delete(c.pending, reqID)
 	}
 	c.mu.Unlock()
 	if ok {
-		p.frame = f
+		p.respOp, p.body = op, body
 		p.answered.Store(true)
 		p.done.Done()
 	}
 }
 
-// writeLoop drains the coalescer queue: it sleeps until messages are
-// queued, takes everything that accumulated while the previous write was
-// in flight, and ships the whole run. Flushing is purely drain-driven — a
-// lone message on an idle connection goes out immediately; batches only
-// form when the producer outpaces the writer, which is exactly when
-// coalescing pays. A run stays in the queue's array while it is written,
-// with producers appending behind it; the next drain moves what they
-// queued to the front, so a connection keeps one array however deep its
-// backlog grows.
+// writeLoop runs the client's writer until failAll kills it. A write error
+// means the connection is gone (queued messages are pre-validated); closing
+// it unwinds the read side and releases the peer's session.
 func (c *Client) writeLoop() {
-	defer c.fw.release()
-	written := 0
+	c.w.run(func(err error) {
+		c.failAll(fmt.Errorf("transport: send: %w", err))
+		c.conn.Close()
+	})
+}
+
+// Behind the run being written, a connection's queue holds at most
+// maxQueuedBytes of wire size, payloads included, and maxQueuedMessages
+// messages; producers block beyond. The byte bound restores the
+// backpressure a blocking write provides — without it a host pipelining
+// bulk writes over a slow link could queue without bound — and the message
+// bound keeps the queue's one array at a few envelopes' worth, where a
+// node's replay backlog would grow it on every connection.
+const (
+	maxQueuedBytes    = 8 << 20
+	maxQueuedMessages = 4 * protocol.MaxBatchMessages
+)
+
+// connWriter is one connection's write side: a queue of outgoing messages
+// and the goroutine (run) that drains it through the connection's
+// frameWriter. Batches only form when producers outpace the writer, which
+// is exactly when coalescing pays. A run stays in the queue's array while
+// it is written, producers appending behind it, and the next drain moves
+// what they queued to the front, so a connection keeps one array. Whoever
+// sets busy owns fw until it clears it: run, or a node goroutine writing a
+// reply inline (complete).
+type connWriter struct {
+	fw frameWriter
+
+	mu         sync.Mutex
+	more       sync.Cond           // on mu: wakes run for a message, a finished inline write, or death
+	space      sync.Cond           // on mu: wakes producers when the queue drains
+	queue      []protocol.Outgoing // guarded by mu; the run being written stays at its head
+	queueBytes int                 // guarded by mu; wire bytes waiting behind the run
+	waiting    int                 // guarded by mu; messages waiting behind the run
+	busy       bool                // guarded by mu; a write holds fw
+	dead       bool                // guarded by mu; the queue is abandoned
+}
+
+// init points w at the connection it writes.
+func (w *connWriter) init(conn io.Writer) {
+	w.fw.w = conn
+	w.more.L, w.space.L = &w.mu, &w.mu
+}
+
+// run drains the queue until the writer is killed, taking everything that
+// accumulated while the previous write was in flight. A write error goes
+// to failed, if any; the owner kills the writer. Once killed, run waits for
+// an inline write still holding fw and gives the staging buffer back.
+func (w *connWriter) run(failed func(error)) {
+	w.mu.Lock()
 	for {
-		c.writeMu.Lock()
-		if c.sendDead {
-			c.writeMu.Unlock()
-			return
+		for !w.dead && (w.busy || len(w.queue) == 0) {
+			w.more.Wait()
 		}
-		n := copy(c.queue, c.queue[written:])
-		clear(c.queue[n:]) // the reused array must not keep written messages reachable
-		c.queue = c.queue[:n]
-		for len(c.queue) == 0 && !c.sendDead {
-			c.writeCh.Wait()
+		if w.dead {
+			break
 		}
-		if c.sendDead {
-			c.writeMu.Unlock()
-			return
+		run := w.queue
+		w.busy, w.queueBytes, w.waiting = true, 0, 0
+		w.space.Broadcast()
+		w.mu.Unlock()
+		if err := w.fw.write(run...); err != nil && failed != nil {
+			failed(err)
 		}
-		run := c.queue
-		written = len(run)
-		c.queueBytes = 0
-		c.spaceCh.Broadcast()
-		c.writeMu.Unlock()
-		if err := c.fw.write(run...); err != nil {
-			// Queued messages are pre-validated, so this is an I/O
-			// failure: the connection is gone. Close it so the read side
-			// unwinds and the peer's session is released.
-			c.failAll(fmt.Errorf("transport: send: %w", err))
-			c.conn.Close()
-			return
+		w.mu.Lock()
+		w.busy = false
+		if !w.dead {
+			n := copy(w.queue, w.queue[len(run):])
+			clear(w.queue[n:]) // the reused array must not keep written messages reachable
+			w.queue = w.queue[:n]
 		}
+	}
+	for w.busy {
+		w.more.Wait()
+	}
+	w.mu.Unlock()
+	w.fw.release()
+}
+
+// waitForRoom blocks while the queue is full and the writer alive.
+//
+// Caller holds mu.
+func (w *connWriter) waitForRoom() {
+	for (w.queueBytes >= maxQueuedBytes || w.waiting >= maxQueuedMessages) && !w.dead {
+		w.space.Wait()
 	}
 }
 
+// add queues m, or reports false once the writer is dead. Room is counted
+// in wire size, so zero-body control messages still hit the byte bound.
+//
+// Caller holds mu.
+func (w *connWriter) add(m protocol.Outgoing) bool {
+	if w.dead {
+		return false
+	}
+	w.queue = append(w.queue, m)
+	w.queueBytes += m.WireSize()
+	w.waiting++
+	if !w.busy {
+		w.more.Signal()
+	}
+	return true
+}
+
+// kill abandons the writer: run returns, and queued messages die with the
+// connection, what they borrowed left to the collector.
+func (w *connWriter) kill() {
+	w.mu.Lock()
+	w.dead, w.queue = true, nil
+	w.more.Broadcast()
+	w.space.Broadcast()
+	w.mu.Unlock()
+}
+
 // frameWriter is the one function through which messages reach a
-// connection: the client's coalescing writer and the server's reply path
-// both write through it, so the packing policy, the one encoding of each
-// message and the copy-free bulk write exist exactly once. It is not safe
-// for concurrent use; each owner serializes its calls.
+// connection: both ends' connWriters write through it, so the packing
+// policy, the one encoding of each message and the copy-free bulk write
+// exist exactly once. It is not safe for concurrent use; its connWriter
+// hands it to one writer at a time.
 //
 // A write goes out in chunks, each with one vectored write (writev on real
 // sockets). Runs of small messages are encoded straight into the staging
@@ -298,12 +354,13 @@ func (c *Client) writeLoop() {
 // memory footprint. A chunk ends with the message that brings it to
 // MaxBatchBytes — a small message counted at its wire size, a bulk one at
 // its staged head and tail — so the staging buffer keeps the size class of
-// one bounded chunk however much a drain took. The staging buffer, the
-// vector and the payload references are reused from write to write. The
-// staging buffer is taken from the payload pool at the first write,
-// replaced by one of a larger size class when a chunk outgrows it, and
-// given back by release once the writer is done; a write after that takes a
-// fresh one.
+// one bounded chunk however much a drain took. Once a chunk's write has
+// returned, what its messages borrowed goes back (giveBack): payloads, and
+// the request frames replies still view. The staging buffer, the vector and
+// the payload references are reused from write to write. The staging
+// buffer is taken from the payload pool at the first write, replaced by
+// one of a larger size class when a chunk outgrows it, and given back by
+// release once the writer is done; a write after that takes a fresh one.
 type frameWriter struct {
 	w       io.Writer
 	staging *protocol.Buf // a chunk's packed runs and bulk frames' heads and tails
@@ -339,9 +396,9 @@ func (fw *frameWriter) release() {
 	fw.staging = nil
 }
 
-// write encodes and writes msgs in order, a chunk at a time. A message
-// that borrowed its payload (freer) gives it back once the write carrying
-// it has returned.
+// write encodes and writes msgs in order, a chunk at a time. What a
+// message borrowed goes back once the write carrying it has returned
+// (giveBack).
 func (fw *frameWriter) write(msgs ...protocol.Outgoing) error {
 	for len(msgs) > 0 {
 		n, err := fw.writeChunk(msgs)
@@ -408,7 +465,7 @@ func (fw *frameWriter) writeChunk(msgs []protocol.Outgoing) (int, error) {
 	clear(fw.refs)
 	fw.vec, fw.refs = vec[:0], fw.refs[:0]
 	for i := range msgs[:n] {
-		free(msgs[i].Msg)
+		giveBack(&msgs[i])
 	}
 	return n, err
 }
@@ -432,23 +489,18 @@ func (fw *frameWriter) pack(out []byte, run []protocol.Outgoing) []byte {
 // collector.
 type freer interface{ Free() }
 
-// free gives back what m borrowed for its payload, if anything.
-func free(m protocol.Message) {
-	if f, ok := m.(freer); ok {
+// giveBack gives back what m borrowed once its write has returned, or once
+// a dead writer refused it: its payload (freer), and the request frame it
+// answers (Borrows), released or, to a BodyKeeper response, handed over.
+func giveBack(m *protocol.Outgoing) {
+	if f, ok := m.Msg.(freer); ok {
 		f.Free()
 	}
-}
-
-// killWrites abandons the write side; queued messages die with the
-// connection (their futures fail through failAll's sticky error).
-func (c *Client) killWrites() {
-	c.writeMu.Lock()
-	c.sendDead = true
-	c.queue = nil
-	c.queueBytes = 0
-	c.writeCh.Broadcast()
-	c.spaceCh.Broadcast()
-	c.writeMu.Unlock()
+	if k, ok := m.Msg.(protocol.BodyKeeper); ok && m.Borrows != nil {
+		k.KeepBody(m.Borrows.Detach())
+	} else if m.Borrows != nil {
+		m.Borrows.Release()
+	}
 }
 
 // failAll fails the connection with err, once: the first failure does the
@@ -457,11 +509,12 @@ func (c *Client) killWrites() {
 //
 // It publishes in one order: the sticky error is latched, the OnDown
 // callback runs, and only then does any call fail — on the send side
-// (closed, sendDead) as on the receive side (the pending futures). Whoever
-// sees a call fail must be able to observe the state the callback
-// established: the host marks the node dead there, which is what makes the
-// failure classify as node loss and be recovered from instead of escaping
-// to the tenant.
+// (closed, the writer killed) as on the receive side (the pending
+// futures). Whoever sees a call fail must be able to observe the state the
+// callback established: the host marks the node dead there, which is what
+// makes the failure classify as node loss and be recovered from instead of
+// escaping to the tenant. So the writer never kills itself on a write
+// error: it reports the error here.
 func (c *Client) failAll(err error) {
 	c.mu.Lock()
 	if c.readErr != nil {
@@ -479,15 +532,15 @@ func (c *Client) failAll(err error) {
 	c.mu.Lock()
 	c.closed = true
 	pending := c.pending
-	c.pending = make(map[uint64]*Pending)
+	c.pending = nil // closed is set: nothing is registered again
 	c.mu.Unlock()
 	// The write side dies with the connection: without this, a client
 	// whose peer vanished would park its writer goroutine forever unless
 	// the caller remembered to Close.
-	c.killWrites()
+	c.w.kill()
 	for _, p := range pending {
 		p.answered.Store(true)
-		p.done.Done() // with no frame: Wait reports the sticky error
+		p.done.Done() // with no response: Wait reports the sticky error
 	}
 }
 
@@ -521,11 +574,13 @@ type Pending struct {
 	resp     protocol.Message
 
 	// done is released exactly once by whoever removes the call from the
-	// client's pending table: deliver, after setting frame, or failAll,
-	// leaving it nil. A WaitGroup rather than a channel so that the future
-	// is one allocation.
-	done  sync.WaitGroup
-	frame *protocol.Frame
+	// client's pending table: deliver, after setting the response, or
+	// failAll, leaving respOp zero — every response names an op. A
+	// WaitGroup rather than a channel so that the future is one
+	// allocation.
+	done   sync.WaitGroup
+	respOp protocol.Op
+	body   []byte // a view of the response frame's body
 
 	once sync.Once
 	err  error
@@ -592,23 +647,14 @@ func (c *Client) Start(p *Pending, req protocol.Message, resp protocol.Message) 
 		p.settle(fmt.Errorf("send %s: %w: %d bytes", req.Op(), protocol.ErrFrameTooBig, out.Size))
 		return
 	}
-	c.writeMu.Lock()
-	for c.queueBytes >= maxQueuedBytes && !c.sendDead {
-		c.spaceCh.Wait()
-	}
-	if c.sendDead {
-		c.writeMu.Unlock()
+	c.w.mu.Lock()
+	c.w.waitForRoom()
+	ok := c.w.add(out)
+	c.w.mu.Unlock()
+	if !ok {
 		c.forget(id)
 		p.settle(fmt.Errorf("send %s: %w", req.Op(), c.sticky()))
-		return
 	}
-	c.queue = append(c.queue, out)
-	// Count the wire size, not just the body: zero-body control messages
-	// (status polls, shutdown) must still hit the cap, or a producer
-	// outpacing a stalled writer queues without bound.
-	c.queueBytes += out.WireSize()
-	c.writeCh.Signal()
-	c.writeMu.Unlock()
 }
 
 // forget drops a registered pending entry after a send-side failure.
@@ -649,10 +695,10 @@ func (p *Pending) Wait() error {
 	p.once.Do(func() {
 		p.done.Wait()
 		// The future outlives the call (an Event keeps its Pending); the
-		// response frame, and the envelope body behind it, must not.
-		f := p.frame
-		p.frame = nil
-		if f == nil {
+		// response's body, and the envelope body behind it, must not.
+		op, body := p.respOp, p.body
+		p.body = nil
+		if op == 0 {
 			p.c.mu.Lock()
 			err := p.c.readErr
 			p.c.mu.Unlock()
@@ -662,9 +708,9 @@ func (p *Pending) Wait() error {
 			p.err = fmt.Errorf("call %s: %w", p.op, err)
 			return
 		}
-		if f.Op == protocol.OpError {
+		if op == protocol.OpError {
 			var er protocol.ErrorResp
-			if derr := protocol.DecodeMessage(&er, f.Body); derr != nil {
+			if derr := protocol.DecodeMessage(&er, body); derr != nil {
 				p.err = derr
 				return
 			}
@@ -672,7 +718,7 @@ func (p *Pending) Wait() error {
 			return
 		}
 		if p.resp != nil {
-			p.err = protocol.DecodeMessage(p.resp, f.Body)
+			p.err = protocol.DecodeMessage(p.resp, body)
 			p.resp = nil // nor must what was decoded into it
 		}
 	})
@@ -697,7 +743,8 @@ func (c *Client) Close() error {
 
 // Server is the node side of the backbone: an acceptor plus, per
 // connection, one goroutine that reads the connection's requests and hands
-// each to its handler the moment it is read, strictly in arrival order.
+// each to its handler the moment it is read, strictly in arrival order,
+// and one that writes the replies.
 //
 // In-order *dispatch* per connection is a protocol guarantee, not an
 // implementation detail: the host pipelines enqueue commands without
@@ -709,9 +756,9 @@ func (c *Client) Close() error {
 // the handler's choice: a plain Handler runs inline in the connection's
 // goroutine (strict FIFO, the pre-lane behavior), while an AsyncHandler
 // fans requests out to its own execution lanes and completes them out of
-// order — the reply path reassembles per-envelope response batches from
-// whatever order completions arrive in (DESIGN.md §4). Different
-// connections always execute concurrently.
+// order, each reply leaving as its request completes; the host correlates
+// them by request ID (DESIGN.md §4). Different connections always execute
+// concurrently.
 //
 // Each accepted connection gets its own Handler from the factory, so the
 // NMP can maintain per-session state (user identity, owned objects). A
@@ -777,7 +824,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// ServeConn registers conn and serves requests from it on a goroutine of
+// ServeConn registers conn and serves requests from it on goroutines of
 // its own. The in-memory network uses this directly with its connection
 // ends. A closed server refuses: it closes conn and returns ErrClosed.
 func (s *Server) ServeConn(conn net.Conn) error {
@@ -789,8 +836,8 @@ func (s *Server) ServeConn(conn net.Conn) error {
 	}
 	s.conns[conn] = struct{}{}
 	// Counted under mu: once the closed check passed, Close's Wait must
-	// cover this connection's goroutine and its handler's Close.
-	s.wg.Add(1)
+	// cover this connection's reader and writer and its handler's Close.
+	s.wg.Add(2)
 	s.mu.Unlock()
 
 	go s.serve(conn, s.factory())
@@ -798,19 +845,23 @@ func (s *Server) ServeConn(conn net.Conn) error {
 }
 
 // serve reads conn's frames and dispatches each the moment it is read, on
-// one goroutine, until the connection ends. Dispatch is registration only
-// — an AsyncHandler files the request with its execution lane and returns
-// (DESIGN.md §4) — so the loop is back at the socket at once, and a
-// pipelining host streams frames in while earlier commands execute: that
-// registration never blocks is what keeps the socket drained. Envelope and
-// bulk request bodies come from the payload pool, and the reply writer
-// releases each one once its last request has been answered. An envelope
-// that does not parse poisons the connection's framing: the loop drops the
-// connection and whatever was sent behind it.
+// one goroutine, until the connection ends; the replies' writer runs on
+// another. Dispatch is registration only — an AsyncHandler files the
+// request with its execution lane and returns (DESIGN.md §4) — so the loop
+// is back at the socket at once: that registration never blocks is what
+// keeps the socket drained. An envelope that does not parse poisons the
+// connection's framing: the loop drops the connection and whatever was
+// sent behind it. The writer is killed after the handler's Close; a reply
+// completed after that gives back what it borrowed unwritten.
 func (s *Server) serve(conn net.Conn, handler Handler) {
 	defer s.wg.Done()
 	r := newFrameReader(conn)
-	w := &replyWriter{fw: frameWriter{w: conn}}
+	w := new(connWriter)
+	w.init(conn)
+	go func() {
+		defer s.wg.Done()
+		w.run(nil) // a failed write is the read loop's to notice
+	}()
 	defer func() {
 		freeFrameReader(r)
 		s.mu.Lock()
@@ -821,7 +872,7 @@ func (s *Server) serve(conn net.Conn, handler Handler) {
 			// Session cleanup failures have no caller to report to.
 			_ = closer.Close()
 		}
-		w.release()
+		w.kill()
 	}()
 	d := newDispatcher(w, handler)
 	for {
@@ -839,98 +890,41 @@ func (s *Server) serve(conn net.Conn, handler Handler) {
 // own, and env and idx an envelope member's slot.
 type replyTo struct {
 	frame *protocol.Frame
-	env   *respEnvelope
+	env   *envelope
 	idx   int
 }
 
-// respEnvelope collects the responses of one request envelope. Lanes may
-// complete an envelope's requests in any order; the envelope ships as one
-// coalesced unit when the last response lands, with each response in its
-// request's position. replies holds each request's ID and op from the
-// moment it is unpacked, and its response message from the moment it is
-// answered; frame is the request envelope, whose body the requests are
-// views of. Once the last response is written, the record is cleared and
-// goes back to its connection's reply writer for the next envelope.
-//
-// dones[i] is slot i's completion, the done its request is dispatched
-// with. It is made the first time the record has an i-th slot and kept
-// with the record from envelope to envelope, so dispatching an envelope's
-// request allocates nothing. w is the reply writer of the connection the
-// record serves now.
-type respEnvelope struct {
-	replies   []protocol.Outgoing
+// envelope is what the replies to one request envelope share: each
+// request's ID and op, the count of unanswered ones, and frame, the
+// request envelope whose body the requests and their replies view, which
+// rides the reply that brings the count to zero. dones[i] is slot i's
+// completion, made the first time the record has an i-th slot and kept
+// with the record, so dispatching a member allocates nothing. w is the
+// writer of the connection the record serves now.
+type envelope struct {
+	slots     []slot
 	remaining int
 	frame     *protocol.Frame
 	dones     []func(protocol.Message, error)
-	w         *replyWriter
+	w         *connWriter
 }
 
-// maxSpareEnvelopes bounds the cleared envelope records a connection keeps
-// for reuse: enough for the envelopes a steady stream has in flight, few
-// enough that a burst's records do not outlive it. A record past the bound
-// goes to spareEnvelopes.
-const maxSpareEnvelopes = 8
-
-// spareEnvelopes holds cleared envelope records beyond their connections'
-// spares, for any connection, until the collector empties it: a node that
-// registers a whole round ahead of its lanes has more envelopes in flight
-// than a connection keeps, and a record from here comes with its slots'
-// dones.
-var spareEnvelopes = sync.Pool{New: func() any { return new(respEnvelope) }}
-
-// replyWriter serializes one connection's response writes. Plain requests
-// answer with a plain frame the moment they complete — a response never
-// waits behind another lane's execution — while requests from a Batch
-// envelope are held, as messages, until the whole envelope has completed
-// and then written as one coalesced run (a bulk response's payload goes
-// out in place in the same vectored write; a failure travels alone, the
-// moment it happens). Both go
-// through the connection's frameWriter, the same packing and
-// vectored-write function the client side uses. Out-of-order
-// completion across envelopes is fine: the client correlates responses by
-// request ID.
-//
-// A request's frame is released once its response has been written — for
-// an envelope, once every response it carries has: the transport took the
-// body from the pool, so the transport gives it back, never the handler,
-// which may be handed the same body many times by a direct caller. The one
-// exception is a plain request answered with a protocol.BodyKeeper, which
-// takes the buffer over instead.
-type replyWriter struct {
-	mu sync.Mutex
-	fw frameWriter // guarded by mu
-	// spare holds envelope records whose responses have all been written,
-	// cleared, for the dispatch loop to reuse.
-	spare []*respEnvelope // guarded by mu
+// slot is an envelope member's request ID and op.
+type slot struct {
+	reqID uint64
+	op    protocol.Op
 }
 
-// release gives the staging buffer back once the connection's handler has
-// closed; a lane that answers later takes a fresh one.
-func (w *replyWriter) release() {
-	w.mu.Lock()
-	w.fw.release()
-	w.mu.Unlock()
-}
+// envelopes recycles envelope records, with their slots' dones.
+var envelopes = sync.Pool{New: func() any { return new(envelope) }}
 
-// envelope returns the record for request envelope f, whose requests are
-// subs: a spare one when the connection has one, else one from
-// spareEnvelopes, with a done for each slot.
-func (w *replyWriter) envelope(f *protocol.Frame, subs []protocol.Frame) *respEnvelope {
-	var env *respEnvelope
-	w.mu.Lock()
-	if n := len(w.spare); n > 0 {
-		env = w.spare[n-1]
-		w.spare[n-1] = nil
-		w.spare = w.spare[:n-1]
-	}
-	w.mu.Unlock()
-	if env == nil {
-		env = spareEnvelopes.Get().(*respEnvelope)
-	}
+// envelope returns a record for request envelope f, whose requests are
+// subs, with a done for each slot.
+func (w *connWriter) envelope(f *protocol.Frame, subs []protocol.Frame) *envelope {
+	env := envelopes.Get().(*envelope)
 	env.remaining, env.frame, env.w = len(subs), f, w
-	env.replies = slices.Grow(env.replies, len(subs))
 	for _, sub := range subs {
-		env.replies = append(env.replies, protocol.Outgoing{Kind: protocol.FrameResponse, ReqID: sub.ReqID, Op: sub.Op})
+		env.slots = append(env.slots, slot{sub.ReqID, sub.Op})
 	}
 	for i := len(env.dones); i < len(subs); i++ {
 		to := replyTo{env: env, idx: i}
@@ -939,72 +933,71 @@ func (w *replyWriter) envelope(f *protocol.Frame, subs []protocol.Frame) *respEn
 	return env
 }
 
-// complete delivers one finished request's response. Write failures mean
-// the peer vanished; the read loop notices and cleans the connection up,
-// so the errors need no second handling.
-func (w *replyWriter) complete(to replyTo, resp protocol.Message, err error) {
-	if to.env == nil {
-		out := reply(to.frame.ReqID, to.frame.Op, resp, err)
-		w.mu.Lock()
-		_ = w.fw.write(out)
+// complete sends one finished request's reply, which carries the request
+// frame it may view until it is written: a plain request's own, or for
+// the last answered member of an envelope the envelope's. A plain
+// request's reply on an idle connection is written on the calling
+// goroutine, so a serial round trip pays no hand-off to the writer; every
+// other reply is queued, so replies that complete together leave packed.
+func (w *connWriter) complete(to replyTo, resp protocol.Message, err error) {
+	env := to.env
+	var out protocol.Outgoing
+	if env == nil {
+		out = reply(to.frame.ReqID, to.frame.Op, resp, err)
+		out.Borrows = to.frame
+	} else {
+		// The slot was set before the request was dispatched, and the
+		// record is recycled only after this completion has counted
+		// itself, so reading it needs no lock.
+		s := env.slots[to.idx]
+		out = reply(s.reqID, s.op, resp, err)
+	}
+	w.mu.Lock()
+	w.waitForRoom()
+	if env == nil && !w.dead && !w.busy && len(w.queue) == 0 {
+		w.busy = true
 		w.mu.Unlock()
-		if k, ok := resp.(protocol.BodyKeeper); ok && err == nil {
-			k.KeepBody(to.frame.Detach())
-			return
+		_ = w.fw.write(out) // a failed write is the read loop's to notice
+		w.mu.Lock()
+		w.busy = false
+		if len(w.queue) > 0 || w.dead {
+			w.more.Signal()
 		}
-		to.frame.Release()
+		w.mu.Unlock()
 		return
 	}
-	// The slot's ID and op were set before the request was dispatched, and
-	// only this completion writes the slot again, so reading them needs no
-	// lock.
-	env := to.env
-	slot := &env.replies[to.idx]
-	out := reply(slot.ReqID, slot.Op, resp, err)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err != nil {
-		// A failure is answered at once, alone: the host acts on it — a
-		// failed push is cancelled at its consumer — and the envelope's
-		// other requests may be waiting for exactly that. Its slot is left
-		// empty.
-		_ = w.fw.write(out)
-		out = protocol.Outgoing{}
-	}
-	*slot = out
-	if env.remaining--; env.remaining == 0 {
-		_ = w.fw.write(slices.DeleteFunc(env.replies, answeredAlone)...)
-		env.frame.Release()
-		// No response, nor the request body, may stay reachable from a
-		// spare record.
-		clear(env.replies)
-		env.replies, env.frame = env.replies[:0], nil
-		if len(w.spare) < maxSpareEnvelopes {
-			w.spare = append(w.spare, env)
-		} else {
-			env.w = nil
-			spareEnvelopes.Put(env)
+	var recycled *envelope
+	if env != nil {
+		// Counted under the lock, in queue order: the reply that carries
+		// the body is queued behind every mate's.
+		if env.remaining--; env.remaining == 0 {
+			out.Borrows, recycled = env.frame, env
 		}
+	}
+	ok := w.add(out)
+	w.mu.Unlock()
+	if !ok {
+		giveBack(&out)
+	}
+	if recycled != nil {
+		recycled.slots, recycled.frame, recycled.w = recycled.slots[:0], nil, nil
+		envelopes.Put(recycled)
 	}
 }
 
-// answeredAlone reports an envelope slot whose failure was written on its
-// own.
-func answeredAlone(o protocol.Outgoing) bool { return o.Kind == 0 }
-
 // dispatcher hands one connection's frames to its handler. An
 // AsyncHandler takes ownership of each request's execution and completes
-// it through the reply writer from its own lanes; a plain Handler executes
-// inline, preserving the strict per-connection FIFO of the pre-lane
-// runtime.
+// it through the connection's writer from its own lanes; a plain Handler
+// executes inline, preserving the strict per-connection FIFO of the
+// pre-lane runtime.
 type dispatcher struct {
-	w       *replyWriter
+	w       *connWriter
 	handler Handler
 	async   AsyncHandler     // handler, when it is one
 	subs    []protocol.Frame // reused for each envelope's requests
 }
 
-func newDispatcher(w *replyWriter, handler Handler) *dispatcher {
+func newDispatcher(w *connWriter, handler Handler) *dispatcher {
 	d := &dispatcher{w: w, handler: handler}
 	d.async, _ = handler.(AsyncHandler)
 	return d
@@ -1012,10 +1005,10 @@ func newDispatcher(w *replyWriter, handler Handler) *dispatcher {
 
 // dispatch hands f's requests to the handler. A Batch envelope is
 // unpacked in place, in envelope order: its requests are views of its
-// body and share a respEnvelope, so their responses can be coalesced back
-// into one response envelope no matter which order they complete in, and
-// each is dispatched with its slot's done. A plain request's done is made
-// for it. The error is an envelope that does not parse.
+// body and share an envelope record, whose count of unanswered requests
+// decides which reply releases the body, and each is dispatched with its
+// slot's done. A plain request's done is made for it. The error is an
+// envelope that does not parse.
 func (d *dispatcher) dispatch(f *protocol.Frame) error {
 	if f.Kind != protocol.FrameBatch {
 		if d.async == nil {

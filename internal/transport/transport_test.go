@@ -343,10 +343,11 @@ func TestLargePayloadRoundTrip(t *testing.T) {
 // TestConnectionCycleAllocationBudget: a short-lived connection — a dial,
 // one call, a close — stays as cheap as when each server connection had a
 // reader goroutine, a dispatch goroutine and a frame channel between them
-// (24.1 objects and 3.35 KB a cycle; one goroutine and pooled read buffers
-// now make it 23.1 objects and 2.0 KB). An unpooled read buffer alone
-// costs 4 KiB a side. Each cycle has its own server, whose Close returns
-// once the connection's goroutine has given everything back to its pools.
+// (24.1 objects and 3.35 KB a cycle; pooled read buffers and one
+// connection writer for both ends, its conditions held by value, now make
+// it 21.1 objects and 2.15 KB). An unpooled read buffer alone costs 4 KiB a
+// side. Each cycle has its own server, whose Close returns once the
+// connection's goroutines have given everything back to their pools.
 func TestConnectionCycleAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
