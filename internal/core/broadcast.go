@@ -75,7 +75,7 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 		if q.ctx.sess != c.sess {
 			return nil, fmt.Errorf("core: broadcast through queue of tenant %q: %w", q.ctx.sess.tenant, ErrCrossSession)
 		}
-		dev, _ := q.binding()
+		dev := q.Device()
 		if !seen[dev.node] {
 			seen[dev.node] = true
 			hops = append(hops, q)
@@ -131,7 +131,7 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 			// buffer; the later hops receive it back.
 			h.c.charge(b.hostReadyAt, controlMsgBytes+b.modelSize)
 			h.c.send(trace.KindBroadcast, b.modelSize, &protocol.WriteBufferReq{
-				QueueID:    h.c.qid,
+				QueueID:    h.c.q.id,
 				BufferID:   h.rb.id,
 				Offset:     0,
 				Data:       data,

@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,12 +28,14 @@ import (
 // in hold reach the node at once, so they take effect in wire order, but
 // their replies wait until open is called; requests of an op in refuse
 // never reach the node and are answered with that error code — at once,
-// or at open if the op is held too. set changes the rules midway.
+// or at open if the op is held too. set changes the rules midway. The gate
+// records the object ID every create names, in arrival order.
 type replyGate struct {
 	mu      sync.Mutex
 	hold    map[protocol.Op]bool   // guarded by mu
 	refuse  map[protocol.Op]uint32 // guarded by mu
 	release chan struct{}          // guarded by mu
+	created []createdObject        // guarded by mu
 	held    atomic.Int32
 	closed  atomic.Int32   // sessions closed
 	pending sync.WaitGroup // held replies not yet delivered
@@ -71,9 +74,49 @@ type gatedSession struct {
 	g *replyGate
 }
 
+// createdObject is one create a replyGate saw: its op and the object ID
+// the host named.
+type createdObject struct {
+	op protocol.Op
+	id uint64
+}
+
+// createdID decodes the object ID a create request names; ok is false for
+// any other op.
+func createdID(op protocol.Op, body []byte) (id uint64, ok bool, err error) {
+	switch op {
+	case protocol.OpCreateContext:
+		var r protocol.CreateContextReq
+		err, id = protocol.DecodeMessage(&r, body), r.ID
+	case protocol.OpCreateQueue:
+		var r protocol.CreateQueueReq
+		err, id = protocol.DecodeMessage(&r, body), r.ID
+	case protocol.OpCreateBuffer:
+		var r protocol.CreateBufferReq
+		err, id = protocol.DecodeMessage(&r, body), r.ID
+	case protocol.OpBuildProgram:
+		var r protocol.BuildProgramReq
+		err, id = protocol.DecodeMessage(&r, body), r.ID
+	case protocol.OpCreateKernel:
+		var r protocol.CreateKernelReq
+		err, id = protocol.DecodeMessage(&r, body), r.ID
+	default:
+		return 0, false, nil
+	}
+	return id, true, err
+}
+
 func (s *gatedSession) HandleCallAsync(op protocol.Op, body []byte, done func(protocol.Message, error)) {
 	g := s.g
+	id, isCreate, err := createdID(op, body)
+	if err != nil {
+		done(nil, err)
+		return
+	}
 	g.mu.Lock()
+	if isCreate {
+		g.created = append(g.created, createdObject{op, id})
+	}
 	code, refused := g.refuse[op]
 	held, release := g.hold[op], g.release
 	g.mu.Unlock()
@@ -596,5 +639,82 @@ func TestPerNodeCreatesGoOutTogether(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
+	}
+}
+
+// TestObjectNamedOnceAcrossNodes: the host names each object once, and
+// every node it is created on files it under that name (DESIGN.md §2). A
+// context over two nodes, its build, and a buffer and a kernel used on
+// both carry one ID each on both nodes; queues, user and service, carry
+// their own; no two objects share an ID. gpu-01 gets one queue more than
+// gpu-00 before the buffer's first use there, so IDs counted per
+// connection would disagree.
+func TestObjectNamedOnceAcrossNodes(t *testing.T) {
+	cfg := cluster.Synthetic("gated", 0, 2, 0, nil)
+	gates := []*replyGate{newReplyGate(nil, nil), newReplyGate(nil, nil)}
+	rt := connectGated(t, cfg, serveGated(t, cfg, gates...), gates...)
+	devs := rt.Devices(0)
+	ctx, err := rt.OpenSession("names").CreateContext(devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qs []*core.Queue
+	for _, d := range []*core.DeviceRef{devs[0], devs[1], devs[1]} {
+		q, err := ctx.CreateQueue(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs = append(qs, q)
+	}
+	k, buf := incrKernel(t, ctx, 8), mustBuffer(t, ctx, 8)
+	if err := k.SetArg(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := qs[0].EnqueueWrite(buf, 0, mem.F32Bytes([]float32{1, 2})); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []*core.Queue{qs[0], qs[2]} { // the second migrates
+		if _, err := q.EnqueueKernel(k, []int{2}, nil, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, _, err := qs[2].EnqueueRead(buf, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mem.BytesF32(data); got[0] != 3 || got[1] != 4 {
+		t.Fatalf("read %v after write [1 2] and two incr, want [3 4]", got)
+	}
+
+	perNode := make([]map[protocol.Op][]uint64, len(gates))
+	owner := map[uint64]string{} // ID → the object it names
+	for i, g := range gates {
+		g.mu.Lock()
+		created := slices.Clone(g.created)
+		g.mu.Unlock()
+		perNode[i] = map[protocol.Op][]uint64{}
+		for _, c := range created {
+			perNode[i][c.op] = append(perNode[i][c.op], c.id)
+			obj := c.op.String()
+			if c.op == protocol.OpCreateQueue { // a queue lives on one node
+				obj = fmt.Sprintf("%s on %s", obj, cfg.Nodes[i].Name)
+			}
+			if prev, ok := owner[c.id]; ok && prev != obj {
+				t.Errorf("ID %d names both %s and %s", c.id, prev, obj)
+			}
+			owner[c.id] = obj
+		}
+	}
+	for _, op := range []protocol.Op{protocol.OpCreateContext, protocol.OpBuildProgram,
+		protocol.OpCreateBuffer, protocol.OpCreateKernel} {
+		a, b := perNode[0][op], perNode[1][op]
+		if len(a) != 1 || !slices.Equal(a, b) {
+			t.Errorf("%s named %v on %s and %v on %s, want one ID, the same on both",
+				op, a, cfg.Nodes[0].Name, b, cfg.Nodes[1].Name)
+		}
+	}
+	if q0, q1 := perNode[0][protocol.OpCreateQueue], perNode[1][protocol.OpCreateQueue]; len(q0) < 1 || len(q1) < 2 {
+		t.Errorf("queue creates %v on %s and %v on %s, want the user queues at least",
+			q0, cfg.Nodes[0].Name, q1, cfg.Nodes[1].Name)
 	}
 }

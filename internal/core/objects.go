@@ -226,7 +226,7 @@ func (s *Session) splitWaits(node *NodeHandle, waits []*Event, local []int64) (_
 }
 
 // cmd is one queued command on its way to the wire: the queue it rides and
-// that queue's binding, snapshotted once, the event standing for its
+// that queue's device, snapshotted once, the event standing for its
 // completion, its wire wait list and the virtual-time floor of the waits
 // that cannot go on the wire. Every queued command — the enqueues, the
 // migration relays and push pairs, the broadcast hops — is issued in the
@@ -235,7 +235,6 @@ func (s *Session) splitWaits(node *NodeHandle, waits []*Event, local []int64) (_
 type cmd struct {
 	q     *Queue
 	dev   *DeviceRef
-	qid   uint64
 	ev    *Event
 	waits []int64
 	floor vtime.Time
@@ -246,12 +245,12 @@ type cmd struct {
 
 // begin starts a command on q that waits on waits and on the heads of
 // the replicas rbs. A queue that latched a failure refuses it; otherwise
-// begin snapshots the queue's binding, makes the command's event, splits
+// begin snapshots the queue's device, makes the command's event, splits
 // waits into wire IDs and a floor (splitWaits) and chains the command
 // behind each replica (after).
 func (q *Queue) begin(waits []*Event, rbs ...*remoteBuf) (c cmd, err error) {
 	q.mu.Lock()
-	c.q, c.dev, c.qid, err = q, q.dev, q.remoteID, q.err
+	c.q, c.dev, err = q, q.dev, q.err
 	q.mu.Unlock()
 	if err != nil {
 		return c, err
@@ -281,7 +280,7 @@ func (c *cmd) charge(earliest vtime.Time, n int64) {
 // record builds the command's trace record, nil when tracing is off. A
 // service queue's commands trace as queue 0.
 func (c *cmd) record(kind trace.Kind, bytes int64) *evTrace {
-	qid := c.qid
+	qid := c.q.id
 	if c.q.made != nil {
 		qid = 0
 	}
@@ -309,17 +308,8 @@ func (c *cmd) send(kind trace.Kind, bytes int64, req protocol.CommandReq) {
 type Context struct {
 	rt      *Runtime
 	sess    *Session
+	id      uint64 // the object's name on every node it spans
 	devices []*DeviceRef
-
-	// remoteMu guards remote, the per-node context instance IDs. The map
-	// is immutable between membership changes, but recovery deletes a dead
-	// node's entry (strip) and rejoin re-adds it (restoreOn) while
-	// other goroutines create objects, so every access goes through
-	// remoteID/remoteSnapshot/setRemote/dropRemote. remoteMu is a leaf
-	// lock: it is taken while holding mu, regMu, a Buffer's or Program's
-	// mu, and never holds any other lock itself.
-	remoteMu sync.Mutex
-	remote   map[*NodeHandle]uint64 // guarded by remoteMu
 
 	mu       sync.Mutex
 	svcQueue map[*NodeHandle]*Queue // guarded by mu; hidden queues for buffer migration
@@ -348,8 +338,8 @@ func (s *Session) CreateContext(devices []*DeviceRef) (*Context, error) {
 	ctx := &Context{
 		rt:       s.rt,
 		sess:     s,
+		id:       s.rt.newObjectID(),
 		devices:  devices,
-		remote:   make(map[*NodeHandle]uint64),
 		svcQueue: make(map[*NodeHandle]*Queue),
 	}
 	perNode := make(map[*NodeHandle][]int64)
@@ -361,11 +351,10 @@ func (s *Session) CreateContext(devices []*DeviceRef) (*Context, error) {
 	for i, node := range nodes {
 		cs[i].node, cs[i].req = node, s.contextReq(perNode[node])
 	}
-	if node, err := s.createEach(protocol.ObjContext, cs); err != nil {
+	s.rt.recoverMu.RLock()
+	defer s.rt.recoverMu.RUnlock()
+	if node, err := s.createEach(protocol.ObjContext, ctx.id, cs); err != nil {
 		return nil, fmt.Errorf("core: create context on %q: %w", node.name, err)
-	}
-	for i := range cs {
-		ctx.setRemote(cs[i].node, cs[i].id)
 	}
 	s.ctxMu.Lock()
 	s.contexts = append(s.contexts, ctx)
@@ -377,40 +366,6 @@ func (s *Session) CreateContext(devices []*DeviceRef) (*Context, error) {
 // node's devices ids.
 func (s *Session) contextReq(ids []int64) *protocol.CreateContextReq {
 	return &protocol.CreateContextReq{DeviceIDs: ids, SessionID: s.id, Tenant: s.tenant}
-}
-
-// remoteID returns the context's remote instance ID on node, if any.
-func (c *Context) remoteID(node *NodeHandle) (uint64, bool) {
-	c.remoteMu.Lock()
-	defer c.remoteMu.Unlock()
-	id, ok := c.remote[node]
-	return id, ok
-}
-
-// remoteSnapshot copies the per-node instance map for lock-free iteration.
-func (c *Context) remoteSnapshot() map[*NodeHandle]uint64 {
-	c.remoteMu.Lock()
-	defer c.remoteMu.Unlock()
-	out := make(map[*NodeHandle]uint64, len(c.remote))
-	for n, id := range c.remote {
-		out[n] = id
-	}
-	return out
-}
-
-// setRemote records the context's remote instance on node (creation and
-// rejoin restore).
-func (c *Context) setRemote(node *NodeHandle, id uint64) {
-	c.remoteMu.Lock()
-	c.remote[node] = id
-	c.remoteMu.Unlock()
-}
-
-// dropRemote forgets the context's remote instance on a dead node.
-func (c *Context) dropRemote(node *NodeHandle) {
-	c.remoteMu.Lock()
-	delete(c.remote, node)
-	c.remoteMu.Unlock()
 }
 
 // unregister drops q from the context's queue registry. Caller holds mu.
@@ -482,15 +437,11 @@ func (c *Context) newServiceQueue(node *NodeHandle) (*Queue, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: context has no device on node %q", node.name)
 	}
-	ctxID, ok := c.remoteID(node)
-	if !ok {
-		return nil, fmt.Errorf("core: device %s is not in this context", dev.key)
-	}
 	cr := new(creation)
-	if err := cr.create(c.sess, node, queueReq(ctxID, dev)); err != nil {
+	if err := cr.create(c.sess, node, c.rt.newObjectID(), c.queueReq(dev)); err != nil {
 		return nil, err
 	}
-	q := &Queue{ctx: c, dev: dev, remoteID: cr.id, made: cr, creates: []*creation{cr}}
+	q := &Queue{ctx: c, id: cr.id, dev: dev, made: cr, creates: []*creation{cr}}
 	c.regMu.Lock()
 	c.queues = append(c.queues, q)
 	c.regMu.Unlock()
@@ -505,17 +456,19 @@ func (c *Context) newServiceQueue(node *NodeHandle) (*Queue, error) {
 // OpenCL's in-order queue semantics.
 type Queue struct {
 	ctx *Context
+	// id is the queue's name on whichever node it is bound to; a queue
+	// recovery re-binds (rebindQueue) keeps it.
+	id uint64
 	// made is a context's hidden migration queue's lazy create
 	// (serviceQueue), nil for a user queue. A service queue's commands
 	// trace as queue 0.
 	made *creation
 
 	mu sync.Mutex
-	// dev and remoteID are the queue's node binding; recovery re-points
-	// them when the node dies (rebindQueue), so concurrent enqueues must
-	// snapshot them through binding() rather than read the fields raw.
-	dev      *DeviceRef // guarded by mu
-	remoteID uint64     // guarded by mu
+	// dev is the queue's binding; recovery re-points it when the node
+	// dies (rebindQueue), so concurrent enqueues must snapshot it (Device,
+	// begin) rather than read the field raw.
+	dev *DeviceRef // guarded by mu
 	// inflight lists the queue's pipelined events in issue order (see
 	// cmd.send for when it is not) until they have resolved.
 	inflight []*Event // guarded by mu
@@ -523,16 +476,6 @@ type Queue struct {
 	// synchronization point has settled them (settleCreates).
 	creates []*creation // guarded by mu
 	err     error       // guarded by mu; sticky: first pipelined command failure
-}
-
-// binding snapshots the queue's current node binding. An operation reads
-// it once and works against that snapshot: if recovery re-binds the queue
-// mid-flight, the operation fails with a crash-classified error and its
-// public wrapper retries against the new binding.
-func (q *Queue) binding() (*DeviceRef, uint64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.dev, q.remoteID
 }
 
 // pruneResolved drops resolved events from an in-flight list about to take
@@ -606,12 +549,13 @@ func (q *Queue) drain() {
 func byRemoteID(a, b *Event) int { return cmp.Compare(a.remoteID, b.remoteID) }
 
 // creation is one object the host creates on a node without waiting — a
-// buffer's replica, a kernel's instance. The host names it (Session.create)
-// and the command that needed it names it right behind the create, so the
-// first use of a buffer or a kernel on a node costs no round trip. call is
-// the create's future, in the object's own storage. The queue of the
-// command that sent the create lists it until a synchronization point
-// settles it (settleCreates).
+// buffer's replica, a kernel's instance, a service queue. id is the
+// object's own ID (Runtime.newObjectID), the same on every node, and the
+// command that needed it names it right behind the create, so the first
+// use of a buffer or a kernel on a node costs no round trip. call is the
+// create's future, in the object's own storage. The queue of the command
+// that sent the create lists it until a synchronization point settles it
+// (settleCreates).
 type creation struct {
 	id      uint64
 	node    *NodeHandle
@@ -623,12 +567,12 @@ type creation struct {
 // be down is not sent anything: the create fails at once as node loss, so
 // the command that needed it recovers and retries instead of being issued
 // into a dead connection.
-func (cr *creation) create(s *Session, node *NodeHandle, req protocol.CreateReq) error {
+func (cr *creation) create(s *Session, node *NodeHandle, id uint64, req protocol.CreateReq) error {
 	if !node.Alive() {
 		return fmt.Errorf("core: %s on %q: %w", req.Op(), node.name, errNodeLost)
 	}
-	cr.node = node
-	cr.id = s.create(node, &cr.call, req, nil)
+	cr.node, cr.id = node, id
+	s.create(node, id, &cr.call, req, nil)
 	return nil
 }
 
@@ -707,41 +651,44 @@ func sortedNodeKeys[V any](m map[*NodeHandle]V) []*NodeHandle {
 
 // CreateQueue creates a command queue on dev.
 func (c *Context) CreateQueue(dev *DeviceRef) (*Queue, error) {
-	id, err := c.remoteQueue(dev)
-	if err != nil {
+	c.rt.recoverMu.RLock()
+	defer c.rt.recoverMu.RUnlock()
+	id := c.rt.newObjectID()
+	if err := c.remoteQueue(id, dev); err != nil {
 		return nil, err
 	}
-	q := &Queue{ctx: c, dev: dev, remoteID: id}
+	q := &Queue{ctx: c, id: id, dev: dev}
 	c.regMu.Lock()
 	c.queues = append(c.queues, q)
 	c.regMu.Unlock()
 	return q, nil
 }
 
-// remoteQueue creates a queue object on dev's node — for a new queue, and
+// remoteQueue creates the queue id on dev's node — for a new queue, and
 // for recovery's re-placement of one (rebindQueue).
-func (c *Context) remoteQueue(dev *DeviceRef) (uint64, error) {
-	ctxID, ok := c.remoteID(dev.node)
-	if !ok {
-		return 0, fmt.Errorf("core: device %s is not in this context", dev.key)
+func (c *Context) remoteQueue(id uint64, dev *DeviceRef) error {
+	if _, ok := c.deviceOnNode(dev.node); !ok {
+		return fmt.Errorf("core: device %s is not in this context", dev.key)
 	}
-	id, err := c.sess.createWait(dev.node, queueReq(ctxID, dev), nil)
-	if err != nil {
-		return 0, fmt.Errorf("core: create queue on %s: %w", dev.key, err)
+	if err := c.sess.createWait(dev.node, id, c.queueReq(dev), nil); err != nil {
+		return fmt.Errorf("core: create queue on %s: %w", dev.key, err)
 	}
-	return id, nil
+	return nil
 }
 
-// queueReq is the create of a profiling queue on dev in the context
-// instance ctxID.
-func queueReq(ctxID uint64, dev *DeviceRef) *protocol.CreateQueueReq {
-	return &protocol.CreateQueueReq{ContextID: ctxID, DeviceID: dev.info.ID, Profiling: true}
+// queueReq is the create of a profiling queue in the context on dev.
+func (c *Context) queueReq(dev *DeviceRef) *protocol.CreateQueueReq {
+	return &protocol.CreateQueueReq{ContextID: c.id, DeviceID: dev.info.ID, Profiling: true}
 }
 
-// Device returns the queue's device.
+// Device snapshots the queue's device, its current binding. An operation
+// reads it once and works against that snapshot: if recovery re-binds the
+// queue mid-flight, the operation fails with a crash-classified error and
+// its public wrapper retries against the new binding.
 func (q *Queue) Device() *DeviceRef {
-	dev, _ := q.binding()
-	return dev
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.dev
 }
 
 // Finish drains the queue's pipeline and returns its virtual completion
@@ -760,9 +707,9 @@ func (q *Queue) finish() (vtime.Time, error) {
 	if err := q.stickyErr(); err != nil {
 		return 0, err
 	}
-	dev, qid := q.binding()
+	dev := q.Device()
 	var resp protocol.FinishQueueResp
-	if err := q.ctx.sess.call(dev.node, &protocol.FinishQueueReq{QueueID: qid}, &resp); err != nil {
+	if err := q.ctx.sess.call(dev.node, &protocol.FinishQueueReq{QueueID: q.id}, &resp); err != nil {
 		return 0, fmt.Errorf("core: finish queue on %s: %w", dev.key, err)
 	}
 	t := vtime.Time(resp.SimTime)
@@ -776,8 +723,7 @@ func (q *Queue) finish() (vtime.Time, error) {
 // (they resolved the queue at dispatch), but new commands enqueued after
 // a Release are refused by the node.
 func (q *Queue) Release() error {
-	dev, qid := q.binding()
-	q.ctx.sess.releaseAsync(dev.node, protocol.ObjQueue, qid)
+	q.ctx.sess.releaseAsync(q.Device().node, protocol.ObjQueue, q.id)
 	return nil
 }
 
@@ -818,6 +764,7 @@ func (rb *remoteBuf) setHead(ev *Event) {
 // as zeros, deterministically.
 type Buffer struct {
 	ctx  *Context
+	id   uint64 // the name of every replica
 	size int64
 	// modelSize is the buffer's logical size in the timing model; it
 	// defaults to size and is raised by SetModelSize when the functional
@@ -846,6 +793,7 @@ func (c *Context) CreateBuffer(size int64) (*Buffer, error) {
 	}
 	b := &Buffer{
 		ctx:       c,
+		id:        c.rt.newObjectID(),
 		size:      size,
 		modelSize: size,
 		remote:    make(map[*NodeHandle]*remoteBuf),
@@ -906,12 +854,11 @@ func (b *Buffer) remoteOn(c *cmd) (*remoteBuf, error) {
 	if rb, ok := b.remote[node]; ok {
 		return rb, nil
 	}
-	ctxID, ok := b.ctx.remoteID(node)
-	if !ok {
+	if _, ok := b.ctx.deviceOnNode(node); !ok {
 		return nil, fmt.Errorf("core: context spans no device on node %q", node.name)
 	}
 	rb := new(remoteBuf)
-	if err := rb.create(b.ctx.sess, node, &protocol.CreateBufferReq{ContextID: ctxID, Size: b.size}); err != nil {
+	if err := rb.create(b.ctx.sess, node, b.id, &protocol.CreateBufferReq{ContextID: b.ctx.id, Size: b.size}); err != nil {
 		return nil, err
 	}
 	c.q.lazy(&rb.creation)
@@ -1009,7 +956,7 @@ func (w *writeLog) enqueue(waits ...*Event) (*Event, error) {
 	c.charge(b.hostReadyAt, controlMsgBytes+modelBytes)
 	h := heldWrites.Get().(*heldWrite)
 	h.WriteBufferReq = protocol.WriteBufferReq{
-		QueueID:    c.qid,
+		QueueID:    c.q.id,
 		BufferID:   rb.id,
 		Offset:     offset,
 		Data:       data,
@@ -1196,7 +1143,7 @@ func (q *Queue) enqueueRead(b *Buffer, offset, size int64, waits ...*Event) ([]b
 	// the queue's in-flight list, and its span tree is emitted here.
 	var resp protocol.ReadBufferResp
 	q.ctx.sess.issue(c.ev, &protocol.ReadBufferReq{
-		QueueID:    c.qid,
+		QueueID:    c.q.id,
 		BufferID:   rb.id,
 		Offset:     offset,
 		Size:       size,
@@ -1292,7 +1239,7 @@ func (q *Queue) enqueueCopy(src, dst *Buffer, srcOffset, dstOffset, size int64, 
 		return nil, err
 	}
 	c.send(trace.KindCopy, size, &protocol.CopyBufferReq{
-		QueueID:    c.qid,
+		QueueID:    c.q.id,
 		SrcID:      srcRB.id,
 		DstID:      dstRB.id,
 		SrcOffset:  srcOffset,
@@ -1313,21 +1260,21 @@ func (q *Queue) enqueueCopy(src, dst *Buffer, srcOffset, dstOffset, size int64, 
 	return c.ev, nil
 }
 
-// Program is OpenCL program source plus its per-node builds. The host
-// parses the source locally with the same front end the nodes use, so arg
-// validation and written-buffer analysis happen without a round trip. The
-// parse is the process-wide one (clc.Cached), shared with every other
-// program of the same source and never written.
+// Program is OpenCL program source plus its builds, one on each node of
+// its context. The host parses the source locally with the same front end
+// the nodes use, so arg validation and written-buffer analysis happen
+// without a round trip. The parse is the process-wide one (clc.Cached),
+// shared with every other program of the same source and never written.
 type Program struct {
 	ctx    *Context
+	id     uint64 // the name of every build
 	source string
 	parsed *clc.Program
 
 	mu      sync.Mutex
-	remote  map[*NodeHandle]uint64 // guarded by mu
-	log     string                 // guarded by mu
-	built   bool                   // guarded by mu
-	kernels []*Kernel              // guarded by mu
+	log     string    // guarded by mu
+	built   bool      // guarded by mu
+	kernels []*Kernel // guarded by mu
 }
 
 // CreateProgram parses source and returns an unbuilt program
@@ -1339,9 +1286,9 @@ func (c *Context) CreateProgram(source string) (*Program, error) {
 	}
 	p := &Program{
 		ctx:    c,
+		id:     c.rt.newObjectID(),
 		source: source,
 		parsed: parsed,
-		remote: make(map[*NodeHandle]uint64),
 	}
 	c.regMu.Lock()
 	c.programs = append(c.programs, p)
@@ -1349,21 +1296,30 @@ func (c *Context) CreateProgram(source string) (*Program, error) {
 	return p, nil
 }
 
-// Build compiles the program on every node in the context (clBuildProgram).
+// Build compiles the program on every live node in the context
+// (clBuildProgram). A node that is down gets the build when it rejoins
+// (restoreOn).
 func (p *Program) Build() error {
+	p.ctx.rt.recoverMu.RLock()
+	defer p.ctx.rt.recoverMu.RUnlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.built {
 		return nil
 	}
-	snap := p.ctx.remoteSnapshot()
-	nodes := sortedNodeKeys(snap)
+	live := make(map[*NodeHandle]bool)
+	for _, d := range p.ctx.devices {
+		if d.node.Alive() {
+			live[d.node] = true
+		}
+	}
+	nodes := sortedNodeKeys(live)
 	cs := make([]nodeCreate, len(nodes))
 	resps := make([]protocol.BuildProgramResp, len(nodes))
 	for i, node := range nodes {
-		cs[i].node, cs[i].req, cs[i].resp = node, p.buildReq(snap[node]), &resps[i]
+		cs[i].node, cs[i].req, cs[i].resp = node, p.buildReq(), &resps[i]
 	}
-	failed, err := p.ctx.sess.createEach(protocol.ObjProgram, cs)
+	failed, err := p.ctx.sess.createEach(protocol.ObjProgram, p.id, cs)
 	// The log is what building one node after the other would have
 	// gathered: every node's up to the one that failed.
 	var log strings.Builder
@@ -1377,16 +1333,13 @@ func (p *Program) Build() error {
 	if err != nil {
 		return fmt.Errorf("core: build on %q: %w", failed.name, err)
 	}
-	for i := range cs {
-		p.remote[cs[i].node] = cs[i].id
-	}
 	p.built = true
 	return nil
 }
 
-// buildReq is the program's build in the context instance ctxID.
-func (p *Program) buildReq(ctxID uint64) *protocol.BuildProgramReq {
-	return &protocol.BuildProgramReq{ContextID: ctxID, Source: p.source}
+// buildReq is the program's build in its context.
+func (p *Program) buildReq() *protocol.BuildProgramReq {
+	return &protocol.BuildProgramReq{ContextID: p.ctx.id, Source: p.source}
 }
 
 // BuildLog returns the accumulated build logs.
@@ -1411,6 +1364,7 @@ type argBinding struct {
 // remote instances are created lazily on each node it launches on.
 type Kernel struct {
 	prog *Program
+	id   uint64 // the name of every instance
 	name string
 	sig  *clc.Kernel
 
@@ -1438,6 +1392,7 @@ func (p *Program) CreateKernel(name string) (*Kernel, error) {
 	}
 	k := &Kernel{
 		prog:   p,
+		id:     p.ctx.rt.newObjectID(),
 		name:   name,
 		sig:    sig,
 		remote: make(map[*NodeHandle]*creation),
@@ -1514,35 +1469,32 @@ func (k *Kernel) SetArg(index int, value any) error {
 // SetArg.
 type LocalSpace int64
 
-// remoteOn returns the kernel's instance on the node c runs on,
+// remoteOn makes sure the kernel has an instance on the node c runs on,
 // instantiating it lazily as Buffer.remoteOn allocates a replica.
-func (k *Kernel) remoteOn(c *cmd) (uint64, error) {
+func (k *Kernel) remoteOn(c *cmd) error {
 	node := c.dev.node
 	k.mu.Lock()
 	if k.released {
 		k.mu.Unlock()
-		return 0, fmt.Errorf("core: kernel %q was released", k.name)
+		return fmt.Errorf("core: kernel %q was released", k.name)
 	}
-	if cr, ok := k.remote[node]; ok {
+	if _, ok := k.remote[node]; ok {
 		k.mu.Unlock()
-		return cr.id, nil
+		return nil
 	}
-	k.prog.mu.Lock()
-	progID, ok := k.prog.remote[node]
-	k.prog.mu.Unlock()
-	if !ok {
+	if _, ok := k.prog.ctx.deviceOnNode(node); !ok {
 		k.mu.Unlock()
-		return 0, fmt.Errorf("core: program not built on node %q", node.name)
+		return fmt.Errorf("core: context spans no device on node %q", node.name)
 	}
 	cr := new(creation)
-	if err := cr.create(k.prog.ctx.sess, node, &protocol.CreateKernelReq{ProgramID: progID, Name: k.name}); err != nil {
+	if err := cr.create(k.prog.ctx.sess, node, k.id, &protocol.CreateKernelReq{ProgramID: k.prog.id, Name: k.name}); err != nil {
 		k.mu.Unlock()
-		return 0, err
+		return err
 	}
 	k.remote[node] = cr
 	k.mu.Unlock()
 	c.q.lazy(cr) // a queue's lock is taken before a kernel's, never inside
-	return cr.id, nil
+	return nil
 }
 
 // Release frees the kernel's remote instances on every node that created
@@ -1620,8 +1572,7 @@ func (q *Queue) enqueueKernelBound(l *kernelLog, waits []*Event) (*Event, error)
 	}
 	c.ev.isKernel = true
 	node := c.dev.node
-	remoteKernel, err := k.remoteOn(&c)
-	if err != nil {
+	if err := k.remoteOn(&c); err != nil {
 		return nil, err
 	}
 	// A launch that fails before it is sent leaves its request to the
@@ -1668,8 +1619,8 @@ func (q *Queue) enqueueKernelBound(l *kernelLog, waits []*Event) (*Event, error)
 
 	c.charge(0, msgBytes)
 	req.EnqueueKernelReq = protocol.EnqueueKernelReq{
-		QueueID:    c.qid,
-		KernelID:   remoteKernel,
+		QueueID:    c.q.id,
+		KernelID:   k.id,
 		Global:     l.global(),
 		Local:      l.local(),
 		Args:       wireArgs,

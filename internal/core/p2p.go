@@ -85,7 +85,7 @@ func (b *Buffer) migrateP2P(c *cmd, rb *remoteBuf, gaps []mem.Range) error {
 			modelBytes := b.scaled(r.Len())
 			relay.charge(b.hostReadyAt, controlMsgBytes+modelBytes)
 			relay.send(trace.KindMigrate, modelBytes, &protocol.WriteBufferReq{
-				QueueID:    relay.qid,
+				QueueID:    relay.q.id,
 				BufferID:   rb.id,
 				Offset:     r.Lo,
 				Data:       make([]byte, r.Len()),
@@ -114,7 +114,7 @@ func (s *Session) push(src, dst *cmd, srcRB, dstRB *remoteBuf, lo, hi, modelByte
 	token := s.rt.nextPushToken()
 	src.charge(0, controlMsgBytes)
 	src.send(trace.KindPushRange, modelBytes, &protocol.PushRangeReq{
-		QueueID:      src.qid,
+		QueueID:      src.q.id,
 		BufferID:     srcRB.id,
 		PeerName:     dst.dev.node.name,
 		PeerBufferID: dstRB.id,
@@ -134,7 +134,7 @@ func (s *Session) push(src, dst *cmd, srcRB, dstRB *remoteBuf, lo, hi, modelByte
 
 	dst.charge(0, controlMsgBytes)
 	req := &protocol.AwaitPushReq{
-		QueueID:    dst.qid,
+		QueueID:    dst.q.id,
 		BufferID:   dstRB.id,
 		Token:      token,
 		Offset:     lo,

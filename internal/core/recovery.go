@@ -358,10 +358,10 @@ func (s *Session) catchUp() error {
 	return nil
 }
 
-// strip removes every trace of the gone nodes from the context: remote
-// instances, service queues, replicas, program and kernel builds, and
-// resets buffer state to zeros for the replay. User queues bound to a gone
-// device are re-bound to a surviving one last, when all else is gone.
+// strip removes every trace of the gone nodes from the context: service
+// queues, replicas and kernel instances, and resets buffer state to zeros
+// for the replay. User queues bound to a gone device are re-bound to a
+// surviving one last, when all else is gone.
 func (c *Context) strip(gone map[*NodeHandle]bool) error {
 	c.mu.Lock()
 	for node, svc := range c.svcQueue {
@@ -371,9 +371,6 @@ func (c *Context) strip(gone map[*NodeHandle]bool) error {
 		}
 	}
 	c.mu.Unlock()
-	for n := range gone {
-		c.dropRemote(n)
-	}
 	c.regMu.Lock()
 	queues := append([]*Queue(nil), c.queues...)
 	buffers := append([]*Buffer(nil), c.buffers...)
@@ -385,9 +382,6 @@ func (c *Context) strip(gone map[*NodeHandle]bool) error {
 	}
 	for _, p := range programs {
 		p.mu.Lock()
-		for n := range gone {
-			delete(p.remote, n)
-		}
 		kernels := append([]*Kernel(nil), p.kernels...)
 		p.mu.Unlock()
 		for _, k := range kernels {
@@ -399,7 +393,7 @@ func (c *Context) strip(gone map[*NodeHandle]bool) error {
 		}
 	}
 	for _, q := range queues {
-		if dev, _ := q.binding(); gone[dev.node] {
+		if gone[q.Device().node] {
 			if err := c.rebindQueue(q); err != nil {
 				return err
 			}
@@ -410,9 +404,9 @@ func (c *Context) strip(gone map[*NodeHandle]bool) error {
 
 // rebindQueue moves a user queue whose device is gone onto a surviving
 // context device: the first of the lost device's type, else the first. The
-// queue stays the same host-side handle; its binding and remote ID change.
+// queue keeps its handle and its ID; only its binding changes.
 func (c *Context) rebindQueue(q *Queue) error {
-	old, _ := q.binding()
+	old := q.Device()
 	var target *DeviceRef
 	for _, d := range c.devices {
 		if d.node.Alive() && (target == nil || d.info.Type == old.info.Type && target.info.Type != old.info.Type) {
@@ -422,13 +416,11 @@ func (c *Context) rebindQueue(q *Queue) error {
 	if target == nil {
 		return fmt.Errorf("core: no surviving device to re-place queue from %s", old.key)
 	}
-	id, err := c.remoteQueue(target)
-	if err != nil {
+	if err := c.remoteQueue(q.id, target); err != nil {
 		return fmt.Errorf("core: re-place queue from %s: %w", old.key, err)
 	}
 	q.mu.Lock()
 	q.dev = target
-	q.remoteID = id
 	q.mu.Unlock()
 	return nil
 }
@@ -540,28 +532,24 @@ func (rt *Runtime) ReconnectNode(name string) error {
 		client.Close()
 		return fmt.Errorf("core: rejoin handshake with %q: %w", name, err)
 	}
-	// Publish the fresh connection before flipping the handle alive, so a
-	// caller that observes stateAlive also loads the new client. Its
-	// object IDs count from 1 again: the node's table is the connection's.
-	h.issueMu.Lock()
+	// Re-create the control-plane objects the fresh process needs, across
+	// every session's namespace, before the handle turns alive and a
+	// command can route to it; data re-replicates lazily.
 	h.client.Store(client)
-	h.objectID = 0
-	h.issueMu.Unlock()
+	for _, s := range rt.allSessions() {
+		for _, ctx := range s.snapshotContexts() {
+			if err := ctx.restoreOn(h); err != nil {
+				client.Close()
+				return fmt.Errorf("core: rejoin %q: %w", name, err)
+			}
+		}
+	}
+	// Watched after the flip, a connection that died meanwhile marks the
+	// node dead at once.
 	h.state.Store(stateAlive)
 	rt.watchNode(h, client)
 	for _, info := range resp.Devices {
 		rt.monitor.RegisterDevice(h.name, info)
-	}
-
-	// Re-create the control-plane objects the fresh process needs before
-	// any command can route to it, across every session's namespace; data
-	// re-replicates lazily.
-	for _, s := range rt.allSessions() {
-		for _, ctx := range s.snapshotContexts() {
-			if err := ctx.restoreOn(h); err != nil {
-				return fmt.Errorf("core: rejoin %q: %w", name, err)
-			}
-		}
 	}
 
 	// Survivors learn the new address book and epoch, dropping any pooled
@@ -575,7 +563,8 @@ func (rt *Runtime) ReconnectNode(name string) error {
 }
 
 // restoreOn re-creates the context and its built programs on a rejoined
-// node. Kernels, service queues and replicas re-materialize lazily.
+// node, each under its own ID. Kernels, service queues and replicas
+// re-materialize lazily.
 func (c *Context) restoreOn(h *NodeHandle) error {
 	var ids []int64
 	for _, d := range c.devices {
@@ -586,11 +575,9 @@ func (c *Context) restoreOn(h *NodeHandle) error {
 	if len(ids) == 0 {
 		return nil // context does not span this node
 	}
-	ctxID, err := c.sess.createWait(h, c.sess.contextReq(ids), nil)
-	if err != nil {
+	if err := c.sess.createWait(h, c.id, c.sess.contextReq(ids), nil); err != nil {
 		return fmt.Errorf("re-create context: %w", err)
 	}
-	c.setRemote(h, ctxID)
 	c.regMu.Lock()
 	programs := append([]*Program(nil), c.programs...)
 	c.regMu.Unlock()
@@ -602,13 +589,9 @@ func (c *Context) restoreOn(h *NodeHandle) error {
 			continue
 		}
 		// The log stays out of BuildLog.
-		id, err := c.sess.createWait(h, p.buildReq(ctxID), nil)
-		if err != nil {
+		if err := c.sess.createWait(h, p.id, p.buildReq(), nil); err != nil {
 			return fmt.Errorf("re-build program: %w", err)
 		}
-		p.mu.Lock()
-		p.remote[h] = id
-		p.mu.Unlock()
 	}
 	return nil
 }

@@ -1,12 +1,16 @@
 package core_test
 
 import (
+	"fmt"
+	"io"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/haocl-project/haocl/internal/core"
 	"github.com/haocl-project/haocl/internal/mem"
 	"github.com/haocl-project/haocl/internal/node"
+	"github.com/haocl-project/haocl/internal/trace"
 )
 
 // These tests pin down the crash-recovery lifecycle one transition at a
@@ -125,6 +129,48 @@ func TestCrashReplacement(t *testing.T) {
 	}
 }
 
+// TestRecoveredQueueKeepsItsID: a queue recovery re-binds to a survivor
+// keeps its ID (DESIGN.md §8), so the trace shows the queue's writes
+// before the crash, the replay and its reads after as one queue.
+func TestRecoveredQueueKeepsItsID(t *testing.T) {
+	f := newRecoveryFixture(t, 3)
+	tr := trace.New()
+	f.cc.rt.SetTracer(tr)
+	victim := f.cc.cfg.Nodes[0].Name
+	qv := f.queueOn(t, victim)
+
+	if _, err := qv.EnqueueWrite(f.buf, 0, mem.F32Bytes([]float32{1, 2, 3, 4})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := qv.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	f.cc.kill(victim)
+	f.mustRead(t, qv, []float32{1, 2, 3, 4}) // re-binds qv
+	if node := qv.Device().Key().Node; node == victim {
+		t.Fatalf("queue still bound to %s after it died", victim)
+	}
+	if err := f.cc.rt.WriteTrace(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+
+	var ids []uint64
+	nodes := map[string]bool{}
+	for _, s := range tr.Spans() {
+		if s.Kind == trace.KindWrite || s.Kind == trace.KindRead {
+			ids = append(ids, s.Queue)
+			nodes[s.Node] = true
+		}
+	}
+	if !nodes[victim] || len(nodes) < 2 {
+		t.Fatalf("write and read spans on nodes %v, want %s's and a survivor's", nodes, victim)
+	}
+	slices.Sort(ids)
+	if ids = slices.Compact(ids); len(ids) != 1 {
+		t.Fatalf("the re-bound queue's write and read spans carry queue IDs %v, want one", ids)
+	}
+}
+
 // TestGenuineReleaseErrorSurvivesRecovery: a sticky release failure from a
 // live node must survive a recovery pass triggered by a different node's
 // crash. Recovery absolves only crash-induced release failures (acks that
@@ -234,6 +280,99 @@ func TestDoubleRejoinUnderLoad(t *testing.T) {
 		t.Fatalf("finish: %v", err)
 	}
 	f.mustRead(t, qa, []float32{9, 9, 9, 9, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7})
+}
+
+// TestRejoinRacesUserCreates: a build, a queue and a context created the
+// moment a rejoining node turns alive land on it once each. ReconnectNode
+// re-creates the session's contexts and builds on the fresh process; a
+// user's Build, CreateQueue or CreateContext must not reach the node
+// before its context is back, nor build there what the rejoin then builds
+// again. Twenty contexts make the re-creates long enough to race.
+func TestRejoinRacesUserCreates(t *testing.T) {
+	f := newRecoveryFixture(t, 2)
+	victim := f.cc.cfg.Nodes[0].Name
+	devs := f.ctx.Devices()
+	vdev := devs[slices.IndexFunc(devs, func(d *core.DeviceRef) bool { return d.Node().Name() == victim })]
+	sess := f.ctx.Session()
+	var last *core.Context
+	for i := 0; i < 20; i++ {
+		ctx, err := sess.CreateContext(devs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := ctx.CreateProgram(incrSource)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := prog.Build(); err != nil {
+			t.Fatal(err)
+		}
+		last = ctx
+	}
+	for round := 0; round < 3; round++ {
+		f.cc.kill(victim)
+		f.cc.awaitDown(victim)
+		prog, err := last.CreateProgram(incrSource)
+		if err != nil {
+			t.Fatal(err)
+		}
+		created := make(chan error, 1)
+		go func() {
+			for !vdev.Node().Alive() {
+				time.Sleep(10 * time.Microsecond)
+			}
+			if err := prog.Build(); err != nil {
+				created <- fmt.Errorf("build: %w", err)
+				return
+			}
+			if _, err := last.CreateQueue(vdev); err != nil {
+				created <- fmt.Errorf("queue: %w", err)
+				return
+			}
+			if _, err := sess.CreateContext(devs); err != nil {
+				created <- fmt.Errorf("context: %w", err)
+				return
+			}
+			created <- nil
+		}()
+		f.cc.restart(victim)
+		if err := <-created; err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+
+		// The racing build runs on the rejoined node.
+		q, err := last.CreateQueue(vdev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := last.CreateBuffer(4 * 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := prog.CreateKernel("incr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.SetArg(0, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.SetArg(1, int32(4)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.EnqueueWrite(buf, 0, mem.F32Bytes([]float32{1, 2, 3, 4})); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.EnqueueKernel(k, []int{4}, nil, nil, nil); err != nil {
+			t.Fatalf("round %d: kernel on the rejoined node: %v", round, err)
+		}
+		data, _, err := q.EnqueueRead(buf, 0, 4*4)
+		if err != nil {
+			t.Fatalf("round %d: read: %v", round, err)
+		}
+		if got := mem.BytesF32(data); !slices.Equal(got, []float32{2, 3, 4, 5}) {
+			t.Fatalf("round %d: read %v, want [2 3 4 5]", round, got)
+		}
+	}
 }
 
 // TestReconnectBackoff: a rejoin that races the node coming back up must

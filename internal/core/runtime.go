@@ -14,7 +14,7 @@
 //
 // and its object locks nest in one documented order, innermost last:
 //
-// lock-order: Session.recGate < Buffer.mu < Context.mu < Queue.mu < Kernel.mu < Program.mu < Context.regMu < Context.remoteMu < cmdLog.mu
+// lock-order: Runtime.recoverMu < Session.recGate < Buffer.mu < Context.mu < Queue.mu < Kernel.mu < Program.mu < Context.regMu < cmdLog.mu
 package core
 
 import (
@@ -83,19 +83,14 @@ type NodeHandle struct {
 	// span the node owes a replay (Session.owesReplay).
 	left uint64 // guarded by Runtime.recoverMu
 
-	// issueMu makes (ID assignment, frame write) atomic so that wire order
-	// equals ID order — the ordering contract the node's FIFO dispatch
-	// turns into in-order command execution, and what lets a command name
-	// an object whose create went out just before it. eventID counts the
+	// issueMu makes (event ID assignment, frame write) atomic so that wire
+	// order equals event-ID order — the ordering contract the node's FIFO
+	// dispatch turns into in-order command execution. eventID counts the
 	// host-assigned completion-event IDs for this connection. The counter
 	// survives reconnects: a restarted node has no old event records, so
 	// continuing the sequence keeps IDs unique without coordination.
-	// objectID counts the host-named object IDs (Session.create) on the
-	// current connection; the node's object table belongs to the
-	// connection, so the count restarts with each new client.
-	issueMu  sync.Mutex
-	eventID  uint64 // guarded by issueMu
-	objectID uint64 // guarded by issueMu
+	issueMu sync.Mutex
+	eventID uint64 // guarded by issueMu
 }
 
 // Name returns the node's configured name.
@@ -208,6 +203,12 @@ type Runtime struct {
 	// absolved — the replay re-established its effect.
 	gen atomic.Uint64
 
+	// objectID names every context, queue, buffer, program and kernel the
+	// runtime's sessions create (newObjectID). One counter for the whole
+	// runtime: sessions share its connections, and a node files every
+	// object of a connection in one table, under the host's name.
+	objectID atomic.Uint64
+
 	// epoch is the membership generation shipped in Hello requests. Every
 	// death or (re)join bumps it; nodes that see a higher epoch drop their
 	// pooled peer connections and cancel parked push rendezvous. Written
@@ -215,8 +216,10 @@ type Runtime struct {
 	epoch atomic.Uint64
 
 	// recoverMu serializes recovery and rejoin: membership steps and
-	// session catch-ups (Session.recGate is taken under it).
-	recoverMu sync.Mutex
+	// session catch-ups (Session.recGate is taken under it). CreateContext,
+	// CreateQueue and Build hold its read side: a rejoin's re-creates
+	// (restoreOn) never race a user's create, so each is made once.
+	recoverMu sync.RWMutex
 
 	// trc is the runtime-level tracing attachment (nil = tracing off);
 	// one Run per SetTracer call. Atomic so the hot enqueue path reads it
@@ -446,6 +449,11 @@ func (rt *Runtime) Flush() error {
 	}
 	return firstErr
 }
+
+// newObjectID names one object. The object keeps the name on every node
+// it is created on, across recoveries and rejoins: no name is ever given
+// twice, so it is free in every connection's table.
+func (rt *Runtime) newObjectID() uint64 { return rt.objectID.Add(1) }
 
 // nextPushToken mints a cluster-unique rendezvous token pairing one
 // PushRange with its AwaitPush.

@@ -193,52 +193,48 @@ func (s *Session) issue(ev *Event, req protocol.CommandReq, resp protocol.Messag
 	n.client.Load().Start(&ev.call, req, resp)
 }
 
-// create ships one create request to n without waiting for the response,
-// naming the object itself: the ID is the connection's next, assigned with
-// the frame write under issueMu as an event's is (issue), so a command
-// naming the object may follow at once — the node files the object when it
-// registers the create, in wire order. p is the call's future, in storage
-// of the caller's, and resp, if not nil, what the response decodes into.
-func (s *Session) create(n *NodeHandle, p *transport.Pending, req protocol.CreateReq, resp protocol.Message) uint64 {
+// create ships the create of the object id to n without waiting for the
+// response. The host names the object (Runtime.newObjectID), so a command
+// naming it may follow at once: the node files the object when it
+// registers the create, in wire order, and the caller publishes the object
+// only after this call has queued the create on the connection. p is the
+// call's future, in storage of the caller's, and resp, if not nil, what the
+// response decodes into.
+func (s *Session) create(n *NodeHandle, id uint64, p *transport.Pending, req protocol.CreateReq, resp protocol.Message) {
 	s.bump(func(m *Metrics) { m.Commands++ })
 	s.sendHeldReleases(n)
-	n.issueMu.Lock()
-	defer n.issueMu.Unlock()
-	n.objectID++
-	req.SetObjectID(n.objectID)
+	req.SetObjectID(id)
 	n.client.Load().Start(p, req, resp)
-	return n.objectID
 }
 
 // createWait is create followed by its wait, for the creates whose errors
 // the API reports at once: a context, a queue (an exclusive device's
 // refusal), a build (its log).
-func (s *Session) createWait(n *NodeHandle, req protocol.CreateReq, resp protocol.Message) (uint64, error) {
+func (s *Session) createWait(n *NodeHandle, id uint64, req protocol.CreateReq, resp protocol.Message) error {
 	var p transport.Pending
-	id := s.create(n, &p, req, resp)
-	return id, classifyNodeErr(n, p.Wait())
+	s.create(n, id, &p, req, resp)
+	return classifyNodeErr(n, p.Wait())
 }
 
 // nodeCreate is one node's share of a create every node of a context
 // needs (createEach): the request, what its response decodes into, and the
-// call and object ID once sent.
+// call once sent.
 type nodeCreate struct {
 	node *NodeHandle
 	req  protocol.CreateReq
 	resp protocol.Message
 	call transport.Pending
-	id   uint64
 }
 
-// createEach sends every create before it waits for any, so a context's or
-// a build's nodes work at once and the call costs one round trip, not one
-// per node. It reports the first failure in slice order, classified, with
-// the node it names, as creating one node after the other would. On a
-// failure the objects the others created are released (kind): the call
-// fails as a whole.
-func (s *Session) createEach(kind protocol.ObjectKind, cs []nodeCreate) (failed *NodeHandle, err error) {
+// createEach sends every create of the object id before it waits for any,
+// so a context's or a build's nodes work at once and the call costs one
+// round trip, not one per node. It reports the first failure in slice
+// order, classified, with the node it names, as creating one node after
+// the other would. On a failure the objects the others created are
+// released (kind): the call fails as a whole.
+func (s *Session) createEach(kind protocol.ObjectKind, id uint64, cs []nodeCreate) (failed *NodeHandle, err error) {
 	for i := range cs {
-		cs[i].id = s.create(cs[i].node, &cs[i].call, cs[i].req, cs[i].resp)
+		s.create(cs[i].node, id, &cs[i].call, cs[i].req, cs[i].resp)
 	}
 	for i := range cs {
 		if werr := cs[i].call.Wait(); werr != nil && err == nil {
@@ -248,7 +244,7 @@ func (s *Session) createEach(kind protocol.ObjectKind, cs []nodeCreate) (failed 
 	if err != nil {
 		for i := range cs {
 			if cs[i].call.Wait() == nil {
-				s.releaseAsync(cs[i].node, kind, cs[i].id)
+				s.releaseAsync(cs[i].node, kind, id)
 			}
 		}
 	}
