@@ -2,9 +2,9 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"github.com/haocl-project/haocl/internal/protocol"
+	"github.com/haocl-project/haocl/internal/recycle"
 )
 
 // The command log is the replay substrate of crash recovery (DESIGN.md §7):
@@ -87,7 +87,7 @@ type logDef struct {
 	// holds counts the owners of a pooled write record (writeLog.Free). It
 	// sits in the header's padding, so no entry grows; zero in every other
 	// entry.
-	holds atomic.Int32
+	holds recycle.Holds
 }
 
 func (d *logDef) def() *logDef { return d }
@@ -353,7 +353,7 @@ func (l *cmdLog) snapshot() []logEntry {
 				continue
 			}
 			if w, ok := e.(*writeLog); ok {
-				w.hold()
+				w.holds.Hold()
 			}
 			out = append(out, e)
 		}
@@ -400,46 +400,34 @@ type writeLog struct {
 
 // writePools recycle pooled write records by their payload's size class
 // (protocol.SizeClass); a pooled record's data has its class's capacity.
-var writePools [protocol.NumSizeClasses]sync.Pool
+var writePools [protocol.NumSizeClasses]recycle.Pool[writeLog]
 
 // newWriteLog returns the record of a write of data at off of b through q,
-// with a private copy of data. A pooled one comes from writePools (a miss
-// allocates the record and its backing array, as an unpooled one does)
-// and holds one hold, the log's; an unpooled one holds none.
+// with a private copy of data. A pooled one comes from writePools and holds
+// one hold, the log's; an unpooled one holds none.
 func newWriteLog(q *Queue, b *Buffer, off int64, data []byte) *writeLog {
 	class, size := protocol.SizeClass(len(data))
 	if len(data) < protocol.ReferenceFloor || class < 0 {
 		return &writeLog{q: q, b: b, off: off, data: append([]byte(nil), data...)}
 	}
-	w, _ := writePools[class].Get().(*writeLog)
-	if w == nil {
-		w = &writeLog{data: make([]byte, 0, size)}
+	w := writePools[class].Get()
+	if w.data == nil {
+		w.data = make([]byte, 0, size)
 	}
 	w.q, w.b, w.off, w.data = q, b, off, append(w.data[:0], data...)
-	w.holds.Store(1)
+	w.holds.Set(1)
 	return w
-}
-
-// hold takes one more hold on w, for a request frame or a snapshot, and
-// reports whether w is pooled. The caller holds one already, so a pooled
-// record's count is positive here; an unpooled one's is zero and stays so.
-func (w *writeLog) hold() bool {
-	if w.holds.Load() == 0 {
-		return false
-	}
-	w.holds.Add(1)
-	return true
 }
 
 // Free gives back one hold on a pooled record, and nothing on an unpooled
 // one. The last hold returns the record to its pool, its payload poisoned
 // under the race detector.
 func (w *writeLog) Free() {
-	if w.holds.Load() == 0 || w.holds.Add(-1) > 0 {
+	if !w.holds.Release() {
 		return
 	}
 	class, _ := protocol.SizeClass(len(w.data))
-	protocol.Poison(w.data)
+	recycle.Poison(w.data)
 	*w = writeLog{data: w.data[:0]}
 	writePools[class].Put(w)
 }

@@ -265,7 +265,7 @@ func TestLogHoldsPooledRecords(t *testing.T) {
 	data := make([]byte, 2<<10)
 	w := newWriteLog(nil, a, 0, data)
 	l.append(w)
-	if !w.hold() { // a frame
+	if !w.holds.Hold() { // a frame
 		t.Fatal("a write of 2 KiB is not pooled")
 	}
 	snap := l.snapshot()
@@ -277,7 +277,7 @@ func TestLogHoldsPooledRecords(t *testing.T) {
 	for _, e := range snap {
 		e.(*writeLog).Free()
 	}
-	if w.b != nil || w.holds.Load() != 0 {
+	if w.b != nil || w.holds.Count() != 0 {
 		t.Fatal("the last hold did not return the record to its pool")
 	}
 
@@ -292,7 +292,7 @@ func TestLogHoldsPooledRecords(t *testing.T) {
 	}
 	// The pool hands the record to another session's write of b.
 	*last = writeLog{b: b, data: append(last.data[:0], data...)}
-	last.holds.Store(1)
+	last.holds.Set(1)
 	other.append(last)
 	l.retire(a) // a still lists last's header
 	l.append(newWriteLog(nil, a, 0, data))

@@ -14,6 +14,7 @@ import (
 	"github.com/haocl-project/haocl/internal/kernel"
 	"github.com/haocl-project/haocl/internal/mem"
 	"github.com/haocl-project/haocl/internal/protocol"
+	"github.com/haocl-project/haocl/internal/recycle"
 	"github.com/haocl-project/haocl/internal/trace"
 	"github.com/haocl-project/haocl/internal/transport"
 	"github.com/haocl-project/haocl/internal/vtime"
@@ -954,7 +955,7 @@ func (w *writeLog) enqueue(waits ...*Event) (*Event, error) {
 	}
 	modelBytes := b.scaled(int64(len(data)))
 	c.charge(b.hostReadyAt, controlMsgBytes+modelBytes)
-	h := heldWrites.Get().(*heldWrite)
+	h := heldWrites.Get()
 	h.WriteBufferReq = protocol.WriteBufferReq{
 		QueueID:    c.q.id,
 		BufferID:   rb.id,
@@ -964,7 +965,7 @@ func (w *writeLog) enqueue(waits ...*Event) (*Event, error) {
 		ModelBytes: modelBytes,
 		WaitEvents: c.waits,
 	}
-	if w.hold() {
+	if w.holds.Hold() {
 		h.w = w
 	}
 	c.send(trace.KindWrite, modelBytes, h)
@@ -990,12 +991,11 @@ type heldWrite struct {
 	w *writeLog // nil unless the record is pooled
 }
 
-var heldWrites = sync.Pool{New: func() any { return new(heldWrite) }}
+var heldWrites recycle.Pool[heldWrite]
 
 // Free gives back the frame's hold on its record and recycles the
 // request; the connection's writer calls it.
 func (h *heldWrite) Free() {
-	retire(h.EventID)
 	if h.w != nil {
 		h.w.Free()
 	}
@@ -1011,11 +1011,10 @@ type launchReq struct {
 	args [8]protocol.KernelArg
 }
 
-var launchReqs = sync.Pool{New: func() any { return new(launchReq) }}
+var launchReqs recycle.Pool[launchReq]
 
 // Free recycles the request; the connection's writer calls it.
 func (r *launchReq) Free() {
-	retire(r.EventID)
 	*r = launchReq{EnqueueKernelReq: protocol.EnqueueKernelReq{QueueID: recycledID, EventID: recycledID}}
 	launchReqs.Put(r)
 }
@@ -1023,16 +1022,8 @@ func (r *launchReq) Free() {
 // recycledID is what a recycled request's event and queue IDs read: a
 // request encoded after it was recycled names an event ID the node
 // refuses and a queue it does not know, and shows as a failed command.
+// (A zero event ID would not: the node synthesizes one.)
 const recycledID = ^uint64(0)
-
-// retire is the tripwire a pooled request whose event ID reads eventID
-// passes on its way back to its pool: under the race detector, freeing a
-// request twice panics.
-func retire(eventID uint64) {
-	if raceEnabled && eventID == recycledID {
-		panic("core: request freed twice")
-	}
-}
 
 // define records at issue time (wire order is event-ID order) that node's
 // replica rb now holds [lo, hi), written by ev: every other replica loses
@@ -1577,7 +1568,7 @@ func (q *Queue) enqueueKernelBound(l *kernelLog, waits []*Event) (*Event, error)
 	}
 	// A launch that fails before it is sent leaves its request to the
 	// collector.
-	req := launchReqs.Get().(*launchReq)
+	req := launchReqs.Get()
 	wireArgs := slices.Grow(req.args[:0], len(l.bindings))[:len(l.bindings)]
 	var msgBytes int64 = controlMsgBytes
 	var writtenArr [8]*Buffer

@@ -12,6 +12,7 @@ import (
 	"github.com/haocl-project/haocl/internal/core"
 	"github.com/haocl-project/haocl/internal/device"
 	"github.com/haocl-project/haocl/internal/node"
+	"github.com/haocl-project/haocl/internal/recycle"
 	"github.com/haocl-project/haocl/internal/sim"
 	"github.com/haocl-project/haocl/internal/transport"
 )
@@ -334,7 +335,7 @@ func TestBulkDataPathAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("moves a few hundred MiB")
 	}
-	if raceEnabled {
+	if recycle.Race {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
 	const chunk, big = 1 << 20, 16 << 20
@@ -449,7 +450,7 @@ func retainedHeap() uint64 {
 // A host-side copy of the contents would be a fourth; the budget leaves a
 // quarter of one for connections, pools and bookkeeping.
 func TestRetainedHeapAllocationBudget(t *testing.T) {
-	if raceEnabled {
+	if recycle.Race {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
 	const size = 16 << 20
@@ -534,7 +535,7 @@ func TestRetainedHeapAllocationBudget(t *testing.T) {
 // the object budget leaves one and a half, so a write or launch request or
 // command that stopped being recycled fails here.
 func TestServeRoundTripAllocationBudget(t *testing.T) {
-	if raceEnabled {
+	if recycle.Race {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
 	const size, jobs, budget, objBudget = 4 << 10, 200, 3.3, 18.5
@@ -645,7 +646,7 @@ func TestServeRoundTripAllocationBudget(t *testing.T) {
 // The budget sits a tenth above the highest of those medians: one object
 // more per command, three a tile, fails.
 func TestSmallCommandAllocationBudget(t *testing.T) {
-	if raceEnabled {
+	if recycle.Race {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
 	const budget = 14.5
@@ -732,7 +733,7 @@ func TestSmallCommandAllocationBudget(t *testing.T) {
 // launch used to cost 18.3, and 8.2 before its request and command were
 // recycled.
 func TestKernelLaunchAllocationBudget(t *testing.T) {
-	if raceEnabled {
+	if recycle.Race {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
 	const budget, launches = 4.5, 2000

@@ -274,7 +274,7 @@ func TestRecycledRecordReplaysItsOwnBytes(t *testing.T) {
 // stalled handler left unread, and the recovery replays the log onto the
 // survivors. Every buffer must read back the bytes the host's model says
 // it holds, and under the race detector no request may be recycled twice
-// (core.retire panics).
+// (recycle.Pool.Put panics).
 func TestPooledRequestsDieWithTheirNode(t *testing.T) {
 	const (
 		// Frames of their own, more than the node's reader takes in while

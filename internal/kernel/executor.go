@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"github.com/haocl-project/haocl/internal/recycle"
 )
 
 // Item gives a work-item function its identity within the NDRange,
@@ -176,7 +178,7 @@ func Run(spec *Spec, l Launch) error {
 
 	// The launch state lives exactly as long as this call — runPool's
 	// workers have exited before it returns — so it is pooled.
-	r := ndranges.Get().(*ndrange)
+	r := ndranges.Get()
 	defer r.release()
 	*r = ndrange{
 		spec:     spec,
@@ -263,7 +265,7 @@ type ndrange struct {
 }
 
 // ndranges pools launch state between Run calls.
-var ndranges = sync.Pool{New: func() any { return new(ndrange) }}
+var ndranges recycle.Pool[ndrange]
 
 // release clears r, so the pool pins no spec or argument, and returns it.
 func (r *ndrange) release() {

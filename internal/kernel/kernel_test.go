@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"github.com/haocl-project/haocl/internal/recycle"
 )
 
 func TestScalarEncodeDecode(t *testing.T) {
@@ -321,7 +323,7 @@ func TestInlineRunRecoversPerGroup(t *testing.T) {
 // runs allocates nothing, however many groups it has: its launch state
 // comes from a pool.
 func TestRunAllocationBudget(t *testing.T) {
-	if raceEnabled {
+	if recycle.Race {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
 	spec := &Spec{Name: "incr", Func: func(it *Item, args []Arg) { args[0].Float32s()[it.GlobalID(0)]++ }}

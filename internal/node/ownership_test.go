@@ -392,12 +392,23 @@ func pushFromAlpha(t *testing.T, sA *Session, qA, bufA, bufB, token uint64) {
 func waitReleased(t *testing.T, e *rdvEntry, want int32) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for e.released.Load() != want {
+	for released(e) != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("deposit released by %d parties, want %d", e.released.Load(), want)
+			t.Fatalf("deposit released by %d parties, want %d", released(e), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// released is the number of parties that have released e's two holds,
+// counting any release past the second: a deposit given back counts -1
+// holds, and each such release one less.
+func released(e *rdvEntry) int32 {
+	n := e.holds.Count()
+	if n < 0 {
+		return 1 - n
+	}
+	return 2 - n
 }
 
 // assertFreedOnce checks e's pooled body was handed over and freed by the
@@ -462,7 +473,7 @@ func TestAwaiterCopiesBeforeHandOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEvent(t, awaitCh)
-	if got := e.released.Load(); got != 1 {
+	if got := released(e); got != 1 {
 		t.Fatalf("deposit released by %d parties before its ack was read, want the awaiter alone", got)
 	}
 	if !bytes.Equal(replica(t, sB, qB, bufB), depositPattern(2)) {

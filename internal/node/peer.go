@@ -4,9 +4,9 @@ import (
 	"errors"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/haocl-project/haocl/internal/protocol"
+	"github.com/haocl-project/haocl/internal/recycle"
 	"github.com/haocl-project/haocl/internal/transport"
 	"github.com/haocl-project/haocl/internal/vtime"
 )
@@ -47,20 +47,20 @@ type rdvEntry struct {
 	// awaiter may read its data.
 	taken bool // guarded by rendezvous.mu
 	// body is the pooled buffer data lives in, set by the hand-over before
-	// it counts itself in released; nil when the body is not pooled.
+	// it releases its hold; nil when the body is not pooled.
 	body *protocol.Buf
-	// released counts the parties done with data: the hand-over of body,
-	// and the awaiter once it has copied data (or refused it). The second
-	// frees body. An entry only one of them reaches — replaced by a reset
-	// before an awaiter took it, or never awaited — leaves body to the
-	// collector.
-	released atomic.Int32
+	// holds are the two parties' holds on data: the hand-over of body, and
+	// the awaiter until it has copied data (or refused it). The second to
+	// release frees body. An entry only one of them reaches — replaced by a
+	// reset before an awaiter took it, or never awaited — leaves body to
+	// the collector.
+	holds recycle.Holds
 }
 
-// release counts one party done with e.data, freeing the body on the
+// release lets one party's hold on e.data go, freeing the body on the
 // second.
 func (e *rdvEntry) release() {
-	if e.released.Add(1) == 2 {
+	if e.holds.Release() {
 		e.body.Free()
 	}
 }
@@ -90,6 +90,7 @@ func (r *rendezvous) entry(token uint64) *rdvEntry {
 	e := r.entries[token]
 	if e == nil {
 		e = &rdvEntry{done: make(chan struct{})}
+		e.holds.Set(2)
 		r.entries[token] = e
 	}
 	return e

@@ -785,7 +785,7 @@ func TestAwaiterLeavingOnCloseStrandsNothing(t *testing.T) {
 		if len(r.entries) != 0 {
 			t.Fatal("the abandoned deposit stays in the rendezvous table")
 		}
-		if got := e.released.Load(); got != 2 {
+		if got := released(e); got != 2 {
 			t.Fatalf("abandoned deposit released by %d parties, want 2 (freed once)", got)
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"github.com/haocl-project/haocl/internal/clc"
 	"github.com/haocl-project/haocl/internal/kernel"
 	"github.com/haocl-project/haocl/internal/protocol"
+	"github.com/haocl-project/haocl/internal/recycle"
 	"github.com/haocl-project/haocl/internal/vtime"
 )
 
@@ -374,39 +375,27 @@ type command interface {
 type recycler interface{ recycle() }
 
 var (
-	writeCmds  = sync.Pool{New: func() any { return new(writeCmd) }}
-	copyCmds   = sync.Pool{New: func() any { return new(copyCmd) }}
-	kernelCmds = sync.Pool{New: func() any { return new(kernelCmd) }}
+	writeCmds  recycle.Pool[writeCmd]
+	copyCmds   recycle.Pool[copyCmd]
+	kernelCmds recycle.Pool[kernelCmd]
 )
 
 // recycledID is what a recycled command's event and queue IDs read: a use
 // after recycle names an event and a queue no host issued, and shows as a
-// wrong reply.
+// wrong reply. (A zero event ID would not: the node synthesizes one.)
 const recycledID = ^uint64(0)
 
-// retire is the tripwire a pooled command whose event ID reads eventID
-// passes on its way back to its pool: under the race detector, recycling
-// a command twice panics.
-func retire(eventID uint64) {
-	if raceEnabled && eventID == recycledID {
-		panic("node: command recycled twice")
-	}
-}
-
 func (c *writeCmd) recycle() {
-	retire(c.req.EventID)
 	*c = writeCmd{req: protocol.WriteBufferReq{QueueID: recycledID, EventID: recycledID}}
 	writeCmds.Put(c)
 }
 
 func (c *copyCmd) recycle() {
-	retire(c.req.EventID)
 	*c = copyCmd{req: protocol.CopyBufferReq{QueueID: recycledID, EventID: recycledID}}
 	copyCmds.Put(c)
 }
 
 func (c *kernelCmd) recycle() {
-	retire(c.req.EventID)
 	*c = kernelCmd{req: protocol.EnqueueKernelReq{QueueID: recycledID, EventID: recycledID}}
 	kernelCmds.Put(c)
 }
@@ -557,7 +546,7 @@ func (c *settledCmd) exec() (protocol.Message, error) { return c.resp, c.err }
 func (s *Session) prepare(op protocol.Op, body []byte) (uint64, command, error) {
 	switch op {
 	case protocol.OpWriteBuffer:
-		c := writeCmds.Get().(*writeCmd)
+		c := writeCmds.Get()
 		c.req.WaitEvents = c.waitIDs[:0]
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
 			return 0, nil, err
@@ -591,7 +580,7 @@ func (s *Session) prepare(op protocol.Op, body []byte) (uint64, command, error) 
 		}
 		return c.req.QueueID, c, nil
 	case protocol.OpCopyBuffer:
-		c := copyCmds.Get().(*copyCmd)
+		c := copyCmds.Get()
 		c.req.WaitEvents = c.waitIDs[:0]
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
 			return 0, nil, err
@@ -614,7 +603,7 @@ func (s *Session) prepare(op protocol.Op, body []byte) (uint64, command, error) 
 		}
 		return c.req.QueueID, c, nil
 	case protocol.OpEnqueueKernel:
-		c := kernelCmds.Get().(*kernelCmd)
+		c := kernelCmds.Get()
 		if err := c.prepare(s, body); err != nil {
 			return 0, nil, err
 		}

@@ -2,7 +2,8 @@ package protocol
 
 import (
 	"fmt"
-	"sync"
+
+	"github.com/haocl-project/haocl/internal/recycle"
 )
 
 // codec walks a message's fields in wire order, and is what makes each
@@ -121,7 +122,7 @@ func list[T any](c *codec, s *[]T, l listOf[T]) {
 // would otherwise force one heap allocation per call; each is taken and put
 // back inside the one function that uses it, and goes back holding no
 // buffer, body or payload.
-var codecs = sync.Pool{New: func() any { return new(codec) }}
+var codecs recycle.Pool[codec]
 
 // encode walks m's fields onto the end of buf and returns the encoder it
 // used: e.buf is the extended slice. With byRef the first payload of at least
@@ -131,7 +132,7 @@ func encode(buf []byte, m Message, byRef bool) Encoder {
 	if m == nil {
 		return Encoder{buf: buf}
 	}
-	c := codecs.Get().(*codec)
+	c := codecs.Get()
 	c.Encoder = Encoder{buf: buf, byRef: byRef}
 	m.fields(c)
 	e := c.Encoder
@@ -147,7 +148,7 @@ func MessageSize(m Message) int {
 	if m == nil {
 		return 0
 	}
-	c := codecs.Get().(*codec)
+	c := codecs.Get()
 	c.mode, c.size = sizing, 0
 	m.fields(c)
 	n := c.size
@@ -167,7 +168,7 @@ func EncodeMessage(m Message) []byte {
 
 // DecodeMessage unmarshals body into m, reporting truncation errors.
 func DecodeMessage(m Message, body []byte) error {
-	c := codecs.Get().(*codec)
+	c := codecs.Get()
 	c.mode, c.Decoder = decoding, Decoder{buf: body}
 	m.fields(c)
 	err := c.err

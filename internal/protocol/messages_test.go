@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"github.com/haocl-project/haocl/internal/recycle"
 )
 
 // roundTrip encodes m and decodes into out, failing the test on error.
@@ -647,7 +649,7 @@ func TestDecodeIntoPresetCapacity(t *testing.T) {
 	}
 
 	// Decoding into storage that holds everything allocates nothing.
-	if raceEnabled {
+	if recycle.Race {
 		return // sync.Pool drops some of what it is given: the codec may be new
 	}
 	var wide [16]int64

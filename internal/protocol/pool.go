@@ -2,20 +2,18 @@ package protocol
 
 import (
 	"math/bits"
-	"sync"
+
+	"github.com/haocl-project/haocl/internal/recycle"
 )
 
-// Buf is a payload-sized scratch buffer drawn from size-classed sync.Pools.
+// Buf is a payload-sized scratch buffer drawn from size-classed pools.
 // Only buffers with a lexical lifetime are pooled (DESIGN.md §11): a
 // server-side request envelope or bulk request body (dead once the last
 // request it carries has been answered, or, for a PeerPush deposit, once
 // its awaiter has copied it), a node's read snapshot (dead once
 // the response frame is written) and a push snapshot (dead once the peer
 // acknowledged it) — the bulk body above BatchableBodyLimit, the snapshots
-// from ReferenceFloor on. Whoever Gets, Frees; a Buf that is simply dropped
-// is collected like any other garbage, so forgetting to Free costs an
-// allocation, never correctness. The pools empty themselves under GC —
-// there is no bound to tune and nothing outlives two collections.
+// from ReferenceFloor on. Whoever Gets, Frees, under recycle.Pool's rules.
 type Buf struct {
 	// B is the buffer, exactly as long as requested. Its contents are
 	// whatever the previous user left: callers overwrite all of it.
@@ -38,7 +36,7 @@ const (
 	NumSizeClasses = (maxClassBits - minClassBits + 1) * 4
 )
 
-var bufPools [NumSizeClasses]sync.Pool
+var bufPools [NumSizeClasses]recycle.Pool[Buf]
 
 // SizeClass maps a payload length to its size class — a pool index below
 // NumSizeClasses — and the class's size, at least n. class is -1 when n is
@@ -67,40 +65,23 @@ func GetBuf(n int) *Buf {
 	if class < 0 {
 		return &Buf{B: make([]byte, n), class: -1}
 	}
-	b, _ := bufPools[class].Get().(*Buf)
-	if b == nil {
-		b = &Buf{full: make([]byte, size), class: class}
+	b := bufPools[class].Get()
+	if b.full == nil {
+		b.full, b.class = make([]byte, size), class
 	}
 	b.B = b.full[:n:n]
 	return b
 }
 
-// poison is the byte Free overwrites a buffer with under the race
-// detector.
-const poison = 0xDB
-
-// Free returns the buffer to its pool. The caller must hold no reference
-// into B afterwards. Free on a nil Buf is a no-op.
-//
-// Under the race detector Free first overwrites B with poison, so a view
-// that outlives its buffer — a decoded blob kept past its request's answer,
-// a payload still queued when its snapshot was freed — reads garbage in
-// the tests that run there, not whatever the next user happened to write.
+// Free returns the buffer to its pool, poisoned under the race detector
+// (recycle.Poison): the caller must hold no reference into B afterwards,
+// such as a decoded blob kept past its request's answer. Free on a nil Buf
+// is a no-op.
 func (b *Buf) Free() {
 	if b == nil || b.class < 0 {
 		return
 	}
-	Poison(b.B)
+	recycle.Poison(b.B)
 	b.B = nil
 	bufPools[b.class].Put(b)
-}
-
-// Poison overwrites b with poison under the race detector, and does
-// nothing otherwise: whoever returns memory to a pool calls it first.
-func Poison(b []byte) {
-	if raceEnabled {
-		for i := range b {
-			b[i] = poison
-		}
-	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"unsafe"
+
+	"github.com/haocl-project/haocl/internal/recycle"
 )
 
 // TestSizeClassProperty: every poolable length maps to a class that holds
@@ -152,14 +154,31 @@ func TestFreePoisonsUnderRace(t *testing.T) {
 	}
 	f.Release()
 	want := byte(7)
-	if raceEnabled {
-		want = poison
+	if recycle.Race {
+		want = recycle.PoisonByte
 	}
 	for i, b := range req.Data {
 		if b != want {
-			t.Fatalf("byte %d of a view kept past Free reads %#x, want %#x (race detector: %v)", i, b, want, raceEnabled)
+			t.Fatalf("byte %d of a view kept past Free reads %#x, want %#x (race detector: %v)", i, b, want, recycle.Race)
 		}
 	}
+}
+
+// TestBufFreedTwicePanicsUnderRace: freeing a buffer twice would put it
+// into its class's pool twice, and two later GetBufs would share it. Under
+// the race detector the second Free panics instead.
+func TestBufFreedTwicePanicsUnderRace(t *testing.T) {
+	if !recycle.Race {
+		t.Skip("the double-free check is a race-detector build's")
+	}
+	b := GetBuf(4096)
+	b.Free()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Free of one buffer did not panic")
+		}
+	}()
+	b.Free()
 }
 
 // TestFrameAllocationBudget gates what the codec charges a small command.
@@ -174,7 +193,7 @@ func TestFrameAllocationBudget(t *testing.T) {
 	if s := unsafe.Sizeof(Frame{}); s > 48 {
 		t.Fatalf("Frame is %d bytes, want at most 48", s)
 	}
-	if raceEnabled {
+	if recycle.Race {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
 	write := &WriteBufferReq{QueueID: 3, BufferID: 7, Data: make([]byte, 256), EventID: 42, ModelBytes: 256}

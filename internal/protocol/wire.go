@@ -16,7 +16,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
+
+	"github.com/haocl-project/haocl/internal/recycle"
 )
 
 // Protocol limits. MaxFrameSize bounds a single message so a corrupted
@@ -232,10 +233,10 @@ func ReadFramePooled(r io.Reader) (*Frame, error) { return readFrame(r, true) }
 // repository benchmark's payload fill runs 20 % slow: check an edit here
 // with scripts/bench_align.sh (with go1.24.0 a deferred Put reads 0 mod 64,
 // this form 32 mod 64).
-var headers = sync.Pool{New: func() any { return new([headerSize]byte) }}
+var headers recycle.Pool[[headerSize]byte]
 
 func readFrame(r io.Reader, pool bool) (*Frame, error) {
-	hdr := headers.Get().(*[headerSize]byte)
+	hdr := headers.Get()
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		headers.Put(hdr)
 		return nil, err

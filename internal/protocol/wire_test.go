@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"github.com/haocl-project/haocl/internal/recycle"
 )
 
 func TestEncodeDecodePrimitives(t *testing.T) {
@@ -242,7 +244,7 @@ func (p *patternReader) Read(b []byte) (int, error) {
 // TestReadFrameGrowsLongBody: a body longer than maxUpfrontBody, which
 // the reader grows as it arrives, is read in full and intact.
 func TestReadFrameGrowsLongBody(t *testing.T) {
-	if testing.Short() || raceEnabled {
+	if testing.Short() || recycle.Race {
 		t.Skip("reads a body of over 64 MiB into up to twice that")
 	}
 	const n = maxUpfrontBody + 4096

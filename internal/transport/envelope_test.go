@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/haocl-project/haocl/internal/protocol"
+	"github.com/haocl-project/haocl/internal/recycle"
 )
 
 // startWriter runs a connection writer over out until the test ends.
@@ -358,7 +359,7 @@ func TestEnvelopeSlotDoneBoundOnce(t *testing.T) {
 		t.Fatalf("%d of %d requests answered", len(answered), nextID-1)
 	}
 
-	if raceEnabled {
+	if recycle.Race {
 		return // sync.Pool drops a quarter of what it is given: the writer's codec misses
 	}
 	d = newDispatcher(startWriter(t, io.Discard), &answeringHandler{})

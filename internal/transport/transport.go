@@ -60,6 +60,7 @@ import (
 	"sync/atomic"
 
 	"github.com/haocl-project/haocl/internal/protocol"
+	"github.com/haocl-project/haocl/internal/recycle"
 )
 
 // Handler processes one decoded request on the server (node) side and
@@ -157,10 +158,11 @@ func (c *Client) EnableBatching() {}
 // costs one read, or none when an earlier read brought it in; a body
 // larger than the buffer is read straight into its frame. Frame bodies
 // are always copied out (protocol.ReadFrame), never views of the buffer.
-var frameReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 4<<10) }}
+// A new reader's buffer is made by its first Reset, 4 KiB.
+var frameReaders recycle.Pool[bufio.Reader]
 
 func newFrameReader(conn net.Conn) *bufio.Reader {
-	r := frameReaders.Get().(*bufio.Reader)
+	r := frameReaders.Get()
 	r.Reset(conn)
 	return r
 }
@@ -916,12 +918,12 @@ type slot struct {
 }
 
 // envelopes recycles envelope records, with their slots' dones.
-var envelopes = sync.Pool{New: func() any { return new(envelope) }}
+var envelopes recycle.Pool[envelope]
 
 // envelope returns a record for request envelope f, whose requests are
 // subs, with a done for each slot.
 func (w *connWriter) envelope(f *protocol.Frame, subs []protocol.Frame) *envelope {
-	env := envelopes.Get().(*envelope)
+	env := envelopes.Get()
 	env.remaining, env.frame, env.w = len(subs), f, w
 	for _, sub := range subs {
 		env.slots = append(env.slots, slot{sub.ReqID, sub.Op})
@@ -988,19 +990,28 @@ func (w *connWriter) complete(to replyTo, resp protocol.Message, err error) {
 // dispatcher hands one connection's frames to its handler. An
 // AsyncHandler takes ownership of each request's execution and completes
 // it through the connection's writer from its own lanes; a plain Handler
-// executes inline, preserving the strict per-connection FIFO of the
-// pre-lane runtime.
+// is wrapped to execute inline, preserving the strict per-connection FIFO
+// of the pre-lane runtime.
 type dispatcher struct {
-	w       *connWriter
-	handler Handler
-	async   AsyncHandler     // handler, when it is one
-	subs    []protocol.Frame // reused for each envelope's requests
+	w     *connWriter
+	async AsyncHandler
+	subs  []protocol.Frame // reused for each envelope's requests
 }
 
 func newDispatcher(w *connWriter, handler Handler) *dispatcher {
-	d := &dispatcher{w: w, handler: handler}
-	d.async, _ = handler.(AsyncHandler)
-	return d
+	async, ok := handler.(AsyncHandler)
+	if !ok {
+		async = inline{handler}
+	}
+	return &dispatcher{w: w, async: async}
+}
+
+// inline runs a plain Handler's calls as they are dispatched.
+type inline struct{ Handler }
+
+// HandleCallAsync implements AsyncHandler.
+func (h inline) HandleCallAsync(op protocol.Op, body []byte, done func(protocol.Message, error)) {
+	done(h.HandleCall(op, body))
 }
 
 // dispatch hands f's requests to the handler. A Batch envelope is
@@ -1011,11 +1022,6 @@ func newDispatcher(w *connWriter, handler Handler) *dispatcher {
 // envelope that does not parse.
 func (d *dispatcher) dispatch(f *protocol.Frame) error {
 	if f.Kind != protocol.FrameBatch {
-		if d.async == nil {
-			resp, err := d.handler.HandleCall(f.Op, f.Body)
-			d.w.complete(replyTo{frame: f}, resp, err)
-			return nil
-		}
 		d.async.HandleCallAsync(f.Op, f.Body, func(resp protocol.Message, err error) {
 			d.w.complete(replyTo{frame: f}, resp, err)
 		})
@@ -1027,11 +1033,7 @@ func (d *dispatcher) dispatch(f *protocol.Frame) error {
 	}
 	env := d.w.envelope(f, d.subs)
 	for i, sub := range d.subs {
-		if d.async == nil {
-			env.dones[i](d.handler.HandleCall(sub.Op, sub.Body))
-		} else {
-			d.async.HandleCallAsync(sub.Op, sub.Body, env.dones[i])
-		}
+		d.async.HandleCallAsync(sub.Op, sub.Body, env.dones[i])
 	}
 	clear(d.subs) // the reused array must not keep the body reachable
 	return nil

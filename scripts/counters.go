@@ -13,6 +13,8 @@
 //   - mutexes: non-test declarations of type sync.Mutex or sync.RWMutex
 //     (struct fields, embedded or named, and variables), per package
 //     directory, testdata excluded;
+//   - pools: the same, for sync.Pool and recycle.Pool; an array counts
+//     once;
 //   - exported identifiers of every importable library package outside
 //     internal/ (the root package haocl) and of internal/core: exported
 //     package-level names plus exported methods on exported types.
@@ -36,7 +38,7 @@ var runtimeDirs = map[string]bool{
 
 func main() {
 	var lines, runtimeLines int
-	mutexes := map[string]int{}
+	mutexes, pools := map[string]int{}, map[string]int{}
 	exported := map[string]int{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -66,9 +68,13 @@ func main() {
 		if err != nil {
 			return err
 		}
-		if m := countMutexes(f); m > 0 {
-			mutexes[dir] += m
-		}
+		countDecls(f, func(kind string, n int) {
+			if kind == "mutex" {
+				mutexes[dir] += n
+			} else {
+				pools[dir+" "+kind] += n
+			}
+		})
 		if f.Name.Name != "main" && (!strings.HasPrefix(dir, "internal/") || dir == "internal/core") {
 			exported[f.Name.Name] += countExported(f)
 		}
@@ -84,38 +90,64 @@ func main() {
 	for _, dir := range sortedKeys(mutexes) {
 		fmt.Printf("  %-28s %d\n", dir, mutexes[dir])
 	}
+	fmt.Println("non-test pool declarations:")
+	for _, key := range sortedKeys(pools) {
+		fmt.Printf("  %-41s %d\n", key, pools[key])
+	}
 	fmt.Println("exported identifiers:")
 	for _, pkg := range sortedKeys(exported) {
 		fmt.Printf("  %-28s %d\n", pkg, exported[pkg])
 	}
 }
 
-// countMutexes counts the names declared with a mutex type in f.
-func countMutexes(f *ast.File) int {
-	n := 0
+// countDecls reports each mutex or pool declaration in f — a struct field,
+// embedded or named, or a variable — with its kind and number of names.
+func countDecls(f *ast.File, add func(kind string, n int)) {
 	ast.Inspect(f, func(node ast.Node) bool {
 		switch x := node.(type) {
 		case *ast.Field:
-			if isMutex(x.Type) {
-				n += max(len(x.Names), 1)
+			if kind := declKind(x.Type, nil); kind != "" {
+				add(kind, max(len(x.Names), 1))
 			}
 		case *ast.ValueSpec:
-			if isMutex(x.Type) {
-				n += len(x.Names)
+			if kind := declKind(x.Type, x.Values); kind != "" {
+				add(kind, len(x.Names))
 			}
 		}
 		return true
 	})
-	return n
 }
 
-func isMutex(e ast.Expr) bool {
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return false
+// declKind names what a declaration of type typ with values declares:
+// "mutex", "sync.Pool", "recycle.Pool" or nothing.
+func declKind(typ ast.Expr, values []ast.Expr) string {
+	for _, v := range values {
+		if lit, ok := v.(*ast.CompositeLit); ok {
+			typ = lit.Type
+		}
 	}
-	pkg, ok := sel.X.(*ast.Ident)
-	return ok && pkg.Name == "sync" && (sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex")
+	for {
+		switch x := typ.(type) {
+		case *ast.ArrayType:
+			typ = x.Elt
+		case *ast.IndexExpr:
+			typ = x.X
+		case *ast.SelectorExpr:
+			pkg, _ := x.X.(*ast.Ident)
+			switch name := x.Sel.Name; {
+			case pkg == nil:
+			case pkg.Name == "sync" && (name == "Mutex" || name == "RWMutex"):
+				return "mutex"
+			case pkg.Name == "sync" && name == "Pool":
+				return "sync.Pool"
+			case pkg.Name == "recycle" && name == "Pool":
+				return "recycle.Pool"
+			}
+			return ""
+		default:
+			return ""
+		}
+	}
 }
 
 // countExported counts f's exported package-level names and its exported
