@@ -421,7 +421,8 @@ func newWriteLog(q *Queue, b *Buffer, off int64, data []byte) *writeLog {
 
 // Free gives back one hold on a pooled record, and nothing on an unpooled
 // one. The last hold returns the record to its pool, its payload poisoned
-// under the race detector.
+// under the race detector. The reset keeps the given-back count, so a Free
+// past the last panics there too instead of reading as an unpooled record.
 func (w *writeLog) Free() {
 	if !w.holds.Release() {
 		return
@@ -429,6 +430,7 @@ func (w *writeLog) Free() {
 	class, _ := protocol.SizeClass(len(w.data))
 	recycle.Poison(w.data)
 	*w = writeLog{data: w.data[:0]}
+	w.holds.Set(-1)
 	writePools[class].Put(w)
 }
 

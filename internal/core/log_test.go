@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/haocl-project/haocl/internal/protocol"
+	"github.com/haocl-project/haocl/internal/recycle"
 )
 
 var logSeeds = flag.Int("log-seeds", 2000, "seeded programs TestLogLivenessProperty runs (the nightly workflow raises it)")
@@ -277,7 +278,7 @@ func TestLogHoldsPooledRecords(t *testing.T) {
 	for _, e := range snap {
 		e.(*writeLog).Free()
 	}
-	if w.b != nil || w.holds.Count() != 0 {
+	if w.b != nil || w.holds.Count() != -1 {
 		t.Fatal("the last hold did not return the record to its pool")
 	}
 
@@ -304,6 +305,23 @@ func TestLogHoldsPooledRecords(t *testing.T) {
 		t.Fatalf("releasing a buffer of the ended log changed another log's record: %d entries, %d bytes, [%d, %d)",
 			entries, payload, last.lo, last.hi)
 	}
+}
+
+// TestWriteRecordFreedTwicePanicsUnderRace: a Free past a pooled write
+// record's last hold would give back a hold of whoever took the record out
+// of its pool next. Under the race detector it panics instead.
+func TestWriteRecordFreedTwicePanicsUnderRace(t *testing.T) {
+	if !recycle.Race {
+		t.Skip("the check on a give-back past the last is a race-detector build's")
+	}
+	w := newWriteLog(nil, &Buffer{size: 4 << 10}, 0, make([]byte, 2<<10))
+	w.Free()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Free of a write record did not panic")
+		}
+	}()
+	w.Free()
 }
 
 // TestLogChunksNeverCopy: the log grows by chunks — small first, doubling

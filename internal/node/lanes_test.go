@@ -1,6 +1,8 @@
 package node
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -273,65 +275,119 @@ func TestEventReleaseBehindPipelinedWaiter(t *testing.T) {
 	}
 }
 
-// TestQueueReleaseRetiresLane pins the lane lifecycle: releasing a queue
-// closes and removes its lane, so create/use/release cycles do not
-// accumulate parked worker goroutines for the session's lifetime.
+// TestQueueReleaseRetiresLane pins the lane lifecycle: a queue's first
+// command starts its lane's worker, and releasing the queue closes the
+// lane, so the worker exits once drained and create/use/release cycles do
+// not accumulate parked worker goroutines for the session's lifetime.
 func TestQueueReleaseRetiresLane(t *testing.T) {
 	s, q1, _, buf1, _ := twoQueueSession(t)
 	defer s.Close()
 	data := mem.F32Bytes([]float32{1, 2, 3, 4})
 
+	q, err := lookup[*queueObj](s, "queue", q1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mustEvent(t, goCall(s, &protocol.WriteBufferReq{
 		QueueID: q1, BufferID: buf1, Data: data, EventID: 1,
 	}))
-	s.laneMu.Lock()
-	_, present := s.lanes[q1]
-	s.laneMu.Unlock()
-	if !present {
-		t.Fatal("lane never created for active queue")
+	q.lane.mu.Lock()
+	started, closed := q.lane.started, q.lane.closed
+	q.lane.mu.Unlock()
+	if !started || closed {
+		t.Fatalf("an active queue's lane: started %v, closed %v; want started and open", started, closed)
 	}
 	if r := <-goCall(s, &protocol.ReleaseReq{Kind: protocol.ObjQueue, ID: q1}); r.err != nil {
 		t.Fatal(r.err)
 	}
-	s.laneMu.Lock()
-	_, present = s.lanes[q1]
-	s.laneMu.Unlock()
-	if present {
-		t.Fatal("released queue's lane still registered")
+	q.lane.mu.Lock()
+	closed = q.lane.closed
+	q.lane.mu.Unlock()
+	if !closed {
+		t.Fatal("a released queue's lane is still open")
+	}
+}
+
+// TestRefusedHandOffFailsItsEvent: a write resolves its queue, the queue is
+// released, and only then is the write handed to the queue's lane. The
+// lane is closed, so it refuses the write as an unknown queue, as if the
+// write had registered after the release, and the write's event fails: a
+// command waiting on it fails instead of parking.
+func TestRefusedHandOffFailsItsEvent(t *testing.T) {
+	s, q1, q2, buf1, buf2 := twoQueueSession(t)
+	defer s.Close()
+	data := mem.F32Bytes([]float32{1, 2, 3, 4})
+
+	ln, cmd, err := s.prepare(protocol.OpWriteBuffer, protocol.EncodeMessage(&protocol.WriteBufferReq{
+		QueueID: q1, BufferID: buf1, Data: data, EventID: 10,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := <-goCall(s, &protocol.ReleaseReq{Kind: protocol.ObjQueue, ID: q1}); r.err != nil {
+		t.Fatal(r.err)
+	}
+	answered := make(chan error, 1)
+	s.submit(ln, laneJob{cmd: cmd, done: func(_ protocol.Message, err error) { answered <- err }})
+	select {
+	case err := <-answered:
+		var re *protocol.RemoteError
+		if !errors.As(err, &re) || re.Code != protocol.CodeUnknownObject ||
+			!strings.Contains(re.Message, fmt.Sprintf("queue %d", q1)) {
+			t.Fatalf("a write handed to a released queue's lane answered %v, want unknown queue %d", err, q1)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a write handed to a released queue's lane was never answered")
+	}
+
+	waiter := goCall(s, &protocol.WriteBufferReq{
+		QueueID: q2, BufferID: buf2, Data: data, EventID: 11, WaitEvents: []int64{10},
+	})
+	select {
+	case r := <-waiter:
+		if r.err == nil || !strings.Contains(r.err.Error(), "wait event 10") {
+			t.Fatalf("a wait on the refused write's event answered %v, want its failure", r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a wait on the refused write's event parked")
 	}
 }
 
 // TestLaneQueueZeroAlloc: in steady state a lane's queue costs nothing —
 // pushing a burst and draining it reuses the lane's one array, where
-// popping the head used to make every push after a drain reallocate.
+// popping the head used to make every push after a drain reallocate. The
+// lane is a zero one, and its worker runs the jobs.
 func TestLaneQueueZeroAlloc(t *testing.T) {
-	l := newLane()
-	ran := 0
-	job := laneJob{cmd: &settledCmd{resp: &protocol.EmptyResp{}}, done: func(protocol.Message, error) { ran++ }}
-	var batch []laneJob
+	var (
+		l            lane
+		workers, ran sync.WaitGroup
+		runs         int
+	)
+	job := laneJob{cmd: &settledCmd{resp: &protocol.EmptyResp{}}, done: func(protocol.Message, error) {
+		runs++
+		ran.Done()
+	}}
 	cycle := func() {
+		ran.Add(16)
 		for i := 0; i < 16; i++ {
-			l.push(job)
+			if !l.push(job, &workers) {
+				t.Fatal("an open lane refused a job")
+			}
 		}
-		var ok bool
-		if batch, ok = l.take(len(batch)); !ok {
-			t.Fatal("an open lane with queued jobs reported itself drained")
-		}
-		for _, j := range batch {
-			j.done(j.cmd.exec())
-		}
+		ran.Wait()
 	}
-	cycle() // grow the array once
+	cycle() // start the worker and grow the array once
 	cycle()
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("pushing and draining 16 jobs allocates %v objects, want 0", allocs)
 	}
-	if ran != 16*103 {
-		t.Fatalf("%d jobs ran, want %d", ran, 16*103)
+	if runs != 16*103 {
+		t.Fatalf("%d jobs ran, want %d", runs, 16*103)
 	}
 	l.close()
-	if _, ok := l.take(len(batch)); ok {
-		t.Fatal("a closed, drained lane handed out a batch")
+	workers.Wait() // a closed, drained lane's worker exits
+	if l.push(job, &workers) {
+		t.Fatal("a closed lane took a job")
 	}
 }
 

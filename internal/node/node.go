@@ -10,7 +10,7 @@
 //
 // Cross-goroutine state follows one lock order, checked by haoclvet:
 //
-// lock-order: Session.mu < Session.laneMu < Session.peerMu < lane.mu < queueObj.execMu < bufferObj.mu < rendezvous.mu < deviceStats.mu
+// lock-order: Session.mu < Session.peerMu < lane.mu < bufferObj.mu < rendezvous.mu < deviceStats.mu
 package node
 
 import (
@@ -59,9 +59,9 @@ type Node struct {
 	execWorkers int
 	dialer      transport.Dialer
 
-	// nextID mints the IDs of objects whose create named none, unique
-	// node-wide although each object belongs to the session that created
-	// it (Session.objects).
+	// nextID mints the synthetic IDs (synthBase up) of the objects and
+	// events whose request named none: one counter, unique node-wide
+	// although each object and event belongs to its session.
 	nextID atomic.Uint64
 
 	// nicOut models this node's Gigabit egress link: every peer-to-peer

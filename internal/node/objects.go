@@ -18,14 +18,10 @@ import (
 // §2): the create request carries the ID, so the host can pipeline
 // commands naming the object before the node has responded. A create
 // takes effect at registration, in wire order (prepare), so those commands
-// find it. A create that carries no ID (direct session drivers and tests)
-// gets one minted from a node-wide counter in the synthetic range, clear
-// of any host's.
-//
-// Events live in the session too, in a table of their own: their IDs are
-// host-assigned (so the host can pipeline commands that wait on events
-// whose creating command has not responded yet), and host counters are
-// only unique per connection.
+// find it. Events live in a table of their own (Session.events). An
+// object or event whose request carries no ID (direct session drivers and
+// tests) gets one from the node's one counter (Node.nextID), in the
+// synthetic range clear of any host's.
 
 type contextObj struct {
 	devices []uint32
@@ -37,6 +33,9 @@ type contextObj struct {
 	tenant    string
 }
 
+// queueObj is one command queue. Its commands run on its lane and nowhere
+// else, one at a time in arrival order, so the queue takes no lock of its
+// own: the lane is its in-order semantics, and the clock locks itself.
 type queueObj struct {
 	dev       device.Device
 	stats     *deviceStats
@@ -45,9 +44,8 @@ type queueObj struct {
 
 	// clock orders the queue's commands in virtual time.
 	clock vtime.Clock
-	// execMu serializes functional execution, preserving in-order
-	// command-queue semantics when multiple host goroutines enqueue.
-	execMu sync.Mutex
+	// lane runs the queue's commands; releasing the queue closes it.
+	lane lane
 }
 
 type bufferObj struct {
@@ -108,11 +106,12 @@ func (e *eventObj) complete(p protocol.Profile) {
 	e.settle()
 }
 
-// fail marks the command failed; waiters observe the error instead of a
-// deadline.
-func (e *eventObj) fail(err error) {
+// fail marks the command failed and returns err; waiters observe the error
+// instead of a deadline.
+func (e *eventObj) fail(err error) error {
 	e.err = err
 	e.settle()
+	return err
 }
 
 // settle marks the event settled and closes the early waiters' channel,
@@ -217,26 +216,22 @@ func kindOf(obj any) protocol.ObjectKind {
 }
 
 // releaseObject drops one of the session's non-event objects. A queue gives
-// back its device-user count and retires its lane.
+// back its device-user count and closes its lane under mu, as it leaves the
+// table; the worker drains what was registered before and exits.
 func (s *Session) releaseObject(kind protocol.ObjectKind, id uint64) error {
 	if kind < protocol.ObjContext || kind > protocol.ObjKernel {
 		return remoteErr(protocol.CodeBadRequest, "release: unknown object kind %d", kind)
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	obj, ok := s.objects[id]
-	if ok = ok && kindOf(obj) == kind; ok {
-		delete(s.objects, id)
-	}
-	s.mu.Unlock()
-	if !ok {
+	if !ok || kindOf(obj) != kind {
 		return remoteErr(protocol.CodeUnknownObject, "release: unknown %s %d", kind, id)
 	}
+	delete(s.objects, id)
 	if q, isQueue := obj.(*queueObj); isQueue {
+		q.lane.close()
 		s.dropQueueUser(q)
-		// The queue's lane dies with it (after draining what was already
-		// registered); without this, every create/use/release cycle would
-		// leak one parked worker goroutine for the session's lifetime.
-		s.closeLane(id)
 	}
 	return nil
 }

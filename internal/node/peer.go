@@ -368,12 +368,12 @@ func (c *pushCmd) exec() (protocol.Message, error) {
 	s, req, q, ev, buf := c.s, &c.req, c.q, c.ev, c.buf
 	deadline, err := s.awaitDeadline(c.waits)
 	if err != nil {
-		return nil, s.failCommand(ev, err)
+		return nil, ev.fail(err)
 	}
 
 	client, err := s.peerClient(req.PeerName)
 	if err != nil {
-		return nil, s.failCommand(ev, err)
+		return nil, ev.fail(err)
 	}
 
 	modelBytes := req.Size
@@ -397,9 +397,7 @@ func (c *pushCmd) exec() (protocol.Message, error) {
 		// Migration push: device read, then the full payload on the link.
 		at := vtime.Max(vtime.Time(req.SimArrival), deadline)
 		dur := q.dev.ModelTransfer(modelBytes)
-		q.execMu.Lock()
 		rstart, rend := q.clock.Reserve(at, dur)
-		q.execMu.Unlock()
 		q.stats.observeTransfer(modelBytes, q.dev.EnergyRate(), dur, rend)
 		submit = at
 		start = rstart
@@ -423,7 +421,7 @@ func (c *pushCmd) exec() (protocol.Message, error) {
 		if !answered {
 			s.markPeerDown(req.PeerName, err)
 		}
-		return nil, s.failCommand(ev, err)
+		return nil, ev.fail(err)
 	}
 	pooled.Free() // acknowledged, so read in full by the peer
 
@@ -441,7 +439,7 @@ func (c *awaitCmd) exec() (protocol.Message, error) {
 	s, req, q, ev, buf := c.s, &c.req, c.q, c.ev, c.buf
 	deadline, err := s.awaitDeadline(c.waits)
 	if err != nil {
-		return nil, s.failCommand(ev, err)
+		return nil, ev.fail(err)
 	}
 
 	entry := s.node.rdv.entry(req.Token)
@@ -450,18 +448,18 @@ func (c *awaitCmd) exec() (protocol.Message, error) {
 	case <-s.closedCh:
 		err := remoteErr(protocol.CodeBadRequest, "session closed while awaiting push %d", req.Token)
 		s.node.rdv.abandon(req.Token, entry, err)
-		return nil, s.failCommand(ev, err)
+		return nil, ev.fail(err)
 	}
 	if !s.node.rdv.take(req.Token, entry) {
-		return nil, s.failCommand(ev, remoteErr(protocol.CodeBadRequest,
+		return nil, ev.fail(remoteErr(protocol.CodeBadRequest,
 			"push %d awaited twice", req.Token))
 	}
 	if entry.err != nil {
-		return nil, s.failCommand(ev, wrapRemote(entry.err, "await push %d", req.Token))
+		return nil, ev.fail(wrapRemote(entry.err, "await push %d", req.Token))
 	}
 	if int64(len(entry.data)) != req.Size {
 		entry.release()
-		return nil, s.failCommand(ev, remoteErr(protocol.CodeBadRequest,
+		return nil, ev.fail(remoteErr(protocol.CodeBadRequest,
 			"push %d carried %d bytes, await expects %d", req.Token, len(entry.data), req.Size))
 	}
 
@@ -471,12 +469,10 @@ func (c *awaitCmd) exec() (protocol.Message, error) {
 	}
 	arrival := vtime.Max(vtime.Max(vtime.Time(req.SimArrival), vtime.Time(entry.simArrival)), deadline)
 	dur := q.dev.ModelTransfer(modelBytes)
-	q.execMu.Lock()
 	start, end := q.clock.Reserve(arrival, dur)
 	buf.mu.Lock()
 	copy(buf.data[req.Offset:], entry.data)
 	buf.mu.Unlock()
-	q.execMu.Unlock()
 	entry.release()
 
 	q.stats.observeTransfer(modelBytes, q.dev.EnergyRate(), dur, end)

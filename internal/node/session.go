@@ -20,9 +20,9 @@ import (
 // Dispatch is split into two stages (DESIGN.md §4). The *registration*
 // stage runs on the goroutine that reads the transport connection, strictly
 // in wire-arrival order: it parses the command, claims its host-assigned
-// completion event, resolves the target queue, and routes the command to a
-// *lane*. Lanes — one per target queue, plus a control lane for everything
-// that has no queue — execute concurrently, so a multi-device node runs its
+// completion event, resolves the target queue, and hands the command to a
+// *lane*. Lanes — each queue's own, plus a control lane for everything that
+// has no queue — execute concurrently, so a multi-device node runs its
 // queues in parallel instead of single-file. Cross-queue dependencies are
 // real synchronization edges: a wait-list lookup blocks until the
 // referenced event's command has completed on its own lane.
@@ -41,10 +41,6 @@ type Session struct {
 	// are created at registration (claimed) or by a wait-list lookup that
 	// ran ahead of the creating command (unclaimed placeholder).
 	events map[uint64]*eventObj // guarded by mu
-	// synthEventID assigns IDs for requests that carry none (direct
-	// session drivers and tests); the high range keeps them clear of
-	// host-assigned counters.
-	synthEventID uint64 // guarded by mu
 	// peers is the cluster address book learned from the host's Hello, as
 	// decoded, consulted when PushRange commands dial sibling nodes. It
 	// lists this node too; dialPeer never picks it.
@@ -60,10 +56,10 @@ type Session struct {
 	peerConns   map[string]*peerConn // guarded by peerMu
 	peersClosed bool                 // guarded by peerMu
 
-	laneMu    sync.Mutex
-	lanes     map[uint64]*lane // guarded by laneMu
-	lanesDead bool             // guarded by laneMu
-	laneWG    sync.WaitGroup
+	// control runs the ops that target no queue. laneWG counts the
+	// workers of it and of every queue's lane.
+	control lane
+	laneWG  sync.WaitGroup
 
 	// closedCh unblocks event waiters when the session tears down, so a
 	// lane draining on Close can never hang on a dependency whose creating
@@ -79,31 +75,29 @@ func newSession(n *Node) *Session {
 	}
 }
 
-// controlLane is the lane key for ops that target no queue.
-const controlLane uint64 = 0
-
 // synthBase is the first synthetic ID, for events and objects alike: the
-// node mints IDs from there for requests that carry none, and
-// host-assigned IDs must stay below it.
+// node mints IDs from there, off its one counter (Node.nextID), for
+// requests that carry none, and host-assigned IDs must stay below it.
 const synthBase = uint64(1) << 62
 
 // errShuttingDown refuses a request that arrives once the session has
 // started to close.
 var errShuttingDown = remoteErr(protocol.CodeBadRequest, "session is shutting down")
 
-// lane is one in-order execution stream. The registration stage appends
-// jobs; a dedicated worker goroutine runs them one at a time, so commands
-// for one queue still execute in arrival order while different lanes
-// proceed concurrently. The queue is unbounded on purpose: a bounded lane
-// would stall the registration stage when full, and a stalled registration
-// stage can deadlock a cross-lane wait whose creating command is still
-// behind it (backpressure remains at the socket, which is not read while
-// registration runs, and the host's own flow control).
+// lane is one in-order execution stream; the zero lane is open and empty.
+// The registration stage appends jobs; a worker started with the first runs
+// them one at a time, so a queue's commands execute in arrival order while
+// different lanes proceed concurrently. The queue is unbounded on purpose:
+// a bounded lane would stall the registration stage when full, and a
+// stalled registration stage can deadlock a cross-lane wait whose creating
+// command is still behind it (backpressure remains at the socket, which is
+// not read while registration runs, and the host's own flow control).
 type lane struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	jobs   []laneJob // guarded by mu
-	closed bool      // guarded by mu
+	mu      sync.Mutex
+	more    sync.Cond // on mu: wakes the worker for a job or the close
+	jobs    []laneJob // guarded by mu
+	started bool      // guarded by mu
+	closed  bool      // guarded by mu
 }
 
 // laneJob is one registered command and where its outcome goes. It sits
@@ -114,21 +108,22 @@ type laneJob struct {
 	done func(protocol.Message, error)
 }
 
-func newLane() *lane {
-	l := &lane{}
-	l.cond = sync.NewCond(&l.mu)
-	return l
-}
-
-// push appends one job, reporting false if the lane is closed.
-func (l *lane) push(job laneJob) bool {
+// push appends one job, reporting false if the lane is closed. The first
+// job starts the worker, counted in wg while the lane is open: every count
+// happens before the close that a wait on wg follows.
+func (l *lane) push(job laneJob, wg *sync.WaitGroup) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return false
 	}
+	if !l.started {
+		l.started = true
+		wg.Add(1)
+		go l.run(wg)
+	}
 	l.jobs = append(l.jobs, job)
-	l.cond.Signal()
+	l.more.Signal()
 	return true
 }
 
@@ -136,7 +131,7 @@ func (l *lane) push(job laneJob) bool {
 func (l *lane) close() {
 	l.mu.Lock()
 	l.closed = true
-	l.cond.Broadcast()
+	l.more.Signal()
 	l.mu.Unlock()
 }
 
@@ -155,7 +150,8 @@ func (l *lane) take(done int) (batch []laneJob, ok bool) {
 	clear(l.jobs[n:])
 	l.jobs = l.jobs[:n]
 	for len(l.jobs) == 0 && !l.closed {
-		l.cond.Wait()
+		l.more.L = &l.mu // only the worker waits: a zero lane is ready
+		l.more.Wait()
 	}
 	if len(l.jobs) == 0 {
 		return nil, false
@@ -163,9 +159,10 @@ func (l *lane) take(done int) (batch []laneJob, ok bool) {
 	return l.jobs, true
 }
 
-// run is the lane worker: it executes queued jobs in order and exits once
-// the lane is closed and drained.
-func (l *lane) run() {
+// run is the lane worker: it executes queued jobs in order and exits,
+// counted out of wg, once the lane is closed and drained.
+func (l *lane) run(wg *sync.WaitGroup) {
+	defer wg.Done()
 	var batch []laneJob
 	for {
 		var ok bool
@@ -181,28 +178,19 @@ func (l *lane) run() {
 	}
 }
 
-// submit routes one job to its lane, starting the lane worker lazily.
-func (s *Session) submit(key uint64, job laneJob) bool {
-	s.laneMu.Lock()
-	if s.lanesDead {
-		s.laneMu.Unlock()
-		return false
+// submit hands one registered command to its lane. A lane that closed after
+// the command resolved its objects — its queue released, or the session
+// closed — refuses it, and the command is answered as one registered after
+// the release would be; a queue command's event fails, so no waiter parks.
+func (s *Session) submit(ln *lane, job laneJob) {
+	if ln.push(job, &s.laneWG) {
+		return
 	}
-	if s.lanes == nil {
-		s.lanes = make(map[uint64]*lane)
+	err := errShuttingDown
+	if c, ok := job.cmd.(interface{ refused() error }); ok {
+		err = c.refused()
 	}
-	ln := s.lanes[key]
-	if ln == nil {
-		ln = newLane()
-		s.lanes[key] = ln
-		s.laneWG.Add(1)
-		go func() {
-			defer s.laneWG.Done()
-			ln.run()
-		}()
-	}
-	s.laneMu.Unlock()
-	return ln.push(job)
+	job.done(nil, err)
 }
 
 // registerEvent claims the completion event for one command, under the
@@ -216,8 +204,7 @@ func (s *Session) registerEvent(id uint64) (*eventObj, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if id == 0 {
-		s.synthEventID++
-		id = synthBase + s.synthEventID
+		id = synthBase + s.node.nextID.Add(1)
 	} else if id >= synthBase {
 		// A host counter can never legitimately reach the synthetic range;
 		// letting it through would silently collide with node-assigned IDs.
@@ -301,13 +288,6 @@ func (s *Session) awaitDeadline(events []*eventObj) (vtime.Time, error) {
 	return deadline, nil
 }
 
-// failCommand marks a command's completion event failed — waiters observe
-// the failure instead of hanging — and passes the error through.
-func (s *Session) failCommand(ev *eventObj, err error) error {
-	ev.fail(err)
-	return err
-}
-
 // checkRange validates the byte range [off, off+n) against a buffer of
 // size bytes. The comparison never computes off+n: the host now issues
 // ranged delta-migration commands with arbitrary offsets, and an
@@ -346,14 +326,12 @@ func (s *Session) HandleCall(op protocol.Op, body []byte) (protocol.Message, err
 // order, and execution is handed to the command's lane. It never blocks:
 // until it returns, the connection is not read.
 func (s *Session) HandleCallAsync(op protocol.Op, body []byte, done func(protocol.Message, error)) {
-	key, cmd, err := s.prepare(op, body)
+	ln, cmd, err := s.prepare(op, body)
 	if err != nil {
 		done(nil, err)
 		return
 	}
-	if !s.submit(key, laneJob{cmd: cmd, done: done}) {
-		done(nil, errShuttingDown)
-	}
+	s.submit(ln, laneJob{cmd: cmd, done: done})
 }
 
 // command is one registered request, ready for its lane: exec runs it and
@@ -401,12 +379,13 @@ func (c *kernelCmd) recycle() {
 }
 
 // queueCmd is what every enqueue command carries: the session, the target
-// queue, the completion event claimed at registration (which holds the
-// response) and the wait list as decoded (in waitIDs) and resolved (in
-// waitArr), both inline unless it is unusually long.
+// queue and its ID, the completion event claimed at registration (which
+// holds the response) and the wait list as decoded (in waitIDs) and
+// resolved (in waitArr), both inline unless it is unusually long.
 type queueCmd struct {
 	s       *Session
 	q       *queueObj
+	qid     uint64
 	ev      *eventObj
 	waits   []*eventObj
 	waitArr [4]*eventObj
@@ -423,11 +402,18 @@ func (c *queueCmd) register(s *Session, queueID, eventID uint64) error {
 	if err != nil {
 		return err
 	}
-	c.s, c.ev = s, ev
+	c.s, c.ev, c.qid = s, ev, queueID
 	if c.q, err = lookup[*queueObj](s, "queue", queueID); err != nil {
-		return s.failCommand(ev, err)
+		return ev.fail(err)
 	}
 	return nil
+}
+
+// refused answers a command its queue's lane turned away (submit) with the
+// error the lookup of a command registered after the release returns, and
+// fails its event with it.
+func (c *queueCmd) refused() error {
+	return c.ev.fail(remoteErr(protocol.CodeUnknownObject, "unknown queue %d", c.qid))
 }
 
 // resolve finishes an enqueue command's registration: err is the outcome
@@ -438,7 +424,7 @@ func (c *queueCmd) resolve(err error, waitIDs []int64) error {
 		c.waits, err = c.s.resolveWaits(c.waitArr[:0], waitIDs)
 	}
 	if err != nil {
-		return c.s.failCommand(c.ev, err)
+		return c.ev.fail(err)
 	}
 	return nil
 }
@@ -496,7 +482,10 @@ type (
 	// finishCmd rides the queue's lane: by lane order it executes after
 	// every previously arrived command on the queue, which is exactly the
 	// drain it reports.
-	finishCmd struct{ q *queueObj }
+	finishCmd struct {
+		q   *queueObj
+		qid uint64
+	}
 	// controlCmd is an op that targets no queue, parsed and run on the
 	// control lane.
 	controlCmd struct {
@@ -514,10 +503,11 @@ type (
 )
 
 func (c *finishCmd) exec() (protocol.Message, error) {
-	c.q.execMu.Lock()
-	now := c.q.clock.Now()
-	c.q.execMu.Unlock()
-	return &protocol.FinishQueueResp{SimTime: int64(now)}, nil
+	return &protocol.FinishQueueResp{SimTime: int64(c.q.clock.Now())}, nil
+}
+
+func (c *finishCmd) refused() error {
+	return remoteErr(protocol.CodeUnknownObject, "unknown queue %d", c.qid)
 }
 
 func (c *controlCmd) exec() (protocol.Message, error) { return c.s.handleControl(c.op, c.body) }
@@ -526,9 +516,9 @@ func (c *settledCmd) exec() (protocol.Message, error) { return c.resp, c.err }
 
 // prepare is the registration stage for one command: it parses the body,
 // claims the command's completion event, resolves every object the command
-// touches (queue, buffers, kernel, wait-list events), and returns the lane
-// key plus the command to execute there. Resolving objects here — not in
-// the lane — is what makes fire-and-forget releases sound: a command
+// touches (queue, buffers, kernel, wait-list events), and returns the
+// command and the lane it runs on. Resolving objects here — not in the
+// lane — is what makes fire-and-forget releases sound: a command
 // registered before a Release arrived holds references and keeps executing,
 // while one registered after deterministically sees the object gone.
 // Ops with no queue ride the control lane; Release and the creates but
@@ -543,51 +533,51 @@ func (c *settledCmd) exec() (protocol.Message, error) { return c.resp, c.err }
 // its event deterministically instead of occupying a lane and blocking on
 // wait edges first. Buffer sizes are immutable, so registration-time
 // bounds hold at execution.
-func (s *Session) prepare(op protocol.Op, body []byte) (uint64, command, error) {
+func (s *Session) prepare(op protocol.Op, body []byte) (*lane, command, error) {
 	switch op {
 	case protocol.OpWriteBuffer:
 		c := writeCmds.Get()
 		c.req.WaitEvents = c.waitIDs[:0]
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
 		err := c.register(s, c.req.QueueID, c.req.EventID)
 		if err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
 		if c.buf, err = lookup[*bufferObj](s, "buffer", c.req.BufferID); err == nil {
 			err = checkRange("write", c.req.Offset, int64(len(c.req.Data)), c.buf.size)
 		}
 		if err = c.resolve(err, c.req.WaitEvents); err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
-		return c.req.QueueID, c, nil
+		return &c.q.lane, c, nil
 	case protocol.OpReadBuffer:
 		c := new(readCmd)
 		c.req.WaitEvents = c.waitIDs[:0]
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
 		err := c.register(s, c.req.QueueID, c.req.EventID)
 		if err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
 		if c.buf, err = lookup[*bufferObj](s, "buffer", c.req.BufferID); err == nil {
 			err = checkRange("read", c.req.Offset, c.req.Size, c.buf.size)
 		}
 		if err = c.resolve(err, c.req.WaitEvents); err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
-		return c.req.QueueID, c, nil
+		return &c.q.lane, c, nil
 	case protocol.OpCopyBuffer:
 		c := copyCmds.Get()
 		c.req.WaitEvents = c.waitIDs[:0]
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
 		err := c.register(s, c.req.QueueID, c.req.EventID)
 		if err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
 		if c.src, err = lookup[*bufferObj](s, "buffer", c.req.SrcID); err == nil {
 			c.dst, err = lookup[*bufferObj](s, "buffer", c.req.DstID)
@@ -599,24 +589,24 @@ func (s *Session) prepare(op protocol.Op, body []byte) (uint64, command, error) 
 			err = checkRange("copy destination", c.req.DstOffset, c.req.Size, c.dst.size)
 		}
 		if err = c.resolve(err, c.req.WaitEvents); err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
-		return c.req.QueueID, c, nil
+		return &c.q.lane, c, nil
 	case protocol.OpEnqueueKernel:
 		c := kernelCmds.Get()
 		if err := c.prepare(s, body); err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
-		return c.req.QueueID, c, nil
+		return &c.q.lane, c, nil
 	case protocol.OpPushRange:
 		c := new(pushCmd)
 		c.req.WaitEvents = c.waitIDs[:0]
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
 		err := c.register(s, c.req.QueueID, c.req.EventID)
 		if err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
 		if c.buf, err = lookup[*bufferObj](s, "buffer", c.req.BufferID); err == nil {
 			err = checkRange("push", c.req.Offset, c.req.Size, c.buf.size)
@@ -625,43 +615,43 @@ func (s *Session) prepare(op protocol.Op, body []byte) (uint64, command, error) 
 		// block, and the registration stage must stay non-blocking. A dial
 		// failure surfaces in the lane as this command's sticky error.
 		if err = c.resolve(err, c.req.WaitEvents); err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
-		return c.req.QueueID, c, nil
+		return &c.q.lane, c, nil
 	case protocol.OpAwaitPush:
 		c := new(awaitCmd)
 		c.req.WaitEvents = c.waitIDs[:0]
 		if err := protocol.DecodeMessage(&c.req, body); err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
 		err := c.register(s, c.req.QueueID, c.req.EventID)
 		if err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
 		if c.buf, err = lookup[*bufferObj](s, "buffer", c.req.BufferID); err == nil {
 			err = checkRange("await-push", c.req.Offset, c.req.Size, c.buf.size)
 		}
 		if err = c.resolve(err, c.req.WaitEvents); err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
-		return c.req.QueueID, c, nil
+		return &c.q.lane, c, nil
 	case protocol.OpFinishQueue:
 		var req protocol.FinishQueueReq
 		if err := protocol.DecodeMessage(&req, body); err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
 		q, err := lookup[*queueObj](s, "queue", req.QueueID)
 		if err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
-		return req.QueueID, &finishCmd{q: q}, nil
+		return &q.lane, &finishCmd{q: q, qid: req.QueueID}, nil
 	case protocol.OpRelease, protocol.OpCreateContext, protocol.OpCreateQueue,
 		protocol.OpCreateBuffer, protocol.OpCreateKernel:
 		// Inline: see the doc comment above.
 		resp, err := s.handleControl(op, body)
-		return controlLane, &settledCmd{resp: resp, err: err}, nil
+		return &s.control, &settledCmd{resp: resp, err: err}, nil
 	default:
-		return controlLane, &controlCmd{s: s, op: op, body: body}, nil
+		return &s.control, &controlCmd{s: s, op: op, body: body}, nil
 	}
 }
 
@@ -705,22 +695,24 @@ func (s *Session) handleControl(op protocol.Op, body []byte) (protocol.Message, 
 // drained (outstanding commands finish or fail fast through the closed
 // channel), then every object the session still holds is dropped, and its
 // queues give back their device-user counts, so a host that disconnects
-// uncleanly leaves nothing behind and frees its exclusive devices.
+// uncleanly leaves nothing behind and frees its exclusive devices. The
+// table goes last: a create racing Close still finds its context, and
+// reads that the session is shutting down.
 func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
 		// Unblock wait-list waiters first: a lane draining on Close must
 		// never hang on a dependency that died with the connection.
 		close(s.closedCh)
-		s.laneMu.Lock()
-		s.lanesDead = true
-		lanes := make([]*lane, 0, len(s.lanes))
-		for _, ln := range s.lanes {
-			lanes = append(lanes, ln)
+		// No queue is filed from here on (put), and a released one closed
+		// its lane as it left the table: every open lane is filed.
+		s.mu.Lock()
+		s.control.close()
+		for _, obj := range s.objects {
+			if q, ok := obj.(*queueObj); ok {
+				q.lane.close()
+			}
 		}
-		s.laneMu.Unlock()
-		for _, ln := range lanes {
-			ln.close()
-		}
+		s.mu.Unlock()
 		s.laneWG.Wait()
 
 		// Lanes are drained; no command can touch the peer pool anymore.
@@ -897,7 +889,7 @@ func (c *writeCmd) exec() (protocol.Message, error) {
 	// Bounds were validated at registration (see prepare).
 	deadline, err := s.awaitDeadline(c.waits)
 	if err != nil {
-		return nil, s.failCommand(c.ev, err)
+		return nil, c.ev.fail(err)
 	}
 
 	modelBytes := int64(len(req.Data))
@@ -906,12 +898,10 @@ func (c *writeCmd) exec() (protocol.Message, error) {
 	}
 	arrival := vtime.Max(vtime.Time(req.SimArrival), deadline)
 	dur := q.dev.ModelTransfer(modelBytes)
-	q.execMu.Lock()
 	start, end := q.clock.Reserve(arrival, dur)
 	buf.mu.Lock()
 	copy(buf.data[req.Offset:], req.Data)
 	buf.mu.Unlock()
-	q.execMu.Unlock()
 
 	q.stats.observeTransfer(modelBytes, q.dev.EnergyRate(), dur, end)
 	prof := protocol.Profile{
@@ -925,7 +915,7 @@ func (c *readCmd) exec() (protocol.Message, error) {
 	// Bounds were validated at registration (see prepare).
 	deadline, err := s.awaitDeadline(c.waits)
 	if err != nil {
-		return nil, s.failCommand(c.ev, err)
+		return nil, c.ev.fail(err)
 	}
 
 	modelBytes := req.Size
@@ -934,7 +924,6 @@ func (c *readCmd) exec() (protocol.Message, error) {
 	}
 	arrival := vtime.Max(vtime.Time(req.SimArrival), deadline)
 	dur := q.dev.ModelTransfer(modelBytes)
-	q.execMu.Lock()
 	start, end := q.clock.Reserve(arrival, dur)
 	// The response references the snapshot until its frame is written;
 	// whoever writes it frees a pooled one (ReadBufferResp.Pooled).
@@ -942,7 +931,6 @@ func (c *readCmd) exec() (protocol.Message, error) {
 	buf.mu.RLock()
 	copy(out, buf.data[req.Offset:req.Offset+req.Size])
 	buf.mu.RUnlock()
-	q.execMu.Unlock()
 
 	q.stats.observeTransfer(modelBytes, q.dev.EnergyRate(), dur, end)
 	prof := protocol.Profile{
@@ -972,11 +960,10 @@ func (c *copyCmd) exec() (protocol.Message, error) {
 	// Bounds were validated at registration (see prepare).
 	deadline, err := s.awaitDeadline(c.waits)
 	if err != nil {
-		return nil, s.failCommand(c.ev, err)
+		return nil, c.ev.fail(err)
 	}
 
 	dur := q.dev.ModelTransfer(req.Size)
-	q.execMu.Lock()
 	start, end := q.clock.Reserve(deadline, dur)
 	if src == dst {
 		src.mu.Lock()
@@ -999,7 +986,6 @@ func (c *copyCmd) exec() (protocol.Message, error) {
 		second.mu.Unlock()
 		first.mu.Unlock()
 	}
-	q.execMu.Unlock()
 
 	q.stats.observeTransfer(req.Size, q.dev.EnergyRate(), dur, end)
 	prof := protocol.Profile{
@@ -1134,7 +1120,7 @@ func (c *kernelCmd) exec() (protocol.Message, error) {
 	s, req, q, ev, k, args := c.s, &c.req, c.q, c.ev, c.k, c.args
 	deadline, err := s.awaitDeadline(c.waits)
 	if err != nil {
-		return nil, s.failCommand(ev, err)
+		return nil, ev.fail(err)
 	}
 
 	global, local := c.ndrange[:0:3], c.ndrange[3:3]
@@ -1146,7 +1132,7 @@ func (c *kernelCmd) exec() (protocol.Message, error) {
 	}
 	g3, _, err := kernel.NormalizeRange(global, local)
 	if err != nil {
-		return nil, s.failCommand(ev, remoteErr(protocol.CodeLaunchFailed, "%v", err))
+		return nil, ev.fail(remoteErr(protocol.CodeLaunchFailed, "%v", err))
 	}
 
 	cost := k.spec.CostOf(g3, args)
@@ -1159,14 +1145,12 @@ func (c *kernelCmd) exec() (protocol.Message, error) {
 	dur := q.dev.ModelKernel(cost)
 
 	arrival := vtime.Max(vtime.Time(req.SimArrival), deadline)
-	q.execMu.Lock()
 	start, end := q.clock.Reserve(arrival, dur)
 	execErr := q.dev.Execute(k.name, kernel.Launch{
 		Global: global, Local: local, Args: args, Workers: s.node.execWorkers,
 	})
-	q.execMu.Unlock()
 	if execErr != nil {
-		return nil, s.failCommand(ev, remoteErr(protocol.CodeLaunchFailed, "kernel %q: %v", k.name, execErr))
+		return nil, ev.fail(remoteErr(protocol.CodeLaunchFailed, "kernel %q: %v", k.name, execErr))
 	}
 
 	q.stats.observeKernel(cost.Flops, cost.Bytes, dur, q.dev.EnergyRate(), end)
@@ -1233,20 +1217,4 @@ func (s *Session) handleRelease(body []byte) (protocol.Message, error) {
 		return nil, first
 	}
 	return &protocol.EmptyResp{}, nil
-}
-
-// closeLane retires one queue's lane after the queue is released: the
-// worker drains the jobs that were registered before the release, then
-// exits. The control lane is never retired — it serves the whole session.
-func (s *Session) closeLane(key uint64) {
-	if key == controlLane {
-		return
-	}
-	s.laneMu.Lock()
-	ln := s.lanes[key]
-	delete(s.lanes, key)
-	s.laneMu.Unlock()
-	if ln != nil {
-		ln.close()
-	}
 }
