@@ -209,11 +209,11 @@ func (s *Session) create(n *NodeHandle, id uint64, p *transport.Pending, req pro
 
 // createWait is create followed by its wait, for the creates whose errors
 // the API reports at once: a context, a queue (an exclusive device's
-// refusal), a build (its log).
+// refusal), a build (its log). It is a call, so on an idle connection the
+// caller writes the create itself.
 func (s *Session) createWait(n *NodeHandle, id uint64, req protocol.CreateReq, resp protocol.Message) error {
-	var p transport.Pending
-	s.create(n, id, &p, req, resp)
-	return classifyNodeErr(n, p.Wait())
+	req.SetObjectID(id)
+	return s.call(n, req, resp)
 }
 
 // nodeCreate is one node's share of a create every node of a context

@@ -353,6 +353,13 @@ func TestRefusedHandOffFailsItsEvent(t *testing.T) {
 	}
 }
 
+// emptyCmd is a lane job that runs nothing and answers empty.
+type emptyCmd struct{ resp protocol.EmptyResp }
+
+func (c *emptyCmd) exec() (protocol.Message, error) { return &c.resp, nil }
+
+func (c *emptyCmd) refused() error { return errShuttingDown }
+
 // TestLaneQueueZeroAlloc: in steady state a lane's queue costs nothing —
 // pushing a burst and draining it reuses the lane's one array, where
 // popping the head used to make every push after a drain reallocate. The
@@ -363,7 +370,7 @@ func TestLaneQueueZeroAlloc(t *testing.T) {
 		workers, ran sync.WaitGroup
 		runs         int
 	)
-	job := laneJob{cmd: &settledCmd{resp: &protocol.EmptyResp{}}, done: func(protocol.Message, error) {
+	job := laneJob{cmd: new(emptyCmd), done: func(protocol.Message, error) {
 		runs++
 		ran.Done()
 	}}

@@ -75,8 +75,8 @@ type Node struct {
 	// sessions (see rendezvous).
 	rdv *rendezvous
 
-	shutdownMu sync.Mutex
-	onShutdown func() // guarded by shutdownMu
+	// onShutdown is the callback OnShutdown registered, if any.
+	onShutdown atomic.Pointer[func()]
 }
 
 // deviceStats is the per-device slice of the runtime monitor.
@@ -221,18 +221,11 @@ func (n *Node) Status() []protocol.DeviceStatus {
 }
 
 // OnShutdown registers a callback invoked when a session issues Shutdown.
-func (n *Node) OnShutdown(f func()) {
-	n.shutdownMu.Lock()
-	defer n.shutdownMu.Unlock()
-	n.onShutdown = f
-}
+func (n *Node) OnShutdown(f func()) { n.onShutdown.Store(&f) }
 
 func (n *Node) shutdown() {
-	n.shutdownMu.Lock()
-	f := n.onShutdown
-	n.shutdownMu.Unlock()
-	if f != nil {
-		go f()
+	if f := n.onShutdown.Load(); f != nil && *f != nil {
+		go (*f)()
 	}
 }
 

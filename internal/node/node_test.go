@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -708,10 +709,10 @@ func TestObjectsBelongToTheirConnection(t *testing.T) {
 	}
 }
 
-// TestCloseRacesControlLane: creates in flight on the control lane while
-// the session closes either complete or are refused as the session shuts
-// down, and none of what completed survives Close.
-func TestCloseRacesControlLane(t *testing.T) {
+// TestCloseRacesCreates: creates in flight while the session closes either
+// complete or are refused as the session shuts down, and none of what
+// completed survives Close.
+func TestCloseRacesCreates(t *testing.T) {
 	n := testNode(t, device.Config{Driver: sim.DriverGPU, Shared: false})
 	for round := 0; round < 10; round++ {
 		s := openSession(t, n, "alice")
@@ -753,6 +754,27 @@ func TestCloseRacesControlLane(t *testing.T) {
 		if users := n.Status()[0].ActiveUsers; users != 0 {
 			t.Fatalf("round %d: device has %d users after Close", round, users)
 		}
+	}
+}
+
+// TestControlOpsStartNoGoroutine: an op that targets no queue runs and is
+// answered in the registration stage, so a session that only says Hello,
+// creates, builds and releases starts no goroutine of its own.
+func TestControlOpsStartNoGoroutine(t *testing.T) {
+	n := testNode(t)
+	const sessions = 50
+	before := runtime.NumGoroutine()
+	for i := 0; i < sessions; i++ {
+		s := openSession(t, n, "alice")
+		defer s.Close()
+		ctx, _, k := buildPipeline(t, s)
+		buf := call(t, s, &protocol.CreateBufferReq{ContextID: ctx, Size: 64}, &protocol.ObjectResp{})
+		call(t, s, &protocol.ReleaseReq{Kind: protocol.ObjBuffer, ID: buf.ID}, &protocol.EmptyResp{})
+		call(t, s, &protocol.ReleaseReq{Kind: protocol.ObjKernel, ID: k}, &protocol.EmptyResp{})
+	}
+	if grew := runtime.NumGoroutine() - before; grew >= sessions {
+		t.Fatalf("%d sessions of control ops left %d more goroutines, want fewer than %d",
+			sessions, grew, sessions)
 	}
 }
 

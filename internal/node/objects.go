@@ -163,10 +163,8 @@ func (s *Session) put(id uint64, obj any) (uint64, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	select {
-	case <-s.closedCh:
+	if s.closing() {
 		return 0, errShuttingDown
-	default:
 	}
 	if _, taken := s.objects[id]; taken {
 		return 0, remoteErr(protocol.CodeBadRequest, "duplicate object ID %d", id)

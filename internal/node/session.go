@@ -20,12 +20,13 @@ import (
 // Dispatch is split into two stages (DESIGN.md §4). The *registration*
 // stage runs on the goroutine that reads the transport connection, strictly
 // in wire-arrival order: it parses the command, claims its host-assigned
-// completion event, resolves the target queue, and hands the command to a
-// *lane*. Lanes — each queue's own, plus a control lane for everything that
-// has no queue — execute concurrently, so a multi-device node runs its
-// queues in parallel instead of single-file. Cross-queue dependencies are
-// real synchronization edges: a wait-list lookup blocks until the
-// referenced event's command has completed on its own lane.
+// completion event, resolves the target queue, and hands the command to
+// the queue's *lane*. Lanes execute concurrently, so a multi-device node
+// runs its queues in parallel instead of single-file. Cross-queue
+// dependencies are real synchronization edges: a wait-list lookup blocks
+// until the referenced event's command has completed on its own lane. An
+// op that targets no queue waits on nothing, and runs and is answered in
+// the registration stage.
 type Session struct {
 	node *Node
 
@@ -56,10 +57,8 @@ type Session struct {
 	peerConns   map[string]*peerConn // guarded by peerMu
 	peersClosed bool                 // guarded by peerMu
 
-	// control runs the ops that target no queue. laneWG counts the
-	// workers of it and of every queue's lane.
-	control lane
-	laneWG  sync.WaitGroup
+	// laneWG counts the workers of the queues' lanes.
+	laneWG sync.WaitGroup
 
 	// closedCh unblocks event waiters when the session tears down, so a
 	// lane draining on Close can never hang on a dependency whose creating
@@ -178,19 +177,15 @@ func (l *lane) run(wg *sync.WaitGroup) {
 	}
 }
 
-// submit hands one registered command to its lane. A lane that closed after
-// the command resolved its objects — its queue released, or the session
-// closed — refuses it, and the command is answered as one registered after
-// the release would be; a queue command's event fails, so no waiter parks.
+// submit hands one registered command to its queue's lane. A lane that
+// closed after the command resolved its queue — the queue released, or the
+// session closed — refuses it, and the command is answered as one
+// registered after the release would be; its event, if any, fails, so no
+// waiter parks.
 func (s *Session) submit(ln *lane, job laneJob) {
-	if ln.push(job, &s.laneWG) {
-		return
+	if !ln.push(job, &s.laneWG) {
+		job.done(nil, job.cmd.refused())
 	}
-	err := errShuttingDown
-	if c, ok := job.cmd.(interface{ refused() error }); ok {
-		err = c.refused()
-	}
-	job.done(nil, err)
 }
 
 // registerEvent claims the completion event for one command, under the
@@ -323,23 +318,48 @@ func (s *Session) HandleCall(op protocol.Op, body []byte) (protocol.Message, err
 
 // HandleCallAsync implements transport.AsyncHandler: the registration
 // stage runs here, on the goroutine that reads the connection, in arrival
-// order, and execution is handed to the command's lane. It never blocks:
-// until it returns, the connection is not read.
+// order. A queue command's execution is handed to the queue's lane; any
+// other op waits on no command, peer or lane, so it runs here and is
+// answered at once. Once Close has begun such an op runs no more, and one
+// that fails as it begins — Close may have dropped what it names — reads,
+// like one that did not run, that the session is shutting down. It never
+// blocks: until it returns, the connection is not read.
 func (s *Session) HandleCallAsync(op protocol.Op, body []byte, done func(protocol.Message, error)) {
 	ln, cmd, err := s.prepare(op, body)
-	if err != nil {
+	switch {
+	case err != nil:
 		done(nil, err)
-		return
+	case ln != nil:
+		s.submit(ln, laneJob{cmd: cmd, done: done})
+	case s.closing():
+		done(nil, errShuttingDown)
+	default:
+		resp, err := s.handleControl(op, body)
+		if err != nil && s.closing() {
+			err = errShuttingDown
+		}
+		done(resp, err)
 	}
-	s.submit(ln, laneJob{cmd: cmd, done: done})
 }
 
-// command is one registered request, ready for its lane: exec runs it and
-// returns the response. It holds the decoded message, every object the
-// message names and, itself or in its completion event, the response, and
-// belongs to the request alone.
+// closing reports whether Close has begun.
+func (s *Session) closing() bool {
+	select {
+	case <-s.closedCh:
+		return true
+	default:
+		return false
+	}
+}
+
+// command is one registered queue command, ready for its lane: exec runs
+// it and returns the response, and refused answers it when the lane turned
+// it away (submit). It holds the decoded message, every object the message
+// names and, itself or in its completion event, the response, and belongs
+// to the request alone.
 type command interface {
 	exec() (protocol.Message, error)
+	refused() error
 }
 
 // recycler is a pooled command: a write, copy or launch. Its response is
@@ -486,20 +506,6 @@ type (
 		q   *queueObj
 		qid uint64
 	}
-	// controlCmd is an op that targets no queue, parsed and run on the
-	// control lane.
-	controlCmd struct {
-		s    *Session
-		op   protocol.Op
-		body []byte
-	}
-	// settledCmd is a request the registration stage already ran (a
-	// Release, a create): the lane only delivers its outcome, in arrival
-	// order.
-	settledCmd struct {
-		resp protocol.Message
-		err  error
-	}
 )
 
 func (c *finishCmd) exec() (protocol.Message, error) {
@@ -510,24 +516,17 @@ func (c *finishCmd) refused() error {
 	return remoteErr(protocol.CodeUnknownObject, "unknown queue %d", c.qid)
 }
 
-func (c *controlCmd) exec() (protocol.Message, error) { return c.s.handleControl(c.op, c.body) }
-
-func (c *settledCmd) exec() (protocol.Message, error) { return c.resp, c.err }
-
-// prepare is the registration stage for one command: it parses the body,
-// claims the command's completion event, resolves every object the command
-// touches (queue, buffers, kernel, wait-list events), and returns the
-// command and the lane it runs on. Resolving objects here — not in the
+// prepare is the registration stage for one queue command: it parses the
+// body, claims the command's completion event, resolves every object the
+// command touches (queue, buffers, kernel, wait-list events), and returns
+// the command and the lane it runs on. Resolving objects here — not in the
 // lane — is what makes fire-and-forget releases sound: a command
 // registered before a Release arrived holds references and keeps executing,
-// while one registered after deterministically sees the object gone.
-// Ops with no queue ride the control lane; Release and the creates but
-// BuildProgram are special-cased to run inline (they are table mutations,
-// and later-arriving commands must observe them deterministically, which
-// only the arrival-ordered registration stage can guarantee: a pipelining
-// host names a buffer in the write right behind its create). A build
-// compiles, so it stays on the control lane; its host waits for the reply
-// before naming the program.
+// while one registered after deterministically sees the object gone. An op
+// that targets no queue gets no lane: HandleCallAsync runs it here, in
+// arrival order, so a table mutation (a create, a Release) is observed by
+// every command behind it — a pipelining host names a buffer in the write
+// right behind its create.
 //
 // Ranged-transfer bounds are validated here too: a malformed range fails
 // its event deterministically instead of occupying a lane and blocking on
@@ -645,18 +644,13 @@ func (s *Session) prepare(op protocol.Op, body []byte) (*lane, command, error) {
 			return nil, nil, err
 		}
 		return &q.lane, &finishCmd{q: q, qid: req.QueueID}, nil
-	case protocol.OpRelease, protocol.OpCreateContext, protocol.OpCreateQueue,
-		protocol.OpCreateBuffer, protocol.OpCreateKernel:
-		// Inline: see the doc comment above.
-		resp, err := s.handleControl(op, body)
-		return &s.control, &settledCmd{resp: resp, err: err}, nil
 	default:
-		return &s.control, &controlCmd{s: s, op: op, body: body}, nil
+		return nil, nil, nil
 	}
 }
 
-// handleControl dispatches the non-queue ops: the control lane's work, and
-// the table mutations the registration stage runs inline (prepare).
+// handleControl runs an op that targets no queue, in the registration
+// stage (HandleCallAsync).
 func (s *Session) handleControl(op protocol.Op, body []byte) (protocol.Message, error) {
 	switch op {
 	case protocol.OpHello:
@@ -696,8 +690,9 @@ func (s *Session) handleControl(op protocol.Op, body []byte) (protocol.Message, 
 // channel), then every object the session still holds is dropped, and its
 // queues give back their device-user counts, so a host that disconnects
 // uncleanly leaves nothing behind and frees its exclusive devices. The
-// table goes last: a create racing Close still finds its context, and
-// reads that the session is shutting down.
+// table goes last, and nothing is filed once Close has begun (put): a
+// create racing Close is filed and dropped with the table, or refused as
+// the session shuts down (HandleCallAsync).
 func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
 		// Unblock wait-list waiters first: a lane draining on Close must
@@ -706,7 +701,6 @@ func (s *Session) Close() error {
 		// No queue is filed from here on (put), and a released one closed
 		// its lane as it left the table: every open lane is filed.
 		s.mu.Lock()
-		s.control.close()
 		for _, obj := range s.objects {
 			if q, ok := obj.(*queueObj); ok {
 				q.lane.close()

@@ -29,8 +29,11 @@
 // envelopes, and ships the drain with one vectored write per
 // protocol.MaxBatchBytes staged — flushing whenever the queue drains, so
 // an idle connection never waits on a timer. The node queues each reply
-// the moment its request completes. Both sides read through a pooled
-// buffer, so a burst of small frames costs one read, not two a frame.
+// the moment its request completes. On an idle connection a plain reply,
+// and a call its caller waits on at once, are written by the goroutine
+// that has them instead, so a serial round trip hands nothing to a writer.
+// Both sides read through a pooled buffer, so a burst of small frames
+// costs one read, not two a frame.
 //
 // Every message, in both directions, reaches its connection through one
 // function, the connection's frameWriter, and is encoded exactly once, by
@@ -114,7 +117,8 @@ var ErrClosed = errors.New("transport: connection closed")
 // Client is the host side of one host↔node connection.
 type Client struct {
 	conn net.Conn
-	// w queues every request the client sends; its goroutine is writeLoop.
+	// w sends every request: its goroutine runs until failAll kills it, and
+	// a call its caller waits on at once may be written inline (Call).
 	w connWriter
 
 	mu      sync.Mutex
@@ -144,7 +148,7 @@ func NewClient(conn net.Conn) *Client {
 	}
 	c.w.init(conn)
 	go c.readLoop()
-	go c.writeLoop()
+	go c.w.run(c.sendFailed)
 	return c
 }
 
@@ -219,14 +223,13 @@ func (c *Client) deliver(reqID uint64, op protocol.Op, body []byte) {
 	}
 }
 
-// writeLoop runs the client's writer until failAll kills it. A write error
-// means the connection is gone (queued messages are pre-validated); closing
-// it unwinds the read side and releases the peer's session.
-func (c *Client) writeLoop() {
-	c.w.run(func(err error) {
-		c.failAll(fmt.Errorf("transport: send: %w", err))
-		c.conn.Close()
-	})
+// sendFailed reports a failed write, by the writer or by a caller writing
+// inline. It means the connection is gone (queued messages are
+// pre-validated); closing it unwinds the read side and releases the peer's
+// session.
+func (c *Client) sendFailed(err error) {
+	c.failAll(fmt.Errorf("transport: send: %w", err))
+	c.conn.Close()
 }
 
 // Behind the run being written, a connection's queue holds at most
@@ -247,10 +250,13 @@ const (
 // is exactly when coalescing pays. A run stays in the queue's array while
 // it is written, producers appending behind it, and the next drain moves
 // what they queued to the front, so a connection keeps one array. Whoever
-// sets busy owns fw until it clears it: run, or a node goroutine writing a
-// reply inline (complete).
+// sets busy owns fw until it clears it: run, or a goroutine writing one
+// message inline (writeIdle).
 type connWriter struct {
 	fw frameWriter
+	// wakes counts the runs run has written: each one a hand-off from the
+	// goroutine that queued it to the writer's.
+	wakes atomic.Int64
 
 	mu         sync.Mutex
 	more       sync.Cond           // on mu: wakes run for a message, a finished inline write, or death
@@ -283,6 +289,7 @@ func (w *connWriter) run(failed func(error)) {
 		}
 		run := w.queue
 		w.busy, w.queueBytes, w.waiting = true, 0, 0
+		w.wakes.Add(1)
 		w.space.Broadcast()
 		w.mu.Unlock()
 		if err := w.fw.write(run...); err != nil && failed != nil {
@@ -301,6 +308,29 @@ func (w *connWriter) run(failed func(error)) {
 	}
 	w.mu.Unlock()
 	w.fw.release()
+}
+
+// writeIdle writes m on the calling goroutine when the writer is idle and
+// nothing is queued, and reports whether it did: a message its sender
+// waits on at once then pays no hand-off to run. A write error goes to
+// failed, if any, as run's would.
+//
+// Caller holds mu; it is held again on return.
+func (w *connWriter) writeIdle(m protocol.Outgoing, failed func(error)) bool {
+	if w.dead || w.busy || len(w.queue) > 0 {
+		return false
+	}
+	w.busy = true
+	w.mu.Unlock()
+	if err := w.fw.write(m); err != nil && failed != nil {
+		failed(err)
+	}
+	w.mu.Lock()
+	w.busy = false
+	if len(w.queue) > 0 || w.dead {
+		w.more.Signal()
+	}
+	return true
 }
 
 // waitForRoom blocks while the queue is full and the writer alive.
@@ -610,7 +640,7 @@ type Pending struct {
 // haoclvet:wire
 func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
 	p := new(Pending)
-	c.Start(p, req, resp)
+	c.start(p, req, resp, false)
 	return p
 }
 
@@ -623,6 +653,13 @@ func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
 //
 // haoclvet:wire
 func (c *Client) Start(p *Pending, req protocol.Message, resp protocol.Message) {
+	c.start(p, req, resp, false)
+}
+
+// start is Start, and Call's send when now is set: a call its caller waits
+// on at once is written on the calling goroutine when the connection is
+// idle (writeIdle), as a node writes a plain reply, and queued otherwise.
+func (c *Client) start(p *Pending, req protocol.Message, resp protocol.Message, now bool) {
 	p.c, p.op, p.resp = c, req.Op(), resp
 	p.done.Add(1)
 	id := c.nextID.Add(1)
@@ -651,7 +688,7 @@ func (c *Client) Start(p *Pending, req protocol.Message, resp protocol.Message) 
 	}
 	c.w.mu.Lock()
 	c.w.waitForRoom()
-	ok := c.w.add(out)
+	ok := now && c.w.writeIdle(out, c.sendFailed) || c.w.add(out)
 	c.w.mu.Unlock()
 	if !ok {
 		c.forget(id)
@@ -728,13 +765,16 @@ func (p *Pending) Wait() error {
 }
 
 // Call sends req and blocks until the matching response arrives, decoding
-// it into resp: Go followed by Wait. Like Wait, its error is raw and needs
-// classification before feeding recovery decisions.
+// it into resp: Go followed by Wait, except that on an idle connection req
+// is written by the caller, not handed to the writer. Like Wait, its error
+// is raw and needs classification before feeding recovery decisions.
 //
 // haoclvet:errclass-source
 // haoclvet:wire
 func (c *Client) Call(req protocol.Message, resp protocol.Message) error {
-	return c.Go(req, resp).Wait()
+	p := new(Pending)
+	c.start(p, req, resp, true)
+	return p.Wait()
 }
 
 // Close tears the connection down; in-flight calls fail with ErrClosed.
@@ -770,9 +810,9 @@ type Server struct {
 	factory func() Handler
 
 	mu     sync.Mutex
-	ln     net.Listener          // guarded by mu
-	conns  map[net.Conn]struct{} // guarded by mu
-	closed bool                  // guarded by mu
+	ln     net.Listener             // guarded by mu
+	conns  map[net.Conn]*connWriter // guarded by mu; each connection's reply writer
+	closed bool                     // guarded by mu
 
 	wg sync.WaitGroup
 }
@@ -781,7 +821,7 @@ type Server struct {
 func NewServer(factory func() Handler) *Server {
 	return &Server{
 		factory: factory,
-		conns:   make(map[net.Conn]struct{}),
+		conns:   make(map[net.Conn]*connWriter),
 	}
 }
 
@@ -836,18 +876,20 @@ func (s *Server) ServeConn(conn net.Conn) error {
 		conn.Close()
 		return ErrClosed
 	}
-	s.conns[conn] = struct{}{}
+	w := new(connWriter)
+	w.init(conn)
+	s.conns[conn] = w
 	// Counted under mu: once the closed check passed, Close's Wait must
 	// cover this connection's reader and writer and its handler's Close.
 	s.wg.Add(2)
 	s.mu.Unlock()
 
-	go s.serve(conn, s.factory())
+	go s.serve(conn, w, s.factory())
 	return nil
 }
 
 // serve reads conn's frames and dispatches each the moment it is read, on
-// one goroutine, until the connection ends; the replies' writer runs on
+// one goroutine, until the connection ends; the replies' writer, w, runs on
 // another. Dispatch is registration only — an AsyncHandler files the
 // request with its execution lane and returns (DESIGN.md §4) — so the loop
 // is back at the socket at once: that registration never blocks is what
@@ -855,11 +897,9 @@ func (s *Server) ServeConn(conn net.Conn) error {
 // connection's framing: the loop drops the connection and whatever was
 // sent behind it. The writer is killed after the handler's Close; a reply
 // completed after that gives back what it borrowed unwritten.
-func (s *Server) serve(conn net.Conn, handler Handler) {
+func (s *Server) serve(conn net.Conn, w *connWriter, handler Handler) {
 	defer s.wg.Done()
 	r := newFrameReader(conn)
-	w := new(connWriter)
-	w.init(conn)
 	go func() {
 		defer s.wg.Done()
 		w.run(nil) // a failed write is the read loop's to notice
@@ -956,15 +996,8 @@ func (w *connWriter) complete(to replyTo, resp protocol.Message, err error) {
 	}
 	w.mu.Lock()
 	w.waitForRoom()
-	if env == nil && !w.dead && !w.busy && len(w.queue) == 0 {
-		w.busy = true
-		w.mu.Unlock()
-		_ = w.fw.write(out) // a failed write is the read loop's to notice
-		w.mu.Lock()
-		w.busy = false
-		if len(w.queue) > 0 || w.dead {
-			w.more.Signal()
-		}
+	// A failed write is the read loop's to notice.
+	if env == nil && w.writeIdle(out, nil) {
 		w.mu.Unlock()
 		return
 	}

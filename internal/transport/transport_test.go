@@ -391,3 +391,49 @@ func TestConnectionCycleAllocationBudget(t *testing.T) {
 		t.Fatalf("a connection's cycle allocates %.1f objects and %.0f B, budget %.1f and %d B", objs, size, objBudget, byteBudget)
 	}
 }
+
+// TestSerialRoundTripHandsOffNothing: a call its caller waits on at once is
+// written by the caller on an idle connection, and a plain reply by the
+// goroutine that read its request, so serial round trips wake neither
+// end's writer goroutine. Pipelined calls still go through the host's
+// writer, which packs what queues while it writes.
+func TestSerialRoundTripHandsOffNothing(t *testing.T) {
+	srv := NewStaticServer(&echoHandler{})
+	defer srv.Close()
+	hostEnd, nodeEnd := newMemConnPair()
+	if err := srv.ServeConn(nodeEnd); err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	nodeW := srv.conns[nodeEnd]
+	srv.mu.Unlock()
+	c := NewClient(hostEnd)
+	defer c.Close()
+
+	const serial = 100
+	for i := 0; i < serial; i++ {
+		var resp protocol.HelloResp
+		if err := c.Call(&protocol.HelloReq{UserID: "u"}, &resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if host, node := c.w.wakes.Load(), nodeW.wakes.Load(); host != 0 || node != 0 {
+		t.Fatalf("%d serial calls woke the host's writer %d times and the node's %d, want 0 and 0",
+			serial, host, node)
+	}
+
+	const burst = 64
+	calls := make([]*Pending, burst)
+	for i := range calls {
+		calls[i] = c.Go(&protocol.HelloReq{UserID: "u"}, nil)
+	}
+	for _, p := range calls {
+		if err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if wakes := c.w.wakes.Load(); wakes == 0 || wakes >= burst {
+		t.Fatalf("%d pipelined calls woke the host's writer %d times, want between 1 and %d",
+			burst, wakes, burst-1)
+	}
+}
