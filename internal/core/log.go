@@ -64,7 +64,7 @@ import (
 type logEntry interface {
 	// replay re-issues the mutation through the enqueue internals. The
 	// session's replaying flag is set, so nothing is logged twice.
-	replay(rt *Runtime) error
+	replay() error
 	// skip reports whether the entry's objects were released, making the
 	// mutation unreplayable (and its contents expendable by declaration).
 	skip() bool
@@ -434,12 +434,12 @@ func (w *writeLog) Free() {
 	writePools[class].Put(w)
 }
 
-func (l *writeLog) replay(rt *Runtime) error {
+func (l *writeLog) replay() error {
 	_, err := l.enqueue()
 	return err
 }
 
-func (l *writeLog) skip() bool { return l.b.isReleased() }
+func (l *writeLog) skip() bool { return l.b.released.Load() }
 
 // copyLog replays EnqueueCopy.
 type copyLog struct {
@@ -452,12 +452,12 @@ type copyLog struct {
 	reads []*logDef // guarded by cmdLog.mu
 }
 
-func (l *copyLog) replay(rt *Runtime) error {
+func (l *copyLog) replay() error {
 	_, err := l.q.enqueueCopy(l.src, l.dst, l.srcOff, l.dstOff, l.size)
 	return err
 }
 
-func (l *copyLog) skip() bool { return l.src.isReleased() || l.dst.isReleased() }
+func (l *copyLog) skip() bool { return l.src.released.Load() || l.dst.released.Load() }
 
 // kernelLog replays EnqueueKernel with the argument bindings snapshotted at
 // the original launch — SetArg calls made since must not leak backwards in
@@ -479,17 +479,17 @@ type kernelLog struct {
 func (l *kernelLog) global() []int64 { return l.dims[:l.nGlobal:l.nGlobal] }
 func (l *kernelLog) local() []int64  { return l.dims[l.nGlobal : l.nGlobal+l.nLocal] }
 
-func (l *kernelLog) replay(rt *Runtime) error {
+func (l *kernelLog) replay() error {
 	_, err := l.q.enqueueKernelBound(l, nil)
 	return err
 }
 
 func (l *kernelLog) skip() bool {
-	if l.k.isReleased() {
+	if l.k.released.Load() {
 		return true
 	}
 	for _, bind := range l.bindings {
-		if bind.buf != nil && bind.buf.isReleased() {
+		if bind.buf != nil && bind.buf.released.Load() {
 			return true
 		}
 	}
@@ -507,9 +507,9 @@ type broadcastLog struct {
 	qs   []*Queue
 }
 
-func (l *broadcastLog) replay(rt *Runtime) error {
+func (l *broadcastLog) replay() error {
 	_, err := l.c.broadcast(l.b, l.data, l.qs)
 	return err
 }
 
-func (l *broadcastLog) skip() bool { return l.b.isReleased() }
+func (l *broadcastLog) skip() bool { return l.b.released.Load() }

@@ -312,16 +312,13 @@ type Context struct {
 	id      uint64 // the object's name on every node it spans
 	devices []*DeviceRef
 
+	// mu guards the hidden service queues and the object registries
+	// recovery walks to strip dead-node state.
 	mu       sync.Mutex
 	svcQueue map[*NodeHandle]*Queue // guarded by mu; hidden queues for buffer migration
-
-	// regMu guards the object registries recovery walks to strip dead-node
-	// state. It is separate from mu so CreateQueue can register while
-	// serviceQueue holds mu; lock order is mu before regMu, never reversed.
-	regMu    sync.Mutex
-	queues   []*Queue   // guarded by regMu
-	buffers  []*Buffer  // guarded by regMu
-	programs []*Program // guarded by regMu
+	queues   []*Queue               // guarded by mu
+	buffers  []*Buffer              // guarded by mu
+	programs []*Program             // guarded by mu
 }
 
 // CreateContext builds a context over the given devices (clCreateContext)
@@ -357,9 +354,9 @@ func (s *Session) CreateContext(devices []*DeviceRef) (*Context, error) {
 	if node, err := s.createEach(protocol.ObjContext, ctx.id, cs); err != nil {
 		return nil, fmt.Errorf("core: create context on %q: %w", node.name, err)
 	}
-	s.ctxMu.Lock()
+	s.mu.Lock()
 	s.contexts = append(s.contexts, ctx)
-	s.ctxMu.Unlock()
+	s.mu.Unlock()
 	return ctx, nil
 }
 
@@ -371,16 +368,14 @@ func (s *Session) contextReq(ids []int64) *protocol.CreateContextReq {
 
 // unregister drops q from the context's queue registry. Caller holds mu.
 func (c *Context) unregister(q *Queue) {
-	c.regMu.Lock()
 	c.queues = slices.DeleteFunc(c.queues, func(r *Queue) bool { return r == q })
-	c.regMu.Unlock()
 }
 
 // allQueues snapshots the context's queue registry (user and service
 // queues alike).
 func (c *Context) allQueues() []*Queue {
-	c.regMu.Lock()
-	defer c.regMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return append([]*Queue(nil), c.queues...)
 }
 
@@ -443,9 +438,7 @@ func (c *Context) newServiceQueue(node *NodeHandle) (*Queue, error) {
 		return nil, err
 	}
 	q := &Queue{ctx: c, id: cr.id, dev: dev, made: cr, creates: []*creation{cr}}
-	c.regMu.Lock()
 	c.queues = append(c.queues, q)
-	c.regMu.Unlock()
 	return q, nil
 }
 
@@ -659,9 +652,9 @@ func (c *Context) CreateQueue(dev *DeviceRef) (*Queue, error) {
 		return nil, err
 	}
 	q := &Queue{ctx: c, id: id, dev: dev}
-	c.regMu.Lock()
+	c.mu.Lock()
 	c.queues = append(c.queues, q)
-	c.regMu.Unlock()
+	c.mu.Unlock()
 	return q, nil
 }
 
@@ -777,7 +770,8 @@ type Buffer struct {
 	// the host; a later host send of this buffer departs no earlier.
 	hostReadyAt vtime.Time                 // guarded by mu
 	remote      map[*NodeHandle]*remoteBuf // guarded by mu
-	released    bool                       // guarded by mu
+	// released is set under mu by Release; the replay reads it lock-free.
+	released atomic.Bool
 
 	// logDefs is the buffer's share of the session's command log (log.go):
 	// in log order, the entries that still define some of the buffer's
@@ -799,18 +793,10 @@ func (c *Context) CreateBuffer(size int64) (*Buffer, error) {
 		modelSize: size,
 		remote:    make(map[*NodeHandle]*remoteBuf),
 	}
-	c.regMu.Lock()
+	c.mu.Lock()
 	c.buffers = append(c.buffers, b)
-	c.regMu.Unlock()
+	c.mu.Unlock()
 	return b, nil
-}
-
-// isReleased reports whether the buffer was released; the command log
-// skips replaying mutations of released buffers.
-func (b *Buffer) isReleased() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.released
 }
 
 // Size returns the buffer's size in bytes.
@@ -848,7 +834,7 @@ func (b *Buffer) scaled(n int64) int64 {
 // the replica at once, and c's queue settles it (creation).
 // Caller holds b.mu.
 func (b *Buffer) remoteOn(c *cmd) (*remoteBuf, error) {
-	if b.released {
+	if b.released.Load() {
 		return nil, fmt.Errorf("core: buffer was released")
 	}
 	node := c.dev.node
@@ -881,7 +867,7 @@ func (b *Buffer) Release() error {
 		b.ctx.sess.releaseCreated(protocol.ObjBuffer, &b.remote[node].creation)
 	}
 	b.remote = make(map[*NodeHandle]*remoteBuf)
-	b.released = true
+	b.released.Store(true)
 	b.ctx.sess.log.retire(b)
 	return nil
 }
@@ -1281,9 +1267,9 @@ func (c *Context) CreateProgram(source string) (*Program, error) {
 		source: source,
 		parsed: parsed,
 	}
-	c.regMu.Lock()
+	c.mu.Lock()
 	c.programs = append(c.programs, p)
-	c.regMu.Unlock()
+	c.mu.Unlock()
 	return p, nil
 }
 
@@ -1366,7 +1352,8 @@ type Kernel struct {
 	// shared slice, never into the slice a launch holds.
 	args       []argBinding // guarded by mu
 	argsShared bool         // guarded by mu
-	released   bool         // guarded by mu
+	// released is set under mu by Release; the replay reads it lock-free.
+	released atomic.Bool
 }
 
 // CreateKernel instantiates the named kernel.
@@ -1393,14 +1380,6 @@ func (p *Program) CreateKernel(name string) (*Kernel, error) {
 	p.kernels = append(p.kernels, k)
 	p.mu.Unlock()
 	return k, nil
-}
-
-// isReleased reports whether the kernel was released; the command log
-// skips replaying launches of released kernels.
-func (k *Kernel) isReleased() bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.released
 }
 
 // Name returns the kernel's name.
@@ -1465,7 +1444,7 @@ type LocalSpace int64
 func (k *Kernel) remoteOn(c *cmd) error {
 	node := c.dev.node
 	k.mu.Lock()
-	if k.released {
+	if k.released.Load() {
 		k.mu.Unlock()
 		return fmt.Errorf("core: kernel %q was released", k.name)
 	}
@@ -1499,7 +1478,7 @@ func (k *Kernel) Release() error {
 		k.prog.ctx.sess.releaseCreated(protocol.ObjKernel, k.remote[node])
 	}
 	k.remote = make(map[*NodeHandle]*creation)
-	k.released = true
+	k.released.Store(true)
 	return nil
 }
 

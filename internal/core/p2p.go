@@ -111,7 +111,7 @@ func (b *Buffer) migrateP2P(c *cmd, rb *remoteBuf, gaps []mem.Range) error {
 // which leaves dst.arrival at the hop's arrival. Caller holds the
 // buffer's mu.
 func (s *Session) push(src, dst *cmd, srcRB, dstRB *remoteBuf, lo, hi, modelBytes int64, hop vtime.Time) {
-	token := s.rt.nextPushToken()
+	token := s.rt.pushToken.Add(1)
 	src.charge(0, controlMsgBytes)
 	src.send(trace.KindPushRange, modelBytes, &protocol.PushRangeReq{
 		QueueID:      src.q.id,

@@ -283,11 +283,11 @@ func (s *Session) catchUp() error {
 	// stays latched for the tenant's Flush.
 	s.drainPendingEvents()
 	s.drainReleases()
-	s.relMu.Lock()
+	s.mu.Lock()
 	if isNodeLost(s.relErr) {
 		s.relErr = nil
 	}
-	s.relMu.Unlock()
+	s.mu.Unlock()
 
 	contexts := s.snapshotContexts()
 	kept := make(map[*Queue]error)
@@ -361,7 +361,9 @@ func (s *Session) catchUp() error {
 // strip removes every trace of the gone nodes from the context: service
 // queues, replicas and kernel instances, and resets buffer state to zeros
 // for the replay. User queues bound to a gone device are re-bound to a
-// surviving one last, when all else is gone.
+// surviving one last, when all else is gone. The registries are read in
+// the section that drops the service queues, and mu is let go before any
+// Buffer.mu, which ranks first, is taken.
 func (c *Context) strip(gone map[*NodeHandle]bool) error {
 	c.mu.Lock()
 	for node, svc := range c.svcQueue {
@@ -370,12 +372,10 @@ func (c *Context) strip(gone map[*NodeHandle]bool) error {
 			c.unregister(svc)
 		}
 	}
-	c.mu.Unlock()
-	c.regMu.Lock()
 	queues := append([]*Queue(nil), c.queues...)
 	buffers := append([]*Buffer(nil), c.buffers...)
 	programs := append([]*Program(nil), c.programs...)
-	c.regMu.Unlock()
+	c.mu.Unlock()
 
 	for _, b := range buffers {
 		b.resetForReplay(gone)
@@ -453,12 +453,11 @@ func (b *Buffer) resetForReplay(gone map[*NodeHandle]bool) {
 // Caller holds rt.recoverMu.
 func (rt *Runtime) rehelloLocked() error {
 	alive := rt.aliveNodes()
-	req := &protocol.HelloReq{UserID: rt.userID, ClientName: rt.clientName,
-		WireVersion: protocol.Version, Peers: peerAddrs(alive), Epoch: rt.epoch.Load()}
+	req := rt.helloReq(peerAddrs(alive), rt.epoch.Load())
 	for _, n := range alive {
 		var resp protocol.HelloResp
 		// A node that dies meanwhile is the membership step's next removal.
-		if err := rt.call(n, req, &resp); err != nil && !rt.shouldRecover(err) {
+		if err := rt.call(n, &req, &resp); err != nil && !rt.shouldRecover(err) {
 			return fmt.Errorf("core: re-hello %q: %w", n.name, err)
 		}
 	}
@@ -527,7 +526,7 @@ func (rt *Runtime) ReconnectNode(name string) error {
 	}
 
 	epoch := rt.epoch.Add(1)
-	resp, err := hello(client, rt.userID, rt.clientName, peerAddrs(append(rt.aliveNodes(), h)), epoch)
+	resp, err := transport.Handshake(client, rt.helloReq(peerAddrs(append(rt.aliveNodes(), h)), epoch))
 	if err != nil {
 		client.Close()
 		return fmt.Errorf("core: rejoin handshake with %q: %w", name, err)
@@ -578,9 +577,9 @@ func (c *Context) restoreOn(h *NodeHandle) error {
 	if err := c.sess.createWait(h, c.id, c.sess.contextReq(ids), nil); err != nil {
 		return fmt.Errorf("re-create context: %w", err)
 	}
-	c.regMu.Lock()
+	c.mu.Lock()
 	programs := append([]*Program(nil), c.programs...)
-	c.regMu.Unlock()
+	c.mu.Unlock()
 	for _, p := range programs {
 		p.mu.Lock()
 		built := p.built

@@ -14,7 +14,7 @@
 //
 // and its object locks nest in one documented order, innermost last:
 //
-// lock-order: Runtime.recoverMu < Session.recGate < Buffer.mu < Context.mu < Queue.mu < Kernel.mu < Program.mu < Context.regMu < cmdLog.mu
+// lock-order: Runtime.recoverMu < Session.recGate < Buffer.mu < Context.mu < Queue.mu < Kernel.mu < Program.mu < Session.mu < cmdLog.mu
 package core
 
 import (
@@ -226,20 +226,20 @@ type Runtime struct {
 	// lock-free.
 	trc atomic.Pointer[trace.Run]
 
-	// sessMu guards the session registry.
-	sessMu     sync.Mutex
-	sessions   []*Session // guarded by sessMu
-	nextSessID uint64     // guarded by sessMu
-
 	nicOut  *vtime.Link // host NIC egress (paper: single host node)
 	nicIn   *vtime.Link // host NIC ingress (full-duplex GbE)
 	hostMem *vtime.Link // host data-creation resource
 
-	// mu guards the aggregate metrics (the sum over all sessions, which
-	// Runtime.Metrics reports) and the push-token counter.
-	mu        sync.Mutex
-	metrics   Metrics // guarded by mu
-	pushToken uint64  // guarded by mu; rendezvous tokens for node-to-node pushes
+	// pushToken mints the cluster-unique rendezvous tokens that pair each
+	// node-to-node PushRange with its AwaitPush.
+	pushToken atomic.Uint64
+
+	// mu guards the session registry and the aggregate metrics (the sum
+	// over all sessions, which Runtime.Metrics reports).
+	mu         sync.Mutex
+	sessions   []*Session // guarded by mu
+	nextSessID uint64     // guarded by mu
+	metrics    Metrics    // guarded by mu
 }
 
 // Connect dials every node in the configuration, performs the Hello
@@ -277,8 +277,7 @@ func Connect(opts Options) (*Runtime, error) {
 
 	// Every node is dialed and sent its Hello before any reply is awaited,
 	// so connecting costs one round trip, not one per node.
-	req := &protocol.HelloReq{UserID: rt.userID, ClientName: rt.clientName,
-		WireVersion: protocol.Version, Peers: peers, Epoch: rt.epoch.Load()}
+	req := rt.helloReq(peers, rt.epoch.Load())
 	nodes := make([]*NodeHandle, 0, len(opts.Config.Nodes))
 	calls := make([]transport.Pending, len(opts.Config.Nodes))
 	resps := make([]protocol.HelloResp, len(opts.Config.Nodes))
@@ -296,7 +295,7 @@ func Connect(opts Options) (*Runtime, error) {
 		nh := &NodeHandle{name: spec.Name, addr: spec.Addr}
 		nh.client.Store(client)
 		nodes = append(nodes, nh)
-		client.Start(&calls[i], req, &resps[i])
+		client.Start(&calls[i], &req, &resps[i])
 	}
 	for i, nh := range nodes {
 		if err := calls[i].Wait(); err != nil {
@@ -323,15 +322,12 @@ func Connect(opts Options) (*Runtime, error) {
 	return rt, nil
 }
 
-// hello performs the handshake via the shared transport path (the same one
-// nodes use when dialing each other as peers).
-func hello(client *transport.Client, userID, clientName string, peers []protocol.PeerAddr, epoch uint64) (protocol.HelloResp, error) {
-	return transport.Handshake(client, protocol.HelloReq{
-		UserID:     userID,
-		ClientName: clientName,
-		Peers:      peers,
-		Epoch:      epoch,
-	})
+// helloReq is the Hello the host sends a node when it connects, rejoins
+// it or re-hellos it: the host's identity, the address book peers and the
+// membership epoch.
+func (rt *Runtime) helloReq(peers []protocol.PeerAddr, epoch uint64) protocol.HelloReq {
+	return protocol.HelloReq{UserID: rt.userID, ClientName: rt.clientName,
+		WireVersion: protocol.Version, Peers: peers, Epoch: epoch}
 }
 
 // watchNode installs the crash detector: the transport invokes the hook
@@ -454,15 +450,6 @@ func (rt *Runtime) Flush() error {
 // it is created on, across recoveries and rejoins: no name is ever given
 // twice, so it is free in every connection's table.
 func (rt *Runtime) newObjectID() uint64 { return rt.objectID.Add(1) }
-
-// nextPushToken mints a cluster-unique rendezvous token pairing one
-// PushRange with its AwaitPush.
-func (rt *Runtime) nextPushToken() uint64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.pushToken++
-	return rt.pushToken
-}
 
 // Metrics returns a copy of the run's accumulated accounting aggregated
 // over every session (per-tenant numbers come from Session.Metrics). It is a

@@ -74,38 +74,37 @@ type Session struct {
 	// enqueue path reads it lock-free.
 	trc atomic.Pointer[trace.Run]
 
-	mu      sync.Mutex
-	metrics Metrics      // guarded by mu
-	policy  sched.Policy // guarded by mu
-
-	// relMu guards the session's fire-and-forget releases: the IDs held
+	// mu guards the session's metrics and policy, its context registry —
+	// its object namespace — and its fire-and-forget releases: the IDs held
 	// back per node until the session's next message to that node (see
 	// releaseAsync), the release messages still awaiting acknowledgement,
 	// and the sticky error of the first failed release. One tenant's failed
 	// Release surfaces on its own Flush and nobody else's. relHeldN counts
 	// the held IDs so the enqueue path skips the lock while none are.
-	relMu      sync.Mutex
-	relHeld    map[*NodeHandle]*heldReleases // guarded by relMu
+	// sendHeld may wait for room in a connection's writer with mu held:
+	// nothing the writer, the read loop or the node waits on takes a host
+	// session's lock.
+	mu         sync.Mutex
+	metrics    Metrics                       // guarded by mu
+	policy     sched.Policy                  // guarded by mu
+	contexts   []*Context                    // guarded by mu
+	relHeld    map[*NodeHandle]*heldReleases // guarded by mu
 	relHeldN   atomic.Int64
-	relPending []pendingRelease // guarded by relMu
-	relLater   []laterRelease   // guarded by relMu
-	relErr     error            // guarded by relMu
+	relPending []pendingRelease // guarded by mu
+	relLater   []laterRelease   // guarded by mu
+	relErr     error            // guarded by mu
 
 	// log is the session's command log: the mutating commands that still
 	// matter, in issue order, replayed from zeroed buffer state after a node
 	// loss. Only a session that owes a replay replays its log.
 	log cmdLog
-
-	// ctxMu guards the session's context registry — its object namespace.
-	ctxMu    sync.Mutex
-	contexts []*Context // guarded by ctxMu
 }
 
 // OpenSession creates a new isolated session for the named tenant. The
 // name labels metrics and errors; it need not be unique.
 func (rt *Runtime) OpenSession(tenant string) *Session {
-	rt.sessMu.Lock()
-	defer rt.sessMu.Unlock()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	rt.nextSessID++
 	s := &Session{
 		rt:     rt,
@@ -121,8 +120,8 @@ func (rt *Runtime) OpenSession(tenant string) *Session {
 
 // allSessions snapshots the open sessions.
 func (rt *Runtime) allSessions() []*Session {
-	rt.sessMu.Lock()
-	defer rt.sessMu.Unlock()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	return append([]*Session(nil), rt.sessions...)
 }
 
@@ -142,7 +141,7 @@ func (s *Session) Close() error {
 	err := s.Flush()
 	s.closed.Store(true)
 	s.log.end()
-	s.rt.sessMu.Lock()
+	s.rt.mu.Lock()
 	for i, cand := range s.rt.sessions {
 		if cand == s {
 			// slices.Delete zeroes the vacated tail slot; a bare append
@@ -152,7 +151,7 @@ func (s *Session) Close() error {
 			break
 		}
 	}
-	s.rt.sessMu.Unlock()
+	s.rt.mu.Unlock()
 	return err
 }
 
@@ -290,7 +289,7 @@ const maxReleaseVector = 256
 // error.
 func (s *Session) releaseAsync(n *NodeHandle, kind protocol.ObjectKind, id uint64) {
 	s.bump(func(m *Metrics) { m.Commands++ })
-	s.relMu.Lock()
+	s.mu.Lock()
 	h := s.relHeld[n]
 	if h == nil {
 		if s.relHeld == nil {
@@ -309,7 +308,7 @@ func (s *Session) releaseAsync(n *NodeHandle, kind protocol.ObjectKind, id uint6
 		s.sendHeld(n, h)
 	}
 	full := len(s.relPending) >= maxPendingReleases
-	s.relMu.Unlock()
+	s.mu.Unlock()
 	if full {
 		s.drainReleases()
 	}
@@ -327,16 +326,16 @@ func (s *Session) releaseCreated(kind protocol.ObjectKind, cr *creation) {
 		}
 		return
 	}
-	s.relMu.Lock()
+	s.mu.Lock()
 	s.relLater = append(s.relLater, laterRelease{kind: kind, cr: cr})
 	full := len(s.relLater) >= maxPendingReleases
-	s.relMu.Unlock()
+	s.mu.Unlock()
 	if full {
 		s.drainReleases()
 	}
 }
 
-// sendHeld ships n's held IDs as one Release. Caller holds relMu — which
+// sendHeld ships n's held IDs as one Release. Caller holds mu — which
 // is what keeps two vectors for one node in release order — and h.ids is
 // not empty. The request references the IDs until the connection's writer
 // has staged it (the transport encodes it later, on its writer goroutine,
@@ -363,11 +362,11 @@ func (s *Session) sendHeldReleases(n *NodeHandle) {
 	if s.relHeldN.Load() == 0 {
 		return
 	}
-	s.relMu.Lock()
+	s.mu.Lock()
 	if h := s.relHeld[n]; h != nil && len(h.ids) > 0 {
 		s.sendHeld(n, h)
 	}
-	s.relMu.Unlock()
+	s.mu.Unlock()
 }
 
 // drainReleases ships every held release, with those waiting for their
@@ -380,16 +379,16 @@ func (s *Session) sendHeldReleases(n *NodeHandle) {
 // exactly those (the objects died with the node), while a live node's
 // RemoteError — it names the offending ID — stays a genuine sticky error.
 func (s *Session) drainReleases() error {
-	s.relMu.Lock()
+	s.mu.Lock()
 	later := s.relLater
 	s.relLater = nil
-	s.relMu.Unlock()
+	s.mu.Unlock()
 	for _, r := range later {
 		if r.cr.call.Wait() == nil {
 			s.releaseAsync(r.cr.node, r.kind, r.cr.id)
 		}
 	}
-	s.relMu.Lock()
+	s.mu.Lock()
 	if s.relHeldN.Load() > 0 {
 		for _, n := range sortedNodeKeys(s.relHeld) {
 			if h := s.relHeld[n]; len(h.ids) > 0 {
@@ -399,20 +398,20 @@ func (s *Session) drainReleases() error {
 	}
 	pending := s.relPending
 	s.relPending = nil
-	s.relMu.Unlock()
+	s.mu.Unlock()
 	for _, pr := range pending {
 		if err := pr.pend.Wait(); err != nil {
 			err = classifyNodeErr(pr.node, err)
-			s.relMu.Lock()
+			s.mu.Lock()
 			if s.relErr == nil {
 				s.relErr = fmt.Errorf("core: release of %d %s object(s) on %q: %w",
 					pr.count, pr.kind, pr.node.name, err)
 			}
-			s.relMu.Unlock()
+			s.mu.Unlock()
 		}
 	}
-	s.relMu.Lock()
-	defer s.relMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.relErr
 }
 
@@ -554,7 +553,7 @@ func (s *Session) replayLog(entries []logEntry, kept map[*Queue]error, err error
 	defer s.replaying.Store(false)
 	for _, e := range entries {
 		if err == nil && !e.skip() {
-			if err = e.replay(s.rt); err == nil {
+			if err = e.replay(); err == nil {
 				replayed++
 			} else if refusedBy(kept, err) {
 				err = nil
@@ -569,8 +568,8 @@ func (s *Session) replayLog(entries []logEntry, kept map[*Queue]error, err error
 
 // snapshotContexts copies the session's context registry.
 func (s *Session) snapshotContexts() []*Context {
-	s.ctxMu.Lock()
-	defer s.ctxMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return append([]*Context(nil), s.contexts...)
 }
 

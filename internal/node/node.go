@@ -10,7 +10,7 @@
 //
 // Cross-goroutine state follows one lock order, checked by haoclvet:
 //
-// lock-order: Session.mu < Session.peerMu < lane.mu < bufferObj.mu < rendezvous.mu < deviceStats.mu
+// lock-order: Session.mu < lane.mu < bufferObj.mu < rendezvous.mu < deviceStats.mu
 package node
 
 import (

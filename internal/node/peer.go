@@ -97,13 +97,18 @@ func (r *rendezvous) entry(token uint64) *rdvEntry {
 }
 
 // deposit parks pushed data under token, waking the awaiter, and returns
-// the entry that holds it.
+// the entry that holds it. An entry a cancel, a reset or a leaving awaiter
+// failed refuses the deposit with that failure; one that holds a deposit
+// refuses a second as a duplicate.
 func (r *rendezvous) deposit(token uint64, data []byte, simArrival int64) (*rdvEntry, error) {
 	e := r.entry(token)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	select {
 	case <-e.done:
+		if e.err != nil {
+			return nil, wrapRemote(e.err, "push %d refused", token)
+		}
 		return nil, remoteErr(protocol.CodeBadRequest, "duplicate push for token %d", token)
 	default:
 	}
@@ -195,7 +200,7 @@ func (r *rendezvous) reset(err error) {
 // failure is sticky: every later push toward that peer fails fast with the
 // same error instead of re-dialing a dead address mid-chain. ready is
 // closed once the dial attempt resolved; after that, client/err mutate
-// only under peerMu (markPeerDown).
+// only under Session.mu (markPeerDown).
 type peerConn struct {
 	ready  chan struct{}
 	client *transport.Client
@@ -207,37 +212,37 @@ type peerConn struct {
 // pool lives on the session, so a host disconnect tears down exactly the
 // peer links its own commands opened.
 //
-// The dial itself runs outside peerMu — it blocks on the network — and the
+// The dial itself runs outside s.mu — it blocks on the network — and the
 // dialer re-checks pool ownership before publishing: if Close or an epoch
 // reset swapped the pool out underneath the dial, the freshly dialed
 // connection is closed instead of leaking outside the teardown path.
 func (s *Session) peerClient(name string) (*transport.Client, error) {
-	s.peerMu.Lock()
+	s.mu.Lock()
 	if s.peersClosed {
-		s.peerMu.Unlock()
+		s.mu.Unlock()
 		return nil, remoteErr(protocol.CodeNodeLost, "node %q: session closed while dialing peer %q", s.node.name, name)
 	}
 	if s.peerConns == nil {
 		s.peerConns = make(map[string]*peerConn)
 	}
 	if pc, ok := s.peerConns[name]; ok {
-		s.peerMu.Unlock()
+		s.mu.Unlock()
 		<-pc.ready
 		// Re-lock for the read: markPeerDown mutates resolved entries
-		// under peerMu.
-		s.peerMu.Lock()
-		defer s.peerMu.Unlock()
+		// under mu.
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		return pc.client, pc.err
 	}
 	pc := &peerConn{ready: make(chan struct{})}
 	s.peerConns[name] = pc
-	s.peerMu.Unlock()
+	s.mu.Unlock()
 
 	client, err := s.dialPeer(name)
 
-	s.peerMu.Lock()
+	s.mu.Lock()
 	if s.peersClosed || s.peerConns[name] != pc {
-		s.peerMu.Unlock()
+		s.mu.Unlock()
 		if client != nil {
 			client.Close()
 		}
@@ -246,7 +251,7 @@ func (s *Session) peerClient(name string) (*transport.Client, error) {
 		return nil, pc.err
 	}
 	pc.client, pc.err = client, err
-	s.peerMu.Unlock()
+	s.mu.Unlock()
 	close(pc.ready)
 	return client, err
 }
@@ -294,17 +299,17 @@ func (s *Session) dialPeer(name string) (*transport.Client, error) {
 // broken connection, so dependent pushes fail fast instead of queuing onto
 // a dead socket.
 func (s *Session) markPeerDown(name string, err error) {
-	s.peerMu.Lock()
+	s.mu.Lock()
 	pc := s.peerConns[name]
 	if pc == nil {
-		s.peerMu.Unlock()
+		s.mu.Unlock()
 		return
 	}
-	s.peerMu.Unlock()
+	s.mu.Unlock()
 	<-pc.ready // client/err immutable after ready
 
-	s.peerMu.Lock()
-	defer s.peerMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if pc.err != nil {
 		return
 	}
@@ -319,11 +324,11 @@ func (s *Session) markPeerDown(name string, err error) {
 // mid-dial are skipped: their dialer re-checks pool ownership after the
 // dial resolves and closes its own connection (see peerClient).
 func (s *Session) closePeers() {
-	s.peerMu.Lock()
+	s.mu.Lock()
 	s.peersClosed = true
 	conns := s.peerConns
 	s.peerConns = nil
-	s.peerMu.Unlock()
+	s.mu.Unlock()
 	closeResolvedPeers(conns)
 }
 
@@ -331,14 +336,14 @@ func (s *Session) closePeers() {
 // failures — on a membership change: a restarted peer is reachable again,
 // and surviving conns to a dead peer's old incarnation are useless.
 func (s *Session) resetPeers() {
-	s.peerMu.Lock()
+	s.mu.Lock()
 	if s.peersClosed {
-		s.peerMu.Unlock()
+		s.mu.Unlock()
 		return
 	}
 	conns := s.peerConns
 	s.peerConns = nil
-	s.peerMu.Unlock()
+	s.mu.Unlock()
 	closeResolvedPeers(conns)
 }
 

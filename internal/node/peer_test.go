@@ -227,8 +227,9 @@ func TestPeerPushOutsideAddressBookIsNodeLost(t *testing.T) {
 
 // TestRefusedPushKeepsPeerConnection: a peer that refuses a deposit — its
 // rendezvous for the token was failed first, as a membership change does
-// — answered, so the connection to it is sound and the next push over it
-// goes through instead of failing with the refusal.
+// — answers with that failure, so the connection to it is sound and the
+// next push over it goes through instead of failing with the refusal. Only
+// a second deposit onto a token that holds one reads as a duplicate.
 func TestRefusedPushKeepsPeerConnection(t *testing.T) {
 	net := transport.NewMemNetwork()
 	nA := servePeerNode(t, net, "alpha")
@@ -247,8 +248,8 @@ func TestRefusedPushKeepsPeerConnection(t *testing.T) {
 		QueueID: qA, BufferID: bufA, PeerName: "beta", PeerBufferID: bufB,
 		Token: 5, Offset: 0, Size: 64, EventID: 1,
 	}))
-	if !strings.Contains(refused.Error(), "duplicate push") {
-		t.Fatalf("push into a failed rendezvous: %v, want the peer's refusal", refused)
+	if !strings.Contains(refused.Error(), "push 5 refused: push cancelled: membership changed") {
+		t.Fatalf("push into a cancelled rendezvous: %v, want the peer's refusal with the cancel's reason", refused)
 	}
 
 	awaitCh := goCall(sB, &protocol.AwaitPushReq{
@@ -259,6 +260,23 @@ func TestRefusedPushKeepsPeerConnection(t *testing.T) {
 		Token: 6, Offset: 0, Size: 64, EventID: 2,
 	}))
 	mustEvent(t, awaitCh)
+
+	// A second deposit onto a token that holds one is a duplicate; the
+	// first still serves its awaiter.
+	mustEvent(t, goCall(sA, &protocol.PushRangeReq{
+		QueueID: qA, BufferID: bufA, PeerName: "beta", PeerBufferID: bufB,
+		Token: 7, Offset: 0, Size: 64, EventID: 3,
+	}))
+	dup := mustFail(t, goCall(sA, &protocol.PushRangeReq{
+		QueueID: qA, BufferID: bufA, PeerName: "beta", PeerBufferID: bufB,
+		Token: 7, Offset: 0, Size: 64, EventID: 4,
+	}))
+	if !strings.Contains(dup.Error(), "duplicate push for token 7") {
+		t.Fatalf("second deposit on one token: %v, want a duplicate push", dup)
+	}
+	mustEvent(t, goCall(sB, &protocol.AwaitPushReq{
+		QueueID: qB, BufferID: bufB, Token: 7, Offset: 0, Size: 64, EventID: 2,
+	}))
 }
 
 // TestCancelPushFailsParkedAwaiter: the host's failure cascade sends
@@ -478,12 +496,12 @@ func TestSessionCloseTearsDownPeerPool(t *testing.T) {
 	}
 	// The pool is gone: a fresh peerClient on the closed source session
 	// would have to re-dial, proving closePeers dropped the cached entry.
-	sA.peerMu.Lock()
+	sA.mu.Lock()
 	if sA.peerConns != nil {
-		sA.peerMu.Unlock()
+		sA.mu.Unlock()
 		t.Fatal("peer pool survived session close")
 	}
-	sA.peerMu.Unlock()
+	sA.mu.Unlock()
 }
 
 // gatedDialer parks every Dial until the gate opens and records the

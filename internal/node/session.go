@@ -51,11 +51,10 @@ type Session struct {
 	// resets the peer pool and parked push rendezvous.
 	epoch uint64 // guarded by mu
 
-	// peerMu guards the lazy-dialed pool of connections to sibling nodes
-	// and the peersClosed latch; see peerClient.
-	peerMu      sync.Mutex
-	peerConns   map[string]*peerConn // guarded by peerMu
-	peersClosed bool                 // guarded by peerMu
+	// peerConns is the lazy-dialed pool of connections to sibling nodes,
+	// and peersClosed its latch; see peerClient.
+	peerConns   map[string]*peerConn // guarded by mu
+	peersClosed bool                 // guarded by mu
 
 	// laneWG counts the workers of the queues' lanes.
 	laneWG sync.WaitGroup

@@ -24,7 +24,9 @@ func startWriter(t *testing.T, out io.Writer) *connWriter {
 		w.run(nil)
 	}()
 	t.Cleanup(func() {
+		w.mu.Lock()
 		w.kill()
+		w.mu.Unlock()
 		<-stopped
 	})
 	return w

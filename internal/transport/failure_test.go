@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -213,9 +214,9 @@ func TestSendFailureNeverReportsBeforeOnDown(t *testing.T) {
 	for i := range futures {
 		futures[i] = c.Go(&protocol.HelloReq{UserID: "in the window"}, nil)
 	}
-	c.mu.Lock()
+	c.w.mu.Lock()
 	pending := len(c.pending)
-	c.mu.Unlock()
+	c.w.mu.Unlock()
 	if pending != len(futures) {
 		t.Fatalf("%d of %d calls issued while OnDown was running are still pending: the rest failed before it returned",
 			pending, len(futures))
@@ -232,5 +233,104 @@ func TestSendFailureNeverReportsBeforeOnDown(t *testing.T) {
 	}
 	if err := c.Go(&protocol.HelloReq{}, nil).Wait(); err == nil {
 		t.Fatal("call after the failure succeeded")
+	}
+}
+
+// TestSendRacingDeathResolvesEveryCall issues Go, Start and Call from
+// several goroutines on one client while the server side drops the
+// connection, and holds the death inside its OnDown callback for a while.
+// A send registers its future and queues its message in the section
+// failAll takes the table and kills the writer in, so no call can fall
+// between the two: every future resolves, each failure carries the
+// connection's sticky error, OnDown has run once before the first failure
+// is seen, and a Go after the death fails before it returns.
+func TestSendRacingDeathResolvesEveryCall(t *testing.T) {
+	hostEnd, nodeEnd := newMemConnPair()
+	srv := NewStaticServer(&echoHandler{})
+	defer srv.Close()
+	if err := srv.ServeConn(nodeEnd); err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(hostEnd)
+
+	var downs atomic.Int32
+	var sticky atomic.Value
+	entered, gate := make(chan struct{}), make(chan struct{})
+	c.OnDown(func(err error) {
+		sticky.Store(err)
+		close(entered)
+		<-gate
+		downs.Add(1)
+	})
+	// failed checks one observed failure: OnDown ran before it, and the
+	// failure is the connection's sticky error.
+	failed := func(err error) {
+		if downs.Load() != 1 {
+			t.Errorf("failure %v observed with OnDown run %d times", err, downs.Load())
+			return
+		}
+		if s := sticky.Load().(error); !errors.Is(err, s) {
+			t.Errorf("failure %v does not carry the sticky error %v", err, s)
+		}
+	}
+
+	const workers = 4
+	ready := make(chan struct{}, workers)
+	done := make(chan []*Pending, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			var futures []*Pending
+			hello := &protocol.HelloReq{UserID: "racer"}
+			for i := 0; ; i++ {
+				var err error
+				switch i % 3 {
+				case 0:
+					futures = append(futures, c.Go(hello, nil))
+				case 1:
+					p := new(Pending)
+					c.Start(p, hello, nil)
+					futures = append(futures, p)
+				case 2:
+					err = c.Call(hello, nil)
+				}
+				if i == 2 {
+					ready <- struct{}{}
+				}
+				if err != nil {
+					failed(err)
+					break
+				}
+			}
+			// A Call failed, so the writer is dead: a Go fails at once.
+			p := c.Go(hello, nil)
+			if !p.Answered() {
+				t.Error("a Go on a dead connection returned unresolved")
+			}
+			done <- append(futures, p)
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		<-ready
+	}
+	nodeEnd.Close() // the node drops the connection mid-stream
+	<-entered
+	// While OnDown runs, a send is registered, not failed.
+	held := c.Go(&protocol.HelloReq{UserID: "in the window"}, nil)
+	if held.Answered() {
+		t.Error("a Go issued while OnDown ran was failed before it returned")
+	}
+	close(gate)
+	failed(held.Wait())
+
+	for w := 0; w < workers; w++ {
+		for _, p := range <-done {
+			if err := p.Wait(); err != nil {
+				failed(err)
+			}
+		}
+	}
+	c.Close()
+	if n := downs.Load(); n != 1 {
+		t.Fatalf("OnDown ran %d times, want once", n)
 	}
 }

@@ -118,14 +118,15 @@ var ErrClosed = errors.New("transport: connection closed")
 type Client struct {
 	conn net.Conn
 	// w sends every request: its goroutine runs until failAll kills it, and
-	// a call its caller waits on at once may be written inline (Call).
+	// a call its caller waits on at once may be written inline (Call). Its
+	// lock is the client's one lock: a send registers its future and queues
+	// its message in one section, and w.dead is the client's closed flag,
+	// set once onDown has run.
 	w connWriter
 
-	mu      sync.Mutex
-	pending map[uint64]*Pending // guarded by mu; nil once failAll has taken it
-	readErr error               // guarded by mu; sticky, latched by the first failure
-	closed  bool                // guarded by mu; calls fail: set once onDown has run
-	onDown  func(error)         // guarded by mu
+	pending map[uint64]*Pending // guarded by connWriter.mu; nil once failAll has taken it
+	readErr error               // guarded by connWriter.mu; sticky, latched by the first failure
+	onDown  func(error)         // guarded by connWriter.mu
 
 	nextID atomic.Uint64
 }
@@ -210,12 +211,12 @@ func (c *Client) readLoop() {
 // waiter are dropped: the caller timed out or the connection is shutting
 // down.
 func (c *Client) deliver(reqID uint64, op protocol.Op, body []byte) {
-	c.mu.Lock()
+	c.w.mu.Lock()
 	p, ok := c.pending[reqID]
 	if ok {
 		delete(c.pending, reqID)
 	}
-	c.mu.Unlock()
+	c.w.mu.Unlock()
 	if ok {
 		p.respOp, p.body = op, body
 		p.answered.Store(true)
@@ -361,12 +362,12 @@ func (w *connWriter) add(m protocol.Outgoing) bool {
 
 // kill abandons the writer: run returns, and queued messages die with the
 // connection, what they borrowed left to the collector.
+//
+// Caller holds mu.
 func (w *connWriter) kill() {
-	w.mu.Lock()
 	w.dead, w.queue = true, nil
 	w.more.Broadcast()
 	w.space.Broadcast()
-	w.mu.Unlock()
 }
 
 // frameWriter is the one function through which messages reach a
@@ -540,36 +541,35 @@ func giveBack(m *protocol.Outgoing) {
 // the sticky error latched and has nothing to add.
 //
 // It publishes in one order: the sticky error is latched, the OnDown
-// callback runs, and only then does any call fail — on the send side
-// (closed, the writer killed) as on the receive side (the pending
-// futures). Whoever sees a call fail must be able to observe the state the
-// callback established: the host marks the node dead there, which is what
-// makes the failure classify as node loss and be recovered from instead of
-// escaping to the tenant. So the writer never kills itself on a write
-// error: it reports the error here.
+// callback runs, and only then does any call fail — on the send side (the
+// writer killed) as on the receive side (the pending futures, taken in the
+// same section). Whoever sees a call fail must be able to observe the state
+// the callback established: the host marks the node dead there, which is
+// what makes the failure classify as node loss and be recovered from
+// instead of escaping to the tenant. So the writer never kills itself on a
+// write error: it reports the error here.
 func (c *Client) failAll(err error) {
-	c.mu.Lock()
+	c.w.mu.Lock()
 	if c.readErr != nil {
-		c.mu.Unlock()
+		c.w.mu.Unlock()
 		return
 	}
 	c.readErr = err
 	down := c.onDown
-	c.mu.Unlock()
+	c.w.mu.Unlock()
 	// Outside the lock: the callback typically re-enters the client or
 	// kicks off recovery machinery.
 	if down != nil {
 		down(err)
 	}
-	c.mu.Lock()
-	c.closed = true
-	pending := c.pending
-	c.pending = nil // closed is set: nothing is registered again
-	c.mu.Unlock()
 	// The write side dies with the connection: without this, a client
 	// whose peer vanished would park its writer goroutine forever unless
-	// the caller remembered to Close.
+	// the caller remembered to Close. No send registers after this section.
+	c.w.mu.Lock()
+	pending := c.pending
+	c.pending = nil
 	c.w.kill()
+	c.w.mu.Unlock()
 	for _, p := range pending {
 		p.answered.Store(true)
 		p.done.Done() // with no response: Wait reports the sticky error
@@ -582,14 +582,14 @@ func (c *Client) failAll(err error) {
 // receives the sticky connection error. Registering after the connection
 // already died invokes the callback immediately.
 func (c *Client) OnDown(fn func(error)) {
-	c.mu.Lock()
+	c.w.mu.Lock()
 	if err := c.readErr; err != nil {
-		c.mu.Unlock()
+		c.w.mu.Unlock()
 		fn(err)
 		return
 	}
 	c.onDown = fn
-	c.mu.Unlock()
+	c.w.mu.Unlock()
 }
 
 // Pending is one in-flight call: a future that resolves when the matching
@@ -659,58 +659,34 @@ func (c *Client) Start(p *Pending, req protocol.Message, resp protocol.Message) 
 // start is Start, and Call's send when now is set: a call its caller waits
 // on at once is written on the calling goroutine when the connection is
 // idle (writeIdle), as a node writes a plain reply, and queued otherwise.
+// The future is registered and its message queued in one section, so a
+// send that finds the writer alive is never refused.
 func (c *Client) start(p *Pending, req protocol.Message, resp protocol.Message, now bool) {
 	p.c, p.op, p.resp = c, req.Op(), resp
 	p.done.Add(1)
 	id := c.nextID.Add(1)
-
-	c.mu.Lock()
-	if c.closed {
-		err := c.readErr
-		c.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
-		}
-		p.settle(err)
-		return
-	}
-	c.pending[id] = p
-	c.mu.Unlock()
 
 	out := protocol.NewOutgoing(protocol.FrameRequest, id, req.Op(), req)
 	if out.Size > protocol.MaxFrameSize {
 		// Reject before queueing so an unsendable message fails only its
 		// own call — on the coalescing path a late size error would be
 		// connection-fatal.
-		c.forget(id)
 		p.settle(fmt.Errorf("send %s: %w: %d bytes", req.Op(), protocol.ErrFrameTooBig, out.Size))
 		return
 	}
 	c.w.mu.Lock()
 	c.w.waitForRoom()
-	ok := now && c.w.writeIdle(out, c.sendFailed) || c.w.add(out)
+	if c.w.dead {
+		err := c.readErr // latched before the writer was killed
+		c.w.mu.Unlock()
+		p.settle(err)
+		return
+	}
+	c.pending[id] = p
+	if !now || !c.w.writeIdle(out, c.sendFailed) {
+		c.w.add(out)
+	}
 	c.w.mu.Unlock()
-	if !ok {
-		c.forget(id)
-		p.settle(fmt.Errorf("send %s: %w", req.Op(), c.sticky()))
-	}
-}
-
-// forget drops a registered pending entry after a send-side failure.
-func (c *Client) forget(id uint64) {
-	c.mu.Lock()
-	delete(c.pending, id)
-	c.mu.Unlock()
-}
-
-// sticky reports the connection's sticky error, defaulting to ErrClosed.
-func (c *Client) sticky() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.readErr != nil {
-		return c.readErr
-	}
-	return ErrClosed
 }
 
 // settle resolves the future before Wait ever ran (send-side failures).
@@ -738,9 +714,9 @@ func (p *Pending) Wait() error {
 		op, body := p.respOp, p.body
 		p.body = nil
 		if op == 0 {
-			p.c.mu.Lock()
+			p.c.w.mu.Lock()
 			err := p.c.readErr
-			p.c.mu.Unlock()
+			p.c.w.mu.Unlock()
 			if err == nil {
 				err = ErrClosed
 			}
@@ -914,7 +890,9 @@ func (s *Server) serve(conn net.Conn, w *connWriter, handler Handler) {
 			// Session cleanup failures have no caller to report to.
 			_ = closer.Close()
 		}
+		w.mu.Lock()
 		w.kill()
+		w.mu.Unlock()
 	}()
 	d := newDispatcher(w, handler)
 	for {
