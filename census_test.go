@@ -4,8 +4,11 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -84,5 +87,55 @@ func isMutex(typ ast.Expr) bool {
 		default:
 			return false
 		}
+	}
+}
+
+// TestNodesBootInOnePlace holds every in-process cluster to one boot
+// sequence: outside the node itself, the node daemon and the separate
+// benchmark module, no Go file — tests included — calls node.New; it
+// serves nodes through inproc.Serve.
+func TestNodesBootInOnePlace(t *testing.T) {
+	allowed := []string{"internal/node", "internal/cluster/inproc", "cmd/haocl-node"}
+	fset := token.NewFileSet()
+	var sites []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path == "benchmark":
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || slices.Contains(allowed, filepath.ToSlash(filepath.Dir(path))):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		local := ""
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "github.com/haocl-project/haocl/internal/node" {
+				local = "node"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && local != "" {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "New" {
+					if id, ok := sel.X.(*ast.Ident); ok && id.Name == local {
+						sites = append(sites, fset.Position(call.Pos()).String())
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, site := range sites {
+		t.Errorf("%s boots a node by hand: serve in-process nodes with inproc.Serve (internal/cluster/inproc)", site)
 	}
 }

@@ -12,59 +12,26 @@ import (
 	haocl "github.com/haocl-project/haocl"
 	"github.com/haocl-project/haocl/internal/apps"
 	"github.com/haocl-project/haocl/internal/apps/matmul"
-	"github.com/haocl-project/haocl/internal/device"
+	"github.com/haocl-project/haocl/internal/cluster/inproc"
 	"github.com/haocl-project/haocl/internal/kernel"
-	"github.com/haocl-project/haocl/internal/node"
 	"github.com/haocl-project/haocl/internal/protocol"
-	"github.com/haocl-project/haocl/internal/sim"
-	"github.com/haocl-project/haocl/internal/transport"
 )
 
 // startTCPNodes brings up real Node Management Processes listening on
-// loopback TCP sockets — the deployment shape of cmd/haocl-node — and
-// returns a cluster config pointing at them.
+// loopback TCP sockets — the deployment shape of cmd/haocl-node — one per
+// device spec, and returns a cluster config pointing at them.
 func startTCPNodes(t *testing.T, reg *haocl.KernelRegistry, specs []haocl.DeviceSpec) *haocl.ClusterConfig {
 	t.Helper()
-	icd := device.NewICD()
-	sim.RegisterDrivers(icd, reg)
 	cfg := &haocl.ClusterConfig{UserID: "tcp-test"}
 	for i, spec := range specs {
-		name := fmt.Sprintf("tcp-node-%d", i)
-		var driver string
-		switch spec.Type {
-		case "cpu":
-			driver = sim.DriverCPU
-		case "fpga":
-			driver = sim.DriverFPGA
-		default:
-			driver = sim.DriverGPU
-		}
-		n, err := node.New(node.Options{
-			Name: name,
-			Devices: []device.Config{{
-				Driver:     driver,
-				ID:         1,
-				Shared:     spec.Shared,
-				Bitstreams: spec.Bitstreams,
-			}},
-			ICD:         icd,
-			ExecWorkers: 1,
-			Dialer:      transport.TCPDialer{},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := n.Serve()
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		cfg.Nodes = append(cfg.Nodes, haocl.NodeSpec{
-			Name: name, Addr: addr, Devices: []haocl.DeviceSpec{spec},
-		})
+		cfg.Nodes = append(cfg.Nodes, haocl.NodeSpec{Name: fmt.Sprintf("tcp-node-%d", i), Devices: []haocl.DeviceSpec{spec}})
 	}
-	return cfg
+	nodes, err := inproc.Serve(cfg, reg, inproc.Options{TCP: true, ExecWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nodes.Close() })
+	return nodes.Config
 }
 
 func matmulRegistry() *haocl.KernelRegistry {
@@ -406,44 +373,18 @@ func TestBarrierKernelThroughFullStack(t *testing.T) {
 // recovers: commands aimed at the dead node are re-placed on the survivor
 // transparently, and the rest of the cluster keeps working.
 func TestNodeDeathMidRun(t *testing.T) {
-	reg := matmulRegistry()
-	icd := device.NewICD()
-	sim.RegisterDrivers(icd, reg)
-
-	mkNode := func(name string) (*node.Node, string) {
-		n, err := node.New(node.Options{
-			Name:        name,
-			Devices:     []device.Config{{Driver: sim.DriverGPU, ID: 1, Shared: true}},
-			ICD:         icd,
-			ExecWorkers: 1,
-			Dialer:      transport.TCPDialer{},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := n.Serve()
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		if name == "victim" {
-			t.Cleanup(func() {})
-			victimServer = srv
-		}
-		return n, addr
-	}
-	_, addr1 := mkNode("victim")
-	_, addr2 := mkNode("survivor")
-
-	cfg := &haocl.ClusterConfig{
+	nodes, err := inproc.Serve(&haocl.ClusterConfig{
 		UserID: "failover",
 		Nodes: []haocl.NodeSpec{
-			{Name: "victim", Addr: addr1, Devices: []haocl.DeviceSpec{{Type: "gpu", Shared: true}}},
-			{Name: "survivor", Addr: addr2, Devices: []haocl.DeviceSpec{{Type: "gpu", Shared: true}}},
+			{Name: "victim", Devices: []haocl.DeviceSpec{{Type: "gpu", Shared: true}}},
+			{Name: "survivor", Devices: []haocl.DeviceSpec{{Type: "gpu", Shared: true}}},
 		},
+	}, matmulRegistry(), inproc.Options{TCP: true, ExecWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	p, err := haocl.Connect(cfg)
+	defer nodes.Close()
+	p, err := haocl.Connect(nodes.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +410,7 @@ func TestNodeDeathMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	victimServer.Close() // the node dies
+	nodes.Kill("victim") // the node dies
 
 	// The victim's queue stays usable: recovery re-binds it to the
 	// survivor and replays, so the write lands there instead of failing.
@@ -493,8 +434,6 @@ func TestNodeDeathMidRun(t *testing.T) {
 		t.Fatal("node death triggered no recovery")
 	}
 }
-
-var victimServer interface{ Close() error }
 
 func memF32(fs []float32) []byte {
 	out := make([]byte, 4*len(fs))

@@ -5,17 +5,14 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"time"
 
 	clusterpkg "github.com/haocl-project/haocl/internal/cluster"
+	"github.com/haocl-project/haocl/internal/cluster/inproc"
 	"github.com/haocl-project/haocl/internal/core"
-	"github.com/haocl-project/haocl/internal/device"
 	"github.com/haocl-project/haocl/internal/kernel"
 	"github.com/haocl-project/haocl/internal/mem"
-	"github.com/haocl-project/haocl/internal/node"
 	"github.com/haocl-project/haocl/internal/sim"
-	"github.com/haocl-project/haocl/internal/transport"
 )
 
 // This file measures the failure model (DESIGN.md §7): the same seeded
@@ -49,85 +46,14 @@ func chaosRegistry() *kernel.Registry {
 	return reg
 }
 
-// chaosBenchCluster is a crash-and-restart-capable in-process cluster:
-// kill unbinds a node's address and drops every connection (a crashed
-// process), restart boots a fresh process at the same address and rejoins
-// it through the runtime.
-type chaosBenchCluster struct {
-	cfg     *clusterpkg.Config
-	icd     *device.ICD
-	net     *transport.MemNetwork
-	rt      *core.Runtime
-	servers map[string]*transport.Server
-	alive   map[string]bool
-}
-
-func startChaosBenchCluster(nodes int) (*chaosBenchCluster, error) {
-	cc := &chaosBenchCluster{
-		cfg:     clusterpkg.Synthetic("chaos-bench", 0, nodes, 0, nil),
-		icd:     device.NewICD(),
-		net:     transport.NewMemNetwork(),
-		servers: make(map[string]*transport.Server),
-		alive:   make(map[string]bool),
+// chaosKill crashes the named node and waits until the runtime has seen it
+// (within microseconds; ten seconds means never), so whether the stream's
+// next command meets a node known dead does not depend on timing.
+func chaosKill(nodes *inproc.Nodes, rt *core.Runtime, name string) error {
+	if err := nodes.Kill(name); err != nil {
+		return err
 	}
-	sim.RegisterDrivers(cc.icd, chaosRegistry())
-	for _, ns := range cc.cfg.Nodes {
-		if err := cc.boot(ns.Name); err != nil {
-			cc.close()
-			return nil, err
-		}
-	}
-	rt, err := core.Connect(core.Options{Config: cc.cfg, Dialer: cc.net, ClientName: "chaos-bench"})
-	if err != nil {
-		cc.close()
-		return nil, err
-	}
-	attachTracerRuntime(rt)
-	cc.rt = rt
-	return cc, nil
-}
-
-func (cc *chaosBenchCluster) boot(name string) error {
-	for _, ns := range cc.cfg.Nodes {
-		if ns.Name != name {
-			continue
-		}
-		devCfgs, err := ns.DeviceConfigs()
-		if err != nil {
-			return err
-		}
-		n, err := node.New(node.Options{Name: ns.Name, Devices: devCfgs, ICD: cc.icd, ExecWorkers: 1, Dialer: cc.net})
-		if err != nil {
-			return err
-		}
-		srv := n.Serve()
-		if err := cc.net.Register(ns.Addr, srv); err != nil {
-			srv.Close()
-			return err
-		}
-		cc.servers[name] = srv
-		cc.alive[name] = true
-		return nil
-	}
-	return fmt.Errorf("chaos: unknown node %q", name)
-}
-
-func (cc *chaosBenchCluster) kill(name string) error {
-	if !cc.alive[name] {
-		return nil
-	}
-	for _, ns := range cc.cfg.Nodes {
-		if ns.Name == name {
-			cc.net.Unregister(ns.Addr)
-		}
-	}
-	cc.servers[name].Close()
-	cc.alive[name] = false
-	// Wait until the runtime has seen the crash, so that whether the
-	// stream's next command meets a node known dead does not depend on
-	// when the connection's reader noticed. The runtime notices within
-	// microseconds; ten seconds means it never will.
-	for _, d := range cc.rt.Devices(0) {
+	for _, d := range rt.Devices(0) {
 		for i := 0; d.Node().Name() == name && d.Node().Alive(); i++ {
 			if i == 100_000 {
 				return fmt.Errorf("chaos: the runtime never saw %s die", name)
@@ -136,37 +62,6 @@ func (cc *chaosBenchCluster) kill(name string) error {
 		}
 	}
 	return nil
-}
-
-func (cc *chaosBenchCluster) restart(name string) error {
-	if cc.alive[name] {
-		return nil
-	}
-	if err := cc.boot(name); err != nil {
-		return err
-	}
-	return cc.rt.ReconnectNode(name)
-}
-
-func (cc *chaosBenchCluster) aliveCount() int {
-	n := 0
-	for _, a := range cc.alive {
-		if a {
-			n++
-		}
-	}
-	return n
-}
-
-func (cc *chaosBenchCluster) close() {
-	if cc.rt != nil {
-		cc.rt.Close()
-	}
-	for name, srv := range cc.servers {
-		if cc.alive[name] {
-			srv.Close()
-		}
-	}
 }
 
 // chaosSizes picks the workload scale.
@@ -182,22 +77,28 @@ func chaosSizes(quick bool) (nodes, steps, killEvery int) {
 // and returns the measured row plus the final buffer bytes. With inj
 // non-nil, every kill point drains the session, restarts the previous
 // casualty and crashes the nominated victim.
-func chaosLeg(seed int64, nodes, steps int, inj *sim.FailureInjector) (PipelineRow, []byte, error) {
+func chaosLeg(seed int64, nNodes, steps int, inj *sim.FailureInjector) (PipelineRow, []byte, error) {
 	legName := "no-failure"
 	if inj != nil {
 		legName = "chaos"
 	}
 	row := PipelineRow{Workload: "p2p", Transport: "mem", Mode: legName}
 
-	cc, err := startChaosBenchCluster(nodes)
+	nodes, err := inproc.Serve(clusterpkg.Synthetic("chaos-bench", 0, nNodes, 0, nil), chaosRegistry(), inproc.Options{ExecWorkers: 1})
 	if err != nil {
 		return row, nil, err
 	}
-	defer cc.close()
+	defer nodes.Close()
+	rt, err := core.Connect(core.Options{Config: nodes.Config, Dialer: nodes.Dialer, ClientName: "chaos-bench"})
+	if err != nil {
+		return row, nil, err
+	}
+	defer rt.Close()
+	attachTracerRuntime(rt)
 
 	rng := rand.New(rand.NewSource(seed))
-	devs := cc.rt.Devices(0)
-	sess := cc.rt.OpenSession("default")
+	devs := rt.Devices(0)
+	sess := rt.OpenSession("default")
 	// Closed ahead of the runtime: a migration's push is answered after the
 	// transfer it feeds, and must be in the trace whichever comes first.
 	defer sess.Close()
@@ -254,7 +155,7 @@ func chaosLeg(seed int64, nodes, steps int, inj *sim.FailureInjector) (PipelineR
 		return lo, hi
 	}
 
-	base := cc.rt.Metrics()
+	base := rt.Metrics()
 	sw := startStopwatch()
 	for step := 0; step < steps; step++ {
 		if inj != nil {
@@ -265,23 +166,23 @@ func chaosLeg(seed int64, nodes, steps int, inj *sim.FailureInjector) (PipelineR
 				if err := quiesce(); err != nil {
 					return row, nil, fmt.Errorf("chaos: step %d drain: %w", step, err)
 				}
-				// Rejoin in name order: each restart replays logs and charges
-				// virtual time, so map order would change the reported figures.
-				names := make([]string, 0, len(cc.alive))
-				for name := range cc.alive {
-					names = append(names, name)
-				}
-				sort.Strings(names)
-				for _, name := range names {
-					if cc.alive[name] {
+				// Rejoin in name order (Synthetic's node order): each restart
+				// replays logs and charges virtual time, so another order
+				// would change the reported figures.
+				for _, ns := range nodes.Config.Nodes {
+					if nodes.IsUp(ns.Name) {
 						continue
 					}
-					if err := cc.restart(name); err != nil {
-						return row, nil, fmt.Errorf("chaos: step %d rejoin %q: %w", step, name, err)
+					err := nodes.Boot(ns.Name)
+					if err == nil {
+						err = rt.ReconnectNode(ns.Name)
+					}
+					if err != nil {
+						return row, nil, fmt.Errorf("chaos: step %d rejoin %q: %w", step, ns.Name, err)
 					}
 				}
-				if cc.aliveCount() > 1 {
-					if err := cc.kill(victim); err != nil {
+				if len(nodes.Up()) > 1 {
+					if err := chaosKill(nodes, rt, victim); err != nil {
 						return row, nil, err
 					}
 				}
@@ -349,7 +250,7 @@ func chaosLeg(seed int64, nodes, steps int, inj *sim.FailureInjector) (PipelineR
 	}
 	wall := sw.elapsed()
 
-	m := cc.rt.Metrics()
+	m := rt.Metrics()
 	row.Commands = m.Commands - base.Commands
 	row.CmdsPerSec = float64(row.Commands) / wall.Seconds()
 	row.VirtualSec = m.Makespan.Seconds()

@@ -7,11 +7,8 @@ import (
 	haocl "github.com/haocl-project/haocl"
 	"github.com/haocl-project/haocl/internal/apps/bfs"
 	"github.com/haocl-project/haocl/internal/apps/matmul"
-	"github.com/haocl-project/haocl/internal/device"
+	"github.com/haocl-project/haocl/internal/cluster/inproc"
 	"github.com/haocl-project/haocl/internal/mem"
-	"github.com/haocl-project/haocl/internal/node"
-	"github.com/haocl-project/haocl/internal/sim"
-	"github.com/haocl-project/haocl/internal/transport"
 )
 
 // This file measures the asynchronous command path of the backbone
@@ -113,47 +110,24 @@ func pipelinePlatform(gpus int, tcp bool) (*haocl.Platform, func(), error) {
 		}
 		return lc.Platform, func() { lc.Close() }, nil
 	}
-	icd := device.NewICD()
-	sim.RegisterDrivers(icd, Registry())
 	cfg := &haocl.ClusterConfig{UserID: "bench-pipeline"}
-	var servers []*transport.Server
-	cleanup := func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}
 	for i := 0; i < gpus; i++ {
-		name := fmt.Sprintf("tcp-gpu-%d", i)
-		n, err := node.New(node.Options{
-			Name:        name,
-			Devices:     []device.Config{{Driver: sim.DriverGPU, ID: 1, Shared: true}},
-			ICD:         icd,
-			ExecWorkers: 1,
-			Dialer:      transport.TCPDialer{},
-		})
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		srv := n.Serve()
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		servers = append(servers, srv)
 		cfg.Nodes = append(cfg.Nodes, haocl.NodeSpec{
-			Name: name, Addr: addr,
+			Name:    fmt.Sprintf("tcp-gpu-%d", i),
 			Devices: []haocl.DeviceSpec{{Type: "gpu", Shared: true}},
 		})
 	}
-	p, err := haocl.Connect(cfg, haocl.WithClientName("bench-pipeline"))
+	nodes, err := inproc.Serve(cfg, Registry(), inproc.Options{TCP: true, ExecWorkers: 1})
 	if err != nil {
-		cleanup()
+		return nil, nil, err
+	}
+	p, err := haocl.Connect(nodes.Config, haocl.WithClientName("bench-pipeline"))
+	if err != nil {
+		nodes.Close()
 		return nil, nil, err
 	}
 	attachTracer(p)
-	return p, func() { p.Close(); cleanup() }, nil
+	return p, func() { p.Close(); nodes.Close() }, nil
 }
 
 // syncPoint waits for ev when the stream runs in synchronous mode.

@@ -8,52 +8,11 @@ import (
 
 	"github.com/haocl-project/haocl/internal/cluster"
 	"github.com/haocl-project/haocl/internal/core"
-	"github.com/haocl-project/haocl/internal/device"
 	"github.com/haocl-project/haocl/internal/mem"
-	"github.com/haocl-project/haocl/internal/node"
 	"github.com/haocl-project/haocl/internal/protocol"
-	"github.com/haocl-project/haocl/internal/sim"
 	"github.com/haocl-project/haocl/internal/transport"
 	"github.com/haocl-project/haocl/internal/vtime"
 )
-
-// startOneNodeRuntime builds a one-GPU-node cluster on an in-process
-// network.
-func startOneNodeRuntime(t *testing.T) (*core.Runtime, func()) {
-	t.Helper()
-	cfg := cluster.Synthetic("batch-test", 0, 1, 0, nil)
-	icd := device.NewICD()
-	sim.RegisterDrivers(icd, testRegistry())
-	net := transport.NewMemNetwork()
-	var servers []*transport.Server
-	for _, ns := range cfg.Nodes {
-		devCfgs, err := ns.DeviceConfigs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := node.New(node.Options{
-			Name: ns.Name, Devices: devCfgs, ICD: icd, ExecWorkers: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := n.Serve()
-		if err := net.Register(ns.Addr, srv); err != nil {
-			t.Fatal(err)
-		}
-		servers = append(servers, srv)
-	}
-	rt, err := core.Connect(core.Options{Config: cfg, Dialer: net, ClientName: "batch-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rt, func() {
-		rt.Close()
-		for _, s := range servers {
-			s.Close()
-		}
-	}
-}
 
 // runIncrBurst pushes a pipelined burst of dependent incr launches through
 // one queue and returns the functional result and the virtual makespan.
@@ -63,13 +22,7 @@ func runIncrBurst(t *testing.T, rt *core.Runtime) ([]float32, vtime.Time) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
 	q, err := ctx.CreateQueue(rt.Devices(0)[0])
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +34,7 @@ func runIncrBurst(t *testing.T, rt *core.Runtime) ([]float32, vtime.Time) {
 	if _, err := q.EnqueueWrite(buf, 0, mem.F32Bytes([]float32{1, 2, 3, 4})); err != nil {
 		t.Fatal(err)
 	}
-	k, err := prog.CreateKernel("incr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := incrKernelOf(t, prog)
 	if err := k.SetArg(0, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +63,7 @@ func runIncrBurst(t *testing.T, rt *core.Runtime) ([]float32, vtime.Time) {
 // there is nothing to negotiate, the host's client coalesces from its
 // first frame, and a pipelined burst computes correctly.
 func TestBatchingNegotiatedByDefault(t *testing.T) {
-	rt, cleanup := startOneNodeRuntime(t)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	got, makespan := runIncrBurst(t, rt)
 	want := []float32{51, 52, 53, 54}
 	for i := range want {

@@ -9,27 +9,22 @@ import (
 	"time"
 
 	"github.com/haocl-project/haocl/internal/cluster"
+	"github.com/haocl-project/haocl/internal/cluster/inproc"
 	"github.com/haocl-project/haocl/internal/core"
-	"github.com/haocl-project/haocl/internal/device"
 	"github.com/haocl-project/haocl/internal/mem"
-	"github.com/haocl-project/haocl/internal/node"
 	"github.com/haocl-project/haocl/internal/sim"
 	"github.com/haocl-project/haocl/internal/transport"
 )
 
 // chaosCluster is a test cluster whose nodes can be killed and restarted:
-// kill tears the node's server down (every connection dies, exactly like a
-// crashed process), restart boots a fresh node process at the same address
-// and rejoins it through ReconnectNode.
+// kill crashes the node (inproc.Nodes.Kill: every connection dies and the
+// address unbinds), restart boots a fresh node process at the same
+// address and rejoins it through ReconnectNode.
 type chaosCluster struct {
-	t       *testing.T
-	cfg     *cluster.Config
-	icd     *device.ICD
-	net     *transport.MemNetwork
-	rt      *core.Runtime
-	servers map[string]*transport.Server
-	addrs   map[string]string
-	alive   map[string]bool
+	t     *testing.T
+	cfg   *cluster.Config
+	nodes *inproc.Nodes
+	rt    *core.Runtime
 	// trips holds the tripwire in front of each node (second_fault_test.go);
 	// an unarmed one passes every request through.
 	trips map[string]*tripwire
@@ -37,67 +32,26 @@ type chaosCluster struct {
 
 func startChaosCluster(t *testing.T, gpuNodes int) *chaosCluster {
 	t.Helper()
-	cc := &chaosCluster{
-		t:       t,
-		cfg:     cluster.Synthetic("chaos-test", 0, gpuNodes, 0, nil),
-		icd:     device.NewICD(),
-		net:     transport.NewMemNetwork(),
-		servers: make(map[string]*transport.Server),
-		addrs:   make(map[string]string),
-		alive:   make(map[string]bool),
-		trips:   make(map[string]*tripwire),
-	}
-	sim.RegisterDrivers(cc.icd, testRegistry())
-	for _, ns := range cc.cfg.Nodes {
-		cc.addrs[ns.Name] = ns.Addr
+	cfg := cluster.Synthetic("chaos-test", 0, gpuNodes, 0, nil)
+	cc := &chaosCluster{t: t, trips: make(map[string]*tripwire)}
+	for _, ns := range cfg.Nodes {
 		cc.trips[ns.Name] = &tripwire{}
-		cc.boot(ns.Name)
 	}
-	rt, err := core.Connect(core.Options{Config: cc.cfg, Dialer: cc.net, ClientName: "chaos-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc.rt = rt
+	cc.nodes = serveNodes(t, cfg, inproc.Options{Wrap: func(i int, h transport.Handler) transport.Handler {
+		return &trippedSession{AsyncHandler: h.(transport.AsyncHandler), w: cc.trips[cfg.Nodes[i].Name]}
+	}})
+	cc.cfg = cc.nodes.Config
+	cc.rt = connect(t, cc.nodes)
 	return cc
-}
-
-// boot starts a fresh node process (new boot ID) and binds it at the
-// node's address.
-func (cc *chaosCluster) boot(name string) {
-	cc.t.Helper()
-	for _, ns := range cc.cfg.Nodes {
-		if ns.Name != name {
-			continue
-		}
-		devCfgs, err := ns.DeviceConfigs()
-		if err != nil {
-			cc.t.Fatal(err)
-		}
-		n, err := node.New(node.Options{Name: ns.Name, Devices: devCfgs, ICD: cc.icd, ExecWorkers: 1, Dialer: cc.net})
-		if err != nil {
-			cc.t.Fatal(err)
-		}
-		srv := cc.trips[name].serve(n, cc.net, ns.Addr)
-		if err := cc.net.Register(ns.Addr, srv); err != nil {
-			cc.t.Fatal(err)
-		}
-		cc.servers[name] = srv
-		cc.alive[name] = true
-		return
-	}
-	cc.t.Fatalf("unknown node %q", name)
 }
 
 // kill crashes the named node: the address unbinds (dials fail until a
 // restart) and every live connection — host and peer alike — drops.
 func (cc *chaosCluster) kill(name string) {
 	cc.t.Helper()
-	if !cc.alive[name] {
-		return
+	if err := cc.nodes.Kill(name); err != nil {
+		cc.t.Fatal(err)
 	}
-	cc.net.Unregister(cc.addrs[name])
-	cc.servers[name].Close()
-	cc.alive[name] = false
 }
 
 // awaitDown waits until the host has noticed that the named node died —
@@ -125,13 +79,16 @@ func seenDown(rt *core.Runtime, name string) bool {
 	return true
 }
 
-// restart boots a fresh process for the node and rejoins it.
+// restart boots a fresh process for the node, if it is down, and rejoins
+// it.
 func (cc *chaosCluster) restart(name string) {
 	cc.t.Helper()
-	if cc.alive[name] {
+	if cc.nodes.IsUp(name) {
 		return
 	}
-	cc.boot(name)
+	if err := cc.nodes.Boot(name); err != nil {
+		cc.t.Fatal(err)
+	}
 	if err := cc.rt.ReconnectNode(name); err != nil {
 		cc.t.Fatalf("rejoin %q: %v", name, err)
 	}
@@ -139,21 +96,7 @@ func (cc *chaosCluster) restart(name string) {
 
 func (cc *chaosCluster) close() {
 	cc.rt.Close()
-	for name, srv := range cc.servers {
-		if cc.alive[name] {
-			srv.Close()
-		}
-	}
-}
-
-func (cc *chaosCluster) aliveCount() int {
-	n := 0
-	for _, a := range cc.alive {
-		if a {
-			n++
-		}
-	}
-	return n
+	cc.nodes.Close()
 }
 
 // chaosObjects builds what a randomized workload runs on: a context over
@@ -166,17 +109,8 @@ func chaosObjects(t *testing.T, rt *core.Runtime, nBufs int, size int64) (*core.
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
-	k, err := prog.CreateKernel("incr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
+	k := incrKernelOf(t, prog)
 	var queues []*core.Queue
 	for _, d := range devs {
 		q, err := ctx.CreateQueue(d)
@@ -231,15 +165,15 @@ func chaosWorkload(t *testing.T, cc *chaosCluster, seed int64, steps int, inj *s
 			if victim := inj.Tick(); victim != "" {
 				// Rejoin any earlier casualty first, then crash the victim —
 				// unless it is the last node standing.
-				for name, a := range cc.alive {
-					if !a {
-						cc.restart(name)
+				for _, ns := range cc.cfg.Nodes {
+					if !cc.nodes.IsUp(ns.Name) {
+						cc.restart(ns.Name)
 						if settle {
-							finishAll(t, queues, fmt.Sprintf("step %d: finish after rejoining %s", step, name))
+							finishAll(t, queues, fmt.Sprintf("step %d: finish after rejoining %s", step, ns.Name))
 						}
 					}
 				}
-				if cc.aliveCount() > 1 {
+				if len(cc.nodes.Up()) > 1 {
 					cc.kill(victim)
 				}
 			}

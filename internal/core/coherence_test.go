@@ -25,8 +25,7 @@ func patternBytes(n int, tag byte) []byte {
 // Pre-range, the whole-replica flag did exactly that, so the read-back on
 // node B returned zeros for the half written on node A.
 func TestPartialWriteOnStaleReplica(t *testing.T) {
-	rt, cleanup := startRuntime(t, 2)
-	defer cleanup()
+	rt := startRuntime(t, 2)
 	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
@@ -71,8 +70,7 @@ func TestPartialWriteOnStaleReplica(t *testing.T) {
 // pre-broadcast bytes. Pre-range, Broadcast never touched non-hop
 // replicas, so the re-read on node C returned the old payload.
 func TestBroadcastInvalidatesNonHopReplicas(t *testing.T) {
-	rt, cleanup := startRuntime(t, 3)
-	defer cleanup()
+	rt := startRuntime(t, 3)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
@@ -116,8 +114,7 @@ func TestBroadcastInvalidatesNonHopReplicas(t *testing.T) {
 // was updated and hop 0 issued before the loop reached the failing hop,
 // leaving the cluster half-broadcast.
 func TestBroadcastFailedHopLeavesStateUntouched(t *testing.T) {
-	rt, cleanup := startRuntime(t, 2)
-	defer cleanup()
+	rt := startRuntime(t, 2)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
@@ -142,21 +139,12 @@ func TestBroadcastFailedHopLeavesStateUntouched(t *testing.T) {
 
 	// Poison qB's pipeline: a launch indexing past its 4-float buffer panics
 	// on the node, and Finish latches the sticky queue error.
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
 	scratch, err := ctx.CreateBuffer(16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := prog.CreateKernel("incr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := incrKernelOf(t, prog)
 	k.SetArg(0, scratch)
 	k.SetArg(1, int32(8))
 	if _, err := qB.EnqueueKernel(k, []int{8}, nil, nil, nil); err != nil {
@@ -198,8 +186,7 @@ const (
 
 func newMigrationFixture(t *testing.T) *migrationFixture {
 	t.Helper()
-	rt, cleanup := startRuntime(t, 2)
-	t.Cleanup(cleanup)
+	rt := startRuntime(t, 2)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
@@ -357,8 +344,7 @@ func runCoherenceOracle(t *testing.T, seed int64) {
 		numBufs = 2
 		steps   = 80
 	)
-	rt, cleanup := startRuntime(t, 3)
-	defer cleanup()
+	rt := startRuntime(t, 3)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
@@ -467,8 +453,7 @@ func runCoherenceOracle(t *testing.T, seed int64) {
 // must not invalidate the replica holding the range's current data — the
 // same no-half-mutation rule Broadcast follows.
 func TestFailedWriteLeavesReplicasUntouched(t *testing.T) {
-	rt, cleanup := startRuntime(t, 2)
-	defer cleanup()
+	rt := startRuntime(t, 2)
 	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
@@ -521,8 +506,7 @@ func TestFailedWriteLeavesReplicasUntouched(t *testing.T) {
 // TestHostRangeOverflow: host-side bounds checks must reject offsets that
 // would wrap offset+size past MaxInt64 instead of panicking on the slice.
 func TestHostRangeOverflow(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)

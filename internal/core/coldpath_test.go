@@ -26,8 +26,7 @@ var shareParseRuns atomic.Int64
 // session's host side and nodes, find it, and both sessions hold the one
 // Program.
 func TestSessionsShareOneParse(t *testing.T) {
-	rt, stop := startRuntime(t, 2)
-	defer stop()
+	rt := startRuntime(t, 2)
 	// A source of its own per run: the cache is process-wide, so under
 	// -count=2 a fixed one is already parsed when the second run starts.
 	src := fmt.Sprintf("%s// as built by run %d of TestSessionsShareOneParse\n", incrSource, shareParseRuns.Add(1))
@@ -98,8 +97,7 @@ func TestReconnectClosedServerThenReplaced(t *testing.T) {
 	if _, err := qs.EnqueueWrite(f.buf, 0, mem.F32Bytes([]float32{1, 6, 1, 8})); err != nil {
 		t.Fatal(err)
 	}
-	f.cc.servers[victim].Close() // crashed, and still bound
-	f.cc.alive[victim] = false
+	f.cc.nodes.Crash(victim) // crashed, and still bound
 	f.mustRead(t, qs, []float32{1, 6, 1, 8})
 	f.rejoinRacingBind(t, 0, []float32{1, 6, 1, 8})
 }
@@ -138,8 +136,7 @@ func TestReconnectGivesUpAfterLastAttempt(t *testing.T) {
 // binding, each in-process node's CheckProgram, kernel creation and
 // buildLaunchArgs — and must come out equal to the deep copy taken before.
 func TestSharedProgramIsNeverWritten(t *testing.T) {
-	rt, stop := startRuntime(t, 2)
-	defer stop()
+	rt := startRuntime(t, 2)
 	src := incrSource + "// as built by TestSharedProgramIsNeverWritten\n"
 	shared, err := clc.Cached(src)
 	if err != nil {
@@ -172,10 +169,7 @@ func TestSharedProgramIsNeverWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dev := range devs {
-		incr, err := prog.CreateKernel("incr")
-		if err != nil {
-			t.Fatal(err)
-		}
+		incr := incrKernelOf(t, prog)
 		if err := incr.SetArg(0, int32(1)); err == nil {
 			t.Fatal("scalar bound to a pointer parameter")
 		}

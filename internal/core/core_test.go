@@ -7,11 +7,10 @@ import (
 	"time"
 
 	"github.com/haocl-project/haocl/internal/cluster"
+	"github.com/haocl-project/haocl/internal/cluster/inproc"
 	"github.com/haocl-project/haocl/internal/core"
-	"github.com/haocl-project/haocl/internal/device"
 	"github.com/haocl-project/haocl/internal/kernel"
 	"github.com/haocl-project/haocl/internal/mem"
-	"github.com/haocl-project/haocl/internal/node"
 	"github.com/haocl-project/haocl/internal/protocol"
 	"github.com/haocl-project/haocl/internal/sched"
 	"github.com/haocl-project/haocl/internal/sim"
@@ -53,40 +52,59 @@ func testRegistry() *kernel.Registry {
 	return reg
 }
 
-// startRuntime builds an in-process cluster and connects a runtime.
-func startRuntime(t testing.TB, gpuNodes int) (*core.Runtime, func()) {
+// serveNodes serves cfg's nodes in this process (internal/cluster/inproc),
+// one exec worker each; they stop when the test ends.
+func serveNodes(t testing.TB, cfg *cluster.Config, opts inproc.Options) *inproc.Nodes {
 	t.Helper()
-	cfg := cluster.Synthetic("core-test", 0, gpuNodes, 0, nil)
-	icd := device.NewICD()
-	sim.RegisterDrivers(icd, testRegistry())
-	net := transport.NewMemNetwork()
-	var servers []*transport.Server
-	for _, ns := range cfg.Nodes {
-		devCfgs, err := ns.DeviceConfigs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := node.New(node.Options{Name: ns.Name, Devices: devCfgs, ICD: icd, ExecWorkers: 1, Dialer: net})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := n.Serve()
-		if err := net.Register(ns.Addr, srv); err != nil {
-			t.Fatal(err)
-		}
-		servers = append(servers, srv)
-	}
-	rt, err := core.Connect(core.Options{Config: cfg, Dialer: net, ClientName: "core-test"})
+	opts.ExecWorkers = 1
+	nodes, err := inproc.Serve(cfg, testRegistry(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanup := func() {
-		rt.Close()
-		for _, s := range servers {
-			s.Close()
-		}
+	t.Cleanup(func() { nodes.Close() })
+	return nodes
+}
+
+// connect connects a runtime to nodes, as a client named after their
+// config's user; it closes when the test ends, before the nodes stop.
+func connect(t testing.TB, nodes *inproc.Nodes) *core.Runtime {
+	t.Helper()
+	rt, err := core.Connect(core.Options{Config: nodes.Config, Dialer: nodes.Dialer, ClientName: nodes.Config.UserID})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return rt, cleanup
+	t.Cleanup(func() { rt.Close() })
+	return rt
+}
+
+// buildIncr creates incrSource's program in ctx and builds it.
+func buildIncr(t testing.TB, ctx *core.Context) *core.Program {
+	t.Helper()
+	prog, err := ctx.CreateProgram(incrSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prog.Build(); err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// incrKernelOf creates the incr kernel of a program built from incrSource.
+func incrKernelOf(t testing.TB, prog *core.Program) *core.Kernel {
+	t.Helper()
+	k, err := prog.CreateKernel("incr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// startRuntime connects a runtime to gpuNodes one-GPU nodes served in this
+// process.
+func startRuntime(t testing.TB, gpuNodes int) *core.Runtime {
+	t.Helper()
+	return connect(t, serveNodes(t, cluster.Synthetic("core-test", 0, gpuNodes, 0, nil), inproc.Options{}))
 }
 
 func TestConnectValidation(t *testing.T) {
@@ -104,8 +122,7 @@ func TestConnectValidation(t *testing.T) {
 // mutates the buffer on A, then reads it through node B's queue: the
 // runtime must migrate the dirty replica via the host.
 func TestBufferCoherenceAcrossNodes(t *testing.T) {
-	rt, cleanup := startRuntime(t, 2)
-	defer cleanup()
+	rt := startRuntime(t, 2)
 
 	devs := rt.Devices(protocol.DeviceGPU)
 	if len(devs) != 2 {
@@ -115,13 +132,7 @@ func TestBufferCoherenceAcrossNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
 
 	qA, err := ctx.CreateQueue(devs[0])
 	if err != nil {
@@ -140,10 +151,7 @@ func TestBufferCoherenceAcrossNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	k, err := prog.CreateKernel("incr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := incrKernelOf(t, prog)
 	if err := k.SetArg(0, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -176,20 +184,13 @@ func TestBufferCoherenceAcrossNodes(t *testing.T) {
 // against a shared input: the second launch must see the original input,
 // not the first launch's output, while a read-after-both sees node B's.
 func TestKernelOrderingViaWaits(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
 	q, err := ctx.CreateQueue(devs[0])
 	if err != nil {
 		t.Fatal(err)
@@ -202,10 +203,7 @@ func TestKernelOrderingViaWaits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := prog.CreateKernel("incr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := incrKernelOf(t, prog)
 	k.SetArg(0, buf)
 	k.SetArg(1, int32(2))
 	var last *core.Event
@@ -229,8 +227,7 @@ func TestKernelOrderingViaWaits(t *testing.T) {
 }
 
 func TestBroadcastChainTiming(t *testing.T) {
-	rt, cleanup := startRuntime(t, 4)
-	defer cleanup()
+	rt := startRuntime(t, 4)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
@@ -284,8 +281,7 @@ func TestBroadcastChainTiming(t *testing.T) {
 }
 
 func TestBroadcastValidation(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
@@ -307,19 +303,12 @@ func TestBroadcastValidation(t *testing.T) {
 }
 
 func TestTaskGraphDependenciesAndScheduling(t *testing.T) {
-	rt, cleanup := startRuntime(t, 3)
-	defer cleanup()
+	rt := startRuntime(t, 3)
 	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
 
 	a, err := ctx.CreateBuffer(16)
 	if err != nil {
@@ -382,19 +371,12 @@ func TestTaskGraphDependenciesAndScheduling(t *testing.T) {
 }
 
 func TestTaskGraphForeignDependencyRejected(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
 	buf, _ := ctx.CreateBuffer(16)
 	k, _ := prog.CreateKernel("incr")
 	k.SetArg(0, buf)
@@ -412,23 +394,13 @@ func TestTaskGraphForeignDependencyRejected(t *testing.T) {
 }
 
 func TestSetArgValidation(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
-	k, err := prog.CreateKernel("incr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
+	k := incrKernelOf(t, prog)
 	buf, _ := ctx.CreateBuffer(16)
 	if err := k.SetArg(5, buf); err == nil {
 		t.Fatal("out-of-range index accepted")
@@ -466,8 +438,7 @@ func TestSetArgValidation(t *testing.T) {
 }
 
 func TestMetricsAccumulate(t *testing.T) {
-	rt, cleanup := startRuntime(t, 2)
-	defer cleanup()
+	rt := startRuntime(t, 2)
 	sess := rt.OpenSession("default")
 	ctx, err := sess.CreateContext(rt.Devices(0))
 	if err != nil {
@@ -502,8 +473,7 @@ func TestMetricsAccumulate(t *testing.T) {
 }
 
 func TestReleaseQueue(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
@@ -522,8 +492,7 @@ func TestReleaseQueue(t *testing.T) {
 }
 
 func TestEnqueueCopy(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
@@ -563,8 +532,7 @@ func TestEnqueueCopy(t *testing.T) {
 // goroutines copying A→B and B→A at once deadlock unless every copy takes
 // the two locks in one order.
 func TestOppositeCopiesDoNotDeadlock(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	dev := rt.Devices(0)[0]
 	ctx, err := rt.OpenSession("default").CreateContext([]*core.DeviceRef{dev})
 	if err != nil {
@@ -612,8 +580,7 @@ func TestOppositeCopiesDoNotDeadlock(t *testing.T) {
 }
 
 func TestEventRelease(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
@@ -650,8 +617,7 @@ func TestEventRelease(t *testing.T) {
 }
 
 func TestShutdownCluster(t *testing.T) {
-	rt, cleanup := startRuntime(t, 2)
-	defer cleanup()
+	rt := startRuntime(t, 2)
 	if err := rt.ShutdownCluster(); err != nil {
 		t.Fatal(err)
 	}

@@ -147,8 +147,7 @@ func TestReplayUsesLaunchSnapshot(t *testing.T) {
 // per launch.
 func TestConcurrentSetArgAndLaunch(t *testing.T) {
 	const launches, n = 200, 4
-	rt, stop := startRuntime(t, 1)
-	defer stop()
+	rt := startRuntime(t, 1)
 	l := openLane(t, rt, "default", rt.Devices(0)...)
 	other, err := l.ctx.CreateBuffer(16 * 4)
 	if err != nil {

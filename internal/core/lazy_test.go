@@ -11,12 +11,10 @@ import (
 	"time"
 
 	"github.com/haocl-project/haocl/internal/cluster"
+	"github.com/haocl-project/haocl/internal/cluster/inproc"
 	"github.com/haocl-project/haocl/internal/core"
-	"github.com/haocl-project/haocl/internal/device"
 	"github.com/haocl-project/haocl/internal/mem"
-	"github.com/haocl-project/haocl/internal/node"
 	"github.com/haocl-project/haocl/internal/protocol"
-	"github.com/haocl-project/haocl/internal/sim"
 	"github.com/haocl-project/haocl/internal/transport"
 )
 
@@ -144,64 +142,44 @@ func (s *gatedSession) Close() error {
 	return s.AsyncHandler.(interface{ Close() error }).Close()
 }
 
-// serveGated serves cfg's nodes on a fresh in-memory network, node i behind
-// gates[i] (none if nil or missing).
-func serveGated(t *testing.T, cfg *cluster.Config, gates ...*replyGate) *transport.MemNetwork {
+// serveGated serves cfg's nodes, node i behind gates[i] (none if nil or
+// missing). Cleanup opens the gates before the nodes stop, and waits for
+// every held reply after.
+func serveGated(t *testing.T, cfg *cluster.Config, gates ...*replyGate) *inproc.Nodes {
 	t.Helper()
-	icd := device.NewICD()
-	sim.RegisterDrivers(icd, testRegistry())
-	memNet := transport.NewMemNetwork()
-	for i, ns := range cfg.Nodes {
-		devCfgs, err := ns.DeviceConfigs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := node.New(node.Options{Name: ns.Name, Devices: devCfgs, ICD: icd, ExecWorkers: 1, Dialer: memNet})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var g *replyGate
-		if i < len(gates) {
-			g = gates[i]
-		}
-		srv := transport.NewServer(func() transport.Handler {
-			if g == nil {
-				return n.NewSession()
-			}
-			return &gatedSession{AsyncHandler: n.NewSession().(transport.AsyncHandler), g: g}
-		})
-		if err := memNet.Register(ns.Addr, srv); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			if g != nil {
-				g.open()
-			}
-			srv.Close()
+	t.Cleanup(func() {
+		for _, g := range gates {
 			if g != nil {
 				g.pending.Wait()
 			}
-		})
-	}
-	return memNet
+		}
+	})
+	nodes := serveNodes(t, cfg, inproc.Options{Wrap: func(i int, h transport.Handler) transport.Handler {
+		if i < len(gates) && gates[i] != nil {
+			return &gatedSession{AsyncHandler: h.(transport.AsyncHandler), g: gates[i]}
+		}
+		return h
+	}})
+	t.Cleanup(func() { openAll(gates) })
+	return nodes
 }
 
 // connectGated connects a runtime to the nodes serveGated serves. Cleanup
 // opens the gates before it closes the runtime, whose releases may wait
 // for held creates.
-func connectGated(t *testing.T, cfg *cluster.Config, memNet *transport.MemNetwork, gates ...*replyGate) *core.Runtime {
+func connectGated(t *testing.T, nodes *inproc.Nodes, gates ...*replyGate) *core.Runtime {
 	t.Helper()
-	rt, err := core.Connect(core.Options{Config: cfg, Dialer: memNet, ClientName: "gated"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		for _, g := range gates {
+	rt := connect(t, nodes)
+	t.Cleanup(func() { openAll(gates) })
+	return rt
+}
+
+func openAll(gates []*replyGate) {
+	for _, g := range gates {
+		if g != nil {
 			g.open()
 		}
-		rt.Close()
-	})
-	return rt
+	}
 }
 
 // startGatedRuntime connects a runtime to one GPU node behind g and opens
@@ -211,7 +189,7 @@ func connectGated(t *testing.T, cfg *cluster.Config, memNet *transport.MemNetwor
 func startGatedRuntime(t *testing.T, g *replyGate) (*core.Session, *core.Queue, *core.Kernel, *core.Buffer) {
 	t.Helper()
 	cfg := cluster.Synthetic("gated", 0, 1, 0, nil)
-	rt := connectGated(t, cfg, serveGated(t, cfg, g), g)
+	rt := connectGated(t, serveGated(t, cfg, g), g)
 	devs := rt.Devices(0)
 	sess := rt.OpenSession("lazy")
 	ctx, err := sess.CreateContext(devs)
@@ -233,17 +211,8 @@ func startGatedRuntime(t *testing.T, g *replyGate) (*core.Session, *core.Queue, 
 // run over the first n/4 floats of whatever buffer is bound as argument 0.
 func incrKernel(t *testing.T, ctx *core.Context, n int) *core.Kernel {
 	t.Helper()
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
-	k, err := prog.CreateKernel("incr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
+	k := incrKernelOf(t, prog)
 	if err := k.SetArg(1, int32(n/4)); err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +373,7 @@ func TestRefusedLazyCreateSurfacesAtSync(t *testing.T) {
 func gatedPair(t *testing.T, g *replyGate, qs int) (sess *core.Session, q0 *core.Queue, q1 []*core.Queue, k *core.Kernel, buf *core.Buffer) {
 	t.Helper()
 	cfg := cluster.Synthetic("gated", 0, 2, 0, nil)
-	rt := connectGated(t, cfg, serveGated(t, cfg, nil, g), g)
+	rt := connectGated(t, serveGated(t, cfg, nil, g), g)
 	devs := rt.Devices(0)
 	sess = rt.OpenSession("migrate")
 	ctx, err := sess.CreateContext(devs)
@@ -523,7 +492,7 @@ func TestRefusedServiceQueueSurfacesAtSync(t *testing.T) {
 func TestPerNodeCreatesGoOutTogether(t *testing.T) {
 	cfg := cluster.Synthetic("gated", 1, 2, 0, nil) // cpu-00, gpu-00, gpu-01
 	gates := []*replyGate{newReplyGate(nil, nil), newReplyGate(nil, nil), newReplyGate(nil, nil)}
-	memNet := serveGated(t, cfg, gates...)
+	nodes := serveGated(t, cfg, gates...)
 
 	// together runs f with op's replies held on every node, and fails the
 	// test unless all three nodes hold one before any is released.
@@ -565,7 +534,7 @@ func TestPerNodeCreatesGoOutTogether(t *testing.T) {
 
 	var rt *core.Runtime
 	if err := together(protocol.OpHello, func() (err error) {
-		rt, err = core.Connect(core.Options{Config: cfg, Dialer: memNet, ClientName: "fan-out"})
+		rt, err = core.Connect(core.Options{Config: cfg, Dialer: nodes.Dialer, ClientName: "fan-out"})
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -593,13 +562,7 @@ func TestPerNodeCreatesGoOutTogether(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := one.CreateProgram(incrSource)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Build(); err != nil {
-			t.Fatal(err)
-		}
+		p := buildIncr(t, one)
 		want += p.BuildLog()
 	}
 	if got := prog.BuildLog(); got != want {
@@ -627,7 +590,7 @@ func TestPerNodeCreatesGoOutTogether(t *testing.T) {
 		before[i] = g.closed.Load()
 	}
 	gates[1].set(nil, map[protocol.Op]uint32{protocol.OpHello: protocol.CodeUnsupported})
-	if _, err := core.Connect(core.Options{Config: cfg, Dialer: memNet, ClientName: "refused"}); err == nil ||
+	if _, err := core.Connect(core.Options{Config: cfg, Dialer: nodes.Dialer, ClientName: "refused"}); err == nil ||
 		!strings.Contains(err.Error(), fmt.Sprintf("%q", cfg.Nodes[1].Name)) {
 		t.Fatalf("Connect with %s refusing the Hello: %v, want an error naming it", cfg.Nodes[1].Name, err)
 	}
@@ -652,7 +615,7 @@ func TestPerNodeCreatesGoOutTogether(t *testing.T) {
 func TestObjectNamedOnceAcrossNodes(t *testing.T) {
 	cfg := cluster.Synthetic("gated", 0, 2, 0, nil)
 	gates := []*replyGate{newReplyGate(nil, nil), newReplyGate(nil, nil)}
-	rt := connectGated(t, cfg, serveGated(t, cfg, gates...), gates...)
+	rt := connectGated(t, serveGated(t, cfg, gates...), gates...)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("names").CreateContext(devs)
 	if err != nil {

@@ -72,7 +72,6 @@ func TestLogReplayIndependentOfRounds(t *testing.T) {
 	for _, rounds := range []int{1, 2, 7, 40} {
 		t.Run(fmt.Sprintf("rounds=%d", rounds), func(t *testing.T) {
 			cc := startChaosCluster(t, 2)
-			defer cc.close()
 			f := newXferFixture(t, cc.rt)
 			for r := 0; r < rounds; r++ {
 				f.round(t)
@@ -106,8 +105,7 @@ func TestLogReplayIndependentOfRounds(t *testing.T) {
 // two buffers is as long after a hundred rounds as after two — the in-repo
 // form of bulk-xfer's heap_retained_mb not depending on the pass length.
 func TestLogFlatAcrossRounds(t *testing.T) {
-	rt, cleanup := startRuntime(t, 2)
-	defer cleanup()
+	rt := startRuntime(t, 2)
 	f := newXferFixture(t, rt)
 	var after2 core.Metrics
 	for r := 1; r <= 100; r++ {
@@ -145,8 +143,7 @@ func TestLogFlatAcrossRounds(t *testing.T) {
 // releases a buffer per job ends a thousand jobs with the log it had after
 // the first.
 func TestLogForgetsReleasedBuffers(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	sess := rt.OpenSession("jobs")
 	ctx, err := sess.CreateContext(rt.Devices(protocol.DeviceGPU))
 	if err != nil {

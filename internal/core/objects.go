@@ -214,8 +214,7 @@ func (s *Session) splitWaits(node *NodeHandle, waits []*Event, local []int64) (_
 		if ev.dev.node == node && ev.gen == gen {
 			if ev.released.Load() {
 				// The node-side record is gone; a wire wait on it would
-				// never resolve. The pre-lane runtime failed the same
-				// sequence with "unknown event" — keep it fail-fast.
+				// never resolve, so fail fast.
 				return nil, 0, fmt.Errorf("core: wait list references released event %d", ev.remoteID)
 			}
 			local = append(local, int64(ev.remoteID))
@@ -426,8 +425,8 @@ func (c *Context) serviceQueue(node *NodeHandle, trigger *cmd) (*Queue, error) {
 
 // newServiceQueue sends the create of node's service queue and registers
 // the queue. The queue lists its own create, so its commands, which the
-// node refuses if the create was, report the create's error. Caller holds
-// mu.
+// node refuses if the create was, report the create's error.
+// Caller holds mu.
 func (c *Context) newServiceQueue(node *NodeHandle) (*Queue, error) {
 	dev, ok := c.deviceOnNode(node)
 	if !ok {
@@ -957,8 +956,7 @@ func (w *writeLog) enqueue(waits ...*Event) (*Event, error) {
 	c.send(trace.KindWrite, modelBytes, h)
 	// A partial write onto a stale replica must NOT validate the unwritten
 	// remainder — those bytes still hold old data, and reading them back
-	// here would expose stale content (the pre-range runtime's
-	// whole-replica flag did exactly that).
+	// here would expose stale content.
 	b.define(c.dev.node, rb, offset, offset+int64(len(data)), c.ev)
 	// Log under b.mu so the log order matches the issue order per buffer.
 	q.ctx.sess.logCommand(w)

@@ -9,12 +9,9 @@ import (
 	"time"
 
 	"github.com/haocl-project/haocl/internal/cluster"
+	"github.com/haocl-project/haocl/internal/cluster/inproc"
 	"github.com/haocl-project/haocl/internal/core"
-	"github.com/haocl-project/haocl/internal/device"
-	"github.com/haocl-project/haocl/internal/node"
 	"github.com/haocl-project/haocl/internal/recycle"
-	"github.com/haocl-project/haocl/internal/sim"
-	"github.com/haocl-project/haocl/internal/transport"
 )
 
 // These tests pin down payload ownership on the host side and the bulk
@@ -25,31 +22,7 @@ import (
 // vectored write is a real writev there.
 func startTCPRuntime(t testing.TB, gpuNodes int) *core.Runtime {
 	t.Helper()
-	cfg := cluster.Synthetic("ownership-test", 0, gpuNodes, 0, nil)
-	icd := device.NewICD()
-	sim.RegisterDrivers(icd, testRegistry())
-	for i := range cfg.Nodes {
-		devCfgs, err := cfg.Nodes[i].DeviceConfigs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := node.New(node.Options{Name: cfg.Nodes[i].Name, Devices: devCfgs, ICD: icd,
-			ExecWorkers: 1, Dialer: transport.TCPDialer{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := n.Serve()
-		if cfg.Nodes[i].Addr, err = srv.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-	}
-	rt, err := core.Connect(core.Options{Config: cfg, Dialer: transport.TCPDialer{}, ClientName: "ownership-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rt.Close() })
-	return rt
+	return connect(t, serveNodes(t, cluster.Synthetic("ownership-test", 0, gpuNodes, 0, nil), inproc.Options{TCP: true}))
 }
 
 func pattern(n int, seed byte) []byte {
@@ -112,8 +85,7 @@ func TestEnqueueWriteCopySemantics(t *testing.T) {
 // private copy serves every hop's frame and the log.
 func TestBroadcastCopySemantics(t *testing.T) {
 	const size = 256 << 10
-	rt, cleanup := startRuntime(t, 3)
-	defer cleanup()
+	rt := startRuntime(t, 3)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
@@ -158,8 +130,7 @@ func TestBroadcastCopySemantics(t *testing.T) {
 // relay must have carried the whole span over the host NIC.
 func TestRelayPushShipsZeros(t *testing.T) {
 	const size = 1 << 20
-	rt, cleanup := startRuntime(t, 2)
-	defer cleanup()
+	rt := startRuntime(t, 2)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
@@ -259,8 +230,7 @@ func TestEnqueueReadDataIsTheCallers(t *testing.T) {
 // Runtime.sessions with a bare append, which left the last closed session
 // — and its whole command log — in the backing array's tail slot.
 func TestClosedSessionsAreCollectable(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	keep := rt.OpenSession("keeper") // a live session, so the slice never empties
 	defer keep.Close()
 
@@ -549,17 +519,8 @@ func TestServeRoundTripAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
-	k, err := prog.CreateKernel("incr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
+	k := incrKernelOf(t, prog)
 	buf, err := ctx.CreateBuffer(size)
 	if err != nil {
 		t.Fatal(err)
@@ -660,13 +621,7 @@ func TestSmallCommandAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
 	k, err := prog.CreateKernel("scale2")
 	if err != nil {
 		t.Fatal(err)
@@ -747,13 +702,7 @@ func TestKernelLaunchAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
 	k, err := prog.CreateKernel("scale2")
 	if err != nil {
 		t.Fatal(err)

@@ -6,70 +6,23 @@ import (
 	"testing"
 
 	"github.com/haocl-project/haocl/internal/cluster"
+	"github.com/haocl-project/haocl/internal/cluster/inproc"
 	"github.com/haocl-project/haocl/internal/core"
-	"github.com/haocl-project/haocl/internal/device"
 	"github.com/haocl-project/haocl/internal/mem"
-	"github.com/haocl-project/haocl/internal/node"
-	"github.com/haocl-project/haocl/internal/sim"
-	"github.com/haocl-project/haocl/internal/transport"
 )
-
-// startRuntimeWithServers is startRuntime exposing the node servers so
-// failure tests can kill them mid-run.
-func startRuntimeWithServers(t *testing.T, gpuNodes int) (*core.Runtime, []*transport.Server, func()) {
-	t.Helper()
-	cfg := cluster.Synthetic("pipeline-test", 0, gpuNodes, 0, nil)
-	icd := device.NewICD()
-	sim.RegisterDrivers(icd, testRegistry())
-	net := transport.NewMemNetwork()
-	var servers []*transport.Server
-	for _, ns := range cfg.Nodes {
-		devCfgs, err := ns.DeviceConfigs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := node.New(node.Options{Name: ns.Name, Devices: devCfgs, ICD: icd, ExecWorkers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := n.Serve()
-		if err := net.Register(ns.Addr, srv); err != nil {
-			t.Fatal(err)
-		}
-		servers = append(servers, srv)
-	}
-	rt, err := core.Connect(core.Options{Config: cfg, Dialer: net, ClientName: "pipeline-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanup := func() {
-		rt.Close()
-		for _, s := range servers {
-			s.Close()
-		}
-	}
-	return rt, servers, cleanup
-}
 
 // TestPipelinedInOrderPerQueue issues a write and a burst of kernels on one
 // queue without touching any event until the whole burst is on the wire:
 // in-order queue semantics must hold in virtual time exactly as they did
 // under the synchronous protocol.
 func TestPipelinedInOrderPerQueue(t *testing.T) {
-	rt, _, cleanup := startRuntimeWithServers(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 
 	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
 	q, err := ctx.CreateQueue(rt.Devices(0)[0])
 	if err != nil {
 		t.Fatal(err)
@@ -78,10 +31,7 @@ func TestPipelinedInOrderPerQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := prog.CreateKernel("incr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := incrKernelOf(t, prog)
 	k.SetArg(0, buf)
 	k.SetArg(1, int32(2))
 
@@ -134,21 +84,14 @@ func TestConcurrentPipelinedEnqueues(t *testing.T) {
 		perDevice   = 2 // concurrent queues per device
 		launchesPer = 8
 	)
-	rt, _, cleanup := startRuntimeWithServers(t, nodes)
-	defer cleanup()
+	rt := startRuntime(t, nodes)
 
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, nodes*perDevice)
@@ -221,8 +164,8 @@ func (e *orderError) Error() string {
 // every affected future must fail, the queue error must be sticky, and
 // Finish must surface it.
 func TestNodeDeathFailsPipelineSticky(t *testing.T) {
-	rt, servers, cleanup := startRuntimeWithServers(t, 1)
-	defer cleanup()
+	nodes := serveNodes(t, cluster.Synthetic("pipeline-test", 0, 1, 0, nil), inproc.Options{})
+	rt := connect(t, nodes)
 
 	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
@@ -244,7 +187,7 @@ func TestNodeDeathFailsPipelineSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	servers[0].Close() // the node dies
+	nodes.Kill("gpu-00") // the node dies
 
 	// The enqueue may or may not report the failure synchronously — the
 	// connection teardown races with the issue — but the event and the
@@ -277,20 +220,13 @@ func TestConcurrentEnqueueFinishReportsLowestIDFailure(t *testing.T) {
 		perSide = 12
 		failAt  = perSide / 2
 	)
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	dev := rt.Devices(0)[0]
 	ctx, err := rt.OpenSession("default").CreateContext([]*core.DeviceRef{dev})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
 	for r := 0; r < rounds; r++ {
 		q, err := ctx.CreateQueue(dev)
 		if err != nil {
@@ -306,18 +242,12 @@ func TestConcurrentEnqueueFinishReportsLowestIDFailure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			k, err := prog.CreateKernel("incr")
-			if err != nil {
-				t.Fatal(err)
-			}
+			k := incrKernelOf(t, prog)
 			k.SetArg(0, buf)
 			k.SetArg(1, int32(4))
 			// The same kernel told its 4-float buffer holds 8 indexes past
 			// its end: the launch panics on the node, failing remotely.
-			bad, err := prog.CreateKernel("incr")
-			if err != nil {
-				t.Fatal(err)
-			}
+			bad := incrKernelOf(t, prog)
 			bad.SetArg(0, buf)
 			bad.SetArg(1, int32(8))
 			wg.Add(1)
@@ -369,8 +299,7 @@ func TestConcurrentEnqueueFinishReportsLowestIDFailure(t *testing.T) {
 // even behind a command nobody waits on.
 func TestWaitLoopKeepsInflightBounded(t *testing.T) {
 	const iters = 500
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	dev := rt.Devices(0)[0]
 	ctx, err := rt.OpenSession("default").CreateContext([]*core.DeviceRef{dev})
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"github.com/haocl-project/haocl/internal/core"
 	"github.com/haocl-project/haocl/internal/mem"
-	"github.com/haocl-project/haocl/internal/node"
 	"github.com/haocl-project/haocl/internal/trace"
 )
 
@@ -30,7 +29,6 @@ type recoveryFixture struct {
 func newRecoveryFixture(t *testing.T, nodes int) *recoveryFixture {
 	t.Helper()
 	cc := startChaosCluster(t, nodes)
-	t.Cleanup(cc.close)
 	devs := cc.rt.Devices(0)
 	if len(devs) != nodes {
 		t.Fatalf("devices = %d, want %d", len(devs), nodes)
@@ -39,17 +37,8 @@ func newRecoveryFixture(t *testing.T, nodes int) *recoveryFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
-	k, err := prog.CreateKernel("incr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
+	k := incrKernelOf(t, prog)
 	f := &recoveryFixture{cc: cc, ctx: ctx, incr: k}
 	for _, d := range devs {
 		q, err := ctx.CreateQueue(d)
@@ -300,13 +289,7 @@ func TestRejoinRacesUserCreates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, err := ctx.CreateProgram(incrSource)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := prog.Build(); err != nil {
-			t.Fatal(err)
-		}
+		buildIncr(t, ctx)
 		last = ctx
 	}
 	for round := 0; round < 3; round++ {
@@ -349,10 +332,7 @@ func TestRejoinRacesUserCreates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, err := prog.CreateKernel("incr")
-		if err != nil {
-			t.Fatal(err)
-		}
+		k := incrKernelOf(t, prog)
 		if err := k.SetArg(0, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -389,43 +369,31 @@ func TestReconnectBackoff(t *testing.T) {
 	f.cc.kill(victim)
 	f.mustRead(t, qs, []float32{3, 1, 4, 1})
 
-	// Build the fresh process now, but bind its address only after a
-	// delay, so ReconnectNode's first dials fail and it must back off.
+	// Boot the fresh process only after a delay, so ReconnectNode's first
+	// dials fail and it must back off.
 	f.rejoinRacingBind(t, 0, []float32{3, 1, 4, 1})
 }
 
-// rejoinRacingBind builds a fresh process for node i, binds it at the
-// node's address 20 ms from now — replacing whatever is still bound there —
-// and rejoins the node in the meantime, so that the first dials fail. The
+// rejoinRacingBind boots a fresh process for node i at the node's address
+// 20 ms from now — replacing whatever is still bound there — and rejoins
+// the node in the meantime, so that the first dials fail. The
 // rejoined node must then serve want out of the fixture's buffer.
 func (f *recoveryFixture) rejoinRacingBind(t *testing.T, i int, want []float32) {
 	t.Helper()
 	cc := f.cc
 	ns := cc.cfg.Nodes[i]
-	devCfgs, err := ns.DeviceConfigs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := node.New(node.Options{Name: ns.Name, Devices: devCfgs, ICD: cc.icd, ExecWorkers: 1, Dialer: cc.net})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := n.Serve()
-	regErr := make(chan error, 1)
+	bootErr := make(chan error, 1)
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		cc.net.Unregister(ns.Addr)
-		regErr <- cc.net.Register(ns.Addr, srv)
+		bootErr <- cc.nodes.Boot(ns.Name)
 	}()
 
 	if err := cc.rt.ReconnectNode(ns.Name); err != nil {
 		t.Fatalf("rejoin racing the bind: %v", err)
 	}
-	if err := <-regErr; err != nil {
-		t.Fatalf("register: %v", err)
+	if err := <-bootErr; err != nil {
+		t.Fatalf("boot: %v", err)
 	}
-	cc.servers[ns.Name] = srv
-	cc.alive[ns.Name] = true
 
 	// The rejoined node is usable.
 	var dev *core.DeviceRef

@@ -118,7 +118,6 @@ func TestRecycledRecordReplaysItsOwnBytes(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			cc := startChaosCluster(t, 3)
-			t.Cleanup(cc.close)
 			n1, n2, n3 := cc.cfg.Nodes[0].Name, cc.cfg.Nodes[1].Name, cc.cfg.Nodes[2].Name
 			write := func(q *core.Queue, b *core.Buffer, data []byte) {
 				t.Helper()
@@ -283,7 +282,6 @@ func TestPooledRequestsDieWithTheirNode(t *testing.T) {
 		tiles           = 20
 	)
 	cc := startChaosCluster(t, 3)
-	t.Cleanup(cc.close)
 	n1 := cc.cfg.Nodes[0].Name
 	devs := cc.rt.Devices(0)
 	ctx, err := cc.rt.OpenSession("A").CreateContext(devs)
@@ -298,13 +296,7 @@ func TestPooledRequestsDieWithTheirNode(t *testing.T) {
 			}
 		}
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
 	// A 256 B write has an unpooled record, a 4 KiB one a pooled record;
 	// both have pooled requests.
 	fill, err := ctx.CreateBuffer(fillSize)
@@ -318,10 +310,7 @@ func TestPooledRequestsDieWithTheirNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, err := prog.CreateKernel("incr")
-		if err != nil {
-			t.Fatal(err)
-		}
+		k := incrKernelOf(t, prog)
 		for i, v := range []any{b, int32(elems)} {
 			if err := k.SetArg(i, v); err != nil {
 				t.Fatal(err)
@@ -377,13 +366,12 @@ func TestPooledRequestsDieWithTheirNode(t *testing.T) {
 	// handler go once the host has seen the connection die.
 	crashed := make(chan struct{})
 	go func() {
-		cc.trips[n1].crash()
+		cc.nodes.Kill(n1)
 		close(crashed)
 	}()
 	cc.awaitDown(n1)
 	close(gate)
 	<-crashed
-	cc.alive[n1] = false
 	if err := cc.rt.Recover(); err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,10 @@ import (
 	"testing"
 
 	"github.com/haocl-project/haocl/internal/cluster"
+	"github.com/haocl-project/haocl/internal/cluster/inproc"
 	"github.com/haocl-project/haocl/internal/core"
-	"github.com/haocl-project/haocl/internal/device"
 	"github.com/haocl-project/haocl/internal/mem"
-	"github.com/haocl-project/haocl/internal/node"
 	"github.com/haocl-project/haocl/internal/protocol"
-	"github.com/haocl-project/haocl/internal/sim"
 	"github.com/haocl-project/haocl/internal/transport"
 )
 
@@ -25,8 +23,8 @@ import (
 // nodes that answered and report the failure — aggregated, naming the dead
 // node — instead of aborting at the first error.
 func TestPollStatusFanout(t *testing.T) {
-	rt, servers, cleanup := startRuntimeWithServers(t, 2)
-	defer cleanup()
+	nodes := serveNodes(t, cluster.Synthetic("pipeline-test", 0, 2, 0, nil), inproc.Options{})
+	rt := connect(t, nodes)
 
 	// Put some observable state on node gpu-00.
 	devs := rt.Devices(0)
@@ -47,7 +45,7 @@ func TestPollStatusFanout(t *testing.T) {
 	}
 
 	// Kill the second node and poll.
-	servers[1].Close()
+	nodes.Kill("gpu-01")
 	err = rt.PollStatus()
 	if err == nil {
 		t.Fatal("poll with a dead node reported success")
@@ -70,8 +68,7 @@ func TestPollStatusFanout(t *testing.T) {
 // (nodes resolve a command's objects at registration, so in-flight work
 // holds references), and the release's own ack drains cleanly at Flush.
 func TestQueueReleasePipelined(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +107,7 @@ func TestQueueReleasePipelined(t *testing.T) {
 // regress into a parked node lane). Once an event is known complete it
 // drops out of the chain instead (TestReleasedCompletedChainEventDropsOut).
 func TestReleasedChainedEventFailsFast(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
 		t.Fatal(err)
@@ -148,8 +144,7 @@ func TestReleasedChainedEventFailsFast(t *testing.T) {
 // and still starts no earlier, in virtual time, than the command ended,
 // even on another queue; the contents are the next command's.
 func TestReleasedCompletedChainEventDropsOut(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	dev := rt.Devices(0)[0]
 	ctx, err := rt.OpenSession("default").CreateContext(rt.Devices(0))
 	if err != nil {
@@ -163,17 +158,8 @@ func TestReleasedCompletedChainEventDropsOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
-	k, err := prog.CreateKernel("incr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
+	k := incrKernelOf(t, prog)
 	const n = 16
 	buf, _ := ctx.CreateBuffer(4 * n)
 	if err := k.SetArg(0, buf); err != nil {
@@ -250,24 +236,14 @@ func TestReleasedCompletedChainEventDropsOut(t *testing.T) {
 // released buffer refuses further use, and the drained acks report no
 // errors.
 func TestBufferKernelRelease(t *testing.T) {
-	rt, cleanup := startRuntime(t, 2)
-	defer cleanup()
+	rt := startRuntime(t, 2)
 	devs := rt.Devices(0)
 	ctx, err := rt.OpenSession("default").CreateContext(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
-	k, err := prog.CreateKernel("incr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
+	k := incrKernelOf(t, prog)
 	buf, _ := ctx.CreateBuffer(32)
 	if err := k.SetArg(0, buf); err != nil {
 		t.Fatal(err)
@@ -382,36 +358,16 @@ func (w *wireTap) snapshot() []tapped {
 // node's (single) host session, in node order.
 func startTappedRuntime(t *testing.T, gpuNodes int) (*core.Runtime, []*wireTap) {
 	t.Helper()
-	cfg := cluster.Synthetic("release-test", 0, gpuNodes, 0, nil)
-	icd := device.NewICD()
-	sim.RegisterDrivers(icd, testRegistry())
-	net := transport.NewMemNetwork()
-	taps := make([]*wireTap, len(cfg.Nodes))
-	for i, ns := range cfg.Nodes {
-		devCfgs, err := ns.DeviceConfigs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := node.New(node.Options{Name: ns.Name, Devices: devCfgs, ICD: icd, ExecWorkers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tap := &wireTap{}
-		taps[i] = tap
-		srv := transport.NewServer(func() transport.Handler {
-			tap.AsyncHandler = n.NewSession().(transport.AsyncHandler)
-			return tap
-		})
-		if err := net.Register(ns.Addr, srv); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
+	taps := make([]*wireTap, gpuNodes)
+	for i := range taps {
+		taps[i] = &wireTap{}
 	}
-	rt, err := core.Connect(core.Options{Config: cfg, Dialer: net, ClientName: "release-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rt.Close() })
+	rt := connect(t, serveNodes(t, cluster.Synthetic("release-test", 0, gpuNodes, 0, nil), inproc.Options{
+		Wrap: func(i int, h transport.Handler) transport.Handler {
+			taps[i].AsyncHandler = h.(transport.AsyncHandler)
+			return taps[i]
+		},
+	}))
 	return rt, taps
 }
 

@@ -130,8 +130,7 @@ type Metrics struct {
 	// Commands counts protocol round trips.
 	Commands int64
 	// WireBytes counts total modeled wire traffic, both directions: the
-	// sum of HostWireBytes and PeerWireBytes, kept for compatibility with
-	// pre-p2p consumers.
+	// sum of HostWireBytes and PeerWireBytes.
 	WireBytes int64
 	// HostWireBytes counts modeled bytes through the host NIC — the
 	// number the p2p data plane shrinks to ~control-frame traffic, since

@@ -10,7 +10,6 @@ import (
 
 	"github.com/haocl-project/haocl/internal/core"
 	"github.com/haocl-project/haocl/internal/mem"
-	"github.com/haocl-project/haocl/internal/node"
 	"github.com/haocl-project/haocl/internal/protocol"
 	"github.com/haocl-project/haocl/internal/transport"
 )
@@ -25,10 +24,6 @@ import (
 // answer with an error, or do something first and then forward it.
 type tripwire struct {
 	armed atomic.Pointer[trip]
-	// crash kills the node like chaosCluster.kill, without its
-	// bookkeeping, so that the node's own handler may call it (from
-	// another goroutine: closing a server waits for its handlers).
-	crash func()
 }
 
 // trip is one armed action; forward hands the request on to the node and
@@ -40,18 +35,6 @@ type trip struct {
 
 func (w *tripwire) arm(op protocol.Op, act func(forward func(), done func(protocol.Message, error))) {
 	w.armed.Store(&trip{op: op, act: act})
-}
-
-// serve returns a server for the node whose sessions pass through w.
-func (w *tripwire) serve(n *node.Node, net *transport.MemNetwork, addr string) *transport.Server {
-	srv := transport.NewServer(func() transport.Handler {
-		return &trippedSession{AsyncHandler: n.NewSession().(transport.AsyncHandler), w: w}
-	})
-	w.crash = func() {
-		net.Unregister(addr)
-		srv.Close()
-	}
-	return srv
 }
 
 type trippedSession struct {
@@ -154,7 +137,6 @@ func TestSecondDeathKeepsBystanderBytes(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cc := startChaosCluster(t, 3)
-			t.Cleanup(cc.close)
 			n1, n2, n3 := cc.cfg.Nodes[0].Name, cc.cfg.Nodes[1].Name, cc.cfg.Nodes[2].Name
 			var a, b tenantData
 			if tc.bystanderOpen {
@@ -165,7 +147,7 @@ func TestSecondDeathKeepsBystanderBytes(t *testing.T) {
 				b = openTenant(t, cc.rt, "B", n1, n3)
 			}
 			w := cc.trips[n2]
-			w.arm(tc.op, func(func(), func(protocol.Message, error)) { go w.crash() })
+			w.arm(tc.op, func(func(), func(protocol.Message, error)) { go cc.nodes.Kill(n2) })
 
 			cc.kill(n1)
 			cc.awaitDown(n1)
@@ -207,7 +189,6 @@ func TestCensusRaceDeathDuringRebind(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cc := startChaosCluster(t, 3)
-			t.Cleanup(cc.close)
 			n1, n2, n3 := cc.cfg.Nodes[0].Name, cc.cfg.Nodes[1].Name, cc.cfg.Nodes[2].Name
 			_, k, qs, bufs := chaosObjects(t, cc.rt, 1, 16)
 			buf := bufs[0]
@@ -230,7 +211,7 @@ func TestCensusRaceDeathDuringRebind(t *testing.T) {
 			var seen atomic.Bool
 			if tc.death {
 				cc.trips[n2].arm(protocol.OpCreateQueue, func(forward func(), _ func(protocol.Message, error)) {
-					cc.trips[n3].crash()
+					cc.nodes.Kill(n3)
 					seen.Store(seenDown(cc.rt, n3))
 					forward()
 				})
@@ -289,7 +270,6 @@ func TestCensusRaceDeathDuringRebind(t *testing.T) {
 // A's queue still reports its failure at the next synchronization.
 func TestTenantFailureStaysItsOwn(t *testing.T) {
 	cc := startChaosCluster(t, 2)
-	t.Cleanup(cc.close)
 	n1, n2 := cc.cfg.Nodes[0].Name, cc.cfg.Nodes[1].Name
 	a := openTenant(t, cc.rt, "A", n1, n2)
 	b := openTenant(t, cc.rt, "B", n1, n2)
@@ -300,10 +280,7 @@ func TestTenantFailureStaysItsOwn(t *testing.T) {
 	if err := prog.Build(); err != nil {
 		t.Fatal(err)
 	}
-	k, err := prog.CreateKernel("incr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := incrKernelOf(t, prog)
 	scratch, err := a.ctx.CreateBuffer(16)
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +317,6 @@ func TestTenantFailureStaysItsOwn(t *testing.T) {
 // A's replay.
 func TestBystanderNotGatedByReplay(t *testing.T) {
 	cc := startChaosCluster(t, 3)
-	t.Cleanup(cc.close)
 	n1, n2, n3 := cc.cfg.Nodes[0].Name, cc.cfg.Nodes[1].Name, cc.cfg.Nodes[2].Name
 	a := openTenant(t, cc.rt, "A", n1, n2)
 	b := openTenant(t, cc.rt, "B", n3)

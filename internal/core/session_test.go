@@ -31,17 +31,8 @@ func openLane(t *testing.T, rt *core.Runtime, tenant string, ctxDevs ...*core.De
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
-	k, err := prog.CreateKernel("incr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
+	k := incrKernelOf(t, prog)
 	q, err := ctx.CreateQueue(dev)
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +80,7 @@ func (l *sessionLane) round(base float32) error {
 // session's buffers, events and kernels with ErrCrossSession — the
 // namespace boundary of DESIGN.md §8.
 func TestSessionNamespaceIsolation(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	dev := rt.Devices(0)[0]
 	a := openLane(t, rt, "tenant-a", dev)
 	b := openLane(t, rt, "tenant-b", dev)
@@ -137,8 +127,7 @@ func TestSessionNamespaceIsolation(t *testing.T) {
 // session refactor the runtime held one global sticky release error, so
 // tenant A's teardown bug poisoned tenant B's Flush.
 func TestSessionReleaseErrorScoped(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	dev := rt.Devices(0)[0]
 	a := openLane(t, rt, "tenant-a", dev)
 	b := openLane(t, rt, "tenant-b", dev)
@@ -169,8 +158,7 @@ func TestSessionReleaseErrorScoped(t *testing.T) {
 // TestSessionPolicyAndMigrationIsolation: SetPolicy acts on one session
 // only.
 func TestSessionPolicyAndMigrationIsolation(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	a := rt.OpenSession("tenant-a")
 	b := rt.OpenSession("tenant-b")
 	defer a.Close()
@@ -193,7 +181,6 @@ func TestSessionPolicyAndMigrationIsolation(t *testing.T) {
 // dead node: survivor-only sessions record zero recoveries.
 func TestSessionConcurrentLifecycleCrash(t *testing.T) {
 	cc := startChaosCluster(t, 2)
-	t.Cleanup(cc.close)
 	devs := cc.rt.Devices(0)
 	if len(devs) != 2 {
 		t.Fatalf("devices = %d", len(devs))

@@ -30,13 +30,7 @@ func traceWorkload(t testing.TB, rt *core.Runtime) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
 	qA, err := ctx.CreateQueue(devs[0])
 	if err != nil {
 		t.Fatal(err)
@@ -56,10 +50,7 @@ func traceWorkload(t testing.TB, rt *core.Runtime) {
 	if _, err := qA.EnqueueWrite(buf, 0, mem.F32Bytes([]float32{1, 2, 3, 4})); err != nil {
 		t.Fatal(err)
 	}
-	k, err := prog.CreateKernel("incr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := incrKernelOf(t, prog)
 	if err := k.SetArg(0, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +78,7 @@ func traceWorkload(t testing.TB, rt *core.Runtime) {
 // Chrome export.
 func tracedRun(t testing.TB) []byte {
 	t.Helper()
-	rt, cleanup := startRuntime(t, 2)
-	defer cleanup()
+	rt := startRuntime(t, 2)
 	tr := trace.New()
 	rt.SetTracer(tr)
 	traceWorkload(t, rt)
@@ -123,8 +113,7 @@ func TestTraceDeterministicAcrossReruns(t *testing.T) {
 // the same (run, node, event) that covers them, and event IDs only on
 // command spans.
 func TestTraceSpanTreeWellFormed(t *testing.T) {
-	rt, cleanup := startRuntime(t, 2)
-	defer cleanup()
+	rt := startRuntime(t, 2)
 	tr := trace.New()
 	rt.SetTracer(tr)
 	traceWorkload(t, rt)
@@ -188,8 +177,7 @@ func TestTraceSpanTreeWellFormed(t *testing.T) {
 // TestTraceSessionOverride: a session-level tracer captures that session's
 // commands even when the runtime has no tracer attached.
 func TestTraceSessionOverride(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	sess := rt.OpenSession("tenant-x")
 	tr := trace.New()
 	sess.SetTracer(tr)
@@ -228,8 +216,7 @@ func TestTraceSessionOverride(t *testing.T) {
 //
 //	go test ./internal/core -run TestTraceGolden -update-trace-golden
 func TestTraceGolden(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	tr := trace.New()
 	rt.SetTracer(tr)
 
@@ -238,13 +225,7 @@ func TestTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ctx.CreateProgram(incrSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(); err != nil {
-		t.Fatal(err)
-	}
+	prog := buildIncr(t, ctx)
 	q, err := ctx.CreateQueue(dev[0])
 	if err != nil {
 		t.Fatal(err)
@@ -256,10 +237,7 @@ func TestTraceGolden(t *testing.T) {
 	if _, err := q.EnqueueWrite(buf, 0, mem.F32Bytes([]float32{1, 2, 3, 4})); err != nil {
 		t.Fatal(err)
 	}
-	k, err := prog.CreateKernel("incr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := incrKernelOf(t, prog)
 	if err := k.SetArg(0, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -301,8 +279,7 @@ func TestTraceGolden(t *testing.T) {
 // FairQueue-style direct Run.Add land in the same export, and the metrics
 // surface includes their histogram.
 func TestTraceAdmissionAndMetrics(t *testing.T) {
-	rt, cleanup := startRuntime(t, 1)
-	defer cleanup()
+	rt := startRuntime(t, 1)
 	tr := trace.New()
 	run := rt.SetTracer(tr)
 	run.Add(trace.Span{Kind: trace.KindAdmission, Tenant: "t0",
@@ -341,8 +318,7 @@ func TestTraceAdmissionAndMetrics(t *testing.T) {
 func BenchmarkEnqueueWrite(b *testing.B) {
 	for _, traced := range []bool{false, true} {
 		b.Run(fmt.Sprintf("traced=%v", traced), func(b *testing.B) {
-			rt, cleanup := startRuntime(b, 1)
-			defer cleanup()
+			rt := startRuntime(b, 1)
 			if traced {
 				rt.SetTracer(trace.New())
 			}

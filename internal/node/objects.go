@@ -27,8 +27,7 @@ type contextObj struct {
 	devices []uint32
 
 	// sessionID and tenant attribute the context to one host-side session:
-	// node logs and accounting can tell tenants apart. Pre-session hosts
-	// leave them 0/"" — one anonymous session.
+	// node logs and accounting can tell tenants apart.
 	sessionID uint64
 	tenant    string
 }

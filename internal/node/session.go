@@ -1166,8 +1166,7 @@ func (s *Session) handleQueryEvent(body []byte) (protocol.Message, error) {
 		return nil, remoteErr(protocol.CodeUnknownObject, "unknown event %d", req.EventID)
 	}
 	if !e.isDone() {
-		// The command is still executing on its lane (impossible under the
-		// old FIFO, where queries could only arrive after execution).
+		// The command is still executing on its lane.
 		return &protocol.QueryEventResp{Complete: false}, nil
 	}
 	if e.err != nil {

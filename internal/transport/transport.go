@@ -14,8 +14,7 @@
 // produced a response yet. Whether execution is also serial is the
 // handler's choice — an AsyncHandler (the node's session, with its
 // per-queue dispatch lanes) completes requests out of order, and each reply
-// leaves as its request completes; a plain Handler keeps the strict FIFO of
-// the pre-lane runtime.
+// leaves as its request completes; a plain Handler runs them one by one.
 //
 // The host side issues calls through Go, which ships the request and
 // returns a Pending future; Call is Go followed by Wait. Any number of
@@ -772,7 +771,7 @@ func (c *Client) Close() error {
 // the handler register those IDs before anything executes, making the
 // reference valid by construction. Whether *execution* is also serial is
 // the handler's choice: a plain Handler runs inline in the connection's
-// goroutine (strict FIFO, the pre-lane behavior), while an AsyncHandler
+// goroutine (strict FIFO), while an AsyncHandler
 // fans requests out to its own execution lanes and completes them out of
 // order, each reply leaving as its request completes; the host correlates
 // them by request ID (DESIGN.md §4). Different connections always execute
@@ -1001,8 +1000,7 @@ func (w *connWriter) complete(to replyTo, resp protocol.Message, err error) {
 // dispatcher hands one connection's frames to its handler. An
 // AsyncHandler takes ownership of each request's execution and completes
 // it through the connection's writer from its own lanes; a plain Handler
-// is wrapped to execute inline, preserving the strict per-connection FIFO
-// of the pre-lane runtime.
+// is wrapped to execute inline, in strict per-connection FIFO.
 type dispatcher struct {
 	w     *connWriter
 	async AsyncHandler

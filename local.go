@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"github.com/haocl-project/haocl/internal/cluster"
-	"github.com/haocl-project/haocl/internal/device"
-	"github.com/haocl-project/haocl/internal/node"
-	"github.com/haocl-project/haocl/internal/sim"
-	"github.com/haocl-project/haocl/internal/transport"
+	"github.com/haocl-project/haocl/internal/cluster/inproc"
 )
 
 // LocalClusterSpec describes an in-process simulated cluster. Either give
@@ -46,13 +43,11 @@ type LocalCluster struct {
 	// Platform is the connected host-side platform.
 	Platform *Platform
 
-	servers []*transport.Server
-	nodes   []*node.Node
+	nodes *inproc.Nodes
 }
 
-// StartLocalCluster builds the nodes, serves them on an in-memory network,
-// and connects a Platform — everything a distributed deployment has except
-// the TCP sockets (integration tests cover those via cmd/haocl-node).
+// StartLocalCluster serves the nodes on an in-memory network and connects
+// a Platform: everything a distributed deployment has but the sockets.
 func StartLocalCluster(spec LocalClusterSpec) (*LocalCluster, error) {
 	if spec.Kernels == nil {
 		return nil, fmt.Errorf("haocl: LocalClusterSpec.Kernels is required")
@@ -60,7 +55,9 @@ func StartLocalCluster(spec LocalClusterSpec) (*LocalCluster, error) {
 	var cfg *cluster.Config
 	if spec.Config != nil {
 		c := *spec.Config
-		c.UserID = firstNonEmpty(c.UserID, spec.UserID)
+		if c.UserID == "" {
+			c.UserID = spec.UserID
+		}
 		cfg = &c
 	} else {
 		cfg = cluster.Synthetic(spec.UserID, spec.CPUNodes, spec.GPUNodes, spec.FPGANodes, spec.Bitstreams)
@@ -69,70 +66,26 @@ func StartLocalCluster(spec LocalClusterSpec) (*LocalCluster, error) {
 		return nil, err
 	}
 
-	icd := device.NewICD()
-	sim.RegisterDrivers(icd, spec.Kernels)
-	net := transport.NewMemNetwork()
-
-	lc := &LocalCluster{}
-	for _, ns := range cfg.Nodes {
-		devCfgs, err := ns.DeviceConfigs()
-		if err != nil {
-			lc.Close()
-			return nil, err
-		}
-		n, err := node.New(node.Options{
-			Name:        ns.Name,
-			Devices:     devCfgs,
-			ICD:         icd,
-			ExecWorkers: spec.ExecWorkers,
-			Dialer:      net,
-		})
-		if err != nil {
-			lc.Close()
-			return nil, err
-		}
-		srv := n.Serve()
-		if err := net.Register(ns.Addr, srv); err != nil {
-			srv.Close()
-			lc.Close()
-			return nil, err
-		}
-		lc.nodes = append(lc.nodes, n)
-		lc.servers = append(lc.servers, srv)
+	nodes, err := inproc.Serve(cfg, spec.Kernels, inproc.Options{ExecWorkers: spec.ExecWorkers})
+	if err != nil {
+		return nil, err
 	}
-
-	platform, err := Connect(cfg,
-		withDialer(net),
+	lc := &LocalCluster{nodes: nodes}
+	lc.Platform, err = Connect(nodes.Config,
+		withDialer(nodes.Dialer),
 		WithPolicy(spec.Policy),
 		WithClientName("haocl-local"),
 	)
 	if err != nil {
-		lc.Close()
+		nodes.Close()
 		return nil, err
 	}
-	lc.Platform = platform
 	return lc, nil
 }
 
 // Close disconnects the platform and stops every node server.
 func (c *LocalCluster) Close() error {
-	var firstErr error
-	if c.Platform != nil {
-		if err := c.Platform.Close(); err != nil {
-			firstErr = err
-		}
-	}
-	for _, s := range c.servers {
-		if err := s.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-func firstNonEmpty(a, b string) string {
-	if a != "" {
-		return a
-	}
-	return b
+	err := c.Platform.Close()
+	c.nodes.Close()
+	return err
 }
